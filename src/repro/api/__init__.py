@@ -6,7 +6,8 @@ Every query surface in the repository is a shim over this layer:
 * :class:`~repro.service.service.ClientSession.cursor` exposes the same
   :class:`Cursor` protocol over the concurrent query service;
 * the legacy ``query()`` / ``execute()`` / ``query_with_report()``
-  methods remain as deprecated wrappers.
+  methods remain as deprecated wrappers that open the same stream a
+  cursor pulls and drain it — one execution path, not a second engine.
 
 Cursors stream the final projection in row batches (``fetchone`` /
 ``fetchmany`` / ``fetchall`` / iteration), statements accept ``?``

@@ -148,8 +148,8 @@ class Cursor:
     def spans(self) -> Optional[dict]:
         """The execution's span tree (JSON-serialisable), or ``None``.
 
-        Filled when the engine runs with ``trace_spans=True``; streaming
-        executions report it once the stream is exhausted or closed.
+        Filled when the engine runs with ``trace_spans=True``, once the
+        stream is exhausted or closed; one span per operator that ran.
         """
         report = self.report
         return None if report is None else report.spans

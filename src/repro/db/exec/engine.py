@@ -18,11 +18,12 @@ epoch (every cached plan becomes unreachable); DML evicts the plans that
 scan the mutated table through the same :meth:`Database._invalidate_for`
 path that already drops recycler intermediates.
 
-Execution comes in two shapes: the classic materialised
-:class:`~repro.db.exec.result.Result`, and :class:`StreamingQuery` — the
-cursor path — which pulls the final projection in row batches so
-consumption can start before the full result (or, behind a LIMIT, even
-the full extraction) exists.
+There is one execution path: :class:`StreamingQuery` pulls the final
+projection in row batches, so consumption can start before the full
+result (or, behind a LIMIT, even the full extraction) exists.  The
+materialised :class:`~repro.db.exec.result.Result` that
+:meth:`Database.query` returns is that same stream drained in one
+unbounded batch.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.db.plan.logical import LogicalNode, bind_select
 from repro.db.plan.optimizer import optimize
 from repro.db.plan.physical import (
     DEFAULT_BATCH_ROWS,
+    UNBOUNDED_ROWS,
     ExecutionContext,
     PhysicalNode,
     build_physical,
@@ -57,7 +59,7 @@ from repro.db.sql.parameters import (
     resolve_param_values,
     substitute_ast_params,
 )
-from repro.db.sql.parser import parse_prepared, parse_statement
+from repro.db.sql.parser import parse_prepared
 from repro.db.table import ColumnSpec, ForeignKeySpec, Table, TableSchema
 from repro.db.types import DataType, type_from_name
 from repro.errors import BindError, ExecutionError, SQLError
@@ -181,11 +183,7 @@ class _CachedStatement:
 
 
 def _fold_trace_counters(report: QueryReport, trace: list[dict]) -> None:
-    """Accumulate per-operator trace entries into the query report.
-
-    Shared by the materialised and streaming execution paths so the
-    extraction/coalescing/promotion counters can never drift apart.
-    """
+    """Accumulate per-operator trace entries into the query report."""
     for entry in trace:
         op = entry.get("op")
         if op == "extract":
@@ -206,7 +204,8 @@ def _fold_trace_counters(report: QueryReport, trace: list[dict]) -> None:
 
 
 def _fill_ctx_counters(report: QueryReport, ctx: ExecutionContext) -> None:
-    """Copy execution-context counters into the report (all paths)."""
+    """Copy execution-context counters into the report (vectorised and
+    rowpath execution alike)."""
     report.rows_extracted = ctx.rows_extracted
     report.operators_run = ctx.operators_run
     report.pages_read = ctx.pages_read
@@ -262,19 +261,23 @@ class CompletedQuery:
         if self.is_rowset and self.result.row_count:
             yield self.result
 
+    def drain(self) -> Result:
+        return self.result
+
     def close(self) -> None:  # protocol symmetry with StreamingQuery
         pass
 
 
 class StreamingQuery:
-    """One SELECT being pulled in row batches (the cursor fast path).
+    """One SELECT being pulled in row batches — the one execution path.
 
     The final projection streams out of :meth:`PhysicalNode.
     execute_batches`: fully streamable plans (scan → filter → project
     [→ limit]) yield their first rows before the scan's full output is
     ever materialised, and a LIMIT stops upstream work early.  Plans
     with pipeline breakers (aggregate, sort, join) materialise at the
-    breaker and stream the tail above it.
+    breaker and stream the tail above it.  :meth:`drain` is the
+    materialised face of the same stream.
 
     The per-query :class:`QueryReport` fills progressively;
     counters and the oplog "done" record land when the stream is
@@ -283,7 +286,8 @@ class StreamingQuery:
 
     def __init__(self, db: "Database", entry: _CachedPlan, sql: str,
                  values: Optional[dict], report: "QueryReport",
-                 batch_rows: int) -> None:
+                 batch_rows: int,
+                 profile: Optional[QueryProfile] = None) -> None:
         self.db = db
         self.entry = entry
         self.sql = sql
@@ -294,13 +298,17 @@ class StreamingQuery:
         self.rowcount = -1  # unknown until the stream is exhausted
         self._values = values
         report.params_hash = journal_mod.params_hash(values)
-        self._ctx = ExecutionContext(oplog=db.oplog, recycler=db.recycler)
+        if profile is None and db.trace_spans:
+            profile = QueryProfile()
+        self.profile = profile
+        self._ctx = ExecutionContext(oplog=db.oplog, recycler=db.recycler,
+                                     profile=profile)
         self.trace = self._ctx.trace
         self._finished = False
         db.last_plan_logical = entry.naive
         db.last_plan_optimized = entry.optimized
         db.last_plan_physical = entry.physical
-        db.oplog.record("query", "execute (streaming)",
+        db.oplog.record("query", "execute",
                         sql=sql[:120].replace("\n", " "))
         self._gen = entry.physical.execute_batches(self._ctx, batch_rows)
 
@@ -328,10 +336,16 @@ class StreamingQuery:
             yield Result(self.names,
                          [chunk.columns[c.cid] for c in out_cols])
 
+    def drain(self) -> Result:
+        """Pull the stream dry: the whole result, ``concat(batches)``."""
+        return Result.concat(self.names, self.dtypes, list(self.batches()))
+
     def close(self) -> None:
         """Abandon the stream (partial consumption still reports)."""
         if not self._finished:
-            self._gen.close()
+            started = time.perf_counter()
+            self._gen.close()  # runs the open operators' cleanup
+            self.report.execute_s += time.perf_counter() - started
             self._finalize()
 
     def _finalize(self, *, status: str = "ok", error: str = "") -> None:
@@ -344,11 +358,9 @@ class StreamingQuery:
         # (e.g. a satisfied LIMIT at the cursor) is a finished query.
         report.journal_id = self.db.journal.record_report(
             report, status=status, error=error)
-        if self.db.trace_spans:
-            # Streaming pulls through execute_batches, which bypasses the
-            # profiled execute path: query-level phases are exact, and
-            # trace events become the execute span's children.
-            report.spans = span_tree(self.sql, report, None, ctx.trace)
+        if self.profile is not None:
+            report.spans = span_tree(self.sql, report, self.profile,
+                                     ctx.trace)
         self.rowcount = report.rows_out
         self.db.last_trace = ctx.trace
         self.db.last_report = report
@@ -378,8 +390,8 @@ class Database:
         journal_capacity: int = journal_mod.DEFAULT_JOURNAL_CAPACITY,
     ) -> None:
         self.catalog = Catalog()
-        # Every finished SELECT (materialised, streaming or rowpath;
-        # success or failure) lands in the journal, queryable as
+        # Every finished SELECT (streamed or rowpath; success or
+        # failure) lands in the journal, queryable as
         # sys.queries / sys.sessions on any connection.
         self.journal = journal if journal is not None \
             else QueryJournal(journal_capacity)
@@ -397,8 +409,7 @@ class Database:
         self.enable_lazy_rewrite = enable_lazy_rewrite
         self.enable_pruning = enable_pruning
         # When on, every query carries a span tree in ``report.spans``
-        # (operator frames on the materialised path; trace-event spans on
-        # the streaming path, whose operator overrides bypass profiling).
+        # with one span per operator that ran.
         self.trace_spans = trace_spans
         self.plan_cache_size = plan_cache_size
         self._plan_cache: \
@@ -423,41 +434,29 @@ class Database:
 
     def execute(self, sql: str, params: ParamValues = None) -> Result:
         """Run any statement; DDL/DML return a one-cell status result."""
-        kind, payload, report = self._compile_sql(sql)
-        if kind == "select":
-            result, _report, _trace = self._execute_entry(
-                payload, sql, params, report)
-            return result
-        result, _rowcount = self._execute_other(payload, params)
-        return result
+        return self.open_query(sql, params, batch_rows=UNBOUNDED_ROWS).drain()
 
     def query(self, sql: str, params: ParamValues = None) -> Result:
         """Run a SELECT (raises on anything else)."""
-        kind, payload, report = self._compile_sql(sql)
-        if kind != "select":
-            raise SQLError("query() requires a SELECT statement")
-        result, _report, _trace = self._execute_entry(
-            payload, sql, params, report)
-        return result
+        return self.open_query(sql, params, batch_rows=UNBOUNDED_ROWS,
+                               select_only=True).drain()
 
     def query_with_report(self, sql: str, params: ParamValues = None
                           ) -> tuple[Result, QueryReport, list[dict]]:
         """Run a SELECT and return its private report and trace.
 
-        This is the concurrency-safe entry point the query service uses:
-        each call gets its own :class:`QueryReport` and trace list, so
+        Each call gets its own :class:`QueryReport` and trace list, so
         parallel sessions never read each other's ``last_report``.  (The
         ``last_*`` introspection attributes are still updated — they are
         last-writer-wins under concurrency, by design.)
 
         .. deprecated:: prefer a cursor (``repro.api``), whose
            ``report`` / ``trace`` attributes carry the same data without
-           tuple juggling.
+           tuple juggling; this is that cursor drained.
         """
-        kind, payload, report = self._compile_sql(sql)
-        if kind != "select":
-            raise SQLError("query_with_report() requires a SELECT statement")
-        return self._execute_entry(payload, sql, params, report)
+        run = self.open_query(sql, params, batch_rows=UNBOUNDED_ROWS,
+                              select_only=True)
+        return run.drain(), run.report, run.trace
 
     def query_rowpath(self, sql: str, params: ParamValues = None
                       ) -> tuple[Result, QueryReport, list]:
@@ -502,13 +501,15 @@ class Database:
         return result, report, ctx.trace
 
     def open_query(self, sql: str, params: ParamValues = None,
-                   *, batch_rows: Optional[int] = None
+                   *, batch_rows: Optional[int] = None,
+                   select_only: bool = False
                    ) -> "StreamingQuery | CompletedQuery":
         """Start a statement for cursor-style batched consumption.
 
         SELECTs return a :class:`StreamingQuery` whose batches are pulled
         on demand; everything else executes immediately and comes back as
-        a :class:`CompletedQuery`.
+        a :class:`CompletedQuery` — unless the caller serves queries only
+        (``select_only``), in which case it raises before executing.
         """
         kind, payload, report = self._compile_sql(sql)
         if kind == "select":
@@ -516,6 +517,9 @@ class Database:
                 payload.spec, payload.bound_params, params)
             return StreamingQuery(self, payload, sql, values, report,
                                   batch_rows or DEFAULT_BATCH_ROWS)
+        if select_only:
+            raise SQLError("a SELECT statement is required here "
+                           f"(got {type(payload[0]).__name__})")
         stmt, _spec = payload
         result, rowcount = self._execute_other(payload, params)
         is_rowset = isinstance(stmt, ast.ExplainStmt)
@@ -524,12 +528,12 @@ class Database:
 
     def explain(self, sql: str) -> str:
         """Compile-time plan report for a SELECT."""
-        stmt = parse_statement(sql)
+        stmt, spec = parse_prepared(sql)
         if isinstance(stmt, ast.ExplainStmt):
             stmt = stmt.select
         if not isinstance(stmt, ast.SelectStmt):
             raise SQLError("explain() requires a SELECT statement")
-        return self._explain_select(stmt)
+        return self._explain_select(stmt, spec)
 
     def explain_analyze(self, sql: str, params: ParamValues = None) -> str:
         """Execute a SELECT and render the plan with measured actuals.
@@ -549,19 +553,30 @@ class Database:
 
     # -- compilation & the plan cache ------------------------------------------
 
-    def _compile(self, stmt: ast.SelectStmt) -> tuple[LogicalNode, LogicalNode,
-                                                      PhysicalNode]:
+    def _plan_select(self, stmt: ast.SelectStmt, spec: ParamSpec,
+                     report: QueryReport) -> _CachedPlan:
+        """Bind → optimise → build the physical plan, timing the phases
+        into ``report``: the one compile step behind the plan cache,
+        EXPLAIN and EXPLAIN ANALYZE."""
+        started = time.perf_counter()
         naive = bind_select(self.catalog, stmt)
         # Bind twice: optimisation mutates nodes, and we keep the pre-
         # optimisation plan for EXPLAIN/demo display.
         bound = bind_select(self.catalog, stmt)
+        report.bind_s = time.perf_counter() - started
+        started = time.perf_counter()
         optimized = optimize(
             bound,
             enable_lazy_rewrite=self.enable_lazy_rewrite,
             enable_pruning=self.enable_pruning,
         )
         physical = build_physical(optimized, self.recycler)
-        return naive, optimized, physical
+        report.optimize_s = time.perf_counter() - started
+        return _CachedPlan(
+            stmt=stmt, naive=naive, optimized=optimized, physical=physical,
+            spec=spec, bound_params=collect_bound_params(optimized),
+            tables=frozenset(_plan_tables(optimized)),
+        )
 
     def _compile_sql(self, sql: str):
         """Lex, consult the plan cache, and (on a miss) parse/bind/optimise.
@@ -597,29 +612,13 @@ class Database:
                 self._store_cache_entry(key, _CachedStatement(stmt, spec))
                 return "other", (stmt, spec), report
 
-            started = time.perf_counter()
-            naive = bind_select(self.catalog, stmt)
-            bound = bind_select(self.catalog, stmt)
-            report.bind_s = time.perf_counter() - started
-            started = time.perf_counter()
-            optimized = optimize(
-                bound,
-                enable_lazy_rewrite=self.enable_lazy_rewrite,
-                enable_pruning=self.enable_pruning,
-            )
-            physical = build_physical(optimized, self.recycler)
-            report.optimize_s = time.perf_counter() - started
+            entry = self._plan_select(stmt, spec, report)
         except Exception as exc:
             # Statements that never reach execution (parse/bind errors)
             # still journal: sys.queries is the full failure record.
             report.journal_id = self.journal.record_report(
                 report, status="error", error=str(exc))
             raise
-        entry = _CachedPlan(
-            stmt=stmt, naive=naive, optimized=optimized, physical=physical,
-            spec=spec, bound_params=collect_bound_params(optimized),
-            tables=frozenset(_plan_tables(optimized)),
-        )
         if self.shard_router is not None:
             entry = self.shard_router.maybe_shard(self, entry)
         self._store_cache_entry(key, entry)
@@ -643,51 +642,6 @@ class Database:
         with self._plan_lock:
             self._plan_cache.clear()
 
-    # -- SELECT execution -------------------------------------------------------
-
-    def _execute_entry(self, entry: _CachedPlan, sql: str,
-                       params: ParamValues, report: QueryReport
-                       ) -> tuple[Result, QueryReport, list[dict]]:
-        values = resolve_param_values(entry.spec, entry.bound_params, params)
-        report.params_hash = journal_mod.params_hash(values)
-
-        self.last_plan_logical = entry.naive
-        self.last_plan_optimized = entry.optimized
-        self.last_plan_physical = entry.physical
-
-        ctx = ExecutionContext(
-            oplog=self.oplog, recycler=self.recycler,
-            profile=QueryProfile() if self.trace_spans else None)
-        self.oplog.record("query", "execute",
-                          sql=sql[:120].replace("\n", " "))
-        started = time.perf_counter()
-        try:
-            with ex.active_params(values):
-                chunk = entry.physical.execute(ctx)
-        except Exception as exc:
-            report.execute_s = time.perf_counter() - started
-            _fill_ctx_counters(report, ctx)
-            report.journal_id = self.journal.record_report(
-                report, status="error", error=str(exc))
-            raise
-        report.execute_s = time.perf_counter() - started
-        report.rows_out = chunk.length
-        _fill_ctx_counters(report, ctx)
-        report.journal_id = self.journal.record_report(report)
-        if ctx.profile is not None:
-            report.spans = span_tree(sql, report, ctx.profile, ctx.trace)
-        self.last_trace = ctx.trace
-        self.last_report = report
-        self.oplog.record(
-            "query", "done",
-            rows=chunk.length,
-            seconds=round(report.execute_s, 4),
-            extracted=ctx.rows_extracted,
-        )
-        names = [c.name for c in entry.optimized.output]
-        columns = [chunk.columns[c.cid] for c in entry.optimized.output]
-        return Result(names, columns), report, ctx.trace
-
     # -- non-SELECT execution ---------------------------------------------------
 
     def _execute_other(self, payload, params: ParamValues
@@ -702,7 +656,7 @@ class Database:
             else:
                 # Plain EXPLAIN never executes: parameter values (if any)
                 # are irrelevant and placeholders appear in the plan.
-                text = self._explain_select(stmt.select)
+                text = self._explain_select(stmt.select, spec)
             return Result(["plan"],
                           [Column.from_values(DataType.VARCHAR, [text])]), -1
         values = resolve_param_values(spec, [], params)
@@ -729,17 +683,17 @@ class Database:
                       [Column.from_values(DataType.VARCHAR, [message])]), \
             rowcount
 
-    def _explain_select(self, stmt: ast.SelectStmt) -> str:
-        naive, optimized, physical = self._compile(stmt)
+    def _explain_select(self, stmt: ast.SelectStmt, spec: ParamSpec) -> str:
+        entry = self._plan_select(stmt, spec, QueryReport())
         sections = [
             "== logical plan (as bound) ==",
-            explain_mod.render_logical(naive),
+            explain_mod.render_logical(entry.naive),
             "",
             "== logical plan (optimised: metadata first, lazy rewrite points) ==",
-            explain_mod.render_logical(optimized),
+            explain_mod.render_logical(entry.optimized),
             "",
             "== physical plan ==",
-            explain_mod.render_physical(physical),
+            explain_mod.render_physical(entry.physical),
         ]
         if self.shard_router is not None:
             extra = self.shard_router.explain_section(self, stmt)
@@ -749,49 +703,19 @@ class Database:
 
     def _explain_analyze(self, stmt: ast.SelectStmt, spec: ParamSpec,
                          sql: str, params: ParamValues) -> str:
-        """Compile, execute under a profile, and render the actuals.
+        """Compile, drain under a profile, and render the actuals.
 
         Compiles outside the plan cache on purpose: the rendered tree
         must describe exactly the plan this execution ran, and the timed
         bind/optimize phases are part of what ANALYZE reports.
         """
         report = QueryReport(sql=sql)
-        started = time.perf_counter()
-        naive = bind_select(self.catalog, stmt)
-        bound = bind_select(self.catalog, stmt)
-        report.bind_s = time.perf_counter() - started
-        started = time.perf_counter()
-        optimized = optimize(
-            bound,
-            enable_lazy_rewrite=self.enable_lazy_rewrite,
-            enable_pruning=self.enable_pruning,
-        )
-        physical = build_physical(optimized, self.recycler)
-        report.optimize_s = time.perf_counter() - started
-        values = resolve_param_values(
-            spec, collect_bound_params(optimized), params)
+        entry = self._plan_select(stmt, spec, report)
+        values = resolve_param_values(spec, entry.bound_params, params)
         profile = QueryProfile()
-        ctx = ExecutionContext(oplog=self.oplog, recycler=self.recycler,
-                               profile=profile)
-        self.oplog.record("query", "execute (analyze)",
-                          sql=sql[:120].replace("\n", " "))
-        started = time.perf_counter()
-        with ex.active_params(values):
-            chunk = physical.execute(ctx)
-        report.execute_s = time.perf_counter() - started
-        report.rows_out = chunk.length
-        report.rows_extracted = ctx.rows_extracted
-        report.operators_run = ctx.operators_run
-        report.pages_read = ctx.pages_read
-        report.pages_skipped = ctx.pages_skipped
-        report.pages_skipped_zone = ctx.pages_skipped_zone
-        _fold_trace_counters(report, ctx.trace)
-        report.spans = span_tree(sql, report, profile, ctx.trace)
-        self.last_plan_logical = naive
-        self.last_plan_optimized = optimized
-        self.last_plan_physical = physical
-        self.last_trace = ctx.trace
-        self.last_report = report
+        run = StreamingQuery(self, entry, sql, values, report,
+                             UNBOUNDED_ROWS, profile)
+        run.drain()
         summary = (
             f"rows_out={report.rows_out}"
             f"  rows_extracted={report.rows_extracted}"
@@ -804,10 +728,10 @@ class Database:
         )
         sections = [
             "== logical plan (optimised) ==",
-            explain_mod.render_logical(optimized),
+            explain_mod.render_logical(entry.optimized),
             "",
             "== executed plan (actual) ==",
-            explain_mod.render_analyzed(profile, ctx.trace),
+            explain_mod.render_analyzed(profile, run.trace),
             "",
             "== execution summary ==",
             summary,

@@ -18,6 +18,17 @@ class Result:
         self.names = names
         self.columns = columns
 
+    @classmethod
+    def concat(cls, names: list[str], dtypes: list[DataType],
+               batches: "list[Result]") -> "Result":
+        """A stream's row batches as one result (a lone batch as is)."""
+        if len(batches) == 1:
+            return batches[0]
+        if not batches:
+            return cls(names, [Column.from_values(dt, []) for dt in dtypes])
+        return cls(names, [Column.concat([b.columns[i] for b in batches])
+                           for i in range(len(names))])
+
     # -- shape -------------------------------------------------------------------
 
     @property

@@ -84,11 +84,11 @@ def render_analyzed(profile, trace: list[dict]) -> str:
 
     Rendered from the executed :class:`~repro.obs.tracing.QueryProfile`
     frame tree (not the static node tree): each line is one operator
-    *invocation* carrying measured wall time (total and self), rows out
+    that ran, carrying measured wall time (total and self), rows out
     and page I/O, with the run-time trace events it produced (extract,
     cache_fetch, promoted_fetch, ...) nested beneath it.
     """
-    if profile is None or not profile.roots:
+    if not profile.roots:
         return "(no operators executed)"
     lines: list[str] = []
 
@@ -102,7 +102,7 @@ def render_analyzed(profile, trace: list[dict]) -> str:
         if frame.recycled:
             stats.append("recycled")
         lines.append(f"{pad}{frame.label}  (actual: {', '.join(stats)})")
-        for index in frame.own_trace_indices():
+        for index in frame.own_trace:
             entry = trace[index]
             op = entry.get("op", "?")
             rest = ", ".join(f"{k}={v}" for k, v in entry.items()

@@ -1,11 +1,18 @@
-"""Physical operators: column-at-a-time execution with materialised
-intermediates, mirroring MonetDB's execution model.
+"""Physical operators: one batch generator each, column-at-a-time.
 
-Every operator's :meth:`~PhysicalNode.execute` returns a fully
-materialised :class:`Chunk`.  That choice is deliberate — the paper's lazy
-loading is "simply caching the result of a view definition (i.e. some of
-the intermediate results)" via the recycler, which requires materialised
-intermediates to exist.
+Every operator implements a single hook, :meth:`PhysicalNode.batches` —
+a generator of row-batch :class:`Chunk` s.  Streamable operators (scans,
+filter, project, limit, distinct, the probe side of a join) pass batches
+through as they arrive, so a cursor sees the head of a large result
+before the tail exists and a LIMIT stops upstream work early.  Pipeline
+breakers (sort, aggregate, a join's build side, a lazy fetch's metadata
+input) drain their input with :meth:`PhysicalNode.execute`, which is
+nothing but ``concat(batches)`` at an unbounded batch size; a
+materialised result is the same stream drained.  Materialised
+intermediates still exist where the paper needs them — lazy loading is
+"simply caching the result of a view definition (i.e. some of the
+intermediate results)" via the recycler, and the recyclable nodes are
+exactly those breakers.
 
 :class:`PLazyFetch` is the run-time rewriting operator of §3.1: executing
 it runs the metadata sub-plan, asks the lazy binding to inject cache-fetch
@@ -17,6 +24,7 @@ data" and "the plans generated on the fly".
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -62,6 +70,18 @@ class Chunk:
             length=kept,
         )
 
+    def slice(self, start: int, stop: int) -> "Chunk":
+        """Rows ``[start, stop)`` as views.  The whole range is the chunk
+        itself, so its columns keep their cached dictionaries."""
+        if start <= 0 and stop >= self.length:
+            return self
+        stop = min(stop, self.length)
+        return Chunk(
+            columns={cid: col.slice(start, stop)
+                     for cid, col in self.columns.items()},
+            length=max(0, stop - start),
+        )
+
     def memory_bytes(self) -> int:
         return sum(col.memory_bytes() for col in self.columns.values())
 
@@ -90,28 +110,23 @@ class ExecutionContext:
     # later file change can never be served from a cached intermediate.
     file_deps: dict = field(default_factory=dict)
     # Operator-level profiling (EXPLAIN ANALYZE / span tracing): a
-    # repro.obs.tracing.QueryProfile, or None for unprofiled execution —
-    # the default keeps the hot path identical to before.
+    # repro.obs.tracing.QueryProfile, or None for unprofiled execution.
     profile: Optional[object] = None
 
 
 DEFAULT_BATCH_ROWS = 4096
 """Row granularity of streamed execution (cursor fetch path)."""
 
+UNBOUNDED_ROWS = sys.maxsize
+"""Batch size of a drain (:meth:`PhysicalNode.execute`, the materialised
+entry points): every operator hands over its whole output as one batch,
+so nothing is sliced and re-concatenated on the way."""
+
 
 def iter_chunk_slices(chunk: Chunk, batch_rows: int):
     """Split one materialised chunk into row-sliced batches (views)."""
-    if chunk.length <= batch_rows:
-        if chunk.length:
-            yield chunk
-        return
     for start in range(0, chunk.length, batch_rows):
-        stop = min(start + batch_rows, chunk.length)
-        yield Chunk(
-            columns={cid: col.slice(start, stop)
-                     for cid, col in chunk.columns.items()},
-            length=stop - start,
-        )
+        yield chunk.slice(start, start + batch_rows)
 
 
 def _distinct_key(value):
@@ -161,104 +176,72 @@ class PhysicalNode:
     def describe(self) -> str:
         raise NotImplementedError
 
+    def batches(self, ctx: ExecutionContext, batch_rows: int):
+        """The operator itself: yield its output as non-empty chunks of at
+        most ``batch_rows`` rows.  The one hook subclasses implement; run
+        it through :meth:`execute_batches` or :meth:`execute`."""
+        raise NotImplementedError
+
     def execute_batches(self, ctx: ExecutionContext,
                         batch_rows: int = DEFAULT_BATCH_ROWS):
-        """Yield the operator's output in row batches.
+        """Run the operator; returns the iterator of its row batches.
 
-        The default materialises (via :meth:`execute`, so recycler hits
-        and admissions still apply) and slices the result.  Streamable
-        operators — scans, filters, projections, limits — override this
-        to pull row batches through without materialising the whole
-        output first, which lets a cursor consume the head of a large
-        result while the tail has not been produced, and lets LIMIT stop
-        pulling (and thus stop extracting) early.
+        Everything that applies to every operator happens here, once:
+        the ``operators_run`` count, the recycler at signature nodes, and
+        profiling when the context carries a profile.
         """
-        yield from iter_chunk_slices(self.execute(ctx), batch_rows)
-
-    def _recycler_lookup(self, ctx: ExecutionContext,
-                         signature: Optional[str]) -> Optional[Chunk]:
-        if signature is None:
-            return None
-        cached = ctx.recycler.lookup_validated(signature)
-        if cached is None:
-            return None
-        columns, length, depends = cached
-        # Propagate the hit's file dependencies: an enclosing
-        # recyclable node must pin them too, or a later admit
-        # above this hit would lose the staleness anchor.
-        ctx.file_deps.update(depends)
-        ctx.trace.append(
-            {"op": "recycler_hit", "node": type(self).__name__,
-             "signature": signature[:60]}
-        )
-        # Cached results are positional; re-key to this plan's cids.
-        return Chunk(
-            columns={c.cid: columns[i] for i, c in enumerate(self.schema)},
-            length=length,
-        )
-
-    def _recycler_admit(self, ctx: ExecutionContext,
-                        signature: Optional[str], chunk: Chunk) -> None:
-        if signature is None:
-            return
-        ctx.recycler.admit(
-            signature,
-            [chunk.columns[c.cid] for c in self.schema],
-            chunk.length,
-            depends=dict(ctx.file_deps) if ctx.file_deps else None,
-        )
+        ctx.operators_run += 1
+        if ctx.recycler is not None and self.signature_source is not None:
+            stream = self._recycled(ctx, batch_rows)
+        else:
+            stream = self.batches(ctx, batch_rows)
+        if ctx.profile is not None:
+            stream = ctx.profile.pulls(self, stream, ctx)
+        return stream
 
     def execute(self, ctx: ExecutionContext) -> Chunk:
-        if ctx.profile is not None:
-            return self._execute_profiled(ctx)
-        ctx.operators_run += 1
-        signature = self.signature if ctx.recycler is not None else None
-        cached = self._recycler_lookup(ctx, signature)
-        if cached is not None:
-            return cached
-        chunk = self._run(ctx)
-        self._recycler_admit(ctx, signature, chunk)
-        return chunk
+        """The operator's whole output as one chunk: ``concat(batches)``.
 
-    def _execute_profiled(self, ctx: ExecutionContext) -> Chunk:
-        """:meth:`execute` with an OpFrame recording time/rows/pages.
-
-        Frames nest through the profile's stack, so recursive child
-        ``execute`` calls land as child frames; the trace window
-        [trace_begin, trace_end) later attributes extraction events to
-        the operator that caused them.
+        What pipeline breakers call on their input.  The drain asks for
+        one unbounded batch, so a child that has its output in hand
+        passes it up as is.
         """
-        profile = ctx.profile
-        frame = profile.enter(self)
-        pages_before = ctx.pages_read
-        trace_begin = len(ctx.trace)
-        recycled = False
-        rows_out = 0
-        started = time.perf_counter()
-        try:
-            ctx.operators_run += 1
-            signature = self.signature if ctx.recycler is not None else None
-            chunk = self._recycler_lookup(ctx, signature)
-            if chunk is not None:
-                recycled = True
-            else:
-                chunk = self._run(ctx)
-                self._recycler_admit(ctx, signature, chunk)
-            rows_out = chunk.length
-            return chunk
-        finally:
-            profile.exit(
-                frame,
-                elapsed_s=time.perf_counter() - started,
-                rows_out=rows_out,
-                pages_read=ctx.pages_read - pages_before,
-                trace_begin=trace_begin,
-                trace_end=len(ctx.trace),
-                recycled=recycled,
-            )
+        return _concat_chunks(list(self.execute_batches(ctx, UNBOUNDED_ROWS)),
+                              self.schema)
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        raise NotImplementedError
+    def _recycled(self, ctx: ExecutionContext, batch_rows: int):
+        """:meth:`batches` behind the recycler: replay a cached result,
+        or drain the operator and admit what it produced."""
+        signature = self.signature
+        cached = ctx.recycler.lookup_validated(signature)
+        if cached is not None:
+            columns, length, depends = cached
+            # Propagate the hit's file dependencies: an enclosing
+            # recyclable node must pin them too, or a later admit
+            # above this hit would lose the staleness anchor.
+            ctx.file_deps.update(depends)
+            ctx.trace.append(
+                {"op": "recycler_hit", "node": type(self).__name__,
+                 "signature": signature[:60]}
+            )
+            if ctx.profile is not None:
+                ctx.profile.mark_recycled()
+            # Cached results are positional; re-key to this plan's cids.
+            chunk = Chunk(
+                columns={c.cid: columns[i]
+                         for i, c in enumerate(self.schema)},
+                length=length,
+            )
+        else:
+            chunk = _concat_chunks(list(self.batches(ctx, UNBOUNDED_ROWS)),
+                                   self.schema)
+            ctx.recycler.admit(
+                signature,
+                [chunk.columns[c.cid] for c in self.schema],
+                chunk.length,
+                depends=dict(ctx.file_deps) if ctx.file_deps else None,
+            )
+        yield from iter_chunk_slices(chunk, batch_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -438,36 +421,22 @@ class PTableScan(PhysicalNode):
         cols = ", ".join(c.name for c in self.schema)
         return f"TableScan {self.qualified_name} [{cols}]"
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        columns = {c.cid: self.table.column(c.name) for c in self.schema}
-        ctx.oplog.record("scan", f"scan {self.qualified_name}",
-                         rows=self.table.row_count,
-                         columns=len(self.schema))
-        return Chunk(columns=columns, length=self.table.row_count)
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        # Stream row slices: downstream streamable operators (and the
-        # cursor) see the first rows before the scan's full output ever
-        # exists as one materialised chunk.
-        ctx.operators_run += 1
+    def batches(self, ctx: ExecutionContext, batch_rows: int):
+        # Row slices: downstream streamable operators (and the cursor)
+        # see the first rows before the scan's full output ever exists
+        # as one chunk.
         columns = {c.cid: self.table.column(c.name) for c in self.schema}
         total = self.table.row_count
         streamed = 0
         try:
-            for start in range(0, total, batch_rows):
-                stop = min(start + batch_rows, total)
-                yield Chunk(
-                    columns={cid: col.slice(start, stop)
-                             for cid, col in columns.items()},
-                    length=stop - start,
-                )
-                streamed = stop
+            for chunk in iter_chunk_slices(Chunk(columns, total), batch_rows):
+                streamed += chunk.length
+                yield chunk
         finally:
             # Recorded on completion (or abandonment, e.g. a satisfied
             # LIMIT) so the oplog reflects rows actually streamed.
             ctx.oplog.record(
-                "scan", f"scan {self.qualified_name} (streamed)",
+                "scan", f"scan {self.qualified_name}",
                 rows=streamed, of=total, columns=len(self.schema),
             )
 
@@ -475,10 +444,10 @@ class PTableScan(PhysicalNode):
 class PSystemScan(PhysicalNode):
     """Scan a :class:`~repro.db.table.SystemTable` provider snapshot.
 
-    The provider is sampled exactly once per execution (materialised or
-    streamed), so every column — and every batch of a streamed scan —
-    describes one consistent instant of runtime state, even while other
-    sessions keep appending journal entries or bumping counters.
+    The provider is sampled exactly once per execution, so every column —
+    and every batch of the scan — describes one consistent instant of
+    runtime state, even while other sessions keep appending journal
+    entries or bumping counters.
     """
 
     def __init__(self, node: lg.LScan) -> None:
@@ -490,23 +459,14 @@ class PSystemScan(PhysicalNode):
         cols = ", ".join(c.name for c in self.schema)
         return f"SystemScan {self.qualified_name} [{cols}]"
 
-    def _snapshot(self, ctx: ExecutionContext) -> Chunk:
+    def batches(self, ctx: ExecutionContext, batch_rows: int):
         by_name, length = self.table.snapshot_columns()
         ctx.oplog.record("scan", f"scan {self.qualified_name} (system)",
                          rows=length, columns=len(self.schema))
-        return Chunk(
-            columns={c.cid: by_name[c.name] for c in self.schema},
-            length=length,
-        )
-
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        return self._snapshot(ctx)
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        ctx.operators_run += 1
-        chunk = self._snapshot(ctx)
-        yield from iter_chunk_slices(chunk, batch_rows)
+        yield from iter_chunk_slices(
+            Chunk(columns={c.cid: by_name[c.name] for c in self.schema},
+                  length=length),
+            batch_rows)
 
 
 # -- zone-map page pruning ---------------------------------------------------
@@ -660,134 +620,88 @@ class PDiskScan(PhysicalNode):
         """(row counts, row start offsets) of this table's page grid.
 
         Table segments are uniform (every column paginated identically),
-        so any projected column describes the shared layout.
+        so any column describes the shared layout.
         """
-        counts = backing.page_row_counts(self.schema[0].name)
+        counts = backing.page_row_counts(self.table.schema.columns[0].name)
         offsets = [0]
         for count in counts:
             offsets.append(offsets[-1] + count)
         return counts, offsets
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
+    @staticmethod
+    def _page_runs(counts: list[int], dead: set[int], batch_rows: int):
+        """Contiguous runs of live pages, each as many pages as fit in
+        ``batch_rows`` rows (but at least one)."""
+        run: list[int] = []
+        rows = 0
+        for page, count in enumerate(counts):
+            if run and (page in dead or rows + count > batch_rows):
+                yield run
+                run, rows = [], 0
+            if page not in dead:
+                run.append(page)
+                rows += count
+        if run:
+            yield run
+
+    def batches(self, ctx: ExecutionContext, batch_rows: int):
+        """Scan page-wise, reading only pages the zone maps could not
+        condemn, through a private :class:`IOCounter` (the buffer pool's
+        counters are shared by every concurrent query).
+
+        Residency rule: a scan that read *every* page of a column leaves
+        that column resident on the table, exactly as faulting it in
+        would have.  A zone-pruned or abandoned scan never does — a
+        partial column must never become the table's resident copy.
+        Columns already resident are sliced to the same pages, so rows
+        stay aligned.
+        """
         backing = self.table.disk_backing
         if backing is None:
             # Mutated since planning: fall back to the resident columns.
             columns = {c.cid: self.table.column(c.name) for c in self.schema}
-            return Chunk(columns=columns, length=self.table.row_count)
-        dead = (self._dead_pages(backing)
-                if ctx.zone_pruning and self.prune_conjuncts and self.schema
-                else set())
-        if dead:
-            return self._run_pruned(ctx, backing, dead)
-        pool_stats = backing.store.pool.stats
-        reads_before = pool_stats.disk_reads
-        columns: dict[int, Column] = {}
-        needed_pages = 0
-        for c in self.schema:
-            needed_pages += backing.pages_of(c.name)
-            columns[c.cid] = self.table.column(c.name)
-        pages_read = pool_stats.disk_reads - reads_before
-        pages_skipped = backing.total_pages() - needed_pages
-        ctx.pages_read += pages_read
-        ctx.pages_skipped += pages_skipped
-        ctx.trace.append({
-            "op": "disk_scan",
-            "table": self.qualified_name,
-            "columns": [c.name for c in self.schema],
-            "pages_read": pages_read,
-            "pages_skipped": pages_skipped,
-        })
-        ctx.oplog.record(
-            "scan", f"disk scan {self.qualified_name}",
-            rows=backing.row_count, columns=len(self.schema),
-            pages_read=pages_read, pages_skipped=pages_skipped,
-        )
-        return Chunk(columns=columns, length=backing.row_count)
-
-    def _run_pruned(self, ctx: ExecutionContext, backing,
-                    dead: set[int]) -> Chunk:
-        """Read only pages the zone maps could not condemn.
-
-        Bypasses the table's column-fault cache on purpose: a partial
-        column must never become the table's resident copy.  Columns
-        already resident are sliced to the same page subset so rows stay
-        aligned.
-        """
-        from repro.storage.segment import IOCounter
-
-        counts, offsets = self._page_offsets(backing)
-        keep = [i for i in range(len(counts)) if i not in dead]
-        io = IOCounter()
-        columns: dict[int, Column] = {}
-        zone_skipped = 0
-        for c in self.schema:
-            if self.table.is_column_resident(c.name):
-                full = self.table.column(c.name)
-                parts = [full.slice(offsets[i], offsets[i + 1]) for i in keep]
-                columns[c.cid] = (Column.concat(parts) if len(parts) > 1
-                                  else parts[0] if parts
-                                  else full.slice(0, 0))
-            else:
-                columns[c.cid] = backing.load_column_pages(c.name, keep, io)
-                zone_skipped += len(dead)
-        length = sum(counts[i] for i in keep)
-        pages_skipped = backing.total_pages() - sum(
-            backing.pages_of(c.name) for c in self.schema)
-        ctx.pages_read += io.disk_reads
-        ctx.pages_skipped += pages_skipped
-        ctx.pages_skipped_zone += zone_skipped
-        ctx.trace.append({
-            "op": "disk_scan",
-            "table": self.qualified_name,
-            "columns": [c.name for c in self.schema],
-            "pages_read": io.disk_reads,
-            "pages_skipped": pages_skipped,
-            "pages_skipped_zone": zone_skipped,
-            "zone_dead_pages": len(dead),
-        })
-        ctx.oplog.record(
-            "scan", f"disk scan {self.qualified_name} (zone-pruned)",
-            rows=length, of=backing.row_count, columns=len(self.schema),
-            pages_read=io.disk_reads, pages_skipped=pages_skipped,
-            pages_skipped_zone=zone_skipped,
-        )
-        return Chunk(columns=columns, length=length)
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        backing = self.table.disk_backing
-        if backing is None or not self.schema:
-            yield from super().execute_batches(ctx, batch_rows)
+            yield from iter_chunk_slices(
+                Chunk(columns, self.table.row_count), batch_rows)
             return
-        ctx.operators_run += 1
         from repro.storage.segment import IOCounter
 
         dead = (self._dead_pages(backing)
                 if ctx.zone_pruning and self.prune_conjuncts else set())
         counts, offsets = self._page_offsets(backing)
-        resident = {c.cid: self.table.column(c.name) for c in self.schema
-                    if self.table.is_column_resident(c.name)}
+        resident = Chunk(
+            columns={c.cid: self.table.column(c.name) for c in self.schema
+                     if self.table.is_column_resident(c.name)},
+            length=backing.row_count,
+        )
+        faulting = [c for c in self.schema if c.cid not in resident.columns]
+        read: list[Chunk] = []  # what an unpruned scan has faulted in so far
         io = IOCounter()
         streamed = 0
-        zone_skipped = 0
         try:
-            for page in range(len(counts)):
-                if page in dead:
-                    zone_skipped += len(self.schema) - len(resident)
-                    continue
-                start, stop = offsets[page], offsets[page + 1]
-                cols = {
-                    c.cid: (resident[c.cid].slice(start, stop)
-                            if c.cid in resident
-                            else backing.load_column_pages(c.name, [page], io))
-                    for c in self.schema
-                }
-                chunk = Chunk(columns=cols, length=stop - start)
-                streamed += chunk.length
-                yield from iter_chunk_slices(chunk, batch_rows)
+            for run in self._page_runs(counts, dead, batch_rows):
+                start, stop = offsets[run[0]], offsets[run[-1] + 1]
+                loaded = Chunk(
+                    columns={c.cid: backing.load_column_pages(c.name, run, io)
+                             for c in faulting},
+                    length=stop - start,
+                )
+                if not dead:
+                    read.append(loaded)
+                streamed += stop - start
+                yield from iter_chunk_slices(
+                    Chunk({**resident.slice(start, stop).columns,
+                           **loaded.columns}, stop - start),
+                    batch_rows)
+            # Not if DML detached the backing while a cursor held this
+            # scan open: what was read is then a stale snapshot.
+            if read and self.table.disk_backing is backing:
+                whole = _concat_chunks(read, faulting)
+                for c in faulting:
+                    self.table.adopt_column(c.name, whole.columns[c.cid])
         finally:
             pages_skipped = backing.total_pages() - sum(
                 backing.pages_of(c.name) for c in self.schema)
+            zone_skipped = len(dead) * len(faulting)
             ctx.pages_read += io.disk_reads
             ctx.pages_skipped += pages_skipped
             ctx.pages_skipped_zone += zone_skipped
@@ -801,7 +715,7 @@ class PDiskScan(PhysicalNode):
                 "zone_dead_pages": len(dead),
             })
             ctx.oplog.record(
-                "scan", f"disk scan {self.qualified_name} (streamed)",
+                "scan", f"disk scan {self.qualified_name}",
                 rows=streamed, of=backing.row_count,
                 columns=len(self.schema),
                 pages_read=io.disk_reads, pages_skipped=pages_skipped,
@@ -821,7 +735,7 @@ class PScanAll(PhysicalNode):
         cols = ", ".join(c.name for c in self.schema)
         return f"LazyScanAll {self.table_name} [{cols}] (full repository!)"
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
+    def batches(self, ctx: ExecutionContext, batch_rows: int):
         started = time.perf_counter()
         trace_start = len(ctx.trace)
         named = self.binding.scan_all([c.name for c in self.schema], ctx.trace)
@@ -834,7 +748,7 @@ class PScanAll(PhysicalNode):
             rows=length, seconds=round(elapsed, 4),
         )
         columns = {c.cid: named[c.name] for c in self.schema}
-        return Chunk(columns=columns, length=length)
+        yield from iter_chunk_slices(Chunk(columns, length), batch_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -854,18 +768,7 @@ class PFilter(PhysicalNode):
     def describe(self) -> str:
         return f"Filter {self.predicate!r}"
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        chunk = self.child.execute(ctx)
-        if chunk.length == 0:
-            return chunk
-        mask = ex.predicate_mask(
-            self.predicate.eval(chunk.columns, chunk.length)
-        )
-        return chunk.filter(mask)
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        ctx.operators_run += 1
+    def batches(self, ctx: ExecutionContext, batch_rows: int):
         for chunk in self.child.execute_batches(ctx, batch_rows):
             mask = ex.predicate_mask(
                 self.predicate.eval(chunk.columns, chunk.length)
@@ -888,16 +791,7 @@ class PProject(PhysicalNode):
         cols = ", ".join(c.name for c in self.schema)
         return f"Project [{cols}]"
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        chunk = self.child.execute(ctx)
-        columns = {}
-        for out, expr in zip(self.schema, self.exprs):
-            columns[out.cid] = expr.eval(chunk.columns, chunk.length)
-        return Chunk(columns=columns, length=chunk.length)
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        ctx.operators_run += 1
+    def batches(self, ctx: ExecutionContext, batch_rows: int):
         for chunk in self.child.execute_batches(ctx, batch_rows):
             columns = {}
             for out, expr in zip(self.schema, self.exprs):
@@ -940,18 +834,9 @@ class PSort(PhysicalNode):
         order = np.lexsort(tuple(reversed(lexsort_keys)))
         return chunk.take(order)
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        return self._sorted(self.child.execute(ctx))
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        # Sort is a pipeline breaker, but its *input* still streams: child
-        # batches accumulate (the natural spill point), are sorted once,
-        # and the output re-streams in batch_rows slices.
-        ctx.operators_run += 1
-        chunks = list(self.child.execute_batches(ctx, batch_rows))
-        merged = _concat_chunks(chunks, self.child.schema)
-        yield from iter_chunk_slices(self._sorted(merged), batch_rows)
+    def batches(self, ctx: ExecutionContext, batch_rows: int):
+        yield from iter_chunk_slices(
+            self._sorted(self.child.execute(ctx)), batch_rows)
 
 
 class PLimit(PhysicalNode):
@@ -967,19 +852,9 @@ class PLimit(PhysicalNode):
     def describe(self) -> str:
         return f"Limit {self.limit} OFFSET {self.offset}"
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        chunk = self.child.execute(ctx)
-        start = self.offset
-        stop = chunk.length if self.limit is None else start + self.limit
-        columns = {cid: col.slice(start, stop)
-                   for cid, col in chunk.columns.items()}
-        return Chunk(columns=columns, length=max(0, min(stop, chunk.length) - start))
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
+    def batches(self, ctx: ExecutionContext, batch_rows: int):
         # Genuinely lazy LIMIT: stop pulling child batches (and whatever
         # work upstream would have done to produce them) once satisfied.
-        ctx.operators_run += 1
         to_skip = self.offset
         remaining = self.limit  # None = unbounded
         if remaining is not None and remaining <= 0:
@@ -990,24 +865,14 @@ class PLimit(PhysicalNode):
                 if chunk.length <= to_skip:
                     to_skip -= chunk.length
                     continue
-                chunk = Chunk(
-                    columns={cid: col.slice(to_skip, chunk.length)
-                             for cid, col in chunk.columns.items()},
-                    length=chunk.length - to_skip,
-                )
+                chunk = chunk.slice(to_skip, chunk.length)
                 to_skip = 0
-            if remaining is not None and chunk.length > remaining:
-                chunk = Chunk(
-                    columns={cid: col.slice(0, remaining)
-                             for cid, col in chunk.columns.items()},
-                    length=remaining,
-                )
-            if chunk.length:
-                yield chunk
             if remaining is not None:
+                chunk = chunk.slice(0, remaining)
                 remaining -= chunk.length
-                if remaining <= 0:
-                    return
+            yield chunk
+            if remaining == 0:
+                return
 
 
 class PDistinct(PhysicalNode):
@@ -1021,37 +886,35 @@ class PDistinct(PhysicalNode):
     def describe(self) -> str:
         return "Distinct"
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        chunk = self.child.execute(ctx)
-        if chunk.length == 0:
-            return chunk
-        codes = _combined_codes([chunk.columns[c.cid] for c in self.schema])
-        _uniques, first = np.unique(codes, return_index=True)
-        return chunk.take(np.sort(first))
+    def _row_keys(self, chunk: Chunk) -> list[tuple]:
+        cols = [chunk.columns[c.cid] for c in self.schema]
+        return [tuple(_distinct_key(col.value_at(i)) for col in cols)
+                for i in range(chunk.length)]
 
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
+    def batches(self, ctx: ExecutionContext, batch_rows: int):
         # Streaming first-occurrence dedup: each batch is first collapsed
-        # vectorised (codes are batch-local), then the handful of batch
-        # survivors is checked against the distinct rows seen so far.
-        # Emission order — first global occurrence — matches _run exactly.
-        ctx.operators_run += 1
+        # vectorised (codes are batch-local), then its handful of
+        # survivors is checked against the distinct rows seen so far, so
+        # rows come out in order of first global occurrence.  The seen-set
+        # is built only when a second batch arrives: a drain's single
+        # batch never pays for per-row keys.
+        first: Optional[Chunk] = None
         seen: set = set()
         for chunk in self.child.execute_batches(ctx, batch_rows):
-            if chunk.length == 0:
+            codes = _combined_codes([chunk.columns[c.cid]
+                                     for c in self.schema])
+            _uniques, first_index = np.unique(codes, return_index=True)
+            local = chunk.take(np.sort(first_index))
+            if first is None:
+                first = local
+                yield local
                 continue
-            cols = [chunk.columns[c.cid] for c in self.schema]
-            codes = _combined_codes(cols)
-            _uniques, first = np.unique(codes, return_index=True)
-            local = chunk.take(np.sort(first))
-            local_cols = [local.columns[c.cid] for c in self.schema]
-            fresh = np.zeros(local.length, dtype=bool)
-            for i in range(local.length):
-                key = tuple(_distinct_key(col.value_at(i))
-                            for col in local_cols)
-                if key not in seen:
-                    seen.add(key)
-                    fresh[i] = True
+            if not seen:
+                seen.update(self._row_keys(first))
+            keys = self._row_keys(local)
+            fresh = np.fromiter((key not in seen for key in keys),
+                                dtype=bool, count=len(keys))
+            seen.update(keys)
             if fresh.all():
                 yield local
             elif fresh.any():
@@ -1088,53 +951,6 @@ class PJoin(PhysicalNode):
             base += f" residual {self.residual!r}"
         return base
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        left = self.left.execute(ctx)
-        right = self.right.execute(ctx)
-        if self.left_keys:
-            left_cols = [left.columns[cid] for cid in self.left_keys]
-            right_cols = [right.columns[cid] for cid in self.right_keys]
-            left_idx, right_idx, _counts = join_indices(left_cols, right_cols)
-        else:
-            # Cross product (kept small by the optimiser in practice).
-            left_idx = np.repeat(np.arange(left.length), right.length)
-            right_idx = np.tile(np.arange(right.length), left.length)
-
-        if self.residual is not None and len(left_idx):
-            frame = {}
-            for cid, col in left.columns.items():
-                frame[cid] = col.take(left_idx)
-            for cid, col in right.columns.items():
-                frame[cid] = col.take(right_idx)
-            mask = ex.predicate_mask(
-                self.residual.eval(frame, len(left_idx))
-            )
-            left_idx = left_idx[mask]
-            right_idx = right_idx[mask]
-
-        if self.kind == "left":
-            matched = np.zeros(left.length, dtype=bool)
-            if len(left_idx):
-                matched[left_idx] = True
-            missing = np.flatnonzero(~matched)
-            pad = len(missing)
-            left_idx = np.concatenate([left_idx, missing])
-            columns: dict[int, Column] = {}
-            for cid, col in left.columns.items():
-                columns[cid] = col.take(left_idx)
-            for cid, col in right.columns.items():
-                taken = col.take(right_idx)
-                padded = Column.concat([taken, Column.nulls(col.dtype, pad)])
-                columns[cid] = padded
-            return Chunk(columns=columns, length=len(left_idx))
-
-        columns = {}
-        for cid, col in left.columns.items():
-            columns[cid] = col.take(left_idx)
-        for cid, col in right.columns.items():
-            columns[cid] = col.take(right_idx)
-        return Chunk(columns=columns, length=len(left_idx))
-
     def _probe_batch(self, batch: Chunk, right: Chunk
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Match one left batch against the materialised build side."""
@@ -1143,6 +959,7 @@ class PJoin(PhysicalNode):
             right_cols = [right.columns[cid] for cid in self.right_keys]
             left_idx, right_idx, _counts = join_indices(left_cols, right_cols)
         else:
+            # Cross product (kept small by the optimiser in practice).
             left_idx = np.repeat(np.arange(batch.length), right.length)
             right_idx = np.tile(np.arange(right.length), batch.length)
         if self.residual is not None and len(left_idx):
@@ -1158,14 +975,12 @@ class PJoin(PhysicalNode):
             right_idx = right_idx[mask]
         return left_idx, right_idx
 
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
+    def batches(self, ctx: ExecutionContext, batch_rows: int):
         # Streamed hash join: materialise the (metadata-sized) build side
         # once, probe with each left batch as it arrives.  Inner/cross
         # matches flow straight through; a left join holds back only its
-        # unmatched rows, emitting the NULL-padded tail last — the same
-        # global row order _run produces.
-        ctx.operators_run += 1
+        # unmatched rows, emitting the NULL-padded tail last (matched
+        # bitmaps are taken after the residual).
         right = self.right.execute(ctx)
         unmatched: list[Chunk] = []
         for batch in self.left.execute_batches(ctx, batch_rows):
@@ -1229,28 +1044,11 @@ class PAggregate(PhysicalNode):
         aggs = ", ".join(repr(a) for a in self.aggregates)
         return f"Aggregate groups=[{groups}] aggs=[{aggs}]"
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        return self._aggregate_chunk(self.child.execute(ctx))
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        # The aggregate itself is a pipeline breaker, but its input
-        # streams: child batches accumulate and the exact _run kernels
-        # finalise once, so the streamed result is bit-identical to the
-        # materialised one (float reductions are order-sensitive).
-        # Recycler lookup/admit must still happen here — this operator is
-        # a signature point for cross-query reuse.
-        ctx.operators_run += 1
-        signature = self.signature if ctx.recycler is not None else None
-        cached = self._recycler_lookup(ctx, signature)
-        if cached is not None:
-            yield from iter_chunk_slices(cached, batch_rows)
-            return
-        chunks = list(self.child.execute_batches(ctx, batch_rows))
-        result = self._aggregate_chunk(
-            _concat_chunks(chunks, self.child.schema))
-        self._recycler_admit(ctx, signature, result)
-        yield from iter_chunk_slices(result, batch_rows)
+    def batches(self, ctx: ExecutionContext, batch_rows: int):
+        # A pipeline breaker: float reductions are order-sensitive, so the
+        # kernels run once over the whole drained input.
+        yield from iter_chunk_slices(
+            self._aggregate_chunk(self.child.execute(ctx)), batch_rows)
 
     def _aggregate_chunk(self, chunk: Chunk) -> Chunk:
         length = chunk.length
@@ -1460,7 +1258,7 @@ class PLazyFetch(PhysicalNode):
                 hi = value if hi is None else min(hi, value)
         return (lo, hi)
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
+    def batches(self, ctx: ExecutionContext, batch_rows: int):
         meta_chunk = self.meta.execute(ctx)
         node = self.node
         binding = node.binding
@@ -1469,7 +1267,7 @@ class PLazyFetch(PhysicalNode):
         if meta_chunk.length == 0:
             ctx.trace.append({"op": "rewrite", "table": node.table_name,
                               "files": 0, "note": "metadata selected nothing"})
-            return Chunk.empty(self.schema)
+            return
 
         keys = {
             name: meta_chunk.columns[cid].values
@@ -1520,7 +1318,8 @@ class PLazyFetch(PhysicalNode):
             columns[cid] = col.take(left_idx)
         for cid, col in lazy_chunk.columns.items():
             columns[cid] = col.take(right_idx)
-        return Chunk(columns=columns, length=len(left_idx))
+        yield from iter_chunk_slices(
+            Chunk(columns=columns, length=len(left_idx)), batch_rows)
 
 
 # ---------------------------------------------------------------------------

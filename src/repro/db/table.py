@@ -114,15 +114,21 @@ class Table:
         return name in self._columns
 
     def _fault_column(self, name: str) -> Column:
-        spec = self.schema.spec(name)  # raises CatalogError on unknown
-        column = self._backing.load_column(spec.name)
+        self.schema.spec(name)  # raises CatalogError on unknown
+        column = self._backing.load_column(name)
+        self.adopt_column(name, column)
+        return column
+
+    def adopt_column(self, name: str, column: Column) -> None:
+        """Keep a backed column that was read in full as the resident
+        copy (a scan that touched every page has done the fault's work)."""
+        spec = self.schema.spec(name)
         if column.dtype != spec.dtype:
             raise CatalogError(
                 f"segment column {self.name}.{name} has dtype "
                 f"{column.dtype}, schema says {spec.dtype}"
             )
         self._columns[name] = column
-        return column
 
     def _materialize_all(self) -> None:
         """Fault in every column and detach the backing (before DML)."""

@@ -2,8 +2,9 @@
 
 A :class:`QueryJournal` is a bounded, thread-safe ring buffer of
 finished executions — one JSON-friendly entry per query, fed from the
-engine's :class:`~repro.db.exec.engine.QueryReport` path on both the
-materialised and streaming routes, successes and failures alike.  The
+engine's :class:`~repro.db.exec.engine.QueryReport` when a query's
+stream finishes (drained, exhausted or closed early), successes and
+failures alike.  The
 ``sys.queries`` and ``sys.sessions`` system tables are views over it,
 and :meth:`export_state` / :meth:`import_state` round-trip it through
 the table-store manifest so query history survives a checkpoint →

@@ -2,49 +2,53 @@
 
 The engine always kept a flat ``ctx.trace`` list of run-time rewrite
 events.  This module adds the structure around it: a
-:class:`QueryProfile` records one :class:`OpFrame` per physical-operator
-invocation (stack-nested, so the frame tree mirrors the execution tree),
-and :func:`span_tree` assembles the full query span —
-parse → bind → optimize → execute, one child span per operator, and the
-trace events (extractions, cache fetches, promoted reads) nested under
-the operator that produced them — as plain JSON-serialisable dicts.
+:class:`QueryProfile` keeps one :class:`OpFrame` per physical operator
+(the frame tree mirrors the plan tree), and :func:`span_tree` assembles
+the full query span — parse → bind → optimize → execute, one child span
+per operator, and the trace events (extractions, cache fetches, promoted
+reads) nested under the operator that produced them — as plain
+JSON-serialisable dicts.
 
-Frames attribute three things per operator: wall time (total and self,
-i.e. minus children), rows out, and page I/O (total and self).  Trace
-events are claimed positionally: a frame owns the ``ctx.trace`` indices
-appended during its execution that no child frame's window covers.
+Operators are batch generators, so an operator's work is spread over
+many *pulls* interleaved with its parent's and children's.
+:meth:`QueryProfile.pulls` drives an operator's generator and accounts
+each pull — and the final close — to its frame: wall time (total and
+self, i.e. minus the children pulled meanwhile), rows out, and page I/O
+(total and self).  A trace event belongs to the deepest frame that was
+open when it was appended.
 
 The profile is attached as ``ExecutionContext.profile``; ``None`` (the
-default) keeps the execution path exactly as before — operators only pay
-for profiling when EXPLAIN ANALYZE or span tracing asked for it.
+default) leaves the generators undriven — operators only pay for
+profiling when EXPLAIN ANALYZE or span tracing asked for it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import time
 
 #: ``ctx.trace`` ops that carry a wall-time measurement of their own.
 _TIMED_TRACE_OPS = frozenset({"extract", "extract_wait"})
 
 
 class OpFrame:
-    """One physical-operator invocation inside a :class:`QueryProfile`."""
+    """One physical operator's execution inside a :class:`QueryProfile`."""
 
-    __slots__ = ("op", "label", "total_s", "child_s", "rows_out",
+    __slots__ = ("node", "op", "label", "total_s", "child_s", "rows_out",
                  "pages_read", "child_pages", "recycled",
-                 "trace_begin", "trace_end", "children")
+                 "trace_begin", "own_trace", "children")
 
-    def __init__(self, op: str, label: str) -> None:
-        self.op = op                # operator class name, e.g. "PFilter"
-        self.label = label          # node.describe() text
+    def __init__(self, node, trace_begin: int) -> None:
+        self.node = node
+        self.op = type(node).__name__   # operator class, e.g. "PFilter"
+        self.label = node.describe()
         self.total_s = 0.0
         self.child_s = 0.0
         self.rows_out = 0
         self.pages_read = 0
         self.child_pages = 0
         self.recycled = False
-        self.trace_begin = 0
-        self.trace_end = 0
+        self.trace_begin = trace_begin  # len(ctx.trace) at the first pull
+        self.own_trace: list[int] = []  # ctx.trace indices this frame owns
         self.children: list["OpFrame"] = []
 
     @property
@@ -56,50 +60,76 @@ class OpFrame:
     def self_pages(self) -> int:
         return max(self.pages_read - self.child_pages, 0)
 
-    def own_trace_indices(self) -> list[int]:
-        """Trace indices this frame produced itself (children excluded).
-
-        A child's window covers its whole subtree, so subtracting the
-        direct children's windows is sufficient.
-        """
-        covered = [(c.trace_begin, c.trace_end) for c in self.children]
-        return [
-            i for i in range(self.trace_begin, self.trace_end)
-            if not any(begin <= i < end for begin, end in covered)
-        ]
-
 
 class QueryProfile:
-    """Operator-level profile of one query execution (stack-nested)."""
+    """Operator-level profile of one query execution."""
 
     def __init__(self) -> None:
         self.roots: list[OpFrame] = []
-        self._stack: list[OpFrame] = []
+        self._stack: list[OpFrame] = []  # frames with a pull in progress
+        self._claimed = 0                # ctx.trace[:_claimed] have owners
 
-    def enter(self, node) -> OpFrame:
-        frame = OpFrame(type(node).__name__, node.describe())
+    @property
+    def open_frames(self) -> int:
+        """Frames with a pull in progress (0 between pulls and after the
+        stream is exhausted or closed)."""
+        return len(self._stack)
+
+    def pulls(self, node, stream, ctx):
+        """Re-yield ``stream`` — ``node``'s batch generator — with every
+        pull, and the final close, accounted to the node's frame."""
+        frame = OpFrame(node, len(ctx.trace))
         if self._stack:
-            self._stack[-1].children.append(frame)
+            # First pulled from inside the parent operator's own pull.
+            parent = self._stack[-1]
+            parent.children.append(frame)
+            plan_order = parent.node.children()
+            parent.children.sort(key=lambda f: plan_order.index(f.node))
         else:
             self.roots.append(frame)
-        self._stack.append(frame)
-        return frame
+        try:
+            while True:
+                try:
+                    chunk = self._step(frame, ctx, stream.__next__)
+                except StopIteration:
+                    return
+                frame.rows_out += chunk.length
+                yield chunk
+        finally:
+            # An abandoned stream (cursor closed early, LIMIT satisfied)
+            # still runs the operator's cleanup, which may record I/O.
+            self._step(frame, ctx, stream.close)
 
-    def exit(self, frame: OpFrame, *, elapsed_s: float, rows_out: int,
-             pages_read: int, trace_begin: int, trace_end: int,
-             recycled: bool) -> None:
-        if self._stack and self._stack[-1] is frame:
+    def _step(self, frame: OpFrame, ctx, step):
+        # The clock covers the bookkeeping too, so the frames' self times
+        # add up to what the caller measures around its pull.
+        started = time.perf_counter()
+        self._claim(ctx.trace)
+        self._stack.append(frame)
+        pages_before = ctx.pages_read
+        try:
+            return step()
+        finally:
+            self._claim(ctx.trace)
             self._stack.pop()
-        frame.total_s = elapsed_s
-        frame.rows_out = rows_out
-        frame.pages_read = pages_read
-        frame.trace_begin = trace_begin
-        frame.trace_end = trace_end
-        frame.recycled = recycled
+            pages = ctx.pages_read - pages_before
+            frame.pages_read += pages
+            elapsed = time.perf_counter() - started
+            frame.total_s += elapsed
+            if self._stack:
+                parent = self._stack[-1]
+                parent.child_s += elapsed
+                parent.child_pages += pages
+
+    def _claim(self, trace: list[dict]) -> None:
+        """Hand the not-yet-owned trace entries to the deepest open frame."""
         if self._stack:
-            parent = self._stack[-1]
-            parent.child_s += elapsed_s
-            parent.child_pages += pages_read
+            self._stack[-1].own_trace.extend(range(self._claimed, len(trace)))
+        self._claimed = len(trace)
+
+    def mark_recycled(self) -> None:
+        """The operator being pulled answered from the recycler."""
+        self._stack[-1].recycled = True
 
     def total_operator_s(self) -> float:
         """Wall time attributed to operators = sum of root-frame totals.
@@ -121,21 +151,13 @@ def _trace_span(entry: dict) -> dict:
 
 def operator_span(frame: OpFrame, trace: list[dict]) -> dict:
     """One operator frame (and its subtree) as a span dict."""
-    children: list[dict] = []
-    own = set(frame.own_trace_indices())
-    child_iter = iter(frame.children)
-    next_child = next(child_iter, None)
-    # Interleave trace-event spans with child-operator spans in trace
-    # order so the span tree reads in execution order.
-    for index in range(frame.trace_begin, frame.trace_end):
-        while next_child is not None and next_child.trace_begin <= index:
-            children.append(operator_span(next_child, trace))
-            next_child = next(child_iter, None)
-        if index in own:
-            children.append(_trace_span(trace[index]))
-    while next_child is not None:
-        children.append(operator_span(next_child, trace))
-        next_child = next(child_iter, None)
+    # Child operators and own trace events, in execution order: a child
+    # first pulled at trace position i ran before event i was appended
+    # (the sort is stable and children are listed first).
+    parts = [(child.trace_begin, operator_span(child, trace))
+             for child in frame.children]
+    parts += [(index, _trace_span(trace[index])) for index in frame.own_trace]
+    parts.sort(key=lambda part: part[0])
     span = {
         "name": frame.op,
         "detail": frame.label,
@@ -147,34 +169,22 @@ def operator_span(frame: OpFrame, trace: list[dict]) -> dict:
         span["pages_read"] = frame.pages_read
     if frame.recycled:
         span["recycled"] = True
-    if children:
-        span["children"] = children
+    if parts:
+        span["children"] = [child for _position, child in parts]
     return span
 
 
-def span_tree(sql: str, report, profile: Optional[QueryProfile],
+def span_tree(sql: str, report, profile: QueryProfile,
               trace: list[dict]) -> dict:
-    """The whole query as one JSON-serialisable span tree.
-
-    ``profile`` may be ``None`` (plan-cache-hit streaming runs through
-    operator overrides, for instance): the compile/execute phases are
-    still exact, the execute span just has no operator children.
-    """
+    """The whole query as one JSON-serialisable span tree."""
     execute_span: dict = {
         "name": "execute",
         "elapsed_s": report.execute_s,
         "rows_out": report.rows_out,
     }
-    operator_children = (
-        [operator_span(frame, trace) for frame in profile.roots]
-        if profile is not None else []
-    )
-    if operator_children:
-        execute_span["children"] = operator_children
-    elif trace:
-        # No operator attribution — keep the trace events visible as
-        # direct children of the execute span.
-        execute_span["children"] = [_trace_span(entry) for entry in trace]
+    if profile.roots:
+        execute_span["children"] = [operator_span(frame, trace)
+                                    for frame in profile.roots]
     return {
         "name": "query",
         "attrs": {

@@ -526,7 +526,7 @@ class SeismicWarehouse:
         return Connection(self.db)
 
     def query(self, sql: str, params=None) -> Result:
-        """Run a SELECT, fully materialised.
+        """Run a SELECT, fully materialised (the cursor path, drained).
 
         .. deprecated:: thin wrapper over the unified API — prefer
            ``connect()`` and a cursor, which streams and reports.

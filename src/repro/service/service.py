@@ -31,6 +31,8 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.db.exec.result import Result
+from repro.db.plan.physical import UNBOUNDED_ROWS
 from repro.errors import ServiceClosedError, ServiceError
 from repro.obs.http import ObservabilityServer
 from repro.obs.journal import query_context
@@ -196,31 +198,57 @@ class ServiceStats:
 
 
 class _QueuedQuery:
-    __slots__ = ("session_id", "sql", "params", "future", "submitted_at",
+    """One admitted submission: a SELECT and the sink its batches feed
+    (the wire layer's server-side cursor, or a :class:`_FutureSink`)."""
+
+    __slots__ = ("session_id", "sql", "params", "submitted_at",
                  "submit_seq", "sink", "batch_rows")
 
-    def __init__(self, session_id: str, sql: str, future: Optional[Future],
+    def __init__(self, session_id: str, sql: str, sink: object,
                  submit_seq: int, params: object = None, *,
-                 sink: object = None,
                  batch_rows: Optional[int] = None) -> None:
         self.session_id = session_id
         self.sql = sql
         self.params = params
-        self.future = future
         self.submitted_at = time.perf_counter()
         self.submit_seq = submit_seq
-        # Streaming submissions (the TCP wire layer's server-side
-        # cursors) carry a sink instead of a future: the worker pushes
-        # row batches into it as they are produced.
         self.sink = sink
         self.batch_rows = batch_rows
 
+
+class _FutureSink:
+    """The sink behind :meth:`WarehouseService.submit`: collects the
+    stream's batches and resolves a future with the whole
+    :class:`QueryOutcome`."""
+
+    def __init__(self, session_id: str, sql: str) -> None:
+        self.future: "Future[QueryOutcome]" = Future()
+        self._session_id = session_id
+        self._sql = sql
+        self._batches: list[Result] = []
+
+    def opened(self, names, dtypes) -> None:
+        self._names, self._dtypes = names, dtypes
+
+    def push(self, batch: Result) -> bool:
+        self._batches.append(batch)
+        return True
+
     def fail(self, exc: BaseException) -> None:
-        """Route a pre-execution failure to whoever is waiting."""
-        if self.sink is not None:
-            self.sink.fail(exc)
-        elif self.future is not None:
-            self.future.set_exception(exc)
+        self.future.set_exception(exc)
+
+    def finish(self, report, trace, *, queued_s: float, execute_s: float,
+               total_s: float) -> None:
+        self.future.set_result(QueryOutcome(
+            session_id=self._session_id,
+            sql=self._sql,
+            result=Result.concat(self._names, self._dtypes, self._batches),
+            report=report,
+            trace=trace,
+            queued_s=queued_s,
+            execute_s=execute_s,
+            total_s=total_s,
+        ))
 
 
 class ClientSession:
@@ -445,7 +473,8 @@ class WarehouseService:
             self.promoter.stop()
         self.admission.close()
         for item in self.admission.drain():
-            item.fail(ServiceClosedError("service shut down before execution"))
+            item.sink.fail(
+                ServiceClosedError("service shut down before execution"))
         for worker in self._workers:
             worker.join()
         binding = getattr(self.warehouse.pipeline, "binding", None)
@@ -494,11 +523,13 @@ class WarehouseService:
                ) -> "Future[QueryOutcome]":
         if self._closed:
             raise ServiceClosedError("service is shut down")
-        future: "Future[QueryOutcome]" = Future()
-        item = _QueuedQuery(session_id, sql, future,
-                            next(self._submit_counter), params)
+        # One unbounded batch: the outcome is the stream drained.
+        sink = _FutureSink(session_id, sql)
+        item = _QueuedQuery(session_id, sql, sink,
+                            next(self._submit_counter), params,
+                            batch_rows=UNBOUNDED_ROWS)
         self.admission.submit(session_id, item)
-        return future
+        return sink.future
 
     def submit_stream(self, session_id: str, sql: str, sink,
                       params: object = None, *,
@@ -506,9 +537,10 @@ class WarehouseService:
         """Enqueue a *streaming* SELECT whose batches feed ``sink``.
 
         The wire layer's server-side cursors run through here: the same
-        admission queue and fairness as :meth:`submit`, but the worker
-        pushes row batches into ``sink`` as the engine produces them
-        instead of materialising a full result.  ``sink`` must expose
+        admission queue, fairness and worker body as :meth:`submit`
+        (which is this with a collecting sink); the worker pushes row
+        batches into ``sink`` as the engine produces them instead of
+        materialising a full result.  ``sink`` must expose
         ``opened(names, dtypes)``, ``push(result) -> bool`` (False stops
         the stream — client gone), ``fail(exc)`` and
         ``finish(report, trace, *, queued_s, execute_s, total_s)``.
@@ -525,9 +557,9 @@ class WarehouseService:
             raise ServiceError(
                 "the wire protocol serves queries only (SELECT); run "
                 "DDL/DML on a direct connection outside the service")
-        item = _QueuedQuery(session_id, sql, None,
+        item = _QueuedQuery(session_id, sql, sink,
                             next(self._submit_counter), params,
-                            sink=sink, batch_rows=batch_rows)
+                            batch_rows=batch_rows)
         self.admission.submit(session_id, item)
 
     def query(self, sql: str, *, session: Optional[str] = None,
@@ -538,7 +570,6 @@ class WarehouseService:
     # -- workers ---------------------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        db = self.warehouse.db
         while True:
             # Block until notified (submit/close both signal the queue's
             # condition) — an idle service must not busy-poll.
@@ -549,71 +580,29 @@ class WarehouseService:
                 continue
             queued_s = time.perf_counter() - item.submitted_at
             self._queue_wait_seconds.observe(queued_s)
-            if item.sink is not None:
-                self._run_stream(item, queued_s)
-                continue
-            with self._in_flight:
-                started = time.perf_counter()
-                try:
-                    # The journal context attributes the sys.queries
-                    # entry (session, queue wait) the engine records.
-                    with query_context(item.session_id, queued_s=queued_s):
-                        result, report, trace = db.query_with_report(
-                            item.sql, item.params)
-                except BaseException as exc:
-                    with self._stats_lock:
-                        self._failed += 1
-                    self._queries_total.inc(status="error")
-                    logger.warning("query failed on %s: %s",
-                                   item.session_id, exc)
-                    item.future.set_exception(exc)
-                    continue
-                execute_s = time.perf_counter() - started
-            outcome = QueryOutcome(
-                session_id=item.session_id,
-                sql=item.sql,
-                result=result,
-                report=report,
-                trace=trace,
-                queued_s=queued_s,
-                execute_s=execute_s,
-                total_s=time.perf_counter() - item.submitted_at,
-            )
-            with self._stats_lock:
-                self._completed += 1
-                self._latencies.append(outcome.total_s)
-            self._queries_total.inc(status="ok")
-            self._query_seconds.observe(outcome.total_s,
-                                        session=item.session_id)
-            if self.slow_log is not None:
-                self.slow_log.observe(
-                    session_id=item.session_id, sql=item.sql,
-                    total_s=outcome.total_s, queued_s=queued_s,
-                    execute_s=execute_s, report=report,
-                )
-            item.future.set_result(outcome)
+            self._serve(item, queued_s)
 
-    def _run_stream(self, item: _QueuedQuery, queued_s: float) -> None:
-        """Drive one streaming (wire-cursor) execution on this worker.
+    def _serve(self, item: _QueuedQuery, queued_s: float) -> None:
+        """Drive one admitted query on this worker, start to finish.
 
         The worker owns the stream end-to-end: it opens the query under
         the session's :func:`query_context` (journal/slow-log
-        attribution), pushes each batch into the cursor's bounded sink
-        (blocking there is the backpressure — the full result is never
-        materialised for a slow client) and reports completion.  A sink
-        that refuses a push (client disconnected, cursor closed, stall
-        timeout) stops the stream; the engine still journals the partial
-        execution.
+        attribution), pushes each batch into the item's sink (for a wire
+        cursor, blocking there is the backpressure — the full result is
+        never materialised for a slow client) and reports completion.  A
+        sink that refuses a push (client disconnected, cursor closed,
+        stall timeout) stops the stream; the engine still journals the
+        partial execution.
         """
         db = self.warehouse.db
         sink = item.sink
         with self._in_flight:
             started = time.perf_counter()
-            run = None
             try:
                 with query_context(item.session_id, queued_s=queued_s):
                     run = db.open_query(item.sql, item.params,
-                                        batch_rows=item.batch_rows)
+                                        batch_rows=item.batch_rows,
+                                        select_only=True)
                     sink.opened(run.names, run.dtypes)
                     try:
                         for batch in run.batches():
@@ -625,7 +614,7 @@ class WarehouseService:
                 with self._stats_lock:
                     self._failed += 1
                 self._queries_total.inc(status="error")
-                logger.warning("streamed query failed on %s: %s",
+                logger.warning("query failed on %s: %s",
                                item.session_id, exc)
                 sink.fail(exc)
                 return

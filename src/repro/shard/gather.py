@@ -38,7 +38,12 @@ from typing import Optional
 from repro.db import expr as ex
 from repro.db.column import Column
 from repro.db.plan.logical import bind_select
-from repro.db.plan.physical import Chunk, ExecutionContext, PhysicalNode
+from repro.db.plan.physical import (
+    Chunk,
+    ExecutionContext,
+    PhysicalNode,
+    iter_chunk_slices,
+)
 from repro.db.sql.parser import parse_statement
 from repro.db.table import ColumnSpec, TableSchema
 from repro.db.types import DataType
@@ -100,7 +105,7 @@ class PShardGather(PhysicalNode):
                    if self.plan.combine_param_names else None)
         return partial, combine
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
+    def batches(self, ctx: ExecutionContext, batch_rows: int):
         partial_params, combine_params = self._params()
         shard_results = self.executor.query_all(self.plan.partial_sql,
                                                 partial_params)
@@ -135,11 +140,11 @@ class PShardGather(PhysicalNode):
                           "partial_rows": sum(r.row_count
                                               for r, _rep in shard_results),
                           "rows": combined.row_count})
-        return Chunk(
-            columns={out.cid: combined.columns[i]
-                     for i, out in enumerate(self.schema)},
-            length=combined.row_count,
-        )
+        yield from iter_chunk_slices(
+            Chunk(columns={out.cid: combined.columns[i]
+                           for i, out in enumerate(self.schema)},
+                  length=combined.row_count),
+            batch_rows)
 
 
 class ShardRouter:

@@ -2,19 +2,24 @@
 
 :func:`run_differential` executes a SELECT through
 
-* the vectorised materialised path (``Database.query``),
-* the streamed batch path (``Database.open_query``), and
+* the vectorised operators drained in one unbounded batch
+  (``Database.query`` — a drained stream, not a separate executor),
+* the same operators streamed at each of ``stream_batch_rows``
+  (``Database.open_query``), and
 * the row-at-a-time reference interpreter (``Database.query_rowpath``),
 
-and asserts the three results are *byte-identical*: same values, same
-row order, same null masks, same float bits, and agreeing ``QueryReport``
-row counts.  The rowpath interpreter is deliberately independent code
-(scalar expression evaluation, dict-based joins and grouping, no
-recycler, no zone maps), so any divergence pinpoints a bug in the
-vectorised executor — or a genuine semantic disagreement worth a test.
+and asserts the results are *byte-identical*: same values, same row
+order, same null masks, same float bits, and agreeing ``QueryReport``
+row counts.  The first two legs run one code path at different batch
+sizes, so between them the oracle checks that batch boundaries never
+change an answer; the corpus suites sweep :data:`CORPUS_BATCH_ROWS`.  The
+rowpath interpreter is deliberately independent code (scalar expression
+evaluation, dict-based joins and grouping, no recycler, no zone maps),
+so any divergence from it pinpoints a bug in the vectorised executor —
+or a genuine semantic disagreement worth a test.
 
-Row order is compared strictly: all three paths are deterministic for a
-fixed plan (hash-free joins and grouping, stable sorts), so "order where
+Row order is compared strictly: every leg is deterministic for a fixed
+plan (hash-free joins and grouping, stable sorts), so "order where
 deterministic" is simply "always" here.
 
 Plain module, not a plugin: pytest puts ``tests/`` on ``sys.path``, so
@@ -26,6 +31,11 @@ import math
 import struct
 
 from repro.db.column import Column
+
+CORPUS_BATCH_ROWS = (1, 7, 4096)
+"""Streamed batch sizes the corpus suites sweep (next to the unbounded
+drain): row-at-a-time, a size that straddles every page and batch
+boundary, and the engine default (``DEFAULT_BATCH_ROWS``)."""
 
 
 def _canon_value(value):
@@ -61,7 +71,7 @@ def _diff_message(label, sql, got, expected):
 
 
 def run_differential(db, sql, params=None, stream_batch_rows=(64,)):
-    """Run ``sql`` through all three executors and demand identity.
+    """Run ``sql`` drained, streamed and row-at-a-time; demand identity.
 
     Returns the vectorised :class:`Result` so callers can chain further
     assertions without re-executing.

@@ -6,6 +6,7 @@ results — Lazy ETL is an optimisation of *when* work happens, never of
 """
 
 import pytest
+from oracle import CORPUS_BATCH_ROWS
 
 from repro.seismology.queries import (
     analytical_suite,
@@ -97,8 +98,10 @@ ORACLE_CORPUS = [("fig1_q1", fig1_query1()), ("fig1_q2", fig1_query2())] + [
 @pytest.mark.parametrize("mode", ["lazy", "eager", "external"])
 def test_differential_oracle_corpus(warehouses, differential_oracle,
                                     mode, qid, sql):
-    """Vectorised, streamed and row-at-a-time execution agree bit-for-bit
-    on the full SQL corpus, whatever the ingestion mode."""
+    """Drained, streamed (at every swept batch size) and row-at-a-time
+    execution agree bit-for-bit on the full SQL corpus, whatever the
+    ingestion mode."""
     if mode == "external" and qid == "Q8":
         pytest.skip("external mode has no mseed.files metadata table")
-    differential_oracle(warehouses[mode].db, sql)
+    differential_oracle(warehouses[mode].db, sql,
+                        stream_batch_rows=CORPUS_BATCH_ROWS)

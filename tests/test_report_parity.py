@@ -1,16 +1,22 @@
-"""QueryReport counter parity between execution paths.
+"""QueryReport accounting on the one execution path.
 
-The materialised (`Database.query`) and streaming (cursor) paths share
-``_fold_trace_counters``; these tests pin that the counters a report
-carries are identical whichever path ran the query, and that
-promoted-fetch page I/O is counted exactly once.
+Every entry point — ``Database.query``, cursors, service sessions — is a
+drain of the same operator stream, so there are no two paths to keep in
+agreement any more.  What is pinned here instead: a cursor's span tree
+carries one span per operator and accounts for the execute time at any
+batch size; an abandoned stream closes cleanly and reports what it
+delivered; the service's future and cursor faces return the same bytes
+and counters; and ``_fold_trace_counters`` counts promoted-fetch page
+I/O exactly once.
 """
 
 from __future__ import annotations
 
 import pytest
+from oracle import column_fingerprint
 
 from repro.db.exec.engine import QueryReport, _fold_trace_counters
+from repro.db.plan.physical import UNBOUNDED_ROWS
 from repro.seismology.warehouse import SeismicWarehouse
 
 PARITY_COUNTERS = (
@@ -39,20 +45,125 @@ def _streamed(wh, sql) -> QueryReport:
         return cur.report
 
 
+def _plan_nodes(node):
+    yield node
+    for child in node.children():
+        yield from _plan_nodes(child)
+
+
+def _operator_spans(span):
+    for child in span.get("children", ()):
+        if not child["name"].startswith("trace:"):
+            yield child
+            yield from _operator_spans(child)
+
+
+# ---------------------------------------------------------------------------
+# Cursors carry operator spans
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("batch_rows", [64, UNBOUNDED_ROWS])
 @pytest.mark.parametrize("sql", QUERIES)
-def test_materialized_and_streaming_counters_match(demo_repo, sql):
-    # Two fresh warehouses: each path starts from the same cold state.
-    mat = SeismicWarehouse(demo_repo.root, mode="lazy")
-    stream = SeismicWarehouse(demo_repo.root, mode="lazy")
-    cold_a, cold_b = _materialized(mat, sql), _streamed(stream, sql)
-    warm_a, warm_b = _materialized(mat, sql), _streamed(stream, sql)
-    for name in PARITY_COUNTERS:
-        assert getattr(cold_a, name) == getattr(cold_b, name), \
-            f"cold {name} diverged"
-        assert getattr(warm_a, name) == getattr(warm_b, name), \
-            f"warm {name} diverged"
-    assert cold_a.rows_extracted_here > 0
-    assert warm_a.rows_extracted_here == 0  # served from the cache
+def test_cursor_spans_cover_every_operator(demo_repo, sql, batch_rows):
+    wh = SeismicWarehouse(demo_repo.root, mode="lazy", trace_spans=True)
+    with wh.connect() as conn:
+        cur = conn.cursor().execute(sql, batch_rows=batch_rows)
+        cur.fetchall()
+        report = cur.report
+    execute = next(s for s in report.spans["children"]
+                   if s["name"] == "execute")
+    spans = list(_operator_spans(execute))
+    # One span per operator of the plan (a cold run recycles nothing, so
+    # every operator ran) ...
+    assert sorted(s["name"] for s in spans) == sorted(
+        type(n).__name__ for n in _plan_nodes(wh.db.last_plan_physical))
+    assert spans[0]["rows_out"] == report.rows_out
+    # ... whose self times add up to the time the engine spent pulling
+    # (same slack as the EXPLAIN ANALYZE attribution test).
+    self_total = sum(s["self_s"] for s in spans)
+    slack = max(0.10 * report.execute_s, 0.002)
+    assert abs(self_total - report.execute_s) <= slack
+
+
+# ---------------------------------------------------------------------------
+# Abandoned streams
+# ---------------------------------------------------------------------------
+
+
+def _journal_entry(wh, report) -> dict:
+    return next(e for e in wh.db.journal.entries()
+                if e["id"] == report.journal_id)
+
+
+def test_cursor_closed_mid_stream_reports_what_it_delivered(demo_repo):
+    wh = SeismicWarehouse(demo_repo.root, mode="lazy", trace_spans=True)
+    run = wh.db.open_query(QUERIES[2], batch_rows=64)
+    batches = run.batches()
+    assert next(batches).row_count == 64
+    assert run.profile.open_frames == 0  # nothing is open between pulls
+    run.close()
+    assert run.profile.open_frames == 0
+    assert run.report.rows_out == run.rowcount == 64
+    assert run.report.spans is not None
+    entry = _journal_entry(wh, run.report)
+    assert (entry["status"], entry["rows_out"]) == ("ok", 64)
+
+    # The same through the public cursor: one fetchmany, then close().
+    with wh.connect() as conn:
+        cur = conn.cursor().execute(QUERIES[2], batch_rows=64)
+        assert len(cur.fetchmany(10)) == 10
+        report = cur.report
+        cur.close()
+        assert report.rows_out == 64  # the one batch the engine delivered
+        assert _journal_entry(wh, report)["status"] == "ok"
+
+
+def test_satisfied_limit_leaves_no_open_frame(demo_repo):
+    wh = SeismicWarehouse(demo_repo.root, mode="lazy", trace_spans=True)
+    # The limit is satisfied inside the first batch: PLimit returns
+    # while its child stream is still open, and abandons it.
+    run = wh.db.open_query("SELECT sample_value FROM mseed.data LIMIT 5",
+                           batch_rows=64)
+    assert sum(batch.row_count for batch in run.batches()) == 5
+    assert run.profile.open_frames == 0
+    assert run.report.rows_out == 5
+    entry = _journal_entry(wh, run.report)
+    assert (entry["status"], entry["rows_out"]) == ("ok", 5)
+    execute = next(s for s in run.report.spans["children"]
+                   if s["name"] == "execute")
+    limit, child = list(_operator_spans(execute))[:2]
+    assert limit["name"] == "PLimit" and limit["rows_out"] == 5
+    assert child["rows_out"] >= 5  # what the abandoned child handed over
+
+
+# ---------------------------------------------------------------------------
+# One worker body: the service's future and cursor faces agree
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sql", QUERIES)
+def test_service_query_and_cursor_agree(demo_repo, sql):
+    # Two fresh warehouses: each face starts from the same cold state.
+    def served(run):
+        wh = SeismicWarehouse(demo_repo.root, mode="lazy")
+        with wh.serve(max_workers=2) as svc:
+            return run(svc.session("s"))
+
+    outcome = served(lambda session: session.query(sql))
+
+    def through_cursor(session):
+        cur = session.cursor().execute(sql)
+        # Cursor executions are recorded on the session like any other.
+        return cur.fetchall(), cur.report, session.outcomes[-1].result
+
+    rows, report, result = served(through_cursor)
+    assert rows == outcome.result.rows()
+    assert [column_fingerprint(c) for c in result.columns] == \
+        [column_fingerprint(c) for c in outcome.result.columns]
+    for name in PARITY_COUNTERS + ("operators_run",):
+        assert getattr(report, name) == getattr(outcome.report, name), name
+    assert outcome.report.rows_extracted_here > 0
 
 
 # ---------------------------------------------------------------------------

@@ -91,12 +91,13 @@ def test_shard_map_range_partition_is_contiguous():
 @pytest.mark.parametrize("fixture", ["sharded2", "sharded3"])
 @pytest.mark.parametrize("qid,sql", CORPUS)
 def test_sharded_differential_oracle(request, fixture, qid, sql):
-    """Vectorised (sharded), streamed (sharded) and rowpath (preserved
-    single-process plan) agree bit-for-bit on the whole corpus."""
-    from oracle import run_differential
+    """Drained (sharded), streamed (sharded, at every swept batch size)
+    and rowpath (preserved single-process plan) agree bit-for-bit on
+    the whole corpus."""
+    from oracle import CORPUS_BATCH_ROWS, run_differential
 
     wh = request.getfixturevalue(fixture)
-    run_differential(wh.db, sql)
+    run_differential(wh.db, sql, stream_batch_rows=CORPUS_BATCH_ROWS)
 
 
 @pytest.mark.parametrize("qid,sql", CORPUS)

@@ -775,3 +775,64 @@ def test_bufferpool_pinned_overcommit_randomized_stress():
     assert not pool._pins
     assert pool.used_bytes <= pool.budget_bytes
     assert pool.used_bytes == sum(len(p) for p in pool._pages.values())
+
+
+# ---------------------------------------------------------------------------
+# Per-query page counts under concurrency (ISSUE-13 satellite)
+# ---------------------------------------------------------------------------
+
+
+def test_concurrent_scans_count_only_their_own_pages(tmp_path, monkeypatch):
+    """Two sessions scan two disk-backed tables at once: each report's
+    ``pages_read`` is its own table's pages — not a before/after delta
+    over the pool counter both share — and the two add up to the pool's
+    ``disk_reads``."""
+    import threading
+
+    db = Database()
+    for name, rows in (("a", 40_000), ("b", 70_000)):
+        db.execute(f"CREATE TABLE {name} (v BIGINT, w BIGINT)")
+        db.table(f"main.{name}").append_pydict(
+            {"v": list(range(rows)), "w": list(range(rows))})
+    db.attach(tmp_path / "store")
+    db.checkpoint()
+
+    db = Database()
+    store = db.attach(tmp_path / "store")
+    pages = {name: db.table(f"main.{name}").disk_backing.pages_of("v")
+             for name in ("a", "b")}
+    assert pages["a"] != pages["b"]
+
+    # Hold each scan at its first page read until the other has got
+    # there too, so both are mid-scan while either touches the disk.
+    both_scanning = threading.Barrier(2, timeout=30)
+    seen = threading.local()
+    load_slot = SegmentReader._load_slot
+
+    def gated_load(self, slot):
+        if not getattr(seen, "first", False):
+            seen.first = True
+            both_scanning.wait()
+        return load_slot(self, slot)
+
+    monkeypatch.setattr(SegmentReader, "_load_slot", gated_load)
+    reads_before = store.pool.stats.disk_reads
+    reports: dict = {}
+    errors: list[BaseException] = []
+
+    def scan(name: str) -> None:
+        try:
+            _result, reports[name], _trace = db.query_with_report(
+                f"SELECT SUM(v) FROM {name}")
+        except BaseException as exc:  # surfaced to the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=scan, args=(n,)) for n in pages]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert {n: r.pages_read for n, r in reports.items()} == pages
+    assert sum(pages.values()) == store.pool.stats.disk_reads - reads_before

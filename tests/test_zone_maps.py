@@ -10,6 +10,7 @@ with zone pruning disabled.
 import math
 
 import pytest
+from oracle import CORPUS_BATCH_ROWS
 
 from repro.db.column import Column
 from repro.db.exec.engine import Database
@@ -153,6 +154,31 @@ def test_pruned_streaming_matches_rowpath(tmp_path, sql):
     rows = [row for batch in run.batches() for row in batch.rows()]
     assert rows == reference.rows()
     assert run.report.pages_skipped_zone > 0
+
+
+@pytest.fixture(scope="module")
+def shared_store(tmp_path_factory):
+    return _build_store(tmp_path_factory.mktemp("zone-oracle"))
+
+
+DISK_ORACLE = PRUNABLE + [
+    "SELECT v, f, s, n FROM t WHERE v BETWEEN 16380 AND 16390",  # page seam
+    "SELECT s, count(*), sum(v), avg(f) FROM t GROUP BY s ORDER BY s",
+    "SELECT DISTINCT s, n FROM t WHERE v >= 30000",
+    "SELECT v, f FROM t ORDER BY v DESC LIMIT 5",
+    "SELECT v, s FROM t LIMIT 10 OFFSET 16380",  # stops inside page two
+]
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("sql", DISK_ORACLE)
+def test_disk_backed_differential_oracle(shared_store, differential_oracle,
+                                         sql):
+    """A table straight after ``attach``: the drain reads it from disk
+    (pruned or whole), and every streamed batch size and the rowpath
+    agree with it bit for bit."""
+    differential_oracle(_open(shared_store), sql,
+                        stream_batch_rows=CORPUS_BATCH_ROWS)
 
 
 def test_streaming_scan_skips_dead_pages_entirely(tmp_path):
