@@ -1,17 +1,10 @@
-#!/usr/bin/env python3
 """E13 — adaptive lazy→eager promotion under a skewed workload.
 
-Runs as a pytest bench (like its E10–E12 siblings) *and* as a standalone
-script for the CI smoke job::
-
-    python benchmarks/bench_e13_adaptive.py --smoke --json-dir bench-results
-
-The standalone form writes ``BENCH_E13.json`` with a machine-checkable
-``criteria`` block (steady-state speedup, cold-start ratio, warm-start
-re-extraction) alongside the table itself.
+A pytest bench like its E10–E12 siblings; ``run_experiments.py --check``
+gates the table on :func:`criteria` (steady-state speedup, cold-start
+ratio, warm-start re-extraction) and writes that block into
+``BENCH_E13.json``.
 """
-
-import sys
 
 
 def _acceptance(table):
@@ -23,6 +16,20 @@ def _acceptance(table):
         if row[0].startswith("acceptance:"):
             return (float(row[1]), float(row[2]), int(row[3]), int(row[4]))
     raise AssertionError("E13 table has no acceptance row")
+
+
+def criteria(table):
+    """The acceptance block of ``BENCH_E13.json`` → ``(block, passed)``."""
+    speedup, cold_ratio, warm_eager, warm_reextracted = _acceptance(table)
+    return {
+        "hot_set_steady_speedup_x": speedup,
+        "hot_set_steady_speedup_min": 2.0,
+        "cold_start_ratio_x": cold_ratio,
+        "cold_start_ratio_max": 1.2,
+        "warm_start_rows_served_eager": warm_eager,
+        "warm_start_rows_reextracted": warm_reextracted,
+    }, (speedup >= 2.0 and cold_ratio <= 1.2 and warm_eager > 0
+        and warm_reextracted == 0)
 
 
 def test_e13_adaptive_promotion(benchmark, demo_repo_path):
@@ -66,63 +73,3 @@ def test_e13_adaptive_promotion(benchmark, demo_repo_path):
     assert warm_eager > 0
     assert warm_reextracted == 0, (
         f"warm start re-extracted {warm_reextracted} promoted rows")
-
-
-def main(argv=None) -> int:
-    import argparse
-    import os
-    import platform
-    import time
-
-    from repro.bench.harness import run_e13
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced parameters (CI-sized run)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="override the workload round count")
-    parser.add_argument("--json-dir", metavar="DIR",
-                        default="benchmarks/results",
-                        help="directory for BENCH_E13.json "
-                             "(default: %(default)s)")
-    parser.add_argument("--no-json", action="store_true",
-                        help="skip writing the JSON artifact")
-    args = parser.parse_args(argv)
-
-    started = time.perf_counter()
-    table = run_e13(smoke=args.smoke, rounds=args.rounds)
-    elapsed = time.perf_counter() - started
-    print(table.render())
-    print(f"  (experiment ran in {elapsed:.1f} s)")
-
-    speedup, cold_ratio, warm_eager, warm_reextracted = _acceptance(table)
-    if not args.no_json:
-        os.makedirs(args.json_dir, exist_ok=True)
-        path = os.path.join(args.json_dir, "BENCH_E13.json")
-        table.to_json(
-            path,
-            params={"smoke": args.smoke, "rounds": args.rounds},
-            elapsed_s=round(elapsed, 3),
-            python=platform.python_version(),
-            machine=platform.machine(),
-            criteria={
-                "hot_set_steady_speedup_x": speedup,
-                "hot_set_steady_speedup_min": 2.0,
-                "cold_start_ratio_x": cold_ratio,
-                "cold_start_ratio_max": 1.2,
-                "warm_start_rows_served_eager": warm_eager,
-                "warm_start_rows_reextracted": warm_reextracted,
-            },
-        )
-        print(f"  json written to {path}")
-
-    ok = (speedup >= 2.0 and cold_ratio <= 1.2 and warm_eager > 0
-          and warm_reextracted == 0)
-    print(f"  acceptance: speedup {speedup:.2f}x (>=2x), cold ratio "
-          f"{cold_ratio:.2f}x (<=1.2x), warm re-extraction "
-          f"{warm_reextracted} (==0) -> {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,18 +1,11 @@
-#!/usr/bin/env python3
 """E15 — vectorised batch executor vs the row-at-a-time baseline.
 
-Runs as a pytest bench (like its E10–E13 siblings) *and* as a standalone
-script for the CI smoke job::
-
-    python benchmarks/bench_e15_vectorized.py --smoke --json-dir bench-results
-
-The standalone form writes ``BENCH_E15.json`` with a machine-checkable
-``criteria`` block: the cold-load and fig1 Q1/Q2 speedups of the
-vectorised engine over ``query_rowpath`` + scalar Steim decoding, each
-gated at >= 5x (ISSUE 6 acceptance).
+A pytest bench like its E10–E13 siblings; ``run_experiments.py --check``
+gates the table on :func:`criteria` — the cold-load and fig1 Q1/Q2
+speedups of the vectorised engine over ``query_rowpath`` + scalar Steim
+decoding, each >= 5x (ISSUE 6 acceptance) — and writes that block into
+``BENCH_E15.json``.
 """
-
-import sys
 
 
 def _acceptance(table):
@@ -24,6 +17,17 @@ def _acceptance(table):
         if row[0].startswith("acceptance:"):
             return (float(row[1]), float(row[2]), float(row[3]))
     raise AssertionError("E15 table has no acceptance row")
+
+
+def criteria(table):
+    """The acceptance block of ``BENCH_E15.json`` → ``(block, passed)``."""
+    cold_x, q1_x, q2_x = _acceptance(table)
+    return {
+        "cold_load_speedup_x": cold_x,
+        "fig1_q1_speedup_x": q1_x,
+        "fig1_q2_speedup_x": q2_x,
+        "speedup_min": 5.0,
+    }, min(cold_x, q1_x, q2_x) >= 5.0
 
 
 def test_e15_vectorized_executor(benchmark, demo_repo_path):
@@ -51,59 +55,3 @@ def test_e15_vectorized_executor(benchmark, demo_repo_path):
                               _acceptance(table)):
         assert speedup >= 5.0, (
             f"{label}: vectorised speedup {speedup:.2f}x < 5x")
-
-
-def main(argv=None) -> int:
-    import argparse
-    import os
-    import platform
-    import time
-
-    from repro.bench.harness import run_e15
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced parameters (CI-sized run)")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="override best-of-N measurement repeats")
-    parser.add_argument("--json-dir", metavar="DIR",
-                        default="benchmarks/results",
-                        help="directory for BENCH_E15.json "
-                             "(default: %(default)s)")
-    parser.add_argument("--no-json", action="store_true",
-                        help="skip writing the JSON artifact")
-    args = parser.parse_args(argv)
-
-    started = time.perf_counter()
-    table = run_e15(smoke=args.smoke, repeats=args.repeats)
-    elapsed = time.perf_counter() - started
-    print(table.render())
-    print(f"  (experiment ran in {elapsed:.1f} s)")
-
-    cold_x, q1_x, q2_x = _acceptance(table)
-    if not args.no_json:
-        os.makedirs(args.json_dir, exist_ok=True)
-        path = os.path.join(args.json_dir, "BENCH_E15.json")
-        table.to_json(
-            path,
-            params={"smoke": args.smoke, "repeats": args.repeats},
-            elapsed_s=round(elapsed, 3),
-            python=platform.python_version(),
-            machine=platform.machine(),
-            criteria={
-                "cold_load_speedup_x": cold_x,
-                "fig1_q1_speedup_x": q1_x,
-                "fig1_q2_speedup_x": q2_x,
-                "speedup_min": 5.0,
-            },
-        )
-        print(f"  json written to {path}")
-
-    ok = min(cold_x, q1_x, q2_x) >= 5.0
-    print(f"  acceptance: cold load {cold_x:.1f}x, Q1 {q1_x:.1f}x, "
-          f"Q2 {q2_x:.1f}x (each >= 5x) -> {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,21 +1,14 @@
-#!/usr/bin/env python3
 """E16 — the wire protocol at 100+ real concurrent TCP connections.
 
-Runs as a pytest bench (like its E10–E15 siblings) *and* as a standalone
-script for the CI smoke job::
-
-    python benchmarks/bench_e16_network.py --smoke --json-dir bench-results
-
 Each remote query pays the full serving stack — framing, token auth,
-admission control, server-side cursors, codec-compressed batches — over
-a real socket from the asyncio client, against an in-process baseline
-of the same session count.  The standalone form writes
-``BENCH_E16.json`` with a machine-checkable ``criteria`` block:
+admission control, server-side cursors, page-encoded batches — over a
+real socket from the asyncio client, against an in-process baseline of
+the same session count.  A pytest bench like its E10–E15 siblings;
+``run_experiments.py --check`` gates the table on :func:`criteria` —
 sustained connections (>= 100), dropped queries (== 0), and graceful
-drain under load (live streaming cursors finish through ``close()``).
+drain under load (live streaming cursors finish through ``close()``) —
+and writes that block into ``BENCH_E16.json``.
 """
-
-import sys
 
 
 def _acceptance(table):
@@ -27,6 +20,18 @@ def _acceptance(table):
         if row[0].startswith("acceptance:"):
             return (int(row[1]), int(row[2]), row[3] == "true")
     raise AssertionError("E16 table has no acceptance row")
+
+
+def criteria(table):
+    """The acceptance block of ``BENCH_E16.json`` → ``(block, passed)``."""
+    connections, dropped, drain_clean = _acceptance(table)
+    return {
+        "concurrent_connections": connections,
+        "concurrent_connections_min": 100,
+        "dropped_queries": dropped,
+        "dropped_queries_max": 0,
+        "graceful_drain_under_load": drain_clean,
+    }, connections >= 100 and dropped == 0 and drain_clean
 
 
 def test_e16_network(benchmark, demo_repo_path):
@@ -64,67 +69,3 @@ def test_e16_network(benchmark, demo_repo_path):
     assert connections == 24
     assert dropped == 0, f"{dropped} queries dropped under concurrency"
     assert drain_clean, "graceful drain aborted live cursors"
-
-
-def main(argv=None) -> int:
-    import argparse
-    import os
-    import platform
-    import time
-
-    from repro.bench.harness import run_e16
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced parameters (CI-sized run)")
-    parser.add_argument("--connections", type=int, default=None,
-                        help="concurrent TCP connections "
-                             "(default: 100, the acceptance floor)")
-    parser.add_argument("--queries-per-conn", type=int, default=None,
-                        help="queries issued per connection")
-    parser.add_argument("--json-dir", metavar="DIR",
-                        default="benchmarks/results",
-                        help="directory for BENCH_E16.json "
-                             "(default: %(default)s)")
-    parser.add_argument("--no-json", action="store_true",
-                        help="skip writing the JSON artifact")
-    args = parser.parse_args(argv)
-
-    started = time.perf_counter()
-    table = run_e16(smoke=args.smoke, connections=args.connections,
-                    queries_per_conn=args.queries_per_conn)
-    elapsed = time.perf_counter() - started
-    print(table.render())
-    print(f"  (experiment ran in {elapsed:.1f} s)")
-
-    connections, dropped, drain_clean = _acceptance(table)
-    if not args.no_json:
-        os.makedirs(args.json_dir, exist_ok=True)
-        path = os.path.join(args.json_dir, "BENCH_E16.json")
-        table.to_json(
-            path,
-            params={"smoke": args.smoke, "connections": args.connections,
-                    "queries_per_conn": args.queries_per_conn},
-            elapsed_s=round(elapsed, 3),
-            python=platform.python_version(),
-            machine=platform.machine(),
-            criteria={
-                "concurrent_connections": connections,
-                "concurrent_connections_min": 100,
-                "dropped_queries": dropped,
-                "dropped_queries_max": 0,
-                "graceful_drain_under_load": drain_clean,
-            },
-        )
-        print(f"  json written to {path}")
-
-    ok = connections >= 100 and dropped == 0 and drain_clean
-    print(f"  acceptance: {connections} connections (>=100), {dropped} "
-          f"dropped (==0), drain under load "
-          f"{'clean' if drain_clean else 'ABORTED'} -> "
-          f"{'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

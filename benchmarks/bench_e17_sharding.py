@@ -1,22 +1,15 @@
-#!/usr/bin/env python3
 """E17 — sharded scatter-gather execution vs the single-process engine.
-
-Runs as a pytest bench (like its E10–E16 siblings) *and* as a
-standalone script for the CI smoke job::
-
-    python benchmarks/bench_e17_sharding.py --smoke --json-dir bench-results
 
 The workload is CPU-bound extraction: a full-corpus Steim decode feeding
 a grouped MIN/MAX/SUM/COUNT aggregation, cold (all extraction caches
-dropped, shard workers included) and warm, at 1, 2 and 4 shards.  The
-standalone form writes ``BENCH_E17.json`` with a machine-checkable
-``criteria`` block: bit-identical results at every shard count
-(mandatory everywhere) and >= 2.5x cold-path speedup at 4 shards —
-gated on ``os.cpu_count() >= 4``, since worker processes cannot beat
-the GIL without cores to run on.
+dropped, shard workers included) and warm, at 1, 2 and 4 shards.  A
+pytest bench like its E10–E16 siblings; ``run_experiments.py --check``
+gates the table on :func:`criteria` — bit-identical results at every
+shard count (mandatory everywhere) and >= 2.5x cold-path speedup at 4
+shards, the latter only where ``os.cpu_count() >= 4`` since worker
+processes cannot beat the GIL without cores to run on — and writes that
+block into ``BENCH_E17.json``.
 """
-
-import sys
 
 
 def _acceptance(table):
@@ -25,6 +18,19 @@ def _acceptance(table):
         if row[0].startswith("acceptance:"):
             return (float(row[1]), int(row[2]), row[3] == "true")
     raise AssertionError("E17 table has no acceptance row")
+
+
+def criteria(table):
+    """The acceptance block of ``BENCH_E17.json`` → ``(block, passed)``."""
+    speedup, cpus, identical = _acceptance(table)
+    gate_active = cpus >= 4
+    return {
+        "speedup_at_max_shards": speedup,
+        "speedup_min": 2.5,
+        "speedup_gate_active": gate_active,
+        "cpu_count": cpus,
+        "bit_identical": identical,
+    }, identical and (speedup >= 2.5 or not gate_active)
 
 
 def test_e17_sharding(benchmark, demo_repo_path):
@@ -54,68 +60,3 @@ def test_e17_sharding(benchmark, demo_repo_path):
     assert identical, "sharded results diverged from single-process"
     if cpus >= 4:
         assert speedup >= 1.0
-
-
-def main(argv=None) -> int:
-    import argparse
-    import os
-    import platform
-    import time
-
-    from repro.bench.harness import run_e17
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced parameters (CI-sized run)")
-    parser.add_argument("--shards", type=int, nargs="+", default=None,
-                        help="shard counts to sweep (default: 1 2 4)")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="cold/warm repetitions per configuration")
-    parser.add_argument("--json-dir", metavar="DIR",
-                        default="benchmarks/results",
-                        help="directory for BENCH_E17.json "
-                             "(default: %(default)s)")
-    parser.add_argument("--no-json", action="store_true",
-                        help="skip writing the JSON artifact")
-    args = parser.parse_args(argv)
-
-    started = time.perf_counter()
-    table = run_e17(smoke=args.smoke,
-                    shard_counts=tuple(args.shards) if args.shards else None,
-                    repeats=args.repeats)
-    elapsed = time.perf_counter() - started
-    print(table.render())
-    print(f"  (experiment ran in {elapsed:.1f} s)")
-
-    speedup, cpus, identical = _acceptance(table)
-    gate_active = cpus >= 4
-    if not args.no_json:
-        os.makedirs(args.json_dir, exist_ok=True)
-        path = os.path.join(args.json_dir, "BENCH_E17.json")
-        table.to_json(
-            path,
-            params={"smoke": args.smoke, "shards": args.shards,
-                    "repeats": args.repeats},
-            elapsed_s=round(elapsed, 3),
-            python=platform.python_version(),
-            machine=platform.machine(),
-            criteria={
-                "speedup_at_max_shards": speedup,
-                "speedup_min": 2.5,
-                "speedup_gate_active": gate_active,
-                "cpu_count": cpus,
-                "bit_identical": identical,
-            },
-        )
-        print(f"  json written to {path}")
-
-    ok = identical and (speedup >= 2.5 or not gate_active)
-    gate = (f"{speedup:.2f}x (>=2.5 required, {cpus} cpus)" if gate_active
-            else f"{speedup:.2f}x (gate waived: only {cpus} cpu)")
-    print(f"  acceptance: identical={'yes' if identical else 'NO'}, "
-          f"speedup {gate} -> {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

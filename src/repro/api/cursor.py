@@ -17,6 +17,7 @@ replacing the older ``Database.query_with_report`` tuple juggling.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Iterator, Optional
 
 from repro.db.exec.result import Result
@@ -49,8 +50,7 @@ class Cursor:
         self.arraysize = 1
         self._run = None
         self._batches: Optional[Iterator[Result]] = None
-        self._buffer: list[tuple] = []
-        self._buffer_pos = 0
+        self._buffer: deque[tuple] = deque()  # rows pulled, not yet fetched
         self._rowcount_override: Optional[int] = None
         self._exhausted = True
         self._closed = False
@@ -67,8 +67,6 @@ class Cursor:
                 or max(self.arraysize, DEFAULT_CURSOR_BATCH_ROWS))
         self._run = self._runner(operation, params, size)
         self._batches = self._run.batches()
-        self._buffer = []
-        self._buffer_pos = 0
         self._rowcount_override = None
         self._exhausted = not self._run.is_rowset
         if self._exhausted:
@@ -159,31 +157,24 @@ class Cursor:
     def fetchone(self) -> Optional[tuple]:
         """The next row, or ``None`` when the result is exhausted."""
         self._require_rowset()
-        if not self._ensure_buffered(1):
-            return None
-        row = self._buffer[self._buffer_pos]
-        self._buffer_pos += 1
-        return row
+        self._ensure_buffered(1)
+        return self._buffer.popleft() if self._buffer else None
 
     def fetchmany(self, size: Optional[int] = None) -> list[tuple]:
         """Up to ``size`` rows (default :attr:`arraysize`)."""
         self._require_rowset()
         size = self.arraysize if size is None else size
-        if size <= 0:
-            return []
         self._ensure_buffered(size)
-        end = min(self._buffer_pos + size, len(self._buffer))
-        rows = self._buffer[self._buffer_pos:end]
-        self._buffer_pos = end
-        return rows
+        return [self._buffer.popleft()
+                for _ in range(min(size, len(self._buffer)))]
 
     def fetchall(self) -> list[tuple]:
         """Every remaining row (materialises the rest of the stream)."""
         self._require_rowset()
         while not self._exhausted:
             self._pull_batch()
-        rows = self._buffer[self._buffer_pos:]
-        self._buffer_pos = len(self._buffer)
+        rows = list(self._buffer)
+        self._buffer.clear()
         return rows
 
     def scalar(self) -> Any:
@@ -238,12 +229,10 @@ class Cursor:
                 "the last statement did not produce a result set"
             )
 
-    def _ensure_buffered(self, ahead: int) -> bool:
-        """Buffer at least ``ahead`` unread rows; False when exhausted."""
-        while (len(self._buffer) - self._buffer_pos) < ahead \
-                and not self._exhausted:
+    def _ensure_buffered(self, ahead: int) -> None:
+        """Buffer ``ahead`` unread rows, or all that are left."""
+        while len(self._buffer) < ahead and not self._exhausted:
             self._pull_batch()
-        return (len(self._buffer) - self._buffer_pos) > 0
 
     def _pull_batch(self) -> None:
         assert self._batches is not None
@@ -253,10 +242,6 @@ class Cursor:
             self._exhausted = True
             return
         self.rows_streamed += batch.row_count
-        # Drop already-consumed rows so huge streams don't accumulate.
-        if self._buffer_pos:
-            self._buffer = self._buffer[self._buffer_pos:]
-            self._buffer_pos = 0
         self._buffer.extend(batch.rows())
 
     def _finish_run(self) -> None:
@@ -264,6 +249,5 @@ class Cursor:
             self._run.close()
         self._run = None
         self._batches = None
-        self._buffer = []
-        self._buffer_pos = 0
+        self._buffer.clear()
         self._exhausted = True

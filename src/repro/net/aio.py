@@ -1,12 +1,16 @@
 """The asyncio-native remote client: ``connect_tcp_async``.
 
-Same wire protocol as :mod:`repro.net.client`, driven from a coroutine:
-:class:`AsyncConnection` multiplexes any number of
-:class:`AsyncCursor`\\ s over one authenticated TCP session (an
-``asyncio.Lock`` serialises the request/response exchanges, so
-concurrent coroutines pipeline cleanly instead of interleaving frames),
-and every fetch surface is awaitable — ``await cur.fetchall()``,
-``async for row in cur``.
+The same wire protocol as :mod:`repro.net.client`, literally: both drive
+the exchanges of :mod:`repro.net.protocol`, and
+:meth:`AsyncConnection._exchange` is the ``StreamReader`` /
+``StreamWriter`` driver.  :class:`AsyncConnection` multiplexes any
+number of :class:`AsyncCursor`\\ s over one authenticated TCP session (an
+``asyncio.Lock`` serialises the exchanges, so concurrent coroutines
+pipeline cleanly instead of interleaving frames), and every fetch
+surface is awaitable — ``await cur.fetchall()``, ``async for row in
+cur``.  A cancelled task (``asyncio.wait_for`` timing out included)
+leaves its exchange half read, so it closes the connection, like every
+other unfinished exchange.
 
 The sync client exists for scripts and notebooks; this one is for
 servers and load generators that hold hundreds of connections open —
@@ -16,32 +20,15 @@ bench E16 drives exactly that.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
+from operator import attrgetter
 from typing import AsyncIterator, Optional
 
-from repro.db.exec.result import Result
-from repro.errors import ExecutionError, WireProtocolError
-from repro.net import frames
-from repro.net.client import RemoteReport, raise_wire_error
-from repro.net.frames import (
-    MSG_BATCH,
-    MSG_CLOSE_CURSOR,
-    MSG_CLOSED,
-    MSG_DONE,
-    MSG_ERROR,
-    MSG_FETCH,
-    MSG_GOODBYE,
-    MSG_HELLO,
-    MSG_OPEN,
-    MSG_OPENED,
-    MSG_PING,
-    MSG_PONG,
-    MSG_WELCOME,
-    PROTOCOL_VERSION,
-)
+from repro.api.cursor import DEFAULT_CURSOR_BATCH_ROWS
+from repro.errors import ExecutionError
+from repro.net import frames, protocol
 
 __all__ = ["connect_tcp_async", "AsyncConnection", "AsyncCursor"]
-
-DEFAULT_BATCH_ROWS = 1024
 
 
 class AsyncCursor:
@@ -56,15 +43,8 @@ class AsyncCursor:
                  batch_rows: Optional[int] = None) -> None:
         self._conn = conn
         self._batch_rows = batch_rows
-        self._cursor_id: Optional[int] = None
-        self.names: list[str] = []
-        self.dtypes: list = []
-        self.report: Optional[RemoteReport] = None
-        self.trace: list[dict] = []
-        self.rowcount = -1
-        self._buffer: list[tuple] = []
-        self._buffer_pos = 0
-        self._finished = True
+        self._stream = protocol.CursorStream(None, [], [])  # none executed
+        self._buffer: deque[tuple] = deque()  # rows pulled, not yet fetched
         self._closed = False
 
     # -- execution -----------------------------------------------------------
@@ -73,24 +53,23 @@ class AsyncCursor:
                       batch_rows: Optional[int] = None) -> "AsyncCursor":
         self._check_open()
         await self._abandon()
-        obj = await self._conn._request_open(
-            sql, params, batch_rows or self._batch_rows or DEFAULT_BATCH_ROWS)
-        self._cursor_id = obj["cursor"]
-        self.names = obj["names"]
-        self.dtypes = frames.dtypes_from_names(obj["dtypes"])
-        self.report = None
-        self.trace = []
-        self.rowcount = -1
-        self._buffer = []
-        self._buffer_pos = 0
-        self._finished = False
+        self._stream = await self._conn._exchange(protocol.open_cursor(
+            sql, params,
+            batch_rows or self._batch_rows or DEFAULT_CURSOR_BATCH_ROWS))
+        self._buffer.clear()
         return self
 
     # -- metadata ------------------------------------------------------------
 
+    names = property(attrgetter("_stream.names"))
+    dtypes = property(attrgetter("_stream.dtypes"))
+    report = property(attrgetter("_stream.report"))
+    trace = property(attrgetter("_stream.trace"))
+    rowcount = property(attrgetter("_stream.rowcount"))
+
     @property
     def description(self) -> Optional[list[tuple]]:
-        if self._cursor_id is None:
+        if self._stream.cursor_id is None:
             return None
         return [(name, dtype, None, None, None, None, None)
                 for name, dtype in zip(self.names, self.dtypes)]
@@ -98,34 +77,18 @@ class AsyncCursor:
     # -- fetching ------------------------------------------------------------
 
     async def fetchone(self) -> Optional[tuple]:
-        self._require_executed()
-        while (len(self._buffer) - self._buffer_pos) < 1 \
-                and not self._finished:
-            await self._pull()
-        if self._buffer_pos >= len(self._buffer):
-            return None
-        row = self._buffer[self._buffer_pos]
-        self._buffer_pos += 1
-        return row
+        await self._pull_until(1)
+        return self._buffer.popleft() if self._buffer else None
 
     async def fetchmany(self, size: int = 1) -> list[tuple]:
-        self._require_executed()
-        if size <= 0:
-            return []
-        while (len(self._buffer) - self._buffer_pos) < size \
-                and not self._finished:
-            await self._pull()
-        end = min(self._buffer_pos + size, len(self._buffer))
-        rows = self._buffer[self._buffer_pos:end]
-        self._buffer_pos = end
-        return rows
+        await self._pull_until(size)
+        return [self._buffer.popleft()
+                for _ in range(min(size, len(self._buffer)))]
 
     async def fetchall(self) -> list[tuple]:
-        self._require_executed()
-        while not self._finished:
-            await self._pull()
-        rows = self._buffer[self._buffer_pos:]
-        self._buffer_pos = len(self._buffer)
+        await self._pull_until(None)
+        rows = list(self._buffer)
+        self._buffer.clear()
         return rows
 
     async def scalar(self):
@@ -160,38 +123,22 @@ class AsyncCursor:
 
     # -- internals -----------------------------------------------------------
 
-    async def _pull(self) -> None:
-        """One FETCH round trip into the row buffer."""
-        events = await self._conn._request_fetch(self._cursor_id)
-        for kind, value in events:
-            if kind == "batch":
-                cursor_id, result = frames.decode_result_batch(
-                    value, self.names)
-                if cursor_id != self._cursor_id:
-                    raise WireProtocolError(
-                        f"batch for cursor {cursor_id}, "
-                        f"expected {self._cursor_id}")
-                if self._buffer_pos:
-                    self._buffer = self._buffer[self._buffer_pos:]
-                    self._buffer_pos = 0
-                self._buffer.extend(result.rows())
-            elif kind == "done":
-                self.report = RemoteReport(value.get("report", {}),
-                                           value.get("timings"))
-                self.trace = value.get("trace", [])
-                self.rowcount = int(self.report.to_dict()
-                                    .get("rows_out", -1))
-                self._finished = True
-            else:  # error payload
-                self._finished = True
-                raise_wire_error(value)
+    async def _pull_until(self, ahead: Optional[int]) -> None:
+        """FETCH until ``ahead`` rows are buffered (``None``: until the
+        stream is finished)."""
+        self._require_executed()
+        stream = self._stream
+        while not stream.finished \
+                and (ahead is None or len(self._buffer) < ahead):
+            for batch in await self._conn._exchange(
+                    stream.fetch(self._conn._fetch_batches)):
+                self._buffer.extend(batch.rows())
 
     async def _abandon(self) -> None:
         """Close the open server cursor, if any stream is still live."""
-        if self._cursor_id is not None and not self._finished \
-                and not self._conn.closed:
-            await self._conn._request_close_cursor(self._cursor_id)
-        self._finished = True
+        exchange = self._stream.close()
+        if exchange is not None and not self._conn.closed:
+            await self._conn._exchange(exchange)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -199,7 +146,7 @@ class AsyncCursor:
 
     def _require_executed(self) -> None:
         self._check_open()
-        if self._cursor_id is None:
+        if self._stream.cursor_id is None:
             raise ExecutionError("no statement has been executed")
 
 
@@ -207,7 +154,7 @@ class AsyncConnection:
     """One authenticated wire session, shared by any number of cursors."""
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, welcome: dict, *,
+                 writer: asyncio.StreamWriter, *,
                  batch_rows: Optional[int] = None,
                  fetch_batches: int = 1,
                  max_frame_bytes: int = frames.DEFAULT_MAX_FRAME_BYTES
@@ -219,9 +166,13 @@ class AsyncConnection:
         self._fetch_batches = max(1, fetch_batches)
         self._max_frame_bytes = max_frame_bytes
         self._closed = False
+        self.session = ""
+        self.principal = ""
+
+    async def _handshake(self, token: str) -> None:
+        welcome = await self._exchange(protocol.hello(token))
         self.session = welcome.get("session", "")
         self.principal = welcome.get("principal", "")
-        self.server_protocol = welcome.get("protocol", 0)
 
     # -- cursors -------------------------------------------------------------
 
@@ -233,71 +184,7 @@ class AsyncConnection:
         return await self.cursor().execute(sql, params)
 
     async def ping(self) -> bool:
-        self._check_open()
-        async with self._lock:
-            await self._send(frames.pack_frame(MSG_PING))
-            msg_type, _ = await self._recv()
-        return msg_type == MSG_PONG
-
-    # -- request/response exchanges (one in flight at a time) ----------------
-
-    async def _request_open(self, sql: str, params,
-                            batch_rows: int) -> dict:
-        self._check_open()
-        async with self._lock:
-            await self._send(frames.pack_json_frame(MSG_OPEN, {
-                "sql": sql,
-                "params": frames.pack_params(params),
-                "batch_rows": batch_rows,
-            }))
-            msg_type, payload = await self._recv()
-        if msg_type == MSG_ERROR:
-            raise_wire_error(frames.decode_json_payload(payload))
-        if msg_type != MSG_OPENED:
-            raise WireProtocolError(
-                f"expected OPENED, got {frames.MESSAGE_NAMES[msg_type]}")
-        return frames.decode_json_payload(payload)
-
-    async def _request_fetch(self, cursor_id: int) -> list[tuple]:
-        """One FETCH exchange → ``[("batch", bytes) | ("done", obj) |
-        ("error", obj), ...]``, response fully read under the lock."""
-        self._check_open()
-        want = self._fetch_batches
-        events: list[tuple] = []
-        async with self._lock:
-            await self._send(frames.pack_json_frame(MSG_FETCH, {
-                "cursor": cursor_id, "max_batches": want}))
-            received = 0
-            while received < want:
-                msg_type, payload = await self._recv()
-                if msg_type == MSG_BATCH:
-                    events.append(("batch", payload))
-                    received += 1
-                    continue
-                if msg_type == MSG_DONE:
-                    events.append(
-                        ("done", frames.decode_json_payload(payload)))
-                elif msg_type == MSG_ERROR:
-                    events.append(
-                        ("error", frames.decode_json_payload(payload)))
-                else:
-                    raise WireProtocolError(
-                        f"unexpected {frames.MESSAGE_NAMES[msg_type]} "
-                        "during FETCH")
-                break
-        return events
-
-    async def _request_close_cursor(self, cursor_id: int) -> None:
-        self._check_open()
-        async with self._lock:
-            await self._send(frames.pack_json_frame(
-                MSG_CLOSE_CURSOR, {"cursor": cursor_id}))
-            msg_type, payload = await self._recv()
-        if msg_type == MSG_ERROR:
-            raise_wire_error(frames.decode_json_payload(payload))
-        if msg_type != MSG_CLOSED:
-            raise WireProtocolError(
-                f"expected CLOSED, got {frames.MESSAGE_NAMES[msg_type]}")
+        return await self._exchange(protocol.ping())
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -306,7 +193,7 @@ class AsyncConnection:
             return
         self._closed = True
         try:
-            self._writer.write(frames.pack_frame(MSG_GOODBYE))
+            self._writer.write(frames.pack_frame(frames.MSG_GOODBYE))
             await self._writer.drain()
         except (ConnectionError, OSError):
             pass
@@ -330,29 +217,31 @@ class AsyncConnection:
         if self._closed:
             raise ExecutionError("connection is closed")
 
-    # -- framing -------------------------------------------------------------
+    # -- the protocol driver -------------------------------------------------
 
-    async def _send(self, data: bytes) -> None:
-        try:
-            self._writer.write(data)
-            await self._writer.drain()
-        except (ConnectionError, OSError) as exc:
-            self._closed = True
-            raise ConnectionError(f"connection lost: {exc}") from exc
-
-    async def _recv(self) -> tuple[int, bytes]:
-        try:
-            header = await self._reader.readexactly(frames.HEADER_SIZE)
-            msg_type, length = frames.split_header(
-                header, max_frame_bytes=self._max_frame_bytes)
-            payload = await self._reader.readexactly(length)
-        except asyncio.IncompleteReadError as exc:
-            self._closed = True
-            raise ConnectionError("connection closed by server") from exc
-        except (ConnectionError, OSError) as exc:
-            self._closed = True
-            raise ConnectionError(f"connection lost: {exc}") from exc
-        return msg_type, payload
+    async def _exchange(self, exchange: protocol.Exchange):
+        """Run one protocol exchange over the asyncio stream pair."""
+        async with self._lock:
+            self._check_open()
+            try:
+                outgoing = next(exchange)
+                while True:
+                    if outgoing is not None:
+                        self._writer.write(outgoing)
+                        await self._writer.drain()
+                    outgoing = exchange.send(await frames.recv_frame_stream(
+                        self._reader, max_frame_bytes=self._max_frame_bytes))
+            except StopIteration as done:
+                outcome = done.value
+            except BaseException:
+                # Left mid-exchange (cancellation included): the stream
+                # position is unknown.
+                self._closed = True
+                self._writer.close()
+                raise
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
 
 async def connect_tcp_async(host: str, port: int, *, token: str,
@@ -364,22 +253,11 @@ async def connect_tcp_async(host: str, port: int, *, token: str,
     """Open an authenticated asyncio connection to a served warehouse."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        writer.write(frames.pack_json_frame(MSG_HELLO, {
-            "token": token, "protocol": PROTOCOL_VERSION}))
-        await writer.drain()
-        header = await reader.readexactly(frames.HEADER_SIZE)
-        msg_type, length = frames.split_header(
-            header, max_frame_bytes=max_frame_bytes)
-        payload = await reader.readexactly(length)
-        if msg_type == MSG_ERROR:
-            raise_wire_error(frames.decode_json_payload(payload))
-        if msg_type != MSG_WELCOME:
-            raise WireProtocolError(
-                f"expected WELCOME, got {frames.MESSAGE_NAMES[msg_type]}")
-        welcome = frames.decode_json_payload(payload)
+        conn = AsyncConnection(reader, writer, batch_rows=batch_rows,
+                               fetch_batches=fetch_batches,
+                               max_frame_bytes=max_frame_bytes)
+        await conn._handshake(token)
     except BaseException:
         writer.close()
         raise
-    return AsyncConnection(reader, writer, welcome, batch_rows=batch_rows,
-                           fetch_batches=fetch_batches,
-                           max_frame_bytes=max_frame_bytes)
+    return conn

@@ -4,109 +4,33 @@
 :class:`RemoteConnection` whose cursors are the *same*
 :class:`repro.api.cursor.Cursor` class used in-process — the cursor
 only consumes a "run" protocol (``names`` / ``dtypes`` / ``batches()``
-/ ``report`` / ``close``), and :class:`_RemoteRun` implements it over
-OPEN/FETCH/CLOSE frames.  Rows therefore come back through the exact
-fetchone/fetchmany/fetchall/iteration surface local code uses, and are
-bit-identical to an in-process cursor: batches travel codec-compressed
-(:mod:`repro.storage.codecs`) and floats in parameters travel as
-``float.hex()``.
+/ ``report`` / ``close``), and :class:`_RemoteRun` implements it over a
+:class:`repro.net.protocol.CursorStream`.  Rows therefore come back
+through the exact fetch surface local code uses, bit-identical to an
+in-process cursor: every column of a batch travels as a checksummed
+storage page and floats in parameters travel as ``float.hex()``.
 
-One request/response exchange is in flight per connection at a time (a
-lock enforces it), matching the server's strict framing.  SQL text and
-parameter values always travel separately — parameters as tagged typed
-payloads, never interpolated into the statement.
+No protocol logic lives here: what is sent and which frames may answer
+is :mod:`repro.net.protocol`, and :meth:`RemoteConnection._exchange` is
+its blocking-socket driver, one exchange in flight at a time.  An
+exchange that does not run to its end (a socket timeout, a reset, a
+refused frame) closes the connection — see that module for why; a
+server ERROR frame ends its exchange cleanly and leaves it usable.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from repro.api.cursor import Cursor
 from repro.db.exec.result import Result
-from repro.errors import (
-    AdmissionError,
-    ExecutionError,
-    RemoteQueryError,
-    ServiceError,
-    WireAuthError,
-    WireError,
-    WireProtocolError,
-    WireShutdownError,
-)
-from repro.net import frames
-from repro.net.frames import (
-    ERR_AUTH,
-    ERR_OVERLOAD,
-    ERR_PROTOCOL,
-    ERR_SHUTDOWN,
-    ERR_UNSUPPORTED,
-    MSG_BATCH,
-    MSG_CLOSE_CURSOR,
-    MSG_CLOSED,
-    MSG_DONE,
-    MSG_ERROR,
-    MSG_FETCH,
-    MSG_GOODBYE,
-    MSG_HELLO,
-    MSG_OPEN,
-    MSG_OPENED,
-    MSG_PING,
-    MSG_PONG,
-    MSG_WELCOME,
-    PROTOCOL_VERSION,
-)
+from repro.errors import ExecutionError
+from repro.net import frames, protocol
 
-__all__ = ["connect_tcp", "RemoteConnection", "RemoteReport",
-           "raise_wire_error"]
-
-
-def raise_wire_error(obj: dict) -> None:
-    """Raise the client-side exception for one server ERROR payload."""
-    code = obj.get("code", "")
-    message = obj.get("error", "remote error")
-    if code == ERR_AUTH:
-        raise WireAuthError(message)
-    if code == ERR_PROTOCOL:
-        raise WireProtocolError(message)
-    if code == ERR_SHUTDOWN:
-        raise WireShutdownError(message)
-    if code == ERR_OVERLOAD:
-        raise AdmissionError(message)
-    if code == ERR_UNSUPPORTED:
-        raise ServiceError(message)
-    if code == frames.ERR_QUERY:
-        raise RemoteQueryError(message, remote_type=obj.get("type", ""))
-    raise WireError(f"[{code}] {message}")
-
-
-class RemoteReport:
-    """A :class:`QueryReport`-shaped view of the DONE frame's report.
-
-    Attribute access reads the dict the server serialised, so
-    ``cursor.report.rows_out`` (and every other counter) works the same
-    against a remote cursor; :meth:`to_dict` returns the plain data.
-    """
-
-    def __init__(self, data: dict, timings: Optional[dict] = None) -> None:
-        self._data = dict(data)
-        self.timings = dict(timings or {})
-
-    def __getattr__(self, name: str):
-        try:
-            return self._data[name]
-        except KeyError:
-            if name == "spans":
-                return None  # spans never travel in DONE frames
-            raise AttributeError(name) from None
-
-    def to_dict(self, *, include_spans: bool = False) -> dict:
-        return dict(self._data)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"RemoteReport(rows_out={self._data.get('rows_out')}, "
-                f"total_s={self._data.get('total_s')})")
+__all__ = ["connect_tcp", "RemoteConnection"]
 
 
 class _RemoteRun:
@@ -114,84 +38,33 @@ class _RemoteRun:
 
     Satisfies the run protocol :class:`repro.api.cursor.Cursor`
     consumes; :meth:`batches` FETCHes ahead ``fetch_batches`` at a time
-    and fully reads each response before yielding, so the connection is
-    idle between pulls and :meth:`close` can always send CLOSE_CURSOR.
+    and each exchange reads its whole response before yielding, so the
+    connection is idle between pulls and :meth:`close` can always send
+    CLOSE_CURSOR.
     """
 
-    def __init__(self, conn: "RemoteConnection", cursor_id: int,
-                 names: list[str], dtypes: list, sql: str) -> None:
+    is_rowset = True
+    names = property(attrgetter("_stream.names"))
+    dtypes = property(attrgetter("_stream.dtypes"))
+    rowcount = property(attrgetter("_stream.rowcount"))
+    report = property(attrgetter("_stream.report"))
+    trace = property(attrgetter("_stream.trace"))
+
+    def __init__(self, conn: "RemoteConnection",
+                 stream: protocol.CursorStream) -> None:
         self._conn = conn
-        self._cursor_id = cursor_id
-        self.sql = sql
-        self.is_rowset = True
-        self.names = names
-        self.dtypes = dtypes
-        self.rowcount = -1
-        self.report: Optional[RemoteReport] = None
-        self.trace: list[dict] = []
-        self._finished = False
-        self._closed = False
+        self._stream = stream
 
     def batches(self) -> Iterator[Result]:
-        while not self._finished:
-            for result in self._fetch_once():
-                yield result
-
-    def _fetch_once(self) -> list[Result]:
-        """One FETCH round trip; marks the run finished on DONE/ERROR."""
-        want = self._conn._fetch_batches
-        results: list[Result] = []
-        with self._conn._lock:
-            self._conn._send(frames.pack_json_frame(MSG_FETCH, {
-                "cursor": self._cursor_id, "max_batches": want}))
-            while len(results) < want:
-                msg_type, payload = self._conn._recv()
-                if msg_type == MSG_BATCH:
-                    cursor_id, result = frames.decode_result_batch(
-                        payload, self.names)
-                    if cursor_id != self._cursor_id:
-                        raise WireProtocolError(
-                            f"batch for cursor {cursor_id}, "
-                            f"expected {self._cursor_id}")
-                    results.append(result)
-                    continue
-                if msg_type == MSG_DONE:
-                    obj = frames.decode_json_payload(payload)
-                    self.report = RemoteReport(obj.get("report", {}),
-                                               obj.get("timings"))
-                    self.trace = obj.get("trace", [])
-                    self.rowcount = int(getattr(self.report, "rows_out",
-                                                -1))
-                    self._finished = True
-                    self._closed = True  # server dropped the cursor
-                    break
-                if msg_type == MSG_ERROR:
-                    self._finished = True
-                    self._closed = True
-                    raise_wire_error(frames.decode_json_payload(payload))
-                raise WireProtocolError(
-                    f"unexpected {frames.MESSAGE_NAMES[msg_type]} "
-                    "during FETCH")
-        return results
+        while not self._stream.finished:
+            yield from self._conn._exchange(
+                self._stream.fetch(self._conn._fetch_batches))
 
     def close(self) -> None:
         """Abandon the stream: frees the server cursor (and its worker)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._finished = True
-        if self._conn.closed:
-            return
-        with self._conn._lock:
-            self._conn._send(frames.pack_json_frame(
-                MSG_CLOSE_CURSOR, {"cursor": self._cursor_id}))
-            msg_type, payload = self._conn._recv()
-            if msg_type == MSG_ERROR:
-                raise_wire_error(frames.decode_json_payload(payload))
-            if msg_type != MSG_CLOSED:
-                raise WireProtocolError(
-                    f"expected CLOSED, got "
-                    f"{frames.MESSAGE_NAMES[msg_type]}")
+        exchange = self._stream.close()
+        if exchange is not None and not self._conn.closed:
+            self._conn._exchange(exchange)
 
 
 class RemotePreparedStatement:
@@ -216,7 +89,7 @@ class RemotePreparedStatement:
 class RemoteConnection:
     """One authenticated TCP session against a served warehouse."""
 
-    def __init__(self, sock: socket.socket, welcome: dict, *,
+    def __init__(self, sock: socket.socket, *,
                  batch_rows: Optional[int] = None,
                  fetch_batches: int = 1,
                  max_frame_bytes: int = frames.DEFAULT_MAX_FRAME_BYTES
@@ -227,9 +100,13 @@ class RemoteConnection:
         self._fetch_batches = max(1, fetch_batches)
         self._max_frame_bytes = max_frame_bytes
         self._closed = False
+        self.session = ""
+        self.principal = ""
+
+    def _handshake(self, token: str) -> None:
+        welcome = self._exchange(protocol.hello(token))
         self.session = welcome.get("session", "")
         self.principal = welcome.get("principal", "")
-        self.server_protocol = welcome.get("protocol", 0)
 
     # -- cursors (the shared DB-API surface) ---------------------------------
 
@@ -245,31 +122,13 @@ class RemoteConnection:
         return RemotePreparedStatement(self, sql)
 
     def _run(self, sql: str, params, batch_rows: int) -> _RemoteRun:
-        self._check_open()
-        with self._lock:
-            self._send(frames.pack_json_frame(MSG_OPEN, {
-                "sql": sql,
-                "params": frames.pack_params(params),
-                "batch_rows": batch_rows,
-            }))
-            msg_type, payload = self._recv()
-        if msg_type == MSG_ERROR:
-            raise_wire_error(frames.decode_json_payload(payload))
-        if msg_type != MSG_OPENED:
-            raise WireProtocolError(
-                f"expected OPENED, got {frames.MESSAGE_NAMES[msg_type]}")
-        obj = frames.decode_json_payload(payload)
-        return _RemoteRun(self, obj["cursor"], obj["names"],
-                          frames.dtypes_from_names(obj["dtypes"]), sql)
+        return _RemoteRun(self, self._exchange(
+            protocol.open_cursor(sql, params, batch_rows)))
 
     # -- connection management ----------------------------------------------
 
     def ping(self) -> bool:
-        self._check_open()
-        with self._lock:
-            self._send(frames.pack_frame(MSG_PING))
-            msg_type, _payload = self._recv()
-        return msg_type == MSG_PONG
+        return self._exchange(protocol.ping())
 
     def commit(self) -> None:
         """No-op: the engine autocommits."""
@@ -279,7 +138,7 @@ class RemoteConnection:
             return
         self._closed = True
         try:
-            self._sock.sendall(frames.pack_frame(MSG_GOODBYE))
+            self._sock.sendall(frames.pack_frame(frames.MSG_GOODBYE))
         except OSError:
             pass
         try:
@@ -301,22 +160,29 @@ class RemoteConnection:
         if self._closed:
             raise ExecutionError("connection is closed")
 
-    # -- framing -------------------------------------------------------------
+    # -- the protocol driver -------------------------------------------------
 
-    def _send(self, data: bytes) -> None:
-        try:
-            self._sock.sendall(data)
-        except OSError as exc:
-            self._closed = True
-            raise ConnectionError(f"connection lost: {exc}") from exc
-
-    def _recv(self) -> tuple[int, bytes]:
-        try:
-            return frames.recv_frame_sock(
-                self._sock, max_frame_bytes=self._max_frame_bytes)
-        except ConnectionError:
-            self._closed = True
-            raise
+    def _exchange(self, exchange: protocol.Exchange):
+        """Run one protocol exchange over the blocking socket."""
+        with self._lock:
+            self._check_open()
+            try:
+                outgoing = next(exchange)
+                while True:
+                    if outgoing is not None:
+                        self._sock.sendall(outgoing)
+                    outgoing = exchange.send(frames.recv_frame_sock(
+                        self._sock, max_frame_bytes=self._max_frame_bytes))
+            except StopIteration as done:
+                outcome = done.value
+            except BaseException:
+                # Left mid-exchange: the stream position is unknown.
+                self._closed = True
+                self._sock.close()
+                raise
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "closed" if self._closed else "open"
@@ -338,19 +204,11 @@ def connect_tcp(host: str, port: int, *, token: str,
     sock = socket.create_connection((host, port), timeout=timeout)
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.sendall(frames.pack_json_frame(MSG_HELLO, {
-            "token": token, "protocol": PROTOCOL_VERSION}))
-        msg_type, payload = frames.recv_frame_sock(
-            sock, max_frame_bytes=max_frame_bytes)
-        if msg_type == MSG_ERROR:
-            raise_wire_error(frames.decode_json_payload(payload))
-        if msg_type != MSG_WELCOME:
-            raise WireProtocolError(
-                f"expected WELCOME, got {frames.MESSAGE_NAMES[msg_type]}")
-        welcome = frames.decode_json_payload(payload)
+        conn = RemoteConnection(sock, batch_rows=batch_rows,
+                                fetch_batches=fetch_batches,
+                                max_frame_bytes=max_frame_bytes)
+        conn._handshake(token)
     except BaseException:
         sock.close()
         raise
-    return RemoteConnection(sock, welcome, batch_rows=batch_rows,
-                            fetch_batches=fetch_batches,
-                            max_frame_bytes=max_frame_bytes)
+    return conn

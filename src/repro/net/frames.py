@@ -17,12 +17,12 @@ text itself travels verbatim and is compiled server-side with the
 values bound through the engine's prepared-statement machinery: values
 are never interpolated into SQL.
 
-Result batches are binary: :func:`encode_result_batch` runs every column
-through the segment page codecs of :mod:`repro.storage.codecs` (RLE /
-dict / frame-of-reference / plain, smallest wins) so transport
-compression is the same machinery — and the same tests — as storage
-compression.  Null masks travel as packed bits alongside each column,
-exactly like the segment page layer.
+Result batches are binary, and a column on the wire *is* a storage
+page: :func:`encode_result_batch` frames every column with
+:func:`repro.storage.format.encode_page` — best-of RLE / dict /
+frame-of-reference / plain payload, packed null mask, CRC-32 over header
+and body — so the bytes a client reads are checked by the same code,
+and the same tests, as the bytes a segment file holds.
 """
 
 from __future__ import annotations
@@ -33,27 +33,26 @@ import socket
 import struct
 from typing import Optional
 
-import numpy as np
-
-from repro.db.column import Column
 from repro.db.exec.result import Result
-from repro.db.types import DataType, numpy_dtype
+from repro.db.types import DataType
 from repro.errors import WireProtocolError
-from repro.storage.codecs import decode_array, encode_array
+from repro.storage.format import decode_page, encode_page
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+"""Bumped whenever a frame's layout changes (2: BATCH columns are pages);
+HELLO and WELCOME both carry it and either side refuses a mismatch."""
 
 DEFAULT_MAX_FRAME_BYTES = 16 * 1024 * 1024
 """Refuse frames larger than this (either direction) by default."""
 
 _U32 = struct.Struct("<I")
 _HEADER = struct.Struct("<IB")  # length + type
-_BATCH_COL = struct.Struct("<BBB I")  # dtype code, codec id, null flag, nbytes
+_BATCH_HEAD = struct.Struct("<III")  # cursor id, row count, column count
 
 # -- message types -----------------------------------------------------------
 
 # client -> server
-MSG_HELLO = 0x01          # {token, principal?, client?} — must be first
+MSG_HELLO = 0x01          # {token, protocol} — must be first
 MSG_OPEN = 0x02           # {sql, params?, batch_rows?} -> OPENED | ERROR
 MSG_FETCH = 0x03          # {cursor, max_batches?} -> BATCH* [DONE|ERROR]
 MSG_CLOSE_CURSOR = 0x04   # {cursor} -> CLOSED
@@ -86,16 +85,6 @@ ERR_QUERY = "query"            # the query itself failed (compile/run)
 ERR_CURSOR = "cursor"          # unknown/closed cursor id
 ERR_SHUTDOWN = "shutdown"      # server drained past its deadline
 ERR_OVERLOAD = "overload"      # admission queue full
-
-# Wire codes for DataType (stable — new types append).
-_DTYPE_CODES = {
-    DataType.BOOLEAN: 0,
-    DataType.BIGINT: 1,
-    DataType.DOUBLE: 2,
-    DataType.VARCHAR: 3,
-    DataType.TIMESTAMP: 4,
-}
-_DTYPE_FROM_CODE = {code: dtype for dtype, code in _DTYPE_CODES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +157,23 @@ def recv_frame_sock(sock: socket.socket, *,
     msg_type, length = split_header(header, max_frame_bytes=max_frame_bytes)
     payload = _recv_exact(sock, length, allow_eof=False)
     return msg_type, payload
+
+
+async def recv_frame_stream(reader, *,
+                            max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
+                            ) -> tuple[int, bytes]:
+    """Frame read off an ``asyncio.StreamReader`` → ``(type, payload)``.
+
+    Raises :class:`WireProtocolError` on oversized/garbage headers and
+    :class:`ConnectionError` when the peer closes before the frame ends.
+    """
+    try:
+        header = await reader.readexactly(HEADER_SIZE)
+        msg_type, length = split_header(header,
+                                        max_frame_bytes=max_frame_bytes)
+        return msg_type, await reader.readexactly(length)
+    except EOFError as exc:  # asyncio.IncompleteReadError
+        raise ConnectionError("connection closed by peer") from exc
 
 
 def _recv_exact(sock: socket.socket, n: int,
@@ -281,57 +287,39 @@ def dtypes_from_names(names) -> list[DataType]:
 
 
 def encode_result_batch(cursor_id: int, result: Result) -> bytes:
-    """One BATCH payload: cursor id + codec-compressed columns."""
-    parts = [_U32.pack(cursor_id), _U32.pack(result.row_count),
-             _U32.pack(result.column_count)]
+    """One BATCH payload: cursor id, row count, column count, then per
+    column a u32 length and that many bytes of storage page."""
+    parts = [_BATCH_HEAD.pack(cursor_id, result.row_count,
+                              result.column_count)]
     for col in result.columns:
-        values = col.values
-        if col.dtype == DataType.VARCHAR and values.dtype != object:
-            values = values.astype(object)
-        codec_id, payload = encode_array(col.dtype, values)
-        has_nulls = col.valid is not None
-        parts.append(_BATCH_COL.pack(_DTYPE_CODES[col.dtype], codec_id,
-                                     1 if has_nulls else 0, len(payload)))
-        parts.append(payload)
-        if has_nulls:
-            parts.append(np.packbits(col.valid).tobytes())
+        page = encode_page(col)
+        parts.append(_U32.pack(len(page)))
+        parts.append(page)
     return b"".join(parts)
 
 
 def decode_result_batch(payload: bytes,
                         names: list[str]) -> tuple[int, Result]:
-    """Decode one BATCH payload → ``(cursor_id, Result)``."""
+    """Decode (and checksum) one BATCH payload → ``(cursor_id, Result)``."""
     try:
-        (cursor_id,) = _U32.unpack_from(payload, 0)
-        (row_count,) = _U32.unpack_from(payload, 4)
-        (n_cols,) = _U32.unpack_from(payload, 8)
+        cursor_id, row_count, n_cols = _BATCH_HEAD.unpack_from(payload, 0)
         if n_cols != len(names):
             raise WireProtocolError(
                 f"batch has {n_cols} columns, cursor described {len(names)}")
-        offset = 12
-        columns: list[Column] = []
+        offset = _BATCH_HEAD.size
+        columns = []
         for _ in range(n_cols):
-            dtype_code, codec_id, has_nulls, nbytes = \
-                _BATCH_COL.unpack_from(payload, offset)
-            offset += _BATCH_COL.size
-            dtype = _DTYPE_FROM_CODE.get(dtype_code)
-            if dtype is None:
-                raise WireProtocolError(f"unknown dtype code {dtype_code}")
-            values = decode_array(dtype, codec_id,
-                                  payload[offset:offset + nbytes], row_count)
+            (nbytes,) = _U32.unpack_from(payload, offset)
+            offset += _U32.size
+            column = decode_page(payload[offset:offset + nbytes])
             offset += nbytes
-            valid = None
-            if has_nulls:
-                mask_len = (row_count + 7) // 8
-                bits = np.frombuffer(payload, dtype=np.uint8,
-                                     count=mask_len, offset=offset)
-                valid = np.unpackbits(bits, count=row_count).astype(bool)
-                offset += mask_len
-            if dtype != DataType.VARCHAR:
-                values = values.astype(numpy_dtype(dtype))
-            columns.append(Column(dtype, values, valid))
+            if len(column) != row_count:
+                raise WireProtocolError(
+                    f"column of {len(column)} rows in a batch of "
+                    f"{row_count}")
+            columns.append(column)
         return cursor_id, Result(list(names), columns)
     except WireProtocolError:
         raise
-    except Exception as exc:  # struct errors, codec corruption, ...
+    except Exception as exc:  # struct errors, CorruptSegmentError, ...
         raise WireProtocolError(f"malformed batch payload: {exc}") from exc

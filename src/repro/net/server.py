@@ -412,15 +412,11 @@ class WireServer:
     # -- connection handling -------------------------------------------------
 
     async def _read_frame(self, reader: asyncio.StreamReader,
-                          session: Optional[_WireSession]
-                          ) -> tuple[int, bytes]:
-        header = await reader.readexactly(frames.HEADER_SIZE)
-        msg_type, length = frames.split_header(
-            header, max_frame_bytes=self.max_frame_bytes)
-        payload = await reader.readexactly(length)
-        if session is not None:
-            session.bytes_in += frames.HEADER_SIZE + length
-            session.last_activity = time.time()
+                          session: _WireSession) -> tuple[int, bytes]:
+        msg_type, payload = await frames.recv_frame_stream(
+            reader, max_frame_bytes=self.max_frame_bytes)
+        session.bytes_in += frames.HEADER_SIZE + len(payload)
+        session.last_activity = time.time()
         return msg_type, payload
 
     async def _send(self, writer: asyncio.StreamWriter,
@@ -463,7 +459,7 @@ class WireServer:
             with self._sessions_lock:
                 self._sessions[session.id] = session
             await self._serve_session(reader, writer, session)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
+        except (ConnectionError, OSError):
             pass  # client went away; cursors are cancelled below
         except WireProtocolError as exc:
             with self._stats_lock:
@@ -503,6 +499,16 @@ class WireServer:
                 f"expected HELLO, got {frames.MESSAGE_NAMES[msg_type]}")
             return False
         hello = frames.decode_json_payload(payload)
+        if hello.get("protocol") != PROTOCOL_VERSION:
+            # Refused before the token is even looked at: a peer on
+            # another version would misparse every BATCH that follows.
+            with self._stats_lock:
+                self._protocol_errors += 1
+            await self._send_error(
+                writer, session, ERR_PROTOCOL,
+                f"client speaks wire protocol {hello.get('protocol')!r}, "
+                f"this server speaks {PROTOCOL_VERSION}")
+            return False
         token = hello.get("token")
         principal = self._check_token(token) if isinstance(token, str) \
             else None
@@ -533,7 +539,7 @@ class WireServer:
                 while True:
                     frame = await self._read_frame(reader, session)
                     await requests.put(("frame", frame))
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
+            except (ConnectionError, OSError):
                 session.cancel_cursors()  # free workers parked on windows
                 await requests.put(("eof", None))
             except WireProtocolError as exc:

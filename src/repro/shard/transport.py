@@ -1,24 +1,25 @@
 """Bulk-data transport between shard workers and the parent process.
 
-Extracted column batches and query results never travel as pickles:
-arrays are encoded with the same best-of codec machinery the storage
-engine uses for segment pages (:mod:`repro.storage.codecs`) and the
-encoded bytes move through ``multiprocessing.shared_memory`` blocks.
-Small payloads (below :data:`INLINE_LIMIT`) ride inline on the control
-pipe — a shared-memory segment per tiny reply would cost more in
-syscalls than it saves in copies.
+Extracted column batches and query results never travel as pickles: a
+column on this carrier is the same checksummed storage page
+(:func:`repro.storage.format.encode_page`) a segment file or a wire
+BATCH frame holds — a ``query`` reply is literally a BATCH payload, an
+``extract`` reply is :func:`encode_pieces` — and the bytes move through
+``multiprocessing.shared_memory`` blocks.  Small payloads (below
+:data:`INLINE_LIMIT`) ride inline on the control pipe — a shared-memory
+segment per tiny reply would cost more in syscalls than it saves in
+copies.
 
 The worker owns its shared-memory blocks until the parent confirms it
 has read them (a ``release`` command), so a block can never be unlinked
 while the parent still maps it.
 
-Wire shapes
+Blob shapes
 -----------
 
 * an **array block**: ``[u8 name_len][name][u8 np_descr_len][np_descr]
-  [u8 dtype_code][u8 codec_id][u32 count][u32 nbytes][payload]`` —
-  ``np_descr`` restores the exact numpy dtype after the codec round-trip
-  widens integers to int64.
+  [u32 page_len][page]`` — ``np_descr`` restores the exact numpy dtype
+  after the page layer widened integers to int64 / floats to float64.
 * **extraction pieces** (one file's worth): ``[u32 n_pieces]`` then per
   piece ``[u64 seq_no][u16 n_arrays]`` + that many array blocks.
 """
@@ -30,102 +31,73 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.db.types import DataType
+from repro.db.column import Column
 from repro.errors import ShardError
-from repro.storage.codecs import decode_array, encode_array
+from repro.storage.format import decode_page, dtype_of_array, encode_page
 
 INLINE_LIMIT = 64 * 1024
 
-_DTYPE_CODES = {
-    DataType.BOOLEAN: 0,
-    DataType.BIGINT: 1,
-    DataType.DOUBLE: 2,
-    DataType.VARCHAR: 3,
-    DataType.TIMESTAMP: 4,
-}
-_CODE_DTYPES = {code: dtype for dtype, code in _DTYPE_CODES.items()}
-
-
-def _codec_type_for(array: np.ndarray) -> DataType:
-    """The storage DataType whose codecs can carry this numpy array."""
-    kind = array.dtype.kind
-    if kind in "iu":
-        return DataType.BIGINT
-    if kind == "f":
-        return DataType.DOUBLE
-    if kind == "b":
-        return DataType.BOOLEAN
-    if kind in "OU":
-        return DataType.VARCHAR
-    raise ShardError(f"cannot ship array of dtype {array.dtype}")
+_U32 = struct.Struct("<I")
+_PIECE_HEAD = struct.Struct("<QH")  # seq_no, n_arrays
 
 
 def encode_named_array(name: str, array: np.ndarray) -> bytes:
-    dtype = _codec_type_for(array)
-    descr = "object" if array.dtype.kind in "OU" else array.dtype.str
-    if array.dtype.kind == "U":
-        array = array.astype(object)
-    elif array.dtype.kind in "iu" and array.dtype != np.int64:
-        array = array.astype(np.int64)
-    elif array.dtype.kind == "f" and array.dtype != np.float64:
-        array = array.astype(np.float64)
-    codec_id, payload = encode_array(dtype, np.ascontiguousarray(array))
+    page = encode_page(Column.from_numpy(dtype_of_array(array), array))
     name_b = name.encode("utf-8")
-    descr_b = descr.encode("ascii")
-    header = struct.pack(
-        "<B%dsB%dsBBII" % (len(name_b), len(descr_b)),
-        len(name_b), name_b, len(descr_b), descr_b,
-        _DTYPE_CODES[dtype], codec_id, len(array), len(payload))
-    return header + payload
+    descr_b = array.dtype.str.encode("ascii")
+    return b"".join((bytes([len(name_b)]), name_b,
+                     bytes([len(descr_b)]), descr_b,
+                     _U32.pack(len(page)), page))
 
 
 def decode_named_array(buffer: memoryview, offset: int
                        ) -> tuple[str, np.ndarray, int]:
     name_len = buffer[offset]
     offset += 1
-    name = bytes(buffer[offset:offset + name_len]).decode("utf-8")
+    name = str(buffer[offset:offset + name_len], "utf-8")
     offset += name_len
     descr_len = buffer[offset]
     offset += 1
-    descr = bytes(buffer[offset:offset + descr_len]).decode("ascii")
+    wanted = np.dtype(str(buffer[offset:offset + descr_len], "ascii"))
     offset += descr_len
-    dtype_code, codec_id, count, nbytes = struct.unpack_from(
-        "<BBII", buffer, offset)
-    offset += struct.calcsize("<BBII")
-    payload = bytes(buffer[offset:offset + nbytes])
-    offset += nbytes
-    array = decode_array(_CODE_DTYPES[dtype_code], codec_id, payload, count)
-    if descr != "object":
-        wanted = np.dtype(descr)
-        if array.dtype != wanted:
-            array = array.astype(wanted)
+    (page_len,) = _U32.unpack_from(buffer, offset)
+    offset += _U32.size
+    array = decode_page(bytes(buffer[offset:offset + page_len])).values
+    offset += page_len
+    if array.dtype != wanted:
+        array = array.astype(wanted)
     return name, array, offset
 
 
 def encode_pieces(pieces: "list[tuple[int, dict[str, np.ndarray]]]") -> bytes:
     """Encode one file's extraction pieces: ``[(seq_no, {col: array})]``."""
-    chunks = [struct.pack("<I", len(pieces))]
+    chunks = [_U32.pack(len(pieces))]
     for seq_no, arrays in pieces:
-        chunks.append(struct.pack("<QH", seq_no, len(arrays)))
+        chunks.append(_PIECE_HEAD.pack(seq_no, len(arrays)))
         for name in sorted(arrays):
             chunks.append(encode_named_array(name, arrays[name]))
     return b"".join(chunks)
 
 
 def decode_pieces(data: bytes) -> "list[tuple[int, dict[str, np.ndarray]]]":
+    """Decode (and checksum) :func:`encode_pieces` output; any torn or
+    tampered blob raises :class:`ShardError`."""
     buffer = memoryview(data)
-    (n_pieces,) = struct.unpack_from("<I", buffer, 0)
-    offset = struct.calcsize("<I")
-    pieces = []
-    for _ in range(n_pieces):
-        seq_no, n_arrays = struct.unpack_from("<QH", buffer, offset)
-        offset += struct.calcsize("<QH")
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(n_arrays):
-            name, array, offset = decode_named_array(buffer, offset)
-            arrays[name] = array
-        pieces.append((seq_no, arrays))
-    return pieces
+    try:
+        (n_pieces,) = _U32.unpack_from(buffer, 0)
+        offset = _U32.size
+        pieces = []
+        for _ in range(n_pieces):
+            seq_no, n_arrays = _PIECE_HEAD.unpack_from(buffer, offset)
+            offset += _PIECE_HEAD.size
+            arrays: dict[str, np.ndarray] = {}
+            for _ in range(n_arrays):
+                name, array, offset = decode_named_array(buffer, offset)
+                arrays[name] = array
+            pieces.append((seq_no, arrays))
+        return pieces
+    except Exception as exc:  # struct/index errors, CorruptSegmentError, ...
+        raise ShardError(f"malformed extraction blob: {exc}") from exc
 
 
 class BlobShipper:

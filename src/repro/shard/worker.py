@@ -11,12 +11,14 @@ serves a tiny command loop over the control pipe:
     liveness + identity (pid, file count).
 ``query``
     run a partial SELECT against the shard warehouse; the result ships
-    as a codec-encoded batch (:mod:`repro.net.frames`) through shared
-    memory, plus the worker-side :class:`QueryReport` counters.
+    as a wire BATCH payload (:func:`repro.net.frames.encode_result_batch`)
+    through shared memory, plus the worker-side :class:`QueryReport`
+    counters.
 ``extract``
     decode specific records of one owned file (the remote half of the
-    parent's ``LazyDataBinding._extract_direct``); pieces ship codec-
-    encoded through shared memory.
+    parent's ``LazyDataBinding._extract_direct``); pieces ship as the
+    same storage pages under :func:`~repro.shard.transport.encode_pieces`
+    framing.
 ``stats``
     live cache snapshot + served-command counters (tests and
     ``sys.shards``).

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.db.column import Column
 from repro.db.types import DataType
-from repro.errors import CorruptSegmentError
+from repro.errors import CorruptSegmentError, StorageError
 from repro.storage.codecs import decode_array, encode_array
 
 PAGE_MAGIC = b"LPG1"
@@ -109,6 +109,22 @@ def page_codec(raw: bytes) -> int:
     if len(raw) < PAGE_HEADER_BYTES:
         raise CorruptSegmentError("page truncated before header end")
     return _PAGE_HEADER.unpack_from(raw, 0)[1]
+
+
+def dtype_of_array(array: np.ndarray) -> DataType:
+    """The SQL type whose pages carry a raw NumPy array (cache snapshots
+    and shard blobs hold arrays, not typed Columns); narrower integers
+    and floats widen losslessly to BIGINT / DOUBLE."""
+    kind = array.dtype.kind
+    if kind in "iu":
+        return DataType.BIGINT
+    if kind == "f":
+        return DataType.DOUBLE
+    if kind == "b":
+        return DataType.BOOLEAN
+    if kind in "OU":
+        return DataType.VARCHAR
+    raise StorageError(f"no page type carries an array of dtype {array.dtype}")
 
 
 def dtype_name(dtype: DataType) -> str:

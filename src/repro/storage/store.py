@@ -368,7 +368,7 @@ class TableStore:
                     rows = len(values)
                     writer.write_column(
                         slot,
-                        Column.from_numpy(_np_to_sql_dtype(values), values),
+                        Column.from_numpy(fmt.dtype_of_array(values), values),
                         page_rows=max(len(values), 1),
                     )
                     slot_columns[name] = slot
@@ -488,29 +488,3 @@ class TableStore:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"TableStore({self.root}, tables={len(self.table_names())}, "
                 f"cache={'yes' if self.has_cache_snapshot() else 'no'})")
-
-
-# Cache snapshots carry raw NumPy arrays (not typed Columns); map their
-# physical dtype back to a SQL type for the page layer.
-_NP_TO_SQL = {
-    "int64": "bigint",
-    "float64": "double",
-    "bool": "boolean",
-    "object": "varchar",
-}
-
-
-def _np_to_sql_dtype(values: np.ndarray):
-    values = np.asarray(values)
-    name = _NP_TO_SQL.get(values.dtype.name)
-    if name is None:
-        # Unusual widths (int32 etc.) widen losslessly to int64/double.
-        if np.issubdtype(values.dtype, np.integer):
-            name = "bigint"
-        elif np.issubdtype(values.dtype, np.floating):
-            name = "double"
-        else:
-            raise StorageError(
-                f"cannot snapshot array of dtype {values.dtype}"
-            )
-    return fmt.dtype_from_name(name)

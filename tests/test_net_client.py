@@ -9,14 +9,16 @@ with an agreeing ``QueryReport``.
 
 import asyncio
 import struct
+import time
 
 import pytest
 from oracle import column_fingerprint
 
 from repro.api.cursor import Cursor
 from repro.db.column import Column
-from repro.errors import RemoteQueryError
+from repro.errors import ExecutionError, RemoteQueryError
 from repro.net import connect_tcp, connect_tcp_async
+from repro.net.server import _ServerCursor
 from repro.seismology.queries import analytical_suite
 from repro.seismology.warehouse import SeismicWarehouse
 
@@ -268,3 +270,55 @@ def test_async_float_rows_bit_exact(served):
     assert len(got) == len(expected)
     for sent, received in zip(expected, got):
         assert struct.pack("<d", sent) == struct.pack("<d", received)
+
+
+# -- an interrupted exchange closes the connection ---------------------------
+#
+# A response the client stopped reading is still on the socket; a
+# connection that stayed "open" would hand its tail to the next request
+# ("expected OPENED, got BATCH").
+
+
+@pytest.fixture()
+def slow_batches(monkeypatch):
+    """Every server-side batch push is late by far more than the
+    clients below are willing to wait."""
+    push = _ServerCursor.push
+
+    def late_push(self, result):
+        time.sleep(0.5)
+        return push(self, result)
+
+    monkeypatch.setattr(_ServerCursor, "push", late_push)
+
+
+def test_sync_timeout_mid_fetch_closes_the_connection(served, remote,
+                                                      slow_batches):
+    cur = remote.execute("SELECT COUNT(*), AVG(sample_value) "
+                         "FROM mseed.dataview")
+    remote._sock.settimeout(0.05)
+    with pytest.raises(TimeoutError):
+        cur.fetchall()
+    assert remote.closed is True
+    with pytest.raises(ExecutionError, match="connection is closed"):
+        remote.execute("SELECT COUNT(*) FROM mseed.files")
+    cur.close()  # nothing left to tell the server; must not raise
+
+
+def test_async_cancel_mid_fetch_closes_the_connection(served, slow_batches):
+    _wh, svc = served
+
+    async def main():
+        conn = await connect_tcp_async("127.0.0.1", svc.tcp_port,
+                                       token=TOKEN)
+        cur = await conn.execute("SELECT COUNT(*), AVG(sample_value) "
+                                 "FROM mseed.dataview")
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(cur.fetchall(), 0.05)
+        assert conn.closed is True
+        with pytest.raises(ExecutionError, match="connection is closed"):
+            await conn.execute("SELECT COUNT(*) FROM mseed.files")
+        await cur.close()
+        await conn.close()
+
+    asyncio.run(main())

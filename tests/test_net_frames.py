@@ -1,4 +1,5 @@
-"""Wire frame format: packing, params, batch codecs, hostile input."""
+"""Wire frame format: packing, params, page-encoded batches — and hostile
+column bytes on both carriers (wire BATCH payloads, shard shm blobs)."""
 
 import math
 import socket
@@ -11,8 +12,10 @@ import pytest
 from repro.db.column import Column
 from repro.db.exec.result import Result
 from repro.db.types import DataType
-from repro.errors import WireProtocolError
+from repro.errors import ShardError, StorageError, WireProtocolError
 from repro.net import frames
+from repro.shard import transport
+from repro.storage.format import PAGE_HEADER_BYTES, PAGE_MAGIC
 
 
 # -- frame header ------------------------------------------------------------
@@ -191,12 +194,114 @@ def test_batch_decode_rejects_column_mismatch():
         frames.decode_result_batch(payload, ["x", "y"])
 
 
-def test_batch_decode_rejects_truncated_payload():
-    result = Result(["x"], [Column(DataType.BIGINT,
-                                   np.arange(64, dtype=np.int64), None)])
-    payload = frames.encode_result_batch(1, result)
-    with pytest.raises(WireProtocolError, match="malformed batch"):
-        frames.decode_result_batch(payload[:15], ["x"])
+# -- hostile column bytes, on the wire and in shared memory -------------------
+#
+# A column on either carrier is one storage page, so both must refuse
+# the same damage with their own typed error — never a bare
+# struct.error, never silently wrong values.
+
+_X = np.arange(64, dtype=np.int64) * 7
+_Y = np.linspace(-1.0, 1.0, 64)
+
+
+def _wire_carrier():
+    blob = frames.encode_result_batch(1, Result(
+        ["x", "y"], [Column(DataType.BIGINT, _X), Column(DataType.DOUBLE, _Y)]))
+    return (blob, lambda data: frames.decode_result_batch(data, ["x", "y"]),
+            WireProtocolError, (8, "<I"))
+
+
+def _shm_carrier():
+    blob = transport.encode_pieces([(3, {"x": _X, "y": _Y})])
+    return blob, transport.decode_pieces, ShardError, (4 + 8, "<H")
+
+
+@pytest.fixture(params=[_wire_carrier, _shm_carrier], ids=["wire", "shm"])
+def carrier(request):
+    """``(blob, decode, typed error, (offset, format) of its column
+    count)`` for a two-column payload on one carrier."""
+    return request.param()
+
+
+def test_intact_columns_decode_on_both_carriers(carrier):
+    blob, decode, _error, _count = carrier
+    decode(blob)
+
+
+def test_decode_rejects_every_truncation(carrier):
+    blob, decode, error, _count = carrier
+    for cut in range(len(blob)):
+        with pytest.raises(error, match="malformed"):
+            decode(blob[:cut])
+
+
+def test_decode_rejects_more_columns_than_carried(carrier):
+    blob, decode, error, (offset, fmt) = carrier
+    (count,) = struct.unpack_from(fmt, blob, offset)
+    assert count == 2
+    tampered = bytearray(blob)
+    struct.pack_into(fmt, tampered, offset, count + 1)
+    with pytest.raises(error):
+        decode(bytes(tampered))
+
+
+def test_decode_rejects_a_flipped_payload_bit(carrier):
+    blob, decode, error, _count = carrier
+    tampered = bytearray(blob)
+    tampered[blob.index(PAGE_MAGIC) + PAGE_HEADER_BYTES + 3] ^= 0x10
+    with pytest.raises(error, match="checksum"):
+        decode(bytes(tampered))
+
+
+def test_decode_rejects_an_unknown_dtype_code(carrier):
+    blob, decode, error, _count = carrier
+    tampered = bytearray(blob)
+    tampered[blob.index(PAGE_MAGIC) + 5] = 0x63  # magic, codec, *dtype*
+    with pytest.raises(error, match="unknown dtype code 99"):
+        decode(bytes(tampered))
+
+
+def test_batch_decode_rejects_a_column_of_another_length():
+    short = frames.encode_result_batch(1, Result(
+        ["x"], [Column(DataType.BIGINT, np.arange(3, dtype=np.int64))]))
+    long = frames.encode_result_batch(1, Result(
+        ["x"], [Column(DataType.BIGINT, np.arange(4, dtype=np.int64))]))
+    spliced = long[:12] + short[12:]  # header says 4 rows, page holds 3
+    with pytest.raises(WireProtocolError, match="3 rows in a batch of 4"):
+        frames.decode_result_batch(spliced, ["x"])
+
+
+# -- extraction pieces (the shm carrier's own framing) -----------------------
+
+
+@pytest.mark.parametrize("array", [
+    np.array([1, -2, 2**31 - 1], dtype=np.int32),
+    np.array([0, -2**63, 2**63 - 1], dtype=np.int64),
+    np.array([0.1, -0.0, np.inf], dtype=np.float32),
+    np.array([0.1, -0.0, math.inf, 5e-324, 1e308], dtype=np.float64),
+    np.array([True, False, True]),
+    np.array(["HGN", "naïve", ""]),
+    np.array(["HGN", "naïve", ""], dtype=object),
+    np.array([], dtype=np.int32),
+], ids=lambda a: f"{a.dtype.str}x{len(a)}")
+def test_pieces_roundtrip_preserves_dtype_and_bytes(array):
+    pieces = [(5, {"v": array, "t": np.arange(len(array), dtype=np.int64)}),
+              (9, {"v": array[:1]})]
+    decoded = transport.decode_pieces(transport.encode_pieces(pieces))
+    assert [seq for seq, _ in decoded] == [5, 9]
+    assert sorted(decoded[0][1]) == ["t", "v"]
+    for (_, sent), (_, got) in zip(pieces, decoded):
+        for name in sent:
+            assert got[name].dtype == sent[name].dtype
+            if sent[name].dtype == object:
+                assert got[name].tolist() == sent[name].tolist()
+            else:
+                assert got[name].tobytes() == sent[name].tobytes()
+
+
+def test_pieces_refuse_an_array_no_page_can_carry():
+    with pytest.raises(StorageError, match="no page type carries"):
+        transport.encode_pieces([(0, {"z": np.array([1j, 2j])})])
 
 
 def test_dtype_names_roundtrip():

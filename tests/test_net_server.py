@@ -38,7 +38,8 @@ def _connect(svc, **kwargs):
 
 def _raw_authed_socket(svc) -> socket.socket:
     sock = socket.create_connection(("127.0.0.1", svc.tcp_port), timeout=10)
-    sock.sendall(frames.pack_json_frame(frames.MSG_HELLO, {"token": TOKEN}))
+    sock.sendall(frames.pack_json_frame(frames.MSG_HELLO, {
+        "token": TOKEN, "protocol": frames.PROTOCOL_VERSION}))
     msg_type, _ = frames.recv_frame_sock(sock)
     assert msg_type == frames.MSG_WELCOME
     return sock
@@ -127,6 +128,32 @@ def test_open_before_hello_is_auth_error(wired):
         assert frames.decode_json_payload(payload)["code"] == frames.ERR_AUTH
     finally:
         sock.close()
+
+
+@pytest.mark.parametrize("hello", [
+    {"token": TOKEN, "protocol": 1},   # a peer on the pre-page BATCH layout
+    {"token": TOKEN},                  # a peer that states no version
+    {"token": "wrong-secret", "protocol": 99},  # refused before the token
+])
+def test_hello_with_another_protocol_version_is_refused(wired, hello):
+    _wh, svc = wired
+    before = svc.wire.stats()
+    sock = socket.create_connection(("127.0.0.1", svc.tcp_port), timeout=10)
+    try:
+        sock.sendall(frames.pack_json_frame(frames.MSG_HELLO, hello))
+        msg_type, payload = frames.recv_frame_sock(sock)
+        assert msg_type == frames.MSG_ERROR  # never a WELCOME
+        obj = frames.decode_json_payload(payload)
+        assert obj["code"] == frames.ERR_PROTOCOL
+        assert str(frames.PROTOCOL_VERSION) in obj["error"]
+        with pytest.raises(ConnectionError):
+            frames.recv_frame_sock(sock)  # server closed the connection
+    finally:
+        sock.close()
+    after = svc.wire.stats()
+    assert after["protocol_errors_total"] == \
+        before["protocol_errors_total"] + 1
+    assert after["auth_failures_total"] == before["auth_failures_total"]
 
 
 # -- statement policy --------------------------------------------------------
