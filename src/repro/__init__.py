@@ -28,8 +28,7 @@ Packages:
 * :mod:`repro.net` — the wire protocol: TCP server with server-side
   cursors, sync and asyncio remote clients, the ``repro-serve`` CLI;
 * :mod:`repro.seismology` — the demo application: schema, Figure-1
-  queries, STA/LTA event hunting, metadata browsing;
-* :mod:`repro.bench` — workload generators and the experiment harness.
+  queries, STA/LTA event hunting, metadata browsing.
 """
 
 import logging as _logging

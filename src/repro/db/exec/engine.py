@@ -107,8 +107,8 @@ class QueryReport:
     promotions: int = 0
     # sys.queries correlation: the journal entry id this execution wrote
     # (0 until journaled) and a short stable hash of its bound parameter
-    # values ("" for parameterless runs).  Slow-log lines and bench JSON
-    # carry both, so any log record joins back to the query journal.
+    # values ("" for parameterless runs).  Slow-log lines carry both, so
+    # any log record joins back to the query journal.
     journal_id: int = 0
     params_hash: str = ""
     # The query's span tree (repro.obs.tracing.span_tree), filled when
@@ -130,8 +130,7 @@ class QueryReport:
         """Every timing and counter as plain data.
 
         Field-driven on purpose: counters added to the dataclass in
-        later PRs land in bench JSON artifacts and service logs without
-        anyone re-listing them.
+        later PRs land in service logs without anyone re-listing them.
         """
         data = {
             f.name: getattr(self, f.name)
@@ -380,7 +379,6 @@ class Database:
         *,
         oplog: Optional[OperationLog] = None,
         recycler_budget_bytes: int = 64 * 1024 * 1024,
-        recycler_policy: str = "lru",
         enable_recycler: bool = True,
         enable_lazy_rewrite: bool = True,
         enable_pruning: bool = True,
@@ -403,8 +401,7 @@ class Database:
         # Explicit None check: an empty OperationLog is falsy (len == 0).
         self.oplog = oplog if oplog is not None else OperationLog()
         self.recycler: Optional[Recycler] = (
-            Recycler(recycler_budget_bytes, recycler_policy)
-            if enable_recycler else None
+            Recycler(recycler_budget_bytes) if enable_recycler else None
         )
         self.enable_lazy_rewrite = enable_lazy_rewrite
         self.enable_pruning = enable_pruning
@@ -466,7 +463,8 @@ class Database:
         the physical plan is walked tuple-at-a-time by
         :mod:`repro.db.exec.rowpath` instead of the vectorised operators.
         This is the oracle half of the differential tests and the
-        baseline engine for bench E15; it never consults the recycler, so
+        baseline of the vectorised-vs-rowpath speed gate in
+        ``tests/test_batch_exec.py``; it never consults the recycler, so
         repeated runs measure honest row-at-a-time cost.
         """
         from repro.db.exec import rowpath

@@ -5,8 +5,7 @@ paper reuses: expensive intermediates (aggregates, lazy-fetch outputs,
 i.e. "the result of a view definition") are cached under a *semantic
 signature* of the plan fragment that produced them, with
 
-* an **LRU policy** (the paper's stated choice; FIFO and cost-aware
-  variants ship for the DESIGN.md §5 eviction ablation),
+* an **LRU policy** (the paper's stated choice),
 * a **byte budget** ("we adjust the cache size ... not larger than the
   size of system's main memory"),
 * **version-aware signatures**: a signature embeds every base table's
@@ -28,8 +27,6 @@ from repro.db.column import Column
 from repro.db.plan import logical as lg
 from repro.errors import ExecutionError
 
-POLICIES = ("lru", "fifo", "cost")
-
 
 @dataclass
 class RecyclerEntry:
@@ -37,7 +34,6 @@ class RecyclerEntry:
     length: int
     nbytes: int
     admitted_at: float
-    cost_estimate: float = 1.0
     hits: int = 0
     # Repository files the cached result was derived from, as
     # ``uri -> (repository, mtime_ns at admission)``.  Validated on every
@@ -64,12 +60,8 @@ class RecyclerStats:
 class Recycler:
     """Bounded cache of materialised intermediates."""
 
-    def __init__(self, budget_bytes: int = 64 * 1024 * 1024,
-                 policy: str = "lru") -> None:
-        if policy not in POLICIES:
-            raise ExecutionError(f"unknown recycler policy {policy!r}")
+    def __init__(self, budget_bytes: int = 64 * 1024 * 1024) -> None:
         self.budget_bytes = budget_bytes
-        self.policy = policy
         self._entries: "OrderedDict[str, RecyclerEntry]" = OrderedDict()
         self._bytes = 0
         # Shared by every session of a concurrent query service; columns
@@ -113,8 +105,7 @@ class Recycler:
                 return None  # replaced/evicted while validating: miss
             self.stats.hits += 1
             entry.hits += 1
-            if self.policy == "lru":
-                self._entries.move_to_end(signature)
+            self._entries.move_to_end(signature)
             return entry.columns, entry.length, entry.depends or {}
 
     @staticmethod
@@ -130,8 +121,7 @@ class Recycler:
         return True
 
     def admit(self, signature: str, columns: list[Column], length: int,
-              *, cost_estimate: float = 1.0,
-              depends: Optional[dict] = None) -> bool:
+              *, depends: Optional[dict] = None) -> bool:
         nbytes = sum(col.memory_bytes() for col in columns)
         with self._lock:
             if nbytes > self.budget_bytes:
@@ -142,8 +132,7 @@ class Recycler:
                 self._bytes -= old.nbytes
             self._entries[signature] = RecyclerEntry(
                 columns=columns, length=length, nbytes=nbytes,
-                admitted_at=time.time(), cost_estimate=cost_estimate,
-                depends=depends,
+                admitted_at=time.time(), depends=depends,
             )
             self._bytes += nbytes
             self.stats.admissions += 1
@@ -152,24 +141,10 @@ class Recycler:
 
     def _evict_to_budget(self) -> None:
         while self._bytes > self.budget_bytes and self._entries:
-            victim = self._pick_victim()
-            entry = self._entries.pop(victim)
+            # OrderedDict front = least recently used (hits move to the end).
+            _, entry = self._entries.popitem(last=False)
             self._bytes -= entry.nbytes
             self.stats.evictions += 1
-
-    def _pick_victim(self) -> str:
-        if self.policy in ("lru", "fifo"):
-            # OrderedDict front = least recently used (lru moves hits to the
-            # end) or oldest admission (fifo never reorders).
-            return next(iter(self._entries))
-        # cost policy: evict the cheapest-to-recompute per byte.
-        return min(
-            self._entries,
-            key=lambda sig: (
-                self._entries[sig].cost_estimate
-                / max(self._entries[sig].nbytes, 1)
-            ),
-        )
 
     # -- maintenance ---------------------------------------------------------------
 

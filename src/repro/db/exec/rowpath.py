@@ -26,7 +26,8 @@ Design rules that make bit-identity achievable:
   differential tests their teeth.
 
 The interpreter is deliberately slow — it *is* the pre-vectorisation
-row-at-a-time engine, and doubles as the baseline for bench E15.
+row-at-a-time engine, and doubles as the baseline that
+``tests/test_batch_exec.py`` requires the vectorised path to beat 5x.
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@
 partially; each entry stores the transformed columns of one record plus
 the file's mtime at admission.
 
-Policies: LRU (the paper's), FIFO and a cost-aware variant for the
-eviction ablation.  The byte budget models "not larger than the size of
-the system's main memory".
+Eviction is LRU, the paper's stated choice.  The byte budget models "not
+larger than the size of the system's main memory".
 
 Staleness (lazy refresh): :meth:`ExtractionCache.validate_file` compares
 the file's current mtime with the admission-time mtime; on mismatch all of
@@ -49,8 +48,6 @@ from repro.errors import CacheInvariantError, ETLError
 
 logger = logging.getLogger("repro.etl.cache")
 
-POLICIES = ("lru", "fifo", "cost")
-
 STRIPE_COUNT = 16
 """Number of per-URI lock stripes (power of two, keeps hashing cheap)."""
 
@@ -61,7 +58,6 @@ class CacheEntry:
     mtime_ns: int
     nbytes: int
     admitted_seq: int
-    cost_estimate: float
     hits: int = 0
 
 
@@ -85,12 +81,8 @@ class CacheStats:
 class ExtractionCache:
     """Bounded record-grain cache of extracted, transformed actual data."""
 
-    def __init__(self, budget_bytes: int = 256 * 1024 * 1024,
-                 policy: str = "lru") -> None:
-        if policy not in POLICIES:
-            raise ETLError(f"unknown cache policy {policy!r}")
+    def __init__(self, budget_bytes: int = 256 * 1024 * 1024) -> None:
         self.budget_bytes = budget_bytes
-        self.policy = policy
         self._entries: "OrderedDict[tuple[str, int], CacheEntry]" = OrderedDict()
         self._file_mtime: dict[str, int] = {}
         # Per-URI seq_no index so staleness drops and introspection are
@@ -197,13 +189,11 @@ class ExtractionCache:
                 return None
             self.stats.hits += 1
             entry.hits += 1
-            if self.policy == "lru":
-                self._entries.move_to_end((uri, seq_no))
+            self._entries.move_to_end((uri, seq_no))
             return {col: entry.columns[col] for col in needed}
 
     def put(self, uri: str, seq_no: int, mtime_ns: int,
-            columns: dict[str, np.ndarray],
-            *, cost_estimate: float = 1.0) -> bool:
+            columns: dict[str, np.ndarray]) -> bool:
         """Admit (or widen) one record's transformed columns.
 
         Widening merges the new columns over the cached ones.  If the
@@ -231,7 +221,6 @@ class ExtractionCache:
                 mtime_ns=mtime_ns,
                 nbytes=nbytes,
                 admitted_seq=next(self._admission_counter),
-                cost_estimate=cost_estimate,
             )
             self._file_mtime[uri] = mtime_ns
             self._by_uri.setdefault(uri, set()).add(seq_no)
@@ -263,21 +252,11 @@ class ExtractionCache:
                 del self._by_uri[uri]
 
     def _pick_victim(self) -> Optional[tuple[str, int]]:
-        if self.policy in ("lru", "fifo"):
-            for key in self._entries:
-                if key not in self._protected:
-                    return key
-            return None
-        candidates = [k for k in self._entries if k not in self._protected]
-        if not candidates:
-            return None
-        return min(
-            candidates,
-            key=lambda key: (
-                self._entries[key].cost_estimate
-                / max(self._entries[key].nbytes, 1)
-            ),
-        )
+        """Least recently used entry that no in-flight extraction protects."""
+        for key in self._entries:
+            if key not in self._protected:
+                return key
+        return None
 
     # -- consistency --------------------------------------------------------------
 
@@ -353,32 +332,30 @@ class ExtractionCache:
     # -- persistence (storage-engine warm starts) -----------------------------------
 
     def export_entries(self) -> list[
-        tuple[str, int, int, float, dict[str, np.ndarray]]
+        tuple[str, int, int, dict[str, np.ndarray]]
     ]:
-        """Snapshot every entry as ``(uri, seq, mtime_ns, cost, columns)``.
+        """Snapshot every entry as ``(uri, seq, mtime_ns, columns)``.
 
         Eviction order is preserved so a restore replays admissions in
-        the same order and reproduces the LRU/FIFO state.
+        the same order and reproduces the LRU state.
         """
         with self._lock:
             return [
-                (uri, seq_no, entry.mtime_ns, entry.cost_estimate,
-                 dict(entry.columns))
+                (uri, seq_no, entry.mtime_ns, dict(entry.columns))
                 for (uri, seq_no), entry in self._entries.items()
             ]
 
     def import_entries(
         self,
-        entries: list[tuple[str, int, int, float, dict[str, np.ndarray]]],
+        entries: list[tuple[str, int, int, dict[str, np.ndarray]]],
     ) -> int:
-        """Re-admit snapshot entries (budget and policy still apply)."""
+        """Re-admit snapshot entries (the byte budget still applies)."""
         restored = 0
-        for uri, seq_no, mtime_ns, cost, columns in entries:
-            if self.put(uri, seq_no, mtime_ns, columns,
-                        cost_estimate=cost):
+        for uri, seq_no, mtime_ns, columns in entries:
+            if self.put(uri, seq_no, mtime_ns, columns):
                 restored += 1
-        # Restores are bookkeeping, not workload: keep admission counts
-        # meaningful for the eviction ablation.
+        # Restores are bookkeeping, not workload: ``admissions`` counts
+        # what queries extracted, ``restored`` what a warm start brought.
         with self._lock:
             self.stats.admissions -= restored
             self.stats.restored += restored
@@ -400,7 +377,7 @@ class ExtractionCache:
         if skip is not None:
             entries = [
                 entry for entry in entries
-                if not skip(entry[0], entry[1], entry[2], entry[4])
+                if not skip(*entry)
             ]
         written = store.save_cache_snapshot(entries)
         with self._lock:
@@ -435,7 +412,7 @@ class ExtractionCache:
     def render(self, max_rows: int = 20) -> str:
         lines = [
             f"extraction cache: {len(self)} entries, "
-            f"{self._bytes} / {self.budget_bytes} bytes ({self.policy})"
+            f"{self._bytes} / {self.budget_bytes} bytes"
         ]
         for uri, seq, nbytes, hits in self.contents()[:max_rows]:
             lines.append(f"  {uri} seq={seq} bytes={nbytes} hits={hits}")

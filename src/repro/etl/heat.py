@@ -1,9 +1,9 @@
 """Access-heat tracking: the adaptive middle path between lazy and eager.
 
-The paper's crossover (our E7/E13 benches) says lazy ETL wins the first
-query while eager ETL wins repeated scans.  "On-Demand Big Data
-Integration" (PAPERS.md) argues the operator should not have to choose:
-track what is *actually* queried and materialize only that.  This module
+The paper's crossover says lazy ETL wins the first query while eager ETL
+wins repeated scans.  "On-Demand Big Data Integration" (PAPERS.md) argues
+the operator should not have to choose: track what is *actually* queried
+and materialize only that.  This module
 is the tracking half — :class:`AccessHeatTracker` records, per extraction
 unit ``(file uri, record seq_no)``, how often queries touched it and
 through which data columns, with exponential decay so yesterday's hot

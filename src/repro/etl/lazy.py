@@ -420,8 +420,7 @@ class LazyDataBinding:
         for seq, columns in zip(extracted.seq_nos, extracted.per_record):
             if protect:
                 self.cache.protect(uri, seq)
-            self.cache.put(uri, seq, mtime_ns, columns,
-                           cost_estimate=elapsed / max(len(missing), 1))
+            self.cache.put(uri, seq, mtime_ns, columns)
             pieces.append((uri, seq, columns, _rows_of(columns)))
         return pieces
 
@@ -563,14 +562,13 @@ class LazyETL:
         schema: str = "mseed",
         granularity: Granularity = Granularity.RECORD,
         cache_budget_bytes: int = 256 * 1024 * 1024,
-        cache_policy: str = "lru",
     ) -> None:
         self.db = db
         self.repo = repo
         self.adapter = adapter
         self.schema = schema
         self.granularity = granularity
-        self.cache = ExtractionCache(cache_budget_bytes, cache_policy)
+        self.cache = ExtractionCache(cache_budget_bytes)
         self.index = RecordIndex()
         self.heat = AccessHeatTracker()
         self.binding: Optional[LazyDataBinding] = None

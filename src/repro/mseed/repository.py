@@ -148,9 +148,8 @@ class SimulatedRemoteRepository(Repository):
     """A repository with injected access latency, standing in for FTP.
 
     Every ``open``/``stat`` pays ``latency_s``; reads additionally pay
-    ``size / bandwidth_bytes_per_s``.  Used by the benches that model the
-    paper's remote ORFEUS archives where eager ETL must first pull every
-    file over the wire.
+    ``size / bandwidth_bytes_per_s``.  Models the paper's remote ORFEUS
+    archives, where eager ETL must first pull every file over the wire.
     """
 
     def __init__(self, root: str | os.PathLike, *, latency_s: float = 0.002,

@@ -396,8 +396,8 @@ _USE_REFERENCE = False
 @contextmanager
 def reference_decoding():
     """Route ``decode_steim1/2`` through ``_decode_reference`` — used by the
-    differential oracle and by bench baselines that model the pre-vectorised
-    extraction path."""
+    differential oracle and by the rowpath speed gate, which model the
+    pre-vectorised extraction path."""
     global _USE_REFERENCE
     previous = _USE_REFERENCE
     _USE_REFERENCE = True

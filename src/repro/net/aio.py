@@ -14,7 +14,7 @@ other unfinished exchange.
 
 The sync client exists for scripts and notebooks; this one is for
 servers and load generators that hold hundreds of connections open —
-bench E16 drives exactly that.
+``tests/test_net_server.py`` drives exactly that at 100 connections.
 """
 
 from __future__ import annotations

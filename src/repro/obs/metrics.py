@@ -31,6 +31,7 @@ gauges.
 from __future__ import annotations
 
 import logging
+import math
 import random
 import threading
 import time
@@ -211,9 +212,9 @@ class Histogram(_Metric):
         """Nearest-rank percentile over the reservoir (q in [0, 100])."""
         with self._lock:
             series = self._series.get(self._key(labels))
-            if series is None or not series.values:
+            if series is None:
                 return 0.0
-            return _nearest_rank(sorted(series.values), q)
+            return nearest_rank(sorted(series.values), q)
 
     def samples(self) -> list[dict]:
         with self._lock:
@@ -226,17 +227,21 @@ class Histogram(_Metric):
                     "sum": series.sum,
                 }
                 for _q, name in QUANTILES:
-                    sample[name] = (_nearest_rank(ordered,
-                                                  float(_q) * 100)
-                                    if ordered else 0.0)
+                    sample[name] = nearest_rank(ordered, float(_q) * 100)
                 out.append(sample)
             return out
 
 
-def _nearest_rank(ordered: list[float], q: float) -> float:
-    rank = min(len(ordered) - 1,
-               max(0, round(q / 100 * (len(ordered) - 1))))
-    return ordered[rank]
+def nearest_rank(ordered: list[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending sample (q in [0, 100]):
+    the smallest value with at least ``q`` percent of the sample at or
+    below it; 0.0 for an empty sample."""
+    if not ordered:
+        return 0.0
+    # The epsilon keeps a product like 0.95 * 200 (= 190.00000000000003
+    # in binary floating point) from rounding up to rank 191.
+    rank = math.ceil(q / 100 * len(ordered) - 1e-9)
+    return ordered[min(len(ordered), max(1, rank)) - 1]
 
 
 class MetricsRegistry:

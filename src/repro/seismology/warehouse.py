@@ -46,7 +46,6 @@ class SeismicWarehouse:
         granularity: Granularity = Granularity.RECORD,
         adapter: Optional[SourceAdapter] = None,
         cache_budget_bytes: int = 256 * 1024 * 1024,
-        cache_policy: str = "lru",
         recycler_budget_bytes: int = 64 * 1024 * 1024,
         enable_recycler: bool = True,
         enable_lazy_rewrite: bool = True,
@@ -107,7 +106,6 @@ class SeismicWarehouse:
                 self.db, self.repo, self.adapter, schema=schema,
                 granularity=granularity,
                 cache_budget_bytes=cache_budget_bytes,
-                cache_policy=cache_policy,
             )
         elif mode == "eager":
             self.pipeline = EagerETL(self.db, self.repo, self.adapter,
@@ -539,8 +537,8 @@ class SeismicWarehouse:
         Returns a started
         :class:`~repro.service.service.WarehouseService`; keyword
         arguments are :class:`~repro.service.service.ServiceConfig`
-        fields (``max_workers``, ``queue_depth``, ``coalesce``,
-        ``extract_workers``, ...).  Use as a context manager::
+        fields (``max_workers``, ``queue_depth``, ``extract_workers``,
+        ...).  Use as a context manager::
 
             with wh.serve(max_workers=8) as svc:
                 a, b = svc.session("alice"), svc.session("bob")

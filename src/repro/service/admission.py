@@ -8,8 +8,7 @@ than queueing into timeout purgatory.
 
 Dispatch is **per-session fair**: each session has its own FIFO and the
 dispatcher serves sessions round-robin, so one chatty session streaming
-thousands of queries cannot starve an interactive one.  (``fair=False``
-degrades to a single global FIFO for the ablation in bench E12.)
+thousands of queries cannot starve an interactive one.
 
 A separate ``max_in_flight`` semaphore caps queries *executing*
 concurrently, independently of the worker count — admission and
@@ -39,11 +38,10 @@ class AdmissionStats:
 class AdmissionController(Generic[T]):
     """Bounded, per-session-fair queue feeding the service workers."""
 
-    def __init__(self, *, queue_depth: int = 128, fair: bool = True) -> None:
+    def __init__(self, *, queue_depth: int = 128) -> None:
         if queue_depth <= 0:
             raise ValueError("queue_depth must be positive")
         self.queue_depth = queue_depth
-        self.fair = fair
         # session id -> FIFO of queued items; OrderedDict gives us a
         # stable round-robin ring (rotation via move_to_end).
         self._queues: "OrderedDict[str, deque[T]]" = OrderedDict()
@@ -89,40 +87,21 @@ class AdmissionController(Generic[T]):
                     return None
                 if not self._cond.wait(timeout):
                     return None
-            if self.fair:
-                # Serve the least-recently-served session with work.
-                for session_id in list(self._queues):
-                    queue = self._queues[session_id]
+            # Serve the least-recently-served session with work.
+            for session_id in list(self._queues):
+                queue = self._queues[session_id]
+                if queue:
+                    item = queue.popleft()
                     if queue:
-                        item = queue.popleft()
-                        if queue:
-                            self._queues.move_to_end(session_id)
-                        else:
-                            # Reap drained sessions: a long-lived service
-                            # sees unboundedly many session ids.
-                            del self._queues[session_id]
-                        break
-                    del self._queues[session_id]
-                else:  # pragma: no cover - _queued > 0 guarantees a hit
-                    return None
-            else:
-                # Global FIFO: oldest item across all sessions.
-                item = None
-                best_session = None
-                for session_id in list(self._queues):
-                    queue = self._queues[session_id]
-                    if not queue:
+                        self._queues.move_to_end(session_id)
+                    else:
+                        # Reap drained sessions: a long-lived service
+                        # sees unboundedly many session ids.
                         del self._queues[session_id]
-                        continue
-                    candidate = queue[0]
-                    order = getattr(candidate, "submit_seq", 0)
-                    if item is None or order < getattr(item, "submit_seq", 0):
-                        item = candidate
-                        best_session = session_id
-                assert best_session is not None
-                self._queues[best_session].popleft()
-                if not self._queues[best_session]:
-                    del self._queues[best_session]
+                    break
+                del self._queues[session_id]
+            else:  # pragma: no cover - _queued > 0 guarantees a hit
+                return None
             self._queued -= 1
             self.stats.dispatched += 1
             return item

@@ -48,7 +48,7 @@ class ExtractionFlight:
 
 @dataclass
 class CoalescerStats:
-    """Counters the service and bench E12 report."""
+    """Counters the service reports (``svc.stats().coalescer``)."""
 
     flights_led: int = 0        # claim batches that extracted
     records_led: int = 0        # records extracted by leaders

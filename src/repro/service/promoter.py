@@ -19,7 +19,7 @@ Two drivers share the same cycle:
   promoting continuously under live traffic;
 * :meth:`SeismicWarehouse.promote() <repro.seismology.warehouse.
   SeismicWarehouse.promote>` — one synchronous cycle, for single-process
-  and bench use.
+  use.
 
 Promotion data comes from the extraction cache when the unit is still
 resident, otherwise the promoter *extracts in the background* — paying

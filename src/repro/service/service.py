@@ -36,7 +36,7 @@ from repro.db.plan.physical import UNBOUNDED_ROWS
 from repro.errors import ServiceClosedError, ServiceError
 from repro.obs.http import ObservabilityServer
 from repro.obs.journal import query_context
-from repro.obs.metrics import MetricsSnapshotter
+from repro.obs.metrics import MetricsSnapshotter, nearest_rank
 from repro.obs.slowlog import SlowQueryLog
 from repro.service.admission import AdmissionController, AdmissionStats
 from repro.service.coalescer import CoalescerStats, ExtractionCoalescer
@@ -56,8 +56,6 @@ class ServiceConfig:
     max_workers: int = 4          # query-executing threads
     max_in_flight: Optional[int] = None  # executing queries cap (None = workers)
     queue_depth: int = 128        # bounded admission queue
-    fair: bool = True             # per-session round-robin dispatch
-    coalesce: bool = True         # single-flight extraction sharing
     extract_workers: int = 0      # 0 disables the per-file fan-out pool
     wait_timeout_s: float = 30.0  # coalesced-wait patience before fallback
     # Sharded scatter-gather execution: >1 brings up (or reuses) the
@@ -169,19 +167,6 @@ class QueryOutcome:
         return self.report.rows_coalesced
 
 
-def latency_percentile(latencies_s: list[float], q: float) -> float:
-    """Nearest-rank percentile over a latency sample (q in [0, 100]).
-
-    Shared by :class:`ServiceStats` and bench E12 so both always report
-    the same statistic.
-    """
-    if not latencies_s:
-        return 0.0
-    ordered = sorted(latencies_s)
-    rank = min(len(ordered) - 1, max(0, round(q / 100 * (len(ordered) - 1))))
-    return ordered[rank]
-
-
 @dataclass
 class ServiceStats:
     """Aggregate service counters (admission + coalescing + latency)."""
@@ -194,7 +179,7 @@ class ServiceStats:
 
     def percentile(self, q: float) -> float:
         """Latency percentile over completed queries (q in [0, 100])."""
-        return latency_percentile(self.latencies_s, q)
+        return nearest_rank(sorted(self.latencies_s), q)
 
 
 class _QueuedQuery:
@@ -202,16 +187,15 @@ class _QueuedQuery:
     (the wire layer's server-side cursor, or a :class:`_FutureSink`)."""
 
     __slots__ = ("session_id", "sql", "params", "submitted_at",
-                 "submit_seq", "sink", "batch_rows")
+                 "sink", "batch_rows")
 
     def __init__(self, session_id: str, sql: str, sink: object,
-                 submit_seq: int, params: object = None, *,
+                 params: object = None, *,
                  batch_rows: Optional[int] = None) -> None:
         self.session_id = session_id
         self.sql = sql
         self.params = params
         self.submitted_at = time.perf_counter()
-        self.submit_seq = submit_seq
         self.sink = sink
         self.batch_rows = batch_rows
 
@@ -319,14 +303,13 @@ class WarehouseService:
         self.warehouse = warehouse
         self.config = config
         self.admission: AdmissionController[_QueuedQuery] = AdmissionController(
-            queue_depth=config.queue_depth, fair=config.fair,
+            queue_depth=config.queue_depth,
         )
         self.coalescer: Optional[ExtractionCoalescer] = None
         self.extract_pool: Optional[ParallelExtractor] = None
         self.promoter = None  # BackgroundPromoter when config.promote
         self._sessions: dict[str, ClientSession] = {}
         self._session_counter = itertools.count(1)
-        self._submit_counter = itertools.count(1)
         self._in_flight = threading.Semaphore(config.max_in_flight)
         self._workers: list[threading.Thread] = []
         self._stats_lock = threading.Lock()
@@ -371,9 +354,8 @@ class WarehouseService:
                 self.config.shards)
         binding = getattr(self.warehouse.pipeline, "binding", None)
         if binding is not None:
-            if self.config.coalesce:
-                self.coalescer = ExtractionCoalescer()
-                binding.coalescer = self.coalescer
+            self.coalescer = ExtractionCoalescer()
+            binding.coalescer = self.coalescer
             if self.config.extract_workers > 0:
                 self.extract_pool = ParallelExtractor(
                     self.config.extract_workers)
@@ -412,14 +394,12 @@ class WarehouseService:
             self.wire = WireServer(self).start()
         self._started = True
         logger.info(
-            "service started: %d workers, queue depth %d, coalesce=%s",
-            self.config.max_workers, self.config.queue_depth,
-            self.config.coalesce)
+            "service started: %d workers, queue depth %d",
+            self.config.max_workers, self.config.queue_depth)
         self.warehouse.oplog.record(
             "service", "service started",
             workers=self.config.max_workers,
             queue_depth=self.config.queue_depth,
-            coalesce=self.config.coalesce,
             extract_workers=self.config.extract_workers,
         )
 
@@ -525,8 +505,7 @@ class WarehouseService:
             raise ServiceClosedError("service is shut down")
         # One unbounded batch: the outcome is the stream drained.
         sink = _FutureSink(session_id, sql)
-        item = _QueuedQuery(session_id, sql, sink,
-                            next(self._submit_counter), params,
+        item = _QueuedQuery(session_id, sql, sink, params,
                             batch_rows=UNBOUNDED_ROWS)
         self.admission.submit(session_id, item)
         return sink.future
@@ -557,8 +536,7 @@ class WarehouseService:
             raise ServiceError(
                 "the wire protocol serves queries only (SELECT); run "
                 "DDL/DML on a direct connection outside the service")
-        item = _QueuedQuery(session_id, sql, sink,
-                            next(self._submit_counter), params,
+        item = _QueuedQuery(session_id, sql, sink, params,
                             batch_rows=batch_rows)
         self.admission.submit(session_id, item)
 

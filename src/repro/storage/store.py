@@ -341,15 +341,16 @@ class TableStore:
     def _write_entry_segment(
         self,
         prefix: str,
-        entries: Iterable[tuple[dict, dict[str, np.ndarray]]],
+        entries: Iterable[tuple[str, int, int, dict[str, np.ndarray]]],
     ) -> tuple[Optional[str], list[dict]]:
         """Write one segment of per-unit arrays; shared by cache
         snapshots and promoted segments so the two encodings can never
         drift apart.
 
-        ``entries`` yields ``(meta, columns)``; each column array becomes
-        one slot named ``<index>/<column>``, written as a single page —
-        a unit read always wants the whole array, never a page subset.
+        ``entries`` yields ``(uri, seq_no, mtime_ns, columns)``; each
+        column array becomes one slot named ``<index>/<column>``,
+        written as a single page — a unit read always wants the whole
+        array, never a page subset.
         Returns ``(segment file, directory)``; an empty input aborts the
         writer and returns ``(None, [])``.  Callers hold ``_mutate``.
         """
@@ -359,7 +360,7 @@ class TableStore:
                                uniform=False)
         directory: list[dict] = []
         try:
-            for count, (meta, columns) in enumerate(entries):
+            for count, (uri, seq_no, mtime_ns, columns) in enumerate(entries):
                 slot_columns = {}
                 rows = 0
                 for name, values in columns.items():
@@ -372,8 +373,9 @@ class TableStore:
                         page_rows=max(len(values), 1),
                     )
                     slot_columns[name] = slot
-                directory.append({**meta, "columns": slot_columns,
-                                  "rows": rows})
+                directory.append({"uri": uri, "seq_no": seq_no,
+                                  "mtime_ns": mtime_ns,
+                                  "columns": slot_columns, "rows": rows})
             if not directory:
                 writer.abort()
                 return None, []
@@ -390,24 +392,19 @@ class TableStore:
 
     def save_cache_snapshot(
         self,
-        entries: Iterable[tuple[str, int, int, float,
-                                dict[str, np.ndarray]]],
+        entries: Iterable[tuple[str, int, int, dict[str, np.ndarray]]],
         *, commit: bool = True,
     ) -> int:
         """Persist extraction-cache entries.
 
-        ``entries`` yields ``(uri, seq_no, mtime_ns, cost_estimate,
-        columns)``; array payloads go into one segment (reusing the page
-        codecs — sample data compresses like any other int64 column),
-        entry keys into the manifest.
+        ``entries`` yields ``(uri, seq_no, mtime_ns, columns)``; array
+        payloads go into one segment (reusing the page codecs — sample
+        data compresses like any other int64 column), entry keys into
+        the manifest.
         """
         with self._mutate:
             segment_file, directory = self._write_entry_segment(
-                _CACHE_SEGMENT,
-                (({"uri": uri, "seq_no": seq_no, "mtime_ns": mtime_ns,
-                   "cost": cost}, columns)
-                 for uri, seq_no, mtime_ns, cost, columns in entries),
-            )
+                _CACHE_SEGMENT, entries)
             if segment_file is None:
                 self._manifest["cache"] = None
             else:
@@ -421,8 +418,12 @@ class TableStore:
 
     def load_cache_snapshot(
         self,
-    ) -> list[tuple[str, int, int, float, dict[str, np.ndarray]]]:
-        """Read back the snapshot written by :meth:`save_cache_snapshot`."""
+    ) -> list[tuple[str, int, int, dict[str, np.ndarray]]]:
+        """Read back the snapshot written by :meth:`save_cache_snapshot`.
+
+        Stores checkpointed before the eviction policy became a constant
+        carry a ``"cost"`` key per entry; it is ignored.
+        """
         snapshot = self._manifest.get("cache")
         if snapshot is None:
             return []
@@ -438,7 +439,7 @@ class TableStore:
                 }
                 out.append((
                     entry["uri"], int(entry["seq_no"]),
-                    int(entry["mtime_ns"]), float(entry["cost"]), columns,
+                    int(entry["mtime_ns"]), columns,
                 ))
             return out
         finally:
@@ -464,11 +465,7 @@ class TableStore:
         """
         with self._mutate:
             segment_file, directory = self._write_entry_segment(
-                _PROMOTED_SEGMENT,
-                (({"uri": uri, "seq_no": seq_no, "mtime_ns": mtime_ns},
-                  columns)
-                 for uri, seq_no, mtime_ns, columns in entries),
-            )
+                _PROMOTED_SEGMENT, entries)
             if segment_file is None:
                 raise StorageError("empty promoted batch")
             self._manifest.setdefault("promoted", {})[segment_file] = \

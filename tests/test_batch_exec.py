@@ -243,3 +243,68 @@ def test_streaming_aggregate_admits_to_recycler():
     expected = db.query(sql)  # must be served from the recycler
     assert expected.rows() == got
     assert any(e.get("op") == "recycler_hit" for e in db.last_trace)
+
+
+# ---------------------------------------------------------------------------
+# The vectorised executor must stay >= 5x the pre-vectorised engine
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.oracle
+def test_vectorised_at_least_5x_rowpath(tmp_path):
+    """Baseline: ``query_rowpath`` (tuple-at-a-time interpreter, no
+    recycler, no zone maps) with the Steim decoder routed through its
+    scalar reference — together the pre-vectorised engine.  Every
+    measurement runs on a fresh warehouse with the recycler off, so both
+    sides pay cold extraction and repeats measure execution, not result
+    caching.  A speed-up on wrong answers is worthless: rows first.
+
+    The corpus is the full default inventory (54 files), not the 12-file
+    ``demo_repo``: Figure-1 Q1 extracts a 2 s window, so its cost is the
+    metadata scan, and over 12 files fixed per-query overhead caps the
+    ratio near 4x whichever engine runs it.
+    """
+    import time
+
+    from repro.mseed import steim
+    from repro.mseed.synthesize import RepositorySpec, build_repository
+    from repro.seismology.queries import fig1_query1, fig1_query2
+    from repro.seismology.warehouse import SeismicWarehouse
+
+    repo = build_repository(tmp_path, RepositorySpec(files_per_stream=2))
+    entry = repo.entries[0]
+    workloads = {
+        "fig1_q1": fig1_query1(),
+        "fig1_q2": fig1_query2(),
+        "full_stream": (
+            "SELECT MIN(D.sample_value), MAX(D.sample_value), COUNT(*) "
+            f"FROM mseed.dataview WHERE F.station = '{entry.station}' "
+            f"AND F.channel = '{entry.channel}'"),
+    }
+
+    def rowpath(wh, sql):
+        with steim.reference_decoding():
+            return wh.db.query_rowpath(sql)[0].rows()
+
+    def vectorised(wh, sql):
+        return wh.connect().cursor().execute(sql).fetchall()
+
+    def best_of_two(run, sql):
+        best = float("inf")
+        for _ in range(2):
+            wh = SeismicWarehouse(repo.root, mode="lazy",
+                                  enable_recycler=False)
+            started = time.perf_counter()
+            rows = run(wh, sql)
+            best = min(best, time.perf_counter() - started)
+        return best, rows
+
+    ratios = {}
+    for name, sql in workloads.items():
+        rowpath_s, expected = best_of_two(rowpath, sql)
+        vectorised_s, got = best_of_two(vectorised, sql)
+        assert got == expected, name
+        ratios[name] = rowpath_s / vectorised_s
+    assert all(ratio >= 5 for ratio in ratios.values()), (
+        "vectorised / rowpath speed-up below 5x: "
+        + ", ".join(f"{name} {ratio:.1f}x" for name, ratio in ratios.items()))

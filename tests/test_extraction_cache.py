@@ -55,26 +55,6 @@ def test_lru_eviction_order():
     assert ("f", 1) in cache and ("f", 3) in cache
 
 
-def test_fifo_eviction_order():
-    entry_bytes = sum(a.nbytes for a in _cols().values())
-    cache = ExtractionCache(budget_bytes=entry_bytes * 2, policy="fifo")
-    cache.put("f", 1, 1, _cols())
-    cache.put("f", 2, 1, _cols())
-    cache.get("f", 1, ["sample_value"])
-    cache.put("f", 3, 1, _cols())
-    assert ("f", 1) not in cache
-
-
-def test_cost_policy_prefers_keeping_expensive():
-    entry_bytes = sum(a.nbytes for a in _cols().values())
-    cache = ExtractionCache(budget_bytes=entry_bytes * 2, policy="cost")
-    cache.put("f", 1, 1, _cols(), cost_estimate=100.0)
-    cache.put("f", 2, 1, _cols(), cost_estimate=0.001)
-    cache.put("f", 3, 1, _cols(), cost_estimate=50.0)
-    assert ("f", 2) not in cache  # cheapest to recompute was evicted
-    assert ("f", 1) in cache
-
-
 def test_budget_never_exceeded():
     entry_bytes = sum(a.nbytes for a in _cols().values())
     cache = ExtractionCache(budget_bytes=entry_bytes * 3 + 8)
@@ -114,11 +94,6 @@ def test_clear():
     cache.put("f1", 1, 1, _cols())
     cache.clear()
     assert len(cache) == 0 and cache.used_bytes == 0
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(ETLError):
-        ExtractionCache(policy="magic")
 
 
 def test_over_budget_widening_keeps_existing_entry():

@@ -364,3 +364,83 @@ def test_connections_refused_after_close(tiny_repo):
     with pytest.raises((WireShutdownError, ConnectionError, OSError)):
         connect_tcp("127.0.0.1", port, token=TOKEN, timeout=5)
     wh.close()
+
+
+# -- fan-in: 100 connections, 0 dropped, clean drain under load --------------
+
+
+def test_hundred_async_connections_then_clean_drain(tiny_repo):
+    """100 concurrent asyncio connections each run one aggregate and one
+    multi-batch fetch with no failure; then ``close()`` lands while
+    streaming cursors are live, lets them finish inside ``tcp_drain_s``,
+    and leaves no session and no thread behind."""
+    import asyncio
+
+    from repro.net import connect_tcp_async
+
+    n_conns, n_streaming, drain_s = 100, 4, 20.0
+    aggregate = ("SELECT station, COUNT(*) FROM mseed.files "
+                 "GROUP BY station ORDER BY station")
+    stream = "SELECT sample_time, sample_value FROM mseed.dataview"
+    wh = SeismicWarehouse(tiny_repo.root, mode="lazy")
+    local = wh.connect()
+    expected_groups = local.execute(aggregate).fetchall()
+    expected_rows = local.execute(stream).fetchall()  # also warms the cache
+    threads_before = threading.active_count()
+    # A streaming cursor pins a worker while its window is full, so the
+    # drain phase holds fewer live cursors than there are workers.
+    svc = wh.serve(max_workers=8, queue_depth=4 * n_conns, tcp_port=0,
+                   auth_tokens=[TOKEN], tcp_drain_s=drain_s)
+
+    async def one_client(conn) -> None:
+        async with conn:
+            cur = await conn.execute(aggregate)
+            assert await cur.fetchall() == expected_groups
+            cur = conn.cursor(batch_rows=100)
+            await cur.execute(stream + " LIMIT 350")  # four BATCH frames
+            assert await cur.fetchall() == expected_rows[:350]
+
+    async def drive():
+        # Every connection is open before the first query fires, so the
+        # peak concurrency really is n_conns.
+        conns = await asyncio.gather(*[
+            connect_tcp_async("127.0.0.1", svc.tcp_port, token=TOKEN)
+            for _ in range(n_conns)])
+        # The server registers a session just after it sends WELCOME;
+        # nothing else runs on this loop yet, so a blocking poll is fine.
+        _wait_until(lambda: svc.wire.stats()["connections"] == n_conns,
+                    message=f"{n_conns} live wire sessions")
+        outcomes = await asyncio.gather(
+            *[one_client(conn) for conn in conns], return_exceptions=True)
+
+        streaming = await asyncio.gather(*[
+            connect_tcp_async("127.0.0.1", svc.tcp_port, token=TOKEN)
+            for _ in range(n_streaming)])
+        cursors = []
+        for conn in streaming:
+            cur = conn.cursor(batch_rows=256)
+            await cur.execute(stream)
+            assert await cur.fetchmany(256) == expected_rows[:256]
+            cursors.append(cur)
+        started = time.monotonic()
+        closing = asyncio.get_running_loop().run_in_executor(None, svc.close)
+        rests = await asyncio.gather(*[cur.fetchall() for cur in cursors])
+        await closing
+        drained_in = time.monotonic() - started
+        for conn in streaming:
+            await conn.close()
+        return outcomes, rests, drained_in
+
+    try:
+        outcomes, rests, drained_in = asyncio.run(drive())
+    finally:
+        svc.close()
+    errors = [outcome for outcome in outcomes if outcome is not None]
+    assert not errors, f"{len(errors)} of {n_conns} clients failed: {errors[:3]}"
+    assert all(rest == expected_rows[256:] for rest in rests)
+    assert drained_in < drain_s
+    assert svc.stats().failed == 0
+    assert local.execute("SELECT COUNT(*) FROM sys.connections").scalar() == 0
+    _wait_until(lambda: threading.active_count() == threads_before,
+                message="service threads to exit")
+    wh.close()

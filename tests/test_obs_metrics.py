@@ -88,6 +88,46 @@ class TestGauge:
         assert sample["labels"] == {} and sample["value"] == 7.5
 
 
+# (sample, q, nearest-rank answer): the smallest value with at least q
+# percent of the sample at or below it.  The even-length p50 cases pin the
+# lower middle; round-half-even on (n - 1) * q used to pick the upper one
+# for n = 4 and n = 8.
+_ONE_TO_100 = list(range(1, 101))
+NEAREST_RANK_CASES = [
+    ([1, 2], 50, 1),
+    ([1, 2, 3, 4], 50, 2),
+    ([1, 2, 3, 4, 5, 6], 50, 3),
+    ([1, 2, 3, 4, 5, 6, 7, 8], 50, 4),
+    ([7], 0, 7), ([7], 50, 7), ([7], 100, 7),
+    (_ONE_TO_100, 50, 50), (_ONE_TO_100, 95, 95), (_ONE_TO_100, 99, 99),
+    (_ONE_TO_100, 0, 1), (_ONE_TO_100, 100, 100),
+    ([1, 2, 3, 4], 0, 1), ([1, 2, 3, 4], 100, 4),
+]
+
+
+@pytest.mark.parametrize("values, q, expected", NEAREST_RANK_CASES)
+def test_nearest_rank_percentile_everywhere(values, q, expected):
+    from repro.service.service import ServiceStats
+
+    h = MetricsRegistry().histogram("repro_lat_seconds")
+    for v in reversed(values):  # observation order must not matter
+        h.observe(float(v))
+    assert h.percentile(q) == expected
+    (sample,) = h.samples()
+    if f"p{q}" in sample:
+        assert sample[f"p{q}"] == expected
+    stats = ServiceStats(latencies_s=[float(v) for v in reversed(values)])
+    assert stats.percentile(q) == expected
+
+
+def test_percentile_of_nothing_is_zero():
+    from repro.service.service import ServiceStats
+
+    h = MetricsRegistry().histogram("repro_lat_seconds")
+    assert h.percentile(50) == 0.0
+    assert ServiceStats().percentile(99) == 0.0
+
+
 class TestHistogram:
     def test_percentiles_exact_below_reservoir(self):
         h = MetricsRegistry().histogram("repro_lat_seconds")

@@ -1,7 +1,6 @@
 """Intermediate-result recycling tests (the lazy-loading substrate)."""
 
 import numpy as np
-import pytest
 
 from repro.db import Database
 from repro.db.column import Column
@@ -35,16 +34,6 @@ def test_budget_eviction_lru_order():
     assert recycler.lookup("b") is None  # b was LRU
     assert recycler.lookup("a") is not None
     assert recycler.stats.evictions == 1
-
-
-def test_fifo_policy_ignores_recency():
-    entry_bytes = _col(list(range(100))).memory_bytes()
-    recycler = Recycler(budget_bytes=entry_bytes * 2 + 16, policy="fifo")
-    recycler.admit("a", [_col(list(range(100)))], 100)
-    recycler.admit("b", [_col(list(range(100)))], 100)
-    recycler.lookup("a")
-    recycler.admit("c", [_col(list(range(100)))], 100)
-    assert recycler.lookup("a") is None  # oldest admission evicted
 
 
 def test_oversized_entry_rejected():
@@ -130,10 +119,3 @@ def test_contents_listing():
     contents = recycler.contents()
     assert contents[0][0] == "sig-a"
     assert contents[0][1] == 2
-
-
-def test_unknown_policy_rejected():
-    from repro.errors import ExecutionError
-
-    with pytest.raises(ExecutionError):
-        Recycler(policy="random")

@@ -99,7 +99,7 @@ def test_repeated_service_queries_hit_cache(tiny_repo):
 
 
 def test_admission_controller_round_robin_fairness():
-    admission = AdmissionController(queue_depth=32, fair=True)
+    admission = AdmissionController(queue_depth=32)
     for i in range(10):
         admission.submit("greedy", f"g{i}")
     admission.submit("interactive", "i0")
@@ -108,21 +108,6 @@ def test_admission_controller_round_robin_fairness():
     assert order[0] == "g0"
     assert order[1] == "i0"
     assert order[2:] == ["g1", "g2"]
-
-
-def test_admission_controller_global_fifo_when_unfair():
-    admission = AdmissionController(queue_depth=32, fair=False)
-
-    class Item:
-        def __init__(self, seq, tag):
-            self.submit_seq = seq
-            self.tag = tag
-
-    admission.submit("a", Item(1, "a1"))
-    admission.submit("a", Item(2, "a2"))
-    admission.submit("b", Item(3, "b1"))
-    tags = [admission.next_item(timeout=0).tag for _ in range(3)]
-    assert tags == ["a1", "a2", "b1"]
 
 
 def test_admission_queue_rejects_when_full(tiny_repo):

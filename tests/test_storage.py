@@ -518,7 +518,7 @@ def test_cache_snapshot_roundtrip(tmp_path):
     cache.put("f1", 1, 100, {
         "sample_time": np.cumsum(np.full(500, 1000, dtype=np.int64)),
         "sample_value": np.arange(500, dtype=np.int64),
-    }, cost_estimate=2.5)
+    })
     cache.put("f2", 7, 200, {"sample_value": np.ones(10, dtype=np.int64)})
     store = TableStore(tmp_path / "store")
     assert cache.spill(store) == 2
@@ -531,6 +531,40 @@ def test_cache_snapshot_roundtrip(tmp_path):
     # mtime survives, so staleness detection still works after restore.
     assert fresh.validate_file("f1", 100)
     assert not fresh.validate_file("f1", 999)
+
+
+def test_cache_snapshot_from_older_store_ignores_cost_key(tmp_path):
+    """A store checkpointed while cache entries still carried a per-entry
+    ``"cost"`` (the removed cost-aware eviction policy) must reopen to the
+    same entries: the key is ignored, not required and not rejected."""
+    import json
+
+    from repro.etl.cache import ExtractionCache
+
+    cache = ExtractionCache()
+    cache.put("f1", 1, 100, {"sample_value": np.arange(50, dtype=np.int64)})
+    cache.put("f2", 7, 200, {"sample_value": np.ones(10, dtype=np.int64)})
+    store = TableStore(tmp_path / "store")
+    assert cache.spill(store) == 2
+    expected = store.load_cache_snapshot()
+
+    with open(store.manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    for entry in manifest["cache"]["entries"]:
+        assert "cost" not in entry  # no longer written
+        entry["cost"] = 2.5         # what the parent commit wrote
+    with open(store.manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, sort_keys=True)
+
+    reopened = TableStore(tmp_path / "store").load_cache_snapshot()
+    assert [e[:3] for e in reopened] == [e[:3] for e in expected]
+    for got, want in zip(reopened, expected):
+        assert got[3].keys() == want[3].keys()
+        for name in want[3]:
+            assert np.array_equal(got[3][name], want[3][name])
+    fresh = ExtractionCache()
+    assert fresh.restore(TableStore(tmp_path / "store")) == 2
+    assert fresh.contents() == [(u, s, n, 0) for u, s, n, _ in cache.contents()]
 
 
 def test_cache_snapshot_respects_budget(tmp_path):
