@@ -47,7 +47,6 @@ from repro.etl import (
 from repro.mseed import (
     Repository,
     RepositorySpec,
-    SimulatedRemoteRepository,
     build_repository,
 )
 from repro.net import connect_tcp, connect_tcp_async
@@ -86,7 +85,6 @@ __all__ = [
     "MetadataSync",
     "Repository",
     "RepositorySpec",
-    "SimulatedRemoteRepository",
     "build_repository",
     "SeismicWarehouse",
     "ServiceConfig",

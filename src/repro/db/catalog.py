@@ -67,15 +67,22 @@ class LazyTableBinding(Protocol):
         needed: list[str],
         time_bounds: tuple[Optional[int], Optional[int]],
         trace: list[dict],
+        versions: dict,
     ) -> dict[str, Column]:
         """Extract/transform/load the rows matching ``keys``.
 
         ``trace`` receives one entry per injected operator (cache hit,
         extraction, refresh) for plan introspection — demo items (5)-(7).
+        ``versions`` receives, per source file the rows were served
+        from, ``version token -> binding``: the recycler pins them and
+        asks ``binding.is_current(token)`` before replaying a cached
+        result.  A binding whose results are never recyclable
+        (``cache_epoch`` moves on every call) reports nothing.
         """
         ...
 
-    def scan_all(self, needed: list[str], trace: list[dict]) -> dict[str, Column]:
+    def scan_all(self, needed: list[str], trace: list[dict],
+                 versions: dict) -> dict[str, Column]:
         """Worst case (§3.1): extract the entire repository."""
         ...
 

@@ -17,7 +17,6 @@ signature* of the plan fragment that produced them, with
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,13 +32,12 @@ class RecyclerEntry:
     columns: list[Column]
     length: int
     nbytes: int
-    admitted_at: float
     hits: int = 0
-    # Repository files the cached result was derived from, as
-    # ``uri -> (repository, mtime_ns at admission)``.  Validated on every
-    # lookup: a signature's cache epoch can only reflect changes the
-    # extraction cache has *noticed*, so results admitted by pure
-    # cache-hit queries additionally pin the source files' mtimes.
+    # Repository file versions the cached result was derived from, as
+    # ``FileInfo -> the lazy binding that served under it``.  Validated
+    # on every lookup: a signature's cache epoch can only reflect changes
+    # the extraction cache has *noticed*, so results admitted by pure
+    # cache-hit queries additionally pin the source files' versions.
     depends: Optional[dict] = None
 
 
@@ -79,11 +77,12 @@ class Recycler:
                          ) -> Optional[tuple[list[Column], int, dict]]:
         """Lookup plus source-file freshness validation.
 
-        Lazy-fetch-derived entries record the (uri, mtime) of every
-        repository file they were computed from; a hit re-stats those
-        files (microseconds, proportional to the query's file set) and a
-        mismatch — or a vanished file — drops the entry and reports a
-        miss, forcing re-extraction through the staleness-aware path.
+        Lazy-fetch-derived entries record the ``FileInfo`` of every
+        repository file they were computed from; a hit asks the binding
+        whether each is still current (one stat per file, proportional
+        to the query's file set) and a changed — or vanished — file
+        drops the entry and reports a miss, forcing re-extraction
+        through the staleness-aware path.
         """
         with self._lock:
             self.stats.lookups += 1
@@ -110,15 +109,8 @@ class Recycler:
 
     @staticmethod
     def _depends_fresh(depends: Optional[dict]) -> bool:
-        if not depends:
-            return True
-        for uri, (repo, mtime_ns) in depends.items():
-            try:
-                if repo.stat(uri).mtime_ns != mtime_ns:
-                    return False
-            except Exception:
-                return False  # vanished / unreadable: treat as changed
-        return True
+        return all(binding.is_current(info)
+                   for info, binding in (depends or {}).items())
 
     def admit(self, signature: str, columns: list[Column], length: int,
               *, depends: Optional[dict] = None) -> bool:
@@ -132,7 +124,7 @@ class Recycler:
                 self._bytes -= old.nbytes
             self._entries[signature] = RecyclerEntry(
                 columns=columns, length=length, nbytes=nbytes,
-                admitted_at=time.time(), depends=depends,
+                depends=depends,
             )
             self._bytes += nbytes
             self.stats.admissions += 1

@@ -624,10 +624,9 @@ def _lazy_fetch_rows(node: ph.PLazyFetch, ctx: ph.ExecutionContext
         "time_bounds": time_bounds,
     })
     started = _time.perf_counter()
-    trace_start = len(ctx.trace)
-    named = binding.fetch(keys, list(lg_node.needed), time_bounds, ctx.trace)
+    named = binding.fetch(keys, list(lg_node.needed), time_bounds, ctx.trace,
+                          ctx.file_deps)
     elapsed = _time.perf_counter() - started
-    ph._collect_file_deps(ctx, trace_start, binding)
     lazy_len = len(next(iter(named.values()))) if named else 0
     ctx.rows_extracted += lazy_len
     ctx.oplog.record(

@@ -106,7 +106,7 @@ def render_analyzed(profile, trace: list[dict]) -> str:
             entry = trace[index]
             op = entry.get("op", "?")
             rest = ", ".join(f"{k}={v}" for k, v in entry.items()
-                             if k not in ("op", "mtime_ns"))
+                             if k != "op")
             lines.append(f"{pad}  + {op:<14} {rest}")
         for child in frame.children:
             walk(child, indent + 1)

@@ -105,9 +105,10 @@ class ExecutionContext:
     # The rowpath reference interpreter turns this off so it stays an
     # honest row-at-a-time baseline (no zone maps, no recycler).
     zone_pruning: bool = True
-    # Repository files this query's lazy fetches were derived from
-    # (uri -> (repository, mtime_ns)); recycler admissions pin them so a
-    # later file change can never be served from a cached intermediate.
+    # Repository file versions this query's lazy fetches were served
+    # under (FileInfo -> the binding that served it, filled by the
+    # binding's fetch/scan_all); recycler admissions pin them so a later
+    # file change can never be served from a cached intermediate.
     file_deps: dict = field(default_factory=dict)
     # Operator-level profiling (EXPLAIN ANALYZE / span tracing): a
     # repro.obs.tracing.QueryProfile, or None for unprofiled execution.
@@ -383,25 +384,6 @@ def join_indices(left_keys: list[Column], right_keys: list[Column]
     else:
         right_idx = np.zeros(0, dtype=np.int64)
     return left_idx, right_idx, counts
-
-
-def _collect_file_deps(ctx: ExecutionContext, trace_start: int,
-                       binding) -> None:
-    """Record which repository files (at which mtime) a lazy fetch used.
-
-    The binding's trace entries carry ``file``/``mtime_ns`` for every
-    record served from cache, extracted here, or shared from another
-    session's flight; recycler admissions pin these so cached
-    intermediates can never outlive a file change.
-    """
-    repo = getattr(binding, "repo", None)
-    if repo is None:
-        return
-    for entry in ctx.trace[trace_start:]:
-        uri = entry.get("file")
-        mtime_ns = entry.get("mtime_ns")
-        if uri is not None and mtime_ns is not None:
-            ctx.file_deps[uri] = (repo, mtime_ns)
 
 
 # ---------------------------------------------------------------------------
@@ -737,10 +719,9 @@ class PScanAll(PhysicalNode):
 
     def batches(self, ctx: ExecutionContext, batch_rows: int):
         started = time.perf_counter()
-        trace_start = len(ctx.trace)
-        named = self.binding.scan_all([c.name for c in self.schema], ctx.trace)
+        named = self.binding.scan_all([c.name for c in self.schema],
+                                      ctx.trace, ctx.file_deps)
         elapsed = time.perf_counter() - started
-        _collect_file_deps(ctx, trace_start, self.binding)
         length = len(next(iter(named.values()))) if named else 0
         ctx.rows_extracted += length
         ctx.oplog.record(
@@ -1282,11 +1263,9 @@ class PLazyFetch(PhysicalNode):
             "time_bounds": time_bounds,
         })
         started = time.perf_counter()
-        trace_start = len(ctx.trace)
         named = binding.fetch(keys, list(node.needed), time_bounds,
-                              ctx.trace)
+                              ctx.trace, ctx.file_deps)
         elapsed = time.perf_counter() - started
-        _collect_file_deps(ctx, trace_start, binding)
         lazy_len = len(next(iter(named.values()))) if named else 0
         ctx.rows_extracted += lazy_len
         ctx.oplog.record(

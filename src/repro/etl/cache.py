@@ -4,15 +4,20 @@
 — this module is that cache.  Entries live at **record grain**
 ``(uri, seq_no)`` so overlapping queries reuse each other's extractions
 partially; each entry stores the transformed columns of one record plus
-the file's mtime at admission.
+the :class:`~repro.mseed.repository.FileInfo` (size + mtime) the file had
+when the record was extracted.
 
 Eviction is LRU, the paper's stated choice.  The byte budget models "not
 larger than the size of the system's main memory".
 
-Staleness (lazy refresh): :meth:`ExtractionCache.validate_file` compares
-the file's current mtime with the admission-time mtime; on mismatch all of
-the file's entries are dropped, forcing re-extraction from the updated
-file during the same query — no separate refresh job ever runs.
+Staleness (lazy refresh) is decided elsewhere — by the one observation in
+:meth:`repro.etl.lazy.LazyDataBinding.observe`, against the version the
+file's *metadata* was harvested from.  The version stored here is only a
+guard: :meth:`ExtractionCache.validate_file` drops a file's entries when
+they were admitted under a different ``FileInfo`` than the one the query
+is running under (a racing session's late admission), and
+:meth:`ExtractionCache.restore` skips snapshot entries whose persisted
+mtime disagrees with the restarted warehouse's metadata.
 
 Concurrency: the cache is shared by every session of a
 :class:`~repro.service.service.WarehouseService`, so all public methods
@@ -34,17 +39,17 @@ buffer pool's pinned pages, and trims back as soon as protection drops.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from repro.errors import CacheInvariantError, ETLError
+from repro.mseed.repository import FileInfo
 
 logger = logging.getLogger("repro.etl.cache")
 
@@ -55,9 +60,8 @@ STRIPE_COUNT = 16
 @dataclass
 class CacheEntry:
     columns: dict[str, np.ndarray]
-    mtime_ns: int
+    info: FileInfo  # the file version the record was extracted from
     nbytes: int
-    admitted_seq: int
     hits: int = 0
 
 
@@ -84,12 +88,13 @@ class ExtractionCache:
     def __init__(self, budget_bytes: int = 256 * 1024 * 1024) -> None:
         self.budget_bytes = budget_bytes
         self._entries: "OrderedDict[tuple[str, int], CacheEntry]" = OrderedDict()
-        self._file_mtime: dict[str, int] = {}
+        # Per file, the version its entries were last admitted under
+        # (validate_file's O(1) guard).
+        self._file_version: dict[str, FileInfo] = {}
         # Per-URI seq_no index so staleness drops and introspection are
         # O(entries of that file), not O(all entries).
         self._by_uri: dict[str, set[int]] = {}
         self._bytes = 0
-        self._admission_counter = itertools.count(1)
         self.stats = CacheStats()
         self.epoch = 0  # bumped on every mutation; recycler signatures use it
         # Concurrency: stripe locks serialise per-file sequences, the
@@ -139,22 +144,21 @@ class ExtractionCache:
 
     # -- staleness ---------------------------------------------------------------
 
-    def validate_file(self, uri: str, current_mtime_ns: int) -> bool:
-        """Lazy refresh check: drop the file's entries if it changed.
+    def validate_file(self, uri: str, info: FileInfo) -> bool:
+        """Guard: drop the file's entries if they were admitted under a
+        version other than ``info``.
 
         Returns ``True`` when cached entries (if any) are still valid.
         """
         with self._stripe_for(uri), self._lock:
-            known = self._file_mtime.get(uri)
-            if known is None:
+            known = self._file_version.get(uri)
+            if known is None or known == info:
                 return True
-            if known == current_mtime_ns:
-                return True
-            dropped = self._invalidate_file_locked(uri)
-            self.stats.stale_drops += dropped
+            self._invalidate_file_locked(uri)
             return False
 
     def invalidate_file(self, uri: str) -> int:
+        """Drop every entry of a changed or removed file."""
         with self._stripe_for(uri), self._lock:
             return self._invalidate_file_locked(uri)
 
@@ -163,15 +167,16 @@ class ExtractionCache:
         for seq_no in doomed:
             entry = self._entries.pop((uri, seq_no))
             self._bytes -= entry.nbytes
-        self._file_mtime.pop(uri, None)
+        self._file_version.pop(uri, None)
         if doomed:
             self.epoch += 1
+            self.stats.stale_drops += len(doomed)
         return len(doomed)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._file_mtime.clear()
+            self._file_version.clear()
             self._by_uri.clear()
             self._bytes = 0
             self.epoch += 1
@@ -192,7 +197,7 @@ class ExtractionCache:
             self._entries.move_to_end((uri, seq_no))
             return {col: entry.columns[col] for col in needed}
 
-    def put(self, uri: str, seq_no: int, mtime_ns: int,
+    def put(self, uri: str, seq_no: int, info: FileInfo,
             columns: dict[str, np.ndarray]) -> bool:
         """Admit (or widen) one record's transformed columns.
 
@@ -217,12 +222,9 @@ class ExtractionCache:
                 self.stats.widenings += 1
                 del self._entries[key]
             self._entries[key] = CacheEntry(
-                columns=columns,
-                mtime_ns=mtime_ns,
-                nbytes=nbytes,
-                admitted_seq=next(self._admission_counter),
+                columns=columns, info=info, nbytes=nbytes,
             )
-            self._file_mtime[uri] = mtime_ns
+            self._file_version[uri] = info
             self._by_uri.setdefault(uri, set()).add(seq_no)
             self._bytes += nbytes
             self.stats.admissions += 1
@@ -269,7 +271,7 @@ class ExtractionCache:
         * total bytes fit the budget unless in-flight protection forces
           an overcommit;
         * the per-URI index and the entry map describe the same key set;
-        * every indexed URI has an admission mtime.
+        * every indexed URI has an admission version.
 
         Raises :class:`~repro.errors.CacheInvariantError` on violation.
         """
@@ -300,9 +302,9 @@ class ExtractionCache:
                     f"stale={sorted(stale)[:4]}"
                 )
             for uri in self._by_uri:
-                if uri not in self._file_mtime:
+                if uri not in self._file_version:
                     raise CacheInvariantError(
-                        f"indexed file {uri!r} has no admission mtime"
+                        f"indexed file {uri!r} has no admission version"
                     )
 
     # -- introspection (demo capability 7) ------------------------------------------------
@@ -331,49 +333,25 @@ class ExtractionCache:
 
     # -- persistence (storage-engine warm starts) -----------------------------------
 
-    def export_entries(self) -> list[
-        tuple[str, int, int, dict[str, np.ndarray]]
-    ]:
-        """Snapshot every entry as ``(uri, seq, mtime_ns, columns)``.
-
-        Eviction order is preserved so a restore replays admissions in
-        the same order and reproduces the LRU state.
-        """
-        with self._lock:
-            return [
-                (uri, seq_no, entry.mtime_ns, dict(entry.columns))
-                for (uri, seq_no), entry in self._entries.items()
-            ]
-
-    def import_entries(
-        self,
-        entries: list[tuple[str, int, int, dict[str, np.ndarray]]],
-    ) -> int:
-        """Re-admit snapshot entries (the byte budget still applies)."""
-        restored = 0
-        for uri, seq_no, mtime_ns, columns in entries:
-            if self.put(uri, seq_no, mtime_ns, columns):
-                restored += 1
-        # Restores are bookkeeping, not workload: ``admissions`` counts
-        # what queries extracted, ``restored`` what a warm start brought.
-        with self._lock:
-            self.stats.admissions -= restored
-            self.stats.restored += restored
-        return restored
-
     def spill(self, store, *, skip=None) -> int:
         """Persist the cache into a table store's snapshot area.
 
         ``store`` is a :class:`~repro.storage.store.TableStore` or a
         directory path.  ``skip`` is an optional predicate
-        ``(uri, seq_no, mtime_ns, columns) -> bool``; entries it accepts
+        ``(uri, seq_no, info, columns) -> bool``; entries it accepts
         are left out of the snapshot (the lazy warehouse skips entries
         already covered by a promoted segment — persisting the hot set
         twice would only cost checkpoint time and dead cache budget on
-        restore).  Returns the number of entries written.
+        restore).  Entries are written in eviction order, so a restore
+        replays admissions in the same order and reproduces the LRU
+        state.  Returns the number of entries written.
         """
         store = _as_store(store)
-        entries = self.export_entries()
+        with self._lock:
+            entries = [
+                (uri, seq_no, entry.info, dict(entry.columns))
+                for (uri, seq_no), entry in self._entries.items()
+            ]
         if skip is not None:
             entries = [
                 entry for entry in entries
@@ -385,10 +363,31 @@ class ExtractionCache:
         logger.info("spilled %d cache entries to %s", written, store.root)
         return written
 
-    def restore(self, store) -> int:
-        """Warm-start from a snapshot written by :meth:`spill`."""
+    def restore(self, store,
+                version_of: Callable[[str], Optional[FileInfo]]) -> int:
+        """Warm-start from a snapshot written by :meth:`spill`.
+
+        The snapshot persists only each entry's mtime; ``version_of``
+        (the restarted warehouse's ledger,
+        :meth:`repro.etl.metadata.RecordIndex.version`) supplies the full
+        version.  Entries whose stored mtime disagrees with it were
+        extracted from bytes the metadata no longer describes and are
+        skipped.  The byte budget still applies.
+        """
         store = _as_store(store)
-        return self.import_entries(store.load_cache_snapshot())
+        restored = 0
+        for uri, seq_no, mtime_ns, columns in store.load_cache_snapshot():
+            info = version_of(uri)
+            if info is None or info.mtime_ns != mtime_ns:
+                continue
+            if self.put(uri, seq_no, info, columns):
+                restored += 1
+        # Restores are bookkeeping, not workload: ``admissions`` counts
+        # what queries extracted, ``restored`` what a warm start brought.
+        with self._lock:
+            self.stats.admissions -= restored
+            self.stats.restored += restored
+        return restored
 
     def snapshot(self) -> dict:
         """Counters and occupancy as plain data (metrics collectors)."""

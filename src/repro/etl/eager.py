@@ -49,6 +49,8 @@ class EagerETL:
         harvest = harvest_repository(self.repo, self.adapter,
                                      Granularity.RECORD, self.db.oplog)
         self._ddl.load_metadata(harvest)
+        # The ledger of harvested versions: what refresh() diffs against.
+        self._ddl.index.load(harvest)
         samples = self._load_all_data(harvest)
         report = ETLReport(
             strategy="eager",

@@ -48,12 +48,14 @@ class ExternalBinding:
         # and never recyclable: the epoch advances per scan.
         return self.scans
 
-    def fetch(self, keys, needed, time_bounds, trace):  # pragma: no cover
+    def fetch(self, keys, needed, time_bounds, trace,
+              versions):  # pragma: no cover
         raise NotImplementedError("external tables cannot fetch selectively")
 
-    def scan_all(self, needed: list[str],
-                 trace: list[dict]) -> dict[str, Column]:
-        """Harvest + extract the whole repository, every single query."""
+    def scan_all(self, needed: list[str], trace: list[dict],
+                 versions: dict) -> dict[str, Column]:
+        """Harvest + extract the whole repository, every single query
+        (never recyclable, so no ``versions`` to report)."""
         self.scans += 1
         started = time.perf_counter()
         data_cols = [

@@ -9,8 +9,11 @@ plays §3.1-§3.3 out in order:
 1. *identify* — deduplicate the (file, record) pairs the metadata plan
    selected and prune records outside the query's time bounds using the
    record index;
-2. *refresh check* — per file, compare the repository mtime with the cache
-   admission mtime and drop stale entries (§3.3's lazy refresh);
+2. *refresh check* — per file, :meth:`LazyDataBinding.observe`: ``stat``
+   it and compare the ``FileInfo`` (size + mtime) with the version its
+   metadata was harvested from; on mismatch drop what was derived from
+   the old bytes and re-harvest (§3.3's lazy refresh).  A same-size,
+   same-mtime rewrite is invisible — the limit of any stat-based check;
 3. *cache fetch or extract* — per record, either reuse the cached
    transformed columns (the best case: "no ETL process needs to be
    performed") or decompress just the missing records and run the
@@ -34,7 +37,7 @@ import numpy as np
 from repro.db.column import Column
 from repro.db.exec.engine import Database
 from repro.db.table import TableSchema, ForeignKeySpec
-from repro.errors import ExtractionError
+from repro.errors import ExtractionError, RepositoryError
 from repro.etl.cache import ExtractionCache
 from repro.etl.framework import ETLReport, SourceAdapter
 from repro.etl.heat import AccessHeatTracker
@@ -44,9 +47,10 @@ from repro.etl.metadata import (
     RecordIndex,
     RecordMeta,
     WHOLE_FILE_SEQ,
+    harvest_file_at,
     harvest_repository,
 )
-from repro.mseed.repository import Repository
+from repro.mseed.repository import FileInfo, Repository
 from repro.util.oplog import OperationLog
 
 logger = logging.getLogger("repro.etl.lazy")
@@ -55,11 +59,15 @@ logger = logging.getLogger("repro.etl.lazy")
 class LazyDataBinding:
     """The engine-facing half of lazy extraction (a LazyTableBinding).
 
-    ``metadata_refresh`` is invoked when query-time staleness detection
-    finds a file whose content changed: the hook re-harvests that file's
-    metadata so the record index (and the F/R tables) match the new
-    layout before extraction proceeds — "refreshments are handled ...
-    when the data warehouse is queried" (§3).
+    Freshness is one decision, made here: ``index`` is also the ledger
+    of the version each file's metadata was harvested from, and
+    :meth:`observe` (stat → compare with the ledger → react) is the only
+    place staleness is detected, whoever looks first — a query, the
+    promoter or ``sync()``.  The reaction calls ``metadata_refresh``
+    with the file's new ``FileInfo``: the hook re-harvests that file so
+    the record index (and the F/R tables) match the new layout before
+    extraction proceeds — "refreshments are handled ... when the data
+    warehouse is queried" (§3).
 
     Concurrency hooks (installed by
     :class:`~repro.service.service.WarehouseService`, both ``None`` in
@@ -81,7 +89,7 @@ class LazyDataBinding:
     def __init__(self, repo: Repository, adapter: SourceAdapter,
                  index: RecordIndex, cache: ExtractionCache,
                  oplog: OperationLog,
-                 metadata_refresh=None, heat=None) -> None:
+                 metadata_refresh, heat=None) -> None:
         self.repo = repo
         self.adapter = adapter
         self.index = index
@@ -137,6 +145,7 @@ class LazyDataBinding:
         needed: list[str],
         time_bounds: tuple[Optional[int], Optional[int]],
         trace: list[dict],
+        versions: dict,
     ) -> dict[str, Column]:
         """Extract/transform/load exactly the rows the metadata selected."""
         uri_key, seq_key = self.key_columns
@@ -162,7 +171,7 @@ class LazyDataBinding:
             results = self.extract_pool.map_ordered(
                 lambda pair: self._fetch_file(
                     pair[1], sorted(per_file[pair[1]]), data_cols,
-                    time_bounds, local_traces[pair[0]],
+                    time_bounds, local_traces[pair[0]], versions,
                 ),
                 list(enumerate(uris)),
             )
@@ -174,12 +183,12 @@ class LazyDataBinding:
             for uri in uris:
                 pieces.extend(
                     self._fetch_file(uri, sorted(per_file[uri]), data_cols,
-                                     time_bounds, trace)
+                                     time_bounds, trace, versions)
                 )
         return self._assemble(pieces, needed, data_cols)
 
-    def scan_all(self, needed: list[str],
-                 trace: list[dict]) -> dict[str, Column]:
+    def scan_all(self, needed: list[str], trace: list[dict],
+                 versions: dict) -> dict[str, Column]:
         """§3.1 worst case: the required subset is the entire repository."""
         data_cols = [n for n in needed if n not in self.key_columns]
         pieces: list[tuple[str, int, dict[str, np.ndarray], int]] = []
@@ -187,16 +196,74 @@ class LazyDataBinding:
             seq_nos = [span.seq_no for span in self.index.spans(uri)]
             pieces.extend(
                 self._fetch_file(uri, sorted(seq_nos), data_cols,
-                                 (None, None), trace)
+                                 (None, None), trace, versions)
             )
         return self._assemble(pieces, needed, data_cols)
 
     # -- internals --------------------------------------------------------------------
 
+    def observe(self, uri: str, trace: list[dict]) -> FileInfo:
+        """The one observation: stat the file once, compare the whole
+        ``FileInfo`` with the ledger, and on mismatch record a
+        ``refresh`` op in ``trace`` and run :meth:`handle_stale_file`.
+
+        Returns the version everything served from the file by this
+        query is tagged with.  The file's stripe lock serialises the
+        sequence, so two sessions never race the drop-and-refresh.
+        """
+        with self.cache.file_lock(uri):
+            info = self.repo.stat(uri)
+            if not self.index.matches(info):
+                trace.append({"op": "refresh", "file": uri,
+                              "reason": "file changed since its metadata "
+                                        "was harvested"})
+                self.handle_stale_file(info)
+            # Guard, not a second decision: a session that extracted
+            # across a refresh may since have admitted old-version entries.
+            self.cache.validate_file(uri, info)
+        return info
+
+    def is_current(self, info: FileInfo) -> bool:
+        """Whether state derived under an earlier observation may still
+        be used: ``info`` is still the ledger's version and the file (if
+        it has not vanished) still stats to it.  Never reacts — the
+        next :meth:`observe` does."""
+        try:
+            return (self.index.matches(info)
+                    and self.index.matches(self.repo.stat(info.uri)))
+        except (RepositoryError, OSError):
+            return False
+
+    def handle_stale_file(self, info: FileInfo) -> None:
+        """The one reaction to an observed rewrite: drop what was derived
+        from the old bytes, re-harvest at ``info`` (ledger := ``info``).
+
+        Callers hold the file's stripe lock; metadata-table DML is
+        additionally globally serialised through the refresh lock.
+        """
+        logger.info("stale file %s: dropping cache/promoted state and "
+                    "re-harvesting metadata", info.uri)
+        self.drop_derived_state(info.uri)
+        with self._refresh_lock:
+            self.metadata_refresh(info)
+
+    def drop_derived_state(self, uri: str) -> None:
+        """Forget what was derived from a changed or removed file: cache
+        entries, promoted units and heat all carry per-record state of
+        the *old* layout."""
+        if self.metrics is not None:
+            self.metrics.stale_files_total.inc()
+        self.oplog.record("cache", f"stale entries dropped for {uri}")
+        self.cache.invalidate_file(uri)
+        if self.promoted is not None:
+            self.promoted.invalidate_file(uri)
+        if self.heat is not None:
+            self.heat.forget_file(uri)
+
     def _fetch_file(
         self, uri: str, seq_nos: list[int], data_cols: list[str],
         time_bounds: tuple[Optional[int], Optional[int]],
-        trace: list[dict],
+        trace: list[dict], versions: dict,
     ) -> list[tuple[str, int, dict[str, np.ndarray], int]]:
         if not data_cols:
             data_cols = [self._count_column]
@@ -208,37 +275,16 @@ class LazyDataBinding:
         if not kept:
             return []
 
-        # (2) staleness: compare repository mtime with cache admission
-        # mtime.  The cache stripe lock serialises this per file, so two
-        # sessions never race the drop-and-refresh sequence.
-        with self.cache.file_lock(uri):
-            info = self.repo.stat(uri)
-            stale = not self.cache.validate_file(uri, info.mtime_ns)
-            if not stale and self.promoted is not None:
-                # A fully-promoted file may have no cache entries (its
-                # spill is skipped), so the promoted store carries the
-                # staleness sentinel that survives restarts.
-                stale = self.promoted.file_is_stale(uri, info.mtime_ns)
-            if stale:
-                trace.append({"op": "refresh", "file": uri,
-                              "reason": "mtime newer than cache admission"})
-                self.handle_stale_file(uri)
-                if self.metadata_refresh is not None:
-                    live = {span.seq_no for span in self.index.spans(uri)}
-                    dropped = [s for s in kept if s not in live]
-                    if dropped:
-                        trace.append({"op": "refresh", "file": uri,
-                                      "records_gone": len(dropped)})
-                    kept = [s for s in kept if s in live]
-                    if not kept:
-                        return []
+        # (2) staleness: the one observation.
+        info = self.observe(uri, trace)
 
-        # Another session's staleness refresh may have replaced this
-        # file's record layout after OUR metadata sub-plan selected keys:
-        # the live index is the authority on which records still exist.
+        # A refresh — ours just now, or another session's after OUR
+        # metadata sub-plan selected keys — may have replaced the record
+        # layout: the live index is the authority on what still exists.
         kept = self._only_live_records(uri, kept, trace)
         if not kept:
             return []
+        versions[info] = self
 
         # (3) promoted fetch, cache fetch, or extraction — cheapest first:
         # eagerly materialized segments (disk pages through the buffer
@@ -254,8 +300,7 @@ class LazyDataBinding:
             promoted = None
         for seq in kept:
             if promoted is not None:
-                served = promoted.fetch(uri, seq, data_cols,
-                                        info.mtime_ns)
+                served = promoted.fetch(uri, seq, data_cols, info)
                 if served is not None:
                     columns, pages = served
                     eager_hits.append((seq, columns))
@@ -266,6 +311,7 @@ class LazyDataBinding:
                 missing.append(seq)
             else:
                 hits.append((seq, cached))
+        # ``mtime_ns`` in trace entries is for display; nothing parses it.
         if eager_hits:
             trace.append({"op": "promoted_fetch", "file": uri,
                           "records": len(eager_hits),
@@ -283,7 +329,7 @@ class LazyDataBinding:
         if missing:
             try:
                 pieces.extend(self._extract_missing(
-                    uri, missing, data_cols, info.mtime_ns, trace))
+                    uri, missing, data_cols, info, trace))
             except ExtractionError:
                 # A refresh landed between the liveness check and the
                 # extraction (concurrent sessions): retry once against
@@ -292,39 +338,14 @@ class LazyDataBinding:
                 if len(remaining) == len(missing):
                     raise
                 if remaining:
-                    info = self.repo.stat(uri)
+                    info = self.observe(uri, trace)
+                    versions[info] = self
                     pieces.extend(self._extract_missing(
-                        uri, remaining, data_cols, info.mtime_ns, trace))
+                        uri, remaining, data_cols, info, trace))
         self._record_heat(uri, data_cols, eager_hits, hits,
                           pieces[extracted_from:])
         pieces.sort(key=lambda piece: piece[1])
         return pieces
-
-    def handle_stale_file(self, uri: str) -> None:
-        """React to an observed file rewrite (shared by the query path
-        and the background promoter).
-
-        ``ExtractionCache.validate_file`` is a *consuming* check — it
-        drops the file's entries and forgets its admission mtime, so
-        only the caller that saw it return ``False`` knows the file
-        changed.  Whoever consumes the signal must run the full
-        reaction: drop promoted segments and heat (both carry per-record
-        state of the *old* layout) and re-harvest the file's metadata.
-        Callers hold the file's stripe lock; metadata-table DML is
-        additionally globally serialised through the refresh lock.
-        """
-        logger.info("stale file %s: dropping cache/promoted state and "
-                    "re-harvesting metadata", uri)
-        if self.metrics is not None:
-            self.metrics.stale_files_total.inc()
-        self.oplog.record("cache", f"stale entries dropped for {uri}")
-        if self.promoted is not None:
-            self.promoted.invalidate_file(uri)
-        if self.heat is not None:
-            self.heat.forget_file(uri)
-        if self.metadata_refresh is not None:
-            with self._refresh_lock:
-                self.metadata_refresh(uri)
 
     def _record_heat(self, uri: str, data_cols: list[str],
                      eager_hits: list, hits: list,
@@ -376,16 +397,16 @@ class LazyDataBinding:
 
     def _extract_missing(
         self, uri: str, missing: list[int], data_cols: list[str],
-        mtime_ns: int, trace: list[dict],
+        info: FileInfo, trace: list[dict],
     ) -> list[tuple[str, int, dict[str, np.ndarray], int]]:
         if self.coalescer is not None:
             return self._extract_coalesced(uri, missing, data_cols,
-                                           mtime_ns, trace)
-        return self._extract_direct(uri, missing, data_cols, mtime_ns, trace)
+                                           info, trace)
+        return self._extract_direct(uri, missing, data_cols, info, trace)
 
     def _extract_direct(
         self, uri: str, missing: list[int], data_cols: list[str],
-        mtime_ns: int, trace: list[dict], *, protect: bool = False,
+        info: FileInfo, trace: list[dict], *, protect: bool = False,
     ) -> list[tuple[str, int, dict[str, np.ndarray], int]]:
         """Extract ``missing`` records here, admit them, return pieces.
 
@@ -405,7 +426,7 @@ class LazyDataBinding:
             "rows": extracted.total_rows(),
             "seconds": round(elapsed, 4),
             "seq_lo": min(missing), "seq_hi": max(missing),
-            "mtime_ns": mtime_ns,
+            "mtime_ns": info.mtime_ns,
         })
         if self.metrics is not None:
             self.metrics.extract_seconds.observe(elapsed)
@@ -420,13 +441,13 @@ class LazyDataBinding:
         for seq, columns in zip(extracted.seq_nos, extracted.per_record):
             if protect:
                 self.cache.protect(uri, seq)
-            self.cache.put(uri, seq, mtime_ns, columns)
+            self.cache.put(uri, seq, info, columns)
             pieces.append((uri, seq, columns, _rows_of(columns)))
         return pieces
 
     def _extract_coalesced(
         self, uri: str, missing: list[int], data_cols: list[str],
-        mtime_ns: int, trace: list[dict],
+        info: FileInfo, trace: list[dict],
     ) -> list[tuple[str, int, dict[str, np.ndarray], int]]:
         """Single-flight extraction: lead what we claimed, wait for the rest.
 
@@ -434,12 +455,12 @@ class LazyDataBinding:
         another flight while holding unpublished claims — the no-deadlock
         argument in :mod:`repro.service.coalescer`.
         """
-        outcome = self.coalescer.claim(uri, missing, data_cols, mtime_ns)
+        outcome = self.coalescer.claim(uri, missing, data_cols, info)
         pieces: list[tuple[str, int, dict[str, np.ndarray], int]] = []
         if outcome.led_seqs:
             try:
                 led = self._extract_direct(uri, outcome.led_seqs, data_cols,
-                                           mtime_ns, trace, protect=True)
+                                           info, trace, protect=True)
             except BaseException as exc:
                 self.coalescer.publish(uri, outcome.flight, {}, error=exc)
                 raise
@@ -466,14 +487,14 @@ class LazyDataBinding:
                 trace.append({"op": "coalesce_fallback", "file": uri,
                               "records": len(seqs)})
                 pieces.extend(self._extract_direct(uri, seqs, data_cols,
-                                                   mtime_ns, trace))
+                                                   info, trace))
                 continue
             rows = sum(_rows_of(columns) for columns in got.values())
             trace.append({
                 "op": "extract_wait", "file": uri, "records": len(got),
                 "rows": rows, "seconds": round(waited, 4),
                 "seq_lo": min(got), "seq_hi": max(got),
-                "mtime_ns": mtime_ns,
+                "mtime_ns": info.mtime_ns,
             })
             self.oplog.record(
                 "extract",
@@ -626,7 +647,8 @@ class LazyETL:
         """Restart from a checkpoint instead of re-harvesting.
 
         The persisted F/R tables are *attached* (disk-backed, columns
-        fault in lazily) and the record index is rebuilt from R's rows —
+        fault in lazily) and the record index (with its version ledger,
+        from F's ``file_size``/``mtime_ns``) is rebuilt from their rows —
         metadata, cheap by the paper's own argument.  The extraction
         cache restores from its snapshot, so queries that re-visit
         checkpointed records are pure cache hits: zero re-extraction.
@@ -640,8 +662,8 @@ class LazyETL:
         )
         self.create_tables()
         self.db.attach(store)
-        self._rebuild_index_from_records(self.granularity)
-        restored = self.cache.restore(store)
+        self._rebuild_index_from_metadata()
+        restored = self.cache.restore(store, self.index.version)
         self.heat.import_state(store.get_meta("heat_state"))
         self.binding = LazyDataBinding(self.repo, self.adapter, self.index,
                                        self.cache, self.db.oplog,
@@ -683,20 +705,21 @@ class LazyETL:
                              cache_entries=entries)
         return entries
 
-    def _covered_by_promotion(self, uri: str, seq_no: int, mtime_ns: int,
+    def _covered_by_promotion(self, uri: str, seq_no: int, info: FileInfo,
                               columns: dict) -> bool:
         """True when a promoted segment already persists this cache
-        entry (same generation, at least the same columns) — spilling it
-        again would store the hot set twice and restore dead weight."""
+        entry (current generation, at least the same columns) — spilling
+        it again would store the hot set twice and restore dead weight."""
         promoted = None if self.binding is None else self.binding.promoted
         if promoted is None:
             return False
         unit = promoted.unit(uri, seq_no)
-        return (unit is not None and unit.mtime_ns == mtime_ns
+        return (unit is not None and self.index.matches(unit.info)
                 and set(columns) <= set(unit.columns))
 
-    def _rebuild_index_from_records(self, exact_granularity: Granularity) -> None:
-        """Reconstruct the in-memory record index from the R table."""
+    def _rebuild_index_from_metadata(self) -> None:
+        """Reconstruct the in-memory record index, and the ledger of
+        harvested versions, from the R and F tables."""
         records = self.db.catalog.table((self.schema, "records"))
         uris = records.column("file_location").values
         seqs = records.column("seq_no").values
@@ -715,9 +738,15 @@ class LazyETL:
                 frequency=float(freqs[i]),
                 sample_count=int(counts[i]),
             ))
-        exact = exact_granularity is Granularity.RECORD
-        for uri, metas in per_file.items():
-            self.index.replace_file(uri, metas, exact=exact)
+        exact = self.granularity is Granularity.RECORD
+        files = self.db.catalog.table((self.schema, "files"))
+        for uri, size, mtime_ns in zip(
+                files.column("file_location").values,
+                files.column("file_size").values,
+                files.column("mtime_ns").values):
+            info = FileInfo(str(uri), int(size), int(mtime_ns))
+            self.index.replace_file(info, per_file.get(info.uri, []),
+                                    exact=exact)
 
     def initial_load(self) -> LazySetup:
         """The paper's instant-on bootstrap: load metadata, bind D lazily."""
@@ -765,29 +794,18 @@ class LazyETL:
 
     # -- single-file metadata maintenance ---------------------------------------
 
-    def harvest_single(self, info) -> tuple[list[dict], list[dict]]:
+    def harvest_single(self, info: FileInfo
+                       ) -> tuple[list[dict], list[dict]]:
         """Harvest one file at the configured granularity.
 
-        Updates the record index and returns the (F rows, R rows) to
-        insert.  Shared by the query-time staleness hook and the explicit
+        Updates the record index (and its ledger: the file's version is
+        now ``info``) and returns the (F rows, R rows) to insert.  Shared by the query-time staleness hook and the explicit
         metadata sync.
         """
-        from repro.etl.metadata import _pseudo_record
-
-        if self.granularity is Granularity.FILENAME:
-            meta = self.adapter.harvest_from_filename(info)
-            if meta is None:
-                meta, records = self.adapter.harvest_file(
-                    self.repo, info, per_record=False)
-            else:
-                records = [_pseudo_record(meta)]
-        else:
-            meta, records = self.adapter.harvest_file(
-                self.repo, info,
-                per_record=self.granularity is Granularity.RECORD,
-            )
+        meta, records, _opened = harvest_file_at(
+            self.repo, self.adapter, info, self.granularity)
         self.index.replace_file(
-            info.uri, records,
+            info, records,
             exact=self.granularity is Granularity.RECORD,
         )
         return ([self.adapter.file_row(meta)],
@@ -804,18 +822,20 @@ class LazyETL:
             f"WHERE file_location = '{escaped}'"
         )
 
-    def refresh_file_metadata(self, uri: str) -> None:
-        """Re-harvest one changed file's F/R rows and record index."""
-        info = self.repo.stat(uri)
-        self.delete_file_metadata(uri)
+    def refresh_file_metadata(self, info: FileInfo) -> None:
+        """Re-harvest one changed file's F/R rows and record index at
+        version ``info``.  Harvesting comes first: an unreadable (torn)
+        file raises with the old metadata, and the ledger, untouched."""
         file_rows, record_rows = self.harvest_single(info)
+        self.delete_file_metadata(info.uri)
         if file_rows:
             self.db.bulk_insert((self.schema, "files"),
                                 _columnar(file_rows), enforce_keys=True)
         if record_rows:
             self.db.bulk_insert((self.schema, "records"),
                                 _columnar(record_rows), enforce_keys=True)
-        self.db.oplog.record("refresh", f"metadata refreshed for {uri}",
+        self.db.oplog.record("refresh",
+                             f"metadata refreshed for {info.uri}",
                              records=len(record_rows))
 
 

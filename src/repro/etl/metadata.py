@@ -23,7 +23,7 @@ from typing import Optional
 
 from repro.errors import MSeedError
 from repro.etl.framework import SourceAdapter
-from repro.mseed.repository import Repository
+from repro.mseed.repository import FileInfo, Repository
 from repro.util.oplog import OperationLog
 
 WHOLE_FILE_SEQ = 0
@@ -103,23 +103,8 @@ def harvest_repository(
     reads_before = repo.bytes_read
     for info in repo.list_files():
         try:
-            if granularity is Granularity.FILENAME:
-                meta = adapter.harvest_from_filename(info)
-                if meta is None:
-                    # Fall back to opening the header — a foreign file name.
-                    meta, records = adapter.harvest_file(repo, info,
-                                                         per_record=False)
-                    result.files_opened += 1
-                else:
-                    records = [_pseudo_record(meta)]
-            elif granularity is Granularity.FILE:
-                meta, records = adapter.harvest_file(repo, info,
-                                                     per_record=False)
-                result.files_opened += 1
-            else:
-                meta, records = adapter.harvest_file(repo, info,
-                                                     per_record=True)
-                result.files_opened += 1
+            meta, records, opened = harvest_file_at(repo, adapter, info,
+                                                    granularity)
         except MSeedError as exc:
             if strict:
                 raise
@@ -128,6 +113,7 @@ def harvest_repository(
                 oplog.record("harvest", f"skipped corrupt file {info.uri}",
                              error=str(exc)[:80])
             continue
+        result.files_opened += opened
         result.files.append(meta)
         result.records.extend(records)
         if oplog is not None:
@@ -138,6 +124,21 @@ def harvest_repository(
     result.bytes_read = repo.bytes_read - reads_before
     result.seconds = time.perf_counter() - started
     return result
+
+
+def harvest_file_at(
+    repo: Repository, adapter: SourceAdapter, info: FileInfo,
+    granularity: Granularity,
+) -> tuple[FileMeta, list[RecordMeta], bool]:
+    """Harvest one file: ``(F row, R rows, whether it was opened)``."""
+    if granularity is Granularity.FILENAME:
+        meta = adapter.harvest_from_filename(info)
+        if meta is not None:
+            return meta, [_pseudo_record(meta)], False
+        # A foreign file name: fall back to opening the header.
+    meta, records = adapter.harvest_file(
+        repo, info, per_record=granularity is Granularity.RECORD)
+    return meta, records, True
 
 
 def _pseudo_record(meta: FileMeta) -> RecordMeta:
@@ -169,11 +170,21 @@ class RecordIndex:
     file overlap the query's time bounds, and what a file's full record
     list is.  It is built from the initial harvest and maintained by
     :class:`repro.etl.refresh.MetadataSync`.
+
+    It is also the warehouse's **freshness ledger**: per file, the
+    :class:`~repro.mseed.repository.FileInfo` (size + mtime) its rows
+    were harvested from — the in-memory mirror of the files table's
+    ``file_size``/``mtime_ns`` columns, updated at exactly the points
+    metadata enters or leaves.  "Which version of this file does the
+    warehouse believe in" has this one answer; everything derived from a
+    file (cache entries, promoted units, recycled intermediates) is
+    good iff it was derived under :meth:`version`.
     """
 
     def __init__(self) -> None:
         self._by_file: dict[str, list[RecordSpan]] = {}
         self._exact: dict[str, bool] = {}
+        self._versions: dict[str, FileInfo] = {}
 
     def load(self, result: HarvestResult) -> None:
         for record in result.records:
@@ -182,6 +193,8 @@ class RecordIndex:
             self._exact[meta.uri] = (
                 result.granularity is Granularity.RECORD
             )
+            self._versions[meta.uri] = FileInfo(meta.uri, meta.size,
+                                                meta.mtime_ns)
 
     def add_record(self, record: RecordMeta) -> None:
         self._by_file.setdefault(record.uri, []).append(
@@ -193,19 +206,33 @@ class RecordIndex:
             )
         )
 
-    def replace_file(self, uri: str, records: list[RecordMeta],
+    def replace_file(self, info: FileInfo, records: list[RecordMeta],
                      exact: bool) -> None:
-        self._by_file[uri] = []
+        """Install one file's records, harvested from version ``info``."""
+        self._by_file[info.uri] = []
         for record in records:
             self.add_record(record)
-        self._exact[uri] = exact
+        self._exact[info.uri] = exact
+        self._versions[info.uri] = info
 
     def drop_file(self, uri: str) -> None:
         self._by_file.pop(uri, None)
         self._exact.pop(uri, None)
+        self._versions.pop(uri, None)
+
+    def version(self, uri: str) -> Optional[FileInfo]:
+        """The version ``uri``'s metadata was harvested from."""
+        return self._versions.get(uri)
+
+    def matches(self, info: FileInfo) -> bool:
+        """The one freshness predicate: is ``info`` the version this
+        file's metadata was harvested from?  Whole-``FileInfo`` equality,
+        so a same-mtime rewrite that changed the size is still seen; a
+        same-size, same-mtime rewrite is invisible to any stat check."""
+        return self._versions.get(info.uri) == info
 
     def files(self) -> list[str]:
-        return sorted(self._by_file)
+        return sorted(self._versions)
 
     def spans(self, uri: str) -> list[RecordSpan]:
         return self._by_file.get(uri, [])

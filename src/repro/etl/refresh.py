@@ -4,12 +4,17 @@ The paper claims Lazy ETL "makes updating and extending a warehouse with
 modified and additional files more efficient" (§1).  Two halves implement
 that:
 
-* query-time staleness handling lives in the extraction cache
-  (:meth:`repro.etl.cache.ExtractionCache.validate_file`) — updated files
-  are re-extracted transparently "when the data warehouse is queried";
+* query-time staleness handling is the lazy binding's one observation
+  (:meth:`repro.etl.lazy.LazyDataBinding.observe`) — updated files are
+  re-harvested and re-extracted transparently "when the data warehouse
+  is queried";
 * :class:`MetadataSync` here keeps the *metadata* tables aligned with the
   repository: new files gain F/R rows, modified files are re-harvested,
-  vanished files are dropped.  Only changed files are touched.
+  vanished files are dropped.  Only changed files are touched.  It asks
+  the same ledger the same question (is the listed ``FileInfo`` the
+  version the metadata was harvested from?) and drops derived state
+  through the same step, so a rewrite is reacted to once, whoever sees
+  it first.
 
 For the eager baseline, :class:`EagerRefresh` must additionally re-extract
 every changed file's actual data — the cost experiment E6 measures.
@@ -50,11 +55,13 @@ class MetadataSync:
     def __init__(self, lazy: LazyETL) -> None:
         self.lazy = lazy
 
-    def _known_mtimes(self) -> dict[str, int]:
-        result = self.lazy.db.query(
-            f"SELECT file_location, mtime_ns FROM {self.lazy.files_table}"
-        )
-        return {uri: mtime for uri, mtime in result.rows()}
+    def _forget(self, uri: str) -> None:
+        """A changed or removed file: drop what was derived from it and
+        its F/R rows (the eager pipeline's DDL helper has no binding —
+        nothing is derived lazily there)."""
+        if self.lazy.binding is not None:
+            self.lazy.binding.drop_derived_state(uri)
+        self.lazy.delete_file_metadata(uri)
 
     def _harvest_or_none(self, info):
         """Harvest one file, or ``None`` if it vanished since the scan.
@@ -88,38 +95,35 @@ class MetadataSync:
         """One incremental pass; touches only changed files."""
         started = time.perf_counter()
         report = SyncReport()
-        known = self._known_mtimes()
+        index = self.lazy.index
         current = {info.uri: info for info in self.lazy.repo.list_files()}
 
         file_rows: list[dict] = []
         record_rows: list[dict] = []
         for uri, info in current.items():
-            if uri not in known:
-                rows = self._harvest_or_none(info)
-                if rows is None:
-                    # Vanished between the scan and the harvest: never
-                    # entered the warehouse, nothing to roll back.
-                    continue
-                file_rows.extend(rows[0])
-                record_rows.extend(rows[1])
-                report.added.append(uri)
-            elif known[uri] != info.mtime_ns:
-                self.lazy.delete_file_metadata(uri)
-                self.lazy.cache.invalidate_file(uri)
-                rows = self._harvest_or_none(info)
-                if rows is None:
-                    # Vanished mid-sync: the metadata is already deleted,
-                    # so finish the removal instead of re-adding it.
-                    self.lazy.index.drop_file(uri)
+            if index.matches(info):
+                continue
+            known = index.version(uri) is not None
+            if known:
+                self._forget(uri)
+            rows = self._harvest_or_none(info)
+            if rows is None:
+                # Vanished since the scan.  A new file never entered the
+                # warehouse — nothing to roll back; a known one's
+                # metadata is already deleted, so finish the removal
+                # instead of re-adding it.
+                if known:
+                    index.drop_file(uri)
                     report.removed.append(uri)
-                    continue
-                file_rows.extend(rows[0])
-                record_rows.extend(rows[1])
-                report.updated.append(uri)
-        for uri in set(known) - set(current):
-            self.lazy.delete_file_metadata(uri)
-            self.lazy.cache.invalidate_file(uri)
-            self.lazy.index.drop_file(uri)
+                continue
+            file_rows.extend(rows[0])
+            record_rows.extend(rows[1])
+            (report.updated if known else report.added).append(uri)
+        for uri in index.files():
+            if uri in current:
+                continue
+            self._forget(uri)
+            index.drop_file(uri)
             report.removed.append(uri)
 
         if file_rows:

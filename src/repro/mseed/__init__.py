@@ -25,7 +25,7 @@ from repro.mseed.files import (
     write_mseed_file,
     file_time_span,
 )
-from repro.mseed.repository import Repository, FileInfo, SimulatedRemoteRepository
+from repro.mseed.repository import Repository, FileInfo
 from repro.mseed.synthesize import (
     SeismicEvent,
     WaveformSynthesizer,
@@ -45,7 +45,6 @@ __all__ = [
     "file_time_span",
     "Repository",
     "FileInfo",
-    "SimulatedRemoteRepository",
     "SeismicEvent",
     "WaveformSynthesizer",
     "RepositoryBuilder",

@@ -3,18 +3,15 @@
 The source datastore in the paper is "a repository containing files in
 mSEED format" — millions of them behind FTP in the real deployments.  The
 ETL layer never touches the filesystem directly; it goes through
-:class:`Repository`, which provides listing, stat (mtime drives the lazy
-refresh rule) and read access, and counts I/O so tests can assert that a
+:class:`Repository`, which provides listing, stat (the returned
+:class:`FileInfo` — size + mtime — drives the lazy refresh rule) and read
+access, and counts I/O so tests can assert that a
 cache hit performs **zero** file reads.
-
-:class:`SimulatedRemoteRepository` wraps any repository with access latency
-and bandwidth limits, standing in for the FTP archives of [15].
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -142,35 +139,3 @@ class Repository:
 
     def __repr__(self) -> str:
         return f"Repository({str(self.root)!r})"
-
-
-class SimulatedRemoteRepository(Repository):
-    """A repository with injected access latency, standing in for FTP.
-
-    Every ``open``/``stat`` pays ``latency_s``; reads additionally pay
-    ``size / bandwidth_bytes_per_s``.  Models the paper's remote ORFEUS
-    archives, where eager ETL must first pull every file over the wire.
-    """
-
-    def __init__(self, root: str | os.PathLike, *, latency_s: float = 0.002,
-                 bandwidth_bytes_per_s: float = 20e6,
-                 extension: str = ".mseed") -> None:
-        super().__init__(root, extension=extension)
-        self.latency_s = latency_s
-        self.bandwidth_bytes_per_s = bandwidth_bytes_per_s
-
-    def _delay(self, nbytes: int = 0) -> None:
-        pause = self.latency_s + nbytes / self.bandwidth_bytes_per_s
-        if pause > 0:
-            time.sleep(pause)
-
-    def stat(self, uri: str) -> FileInfo:
-        self._delay()
-        return super().stat(uri)
-
-    def open(self, uri: str):
-        path = self.path_of(uri)
-        self._delay(path.stat().st_size)
-        self.reads += 1
-        self.bytes_read += path.stat().st_size
-        return open(path, "rb")

@@ -223,7 +223,7 @@ def install_warehouse_system_tables(warehouse) -> None:
                 rows.append({"uri": uri, "seq_no": seq,
                              "segment": unit.segment, "rows": unit.rows,
                              "columns": len(unit.columns),
-                             "mtime_ns": unit.mtime_ns})
+                             "mtime_ns": unit.info.mtime_ns})
         return rows_to_columns(rows, PROMOTED_COLUMNS)
 
     def segments() -> dict:

@@ -182,7 +182,8 @@ class SeismicWarehouse:
             return
         from repro.storage.promoted import PromotedStore
 
-        binding.promoted = PromotedStore(self.store)
+        binding.promoted = PromotedStore(self.store,
+                                         self.pipeline.index.version)
 
     def _wire_observability(self) -> None:
         """Attach extraction instruments and the warehouse collector.

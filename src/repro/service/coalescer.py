@@ -8,11 +8,13 @@ records (tiny budget, eviction storm): results travel through the flight
 object itself, not the cache.
 
 Claims are **record-grain**: a flight key is ``(uri, seq_no, column
-signature, file mtime)``, so two queries that overlap on some records of
-a file coalesce on the overlap and extract their private remainders
-independently.  The mtime is the file *generation*: a session that has
-observed a rewrite claims under the new mtime and can never be handed
-rows from a flight that is still extracting the old content.  One
+signature, file version)``, so two queries that overlap on some records
+of a file coalesce on the overlap and extract their private remainders
+independently.  The version — the ``FileInfo`` (size + mtime) the
+session's one observation of the file returned — is the file
+*generation*: a session that has observed a rewrite claims under the new
+version and can never be handed rows from a flight that is still
+extracting the old content.  One
 :meth:`ExtractionCoalescer.claim` call groups all records it wins the
 lead for into a single :class:`ExtractionFlight`, so the leader still
 extracts its records in one adapter call per file.
@@ -29,7 +31,9 @@ from typing import Optional
 
 import numpy as np
 
-FlightKey = tuple[str, int, tuple[str, ...], int]
+from repro.mseed.repository import FileInfo
+
+FlightKey = tuple[str, int, tuple[str, ...], Optional[FileInfo]]
 
 STRIPE_COUNT = 16
 
@@ -95,13 +99,13 @@ class ExtractionCoalescer:
     # -- claiming ----------------------------------------------------------------
 
     def claim(self, uri: str, seq_nos: list[int], columns: list[str],
-              mtime_ns: int = 0) -> ClaimOutcome:
+              info: Optional[FileInfo] = None) -> ClaimOutcome:
         """Partition ``seq_nos`` into records this caller leads vs waits on.
 
         Atomic per URI stripe: every record is either registered under a
         fresh flight owned by this caller (the caller MUST later
         :meth:`publish` that flight) or attached to another session's
-        flight already in progress.  ``mtime_ns`` is the file generation
+        flight already in progress.  ``info`` is the file generation
         the caller observed — claims against different generations never
         coalesce.
         """
@@ -111,7 +115,7 @@ class ExtractionCoalescer:
         with self._stripes[stripe]:
             table = self._tables[stripe]
             for seq in seq_nos:
-                key = (uri, seq, colsig, mtime_ns)
+                key = (uri, seq, colsig, info)
                 flight = table.get(key)
                 if flight is None:
                     if outcome.flight is None:

@@ -191,38 +191,29 @@ class Promoter:
 
     def _gather_file(self, uri: str, wanted: dict[int, set],
                      report: PromotionReport) -> list:
-        """Collect ``(uri, seq, mtime_ns, columns)`` for one file's units.
+        """Collect ``(uri, seq, info, columns)`` for one file's units.
 
-        The cache stripe lock covers only the validate + cache-read
-        steps, mirroring the query path — holding it across a background
-        extraction would stall concurrent queries on the very component
-        meant to take work *off* the query path.  Extraction runs outside
-        the lock (coalesced with any concurrent query needing the same
-        records), and the file's generation is re-checked afterwards: if
-        the mtime moved mid-gather the whole file is skipped, so a
-        promoted unit can never pair new content with an old mtime or
-        vice versa.  A stale or vanished file is always *skipped* — the
-        query path owns metadata refresh, promotion waits for the next
-        cycle.
+        The cache stripe lock covers only the observe + cache-read
+        steps — holding it across a background extraction would stall
+        concurrent queries on the very component meant to take work
+        *off* the query path.  Extraction runs outside the lock
+        (coalesced with any concurrent query needing the same records),
+        and the file's version is re-checked afterwards: if it moved
+        mid-gather the whole file is skipped, so a promoted unit can
+        never pair new content with an old version or vice versa.  A
+        file observed stale here gets the binding's full reaction like
+        anywhere else, and is then *skipped* — ``wanted`` names records
+        of the old layout; promotion waits for the next cycle.
         """
         binding = self.binding
         union_cols = sorted(set().union(*wanted.values()))
         entries: list = []
         missing: list[int] = []
-        from_cache = extracted = 0  # folded in only when the file succeeds
         try:
             with binding.cache.file_lock(uri):
-                info = binding.repo.stat(uri)
-                stale = not binding.cache.validate_file(uri, info.mtime_ns)
-                if not stale and binding.promoted is not None:
-                    stale = binding.promoted.file_is_stale(uri,
-                                                          info.mtime_ns)
-                if stale:
-                    # validate_file is a consuming check: having observed
-                    # the rewrite, we must run the full stale reaction
-                    # (metadata refresh, promoted/heat invalidation) or
-                    # the next query would never learn the file changed.
-                    binding.handle_stale_file(uri)
+                trace: list[dict] = []
+                info = binding.observe(uri, trace)
+                if trace:  # the rewrite was first seen (and handled) here
                     report.skipped_files += 1
                     return []
                 live = {span.seq_no for span in binding.index.spans(uri)}
@@ -233,19 +224,18 @@ class Promoter:
                     if cached is None:
                         missing.append(seq)
                     else:
-                        entries.append((uri, seq, info.mtime_ns, cached))
-                        from_cache += 1
+                        entries.append((uri, seq, info, cached))
+            from_cache = len(entries)
             if missing:
                 pieces = binding._extract_missing(
-                    uri, missing, union_cols, info.mtime_ns, trace=[])
-                if binding.repo.stat(uri).mtime_ns != info.mtime_ns:
+                    uri, missing, union_cols, info, trace=[])
+                if not binding.is_current(info):
                     # The file was rewritten while we extracted: nothing
                     # gathered for it is trustworthy this cycle.
                     report.skipped_files += 1
                     return []
-                for _uri, seq, columns, _rows in pieces:
-                    entries.append((uri, seq, info.mtime_ns, columns))
-                    extracted += 1
+                entries.extend((uri, seq, info, columns)
+                               for _uri, seq, columns, _rows in pieces)
         except (OSError, ExtractionError, MSeedError, StorageError):
             # Vanished / concurrently rewritten file: the query path's
             # staleness handling is the authority; drop our stale heat.
@@ -253,7 +243,7 @@ class Promoter:
             report.skipped_files += 1
             return []
         report.from_cache_units += from_cache
-        report.extracted_units += extracted
+        report.extracted_units += len(entries) - from_cache
         return entries
 
     def _gc_empty_segments(self, report: PromotionReport) -> None:

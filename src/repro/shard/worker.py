@@ -116,6 +116,7 @@ class _ShardServer:
             list(message["data_cols"]),
             (None, None),
             trace,
+            {},  # versions: the parent observes (and pins) the file itself
         )
         rows = sum(piece_rows for _u, _s, _c, piece_rows in pieces)
         payload = encode_pieces(

@@ -14,8 +14,10 @@ re-running extraction and transformation against the source file.
   and registers them in the store manifest (area ``promoted``), so they
   survive restarts exactly like checkpointed tables;
 * **serve** — :meth:`fetch` returns a unit's columns if the segment
-  covers the needed column set *and* the unit's admission mtime still
-  matches the source file (staleness falls back to the lazy path);
+  covers the needed column set *and* the unit was promoted under the
+  :class:`~repro.mseed.repository.FileInfo` the query is running under
+  (a guard — whether a file is stale is decided once, by
+  :meth:`repro.etl.lazy.LazyDataBinding.observe`);
 * **demote** — :meth:`drop_segment` removes a whole segment (the
   demotion grain: segments are immutable, so cold data is reclaimed by
   dropping files, never rewritten).
@@ -32,11 +34,12 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from repro.errors import StorageError
+from repro.mseed.repository import FileInfo
 from repro.storage.segment import IOCounter, SegmentReader
 from repro.storage.store import TableStore
 
@@ -47,7 +50,7 @@ class PromotedUnit:
 
     uri: str
     seq_no: int
-    mtime_ns: int                  # source-file mtime at promotion
+    info: FileInfo                 # source-file version at promotion
     segment: str                   # segment file name inside the store
     columns: dict[str, str]        # column name -> segment slot name
     rows: int
@@ -66,40 +69,51 @@ class PromotedStats:
 class PromotedStore:
     """Index + I/O for promoted segments inside one :class:`TableStore`."""
 
-    def __init__(self, store: TableStore) -> None:
+    def __init__(self, store: TableStore,
+                 version_of: Callable[[str], Optional[FileInfo]]) -> None:
+        """``version_of`` is the warehouse's ledger
+        (:meth:`repro.etl.metadata.RecordIndex.version`): the manifest
+        persists only each unit's mtime, the ledger supplies the rest."""
         self.store = store
         self._units: dict[tuple[str, int], PromotedUnit] = {}
         self._segments: dict[str, list[tuple[str, int]]] = {}
-        # Per-file views: which seq_nos are promoted, and the source
-        # file's mtime at promotion.  The mtime doubles as the
-        # warm-start staleness sentinel for fully-promoted files, whose
-        # cache entries are deliberately not spilled (see
-        # LazyETL._covered_by_promotion) — without it, a rewrite across
-        # a restart would never trigger the metadata refresh.
+        # Per-file view: which seq_nos are promoted.
         self._by_uri: dict[str, set[int]] = {}
-        self._file_mtime: dict[str, int] = {}
         self._readers: dict[str, SegmentReader] = {}
         self._lock = threading.RLock()
         # Serialises whole promote/demote cycles (manifest commits are
         # not safe to interleave from two promoters).
         self.mutate_lock = threading.Lock()
         self.stats = PromotedStats()
-        self._load_index()
+        self._load_index(version_of)
 
-    def _load_index(self) -> None:
+    def _load_index(self, version_of) -> None:
+        """Mount the manifest's units, skipping those promoted from
+        bytes the metadata no longer describes (invalidation is
+        in-memory, so a checkpoint taken after a rewrite still lists
+        them; the promoter's GC reclaims their segments)."""
         for segment, entries in self.store.promoted_segments().items():
-            keys: list[tuple[str, int]] = []
+            keys = self._segments[segment] = []
             for entry in entries:
-                unit = PromotedUnit(
-                    uri=entry["uri"], seq_no=int(entry["seq_no"]),
-                    mtime_ns=int(entry["mtime_ns"]), segment=segment,
-                    columns=dict(entry["columns"]), rows=int(entry["rows"]),
-                )
-                self._units[(unit.uri, unit.seq_no)] = unit
-                self._by_uri.setdefault(unit.uri, set()).add(unit.seq_no)
-                self._file_mtime[unit.uri] = unit.mtime_ns
-                keys.append((unit.uri, unit.seq_no))
-            self._segments[segment] = keys
+                info = version_of(entry["uri"])
+                if info is not None \
+                        and info.mtime_ns == int(entry["mtime_ns"]):
+                    keys.append(self._mount_locked(entry, info, segment))
+
+    def _mount_locked(self, entry: dict, info: FileInfo,
+                      segment: str) -> tuple[str, int]:
+        """Index one manifest directory entry; a unit already mounted
+        from an older segment (re-promotion) yields to this copy."""
+        unit = PromotedUnit(
+            uri=entry["uri"], seq_no=int(entry["seq_no"]),
+            info=info, segment=segment,
+            columns=dict(entry["columns"]), rows=int(entry["rows"]),
+        )
+        key = (unit.uri, unit.seq_no)
+        self._drop_unit_locked(key)
+        self._units[key] = unit
+        self._by_uri.setdefault(unit.uri, set()).add(unit.seq_no)
+        return key
 
     # -- introspection -----------------------------------------------------------
 
@@ -143,15 +157,16 @@ class PromotedStore:
     # -- serving -----------------------------------------------------------------
 
     def fetch(self, uri: str, seq_no: int, needed: Iterable[str],
-              current_mtime_ns: int
+              info: FileInfo
               ) -> Optional[tuple[dict[str, np.ndarray], int]]:
         """Serve one unit's columns from its promoted segment.
 
         Returns ``(columns, pages_read)`` or ``None`` when the unit is
-        not promoted, does not cover ``needed``, or is stale (the source
-        file changed since promotion — the unit is dropped from the index
-        so the lazy path re-extracts, and the next promoter cycle
-        reclaims the segment if nothing live remains in it).
+        not promoted, does not cover ``needed``, or was promoted under a
+        version other than ``info``, the one the query runs under (the
+        unit is dropped from the index so the lazy path re-extracts, and
+        the next promoter cycle reclaims the segment if nothing live
+        remains in it).
         """
         needed = list(needed)
         with self._lock:
@@ -160,7 +175,7 @@ class PromotedStore:
             if unit is None or any(col not in unit.columns for col in needed):
                 self.stats.misses += 1
                 return None
-            if unit.mtime_ns != current_mtime_ns:
+            if unit.info != info:
                 self._drop_unit_locked((uri, seq_no))
                 self.stats.stale_drops += 1
                 self.stats.misses += 1
@@ -190,18 +205,6 @@ class PromotedStore:
         with self._lock:
             return uri in self._by_uri
 
-    def file_is_stale(self, uri: str, current_mtime_ns: int) -> bool:
-        """Whether the file changed since its units were promoted.
-
-        The query path consults this alongside the extraction cache's
-        ``validate_file``: for a fully-promoted file the cache may hold
-        no entries (none were spilled), so this is the only staleness
-        sentinel that survives a restart.
-        """
-        with self._lock:
-            known = self._file_mtime.get(uri)
-            return known is not None and known != current_mtime_ns
-
     def invalidate_file(self, uri: str) -> int:
         """Stop serving every unit of a changed file (in-memory only;
         the next promoter cycle garbage-collects emptied segments)."""
@@ -227,7 +230,6 @@ class PromotedStore:
             seqs.discard(key[1])
             if not seqs:
                 del self._by_uri[key[0]]
-                self._file_mtime.pop(key[0], None)
 
     def _reader_locked(self, segment: str) -> SegmentReader:
         reader = self._readers.get(segment)
@@ -242,10 +244,10 @@ class PromotedStore:
 
     def promote_batch(
         self,
-        entries: list[tuple[str, int, int, dict[str, np.ndarray]]],
+        entries: list[tuple[str, int, FileInfo, dict[str, np.ndarray]]],
         *, commit: bool = True,
     ) -> Optional[str]:
-        """Write one segment of ``(uri, seq_no, mtime_ns, columns)`` units.
+        """Write one segment of ``(uri, seq_no, info, columns)`` units.
 
         Already-promoted units are re-promoted in the new segment (the
         fresh entry wins in the index; the old segment's copy becomes
@@ -258,19 +260,11 @@ class PromotedStore:
         segment, directory = self.store.save_promoted_segment(
             entries, commit=commit)
         with self._lock:
-            keys: list[tuple[str, int]] = []
-            for entry in directory:
-                unit = PromotedUnit(
-                    uri=entry["uri"], seq_no=int(entry["seq_no"]),
-                    mtime_ns=int(entry["mtime_ns"]), segment=segment,
-                    columns=dict(entry["columns"]), rows=int(entry["rows"]),
-                )
-                key = (unit.uri, unit.seq_no)
-                self._drop_unit_locked(key)  # re-promotion: new copy wins
-                self._units[key] = unit
-                self._by_uri.setdefault(unit.uri, set()).add(unit.seq_no)
-                self._file_mtime[unit.uri] = unit.mtime_ns
-                keys.append(key)
+            keys = [
+                self._mount_locked(entry, info, segment)
+                for (_uri, _seq, info, _cols), entry in zip(entries,
+                                                            directory)
+            ]
             self._segments[segment] = keys
             self.stats.promoted_units += len(keys)
         return segment

@@ -33,6 +33,7 @@ import numpy as np
 from repro.db.column import Column
 from repro.db.table import ColumnSpec, ForeignKeySpec, Table, TableSchema
 from repro.errors import StorageError
+from repro.mseed.repository import FileInfo
 from repro.storage import format as fmt
 from repro.storage.bufferpool import BufferPool
 from repro.storage.segment import SegmentReader, SegmentWriter
@@ -341,16 +342,18 @@ class TableStore:
     def _write_entry_segment(
         self,
         prefix: str,
-        entries: Iterable[tuple[str, int, int, dict[str, np.ndarray]]],
+        entries: Iterable[tuple[str, int, FileInfo, dict[str, np.ndarray]]],
     ) -> tuple[Optional[str], list[dict]]:
         """Write one segment of per-unit arrays; shared by cache
         snapshots and promoted segments so the two encodings can never
         drift apart.
 
-        ``entries`` yields ``(uri, seq_no, mtime_ns, columns)``; each
+        ``entries`` yields ``(uri, seq_no, info, columns)``; each
         column array becomes one slot named ``<index>/<column>``,
         written as a single page — a unit read always wants the whole
-        array, never a page subset.
+        array, never a page subset.  Of the version ``info`` only the
+        mtime is persisted (the manifest shape predates the ledger):
+        readers pair it with the files table's version on reopen.
         Returns ``(segment file, directory)``; an empty input aborts the
         writer and returns ``(None, [])``.  Callers hold ``_mutate``.
         """
@@ -360,7 +363,7 @@ class TableStore:
                                uniform=False)
         directory: list[dict] = []
         try:
-            for count, (uri, seq_no, mtime_ns, columns) in enumerate(entries):
+            for count, (uri, seq_no, info, columns) in enumerate(entries):
                 slot_columns = {}
                 rows = 0
                 for name, values in columns.items():
@@ -374,7 +377,7 @@ class TableStore:
                     )
                     slot_columns[name] = slot
                 directory.append({"uri": uri, "seq_no": seq_no,
-                                  "mtime_ns": mtime_ns,
+                                  "mtime_ns": info.mtime_ns,
                                   "columns": slot_columns, "rows": rows})
             if not directory:
                 writer.abort()
@@ -392,12 +395,12 @@ class TableStore:
 
     def save_cache_snapshot(
         self,
-        entries: Iterable[tuple[str, int, int, dict[str, np.ndarray]]],
+        entries: Iterable[tuple[str, int, FileInfo, dict[str, np.ndarray]]],
         *, commit: bool = True,
     ) -> int:
         """Persist extraction-cache entries.
 
-        ``entries`` yields ``(uri, seq_no, mtime_ns, columns)``; array
+        ``entries`` yields ``(uri, seq_no, info, columns)``; array
         payloads go into one segment (reusing the page codecs — sample
         data compresses like any other int64 column), entry keys into
         the manifest.
@@ -419,7 +422,8 @@ class TableStore:
     def load_cache_snapshot(
         self,
     ) -> list[tuple[str, int, int, dict[str, np.ndarray]]]:
-        """Read back the snapshot written by :meth:`save_cache_snapshot`.
+        """Read back the snapshot written by :meth:`save_cache_snapshot`
+        as ``(uri, seq_no, persisted mtime_ns, columns)`` rows.
 
         Stores checkpointed before the eviction policy became a constant
         carry a ``"cost"`` key per entry; it is ignored.
@@ -453,12 +457,12 @@ class TableStore:
 
     def save_promoted_segment(
         self,
-        entries: Iterable[tuple[str, int, int, dict[str, np.ndarray]]],
+        entries: Iterable[tuple[str, int, FileInfo, dict[str, np.ndarray]]],
         *, commit: bool = True,
     ) -> tuple[str, list[dict]]:
         """Persist one batch of promoted units as an immutable segment.
 
-        ``entries`` yields ``(uri, seq_no, mtime_ns, columns)``; the
+        ``entries`` yields ``(uri, seq_no, info, columns)``; the
         transformed arrays reuse the table page codecs, the unit
         directory lands in the manifest's ``promoted`` area.  Returns
         the segment file name and its directory entries.

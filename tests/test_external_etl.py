@@ -56,7 +56,7 @@ def test_external_binding_has_no_keys(external_wh):
     assert binding.key_columns == ()
     assert binding.range_column is None
     with pytest.raises(NotImplementedError):
-        binding.fetch({}, [], (None, None), [])
+        binding.fetch({}, [], (None, None), [], {})
 
 
 def test_external_alias_addressing_matches_lazy(external_wh, lazy_wh):

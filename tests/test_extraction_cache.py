@@ -5,6 +5,12 @@ import pytest
 
 from repro.errors import ETLError
 from repro.etl.cache import ExtractionCache
+from repro.mseed.repository import FileInfo
+
+
+def _v(uri, mtime_ns):
+    """The version a file was read at (size is irrelevant to the cache)."""
+    return FileInfo(uri, 0, mtime_ns)
 
 
 def _cols(n=10, names=("sample_time", "sample_value")):
@@ -14,7 +20,7 @@ def _cols(n=10, names=("sample_time", "sample_value")):
 def test_miss_then_hit():
     cache = ExtractionCache()
     assert cache.get("f1", 1, ["sample_value"]) is None
-    cache.put("f1", 1, 100, _cols())
+    cache.put("f1", 1, _v("f1", 100), _cols())
     got = cache.get("f1", 1, ["sample_value"])
     assert got is not None
     assert list(got) == ["sample_value"]
@@ -23,9 +29,9 @@ def test_miss_then_hit():
 
 def test_partial_columns_is_miss_then_widen():
     cache = ExtractionCache()
-    cache.put("f1", 1, 100, _cols(names=("sample_value",)))
+    cache.put("f1", 1, _v("f1", 100), _cols(names=("sample_value",)))
     assert cache.get("f1", 1, ["sample_time"]) is None
-    cache.put("f1", 1, 100, _cols(names=("sample_time",)))
+    cache.put("f1", 1, _v("f1", 100), _cols(names=("sample_time",)))
     # Widened entry now serves both columns.
     assert cache.get("f1", 1, ["sample_time", "sample_value"]) is not None
     assert cache.stats.widenings == 1
@@ -33,24 +39,25 @@ def test_partial_columns_is_miss_then_widen():
 
 def test_staleness_validate_file():
     cache = ExtractionCache()
-    cache.put("f1", 1, mtime_ns=100, columns=_cols())
-    cache.put("f1", 2, mtime_ns=100, columns=_cols())
-    assert cache.validate_file("f1", 100)  # unchanged
+    cache.put("f1", 1, info=_v("f1", 100), columns=_cols())
+    cache.put("f1", 2, info=_v("f1", 100), columns=_cols())
+    assert cache.validate_file("f1", _v("f1", 100))  # unchanged
     assert len(cache) == 2
-    assert not cache.validate_file("f1", 200)  # newer mtime: stale
+    # newer mtime: stale
+    assert not cache.validate_file("f1", _v("f1", 200))
     assert len(cache) == 0
     assert cache.stats.stale_drops == 2
     # Unknown files are trivially valid.
-    assert cache.validate_file("ghost", 5)
+    assert cache.validate_file("ghost", _v("ghost", 5))
 
 
 def test_lru_eviction_order():
     entry_bytes = sum(a.nbytes for a in _cols().values())
     cache = ExtractionCache(budget_bytes=entry_bytes * 2)
-    cache.put("f", 1, 1, _cols())
-    cache.put("f", 2, 1, _cols())
+    cache.put("f", 1, _v("f", 1), _cols())
+    cache.put("f", 2, _v("f", 1), _cols())
     cache.get("f", 1, ["sample_value"])  # touch 1
-    cache.put("f", 3, 1, _cols())
+    cache.put("f", 3, _v("f", 1), _cols())
     assert ("f", 2) not in cache
     assert ("f", 1) in cache and ("f", 3) in cache
 
@@ -59,20 +66,20 @@ def test_budget_never_exceeded():
     entry_bytes = sum(a.nbytes for a in _cols().values())
     cache = ExtractionCache(budget_bytes=entry_bytes * 3 + 8)
     for seq in range(20):
-        cache.put("f", seq, 1, _cols())
+        cache.put("f", seq, _v("f", 1), _cols())
         assert cache.used_bytes <= cache.budget_bytes
 
 
 def test_oversized_entry_not_admitted():
     cache = ExtractionCache(budget_bytes=16)
-    assert not cache.put("f", 1, 1, _cols(n=1000))
+    assert not cache.put("f", 1, _v("f", 1), _cols(n=1000))
     assert len(cache) == 0
 
 
 def test_epoch_advances_on_mutation():
     cache = ExtractionCache()
     epoch = cache.epoch
-    cache.put("f", 1, 1, _cols())
+    cache.put("f", 1, _v("f", 1), _cols())
     assert cache.epoch > epoch
     epoch = cache.epoch
     cache.invalidate_file("f")
@@ -81,7 +88,7 @@ def test_epoch_advances_on_mutation():
 
 def test_contents_and_render():
     cache = ExtractionCache()
-    cache.put("f1", 1, 1, _cols())
+    cache.put("f1", 1, _v("f1", 1), _cols())
     cache.get("f1", 1, ["sample_value"])
     contents = cache.contents()
     assert contents[0][0] == "f1" and contents[0][3] == 1
@@ -91,7 +98,7 @@ def test_contents_and_render():
 
 def test_clear():
     cache = ExtractionCache()
-    cache.put("f1", 1, 1, _cols())
+    cache.put("f1", 1, _v("f1", 1), _cols())
     cache.clear()
     assert len(cache) == 0 and cache.used_bytes == 0
 
@@ -102,9 +109,10 @@ def test_over_budget_widening_keeps_existing_entry():
     base = _cols(n=10, names=("sample_value",))
     entry_bytes = sum(a.nbytes for a in base.values())
     cache = ExtractionCache(budget_bytes=entry_bytes + 8)
-    assert cache.put("f1", 1, 100, base)
+    assert cache.put("f1", 1, _v("f1", 100), base)
     huge = {"sample_time": np.arange(1000, dtype=np.int64)}
-    assert not cache.put("f1", 1, 100, huge)  # rejected: would not fit
+    # rejected: would not fit
+    assert not cache.put("f1", 1, _v("f1", 100), huge)
     # The original columns must still be served.
     assert cache.get("f1", 1, ["sample_value"]) is not None
     assert cache.used_bytes == entry_bytes
@@ -113,20 +121,20 @@ def test_over_budget_widening_keeps_existing_entry():
 
 def test_rejected_widening_counts_no_widening():
     cache = ExtractionCache(budget_bytes=160)
-    cache.put("f1", 1, 100, _cols(n=10, names=("sample_value",)))
-    cache.put("f1", 1, 100, _cols(n=1000, names=("sample_time",)))
+    cache.put("f1", 1, _v("f1", 100), _cols(n=10, names=("sample_value",)))
+    cache.put("f1", 1, _v("f1", 100), _cols(n=1000, names=("sample_time",)))
     assert cache.stats.widenings == 0
 
 
 def test_per_uri_index_tracks_all_mutation_paths():
     entry_bytes = sum(a.nbytes for a in _cols().values())
     cache = ExtractionCache(budget_bytes=entry_bytes * 2)
-    cache.put("a", 1, 1, _cols())
-    cache.put("b", 2, 1, _cols())
+    cache.put("a", 1, _v("a", 1), _cols())
+    cache.put("b", 2, _v("b", 1), _cols())
     assert cache.cached_seq_nos("a") == [1]
     assert cache.cached_seq_nos("b") == [2]
     # Eviction must drop the index entry too.
-    cache.put("b", 3, 1, _cols())  # evicts ("a", 1) under LRU
+    cache.put("b", 3, _v("b", 1), _cols())  # evicts ("a", 1) under LRU
     assert cache.cached_seq_nos("a") == []
     assert cache.cached_seq_nos("b") == [2, 3]
     # Invalidation drops exactly that file's entries.
@@ -134,7 +142,7 @@ def test_per_uri_index_tracks_all_mutation_paths():
     assert cache.cached_seq_nos("b") == []
     assert len(cache) == 0
     # Clear resets the index as well.
-    cache.put("c", 5, 1, _cols())
+    cache.put("c", 5, _v("c", 1), _cols())
     cache.clear()
     assert cache.cached_seq_nos("c") == []
 
@@ -147,7 +155,7 @@ def test_per_uri_index_tracks_all_mutation_paths():
 def test_check_invariants_passes_on_healthy_cache():
     cache = ExtractionCache(budget_bytes=1 << 20)
     for i in range(8):
-        cache.put(f"f{i % 3}", i, 100, _cols())
+        cache.put(f"f{i % 3}", i, _v(f"f{i % 3}", 100), _cols())
     cache.invalidate_file("f1")
     cache.check_invariants()
 
@@ -156,7 +164,7 @@ def test_check_invariants_detects_corruption():
     from repro.errors import CacheInvariantError
 
     cache = ExtractionCache()
-    cache.put("f1", 1, 100, _cols())
+    cache.put("f1", 1, _v("f1", 100), _cols())
     cache._bytes += 13  # simulate a bookkeeping bug
     with pytest.raises(CacheInvariantError):
         cache.check_invariants()
@@ -165,10 +173,11 @@ def test_check_invariants_detects_corruption():
 def test_protected_entries_survive_eviction_pressure():
     entry_bytes = sum(a.nbytes for a in _cols().values())
     cache = ExtractionCache(budget_bytes=entry_bytes * 2)
-    cache.put("a", 1, 1, _cols())
+    cache.put("a", 1, _v("a", 1), _cols())
     cache.protect("a", 1)
-    cache.put("b", 1, 1, _cols())
-    cache.put("c", 1, 1, _cols())  # over budget: must not evict ("a", 1)
+    cache.put("b", 1, _v("b", 1), _cols())
+    # over budget: must not evict ("a", 1)
+    cache.put("c", 1, _v("c", 1), _cols())
     assert ("a", 1) in cache
     cache.check_invariants()  # overcommit is legal while protected
     cache.unprotect("a", 1)   # protection lifted: budget re-enforced
@@ -203,17 +212,19 @@ def test_randomized_multithreaded_stress_keeps_invariants():
                 seq = rng.randrange(8)
                 op = rng.random()
                 if op < 0.45:
-                    cache.put(uri, seq, 100, _cols(n=rng.randrange(4, 40)))
+                    cache.put(uri, seq, _v(uri, 100),
+                              _cols(n=rng.randrange(4, 40)))
                 elif op < 0.75:
                     cache.get(uri, seq, ["sample_value"])
                 elif op < 0.85:
                     cache.protect(uri, seq)
-                    cache.put(uri, seq, 100, _cols())
+                    cache.put(uri, seq, _v(uri, 100), _cols())
                     cache.unprotect(uri, seq)
                 elif op < 0.93:
                     cache.invalidate_file(uri)
                 else:
-                    cache.validate_file(uri, rng.choice([100, 200]))
+                    cache.validate_file(
+                        uri, _v(uri, rng.choice([100, 200])))
                 if step % 50 == 0:
                     cache.check_invariants()
         except BaseException as exc:  # pragma: no cover - failure path

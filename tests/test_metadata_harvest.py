@@ -11,7 +11,7 @@ from repro.etl.metadata import (
     harvest_repository,
 )
 from repro.etl.mseed_adapter import MSeedAdapter
-from repro.mseed.repository import Repository
+from repro.mseed.repository import FileInfo, Repository
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,9 @@ def test_granularity_cost_ordering(repo):
     assert record.bytes_read > file_level.bytes_read
 
 
+F = FileInfo("f", size=0, mtime_ns=0)
+
+
 def _record(seq, start, end):
     return RecordMeta(uri="f", seq_no=seq, start_time_us=start,
                       end_time_us=end, frequency=40.0, sample_count=10)
@@ -63,8 +66,8 @@ def _record(seq, start, end):
 
 def test_index_prune_overlap():
     index = RecordIndex()
-    index.replace_file("f", [_record(1, 0, 100), _record(2, 100, 200),
-                             _record(3, 200, 300)], exact=True)
+    index.replace_file(F, [_record(1, 0, 100), _record(2, 100, 200),
+                           _record(3, 200, 300)], exact=True)
     assert index.prune("f", [1, 2, 3], (None, None)) == [1, 2, 3]
     assert index.prune("f", [1, 2, 3], (150, 160)) == [2]
     assert index.prune("f", [1, 2, 3], (None, 50)) == [1]
@@ -75,19 +78,19 @@ def test_index_prune_overlap():
 
 def test_index_prune_inexact_never_drops():
     index = RecordIndex()
-    index.replace_file("f", [_record(0, 0, 100)], exact=False)
+    index.replace_file(F, [_record(0, 0, 100)], exact=False)
     assert index.prune("f", [0], (500, 600)) == [0]
 
 
 def test_index_prune_unknown_record_kept():
     index = RecordIndex()
-    index.replace_file("f", [_record(1, 0, 100)], exact=True)
+    index.replace_file(F, [_record(1, 0, 100)], exact=True)
     assert index.prune("f", [1, 99], (500, 600)) == [99]
 
 
 def test_index_drop_file():
     index = RecordIndex()
-    index.replace_file("f", [_record(1, 0, 100)], exact=True)
+    index.replace_file(F, [_record(1, 0, 100)], exact=True)
     index.drop_file("f")
     assert index.files() == []
     assert index.spans("f") == []
@@ -108,7 +111,7 @@ def test_prune_soundness_property(spans, lo, hi):
         _record(i, min(a, b), max(a, b))
         for i, (a, b) in enumerate(spans)
     ]
-    index.replace_file("f", records, exact=True)
+    index.replace_file(F, records, exact=True)
     kept = set(index.prune("f", [r.seq_no for r in records], (lo, hi)))
     for record in records:
         overlaps = record.end_time_us >= lo and record.start_time_us <= hi

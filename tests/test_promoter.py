@@ -244,12 +244,56 @@ def test_stale_file_invalidates_promoted_units(mutable_repo):
     assert wh.query(q).scalar() == after
 
 
+def test_sync_runs_the_whole_stale_reaction(mutable_repo, tmp_path,
+                                            monkeypatch):
+    """sync() seeing a rewrite (or a removal) first is the same one
+    reaction: promoted units and heat of the file go with its cache
+    entries, and the next query has nothing left to rediscover."""
+    from repro.etl.lazy import LazyETL
+
+    wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
+                          storage_path=tmp_path / "store",
+                          enable_recycler=False)
+    q = ("SELECT MAX(D.sample_value) FROM mseed.dataview "
+         "WHERE F.station = 'HGN' AND F.channel = 'BHZ'")
+    wh.query(q)
+    wh.promote(min_score=0.0, max_units=10**6)
+    rewritten, removed = [e for e in mutable_repo.entries
+                          if e.station == "HGN" and e.channel == "BHZ"]
+    uris = {os.path.relpath(e.path, mutable_repo.root)
+            for e in (rewritten, removed)}
+
+    def derived():
+        return ([key for key in wh.promoted.unit_keys() if key[0] in uris],
+                [row for row in wh.heat.snapshot() if row[0] in uris])
+
+    units, heat = derived()
+    assert units and heat
+
+    harvested = []
+    harvest_single = LazyETL.harvest_single
+    monkeypatch.setattr(
+        LazyETL, "harvest_single",
+        lambda self, info: (harvested.append(info.uri),
+                            harvest_single(self, info))[1])
+    _rewrite_file(rewritten, offset=70_000)
+    os.remove(removed.path)
+    report = wh.sync()
+    assert set(report.updated) | set(report.removed) == uris
+    assert derived() == ([], [])
+    assert len(harvested) == 1
+
+    assert wh.query(q).scalar() >= 70_000
+    assert not any(t["op"] == "refresh" for t in wh.last_trace)
+    assert len(harvested) == 1  # nothing left for the query to rediscover
+
+
 def test_promoter_observing_staleness_still_triggers_refresh(mutable_repo,
                                                              tmp_path):
-    """validate_file is a consuming check: when the *promoter* is the
-    first to observe a rewrite, it must run the full stale reaction
-    (metadata refresh included) — otherwise the next query extracts
-    against the stale record index and fails on vanished records."""
+    """When the *promoter* is the first to observe a rewrite, it runs
+    the full stale reaction (metadata refresh included) like any other
+    observer — otherwise the next query extracts against the stale
+    record index and fails on vanished records."""
     wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
                           storage_path=tmp_path / "store",
                           enable_recycler=False)
@@ -352,6 +396,48 @@ def test_rewrite_across_restart_of_fully_promoted_file(mutable_repo,
     result = warm.query(q)  # must refresh metadata, not crash
     assert result.rows()[0][0] >= 60_000
     assert warm.db.last_report.rows_served_eager == 0
+
+
+def test_stale_promoted_units_in_the_manifest_are_not_mounted(mutable_repo,
+                                                             tmp_path):
+    """Invalidation is in-memory until the promoter's GC, so a checkpoint
+    taken after an observed rewrite still lists the old units beside a
+    files table that carries the new version: a reopened warehouse must
+    not serve them."""
+    import json
+
+    store = tmp_path / "store"
+    wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
+                          storage_path=store, enable_recycler=False)
+    q = ("SELECT MAX(D.sample_value), COUNT(*) FROM mseed.dataview "
+         "WHERE F.station = 'HGN' AND F.channel = 'BHZ'")
+    wh.query(q)
+    promoted_units = wh.promote(min_score=0.0).promoted_units
+    for entry in mutable_repo.entries:
+        if entry.station == "HGN" and entry.channel == "BHZ":
+            _rewrite_file(entry, offset=60_000)
+    fresh = wh.query(q).rows()  # observes the rewrite
+    assert fresh[0][0] >= 60_000 and len(wh.promoted) == 0
+    wh.cache.clear()            # leave only the stale units to persist
+    wh.checkpoint()
+
+    with open(wh.store.manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    listed = [unit for units in manifest["promoted"].values()
+              for unit in units]
+    assert len(listed) == promoted_units  # still on disk ...
+    # ... in the shape every earlier store has: the version is an mtime.
+    for unit in listed:
+        assert sorted(unit) == ["columns", "mtime_ns", "rows", "seq_no",
+                                "uri"]
+
+    warm = SeismicWarehouse(mutable_repo.root, mode="lazy",
+                            storage_path=store, enable_recycler=False)
+    assert len(warm.promoted) == 0
+    assert warm.query(q).rows() == fresh
+    ops = [t["op"] for t in warm.last_trace]
+    assert "extract" in ops
+    assert "promoted_fetch" not in ops and "refresh" not in ops
 
 
 # -- the background promoter (service ownership) --------------------------------

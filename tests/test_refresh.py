@@ -1,19 +1,24 @@
 """Refresh behaviour: new, modified and removed files (§1, §3.3)."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from repro.mseed.files import write_mseed_file
+from repro.mseed.files import scan_file_headers, write_mseed_file
 from repro.mseed.repository import Repository
 from repro.seismology.queries import fig1_query2
 from repro.seismology.warehouse import SeismicWarehouse
 from repro.util.timefmt import from_ymd
 
 
-def _rewrite_file(entry, offset=1000):
-    """Overwrite a manifest entry's file with shifted content."""
+def _rewrite_file(entry, offset=1000, keep_mtime=False):
+    """Overwrite a manifest entry's file with shifted content.
+
+    The mtime moves forward a second — or, with ``keep_mtime``, is put
+    back to what it was (a restored backup, ``rsync -t``)."""
+    old = os.stat(entry.path)
     samples = (np.arange(entry.n_samples, dtype=np.int32) % 100) + offset
     write_mseed_file(
         entry.path,
@@ -22,8 +27,9 @@ def _rewrite_file(entry, offset=1000):
         start_time_us=entry.start_time_us, sample_rate=entry.sample_rate,
         samples=samples,
     )
-    stat = os.stat(entry.path)
-    os.utime(entry.path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    mtime_ns = old.st_mtime_ns if keep_mtime \
+        else os.stat(entry.path).st_mtime_ns + 10**9
+    os.utime(entry.path, ns=(old.st_atime_ns, mtime_ns))
 
 
 def test_query_time_staleness_without_sync(mutable_repo):
@@ -71,8 +77,6 @@ def test_sync_updates_modified_file_metadata(mutable_repo):
     report = wh.sync()
     assert uri in report.updated
     # Record metadata reflects the rewritten file's (different) layout.
-    from repro.mseed.files import scan_file_headers
-
     records = wh.query(
         f"SELECT COUNT(*) FROM mseed.records "
         f"WHERE file_location = '{uri}'").scalar()
@@ -257,3 +261,63 @@ def test_recycler_never_serves_stale_results_after_rewrite(mutable_repo):
     after = wh.query(q).scalar()
     assert after >= 120_000 and after != before
     assert wh.recycler.stats.stale_drops > 0
+
+
+# ---------------------------------------------------------------------------
+# The freshness ledger: staleness is judged against the version the file's
+# *metadata* was harvested from, by whole FileInfo (size + mtime)
+# ---------------------------------------------------------------------------
+
+EVERYTHING = "SELECT MAX(D.sample_value), COUNT(*) FROM mseed.dataview"
+
+
+@pytest.fixture()
+def one_file_repo(tmp_path):
+    """A repository of one 2-minute file, plus the manifest entry of the
+    half-length file the tests below rewrite it to."""
+    from repro.mseed.inventory import DEFAULT_INVENTORY
+    from repro.mseed.synthesize import RepositorySpec, build_repository
+
+    manifest = build_repository(tmp_path / "repo", RepositorySpec(
+        stations=DEFAULT_INVENTORY[:1], channel_codes=("BHZ",),
+        files_per_stream=1, file_span_minutes=2, n_events=1))
+    (entry,) = manifest.entries
+    return manifest, dataclasses.replace(entry,
+                                         n_samples=entry.n_samples // 2)
+
+
+def test_file_rewritten_before_its_first_query_is_noticed(one_file_repo):
+    """No cache entry, no promoted unit: nothing derived holds a version
+    yet, so only the metadata's own version can tell the file changed."""
+    manifest, shorter = one_file_repo
+    wh = SeismicWarehouse(manifest.root, mode="lazy", enable_recycler=False)
+    records_before = wh.query("SELECT COUNT(*) FROM mseed.records").scalar()
+    _rewrite_file(shorter, offset=50_000)
+
+    assert wh.query(EVERYTHING).rows() == [(50_099, shorter.n_samples)]
+    observed = [t for t in wh.last_trace
+                if t["op"] == "refresh" and "reason" in t]
+    assert len(observed) == 1
+    records = wh.query("SELECT COUNT(*) FROM mseed.records").scalar()
+    assert records == len(scan_file_headers(shorter.path)) < records_before
+
+
+@pytest.mark.parametrize("observer", ["query", "recycler_hit", "sync"])
+def test_same_mtime_rewrite_is_seen_through_the_size(one_file_repo, observer):
+    """A rewrite that keeps the mtime but changes the size must not be
+    served stale — by the query path, a recycler hit, or sync()."""
+    manifest, shorter = one_file_repo
+    wh = SeismicWarehouse(manifest.root, mode="lazy",
+                          enable_recycler=observer == "recycler_hit")
+    if observer != "sync":
+        wh.query(EVERYTHING)
+        wh.query(EVERYTHING)  # warm repeat: admits a recyclable signature
+    before = os.stat(shorter.path)
+    _rewrite_file(shorter, offset=50_000, keep_mtime=True)
+    after = os.stat(shorter.path)
+    assert after.st_mtime_ns == before.st_mtime_ns
+    assert after.st_size < before.st_size
+
+    if observer == "sync":
+        assert wh.sync().changed == 1
+    assert wh.query(EVERYTHING).rows() == [(50_099, shorter.n_samples)]

@@ -1,11 +1,9 @@
 """Tests for the repository abstraction."""
 
-import time
-
 import pytest
 
 from repro.errors import FileMissingError, RepositoryError
-from repro.mseed.repository import Repository, SimulatedRemoteRepository
+from repro.mseed.repository import Repository
 
 
 def test_listing_is_sorted_and_relative(tiny_repo):
@@ -81,15 +79,3 @@ def test_remove(mutable_repo):
     count = len(repo.list_files())
     repo.remove(uri)
     assert len(repo.list_files()) == count - 1
-
-
-def test_simulated_remote_latency(tiny_repo):
-    fast = Repository(tiny_repo.root)
-    slow = SimulatedRemoteRepository(tiny_repo.root, latency_s=0.01,
-                                     bandwidth_bytes_per_s=1e9)
-    uri = fast.list_files()[0].uri
-    started = time.perf_counter()
-    with slow.open(uri) as handle:
-        handle.read()
-    elapsed = time.perf_counter() - started
-    assert elapsed >= 0.01

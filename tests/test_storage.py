@@ -19,6 +19,7 @@ from repro.db.column import Column
 from repro.db.exec.engine import Database
 from repro.db.types import DataType
 from repro.errors import CatalogError, CorruptSegmentError, StorageError
+from repro.mseed.repository import FileInfo
 from repro.storage import (
     BufferPool,
     SegmentReader,
@@ -35,6 +36,17 @@ from repro.storage.codecs import (
     encode_array,
 )
 from repro.storage.format import decode_page, encode_page
+
+
+def _v(uri, mtime_ns):
+    """The version a file was read at (only the mtime is persisted)."""
+    return FileInfo(uri, 0, mtime_ns)
+
+
+def _ledger(*infos):
+    """A warehouse's ledger as restore/PromotedStore take it: uri -> the
+    version the (pretend) metadata was harvested from."""
+    return {info.uri: info for info in infos}.get
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +410,16 @@ def test_warm_start_metadata_scans_are_lazy_io(tiny_repo, tmp_path):
     cold.checkpoint()
 
     warm = SeismicWarehouse(tiny_repo.root, mode="lazy", storage_path=ckpt)
-    warm.query("SELECT count(*) FROM mseed.files")
+    # (Not count(*): warm start itself reads F's key and version
+    # columns — file_location, file_size, mtime_ns — to seed the ledger.)
+    warm.query("SELECT count(station) FROM mseed.files")
     report = warm.db.last_report
-    # Counting rows needs one column; the other file-metadata pages
-    # (station, channel, times, ...) never leave disk.
+    # Counting stations needs one column; the other file-metadata pages
+    # (channel, times, ...) never leave disk.
     assert report.pages_read >= 1
     assert report.pages_skipped > report.pages_read
-    assert "DiskScan" in warm.explain("SELECT count(*) FROM mseed.files")
+    assert "DiskScan" in warm.explain(
+        "SELECT count(station) FROM mseed.files")
 
 
 def test_warm_start_still_detects_staleness(tiny_repo, tmp_path, monkeypatch):
@@ -515,22 +530,23 @@ def test_cache_snapshot_roundtrip(tmp_path):
     from repro.etl.cache import ExtractionCache
 
     cache = ExtractionCache()
-    cache.put("f1", 1, 100, {
+    cache.put("f1", 1, _v("f1", 100), {
         "sample_time": np.cumsum(np.full(500, 1000, dtype=np.int64)),
         "sample_value": np.arange(500, dtype=np.int64),
     })
-    cache.put("f2", 7, 200, {"sample_value": np.ones(10, dtype=np.int64)})
+    cache.put("f2", 7, _v("f2", 200),
+              {"sample_value": np.ones(10, dtype=np.int64)})
     store = TableStore(tmp_path / "store")
     assert cache.spill(store) == 2
 
     fresh = ExtractionCache()
-    assert fresh.restore(store) == 2
+    assert fresh.restore(store, _ledger(_v("f1", 100), _v("f2", 200))) == 2
     got = fresh.get("f1", 1, ["sample_time", "sample_value"])
     assert got is not None
     assert np.array_equal(got["sample_value"], np.arange(500))
     # mtime survives, so staleness detection still works after restore.
-    assert fresh.validate_file("f1", 100)
-    assert not fresh.validate_file("f1", 999)
+    assert fresh.validate_file("f1", _v("f1", 100))
+    assert not fresh.validate_file("f1", _v("f1", 999))
 
 
 def test_cache_snapshot_from_older_store_ignores_cost_key(tmp_path):
@@ -542,8 +558,10 @@ def test_cache_snapshot_from_older_store_ignores_cost_key(tmp_path):
     from repro.etl.cache import ExtractionCache
 
     cache = ExtractionCache()
-    cache.put("f1", 1, 100, {"sample_value": np.arange(50, dtype=np.int64)})
-    cache.put("f2", 7, 200, {"sample_value": np.ones(10, dtype=np.int64)})
+    cache.put("f1", 1, _v("f1", 100),
+              {"sample_value": np.arange(50, dtype=np.int64)})
+    cache.put("f2", 7, _v("f2", 200),
+              {"sample_value": np.ones(10, dtype=np.int64)})
     store = TableStore(tmp_path / "store")
     assert cache.spill(store) == 2
     expected = store.load_cache_snapshot()
@@ -551,7 +569,10 @@ def test_cache_snapshot_from_older_store_ignores_cost_key(tmp_path):
     with open(store.manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
     for entry in manifest["cache"]["entries"]:
-        assert "cost" not in entry  # no longer written
+        # The shape every earlier store has (the version is an mtime;
+        # no "cost" since the eviction policy became a constant).
+        assert sorted(entry) == ["columns", "mtime_ns", "rows", "seq_no",
+                                 "uri"]
         entry["cost"] = 2.5         # what the parent commit wrote
     with open(store.manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, sort_keys=True)
@@ -563,7 +584,8 @@ def test_cache_snapshot_from_older_store_ignores_cost_key(tmp_path):
         for name in want[3]:
             assert np.array_equal(got[3][name], want[3][name])
     fresh = ExtractionCache()
-    assert fresh.restore(TableStore(tmp_path / "store")) == 2
+    assert fresh.restore(TableStore(tmp_path / "store"),
+                         _ledger(_v("f1", 100), _v("f2", 200))) == 2
     assert fresh.contents() == [(u, s, n, 0) for u, s, n, _ in cache.contents()]
 
 
@@ -572,14 +594,14 @@ def test_cache_snapshot_respects_budget(tmp_path):
 
     big = ExtractionCache()
     for seq in range(10):
-        big.put("f", seq, 1,
+        big.put("f", seq, _v("f", 1),
                 {"sample_value": np.arange(1000, dtype=np.int64)})
     store = TableStore(tmp_path / "store")
     big.spill(store)
 
     entry_bytes = 8000
     small = ExtractionCache(budget_bytes=entry_bytes * 3 + 8)
-    small.restore(store)
+    small.restore(store, _ledger(_v("f", 1)))
     assert len(small) <= 3
     assert small.used_bytes <= small.budget_bytes
 
@@ -590,7 +612,7 @@ def test_empty_cache_spill_roundtrip(tmp_path):
     store = TableStore(tmp_path / "store")
     assert ExtractionCache().spill(store) == 0
     assert not store.has_cache_snapshot()
-    assert ExtractionCache().restore(store) == 0
+    assert ExtractionCache().restore(store, _ledger()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +699,7 @@ def test_checkpoint_keeps_resident_plans_valid(tmp_path):
 
 def _promoted_entries(n=3, rows=100):
     return [
-        (f"f{i}.seed", i, 1000 + i,
+        (f"f{i}.seed", i, _v(f"f{i}.seed", 1000 + i),
          {"sample_value": np.arange(rows, dtype=np.int64) + i,
           "sample_time": np.arange(rows, dtype=np.int64) * 25_000})
         for i in range(n)
@@ -694,9 +716,11 @@ def test_promoted_segment_roundtrip_across_reopen(tmp_path):
     assert segment in reopened.promoted_segments()
     from repro.storage.promoted import PromotedStore
 
-    promoted = PromotedStore(reopened)
+    promoted = PromotedStore(
+        reopened, _ledger(*(e[2] for e in _promoted_entries())))
     assert len(promoted) == 3
-    served = promoted.fetch("f1.seed", 1, ["sample_value"], 1001)
+    served = promoted.fetch("f1.seed", 1, ["sample_value"],
+                            _v("f1.seed", 1001))
     assert served is not None
     columns, pages_read = served
     assert np.array_equal(columns["sample_value"],
@@ -709,11 +733,14 @@ def test_promoted_fetch_misses(tmp_path):
 
     store = TableStore(tmp_path / "store")
     store.save_promoted_segment(_promoted_entries(1))
-    promoted = PromotedStore(store)
+    current = _v("f0.seed", 1000)
+    promoted = PromotedStore(store, _ledger(current))
     # Unknown unit / uncovered column / stale mtime all miss.
-    assert promoted.fetch("nope.seed", 0, ["sample_value"], 1000) is None
-    assert promoted.fetch("f0.seed", 0, ["other_col"], 1000) is None
-    assert promoted.fetch("f0.seed", 0, ["sample_value"], 9999) is None
+    assert promoted.fetch("nope.seed", 0, ["sample_value"],
+                          _v("nope.seed", 1000)) is None
+    assert promoted.fetch("f0.seed", 0, ["other_col"], current) is None
+    assert promoted.fetch("f0.seed", 0, ["sample_value"],
+                          _v("f0.seed", 9999)) is None
     assert ("f0.seed", 0) not in promoted  # the stale unit was dropped
     assert promoted.stats.stale_drops == 1
 
@@ -735,19 +762,20 @@ def test_promoted_drop_segment_clears_index(tmp_path):
     from repro.storage.promoted import PromotedStore
 
     store = TableStore(tmp_path / "store")
-    promoted = PromotedStore(store)
+    promoted = PromotedStore(store, _ledger())
     segment = promoted.promote_batch(_promoted_entries(2))
     assert len(promoted) == 2
     assert promoted.drop_segment(segment) == 2
     assert len(promoted) == 0
-    assert promoted.fetch("f0.seed", 0, ["sample_value"], 1000) is None
+    assert promoted.fetch("f0.seed", 0, ["sample_value"],
+                          _v("f0.seed", 1000)) is None
 
 
 def test_promote_batch_rejects_empty_and_repromotes(tmp_path):
     from repro.storage.promoted import PromotedStore
 
     store = TableStore(tmp_path / "store")
-    promoted = PromotedStore(store)
+    promoted = PromotedStore(store, _ledger())
     assert promoted.promote_batch([]) is None
     first = promoted.promote_batch(_promoted_entries(1))
     second = promoted.promote_batch(_promoted_entries(1))  # re-promotion
