@@ -56,11 +56,6 @@ class LazyTableBinding(Protocol):
         """Column whose predicates can prune extraction (sample_time)."""
         ...
 
-    @property
-    def cache_epoch(self) -> int:
-        """Monotone counter; bumps whenever cached extraction state changes."""
-        ...
-
     def fetch(
         self,
         keys: dict[str, np.ndarray],
@@ -76,14 +71,17 @@ class LazyTableBinding(Protocol):
         ``versions`` receives, per source file the rows were served
         from, ``version token -> binding``: the recycler pins them and
         asks ``binding.is_current(token)`` before replaying a cached
-        result.  A binding whose results are never recyclable
-        (``cache_epoch`` moves on every call) reports nothing.
+        result.  Together with the metadata tables' versions in the
+        recycler signature, these pins are the whole freshness check of
+        a recycled fetch — what the binding itself has cached plays no
+        part, so a binding carries no cache generation.
         """
         ...
 
     def scan_all(self, needed: list[str], trace: list[dict],
                  versions: dict) -> dict[str, Column]:
-        """Worst case (§3.1): extract the entire repository."""
+        """Worst case (§3.1): extract the entire repository.  Never
+        recycled: no pin can see a file added after the scan."""
         ...
 
 

@@ -26,9 +26,10 @@ class Column:
         self.values = values
         self.valid = valid
         self._mem_bytes: int | None = None  # lazy memory_bytes() cache
-        # Optional precomputed dictionary (codes, sorted uniques) — set by
-        # producers that know the value runs (lazy fetch assembly) and
-        # consumed by joins to skip re-factorizing wide key columns.
+        # Optional dictionary (codes, sorted uniques) of a VARCHAR column —
+        # set by producers that know the value runs (lazy fetch assembly),
+        # carried by take/filter/slice/concat, and read by joins, GROUP BY
+        # and memory_bytes instead of walking the rows.
         self._dict: tuple[np.ndarray, list] | None = None
         if valid is not None and len(valid) != len(values):
             raise ExecutionError("null mask length does not match values")
@@ -125,18 +126,33 @@ class Column:
     # -- transformations ------------------------------------------------------
 
     def take(self, indices: np.ndarray) -> "Column":
-        """Gather rows by position."""
-        valid = None if self.valid is None else self.valid[indices]
-        return Column(self.dtype, self.values[indices], valid)
+        """Gather rows by position.
+
+        A VARCHAR dictionary travels with the rows.  When the gather fans
+        out (more indices than rows — a join repeating each metadata row
+        once per sample), the small source's dictionary is computed
+        first, so the wide result is never factorized row by row.
+        """
+        if self.dtype == DataType.VARCHAR and len(indices) > len(self.values):
+            self.dictionary()
+        return self._pick(indices)
 
     def filter(self, mask: np.ndarray) -> "Column":
         """Keep rows where ``mask`` is True."""
-        valid = None if self.valid is None else self.valid[mask]
-        return Column(self.dtype, self.values[mask], valid)
+        return self._pick(mask)
 
     def slice(self, start: int, stop: int) -> "Column":
-        valid = None if self.valid is None else self.valid[start:stop]
-        return Column(self.dtype, self.values[start:stop], valid)
+        return self._pick(slice(start, stop))
+
+    def _pick(self, rows) -> "Column":
+        """The rows an index array, mask or slice selects, dictionary
+        included."""
+        valid = None if self.valid is None else self.valid[rows]
+        out = Column(self.dtype, self.values[rows], valid)
+        if self._dict is not None:
+            codes, uniques = self._dict
+            out._dict = _compacted(codes[rows], uniques)
+        return out
 
     def with_nulls_at(self, invalid_mask: np.ndarray) -> "Column":
         """Mark additional rows NULL (used by LEFT joins)."""
@@ -145,7 +161,8 @@ class Column:
 
     @staticmethod
     def concat(parts: Sequence["Column"]) -> "Column":
-        """Concatenate columns of identical dtype."""
+        """Concatenate columns of identical dtype.  When every part
+        carries a dictionary, so does the result."""
         if not parts:
             raise ExecutionError("cannot concatenate zero columns")
         dtype = parts[0].dtype
@@ -156,7 +173,10 @@ class Column:
             valid = np.concatenate([p.validity() for p in parts])
         else:
             valid = None
-        return Column(dtype, values, valid)
+        out = Column(dtype, values, valid)
+        if all(p._dict is not None for p in parts):
+            out._dict = _merged([p._dict for p in parts])
+        return out
 
     # -- introspection ---------------------------------------------------------
 
@@ -165,23 +185,25 @@ class Column:
 
         VARCHAR columns count one 8-byte reference per row plus each
         *distinct* string payload once, matching what a
-        dictionary-encoded column store stores.  Cached per instance
-        (columns are immutable by convention) — this runs on every
-        recycler admission, squarely on the concurrent serving hot path.
+        dictionary-encoded column store stores, plus the codes of a
+        carried dictionary.  With a dictionary the distinct payloads are
+        its uniques — O(distinct), no pass over the rows; without one,
+        a C-speed ``set`` over them.  Cached per instance (columns are
+        immutable by convention) — this runs on every recycler admission.
         """
         if self._mem_bytes is not None:
             return self._mem_bytes
         if self.dtype == DataType.VARCHAR:
-            # set() dedups at C speed; the big arrays here are join keys
-            # with very few distinct values.
-            payload = sum(map(len, set(self.values.tolist())))
-            total = self.values.size * 8 + payload
+            if self._dict is not None:
+                codes, distinct = self._dict
+                total = codes.nbytes  # resident dictionary codes
+            else:
+                distinct, total = set(self.values.tolist()), 0
+            total += self.values.size * 8 + sum(map(len, distinct))
         else:
             total = self.values.nbytes
         if self.valid is not None:
             total += self.valid.nbytes
-        if self._dict is not None:
-            total += self._dict[0].nbytes  # resident dictionary codes
         self._mem_bytes = int(total)
         return self._mem_bytes
 
@@ -220,9 +242,11 @@ class Column:
         """``(codes, sorted uniques)`` for a VARCHAR column, cached.
 
         Producers that know the value runs (lazy fetch assembly) pre-set
-        this via :meth:`set_dictionary`; otherwise it is computed once at
-        C speed (set/map/fromiter — np.unique on object arrays falls back
-        to per-element Python comparisons).  NULL rows carry the code of
+        this via :meth:`set_dictionary`, and columns derived by
+        take/filter/slice/concat inherit it; otherwise it is computed once
+        at C speed (set/map/fromiter — np.unique on object arrays falls
+        back to per-element Python comparisons).  ``uniques`` is always
+        exactly the distinct values present.  NULL rows carry the code of
         their placeholder value; :meth:`factorize` overlays -1.
         """
         if self._dict is not None:
@@ -252,3 +276,30 @@ class Column:
         preview = ", ".join(str(self.value_at(i)) for i in range(min(5, len(self))))
         suffix = ", ..." if len(self) > 5 else ""
         return f"Column<{self.dtype}>[{preview}{suffix}] n={len(self)}"
+
+
+def _compacted(codes: np.ndarray, uniques: list) -> tuple[np.ndarray, list]:
+    """A selected subset's dictionary: drop the uniques no row uses any
+    more and renumber, so ``uniques`` stays exactly the distinct values
+    (factorize's count and VARCHAR MIN/MAX index by it)."""
+    used = np.bincount(codes, minlength=len(uniques)) > 0
+    if used.all():
+        return codes, uniques
+    renumber = np.cumsum(used) - 1
+    return renumber[codes], [u for u, keep in zip(uniques, used.tolist())
+                             if keep]
+
+
+def _merged(dicts: list[tuple[np.ndarray, list]]) -> tuple[np.ndarray, list]:
+    """One dictionary for concatenated parts: codes concatenate as they
+    are when every part has the same uniques, otherwise each part's are
+    remapped into the sorted union (O(distinct) Python per part)."""
+    first = dicts[0][1]
+    if all(uniques == first for _codes, uniques in dicts):
+        return np.concatenate([codes for codes, _u in dicts]), first
+    union = sorted(set().union(*(uniques for _codes, uniques in dicts)))
+    position = {value: i for i, value in enumerate(union)}
+    return np.concatenate([
+        np.fromiter(map(position.__getitem__, uniques), dtype=np.int64,
+                    count=len(uniques))[codes]
+        for codes, uniques in dicts]), union

@@ -8,10 +8,16 @@ signature* of the plan fragment that produced them, with
 * an **LRU policy** (the paper's stated choice),
 * a **byte budget** ("we adjust the cache size ... not larger than the
   size of system's main memory"),
-* **version-aware signatures**: a signature embeds every base table's
-  version counter and every lazy binding's cache epoch, so any update to
-  the warehouse or the file repository invalidates dependent entries
-  automatically — the engine-side half of lazy refresh (§3.3).
+* **freshness from the sources, not from the caches**: a signature
+  embeds every base table's version counter (the metadata tables a lazy
+  fetch joins against included), and an entry derived from repository
+  files pins the ``FileInfo`` of each one, re-checked on every hit.  Any
+  update to the warehouse or the file repository therefore invalidates
+  dependent entries — the engine-side half of lazy refresh (§3.3) —
+  while extraction-cache traffic (admissions, evictions, ``clear``)
+  leaves a recycled result reachable, because it changes no source.
+  A full-repository scan (``LScanAll``) is never recycled: a file added
+  after admission is invisible to pins.
 """
 
 from __future__ import annotations
@@ -35,9 +41,8 @@ class RecyclerEntry:
     hits: int = 0
     # Repository file versions the cached result was derived from, as
     # ``FileInfo -> the lazy binding that served under it``.  Validated
-    # on every lookup: a signature's cache epoch can only reflect changes
-    # the extraction cache has *noticed*, so results admitted by pure
-    # cache-hit queries additionally pin the source files' versions.
+    # on every lookup: the signature's table versions cover the metadata,
+    # these pins cover the bytes of the files it selected.
     depends: Optional[dict] = None
 
 
@@ -68,10 +73,6 @@ class Recycler:
         self.stats = RecyclerStats()
 
     # -- core ------------------------------------------------------------------
-
-    def lookup(self, signature: str) -> Optional[tuple[list[Column], int]]:
-        full = self.lookup_validated(signature)
-        return None if full is None else (full[0], full[1])
 
     def lookup_validated(self, signature: str
                          ) -> Optional[tuple[list[Column], int, dict]]:
@@ -181,8 +182,11 @@ def signature_of(node: lg.LogicalNode) -> str:
     Column ids are compile-specific, so two compilations of the same SQL
     produce different cids; signatures therefore rename every cid to a
     positional token rooted at the scans (``s0.station``), projections and
-    aggregates.  Base-table versions and lazy-binding cache epochs are
-    embedded so data changes invalidate dependants.
+    aggregates.  Base-table versions are embedded so data changes
+    invalidate dependants; a lazy fetch's source files are pinned at
+    admission instead (see :class:`RecyclerEntry`).  A subtree holding an
+    ``LScanAll`` has no signature (:func:`~repro.db.plan.physical.
+    build_physical` never asks for one).
     """
     env: dict[int, str] = {}
     counter = {"scan": 0, "proj": 0, "agg": 0, "fetch": 0}
@@ -243,14 +247,6 @@ def signature_of(node: lg.LogicalNode) -> str:
                 env[col.cid] = f"{tag}.{col.name}"
             cols = ",".join(c.name for c in node.output)
             return f"scan({node.qualified_name}@v{node.table.version}:[{cols}])"
-        if isinstance(node, lg.LScanAll):
-            tag = f"x{counter['fetch']}"
-            counter["fetch"] += 1
-            for col in node.output:
-                env[col.cid] = f"{tag}.{col.name}"
-            cols = ",".join(c.name for c in node.output)
-            epoch = getattr(node.binding, "cache_epoch", 0)
-            return f"scanall({node.table_name}@e{epoch}:[{cols}])"
         if isinstance(node, lg.LFilter):
             child = walk(node.child)
             return f"filter({render_expr(node.predicate)},{child})"
@@ -299,9 +295,8 @@ def signature_of(node: lg.LogicalNode) -> str:
                 env[col.cid] = f"{tag}.{col.name}"
             keys = ",".join(env.get(c, str(c)) for c in node.meta_key_cids)
             residuals = ";".join(render_expr(r) for r in node.residuals)
-            epoch = getattr(node.binding, "cache_epoch", 0)
             return (
-                f"lazyfetch({node.table_name}@e{epoch},keys=[{keys}],"
+                f"lazyfetch({node.table_name},keys=[{keys}],"
                 f"need=[{','.join(node.needed)}],res=[{residuals}],"
                 f"bounds={node.time_bounds},{meta})"
             )

@@ -159,7 +159,7 @@ class PhysicalNode:
         self.schema = schema
         # Recyclable nodes carry their *logical* source; the signature is
         # rendered from it per execution (not baked at build time) so the
-        # table versions and binding cache epochs it embeds are always
+        # table versions and parameter values it embeds are always
         # current — plans live across many executions in the plan cache.
         self.signature_source: Optional[lg.LogicalNode] = None
 
@@ -1312,7 +1312,8 @@ def build_physical(node: lg.LogicalNode,
 
     When a recycler is supplied, recyclable nodes (aggregates and lazy
     fetches — the expensive materialisation points) get a stable signature
-    so their results can be reused across queries.  Signatures are
+    so their results can be reused across queries, unless they sit above
+    a full-repository scan (see :func:`_recyclable`).  Signatures are
     rendered per execution (see :attr:`PhysicalNode.signature`), so
     fragments containing prepared-statement parameters embed the
     *currently bound values*: identical re-executions recycle, different
@@ -1348,12 +1349,19 @@ def build_physical(node: lg.LogicalNode,
                      build_physical(node.right, recycler))
     if isinstance(node, lg.LAggregate):
         physical = PAggregate(node, build_physical(node.child, recycler))
-        if recycler is not None:
-            physical.signature_source = node
-        return physical
-    if isinstance(node, lg.LLazyFetch):
+    elif isinstance(node, lg.LLazyFetch):
         physical = PLazyFetch(node, build_physical(node.meta, recycler))
-        if recycler is not None:
-            physical.signature_source = node
-        return physical
-    raise ExecutionError(f"no physical operator for {type(node).__name__}")
+    else:
+        raise ExecutionError(
+            f"no physical operator for {type(node).__name__}")
+    if recycler is not None and _recyclable(node):
+        physical.signature_source = node
+    return physical
+
+
+def _recyclable(node: lg.LogicalNode) -> bool:
+    """Whether a result can be kept fresh by its signature and pins.  A
+    full-repository scan cannot: a file added after admission is
+    invisible to pins, so nothing above one is recycled."""
+    return not isinstance(node, lg.LScanAll) and all(
+        _recyclable(child) for child in node.children())

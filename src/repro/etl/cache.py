@@ -96,7 +96,6 @@ class ExtractionCache:
         self._by_uri: dict[str, set[int]] = {}
         self._bytes = 0
         self.stats = CacheStats()
-        self.epoch = 0  # bumped on every mutation; recycler signatures use it
         # Concurrency: stripe locks serialise per-file sequences, the
         # structural lock guards the shared maps (see module docstring).
         self._lock = threading.RLock()
@@ -168,9 +167,7 @@ class ExtractionCache:
             entry = self._entries.pop((uri, seq_no))
             self._bytes -= entry.nbytes
         self._file_version.pop(uri, None)
-        if doomed:
-            self.epoch += 1
-            self.stats.stale_drops += len(doomed)
+        self.stats.stale_drops += len(doomed)
         return len(doomed)
 
     def clear(self) -> None:
@@ -179,7 +176,6 @@ class ExtractionCache:
             self._file_version.clear()
             self._by_uri.clear()
             self._bytes = 0
-            self.epoch += 1
 
     # -- lookup / admission ------------------------------------------------------------
 
@@ -228,7 +224,6 @@ class ExtractionCache:
             self._by_uri.setdefault(uri, set()).add(seq_no)
             self._bytes += nbytes
             self.stats.admissions += 1
-            self.epoch += 1
             self._evict_to_budget()
             return True
 
@@ -243,7 +238,6 @@ class ExtractionCache:
             self._drop_from_uri_index(victim)
             self._bytes -= entry.nbytes
             self.stats.evictions += 1
-            self.epoch += 1
 
     def _drop_from_uri_index(self, key: tuple[str, int]) -> None:
         uri, seq_no = key

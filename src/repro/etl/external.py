@@ -42,20 +42,15 @@ class ExternalBinding:
     def range_column(self) -> Optional[str]:
         return None
 
-    @property
-    def cache_epoch(self) -> int:
-        # Every scan re-reads the repository, so results are always fresh —
-        # and never recyclable: the epoch advances per scan.
-        return self.scans
-
     def fetch(self, keys, needed, time_bounds, trace,
               versions):  # pragma: no cover
         raise NotImplementedError("external tables cannot fetch selectively")
 
     def scan_all(self, needed: list[str], trace: list[dict],
                  versions: dict) -> dict[str, Column]:
-        """Harvest + extract the whole repository, every single query
-        (never recyclable, so no ``versions`` to report)."""
+        """Harvest + extract the whole repository, every single query.
+        A full scan is never recycled (nothing pins a file added later),
+        so there are no ``versions`` to report."""
         self.scans += 1
         started = time.perf_counter()
         data_cols = [

@@ -135,10 +135,6 @@ class LazyDataBinding:
     def range_column(self) -> Optional[str]:
         return self.adapter.range_column
 
-    @property
-    def cache_epoch(self) -> int:
-        return self.cache.epoch
-
     def fetch(
         self,
         keys: dict[str, np.ndarray],

@@ -34,7 +34,13 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import ETLError, ExtractionError, MSeedError, StorageError
+from repro.errors import (
+    ETLError,
+    ExtractionError,
+    MSeedError,
+    RepositoryError,
+    StorageError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.etl.heat import AccessHeatTracker
@@ -236,9 +242,11 @@ class Promoter:
                     return []
                 entries.extend((uri, seq, info, columns)
                                for _uri, seq, columns, _rows in pieces)
-        except (OSError, ExtractionError, MSeedError, StorageError):
-            # Vanished / concurrently rewritten file: the query path's
-            # staleness handling is the authority; drop our stale heat.
+        except (OSError, RepositoryError, ExtractionError, MSeedError,
+                StorageError):
+            # Vanished (FileMissingError is a RepositoryError) or
+            # concurrently rewritten file: the query path's staleness
+            # handling is the authority; drop our stale heat.
             self.heat.forget_file(uri)
             report.skipped_files += 1
             return []

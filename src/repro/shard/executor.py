@@ -325,7 +325,8 @@ class ShardedExtractor:
         return out
 
     def clear_caches(self) -> None:
-        """Drop every shard's extraction + plan caches (cold benches)."""
+        """Drop every shard's extraction cache, recycler and plan cache
+        (cold benches)."""
         for i in range(self.n_shards):
             self._check(self._roundtrip(i, {"cmd": "clear_cache"}),
                         i, "clear_cache")

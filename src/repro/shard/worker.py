@@ -23,7 +23,8 @@ serves a tiny command loop over the control pipe:
     live cache snapshot + served-command counters (tests and
     ``sys.shards``).
 ``clear_cache``
-    drop the shard's extraction cache and plan cache (cold benchmarks).
+    drop the shard's extraction cache, recycled intermediates and plan
+    cache (cold benchmarks).
 ``release``
     unlink shared-memory blocks the parent has finished reading.
 ``close``
@@ -84,6 +85,11 @@ class _ShardServer:
             cache = self.warehouse.cache
             if cache is not None:
                 cache.clear()
+            # Clearing the extraction cache changes no source file, so it
+            # leaves recycled results valid; a cold shard drops them too.
+            recycler = self.warehouse.recycler
+            if recycler is not None:
+                recycler.invalidate_all()
             self.warehouse.db.clear_plan_cache()
             return {"ok": True}
         if cmd == "release":

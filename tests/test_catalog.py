@@ -73,7 +73,6 @@ def test_lazy_binding_lifecycle():
     class FakeBinding:
         key_columns = ("k",)
         range_column = None
-        cache_epoch = 0
 
         def fetch(self, *args):
             raise NotImplementedError
@@ -97,7 +96,6 @@ def test_binding_removed_with_table():
     class FakeBinding:
         key_columns = ()
         range_column = None
-        cache_epoch = 0
 
         def fetch(self, *args):
             raise NotImplementedError

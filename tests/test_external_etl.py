@@ -67,10 +67,15 @@ def test_external_alias_addressing_matches_lazy(external_wh, lazy_wh):
 
 
 def test_external_never_recycles(external_wh):
+    """A full scan cannot be pinned (a newly added file is invisible to
+    pins), so an external result is never admitted, let alone replayed."""
     sql = "SELECT COUNT(*) FROM mseed.dataview"
+    binding = external_wh.pipeline.binding
+    before = binding.scans
     first = external_wh.query(sql).scalar()
     second = external_wh.query(sql).scalar()
     assert first == second
-    # The binding's epoch advances per scan, so no recycler hit is possible.
+    assert binding.scans == before + 2
     assert not any(e.get("op") == "recycler_hit"
                    for e in external_wh.last_trace)
+    assert external_wh.recycler.stats.admissions == 0

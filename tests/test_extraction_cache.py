@@ -76,16 +76,6 @@ def test_oversized_entry_not_admitted():
     assert len(cache) == 0
 
 
-def test_epoch_advances_on_mutation():
-    cache = ExtractionCache()
-    epoch = cache.epoch
-    cache.put("f", 1, _v("f", 1), _cols())
-    assert cache.epoch > epoch
-    epoch = cache.epoch
-    cache.invalidate_file("f")
-    assert cache.epoch > epoch
-
-
 def test_contents_and_render():
     cache = ExtractionCache()
     cache.put("f1", 1, _v("f1", 1), _cols())

@@ -35,6 +35,7 @@ def test_warehouse_metrics_cover_subsystems(demo_repo, tmp_path):
     wh = SeismicWarehouse(demo_repo.root, mode="lazy",
                           storage_path=tmp_path / "store")
     wh.query(COUNT_NL)
+    extracted_by_first = wh.db.last_report.rows_extracted
     wh.query(COUNT_NL)
     snap = wh.metrics()
     for name in ("repro_cache_hits_total", "repro_cache_misses_total",
@@ -43,11 +44,14 @@ def test_warehouse_metrics_cover_subsystems(demo_repo, tmp_path):
                  "repro_heat_tracked_units", "repro_extract_seconds",
                  "repro_extract_rows_total"):
         assert name in snap, f"missing {name}"
-    # The second run compiled from the plan cache.
+    # The second run compiled from the plan cache and was answered by
+    # the recycler: nothing more was extracted.
     (hits,) = snap["repro_plan_cache_hits_total"]["samples"]
     assert hits["value"] >= 1
+    (recycled,) = snap["repro_recycler_hits_total"]["samples"]
+    assert recycled["value"] >= 1
     extracted = snap["repro_extract_rows_total"]["samples"][0]["value"]
-    assert extracted == wh.db.last_report.rows_extracted > 0
+    assert extracted == extracted_by_first > 0
 
 
 def test_extract_seconds_histogram_counts_files(demo_repo):

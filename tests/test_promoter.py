@@ -43,13 +43,18 @@ def stored_wh(demo_repo, tmp_path):
 # -- heat feeding from the query path -----------------------------------------
 
 
-def test_queries_feed_the_heat_tracker(lazy_wh):
-    lazy_wh.query(HOT_Q)
-    assert len(lazy_wh.heat) > 0
-    units = {(u, s): unit for u, s, _sc, unit in lazy_wh.heat.snapshot()}
+def test_queries_feed_the_heat_tracker(demo_repo):
+    # Recycler off: a recycled repeat never reaches the lazy fetch, so it
+    # is no access (see test_station_second_aggregate_reuses_the_recycled_
+    # fetch); this test is about the accesses that do reach it.
+    wh = SeismicWarehouse(demo_repo.root, mode="lazy",
+                          enable_recycler=False)
+    wh.query(HOT_Q)
+    assert len(wh.heat) > 0
+    units = {(u, s): unit for u, s, _sc, unit in wh.heat.snapshot()}
     assert all(unit.extractions == 1 for unit in units.values())
-    lazy_wh.query(HOT_Q)  # now served from the extraction cache
-    units = {(u, s): unit for u, s, _sc, unit in lazy_wh.heat.snapshot()}
+    wh.query(HOT_Q)  # now served from the extraction cache
+    units = {(u, s): unit for u, s, _sc, unit in wh.heat.snapshot()}
     assert any(unit.cache_hits >= 1 for unit in units.values())
     assert all("sample_value" in unit.columns for unit in units.values())
 
@@ -286,6 +291,29 @@ def test_sync_runs_the_whole_stale_reaction(mutable_repo, tmp_path,
     assert wh.query(q).scalar() >= 70_000
     assert not any(t["op"] == "refresh" for t in wh.last_trace)
     assert len(harvested) == 1  # nothing left for the query to rediscover
+
+
+def test_vanished_file_is_skipped_not_fatal_to_the_cycle(mutable_repo,
+                                                         tmp_path):
+    """A file deleted under hot units costs the promoter that file only:
+    it is skipped with its heat forgotten, and the rest still promote."""
+    wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
+                          storage_path=tmp_path / "store",
+                          enable_recycler=False)
+    wh.query("SELECT MAX(D.sample_value) FROM mseed.dataview "
+             "WHERE F.station IN ('HGN', 'DBN') AND F.channel = 'BHZ'")
+    hot = [e for e in mutable_repo.entries
+           if e.station in ("HGN", "DBN") and e.channel == "BHZ"]
+    assert len(hot) == 4
+    gone = os.path.relpath(hot[0].path, mutable_repo.root)
+    os.remove(hot[0].path)
+
+    report = wh.promote(min_score=0.0, max_units=10**6)
+    assert report.skipped_files == 1
+    assert not [row for row in wh.heat.snapshot() if row[0] == gone]
+    promoted_files = {uri for uri, _seq in wh.promoted.unit_keys()}
+    assert promoted_files == {os.path.relpath(e.path, mutable_repo.root)
+                              for e in hot[1:]}
 
 
 def test_promoter_observing_staleness_still_triggers_refresh(mutable_repo,

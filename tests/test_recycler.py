@@ -1,5 +1,7 @@
 """Intermediate-result recycling tests (the lazy-loading substrate)."""
 
+import os
+
 import numpy as np
 
 from repro.db import Database
@@ -8,6 +10,9 @@ from repro.db.exec.recycler import Recycler, signature_of
 from repro.db.plan.logical import bind_select
 from repro.db.sql.parser import parse_select
 from repro.db.types import DataType
+from repro.mseed.files import write_mseed_file
+from repro.seismology.warehouse import SeismicWarehouse
+from repro.util.timefmt import from_ymd
 
 
 def _col(values):
@@ -16,11 +21,12 @@ def _col(values):
 
 def test_lookup_admit_roundtrip():
     recycler = Recycler(budget_bytes=1 << 20)
-    assert recycler.lookup("sig") is None
+    assert recycler.lookup_validated("sig") is None
     recycler.admit("sig", [_col([1, 2, 3])], 3)
-    columns, length = recycler.lookup("sig")
+    columns, length, depends = recycler.lookup_validated("sig")
     assert length == 3
     assert columns[0].to_pylist() == [1, 2, 3]
+    assert depends == {}
     assert recycler.stats.hits == 1
 
 
@@ -29,10 +35,10 @@ def test_budget_eviction_lru_order():
     recycler = Recycler(budget_bytes=entry_bytes * 2 + 16)
     recycler.admit("a", [_col(list(range(100)))], 100)
     recycler.admit("b", [_col(list(range(100)))], 100)
-    recycler.lookup("a")  # a becomes most recently used
+    recycler.lookup_validated("a")  # a becomes most recently used
     recycler.admit("c", [_col(list(range(100)))], 100)
-    assert recycler.lookup("b") is None  # b was LRU
-    assert recycler.lookup("a") is not None
+    assert recycler.lookup_validated("b") is None  # b was LRU
+    assert recycler.lookup_validated("a") is not None
     assert recycler.stats.evictions == 1
 
 
@@ -119,3 +125,78 @@ def test_contents_listing():
     contents = recycler.contents()
     assert contents[0][0] == "sig-a"
     assert contents[0][1] == 2
+
+
+# ---------------------------------------------------------------------------
+# Lazy-fetch intermediates: reachable, because freshness is the metadata
+# tables' versions in the signature plus the FileInfo pins — extraction-
+# cache traffic changes neither
+# ---------------------------------------------------------------------------
+
+
+def _per_channel(station, select):
+    return (f"SELECT F.channel, {select} FROM mseed.dataview "
+            f"WHERE F.station = '{station}' GROUP BY F.channel")
+
+
+def _ops(wh):
+    return [t["op"] for t in wh.last_trace]
+
+
+def _heat_counts(wh):
+    return sorted((uri, seq, unit.extractions, unit.cache_hits,
+                   unit.eager_hits)
+                  for uri, seq, _score, unit in wh.heat.snapshot())
+
+
+def test_station_second_aggregate_reuses_the_recycled_fetch(lazy_wh,
+                                                            demo_repo):
+    """STDDEV of a station, then a query extracting other files, then the
+    station's COUNT/MAX: the last one is answered from the first one's
+    lazy fetch — no cache fetch, no extraction, and no heat."""
+    count_max = _per_channel("HGN", "COUNT(*), MAX(D.sample_value)")
+    lazy_wh.query(_per_channel("HGN", "STDDEV_SAMP(D.sample_value)"))
+    lazy_wh.query(_per_channel("ISK", "MIN(D.sample_value)"))
+    assert "extract" in _ops(lazy_wh)
+    heat = _heat_counts(lazy_wh)
+
+    rows = sorted(lazy_wh.query(count_max).rows())
+    assert [t["node"] for t in lazy_wh.last_trace
+            if t["op"] == "recycler_hit"] == ["PLazyFetch"]
+    assert not {"extract", "cache_fetch"} & set(_ops(lazy_wh))
+    # A unit served from a recycled intermediate was not accessed.
+    assert _heat_counts(lazy_wh) == heat
+
+    fresh = SeismicWarehouse(demo_repo.root, mode="lazy",
+                             enable_recycler=False)
+    assert rows == sorted(fresh.query(count_max).rows())
+
+
+def test_clearing_the_extraction_cache_keeps_recycled_results(lazy_wh):
+    """The files did not change, so neither did the answer: emptying the
+    extraction cache does not invalidate a recycled intermediate."""
+    sql = _per_channel("DBN", "MAX(D.sample_value)")
+    first = lazy_wh.query(sql).rows()
+    lazy_wh.cache.clear()
+    assert lazy_wh.query(sql).rows() == first
+    assert "recycler_hit" in _ops(lazy_wh)
+    assert "extract" not in _ops(lazy_wh)
+    assert lazy_wh.recycler.stats.stale_drops == 0
+
+
+def test_lazy_full_scan_sees_a_file_added_by_sync(mutable_repo):
+    """A lazy table read without metadata keys extracts the whole
+    repository; after sync() adds a file, the repeat must include it."""
+    wh = SeismicWarehouse(mutable_repo.root, mode="lazy")
+    sql = "SELECT COUNT(*) FROM mseed.data"
+    counts = {wh.query(sql).scalar() for _ in range(3)}
+    assert counts == {mutable_repo.total_samples}
+    write_mseed_file(
+        os.path.join(mutable_repo.root, "NL", "HGN",
+                     "NL.HGN..BHZ.2010.013.2200.mseed"),
+        network="NL", station="HGN", location="", channel="BHZ",
+        start_time_us=from_ymd(2010, 1, 13, 22, 0), sample_rate=40.0,
+        samples=np.arange(4000, dtype=np.int32),
+    )
+    assert len(wh.sync().added) == 1
+    assert wh.query(sql).scalar() == mutable_repo.total_samples + 4000

@@ -198,8 +198,10 @@ def test_fold_trace_counters_ignores_unknown_ops():
 
 
 def test_promoted_fetch_pages_counted_once(demo_repo, tmp_path):
+    # Recycler off: it would answer the repeat before the promoted path.
     wh = SeismicWarehouse(demo_repo.root, mode="lazy",
-                          storage_path=tmp_path / "store")
+                          storage_path=tmp_path / "store",
+                          enable_recycler=False)
     sql = QUERIES[0]
     wh.query(sql)
     wh.query(sql)  # heat the units so promotion has a workload signal
@@ -221,8 +223,10 @@ def test_promoted_parity_between_paths(demo_repo, tmp_path):
     sql = QUERIES[0]
 
     def promoted_wh(where):
+        # Recycler off: it would answer the repeat before the promoted path.
         wh = SeismicWarehouse(demo_repo.root, mode="lazy",
-                              storage_path=tmp_path / where)
+                              storage_path=tmp_path / where,
+                              enable_recycler=False)
         wh.query(sql)
         wh.query(sql)
         wh.promote(min_score=0.0)
