@@ -11,7 +11,7 @@ Walks through the eight numbered capabilities of the paper's GUI
  (5) observing which files are lazily extracted,
  (6) observing the plans generated on the fly (run-time rewriting),
  (7) observing the cache contents and lazy updates,
- (8) looking through the operation log.
+ (8) looking through the log of what ran (``sys.queries``).
 
 Run:  python examples/demo_tour.py
 """
@@ -96,8 +96,14 @@ def main() -> None:
     print(f"  staleness detected: {refreshes}")
 
     banner(8, "looking through the log: operations in order")
-    for entry in wh.oplog.tail(12):
-        print("  " + entry.render())
+    print("every query this warehouse ran, oldest first (sys.queries; "
+          "step (6) showed what one query did):")
+    journal = wh.query("SELECT id, status, rows_out, rows_extracted, "
+                       "execute_s, sql FROM sys.queries ORDER BY id")
+    for qid, status, rows_out, extracted, execute_s, sql in journal.rows():
+        print(f"  #{qid:<3} {status:<5} rows={rows_out:<4} "
+              f"extracted={extracted:<5} {execute_s * 1e3:7.2f} ms  "
+              f"{' '.join(sql.split())[:60]}")
 
 
 if __name__ == "__main__":

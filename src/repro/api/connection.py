@@ -43,7 +43,7 @@ class Connection:
 
     @property
     def db(self) -> Database:
-        """The underlying engine (introspection: plans, oplog, recycler)."""
+        """The underlying engine (introspection: plans, journal, recycler)."""
         return self._db
 
     # -- cursors ------------------------------------------------------------

@@ -8,7 +8,8 @@ exposes the introspection surface the demo scenario needs:
 * :attr:`Database.last_trace` — the operators injected at run time by the
   rewriting operator (demo item 5),
 * :attr:`Database.recycler` — cache contents and update behaviour (7),
-* :attr:`Database.oplog` — the ordered operation log (8).
+* :attr:`Database.journal` — what ran, in order, queryable as
+  ``sys.queries`` (8).
 
 Query compilation is **plan-cached**: compiled SELECT plans are kept in a
 size-bounded LRU keyed by (normalised SQL text, catalog schema
@@ -66,7 +67,6 @@ from repro.errors import BindError, ExecutionError, SQLError
 from repro.obs import journal as journal_mod
 from repro.obs.journal import QueryJournal
 from repro.obs.tracing import QueryProfile, span_tree
-from repro.util.oplog import OperationLog
 
 logger = logging.getLogger("repro.db.engine")
 
@@ -279,8 +279,8 @@ class StreamingQuery:
     materialised face of the same stream.
 
     The per-query :class:`QueryReport` fills progressively;
-    counters and the oplog "done" record land when the stream is
-    exhausted or :meth:`close` is called.
+    counters and the journal entry land when the stream is exhausted or
+    :meth:`close` is called.
     """
 
     def __init__(self, db: "Database", entry: _CachedPlan, sql: str,
@@ -300,15 +300,12 @@ class StreamingQuery:
         if profile is None and db.trace_spans:
             profile = QueryProfile()
         self.profile = profile
-        self._ctx = ExecutionContext(oplog=db.oplog, recycler=db.recycler,
-                                     profile=profile)
+        self._ctx = ExecutionContext(recycler=db.recycler, profile=profile)
         self.trace = self._ctx.trace
         self._finished = False
         db.last_plan_logical = entry.naive
         db.last_plan_optimized = entry.optimized
         db.last_plan_physical = entry.physical
-        db.oplog.record("query", "execute",
-                        sql=sql[:120].replace("\n", " "))
         self._gen = entry.physical.execute_batches(self._ctx, batch_rows)
 
     def batches(self):
@@ -363,12 +360,6 @@ class StreamingQuery:
         self.rowcount = report.rows_out
         self.db.last_trace = ctx.trace
         self.db.last_report = report
-        self.db.oplog.record(
-            "query", "done",
-            rows=report.rows_out,
-            seconds=round(report.execute_s, 4),
-            extracted=ctx.rows_extracted,
-        )
 
 
 class Database:
@@ -377,7 +368,6 @@ class Database:
     def __init__(
         self,
         *,
-        oplog: Optional[OperationLog] = None,
         recycler_budget_bytes: int = 64 * 1024 * 1024,
         enable_recycler: bool = True,
         enable_lazy_rewrite: bool = True,
@@ -398,8 +388,6 @@ class Database:
         from repro.obs.systables import install_engine_system_tables
 
         install_engine_system_tables(self)
-        # Explicit None check: an empty OperationLog is falsy (len == 0).
-        self.oplog = oplog if oplog is not None else OperationLog()
         self.recycler: Optional[Recycler] = (
             Recycler(recycler_budget_bytes) if enable_recycler else None
         )
@@ -474,10 +462,7 @@ class Database:
             raise SQLError("query_rowpath() requires a SELECT statement")
         values = resolve_param_values(entry.spec, entry.bound_params, params)
         report.params_hash = journal_mod.params_hash(values)
-        ctx = ExecutionContext(oplog=self.oplog, recycler=None,
-                               zone_pruning=False)
-        self.oplog.record("query", "execute (rowpath)",
-                          sql=sql[:120].replace("\n", " "))
+        ctx = ExecutionContext(recycler=None, zone_pruning=False)
         started = time.perf_counter()
         with ex.active_params(values):
             columns, n_rows = rowpath.execute_rowpath(
@@ -487,12 +472,6 @@ class Database:
         report.rows_out = n_rows
         _fill_ctx_counters(report, ctx)
         report.journal_id = self.journal.record_report(report)
-        self.oplog.record(
-            "query", "done (rowpath)",
-            rows=n_rows,
-            seconds=round(report.execute_s, 4),
-            extracted=ctx.rows_extracted,
-        )
         names = [c.name for c in entry.optimized.output]
         result = Result(names, [columns[c.cid]
                                 for c in entry.optimized.output])
@@ -765,20 +744,16 @@ class Database:
         )
         self.catalog.create_table(stmt.name, schema,
                                   if_not_exists=stmt.if_not_exists)
-        self.oplog.record("ddl", f"create table {'.'.join(stmt.name)}",
-                          columns=len(specs))
         return f"table {'.'.join(stmt.name)} created", -1
 
     def _create_view(self, stmt: ast.CreateViewStmt) -> tuple[str, int]:
         # Validate the view body by binding it now (against current catalog).
         bind_select(self.catalog, stmt.select)
         self.catalog.create_view(stmt.name, stmt.select, stmt.sql_text)
-        self.oplog.record("ddl", f"create view {'.'.join(stmt.name)}")
         return f"view {'.'.join(stmt.name)} created", -1
 
     def _create_schema(self, stmt: ast.CreateSchemaStmt) -> tuple[str, int]:
         self.catalog.create_schema(stmt.name, if_not_exists=stmt.if_not_exists)
-        self.oplog.record("ddl", f"create schema {stmt.name}")
         return f"schema {stmt.name} created", -1
 
     def _drop(self, stmt: ast.DropStmt) -> tuple[str, int]:
@@ -788,7 +763,6 @@ class Database:
             self.catalog.drop_view(stmt.name, if_exists=stmt.if_exists)
         else:
             self.catalog.drop_schema(stmt.name[0], if_exists=stmt.if_exists)
-        self.oplog.record("ddl", f"drop {stmt.kind} {'.'.join(stmt.name)}")
         return f"{stmt.kind} {'.'.join(stmt.name)} dropped", -1
 
     # -- DML -----------------------------------------------------------------------
@@ -836,7 +810,6 @@ class Database:
                     data[name].append(None)
         count = table.append_pydict(data)
         self._invalidate_for(table)
-        self.oplog.record("dml", f"insert into {table.name}", rows=count)
         return f"{count} rows inserted into {table.name}", count
 
     def bulk_insert(self, parts: tuple[str, ...],
@@ -857,7 +830,6 @@ class Database:
                 batch[spec.name] = Column.from_values(spec.dtype, value)
         count = table.append_batch(batch, enforce_keys=enforce_keys)
         self._invalidate_for(table)
-        self.oplog.record("load", f"bulk load {table.name}", rows=count)
         return count
 
     def _table_scope_frame(self, table: Table):
@@ -885,7 +857,6 @@ class Database:
             mask = ex.predicate_mask(predicate.eval(frame, table.row_count))
             removed = table.delete_where(mask)
         self._invalidate_for(table)
-        self.oplog.record("dml", f"delete from {table.name}", rows=removed)
         return f"{removed} rows deleted from {table.name}", removed
 
     def _update(self, stmt: ast.UpdateStmt) -> tuple[str, int]:
@@ -911,7 +882,6 @@ class Database:
             assignments[name.lower()] = value_col
         touched = table.update_rows(mask, assignments)
         self._invalidate_for(table)
-        self.oplog.record("dml", f"update {table.name}", rows=touched)
         return f"{touched} rows updated in {table.name}", touched
 
     # -- maintenance -----------------------------------------------------------------
@@ -937,8 +907,6 @@ class Database:
     def register_lazy_table(self, name: str, binding: LazyTableBinding) -> None:
         """Register an ETL binding making ``name`` a virtual, lazy table."""
         self.catalog.bind_lazy(tuple(name.split(".")), binding)
-        self.oplog.record("etl", f"lazy binding registered for {name}",
-                          keys=",".join(binding.key_columns))
 
     def warehouse_bytes(self) -> int:
         """Total resident bytes across all base tables (experiment E4)."""
@@ -952,15 +920,9 @@ class Database:
         Persisted tables become queryable immediately; their columns are
         read from disk lazily, page by page, when scans need them.
         """
-        store = self.catalog.attach(storage,
-                                    bufferpool_bytes=bufferpool_bytes)
-        self.oplog.record("storage", f"attached store at {store.root}",
-                          tables=len(store.table_names()))
-        return store
+        return self.catalog.attach(storage,
+                                   bufferpool_bytes=bufferpool_bytes)
 
     def checkpoint(self) -> list[str]:
         """Persist mutated tables to the attached store (atomic commit)."""
-        written = self.catalog.checkpoint()
-        self.oplog.record("storage", "checkpoint",
-                          tables_written=len(written))
-        return written
+        return self.catalog.checkpoint()

@@ -596,8 +596,6 @@ def _scalar_aggregate(agg: ex.AggCall, dtype: DataType,
 
 def _lazy_fetch_rows(node: ph.PLazyFetch, ctx: ph.ExecutionContext
                      ) -> list[Row]:
-    import time as _time
-
     ctx.operators_run += 1
     lg_node = node.node
     binding = lg_node.binding
@@ -623,16 +621,10 @@ def _lazy_fetch_rows(node: ph.PLazyFetch, ctx: ph.ExecutionContext
         "needed": list(lg_node.needed),
         "time_bounds": time_bounds,
     })
-    started = _time.perf_counter()
     named = binding.fetch(keys, list(lg_node.needed), time_bounds, ctx.trace,
                           ctx.file_deps)
-    elapsed = _time.perf_counter() - started
     lazy_len = len(next(iter(named.values()))) if named else 0
     ctx.rows_extracted += lazy_len
-    ctx.oplog.record(
-        "extract", f"lazy fetch from {lg_node.table_name}",
-        rows=lazy_len, seconds=round(elapsed, 4),
-    )
 
     name_to_cid = {c.name: c.cid for c in lg_node.lazy_output}
     lazy_cols = {name_to_cid[n]: col for n, col in named.items()

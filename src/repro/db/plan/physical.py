@@ -25,7 +25,6 @@ data" and "the plans generated on the fly".
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -37,7 +36,6 @@ from repro.db.plan import logical as lg
 from repro.db.table import SystemTable
 from repro.db.types import DataType
 from repro.errors import ExecutionError
-from repro.util.oplog import OperationLog
 
 if TYPE_CHECKING:  # imported lazily at run time to avoid an import cycle
     from repro.db.exec.recycler import Recycler
@@ -90,7 +88,6 @@ class Chunk:
 class ExecutionContext:
     """Shared run-time state for one query execution."""
 
-    oplog: OperationLog
     recycler: Optional["Recycler"] = None
     trace: list[dict] = field(default_factory=list)
     rows_extracted: int = 0
@@ -408,19 +405,8 @@ class PTableScan(PhysicalNode):
         # see the first rows before the scan's full output ever exists
         # as one chunk.
         columns = {c.cid: self.table.column(c.name) for c in self.schema}
-        total = self.table.row_count
-        streamed = 0
-        try:
-            for chunk in iter_chunk_slices(Chunk(columns, total), batch_rows):
-                streamed += chunk.length
-                yield chunk
-        finally:
-            # Recorded on completion (or abandonment, e.g. a satisfied
-            # LIMIT) so the oplog reflects rows actually streamed.
-            ctx.oplog.record(
-                "scan", f"scan {self.qualified_name}",
-                rows=streamed, of=total, columns=len(self.schema),
-            )
+        yield from iter_chunk_slices(Chunk(columns, self.table.row_count),
+                                     batch_rows)
 
 
 class PSystemScan(PhysicalNode):
@@ -443,8 +429,6 @@ class PSystemScan(PhysicalNode):
 
     def batches(self, ctx: ExecutionContext, batch_rows: int):
         by_name, length = self.table.snapshot_columns()
-        ctx.oplog.record("scan", f"scan {self.qualified_name} (system)",
-                         rows=length, columns=len(self.schema))
         yield from iter_chunk_slices(
             Chunk(columns={c.cid: by_name[c.name] for c in self.schema},
                   length=length),
@@ -658,7 +642,6 @@ class PDiskScan(PhysicalNode):
         faulting = [c for c in self.schema if c.cid not in resident.columns]
         read: list[Chunk] = []  # what an unpruned scan has faulted in so far
         io = IOCounter()
-        streamed = 0
         try:
             for run in self._page_runs(counts, dead, batch_rows):
                 start, stop = offsets[run[0]], offsets[run[-1] + 1]
@@ -669,7 +652,6 @@ class PDiskScan(PhysicalNode):
                 )
                 if not dead:
                     read.append(loaded)
-                streamed += stop - start
                 yield from iter_chunk_slices(
                     Chunk({**resident.slice(start, stop).columns,
                            **loaded.columns}, stop - start),
@@ -696,13 +678,6 @@ class PDiskScan(PhysicalNode):
                 "pages_skipped_zone": zone_skipped,
                 "zone_dead_pages": len(dead),
             })
-            ctx.oplog.record(
-                "scan", f"disk scan {self.qualified_name}",
-                rows=streamed, of=backing.row_count,
-                columns=len(self.schema),
-                pages_read=io.disk_reads, pages_skipped=pages_skipped,
-                pages_skipped_zone=zone_skipped,
-            )
 
 
 class PScanAll(PhysicalNode):
@@ -718,16 +693,10 @@ class PScanAll(PhysicalNode):
         return f"LazyScanAll {self.table_name} [{cols}] (full repository!)"
 
     def batches(self, ctx: ExecutionContext, batch_rows: int):
-        started = time.perf_counter()
         named = self.binding.scan_all([c.name for c in self.schema],
                                       ctx.trace, ctx.file_deps)
-        elapsed = time.perf_counter() - started
         length = len(next(iter(named.values()))) if named else 0
         ctx.rows_extracted += length
-        ctx.oplog.record(
-            "extract", f"full extraction of {self.table_name}",
-            rows=length, seconds=round(elapsed, 4),
-        )
         columns = {c.cid: named[c.name] for c in self.schema}
         yield from iter_chunk_slices(Chunk(columns, length), batch_rows)
 
@@ -1262,16 +1231,10 @@ class PLazyFetch(PhysicalNode):
             "needed": list(node.needed),
             "time_bounds": time_bounds,
         })
-        started = time.perf_counter()
         named = binding.fetch(keys, list(node.needed), time_bounds,
                               ctx.trace, ctx.file_deps)
-        elapsed = time.perf_counter() - started
         lazy_len = len(next(iter(named.values()))) if named else 0
         ctx.rows_extracted += lazy_len
-        ctx.oplog.record(
-            "extract", f"lazy fetch from {node.table_name}",
-            rows=lazy_len, seconds=round(elapsed, 4),
-        )
 
         name_to_cid = {c.name: c.cid for c in node.lazy_output}
         lazy_frame = {name_to_cid[n]: col for n, col in named.items()

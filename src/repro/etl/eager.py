@@ -47,12 +47,12 @@ class EagerETL:
         started = time.perf_counter()
         self.repo.reset_counters()
         harvest = harvest_repository(self.repo, self.adapter,
-                                     Granularity.RECORD, self.db.oplog)
+                                     Granularity.RECORD)
         self._ddl.load_metadata(harvest)
         # The ledger of harvested versions: what refresh() diffs against.
         self._ddl.index.load(harvest)
         samples = self._load_all_data(harvest)
-        report = ETLReport(
+        return ETLReport(
             strategy="eager",
             seconds=time.perf_counter() - started,
             files_listed=len(harvest.files),
@@ -61,12 +61,6 @@ class EagerETL:
             samples_loaded=samples,
             bytes_read=self.repo.bytes_read,
         )
-        self.db.oplog.record(
-            "etl", "eager initial load complete",
-            files=report.files_listed, samples=samples,
-            seconds=round(report.seconds, 4),
-        )
-        return report
 
     def _load_all_data(self, harvest: HarvestResult) -> int:
         data_cols = [spec.name for spec in self.adapter.data_columns()

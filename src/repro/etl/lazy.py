@@ -51,7 +51,6 @@ from repro.etl.metadata import (
     harvest_repository,
 )
 from repro.mseed.repository import FileInfo, Repository
-from repro.util.oplog import OperationLog
 
 logger = logging.getLogger("repro.etl.lazy")
 
@@ -88,13 +87,11 @@ class LazyDataBinding:
 
     def __init__(self, repo: Repository, adapter: SourceAdapter,
                  index: RecordIndex, cache: ExtractionCache,
-                 oplog: OperationLog,
                  metadata_refresh, heat=None) -> None:
         self.repo = repo
         self.adapter = adapter
         self.index = index
         self.cache = cache
-        self.oplog = oplog
         self.metadata_refresh = metadata_refresh
         # Adaptive promotion hooks: an AccessHeatTracker observing every
         # served unit, and (when storage is attached) the PromotedStore
@@ -249,7 +246,6 @@ class LazyDataBinding:
         the *old* layout."""
         if self.metrics is not None:
             self.metrics.stale_files_total.inc()
-        self.oplog.record("cache", f"stale entries dropped for {uri}")
         self.cache.invalidate_file(uri)
         if self.promoted is not None:
             self.promoted.invalidate_file(uri)
@@ -428,10 +424,6 @@ class LazyDataBinding:
             self.metrics.extract_seconds.observe(elapsed)
             self.metrics.extract_records_total.inc(len(missing))
             self.metrics.extract_rows_total.inc(extracted.total_rows())
-        self.oplog.record(
-            "extract", f"extracted {len(missing)} records from {uri}",
-            rows=extracted.total_rows(), seconds=round(elapsed, 4),
-        )
         pieces = []
         # (4) lazy loading: admit the transformed records to the cache.
         for seq, columns in zip(extracted.seq_nos, extracted.per_record):
@@ -492,11 +484,6 @@ class LazyDataBinding:
                 "seq_lo": min(got), "seq_hi": max(got),
                 "mtime_ns": info.mtime_ns,
             })
-            self.oplog.record(
-                "extract",
-                f"shared {len(got)} records of {uri} from another session",
-                rows=rows, seconds=round(waited, 4),
-            )
             pieces.extend(
                 (uri, seq, columns, _rows_of(columns))
                 for seq, columns in got.items()
@@ -659,10 +646,10 @@ class LazyETL:
         self.create_tables()
         self.db.attach(store)
         self._rebuild_index_from_metadata()
-        restored = self.cache.restore(store, self.index.version)
+        self.cache.restore(store, self.index.version)
         self.heat.import_state(store.get_meta("heat_state"))
         self.binding = LazyDataBinding(self.repo, self.adapter, self.index,
-                                       self.cache, self.db.oplog,
+                                       self.cache,
                                        metadata_refresh=self.refresh_file_metadata,
                                        heat=self.heat)
         self.db.register_lazy_table(self.data_table, self.binding)
@@ -676,11 +663,6 @@ class LazyETL:
             records_loaded=records_table.row_count,
             samples_loaded=0,
             bytes_read=0,
-        )
-        self.db.oplog.record(
-            "etl", "warm start from checkpoint",
-            files=report.files_listed, records=report.records_loaded,
-            cache_entries=restored, seconds=round(report.seconds, 4),
         )
         return LazySetup(report=report,
                          harvest=HarvestResult(granularity=self.granularity),
@@ -696,10 +678,7 @@ class LazyETL:
         # promotion where the previous process left off.
         store.set_meta("heat_state", self.heat.export_state())
         self.db.checkpoint()
-        entries = self.cache.spill(store, skip=self._covered_by_promotion)
-        self.db.oplog.record("storage", "lazy warehouse checkpoint",
-                             cache_entries=entries)
-        return entries
+        return self.cache.spill(store, skip=self._covered_by_promotion)
 
     def _covered_by_promotion(self, uri: str, seq_no: int, info: FileInfo,
                               columns: dict) -> bool:
@@ -749,11 +728,11 @@ class LazyETL:
         started = time.perf_counter()
         self.repo.reset_counters()
         harvest = harvest_repository(self.repo, self.adapter,
-                                     self.granularity, self.db.oplog)
+                                     self.granularity)
         self.load_metadata(harvest)
         self.index.load(harvest)
         self.binding = LazyDataBinding(self.repo, self.adapter, self.index,
-                                       self.cache, self.db.oplog,
+                                       self.cache,
                                        metadata_refresh=self.refresh_file_metadata,
                                        heat=self.heat)
         self.db.register_lazy_table(self.data_table, self.binding)
@@ -765,11 +744,6 @@ class LazyETL:
             records_loaded=len(harvest.records),
             samples_loaded=0,
             bytes_read=harvest.bytes_read,
-        )
-        self.db.oplog.record(
-            "etl", "lazy initial load complete",
-            files=report.files_listed, records=report.records_loaded,
-            seconds=round(report.seconds, 4),
         )
         return LazySetup(report=report, harvest=harvest, binding=self.binding)
 
@@ -830,9 +804,6 @@ class LazyETL:
         if record_rows:
             self.db.bulk_insert((self.schema, "records"),
                                 _columnar(record_rows), enforce_keys=True)
-        self.db.oplog.record("refresh",
-                             f"metadata refreshed for {info.uri}",
-                             records=len(record_rows))
 
 
 def _columnar(rows: list[dict[str, object]]) -> dict[str, list]:

@@ -17,6 +17,7 @@ cost spectrum (experiment E9 sweeps them):
 from __future__ import annotations
 
 import enum
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -24,7 +25,8 @@ from typing import Optional
 from repro.errors import MSeedError
 from repro.etl.framework import SourceAdapter
 from repro.mseed.repository import FileInfo, Repository
-from repro.util.oplog import OperationLog
+
+logger = logging.getLogger("repro.etl.metadata")
 
 WHOLE_FILE_SEQ = 0
 """Sentinel seq_no meaning "the entire file" (coarse granularities)."""
@@ -87,16 +89,15 @@ def harvest_repository(
     repo: Repository,
     adapter: SourceAdapter,
     granularity: Granularity = Granularity.RECORD,
-    oplog: Optional[OperationLog] = None,
     *,
     strict: bool = False,
 ) -> HarvestResult:
     """Harvest metadata for every file in the repository.
 
     Real archives contain the occasional corrupt or foreign file; by
-    default those are *skipped* (recorded in ``skipped`` and the oplog)
-    so one bad volume cannot block bootstrapping a warehouse over
-    millions of files.  ``strict=True`` raises instead.
+    default those are *skipped* (recorded in ``skipped`` and logged as a
+    warning) so one bad volume cannot block bootstrapping a warehouse
+    over millions of files.  ``strict=True`` raises instead.
     """
     started = time.perf_counter()
     result = HarvestResult(granularity=granularity)
@@ -109,18 +110,11 @@ def harvest_repository(
             if strict:
                 raise
             result.skipped.append((info.uri, str(exc)))
-            if oplog is not None:
-                oplog.record("harvest", f"skipped corrupt file {info.uri}",
-                             error=str(exc)[:80])
+            logger.warning("skipping corrupt file %s: %s", info.uri, exc)
             continue
         result.files_opened += opened
         result.files.append(meta)
         result.records.extend(records)
-        if oplog is not None:
-            oplog.record(
-                "harvest", f"metadata from {info.uri}",
-                granularity=granularity.value, records=len(records),
-            )
     result.bytes_read = repo.bytes_read - reads_before
     result.seconds = time.perf_counter() - started
     return result

@@ -75,20 +75,12 @@ class MetadataSync:
         except (FileMissingError, FileNotFoundError) as exc:
             logger.warning("file %s vanished during sync: %s",
                            info.uri, exc)
-            self.lazy.db.oplog.record(
-                "refresh", f"file {info.uri} vanished during sync",
-                error=str(exc)[:80],
-            )
             return None
         except MSeedError as exc:
             # Torn mid-rewrite content: treat like a vanished file; the
             # next sync will pick the file up once it is stable again.
             logger.warning("file %s unreadable during sync "
                            "(torn rewrite?): %s", info.uri, exc)
-            self.lazy.db.oplog.record(
-                "refresh", f"file {info.uri} unreadable during sync",
-                error=str(exc)[:80],
-            )
             return None
 
     def sync(self) -> SyncReport:
@@ -137,12 +129,6 @@ class MetadataSync:
                 enforce_keys=True,
             )
         report.seconds = time.perf_counter() - started
-        self.lazy.db.oplog.record(
-            "refresh", "lazy metadata sync",
-            added=len(report.added), updated=len(report.updated),
-            removed=len(report.removed),
-            seconds=round(report.seconds, 4),
-        )
         return report
 
 
@@ -164,9 +150,4 @@ class EagerRefresh:
         for uri in report.added + report.updated:
             report.samples_reloaded += self.eager.load_file_data(uri)
         report.seconds = time.perf_counter() - started
-        self.eager.db.oplog.record(
-            "refresh", "eager refresh",
-            changed=report.changed, samples=report.samples_reloaded,
-            seconds=round(report.seconds, 4),
-        )
         return report

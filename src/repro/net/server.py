@@ -353,9 +353,6 @@ class WireServer:
                                   self.connections_snapshot)
         self._metrics_collector = None  # stats flow via the service collector
         logger.info("wire server listening on %s:%s", self.host, self.port)
-        self.service.warehouse.oplog.record(
-            "service", "wire server listening",
-            host=self.host, port=self.port)
         return self
 
     def stop(self, *, drain_s: float = 5.0) -> None:

@@ -27,7 +27,6 @@ from repro.mseed.repository import Repository
 from repro.obs.export import render_prometheus, snapshot_json
 from repro.obs.metrics import ExtractionInstruments, MetricsRegistry
 from repro.seismology import schema as schema_mod
-from repro.util.oplog import OperationLog
 
 Mode = Literal["lazy", "eager", "external"]
 
@@ -86,13 +85,11 @@ class SeismicWarehouse:
         self._sharding = None
         self._shard_router = None
         self._shard_extract_pool = None
-        self.oplog = OperationLog()
         # One registry per warehouse: every layer (storage, ETL, engine,
         # service) reports into it; scraped via metrics()/metrics_text().
         self.metrics_registry = MetricsRegistry()
         self._metrics_collector = None
         self.db = Database(
-            oplog=self.oplog,
             recycler_budget_bytes=recycler_budget_bytes,
             enable_recycler=enable_recycler,
             enable_lazy_rewrite=enable_lazy_rewrite,

@@ -130,16 +130,6 @@ class Promoter:
             report.live_units = len(self.promoted)
             report.disk_bytes = self.promoted.disk_bytes()
         report.seconds = time.perf_counter() - started
-        if report.promoted_units or report.demoted_units:
-            self.binding.oplog.record(
-                "promote",
-                f"promotion cycle: +{report.promoted_units} units "
-                f"(-{report.demoted_units} demoted)",
-                from_cache=report.from_cache_units,
-                extracted=report.extracted_units,
-                disk_bytes=report.disk_bytes,
-                seconds=round(report.seconds, 4),
-            )
         self.total.merge(report)
         return report
 
@@ -354,6 +344,3 @@ class BackgroundPromoter:
                     self.errors += 1
                     self.last_error = exc
                 logger.exception("promotion cycle failed (continuing)")
-                self.promoter.binding.oplog.record(
-                    "promote", "promotion cycle failed (continuing)",
-                    error=repr(exc)[:200])

@@ -396,12 +396,6 @@ class WarehouseService:
         logger.info(
             "service started: %d workers, queue depth %d",
             self.config.max_workers, self.config.queue_depth)
-        self.warehouse.oplog.record(
-            "service", "service started",
-            workers=self.config.max_workers,
-            queue_depth=self.config.queue_depth,
-            extract_workers=self.config.extract_workers,
-        )
 
     def _build_promoter(self, binding):
         """Wire a BackgroundPromoter over the warehouse's heat + store."""
@@ -476,10 +470,6 @@ class WarehouseService:
             self._service_collector = None
         logger.info("service stopped: %d completed, %d failed",
                     self._completed, self._failed)
-        self.warehouse.oplog.record(
-            "service", "service stopped",
-            completed=self._completed, failed=self._failed,
-        )
 
     def __enter__(self) -> "WarehouseService":
         return self

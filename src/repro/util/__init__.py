@@ -1,4 +1,4 @@
-"""Shared utilities: time handling, humanised formatting, operation log."""
+"""Shared utilities: time handling and humanised formatting."""
 
 from repro.util.timefmt import (
     MICROS_PER_SECOND,
@@ -8,7 +8,6 @@ from repro.util.timefmt import (
     from_ymd,
 )
 from repro.util.human import format_bytes, format_duration
-from repro.util.oplog import OperationLog, OpEntry
 
 __all__ = [
     "MICROS_PER_SECOND",
@@ -18,6 +17,4 @@ __all__ = [
     "from_ymd",
     "format_bytes",
     "format_duration",
-    "OperationLog",
-    "OpEntry",
 ]

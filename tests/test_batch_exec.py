@@ -65,16 +65,26 @@ def _assert_parity(db, sql, batch_sizes=(1, 3, 7, 64)):
 # ---------------------------------------------------------------------------
 
 
+def _span_names(span):
+    yield span["name"]
+    for child in span.get("children", ()):
+        yield from _span_names(child)
+
+
 def test_limit_zero_pulls_no_child_batches():
     db = _nullable_db()
-    before = len(db.oplog.entries("scan"))
+    db.trace_spans = True
     rows, run = _stream_rows(db, "SELECT v FROM t LIMIT 0", batch_rows=4)
     assert rows == []
     assert run.report.rows_out == 0
-    # The scan operator's generator must never have started: no scan
-    # record was appended (the streamed-scan record lands in `finally`,
-    # i.e. as soon as the generator runs at all).
-    assert len(db.oplog.entries("scan")) == before
+    # Nothing below the LIMIT (the plan root) ran: an operator counts as
+    # run once its parent asks for its batches, and gets a span on its
+    # first pull.
+    assert run.entry.physical.children()
+    assert run.report.operators_run == 1
+    operators = [name for name in _span_names(run.report.spans)
+                 if name.startswith("P")]
+    assert operators == ["PLimit"]
 
 
 def test_limit_zero_matches_materialised():

@@ -1,5 +1,6 @@
 """Failure injection: corrupt files, vanished files, foreign content."""
 
+import logging
 import os
 
 import numpy as np
@@ -81,12 +82,15 @@ def test_truncated_file_mid_repo(mutable_repo):
     assert any(skipped_uri == uri for skipped_uri, _err in result.skipped)
 
 
-def test_oplog_notes_skipped_files(mutable_repo):
-    from repro.util.oplog import OperationLog
-
+def test_oplog_notes_skipped_files(mutable_repo, caplog):
+    """A warehouse booted over a torn file says so in the log."""
     _corrupt(mutable_repo.entries[0].path)
     repo = Repository(mutable_repo.root)
-    log = OperationLog()
-    harvest_repository(repo, MSeedAdapter(), Granularity.RECORD, log)
-    messages = [e.message for e in log.entries("harvest")]
-    assert any("skipped corrupt" in m for m in messages)
+    uri = os.path.relpath(mutable_repo.entries[0].path, mutable_repo.root)
+    with caplog.at_level(logging.WARNING, logger="repro.etl.metadata"):
+        harvest_repository(repo, MSeedAdapter(), Granularity.RECORD)
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "repro.etl.metadata"
+                and r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"skipping corrupt file {uri}: ")

@@ -1,7 +1,8 @@
 """The query journal: ring bounds, durability, concurrent appends.
 
 Satellite coverage for ``repro.obs.journal``: eviction order under the
-ring-buffer capacity, byte-identical spill/restore across
+ring-buffer capacity (and no per-query growth once it is full),
+byte-identical spill/restore across
 ``checkpoint()`` → warm start, and appends racing in from concurrent
 service sessions.
 """
@@ -9,10 +10,14 @@ service sessions.
 from __future__ import annotations
 
 import json
+import os
 import threading
+import tracemalloc
 
 import pytest
 
+import repro
+from repro.db.exec.engine import Database
 from repro.obs.journal import (
     DEFAULT_SESSION,
     QueryJournal,
@@ -52,6 +57,40 @@ def test_append_does_not_alias_caller_dict():
     journal.append(raw)
     raw["sql"] = "mutated"
     assert journal.entries()[0]["sql"] == "q"
+
+
+def test_repeat_selects_do_not_grow_memory_once_the_journal_is_full():
+    """Every per-query record the engine keeps is bounded: once the
+    journal ring is full and the plans are cached, a thousand more
+    SELECTs leave the package's heap where it was."""
+    db = Database(journal_capacity=8)
+    db.execute("CREATE TABLE t (k BIGINT, v DOUBLE)")
+    db.execute("INSERT INTO t VALUES (1, 1.5), (2, 2.5), (3, 3.5)")
+    statements = ["SELECT COUNT(*) FROM t",
+                  "SELECT k, v FROM t WHERE k > 1",
+                  "SELECT SUM(v) FROM t"]
+
+    def run(count: int) -> None:
+        for i in range(count):
+            db.query(statements[i % len(statements)])
+
+    package = [tracemalloc.Filter(
+        True, os.path.join(os.path.dirname(repro.__file__), "*"))]
+    # Traced from before the warm-up: what a warm query replaces (a
+    # recycler entry, a journal slot) must have been traced when it was
+    # allocated, or its replacement reads as growth.
+    tracemalloc.start()
+    try:
+        run(32)
+        before = tracemalloc.take_snapshot().filter_traces(package)
+        run(1000)
+        after = tracemalloc.take_snapshot().filter_traces(package)
+    finally:
+        tracemalloc.stop()
+    grown = sum(stat.size_diff
+                for stat in after.compare_to(before, "filename"))
+    assert db.journal.stats()["entries"] == 8
+    assert grown < 64 * 1024, f"grew {grown / 1024:.1f} KiB"
 
 
 def test_session_summary_aggregates_per_session():
