@@ -36,10 +36,11 @@ def main() -> None:
 
     # A deliberately tiny extraction cache: the regime where pure lazy
     # re-extracts every repeat (and eager loading would have won E7).
+    # Recycler budget 0: no recycled intermediate answers the repeats.
     print("\n2. opening a lazy warehouse with storage attached ...")
     warehouse = SeismicWarehouse(root, mode="lazy", storage_path=store,
                                  cache_budget_bytes=64 * 1024,
-                                 enable_recycler=False)
+                                 recycler_budget_bytes=0)
     hot_query = (f"SELECT MIN(D.sample_value), MAX(D.sample_value), "
                  f"COUNT(*) FROM mseed.dataview "
                  f"WHERE F.station = '{station}' AND F.channel = '{channel}'")
@@ -79,7 +80,7 @@ def main() -> None:
     warehouse.checkpoint()
     warm = SeismicWarehouse(root, mode="lazy", storage_path=store,
                             cache_budget_bytes=64 * 1024,
-                            enable_recycler=False)
+                            recycler_budget_bytes=0)
     warm_ms, _ = timed(lambda: warm.query(hot_query))
     wr = warm.db.last_report
     print(f"   warm hot query: {warm_ms:.1f} ms, "

@@ -25,7 +25,7 @@ def main() -> None:
 
     print("\n2. opening a lazy warehouse and starting the query service ...")
     warehouse = SeismicWarehouse(root, mode="lazy")
-    with warehouse.serve(max_workers=4, extract_workers=2) as service:
+    with warehouse.serve(max_workers=4) as service:
         print(f"   {service!r}")
 
         print("\n3. four sessions, distinct aggregates, same streams, "
@@ -54,9 +54,15 @@ def main() -> None:
 
         stats = service.stats()
         print("\n4. service counters:")
-        print(f"   completed={stats.completed}  failed={stats.failed}  "
-              f"p50={stats.percentile(50) * 1e3:.0f} ms  "
-              f"p99={stats.percentile(99) * 1e3:.0f} ms")
+        print(f"   completed={stats.completed}  failed={stats.failed}")
+        latency = warehouse.metrics_registry.histogram(
+            "repro_query_seconds", labels=("session",))
+        for session in sessions:
+            name = session.session_id
+            print(f"   {name:>16}: "
+                  f"p50={latency.percentile(50, session=name) * 1e3:.0f} ms"
+                  f"  p99={latency.percentile(99, session=name) * 1e3:.0f}"
+                  " ms")
         if stats.coalescer is not None:
             print(f"   coalescer: {stats.coalescer.snapshot()}")
 

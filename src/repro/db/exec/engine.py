@@ -369,9 +369,6 @@ class Database:
         self,
         *,
         recycler_budget_bytes: int = 64 * 1024 * 1024,
-        enable_recycler: bool = True,
-        enable_lazy_rewrite: bool = True,
-        enable_pruning: bool = True,
         plan_cache_size: int = 128,
         trace_spans: bool = False,
         journal: Optional[QueryJournal] = None,
@@ -388,11 +385,8 @@ class Database:
         from repro.obs.systables import install_engine_system_tables
 
         install_engine_system_tables(self)
-        self.recycler: Optional[Recycler] = (
-            Recycler(recycler_budget_bytes) if enable_recycler else None
-        )
-        self.enable_lazy_rewrite = enable_lazy_rewrite
-        self.enable_pruning = enable_pruning
+        # Budget 0 recycles nothing.
+        self.recycler = Recycler(recycler_budget_bytes)
         # When on, every query carries a span tree in ``report.spans``
         # with one span per operator that ran.
         self.trace_spans = trace_spans
@@ -542,11 +536,7 @@ class Database:
         bound = bind_select(self.catalog, stmt)
         report.bind_s = time.perf_counter() - started
         started = time.perf_counter()
-        optimized = optimize(
-            bound,
-            enable_lazy_rewrite=self.enable_lazy_rewrite,
-            enable_pruning=self.enable_pruning,
-        )
+        optimized = optimize(bound)
         physical = build_physical(optimized, self.recycler)
         report.optimize_s = time.perf_counter() - started
         return _CachedPlan(
@@ -889,8 +879,7 @@ class Database:
     def _invalidate_for(self, table: Table) -> None:
         # Signatures embed table versions, so stale entries can never be
         # hit again; drop them eagerly to release cache budget.
-        if self.recycler is not None:
-            self.recycler.invalidate_matching(f"scan({table.name}@")
+        self.recycler.invalidate_matching(f"scan({table.name}@")
         # Cached plans scanning this table carry recycler signatures and
         # storage choices (disk-backed vs resident) baked at compile time;
         # recompiling after DML keeps both exactly current.

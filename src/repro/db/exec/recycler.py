@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.db import expr as ex
@@ -61,7 +61,11 @@ class RecyclerStats:
 
 
 class Recycler:
-    """Bounded cache of materialised intermediates."""
+    """Bounded cache of materialised intermediates.
+
+    A budget of 0 recycles nothing: :meth:`admit` rejects every result,
+    an empty one included, and plans get no signature nodes at all.
+    """
 
     def __init__(self, budget_bytes: int = 64 * 1024 * 1024) -> None:
         self.budget_bytes = budget_bytes
@@ -117,7 +121,7 @@ class Recycler:
               *, depends: Optional[dict] = None) -> bool:
         nbytes = sum(col.memory_bytes() for col in columns)
         with self._lock:
-            if nbytes > self.budget_bytes:
+            if not self.enabled or nbytes > self.budget_bytes:
                 self.stats.rejected += 1
                 return False
             if signature in self._entries:
@@ -138,6 +142,10 @@ class Recycler:
             _, entry = self._entries.popitem(last=False)
             self._bytes -= entry.nbytes
             self.stats.evictions += 1
+
+    @property
+    def enabled(self) -> bool:
+        return self.budget_bytes > 0
 
     # -- maintenance ---------------------------------------------------------------
 

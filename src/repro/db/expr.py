@@ -16,8 +16,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,9 +26,7 @@ from repro.db.types import (
     DataType,
     coerce_literal,
     common_numeric,
-    comparable,
     is_numeric,
-    literal_type,
 )
 from repro.errors import BindError, ExecutionError, TypeMismatchError
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.db import expr as ex
 from repro.db.plan import logical as lg
 from repro.db.plan.physical import PhysicalNode
 

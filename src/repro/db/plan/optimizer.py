@@ -37,7 +37,6 @@ from repro.db.plan.logical import (
     LScan,
     LScanAll,
     LSort,
-    OutCol,
 )
 from repro.db.types import DataType
 from repro.errors import BindError
@@ -627,18 +626,9 @@ def prune_columns(node: LogicalNode, required: Optional[set[int]] = None
 # ---------------------------------------------------------------------------
 
 
-def optimize(node: LogicalNode, *, enable_lazy_rewrite: bool = True,
-             enable_pruning: bool = True) -> LogicalNode:
-    """Run all optimisation passes.
-
-    ``enable_lazy_rewrite=False`` keeps lazy scans as full-repository
-    extractions (the static-plan ablation from DESIGN.md §5);
-    ``enable_pruning=False`` disables column pruning.
-    """
+def optimize(node: LogicalNode) -> LogicalNode:
+    """Run all optimisation passes."""
     node = push_down_filters(node)
-    if enable_lazy_rewrite:
-        node = reorder_joins(node)
+    node = reorder_joins(node)
     node = degrade_lazy_scans(node)
-    if enable_pruning:
-        node = prune_columns(node)
-    return node
+    return prune_columns(node)

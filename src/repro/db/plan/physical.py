@@ -1273,10 +1273,11 @@ def build_physical(node: lg.LogicalNode,
                    recycler: Optional["Recycler"] = None) -> PhysicalNode:
     """Translate a logical plan 1:1 into physical operators.
 
-    When a recycler is supplied, recyclable nodes (aggregates and lazy
-    fetches — the expensive materialisation points) get a stable signature
-    so their results can be reused across queries, unless they sit above
-    a full-repository scan (see :func:`_recyclable`).  Signatures are
+    When a recycler with a budget is supplied, recyclable nodes
+    (aggregates and lazy fetches — the expensive materialisation points)
+    get a stable signature so their results can be reused across
+    queries, unless they sit above a full-repository scan (see
+    :func:`_recyclable`).  Signatures are
     rendered per execution (see :attr:`PhysicalNode.signature`), so
     fragments containing prepared-statement parameters embed the
     *currently bound values*: identical re-executions recycle, different
@@ -1317,7 +1318,7 @@ def build_physical(node: lg.LogicalNode,
     else:
         raise ExecutionError(
             f"no physical operator for {type(node).__name__}")
-    if recycler is not None and _recyclable(node):
+    if recycler is not None and recycler.enabled and _recyclable(node):
         physical.signature_source = node
     return physical
 

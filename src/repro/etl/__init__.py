@@ -11,9 +11,13 @@ Three interchangeable ingestion strategies over the same warehouse schema:
 * :class:`~repro.etl.external.ExternalTableETL` — the external-table /
   NoDB-style comparator from §2: no up-front loading at all, but every
   query re-extracts the entire repository.
+
+All three populate the warehouse's one SQL schema, :data:`SCHEMA`
+(``mseed``), through a :class:`SourceAdapter`;
+:class:`~repro.etl.mseed_adapter.MSeedAdapter` is the only format.
 """
 
-from repro.etl.framework import SourceAdapter, ETLReport
+from repro.etl.framework import SCHEMA, SourceAdapter, ETLReport
 from repro.etl.metadata import (
     Granularity,
     FileMeta,
@@ -24,13 +28,13 @@ from repro.etl.metadata import (
 from repro.etl.cache import ExtractionCache, CacheStats
 from repro.etl.heat import AccessHeatTracker, HeatUnit
 from repro.etl.mseed_adapter import MSeedAdapter
-from repro.etl.csv_adapter import CsvDirAdapter
 from repro.etl.lazy import LazyETL, LazyDataBinding
 from repro.etl.eager import EagerETL
 from repro.etl.external import ExternalTableETL, ExternalBinding
 from repro.etl.refresh import MetadataSync, SyncReport
 
 __all__ = [
+    "SCHEMA",
     "SourceAdapter",
     "ETLReport",
     "Granularity",
@@ -43,7 +47,6 @@ __all__ = [
     "AccessHeatTracker",
     "HeatUnit",
     "MSeedAdapter",
-    "CsvDirAdapter",
     "LazyETL",
     "LazyDataBinding",
     "EagerETL",

@@ -15,10 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.db.column import Column
 from repro.db.exec.engine import Database
-from repro.etl.framework import ETLReport, SourceAdapter
-from repro.etl.lazy import LazyETL, _columnar
+from repro.etl.framework import SCHEMA, ETLReport, SourceAdapter
+from repro.etl.lazy import LazyETL
 from repro.etl.metadata import Granularity, HarvestResult, harvest_repository
 from repro.mseed.repository import Repository
 
@@ -27,17 +26,16 @@ class EagerETL:
     """Full extract → transform → bulk load, before any query."""
 
     def __init__(self, db: Database, repo: Repository,
-                 adapter: SourceAdapter, *, schema: str = "mseed") -> None:
+                 adapter: SourceAdapter) -> None:
         self.db = db
         self.repo = repo
         self.adapter = adapter
-        self.schema = schema
         # Table creation is shared with the lazy pipeline (same schema).
-        self._ddl = LazyETL(db, repo, adapter, schema=schema)
+        self._ddl = LazyETL(db, repo, adapter)
 
     @property
     def data_table(self) -> str:
-        return f"{self.schema}.data"
+        return f"{SCHEMA}.data"
 
     def create_tables(self) -> None:
         self._ddl.create_tables()
@@ -94,7 +92,7 @@ class EagerETL:
             batch[name] = np.concatenate(
                 [rec[name] for rec in extracted.per_record]
             )
-        self.db.bulk_insert((self.schema, "data"), batch)
+        self.db.bulk_insert((SCHEMA, "data"), batch)
         return rows
 
     def delete_file_data(self, uri: str) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 from repro.db.column import Column
 from repro.db.exec.engine import Database
 from repro.db.table import ColumnSpec, TableSchema
-from repro.etl.framework import ETLReport, SourceAdapter
+from repro.etl.framework import SCHEMA, ETLReport, SourceAdapter
 from repro.mseed.repository import Repository
 
 
@@ -151,21 +151,20 @@ class ExternalTableETL:
     """Set up the external-table warehouse (no loading happens at all)."""
 
     def __init__(self, db: Database, repo: Repository,
-                 adapter: SourceAdapter, *, schema: str = "mseed") -> None:
+                 adapter: SourceAdapter) -> None:
         self.db = db
         self.repo = repo
         self.adapter = adapter
-        self.schema = schema
         self.binding: Optional[ExternalBinding] = None
 
     @property
     def raw_table(self) -> str:
-        return f"{self.schema}.raw"
+        return f"{SCHEMA}.raw"
 
     def create_tables(self) -> None:
-        self.db.catalog.create_schema(self.schema, if_not_exists=True)
+        self.db.catalog.create_schema(SCHEMA, if_not_exists=True)
         self.db.catalog.create_table(
-            (self.schema, "raw"),
+            (SCHEMA, "raw"),
             TableSchema(columns=external_table_columns(self.adapter)),
         )
 

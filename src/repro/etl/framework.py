@@ -23,6 +23,9 @@ from repro.mseed.repository import FileInfo, Repository
 if TYPE_CHECKING:
     from repro.etl.metadata import FileMeta, RecordMeta
 
+#: The SQL schema the warehouse's tables live in (``mseed.files``, ...).
+SCHEMA = "mseed"
+
 
 @dataclass
 class ETLReport:

@@ -39,14 +39,13 @@ from repro.db.exec.engine import Database
 from repro.db.table import TableSchema, ForeignKeySpec
 from repro.errors import ExtractionError, RepositoryError
 from repro.etl.cache import ExtractionCache
-from repro.etl.framework import ETLReport, SourceAdapter
+from repro.etl.framework import SCHEMA, ETLReport, SourceAdapter
 from repro.etl.heat import AccessHeatTracker
 from repro.etl.metadata import (
     Granularity,
     HarvestResult,
     RecordIndex,
     RecordMeta,
-    WHOLE_FILE_SEQ,
     harvest_file_at,
     harvest_repository,
 )
@@ -68,15 +67,16 @@ class LazyDataBinding:
     extraction proceeds — "refreshments are handled ... when the data
     warehouse is queried" (§3).
 
-    Concurrency hooks (installed by
-    :class:`~repro.service.service.WarehouseService`, both ``None`` in
-    single-threaded use, where they add zero overhead):
+    Concurrency hooks (both ``None`` in single-process use, where they
+    add zero overhead):
 
-    * ``coalescer`` — a single-flight table; when set, concurrent
+    * ``coalescer`` — a single-flight table installed by
+      :class:`~repro.service.service.WarehouseService`; concurrent
       sessions needing the same (file, record) ranges extract them
       exactly once and share the result;
-    * ``extract_pool`` — a shared worker pool; when set, one query's
-      per-file extraction work fans out across workers.
+    * ``extract_pool`` — a worker pool installed by
+      ``SeismicWarehouse.ensure_sharding``; one query's per-file
+      extraction work fans out across the shard workers.
 
     Per-file staleness handling is serialised through the cache's stripe
     locks, and metadata refreshes additionally through a global refresh
@@ -563,14 +563,12 @@ class LazyETL:
         repo: Repository,
         adapter: SourceAdapter,
         *,
-        schema: str = "mseed",
         granularity: Granularity = Granularity.RECORD,
         cache_budget_bytes: int = 256 * 1024 * 1024,
     ) -> None:
         self.db = db
         self.repo = repo
         self.adapter = adapter
-        self.schema = schema
         self.granularity = granularity
         self.cache = ExtractionCache(cache_budget_bytes)
         self.index = RecordIndex()
@@ -579,27 +577,27 @@ class LazyETL:
 
     @property
     def files_table(self) -> str:
-        return f"{self.schema}.files"
+        return f"{SCHEMA}.files"
 
     @property
     def records_table(self) -> str:
-        return f"{self.schema}.records"
+        return f"{SCHEMA}.records"
 
     @property
     def data_table(self) -> str:
-        return f"{self.schema}.data"
+        return f"{SCHEMA}.data"
 
     def create_tables(self) -> None:
         """Create the three-table warehouse schema (F, R, virtual D)."""
         catalog = self.db.catalog
-        catalog.create_schema(self.schema, if_not_exists=True)
+        catalog.create_schema(SCHEMA, if_not_exists=True)
         catalog.create_table(
-            (self.schema, "files"),
+            (SCHEMA, "files"),
             TableSchema(columns=self.adapter.file_columns(),
                         primary_key=("file_location",)),
         )
         catalog.create_table(
-            (self.schema, "records"),
+            (SCHEMA, "records"),
             TableSchema(
                 columns=self.adapter.record_columns(),
                 primary_key=("file_location", "seq_no"),
@@ -613,7 +611,7 @@ class LazyETL:
             ),
         )
         catalog.create_table(
-            (self.schema, "data"),
+            (SCHEMA, "data"),
             TableSchema(
                 columns=self.adapter.data_columns(),
                 foreign_keys=[
@@ -653,8 +651,8 @@ class LazyETL:
                                        metadata_refresh=self.refresh_file_metadata,
                                        heat=self.heat)
         self.db.register_lazy_table(self.data_table, self.binding)
-        files_table = self.db.catalog.table((self.schema, "files"))
-        records_table = self.db.catalog.table((self.schema, "records"))
+        files_table = self.db.catalog.table((SCHEMA, "files"))
+        records_table = self.db.catalog.table((SCHEMA, "records"))
         report = ETLReport(
             strategy=f"lazy[{self.granularity.value}]+warm",
             seconds=time.perf_counter() - started,
@@ -695,7 +693,7 @@ class LazyETL:
     def _rebuild_index_from_metadata(self) -> None:
         """Reconstruct the in-memory record index, and the ledger of
         harvested versions, from the R and F tables."""
-        records = self.db.catalog.table((self.schema, "records"))
+        records = self.db.catalog.table((SCHEMA, "records"))
         uris = records.column("file_location").values
         seqs = records.column("seq_no").values
         starts = records.column("start_time").values
@@ -714,7 +712,7 @@ class LazyETL:
                 sample_count=int(counts[i]),
             ))
         exact = self.granularity is Granularity.RECORD
-        files = self.db.catalog.table((self.schema, "files"))
+        files = self.db.catalog.table((SCHEMA, "files"))
         for uri, size, mtime_ns in zip(
                 files.column("file_location").values,
                 files.column("file_size").values,
@@ -753,12 +751,12 @@ class LazyETL:
         record_rows = [self.adapter.record_row(m) for m in harvest.records]
         if file_rows:
             self.db.bulk_insert(
-                (self.schema, "files"), _columnar(file_rows),
+                (SCHEMA, "files"), _columnar(file_rows),
                 enforce_keys=True,
             )
         if record_rows:
             self.db.bulk_insert(
-                (self.schema, "records"), _columnar(record_rows),
+                (SCHEMA, "records"), _columnar(record_rows),
                 enforce_keys=True,
             )
 
@@ -799,10 +797,10 @@ class LazyETL:
         file_rows, record_rows = self.harvest_single(info)
         self.delete_file_metadata(info.uri)
         if file_rows:
-            self.db.bulk_insert((self.schema, "files"),
+            self.db.bulk_insert((SCHEMA, "files"),
                                 _columnar(file_rows), enforce_keys=True)
         if record_rows:
-            self.db.bulk_insert((self.schema, "records"),
+            self.db.bulk_insert((SCHEMA, "records"),
                                 _columnar(record_rows), enforce_keys=True)
 
 

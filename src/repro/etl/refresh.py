@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import FileMissingError, MSeedError
 from repro.etl.eager import EagerETL
+from repro.etl.framework import SCHEMA
 from repro.etl.lazy import LazyETL, _columnar
-from repro.etl.metadata import Granularity
 
 logger = logging.getLogger("repro.etl.refresh")
 
@@ -120,12 +120,12 @@ class MetadataSync:
 
         if file_rows:
             self.lazy.db.bulk_insert(
-                (self.lazy.schema, "files"), _columnar(file_rows),
+                (SCHEMA, "files"), _columnar(file_rows),
                 enforce_keys=True,
             )
         if record_rows:
             self.lazy.db.bulk_insert(
-                (self.lazy.schema, "records"), _columnar(record_rows),
+                (SCHEMA, "records"), _columnar(record_rows),
                 enforce_keys=True,
             )
         report.seconds = time.perf_counter() - started

@@ -7,6 +7,7 @@ and navigation in the data" (§1).
 
 from __future__ import annotations
 
+from repro.etl.framework import SCHEMA
 from repro.util.timefmt import format_iso8601
 
 
@@ -19,7 +20,7 @@ def station_overview(warehouse) -> str:
 SELECT F.network, F.station, F.channel, COUNT(*) AS files,
        SUM(F.n_records) AS records, MIN(F.start_time) AS coverage_start,
        MAX(F.end_time) AS coverage_end
-FROM {warehouse.schema}.files AS F
+FROM {SCHEMA}.files AS F
 GROUP BY F.network, F.station, F.channel
 ORDER BY F.network, F.station, F.channel""")
     return result.format(max_rows=100)
@@ -31,7 +32,7 @@ def time_coverage(warehouse, network: str | None = None) -> list[dict]:
     result = warehouse.query(f"""
 SELECT network, station, MIN(start_time) AS first_sample,
        MAX(end_time) AS last_sample, COUNT(*) AS files
-FROM {warehouse.schema}.files {where}
+FROM {SCHEMA}.files {where}
 GROUP BY network, station
 ORDER BY network, station""")
     out = []
@@ -57,7 +58,7 @@ def file_listing(warehouse, station: str | None = None,
     where = f"WHERE {' AND '.join(conditions)}" if conditions else ""
     result = warehouse.query(f"""
 SELECT file_location, n_records, start_time, end_time, file_size
-FROM {warehouse.schema}.files {where}
+FROM {SCHEMA}.files {where}
 ORDER BY file_location""")
     return result.rows()
 
@@ -67,7 +68,7 @@ def record_listing(warehouse, file_location: str) -> list[tuple]:
     escaped = file_location.replace("'", "''")
     result = warehouse.query(f"""
 SELECT seq_no, start_time, end_time, frequency, sample_count
-FROM {warehouse.schema}.records
+FROM {SCHEMA}.records
 WHERE file_location = '{escaped}'
 ORDER BY seq_no""")
     return result.rows()

@@ -9,7 +9,7 @@ alias provenance map makes that resolvable.
 from __future__ import annotations
 
 from repro.db.exec.engine import Database
-from repro.etl.framework import SourceAdapter
+from repro.etl.framework import SCHEMA, SourceAdapter
 
 DATAVIEW_COLUMNS = (
     # from F
@@ -22,30 +22,30 @@ DATAVIEW_COLUMNS = (
 )
 
 
-def dataview_sql(schema: str = "mseed") -> str:
+def dataview_sql() -> str:
     """The canonical dataview DDL over the normalised 3-table schema."""
     return f"""
-CREATE VIEW {schema}.dataview AS
+CREATE VIEW {SCHEMA}.dataview AS
 SELECT F.file_location AS file_location, F.dataquality, F.network,
        F.station, F.location, F.channel, F.encoding, F.sample_rate,
        R.seq_no, R.start_time, R.end_time, R.frequency, R.sample_count,
        D.sample_time, D.sample_value
-FROM {schema}.files AS F, {schema}.records AS R, {schema}.data AS D
+FROM {SCHEMA}.files AS F, {SCHEMA}.records AS R, {SCHEMA}.data AS D
 WHERE F.file_location = R.file_location
   AND R.file_location = D.file_location
   AND R.seq_no = D.seq_no
 """
 
 
-def create_dataview(db: Database, schema: str = "mseed") -> None:
-    db.execute(dataview_sql(schema))
+def create_dataview(db: Database) -> None:
+    db.execute(dataview_sql())
 
 
-def external_dataview_sql(schema: str = "mseed") -> str:
+def external_dataview_sql() -> str:
     """dataview for the external-table mode: a direct view over the wide
     universal table (which is what external tables actually expose)."""
     columns = ", ".join(DATAVIEW_COLUMNS)
-    return f"CREATE VIEW {schema}.dataview AS SELECT {columns} FROM {schema}.raw"
+    return f"CREATE VIEW {SCHEMA}.dataview AS SELECT {columns} FROM {SCHEMA}.raw"
 
 
 def external_alias_map(adapter: SourceAdapter) -> dict[tuple[str, str], str]:
@@ -75,10 +75,9 @@ def external_alias_map(adapter: SourceAdapter) -> dict[tuple[str, str], str]:
     return mapping
 
 
-def create_external_dataview(db: Database, adapter: SourceAdapter,
-                             schema: str = "mseed") -> None:
-    db.execute(external_dataview_sql(schema))
-    view = db.catalog.lookup((schema, "dataview"))
+def create_external_dataview(db: Database, adapter: SourceAdapter) -> None:
+    db.execute(external_dataview_sql())
+    view = db.catalog.lookup((SCHEMA, "dataview"))
     from repro.db.catalog import View
 
     assert isinstance(view, View)

@@ -18,7 +18,7 @@ from repro.db.exec.result import Result
 from repro.errors import ETLError, ShardConfigError
 from repro.etl.eager import EagerETL
 from repro.etl.external import ExternalTableETL
-from repro.etl.framework import ETLReport, SourceAdapter
+from repro.etl.framework import SCHEMA, ETLReport, SourceAdapter
 from repro.etl.lazy import LazyETL
 from repro.etl.metadata import Granularity
 from repro.etl.mseed_adapter import MSeedAdapter
@@ -41,20 +41,14 @@ class SeismicWarehouse:
         repository: "Repository | str | os.PathLike",
         *,
         mode: Mode = "lazy",
-        schema: str = "mseed",
         granularity: Granularity = Granularity.RECORD,
         adapter: Optional[SourceAdapter] = None,
         cache_budget_bytes: int = 256 * 1024 * 1024,
         recycler_budget_bytes: int = 64 * 1024 * 1024,
-        enable_recycler: bool = True,
-        enable_lazy_rewrite: bool = True,
-        enable_pruning: bool = True,
-        defer_load: bool = False,
         storage_path: "str | os.PathLike | None" = None,
         bufferpool_bytes: int = 64 * 1024 * 1024,
         trace_spans: bool = False,
         shards: int = 1,
-        shard_by: str = "hash",
     ) -> None:
         if mode not in ("lazy", "eager", "external"):
             raise ETLError(f"unknown warehouse mode {mode!r}")
@@ -62,9 +56,6 @@ class SeismicWarehouse:
                 or shards < 1:
             raise ShardConfigError(
                 f"shards must be a positive integer, got {shards!r}")
-        if shard_by not in ("hash", "range"):
-            raise ShardConfigError(
-                f"shard_by must be 'hash' or 'range', got {shard_by!r}")
         if shards > 1 and mode != "lazy":
             raise ShardConfigError(
                 f"sharded execution requires mode='lazy' (workers run "
@@ -75,41 +66,33 @@ class SeismicWarehouse:
                 "only: a custom adapter cannot be reconstructed inside "
                 "spawned shard workers")
         self.mode: Mode = mode
-        self.schema = schema
         self.repo = (repository if isinstance(repository, Repository)
                      else Repository(repository))
         self.adapter = adapter or MSeedAdapter()
         self.shards = shards
-        self.shard_by = shard_by
         self._cache_budget_bytes = cache_budget_bytes
         self._sharding = None
         self._shard_router = None
-        self._shard_extract_pool = None
         # One registry per warehouse: every layer (storage, ETL, engine,
         # service) reports into it; scraped via metrics()/metrics_text().
         self.metrics_registry = MetricsRegistry()
         self._metrics_collector = None
         self.db = Database(
             recycler_budget_bytes=recycler_budget_bytes,
-            enable_recycler=enable_recycler,
-            enable_lazy_rewrite=enable_lazy_rewrite,
-            enable_pruning=enable_pruning,
             trace_spans=trace_spans,
         )
-        self.load_report: Optional[ETLReport] = None
 
         if mode == "lazy":
             self.pipeline = LazyETL(
-                self.db, self.repo, self.adapter, schema=schema,
+                self.db, self.repo, self.adapter,
                 granularity=granularity,
                 cache_budget_bytes=cache_budget_bytes,
             )
         elif mode == "eager":
-            self.pipeline = EagerETL(self.db, self.repo, self.adapter,
-                                     schema=schema)
+            self.pipeline = EagerETL(self.db, self.repo, self.adapter)
         else:
             self.pipeline = ExternalTableETL(self.db, self.repo,
-                                             self.adapter, schema=schema)
+                                             self.adapter)
 
         self.store = None
         if storage_path is not None:
@@ -121,47 +104,37 @@ class SeismicWarehouse:
             # checkpoint spilled so sys.queries spans process restarts.
             self.db.journal.import_state(self.store.load_query_journal())
 
-        if self._can_warm_start() and not defer_load:
+        if self._can_warm_start():
             # Restart from the checkpoint: attach persisted metadata and
             # restore the extraction cache — no re-harvest, no re-ETL.
-            # (defer_load opts out: the caller wants an explicit, cold
-            # load() later, so the constructor must not populate tables.)
-            outcome = self.pipeline.warm_start(self.store)
-            self.load_report = outcome.report
-            schema_mod.create_dataview(self.db, schema)
+            self.load_report = self.pipeline.warm_start(self.store).report
+            schema_mod.create_dataview(self.db)
         else:
             self.pipeline.create_tables()
             if mode == "external":
-                schema_mod.create_external_dataview(self.db, self.adapter,
-                                                    schema)
+                schema_mod.create_external_dataview(self.db, self.adapter)
             else:
-                schema_mod.create_dataview(self.db, schema)
-            if not defer_load:
-                self.load()
+                schema_mod.create_dataview(self.db)
+            self.load_report = self._load()
         self._attach_promoted()
         self._wire_observability()
-        if self.shards > 1 and not defer_load:
+        if self.shards > 1:
             self.ensure_sharding()
 
     def _can_warm_start(self) -> bool:
         if self.store is None or self.mode != "lazy":
             return False
-        return (self.store.has_table(f"{self.schema}.files")
-                and self.store.has_table(f"{self.schema}.records"))
+        return (self.store.has_table(f"{SCHEMA}.files")
+                and self.store.has_table(f"{SCHEMA}.records"))
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def load(self) -> ETLReport:
+    def _load(self) -> ETLReport:
         """Run the mode's initial loading; returns the cost report."""
         started = time.perf_counter()
         outcome = self.pipeline.initial_load()
         report = outcome.report if hasattr(outcome, "report") else outcome
         report.seconds = max(report.seconds, time.perf_counter() - started)
-        self.load_report = report
-        self._attach_promoted()
-        self._wire_observability()
-        if self.shards > 1:
-            self.ensure_sharding()
         return report
 
     def _attach_promoted(self) -> None:
@@ -169,13 +142,13 @@ class SeismicWarehouse:
 
         Promoted units persisted by an earlier process are served again
         immediately — zero re-extraction of promoted ranges after a
-        warm start.  No-op outside lazy mode, without storage, or before
-        the binding exists (``defer_load``).
+        warm start.  No-op outside lazy mode, without storage, or once
+        mounted.
         """
         if self.mode != "lazy" or self.store is None:
             return
         binding = self.pipeline.binding
-        if binding is None or binding.promoted is not None:
+        if binding.promoted is not None:
             return
         from repro.storage.promoted import PromotedStore
 
@@ -185,23 +158,16 @@ class SeismicWarehouse:
     def _wire_observability(self) -> None:
         """Attach extraction instruments and the warehouse collector.
 
-        Idempotent — both the constructor and :meth:`load` call it
-        (under ``defer_load`` the lazy binding does not exist until
-        after the load).  The collector samples subsystem counters at
-        scrape time only, so queries never pay for it.
+        The collector samples subsystem counters at scrape time only, so
+        queries never pay for it.
         """
-        # Only the lazy binding exposes the ``metrics`` hook; eager and
-        # external pipelines have no query-time extraction to instrument.
-        binding = getattr(self.pipeline, "binding", None)
-        if binding is not None and hasattr(binding, "metrics") \
-                and binding.metrics is None:
-            binding.metrics = ExtractionInstruments(self.metrics_registry)
-        if self._metrics_collector is None:
-            self._metrics_collector = \
-                self.metrics_registry.register_collector(
-                    self._collect_warehouse_metrics)
-        # sys.* virtual tables over this warehouse's live state; the
-        # registration replaces providers, so re-wiring is harmless.
+        # Only the lazy binding has query-time extraction to instrument.
+        if self.mode == "lazy":
+            self.pipeline.binding.metrics = \
+                ExtractionInstruments(self.metrics_registry)
+        self._metrics_collector = self.metrics_registry.register_collector(
+            self._collect_warehouse_metrics)
+        # sys.* virtual tables over this warehouse's live state.
         from repro.obs.systables import install_warehouse_system_tables
 
         install_warehouse_system_tables(self)
@@ -232,13 +198,11 @@ class SeismicWarehouse:
         out["repro_plan_cache_misses_total"] = self.db.plan_cache_misses
         out["repro_plan_cache_entries"] = self.db.plan_cache_len()
         recycler = self.recycler
-        if recycler is not None:
-            stats = recycler.stats
-            for name in ("lookups", "hits", "admissions", "evictions",
-                         "rejected", "stale_drops"):
-                out[f"repro_recycler_{name}_total"] = getattr(stats, name)
-            out["repro_recycler_used_bytes"] = recycler.used_bytes
-            out["repro_recycler_entries"] = len(recycler)
+        for name in ("lookups", "hits", "admissions", "evictions",
+                     "rejected", "stale_drops"):
+            out[f"repro_recycler_{name}_total"] = getattr(recycler.stats, name)
+        out["repro_recycler_used_bytes"] = recycler.used_bytes
+        out["repro_recycler_entries"] = len(recycler)
         heat = self.heat
         if heat is not None:
             out["repro_heat_tracked_units"] = len(heat)
@@ -276,8 +240,7 @@ class SeismicWarehouse:
         ``None`` while running single-process."""
         return self._sharding
 
-    def ensure_sharding(self, shards: "int | None" = None,
-                        shard_by: "str | None" = None) -> bool:
+    def ensure_sharding(self, shards: "int | None" = None) -> bool:
         """Bring up the shard worker pool and install the execution
         hooks.  Returns True if this call created the pool (False when
         sharding is already up or ``shards`` resolves to 1).
@@ -288,11 +251,6 @@ class SeismicWarehouse:
                 raise ShardConfigError(
                     f"shards must be a positive integer, got {shards!r}")
             self.shards = shards
-        if shard_by is not None:
-            if shard_by not in ("hash", "range"):
-                raise ShardConfigError(
-                    f"shard_by must be 'hash' or 'range', got {shard_by!r}")
-            self.shard_by = shard_by
         if self.shards <= 1 or self._sharding is not None:
             return False
         if self.mode != "lazy":
@@ -300,10 +258,6 @@ class SeismicWarehouse:
                 f"sharded execution requires mode='lazy'; got "
                 f"mode={self.mode!r}")
         binding = self.pipeline.binding
-        if binding is None:
-            raise ShardConfigError(
-                "sharded execution requires a loaded warehouse: call "
-                "load() first (defer_load=True skipped it)")
         from repro.service.parallel import ParallelExtractor
         from repro.shard.executor import ShardedExtractor
         from repro.shard.gather import ShardRouter
@@ -315,10 +269,9 @@ class SeismicWarehouse:
                 "shards=%d exceeds the repository's %d files; "
                 "%d worker(s) will own no files",
                 self.shards, len(uris), self.shards - len(uris))
-        shard_map = ShardMap.build(uris, self.shards, by=self.shard_by)
+        shard_map = ShardMap.build(uris, self.shards)
         executor = ShardedExtractor(
             str(self.repo.root), shard_map,
-            schema=self.schema,
             granularity=self.pipeline.granularity,
             extension=self.repo.extension,
             cache_budget_bytes=self._cache_budget_bytes,
@@ -337,13 +290,10 @@ class SeismicWarehouse:
         self._shard_router = router
         self.db.shard_router = router
         binding.remote_extractor = executor.extract
-        if binding.extract_pool is None:
-            # Scattered extraction for non-decomposable queries: without
-            # a pool, per-file remote extracts would serialize even
-            # though each runs on a different worker process.
-            self._shard_extract_pool = ParallelExtractor(
-                max_workers=self.shards)
-            binding.extract_pool = self._shard_extract_pool
+        # Scattered extraction for non-decomposable queries: without a
+        # pool, per-file remote extracts would serialize even though each
+        # runs on a different worker process.
+        binding.extract_pool = ParallelExtractor(max_workers=self.shards)
         # Plans compiled before sharding came up never met the router.
         self.db.clear_plan_cache()
         return True
@@ -358,17 +308,11 @@ class SeismicWarehouse:
         self._shard_router = None
         if executor is None:
             return
-        if self.db.shard_router is not None:
-            self.db.shard_router = None
-        binding = getattr(self.pipeline, "binding", None)
-        if binding is not None:
-            binding.remote_extractor = None
-            if self._shard_extract_pool is not None \
-                    and binding.extract_pool is self._shard_extract_pool:
-                binding.extract_pool = None
-        if self._shard_extract_pool is not None:
-            self._shard_extract_pool.close()
-            self._shard_extract_pool = None
+        self.db.shard_router = None
+        binding = self.pipeline.binding
+        binding.remote_extractor = None
+        pool, binding.extract_pool = binding.extract_pool, None
+        pool.close()
         executor.close()
         # Cached PShardGather plans hold dead worker handles.
         self.db.clear_plan_cache()
@@ -466,11 +410,6 @@ class SeismicWarehouse:
                 "promotion requires attached storage: pass storage_path "
                 "at construction or checkpoint(storage_path=...) first"
             )
-        if self.pipeline.binding is None:
-            raise ETLError(
-                "promotion requires a loaded warehouse: call load() "
-                "first (defer_load=True skipped it)"
-            )
         self._attach_promoted()
         from repro.service.promoter import Promoter, PromoterConfig
 
@@ -498,7 +437,7 @@ class SeismicWarehouse:
 
     @property
     def dataview(self) -> str:
-        return f"{self.schema}.dataview"
+        return f"{SCHEMA}.dataview"
 
     def connect(self):
         """Open a :class:`~repro.api.connection.Connection` — the unified
@@ -535,8 +474,7 @@ class SeismicWarehouse:
         Returns a started
         :class:`~repro.service.service.WarehouseService`; keyword
         arguments are :class:`~repro.service.service.ServiceConfig`
-        fields (``max_workers``, ``queue_depth``, ``extract_workers``,
-        ...).  Use as a context manager::
+        fields (``max_workers``, ``queue_depth``, ``promote``, ...).  Use as a context manager::
 
             with wh.serve(max_workers=8) as svc:
                 a, b = svc.session("alice"), svc.session("bob")

@@ -2,9 +2,10 @@
 
 The paper's promise — ETL work happens at query time, only for data a
 query touches — must survive *concurrent* query time.  This package adds
-the serving layer: admission control, per-session fairness, single-flight
-extraction coalescing and parallel per-file extraction, on top of the
-thread-safe cache/storage layers underneath.
+the serving layer: admission control, per-session fairness and
+single-flight extraction coalescing, on top of the thread-safe
+cache/storage layers underneath.  :class:`ParallelExtractor` fans one
+query's per-file extraction across a sharded warehouse's workers.
 """
 
 from repro.service.admission import AdmissionController, AdmissionStats

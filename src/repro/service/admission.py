@@ -8,11 +8,9 @@ than queueing into timeout purgatory.
 
 Dispatch is **per-session fair**: each session has its own FIFO and the
 dispatcher serves sessions round-robin, so one chatty session streaming
-thousands of queries cannot starve an interactive one.
-
-A separate ``max_in_flight`` semaphore caps queries *executing*
-concurrently, independently of the worker count — admission and
-execution pressure are controlled by different knobs.
+thousands of queries cannot starve an interactive one.  Each worker
+serves one item at a time, so the worker count is the cap on queries
+executing at once.
 """
 
 from __future__ import annotations

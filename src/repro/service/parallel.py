@@ -6,8 +6,9 @@ worker pool so file reads overlap (file I/O releases the GIL, as do the
 vectorised Steim decodes).  Results come back in submission order, so
 query output stays deterministic regardless of completion order.
 
-The pool is shared by every session of a
-:class:`~repro.service.service.WarehouseService`.  Extraction tasks never
+A sharded warehouse installs one pool, sized to its shard count, so
+per-file extracts routed to different worker processes run at once.
+Every query thread shares it.  Extraction tasks never
 submit further tasks, so a saturated pool queues work but cannot
 deadlock; coalesced waits are likewise safe because a flight only exists
 once its leader is already running (see :mod:`repro.service.coalescer`).

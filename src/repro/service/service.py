@@ -9,8 +9,6 @@ the extraction layers underneath are wired for concurrency:
 * a **single-flight coalescer** so N sessions needing the same (file,
   record) ranges pay for one extraction (\"Fluid ETL\"-style on-demand
   serving under concurrent load);
-* a shared **parallel extraction pool** fanning one query's per-file
-  work across workers;
 * per-session :class:`QueryOutcome` reports that distinguish rows the
   session *extracted here* from rows it obtained by *waiting on another
   session's extraction*.
@@ -36,11 +34,10 @@ from repro.db.plan.physical import UNBOUNDED_ROWS
 from repro.errors import ServiceClosedError, ServiceError
 from repro.obs.http import ObservabilityServer
 from repro.obs.journal import query_context
-from repro.obs.metrics import MetricsSnapshotter, nearest_rank
+from repro.obs.metrics import MetricsSnapshotter
 from repro.obs.slowlog import SlowQueryLog
 from repro.service.admission import AdmissionController, AdmissionStats
 from repro.service.coalescer import CoalescerStats, ExtractionCoalescer
-from repro.service.parallel import ParallelExtractor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.exec.engine import QueryReport
@@ -54,9 +51,7 @@ class ServiceConfig:
     """Tunables for one service instance."""
 
     max_workers: int = 4          # query-executing threads
-    max_in_flight: Optional[int] = None  # executing queries cap (None = workers)
     queue_depth: int = 128        # bounded admission queue
-    extract_workers: int = 0      # 0 disables the per-file fan-out pool
     wait_timeout_s: float = 30.0  # coalesced-wait patience before fallback
     # Sharded scatter-gather execution: >1 brings up (or reuses) the
     # warehouse's shard worker-process pool for the service's lifetime.
@@ -92,10 +87,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_workers <= 0:
             raise ServiceError("max_workers must be positive")
-        if self.max_in_flight is None:
-            self.max_in_flight = self.max_workers
-        if self.max_in_flight <= 0:
-            raise ServiceError("max_in_flight must be positive")
         if self.promote:
             if self.promote_interval_s <= 0:
                 raise ServiceError(
@@ -169,17 +160,13 @@ class QueryOutcome:
 
 @dataclass
 class ServiceStats:
-    """Aggregate service counters (admission + coalescing + latency)."""
+    """Aggregate service counters (admission + coalescing).  Latency
+    lives in the bounded ``repro_query_seconds`` histogram."""
 
     completed: int = 0
     failed: int = 0
     admission: AdmissionStats = field(default_factory=AdmissionStats)
     coalescer: Optional[CoalescerStats] = None
-    latencies_s: list[float] = field(default_factory=list)
-
-    def percentile(self, q: float) -> float:
-        """Latency percentile over completed queries (q in [0, 100])."""
-        return nearest_rank(sorted(self.latencies_s), q)
 
 
 class _QueuedQuery:
@@ -248,7 +235,6 @@ class ClientSession:
     def __init__(self, service: "WarehouseService", session_id: str) -> None:
         self.service = service
         self.session_id = session_id
-        self.outcomes: list[QueryOutcome] = []
 
     def submit(self, sql: str, params: object = None
                ) -> "Future[QueryOutcome]":
@@ -256,10 +242,8 @@ class ClientSession:
         return self.service.submit(self.session_id, sql, params)
 
     def query(self, sql: str, params: object = None) -> QueryOutcome:
-        """Submit and block for the outcome (recorded on the session)."""
-        outcome = self.submit(sql, params).result()
-        self.outcomes.append(outcome)
-        return outcome
+        """Submit and block for the outcome."""
+        return self.submit(sql, params).result()
 
     def cursor(self):
         """A :class:`~repro.api.cursor.Cursor` executing via the service.
@@ -306,16 +290,13 @@ class WarehouseService:
             queue_depth=config.queue_depth,
         )
         self.coalescer: Optional[ExtractionCoalescer] = None
-        self.extract_pool: Optional[ParallelExtractor] = None
         self.promoter = None  # BackgroundPromoter when config.promote
         self._sessions: dict[str, ClientSession] = {}
         self._session_counter = itertools.count(1)
-        self._in_flight = threading.Semaphore(config.max_in_flight)
         self._workers: list[threading.Thread] = []
         self._stats_lock = threading.Lock()
         self._completed = 0
         self._failed = 0
-        self._latencies: list[float] = []
         self._started = False
         self._closed = False
         # Observability: instruments live on the warehouse's registry so
@@ -348,18 +329,13 @@ class WarehouseService:
         self._owns_sharding = False
         if self.config.shards > 1:
             # Before any binding hooks: ensure_sharding installs its own
-            # (remote_extractor, extract_pool) and must see the
-            # warehouse's pristine state.
+            # (remote_extractor, extract_pool).
             self._owns_sharding = self.warehouse.ensure_sharding(
                 self.config.shards)
         binding = getattr(self.warehouse.pipeline, "binding", None)
         if binding is not None:
             self.coalescer = ExtractionCoalescer()
             binding.coalescer = self.coalescer
-            if self.config.extract_workers > 0:
-                self.extract_pool = ParallelExtractor(
-                    self.config.extract_workers)
-                binding.extract_pool = self.extract_pool
             binding.wait_timeout_s = self.config.wait_timeout_s
             if self.config.promote:
                 self.promoter = self._build_promoter(binding)
@@ -455,10 +431,6 @@ class WarehouseService:
         if binding is not None:
             if binding.coalescer is self.coalescer:
                 binding.coalescer = None
-            if binding.extract_pool is self.extract_pool:
-                binding.extract_pool = None
-        if self.extract_pool is not None:
-            self.extract_pool.close()
         if getattr(self, "_owns_sharding", False):
             # This service brought the shard pool up, so it drains and
             # joins the workers now that no query thread can scatter to
@@ -564,33 +536,31 @@ class WarehouseService:
         """
         db = self.warehouse.db
         sink = item.sink
-        with self._in_flight:
-            started = time.perf_counter()
-            try:
-                with query_context(item.session_id, queued_s=queued_s):
-                    run = db.open_query(item.sql, item.params,
-                                        batch_rows=item.batch_rows,
-                                        select_only=True)
-                    sink.opened(run.names, run.dtypes)
-                    try:
-                        for batch in run.batches():
-                            if not sink.push(batch):
-                                break
-                    finally:
-                        run.close()
-            except BaseException as exc:
-                with self._stats_lock:
-                    self._failed += 1
-                self._queries_total.inc(status="error")
-                logger.warning("query failed on %s: %s",
-                               item.session_id, exc)
-                sink.fail(exc)
-                return
-            execute_s = time.perf_counter() - started
+        started = time.perf_counter()
+        try:
+            with query_context(item.session_id, queued_s=queued_s):
+                run = db.open_query(item.sql, item.params,
+                                    batch_rows=item.batch_rows,
+                                    select_only=True)
+                sink.opened(run.names, run.dtypes)
+                try:
+                    for batch in run.batches():
+                        if not sink.push(batch):
+                            break
+                finally:
+                    run.close()
+        except BaseException as exc:
+            with self._stats_lock:
+                self._failed += 1
+            self._queries_total.inc(status="error")
+            logger.warning("query failed on %s: %s",
+                           item.session_id, exc)
+            sink.fail(exc)
+            return
+        execute_s = time.perf_counter() - started
         total_s = time.perf_counter() - item.submitted_at
         with self._stats_lock:
             self._completed += 1
-            self._latencies.append(total_s)
         self._queries_total.inc(status="ok")
         self._query_seconds.observe(total_s, session=item.session_id)
         if self.slow_log is not None:
@@ -692,7 +662,6 @@ class WarehouseService:
                 failed=self._failed,
                 admission=self.admission.stats,
                 coalescer=self.coalescer.stats if self.coalescer else None,
-                latencies_s=list(self._latencies),
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

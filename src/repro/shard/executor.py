@@ -67,7 +67,6 @@ class ShardedExtractor:
         root: str,
         shard_map: ShardMap,
         *,
-        schema: str = "mseed",
         granularity: Granularity = Granularity.RECORD,
         extension: str = ".mseed",
         cache_budget_bytes: int = 256 * 1024 * 1024,
@@ -75,7 +74,6 @@ class ShardedExtractor:
     ) -> None:
         self.root = str(root)
         self.shard_map = shard_map
-        self.schema = schema
         self.granularity = granularity
         self.extension = extension
         self.cache_budget_bytes = cache_budget_bytes
@@ -105,7 +103,6 @@ class ShardedExtractor:
             "shard_id": shard_id,
             "root": self.root,
             "uris": self.shard_map.uris_of(shard_id),
-            "schema": self.schema,
             "granularity": self.granularity.value,
             "extension": self.extension,
             "cache_budget_bytes": self.cache_budget_bytes,

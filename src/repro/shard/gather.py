@@ -62,8 +62,7 @@ def _fresh_combine_db():
     """A scratch engine holding only the gather table's schema."""
     from repro.db.exec.engine import Database
 
-    db = Database(enable_recycler=False, plan_cache_size=0)
-    return db
+    return Database(recycler_budget_bytes=0, plan_cache_size=0)
 
 
 def _create_gather_table(db, gather_columns) -> None:

@@ -1,14 +1,8 @@
 """Partitioning the mseed repository into per-shard extraction domains.
 
-A :class:`ShardMap` assigns every file URI to exactly one shard.  Two
-partitioners are supported:
-
-* ``hash`` — stable CRC32 of the URI modulo the shard count.  Insensitive
-  to file ordering, so adding files never reshuffles existing ones.
-* ``range`` — contiguous chunks of the URI-sorted file list.  mSEED
-  repositories name files by stream/time, so this approximates
-  time-range sharding: each worker owns a contiguous slice of the
-  corpus and scans stay local to a shard.
+A :class:`ShardMap` assigns every file URI to exactly one shard by a
+stable CRC32 of the URI modulo the shard count.  That is insensitive to
+file ordering, so adding files never reshuffles existing ones.
 
 :class:`ShardRepositoryView` is how a worker process sees only its
 shard: a :class:`~repro.mseed.repository.Repository` whose
@@ -19,14 +13,11 @@ watches for staleness) exactly its own shard.
 
 from __future__ import annotations
 
-import bisect
 import os
 import zlib
 
 from repro.errors import ShardConfigError
 from repro.mseed.repository import FileInfo, Repository
-
-_PARTITIONERS = ("hash", "range")
 
 
 def _hash_of(uri: str, n_shards: int) -> int:
@@ -36,56 +27,18 @@ def _hash_of(uri: str, n_shards: int) -> int:
 class ShardMap:
     """An immutable URI → shard assignment for ``n_shards`` workers."""
 
-    def __init__(self, n_shards: int, assignments: dict[str, int],
-                 by: str) -> None:
+    def __init__(self, n_shards: int, assignments: dict[str, int]) -> None:
         if n_shards < 1:
             raise ShardConfigError("n_shards must be >= 1")
-        if by not in _PARTITIONERS:
-            raise ShardConfigError(
-                f"unknown partitioner {by!r}: expected one of "
-                f"{_PARTITIONERS}")
         self.n_shards = n_shards
-        self.by = by
         self._assignments = dict(assignments)
-        # Range fallback for URIs that appear after the map was built:
-        # bisect into the sorted (first-uri, shard) boundaries.
-        self._range_starts: list[str] = []
-        self._range_shards: list[int] = []
-        if by == "range":
-            first_of: dict[int, str] = {}
-            for uri, shard in assignments.items():
-                if shard not in first_of or uri < first_of[shard]:
-                    first_of[shard] = uri
-            for shard in sorted(first_of, key=lambda s: first_of[s]):
-                self._range_starts.append(first_of[shard])
-                self._range_shards.append(shard)
 
     @classmethod
-    def build(cls, uris: "list[str]", n_shards: int,
-              by: str = "hash") -> "ShardMap":
-        if by not in _PARTITIONERS:
-            raise ShardConfigError(
-                f"unknown partitioner {by!r}: expected one of "
-                f"{_PARTITIONERS}")
-        assignments: dict[str, int] = {}
-        if by == "hash":
-            for uri in uris:
-                assignments[uri] = _hash_of(uri, n_shards)
-        else:
-            ordered = sorted(uris)
-            per_shard = max(1, -(-len(ordered) // n_shards))  # ceil div
-            for index, uri in enumerate(ordered):
-                assignments[uri] = min(index // per_shard, n_shards - 1)
-        return cls(n_shards, assignments, by)
+    def build(cls, uris: "list[str]", n_shards: int) -> "ShardMap":
+        return cls(n_shards, {uri: _hash_of(uri, n_shards) for uri in uris})
 
     def shard_of(self, uri: str) -> int:
-        """The owning shard; unseen URIs get a stable fallback."""
-        shard = self._assignments.get(uri)
-        if shard is not None:
-            return shard
-        if self.by == "range" and self._range_starts:
-            index = bisect.bisect_right(self._range_starts, uri) - 1
-            return self._range_shards[max(index, 0)]
+        """The owning shard, for URIs the map has not seen too."""
         return _hash_of(uri, self.n_shards)
 
     def uris_of(self, shard_id: int) -> list[str]:

@@ -62,7 +62,6 @@ class _ShardServer:
         self.warehouse = SeismicWarehouse(
             self.repo,
             mode="lazy",
-            schema=spec["schema"],
             granularity=Granularity(spec["granularity"]),
             cache_budget_bytes=spec["cache_budget_bytes"],
         )
@@ -87,9 +86,7 @@ class _ShardServer:
                 cache.clear()
             # Clearing the extraction cache changes no source file, so it
             # leaves recycled results valid; a cold shard drops them too.
-            recycler = self.warehouse.recycler
-            if recycler is not None:
-                recycler.invalidate_all()
+            self.warehouse.recycler.invalidate_all()
             self.warehouse.db.clear_plan_cache()
             return {"ok": True}
         if cmd == "release":

@@ -1,7 +1,5 @@
 """Aggregate execution tests, including nulls, DISTINCT and empty inputs."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,7 +134,7 @@ def test_having_without_group_rejected(db):
 ))
 def test_grouped_sum_matches_python(rows):
     """Property: grouped SUM/COUNT/MIN/MAX agree with a Python reference."""
-    db = Database(enable_recycler=False)
+    db = Database(recycler_budget_bytes=0)
     db.execute("CREATE TABLE t (g VARCHAR, v BIGINT)")
     values = ", ".join(f"('{g}', {v})" for g, v in rows)
     db.execute(f"INSERT INTO t VALUES {values}")

@@ -363,7 +363,8 @@ def test_service_session_cursor(lazy_wh):
         )
         assert cur.scalar() > 0
         assert cur.report.sql.startswith("SELECT count(*)")
-    assert session.outcomes  # cursor executions are recorded per session
+        # Both cursor executions were served (and counted) by the service.
+        assert svc.stats().completed == 2
 
 
 def test_service_cursor_rejects_ddl_clearly(lazy_wh):

@@ -303,7 +303,7 @@ def test_vectorised_at_least_5x_rowpath(tmp_path):
         best = float("inf")
         for _ in range(2):
             wh = SeismicWarehouse(repo.root, mode="lazy",
-                                  enable_recycler=False)
+                                  recycler_budget_bytes=0)
             started = time.perf_counter()
             rows = run(wh, sql)
             best = min(best, time.perf_counter() - started)

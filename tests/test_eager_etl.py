@@ -1,7 +1,5 @@
 """Tests for the eager ETL baseline."""
 
-import pytest
-
 from repro.seismology.warehouse import SeismicWarehouse
 
 

@@ -12,7 +12,6 @@ from repro.seismology.queries import (
     analytical_suite,
     fig1_query1,
     fig1_query2,
-    suite_for_external,
 )
 from repro.seismology.warehouse import SeismicWarehouse
 

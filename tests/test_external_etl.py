@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.etl.external import ExternalBinding, external_table_columns
+from repro.etl.external import external_table_columns
 from repro.etl.mseed_adapter import MSeedAdapter
 from repro.seismology.queries import fig1_query1
 

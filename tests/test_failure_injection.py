@@ -3,7 +3,6 @@
 import logging
 import os
 
-import numpy as np
 import pytest
 
 from repro.errors import FileMissingError

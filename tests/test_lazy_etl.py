@@ -1,7 +1,5 @@
 """Behavioural tests for the lazy pipeline: §3.1-§3.3 step by step."""
 
-import pytest
-
 from repro.etl.metadata import Granularity
 from repro.seismology.queries import fig1_query1, fig1_query2
 from repro.seismology.warehouse import SeismicWarehouse
@@ -50,7 +48,7 @@ def test_time_bound_pruning_limits_extraction(lazy_wh):
 
 def test_second_query_hits_cache_without_file_reads(demo_repo):
     wh = SeismicWarehouse(demo_repo.root, mode="lazy",
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     wh.query(fig1_query1())
     wh.repo.reset_counters()
     wh.query(fig1_query1())
@@ -61,7 +59,7 @@ def test_second_query_hits_cache_without_file_reads(demo_repo):
 
 def test_overlapping_query_reuses_partial_cache(demo_repo):
     wh = SeismicWarehouse(demo_repo.root, mode="lazy",
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     wh.query(fig1_query1(window_start="2010-01-12T22:15:00.000",
                          window_end="2010-01-12T22:15:02.000"))
     baseline_hits = wh.cache.stats.hits

@@ -17,7 +17,6 @@ import urllib.request
 
 import pytest
 
-from repro.errors import MetricsError
 from repro.obs.export import parse_exposition
 from repro.obs.http import ObservabilityServer
 from repro.seismology.warehouse import SeismicWarehouse

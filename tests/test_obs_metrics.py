@@ -107,8 +107,6 @@ NEAREST_RANK_CASES = [
 
 @pytest.mark.parametrize("values, q, expected", NEAREST_RANK_CASES)
 def test_nearest_rank_percentile_everywhere(values, q, expected):
-    from repro.service.service import ServiceStats
-
     h = MetricsRegistry().histogram("repro_lat_seconds")
     for v in reversed(values):  # observation order must not matter
         h.observe(float(v))
@@ -116,16 +114,11 @@ def test_nearest_rank_percentile_everywhere(values, q, expected):
     (sample,) = h.samples()
     if f"p{q}" in sample:
         assert sample[f"p{q}"] == expected
-    stats = ServiceStats(latencies_s=[float(v) for v in reversed(values)])
-    assert stats.percentile(q) == expected
 
 
 def test_percentile_of_nothing_is_zero():
-    from repro.service.service import ServiceStats
-
     h = MetricsRegistry().histogram("repro_lat_seconds")
     assert h.percentile(50) == 0.0
-    assert ServiceStats().percentile(99) == 0.0
 
 
 class TestHistogram:

@@ -1,7 +1,5 @@
 """Plan-shape tests: the compile-time half of lazy extraction."""
 
-import pytest
-
 from repro.db.plan import logical as lg
 from repro.db.plan.optimizer import split_conjuncts, and_together
 from repro.seismology.queries import fig1_query1, fig1_query2
@@ -96,17 +94,6 @@ def test_lazy_scan_without_metadata_degrades(lazy_wh):
     assert not _find(plan, lg.LLazyFetch)
 
 
-def test_disable_lazy_rewrite_forces_scan_all(demo_repo):
-    from repro.seismology.warehouse import SeismicWarehouse
-
-    wh = SeismicWarehouse(demo_repo.root, mode="lazy",
-                          enable_lazy_rewrite=False)
-    wh.query(fig1_query1())
-    plan = wh.db.last_plan_optimized
-    assert _find(plan, lg.LScanAll)
-    assert not _find(plan, lg.LLazyFetch)
-
-
 def test_explain_mentions_rewrite_point(lazy_wh):
     text = lazy_wh.explain(fig1_query1())
     assert "LazyFetch" in text
@@ -117,12 +104,3 @@ def test_explain_mentions_rewrite_point(lazy_wh):
 def test_explain_statement_form(lazy_wh):
     result = lazy_wh.execute("EXPLAIN " + fig1_query2())
     assert "LazyFetch" in result.scalar()
-
-
-def test_disable_pruning_keeps_all_columns(demo_repo):
-    from repro.seismology.warehouse import SeismicWarehouse
-
-    wh = SeismicWarehouse(demo_repo.root, mode="lazy", enable_pruning=False)
-    wh.query(fig1_query2())
-    fetch = _find(wh.db.last_plan_optimized, lg.LLazyFetch)[0]
-    assert "sample_time" in fetch.needed  # no pruning

@@ -1,6 +1,5 @@
 """Direct tests of the physical-operator machinery."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -37,7 +37,7 @@ def stored_wh(demo_repo, tmp_path):
     recycler would serve exact repeats before promotion could show)."""
     return SeismicWarehouse(demo_repo.root, mode="lazy",
                             storage_path=tmp_path / "store",
-                            enable_recycler=False)
+                            recycler_budget_bytes=0)
 
 
 # -- heat feeding from the query path -----------------------------------------
@@ -48,7 +48,7 @@ def test_queries_feed_the_heat_tracker(demo_repo):
     # is no access (see test_station_second_aggregate_reuses_the_recycled_
     # fetch); this test is about the accesses that do reach it.
     wh = SeismicWarehouse(demo_repo.root, mode="lazy",
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     wh.query(HOT_Q)
     assert len(wh.heat) > 0
     units = {(u, s): unit for u, s, _sc, unit in wh.heat.snapshot()}
@@ -63,7 +63,7 @@ def test_heat_scores_rank_hot_over_cold(demo_repo):
     # Recycler off: with it on, exact repeats are answered from recycled
     # intermediates before the lazy fetch (and its heat feed) ever runs.
     wh = SeismicWarehouse(demo_repo.root, mode="lazy",
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     for _ in range(3):
         wh.query(HOT_Q)
     wh.query(OTHER_Q)
@@ -111,7 +111,7 @@ def test_promoter_extracts_in_background_when_cache_cold(demo_repo,
     wh = SeismicWarehouse(demo_repo.root, mode="lazy",
                           storage_path=tmp_path / "store",
                           cache_budget_bytes=64 * 1024,  # thrashes
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     wh.query(HOT_Q)
     report = wh.promote(min_score=0.0)
     assert report.extracted_units > 0
@@ -227,7 +227,7 @@ def test_stale_file_invalidates_promoted_units(mutable_repo):
     root = mutable_repo.root
     wh = SeismicWarehouse(root, mode="lazy",
                           storage_path=os.path.join(root, "..", "store"),
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     q = ("SELECT MAX(D.sample_value) FROM mseed.dataview "
          "WHERE F.station = 'HGN' AND F.channel = 'BHZ'")
     before = wh.query(q).scalar()
@@ -258,7 +258,7 @@ def test_sync_runs_the_whole_stale_reaction(mutable_repo, tmp_path,
 
     wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
                           storage_path=tmp_path / "store",
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     q = ("SELECT MAX(D.sample_value) FROM mseed.dataview "
          "WHERE F.station = 'HGN' AND F.channel = 'BHZ'")
     wh.query(q)
@@ -299,7 +299,7 @@ def test_vanished_file_is_skipped_not_fatal_to_the_cycle(mutable_repo,
     it is skipped with its heat forgotten, and the rest still promote."""
     wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
                           storage_path=tmp_path / "store",
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     wh.query("SELECT MAX(D.sample_value) FROM mseed.dataview "
              "WHERE F.station IN ('HGN', 'DBN') AND F.channel = 'BHZ'")
     hot = [e for e in mutable_repo.entries
@@ -324,7 +324,7 @@ def test_promoter_observing_staleness_still_triggers_refresh(mutable_repo,
     record index and fails on vanished records."""
     wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
                           storage_path=tmp_path / "store",
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     q = ("SELECT MAX(D.sample_value), COUNT(*) FROM mseed.dataview "
          "WHERE F.station = 'HGN' AND F.channel = 'BHZ'")
     wh.query(q)
@@ -368,7 +368,7 @@ def test_promotion_survives_warm_start_with_zero_reextraction(
     store = tmp_path / "store"
     wh = SeismicWarehouse(demo_repo.root, mode="lazy", storage_path=store,
                           cache_budget_bytes=64 * 1024,
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     baseline = wh.query(HOT_Q).rows()
     wh.query(HOT_Q)
     promoted = wh.promote(min_score=0.0)
@@ -378,7 +378,7 @@ def test_promotion_survives_warm_start_with_zero_reextraction(
 
     warm = SeismicWarehouse(demo_repo.root, mode="lazy", storage_path=store,
                             cache_budget_bytes=64 * 1024,
-                            enable_recycler=False)
+                            recycler_budget_bytes=0)
     assert len(warm.promoted) == promoted.promoted_units
     assert len(warm.heat) == heat_units  # tracker state restored
     assert warm.query(HOT_Q).rows() == baseline
@@ -396,7 +396,7 @@ def test_rewrite_across_restart_of_fully_promoted_file(mutable_repo,
     the stale index)."""
     store = tmp_path / "store"
     wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
-                          storage_path=store, enable_recycler=False)
+                          storage_path=store, recycler_budget_bytes=0)
     q = ("SELECT MAX(D.sample_value), COUNT(*) FROM mseed.dataview "
          "WHERE F.station = 'HGN' AND F.channel = 'BHZ'")
     wh.query(q)
@@ -420,7 +420,7 @@ def test_rewrite_across_restart_of_fully_promoted_file(mutable_repo,
                      ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
 
     warm = SeismicWarehouse(mutable_repo.root, mode="lazy",
-                            storage_path=store, enable_recycler=False)
+                            storage_path=store, recycler_budget_bytes=0)
     result = warm.query(q)  # must refresh metadata, not crash
     assert result.rows()[0][0] >= 60_000
     assert warm.db.last_report.rows_served_eager == 0
@@ -436,7 +436,7 @@ def test_stale_promoted_units_in_the_manifest_are_not_mounted(mutable_repo,
 
     store = tmp_path / "store"
     wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
-                          storage_path=store, enable_recycler=False)
+                          storage_path=store, recycler_budget_bytes=0)
     q = ("SELECT MAX(D.sample_value), COUNT(*) FROM mseed.dataview "
          "WHERE F.station = 'HGN' AND F.channel = 'BHZ'")
     wh.query(q)
@@ -460,7 +460,7 @@ def test_stale_promoted_units_in_the_manifest_are_not_mounted(mutable_repo,
                                 "uri"]
 
     warm = SeismicWarehouse(mutable_repo.root, mode="lazy",
-                            storage_path=store, enable_recycler=False)
+                            storage_path=store, recycler_budget_bytes=0)
     assert len(warm.promoted) == 0
     assert warm.query(q).rows() == fresh
     ops = [t["op"] for t in warm.last_trace]
@@ -500,13 +500,6 @@ def test_service_promote_requires_storage(lazy_wh):
 def test_service_promote_requires_lazy_mode(eager_wh):
     with pytest.raises(ServiceError, match="lazy"):
         eager_wh.serve(promote=True)
-
-
-def test_promote_before_load_raises_cleanly(demo_repo, tmp_path):
-    wh = SeismicWarehouse(demo_repo.root, mode="lazy",
-                          storage_path=tmp_path / "s", defer_load=True)
-    with pytest.raises(ETLError, match="load"):
-        wh.promote()
 
 
 def test_promoter_config_validation(stored_wh):

@@ -112,11 +112,38 @@ def test_update_invalidates_recycled_result():
 
 
 def test_disable_recycler():
-    db = Database(enable_recycler=False)
+    db = Database(recycler_budget_bytes=0)
     db.execute("CREATE TABLE t (v BIGINT)")
     db.execute("INSERT INTO t VALUES (1)")
     db.query("SELECT SUM(v) FROM t")
-    assert db.recycler is None
+    db.query("SELECT SUM(v) FROM t")
+    assert len(db.recycler) == 0
+    assert db.recycler.stats.lookups == 0  # no signature nodes at all
+    assert "recycler_hit" not in {e.get("op") for e in db.last_trace}
+
+
+def test_budget_zero_admits_nothing_not_even_an_empty_result():
+    recycler = Recycler(budget_bytes=0)
+    empty = _col([])
+    assert empty.memory_bytes() == 0
+    assert recycler.admit("sig-empty", [empty], 0) is False
+    assert len(recycler) == 0 and recycler.used_bytes == 0
+    assert recycler.stats.admissions == 0
+    assert recycler.lookup_validated("sig-empty") is None
+
+
+def test_budget_zero_warehouse_repeats_from_the_extraction_cache(demo_repo):
+    wh = SeismicWarehouse(demo_repo.root, mode="lazy",
+                          recycler_budget_bytes=0)
+    sql = ("SELECT MAX(D.sample_value) FROM mseed.dataview "
+           "WHERE F.station = 'HGN' AND F.channel = 'BHZ'")
+    first = wh.query(sql).scalar()
+    assert "extract" in {e["op"] for e in wh.last_trace}
+    assert wh.query(sql).scalar() == first
+    ops = {e["op"] for e in wh.last_trace}
+    assert "cache_fetch" in ops
+    assert not {"extract", "recycler_hit"} & ops
+    assert len(wh.recycler) == 0
 
 
 def test_contents_listing():
@@ -168,7 +195,7 @@ def test_station_second_aggregate_reuses_the_recycled_fetch(lazy_wh,
     assert _heat_counts(lazy_wh) == heat
 
     fresh = SeismicWarehouse(demo_repo.root, mode="lazy",
-                             enable_recycler=False)
+                             recycler_budget_bytes=0)
     assert rows == sorted(fresh.query(count_max).rows())
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from repro.mseed.files import scan_file_headers, write_mseed_file
 from repro.mseed.repository import Repository
-from repro.seismology.queries import fig1_query2
 from repro.seismology.warehouse import SeismicWarehouse
 from repro.util.timefmt import from_ymd
 
@@ -35,7 +34,7 @@ def _rewrite_file(entry, offset=1000, keep_mtime=False):
 def test_query_time_staleness_without_sync(mutable_repo):
     """The paper's pure-lazy refresh: no sync call, the cache notices."""
     wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     entry = next(e for e in mutable_repo.entries
                  if e.station == "HGN" and e.channel == "BHZ")
     q = ("SELECT MAX(D.sample_value) FROM mseed.dataview "
@@ -290,7 +289,7 @@ def test_file_rewritten_before_its_first_query_is_noticed(one_file_repo):
     """No cache entry, no promoted unit: nothing derived holds a version
     yet, so only the metadata's own version can tell the file changed."""
     manifest, shorter = one_file_repo
-    wh = SeismicWarehouse(manifest.root, mode="lazy", enable_recycler=False)
+    wh = SeismicWarehouse(manifest.root, mode="lazy", recycler_budget_bytes=0)
     records_before = wh.query("SELECT COUNT(*) FROM mseed.records").scalar()
     _rewrite_file(shorter, offset=50_000)
 
@@ -307,8 +306,9 @@ def test_same_mtime_rewrite_is_seen_through_the_size(one_file_repo, observer):
     """A rewrite that keeps the mtime but changes the size must not be
     served stale — by the query path, a recycler hit, or sync()."""
     manifest, shorter = one_file_repo
-    wh = SeismicWarehouse(manifest.root, mode="lazy",
-                          enable_recycler=observer == "recycler_hit")
+    wh = SeismicWarehouse(
+        manifest.root, mode="lazy",
+        recycler_budget_bytes=(1 << 20) if observer == "recycler_hit" else 0)
     if observer != "sync":
         wh.query(EVERYTHING)
         wh.query(EVERYTHING)  # warm repeat: admits a recyclable signature

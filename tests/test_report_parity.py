@@ -13,7 +13,7 @@ I/O exactly once.
 from __future__ import annotations
 
 import pytest
-from oracle import column_fingerprint
+from oracle import _canon_value
 
 from repro.db.exec.engine import QueryReport, _fold_trace_counters
 from repro.db.plan.physical import UNBOUNDED_ROWS
@@ -154,13 +154,13 @@ def test_service_query_and_cursor_agree(demo_repo, sql):
 
     def through_cursor(session):
         cur = session.cursor().execute(sql)
-        # Cursor executions are recorded on the session like any other.
-        return cur.fetchall(), cur.report, session.outcomes[-1].result
+        return cur.fetchall(), cur.report
 
-    rows, report, result = served(through_cursor)
-    assert rows == outcome.result.rows()
-    assert [column_fingerprint(c) for c in result.columns] == \
-        [column_fingerprint(c) for c in outcome.result.columns]
+    def bits(rows):
+        return [tuple(_canon_value(v) for v in row) for row in rows]
+
+    rows, report = served(through_cursor)
+    assert bits(rows) == bits(outcome.result.rows())
     for name in PARITY_COUNTERS + ("operators_run",):
         assert getattr(report, name) == getattr(outcome.report, name), name
     assert outcome.report.rows_extracted_here > 0
@@ -201,7 +201,7 @@ def test_promoted_fetch_pages_counted_once(demo_repo, tmp_path):
     # Recycler off: it would answer the repeat before the promoted path.
     wh = SeismicWarehouse(demo_repo.root, mode="lazy",
                           storage_path=tmp_path / "store",
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     sql = QUERIES[0]
     wh.query(sql)
     wh.query(sql)  # heat the units so promotion has a workload signal
@@ -226,7 +226,7 @@ def test_promoted_parity_between_paths(demo_repo, tmp_path):
         # Recycler off: it would answer the repeat before the promoted path.
         wh = SeismicWarehouse(demo_repo.root, mode="lazy",
                               storage_path=tmp_path / where,
-                              enable_recycler=False)
+                              recycler_budget_bytes=0)
         wh.query(sql)
         wh.query(sql)
         wh.promote(min_score=0.0)

@@ -1,10 +1,13 @@
 """The concurrent query service: coalescing, fairness, admission, safety."""
 
+import os
 import threading
 import time
+import tracemalloc
 
 import pytest
 
+import repro
 from repro.errors import AdmissionError, ServiceClosedError
 from repro.etl.mseed_adapter import MSeedAdapter
 from repro.seismology.warehouse import SeismicWarehouse
@@ -45,7 +48,7 @@ def test_sixteen_concurrent_identical_queries_extract_once(tiny_repo):
     extraction per file — the single-flight coalescer at work."""
     adapter = CountingAdapter(delay_s=0.05)
     wh = SeismicWarehouse(tiny_repo.root, mode="lazy", adapter=adapter,
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     with wh.serve(max_workers=16) as svc:
         sessions = [svc.session(f"client-{i}") for i in range(16)]
         futures = [s.submit(MULTI_FILE_QUERY) for s in sessions]
@@ -78,7 +81,7 @@ def test_concurrent_distinct_queries_match_serial_results(demo_repo):
     expected = [serial.query(q).rows() for q in queries]
 
     wh = SeismicWarehouse(demo_repo.root, mode="lazy")
-    with wh.serve(max_workers=6, extract_workers=2) as svc:
+    with wh.serve(max_workers=6) as svc:
         sessions = [svc.session(f"s{i}") for i in range(len(queries))]
         futures = [s.submit(q) for s, q in zip(sessions, queries)]
         outcomes = [f.result(timeout=120) for f in futures]
@@ -89,7 +92,7 @@ def test_concurrent_distinct_queries_match_serial_results(demo_repo):
 def test_repeated_service_queries_hit_cache(tiny_repo):
     adapter = CountingAdapter()
     wh = SeismicWarehouse(tiny_repo.root, mode="lazy", adapter=adapter,
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     with wh.serve(max_workers=4) as svc:
         session = svc.session("repeat")
         session.query(MULTI_FILE_QUERY)
@@ -113,7 +116,7 @@ def test_admission_controller_round_robin_fairness():
 def test_admission_queue_rejects_when_full(tiny_repo):
     adapter = CountingAdapter(delay_s=0.5)
     wh = SeismicWarehouse(tiny_repo.root, mode="lazy", adapter=adapter,
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     with wh.serve(max_workers=1, queue_depth=2) as svc:
         blocker = svc.session("blocker")
         first = blocker.submit(MULTI_FILE_QUERY)  # occupies the worker
@@ -181,8 +184,41 @@ def test_service_stats_latencies(tiny_repo):
             session.query("SELECT COUNT(*) FROM mseed.files")
         stats = svc.stats()
     assert stats.completed == 5 and stats.failed == 0
-    assert len(stats.latencies_s) == 5
-    assert stats.percentile(99) >= stats.percentile(50) >= 0.0
+    latency = wh.metrics_registry.histogram("repro_query_seconds",
+                                            labels=("session",))
+    assert latency.count(session=session.session_id) == 5
+    assert latency.percentile(99, session=session.session_id) >= \
+        latency.percentile(50, session=session.session_id) >= 0.0
+
+
+def test_repeat_session_queries_do_not_grow_memory(tiny_repo):
+    """A served session keeps no per-query record: once the journal ring
+    is full, a thousand more queries leave the package's heap where it
+    was (latency lives in the bounded ``repro_query_seconds``)."""
+    wh = SeismicWarehouse(tiny_repo.root, mode="lazy")
+    package = [tracemalloc.Filter(
+        True, os.path.join(os.path.dirname(repro.__file__), "*"))]
+    with wh.serve(max_workers=2) as svc:
+        session = svc.session("steady")
+
+        def run(count: int) -> None:
+            for _ in range(count):
+                session.query("SELECT COUNT(*) FROM mseed.files")
+
+        # Traced from before the warm-up, which fills the 1 024-entry
+        # journal: a replaced slot must have been traced when allocated.
+        tracemalloc.start()
+        try:
+            run(1100)
+            before = tracemalloc.take_snapshot().filter_traces(package)
+            run(1000)
+            after = tracemalloc.take_snapshot().filter_traces(package)
+        finally:
+            tracemalloc.stop()
+    grown = sum(stat.size_diff
+                for stat in after.compare_to(before, "filename"))
+    assert svc.stats().completed == 2100
+    assert grown < 256 * 1024, f"grew {grown / 1024:.1f} KiB"
 
 
 def test_service_query_error_propagates(tiny_repo):

@@ -67,21 +67,12 @@ def _rewrite_file(entry, offset=1000):
 
 def test_shard_map_hash_partition_is_total_and_stable():
     uris = [f"dir/file-{i}.mseed" for i in range(37)]
-    m = ShardMap.build(uris, 4, by="hash")
+    m = ShardMap.build(uris, 4)
     assert sum(m.counts()) == 37
     for uri in uris:
         assert uri in m.uris_of(m.shard_of(uri))
-    again = ShardMap.build(list(reversed(uris)), 4, by="hash")
+    again = ShardMap.build(list(reversed(uris)), 4)
     assert all(m.shard_of(u) == again.shard_of(u) for u in uris)
-
-
-def test_shard_map_range_partition_is_contiguous():
-    uris = [f"f{i:03d}.mseed" for i in range(10)]
-    m = ShardMap.build(uris, 3, by="range")
-    chunks = [m.uris_of(i) for i in range(3)]
-    assert [u for chunk in chunks for u in chunk] == sorted(uris)
-    assert all(m.shard_of(u) == i
-               for i, chunk in enumerate(chunks) for u in chunk)
 
 
 # -- bit-exactness -----------------------------------------------------------
@@ -234,7 +225,7 @@ def test_worker_killed_between_queries_respawns(demo_repo):
 
 def test_rewrite_invalidates_owning_shard_only(mutable_repo):
     wh = SeismicWarehouse(mutable_repo.root, mode="lazy", shards=2,
-                          enable_recycler=False)
+                          recycler_budget_bytes=0)
     try:
         sql = ("SELECT F.station, COUNT(D.sample_value) AS n "
                "FROM mseed.dataview GROUP BY F.station ORDER BY F.station")
@@ -307,8 +298,6 @@ def test_shard_count_validation(demo_repo):
         SeismicWarehouse(demo_repo.root, mode="lazy", shards=-3)
     with pytest.raises(ShardConfigError, match="mode='lazy'"):
         SeismicWarehouse(demo_repo.root, mode="eager", shards=2)
-    with pytest.raises(ShardConfigError, match="'hash' or 'range'"):
-        SeismicWarehouse(demo_repo.root, mode="lazy", shard_by="modulo")
 
 
 def test_custom_adapter_rejected_when_sharded(demo_repo):

@@ -468,23 +468,6 @@ def test_warm_start_adopts_checkpoint_granularity(tiny_repo, tmp_path):
     assert warm.load_report.strategy == "lazy[file]+warm"
 
 
-def test_defer_load_opts_out_of_warm_start(tiny_repo, tmp_path):
-    from repro.seismology.warehouse import SeismicWarehouse
-
-    ckpt = tmp_path / "ckpt"
-    cold = SeismicWarehouse(tiny_repo.root, mode="lazy", storage_path=ckpt)
-    cold.query(FIG1_STYLE)
-    cold.checkpoint()
-
-    deferred = SeismicWarehouse(tiny_repo.root, mode="lazy",
-                                storage_path=ckpt, defer_load=True)
-    assert deferred.load_report is None  # constructor loaded nothing
-    deferred.load()  # the contractual explicit load must not conflict
-    result = deferred.query(FIG1_STYLE)
-    assert result.columns[0].to_pylist() == \
-        cold.query(FIG1_STYLE).columns[0].to_pylist()
-
-
 def test_eager_warehouse_recheckpoints_over_existing_store(tiny_repo,
                                                            tmp_path):
     from repro.seismology.warehouse import SeismicWarehouse

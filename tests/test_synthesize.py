@@ -1,7 +1,6 @@
 """Tests for the synthetic repository generator."""
 
 import numpy as np
-import pytest
 
 from repro.mseed.files import read_file, scan_file_headers
 from repro.mseed.inventory import DEFAULT_INVENTORY, find_station
