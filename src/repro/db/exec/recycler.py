@@ -310,4 +310,11 @@ def signature_of(node: lg.LogicalNode) -> str:
             )
         raise ExecutionError(f"cannot sign {type(node).__name__}")
 
-    return walk(node)
+    try:
+        return walk(node)
+    finally:
+        # Both helpers recurse through their own closure cells: a
+        # reference cycle per signature, left to the cyclic collector.
+        # Emptying the cells frees them here, so a warm query leaves no
+        # garbage behind.
+        del render_expr, walk

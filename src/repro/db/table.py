@@ -184,11 +184,19 @@ class Table:
             )
 
     def _pk_tuples(self, batch: Mapping[str, Column], count: int) -> list[tuple]:
-        keys = []
-        pk_cols = [batch[k] for k in self.schema.primary_key]
-        for i in range(count):
-            keys.append(tuple(col.value_at(i) for col in pk_cols))
-        return keys
+        """Each row's primary key, as :meth:`Column.value_at` gives the
+        parts (``None`` for NULL), built column-wise."""
+        parts = []
+        for name in self.schema.primary_key:
+            column = batch[name]
+            values = column.values[:count].tolist()
+            if column.dtype == DataType.VARCHAR:
+                values = list(map(str, values))
+            if column.valid is not None:
+                for row in np.flatnonzero(~column.valid[:count]).tolist():
+                    values[row] = None
+            parts.append(values)
+        return list(zip(*parts))
 
     def append_batch(self, batch: Mapping[str, Column],
                      *, enforce_keys: bool = True) -> int:

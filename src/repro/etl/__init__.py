@@ -21,7 +21,7 @@ from repro.etl.framework import SCHEMA, SourceAdapter, ETLReport
 from repro.etl.metadata import (
     Granularity,
     FileMeta,
-    RecordMeta,
+    RecordColumns,
     HarvestResult,
     harvest_repository,
 )
@@ -39,7 +39,7 @@ __all__ = [
     "ETLReport",
     "Granularity",
     "FileMeta",
-    "RecordMeta",
+    "RecordColumns",
     "HarvestResult",
     "harvest_repository",
     "ExtractionCache",

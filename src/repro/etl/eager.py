@@ -11,8 +11,6 @@ samples and their 8-byte timestamps are materialised in the warehouse).
 from __future__ import annotations
 
 import time
-from typing import Optional
-
 import numpy as np
 
 from repro.db.exec.engine import Database
@@ -61,24 +59,31 @@ class EagerETL:
         )
 
     def _load_all_data(self, harvest: HarvestResult) -> int:
+        """Extract every file, then append D once: appending per file
+        would re-concatenate the growing columns each time."""
+        batches = [batch for batch in (self._file_batch(meta.uri)
+                                       for meta in harvest.files) if batch]
+        return self._append({
+            name: np.concatenate([batch[name] for batch in batches])
+            for name in (batches[0] if batches else ())
+        })
+
+    def load_file_data(self, uri: str) -> int:
+        """Extract one file completely and append its rows to D."""
+        return self._append(self._file_batch(uri))
+
+    def _append(self, batch: dict[str, np.ndarray]) -> int:
+        return self.db.bulk_insert((SCHEMA, "data"), batch) if batch else 0
+
+    def _file_batch(self, uri: str) -> dict[str, np.ndarray]:
+        """One file's D rows as columns (empty if it has none)."""
         data_cols = [spec.name for spec in self.adapter.data_columns()
                      if spec.name not in self.adapter.key_columns]
-        total = 0
-        for meta in harvest.files:
-            total += self.load_file_data(meta.uri, data_cols)
-        return total
-
-    def load_file_data(self, uri: str,
-                       data_cols: Optional[list[str]] = None) -> int:
-        """Extract one file completely and append its rows to D."""
-        if data_cols is None:
-            data_cols = [spec.name for spec in self.adapter.data_columns()
-                         if spec.name not in self.adapter.key_columns]
         extracted = self.adapter.extract(self.repo, uri, None, data_cols)
         uri_key, seq_key = self.adapter.key_columns
         rows = extracted.total_rows()
         if rows == 0:
-            return 0
+            return {}
         uris = np.empty(rows, dtype=object)
         seqs = np.empty(rows, dtype=np.int64)
         cursor = 0
@@ -87,13 +92,12 @@ class EagerETL:
             uris[cursor:cursor + count] = uri
             seqs[cursor:cursor + count] = seq
             cursor += count
-        batch: dict[str, object] = {uri_key: uris, seq_key: seqs}
+        batch: dict[str, np.ndarray] = {uri_key: uris, seq_key: seqs}
         for name in data_cols:
             batch[name] = np.concatenate(
                 [rec[name] for rec in extracted.per_record]
             )
-        self.db.bulk_insert((SCHEMA, "data"), batch)
-        return rows
+        return batch
 
     def delete_file_data(self, uri: str) -> None:
         """Drop one file's rows from D (used by eager refresh)."""

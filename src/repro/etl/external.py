@@ -66,11 +66,15 @@ class ExternalBinding:
             extracted = self.adapter.extract(
                 self.repo, info.uri, None, wanted_data or data_cols
             )
-            record_by_seq = {r.seq_no: r for r in records}
+            table = {name: column.tolist() for name, column
+                     in self.adapter.record_table(records).items()}
+            row_of = {seq: i for i, seq in
+                      enumerate(table[self.adapter.key_columns[1]])}
             file_row = self.adapter.file_row(meta)
             for seq, columns in zip(extracted.seq_nos, extracted.per_record):
                 rows = len(next(iter(columns.values()))) if columns else 0
-                record_row = self.adapter.record_row(record_by_seq[seq])
+                record_row = {name: values[row_of[seq]]
+                              for name, values in table.items()}
                 chunks.append({
                     "file_row": file_row,
                     "record_row": record_row,

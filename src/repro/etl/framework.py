@@ -13,18 +13,23 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.db.table import ColumnSpec
+from repro.errors import MSeedError
 from repro.mseed.repository import FileInfo, Repository
 
 if TYPE_CHECKING:
-    from repro.etl.metadata import FileMeta, RecordMeta
+    from repro.etl.metadata import FileMeta, RecordColumns
 
 #: The SQL schema the warehouse's tables live in (``mseed.files``, ...).
 SCHEMA = "mseed"
+
+#: Harvesting one file gives its F row and R rows, or the MSeedError the
+#: file raised.
+HarvestOutcome = Union[tuple["FileMeta", "RecordColumns"], MSeedError]
 
 
 @dataclass
@@ -99,11 +104,23 @@ class SourceAdapter(abc.ABC):
         not self-describing."""
 
     @abc.abstractmethod
+    def harvest_files(self, repo: Repository, infos: Sequence[FileInfo],
+                      *, per_record: bool,
+                      ) -> Iterator[tuple[FileInfo, HarvestOutcome]]:
+        """Header-only harvest of a batch of files: ``(info, outcome)``
+        per file, in order.  A corrupt file's outcome is its error, so it
+        never stops the batch.  ``per_record=False`` may return a single
+        whole-file pseudo-record (coarse granularity)."""
+
     def harvest_file(self, repo: Repository, info: FileInfo,
                      *, per_record: bool,
-                     ) -> tuple["FileMeta", list["RecordMeta"]]:
-        """Header-only harvest.  ``per_record=False`` may return a single
-        whole-file pseudo-record (coarse granularity)."""
+                     ) -> tuple["FileMeta", "RecordColumns"]:
+        """:meth:`harvest_files` for a batch of one; raises its error."""
+        ((_info, outcome),) = self.harvest_files(repo, [info],
+                                                 per_record=per_record)
+        if isinstance(outcome, MSeedError):
+            raise outcome
+        return outcome
 
     # -- row shaping ------------------------------------------------------------------
 
@@ -112,8 +129,8 @@ class SourceAdapter(abc.ABC):
         """A row of F for one file."""
 
     @abc.abstractmethod
-    def record_row(self, meta: "RecordMeta") -> dict[str, object]:
-        """A row of R for one record."""
+    def record_table(self, records: "RecordColumns") -> dict[str, np.ndarray]:
+        """R's columns for a batch of records."""
 
     # -- actual data -------------------------------------------------------------------
 

@@ -42,10 +42,12 @@ from repro.etl.cache import ExtractionCache
 from repro.etl.framework import SCHEMA, ETLReport, SourceAdapter
 from repro.etl.heat import AccessHeatTracker
 from repro.etl.metadata import (
+    NO_RECORDS,
+    FileMeta,
     Granularity,
     HarvestResult,
+    RecordColumns,
     RecordIndex,
-    RecordMeta,
     harvest_file_at,
     harvest_repository,
 )
@@ -186,9 +188,9 @@ class LazyDataBinding:
         data_cols = [n for n in needed if n not in self.key_columns]
         pieces: list[tuple[str, int, dict[str, np.ndarray], int]] = []
         for uri in self.index.files():
-            seq_nos = [span.seq_no for span in self.index.spans(uri)]
+            seq_nos = np.sort(self.index.seq_nos(uri)).tolist()
             pieces.extend(
-                self._fetch_file(uri, sorted(seq_nos), data_cols,
+                self._fetch_file(uri, seq_nos, data_cols,
                                  (None, None), trace, versions)
             )
         return self._assemble(pieces, needed, data_cols)
@@ -380,7 +382,7 @@ class LazyDataBinding:
         longer lists; inexact granularities are never filtered."""
         if not self.index.is_exact(uri):
             return seq_nos
-        live = {span.seq_no for span in self.index.spans(uri)}
+        live = set(self.index.seq_nos(uri).tolist())
         kept = [s for s in seq_nos if s in live]
         if len(kept) < len(seq_nos):
             trace.append({"op": "refresh", "file": uri,
@@ -694,31 +696,23 @@ class LazyETL:
         """Reconstruct the in-memory record index, and the ledger of
         harvested versions, from the R and F tables."""
         records = self.db.catalog.table((SCHEMA, "records"))
-        uris = records.column("file_location").values
-        seqs = records.column("seq_no").values
-        starts = records.column("start_time").values
-        ends = records.column("end_time").values
-        freqs = records.column("frequency").values
-        counts = records.column("sample_count").values
-        per_file: dict[str, list[RecordMeta]] = {}
-        for i in range(records.row_count):
-            uri = str(uris[i])
-            per_file.setdefault(uri, []).append(RecordMeta(
-                uri=uri,
-                seq_no=int(seqs[i]),
-                start_time_us=int(starts[i]),
-                end_time_us=int(ends[i]),
-                frequency=float(freqs[i]),
-                sample_count=int(counts[i]),
-            ))
+        per_file = RecordColumns.grouped(
+            records.column("file_location").values,
+            **{field: records.column(name).values
+               for field, name in (("seq_no", "seq_no"),
+                                   ("start_time_us", "start_time"),
+                                   ("end_time_us", "end_time"),
+                                   ("frequency", "frequency"),
+                                   ("sample_count", "sample_count"),
+                                   ("timing_quality", "timing_quality"))})
         exact = self.granularity is Granularity.RECORD
         files = self.db.catalog.table((SCHEMA, "files"))
         for uri, size, mtime_ns in zip(
-                files.column("file_location").values,
-                files.column("file_size").values,
-                files.column("mtime_ns").values):
-            info = FileInfo(str(uri), int(size), int(mtime_ns))
-            self.index.replace_file(info, per_file.get(info.uri, []),
+                files.column("file_location").values.tolist(),
+                files.column("file_size").values.tolist(),
+                files.column("mtime_ns").values.tolist()):
+            info = FileInfo(str(uri), size, mtime_ns)
+            self.index.replace_file(info, per_file.get(info.uri, NO_RECORDS),
                                     exact=exact)
 
     def initial_load(self) -> LazySetup:
@@ -747,37 +741,40 @@ class LazyETL:
 
     def load_metadata(self, harvest: HarvestResult) -> None:
         """Bulk insert the harvested F and R rows."""
-        file_rows = [self.adapter.file_row(m) for m in harvest.files]
-        record_rows = [self.adapter.record_row(m) for m in harvest.records]
-        if file_rows:
+        self.insert_metadata(harvest.files, harvest.records)
+
+    def insert_metadata(self, files: list[FileMeta],
+                        records: RecordColumns) -> None:
+        """Append F rows and R rows, keys enforced."""
+        if files:
             self.db.bulk_insert(
-                (SCHEMA, "files"), _columnar(file_rows),
+                (SCHEMA, "files"),
+                _columnar([self.adapter.file_row(meta) for meta in files]),
                 enforce_keys=True,
             )
-        if record_rows:
+        if len(records):
             self.db.bulk_insert(
-                (SCHEMA, "records"), _columnar(record_rows),
+                (SCHEMA, "records"), self.adapter.record_table(records),
                 enforce_keys=True,
             )
 
     # -- single-file metadata maintenance ---------------------------------------
 
     def harvest_single(self, info: FileInfo
-                       ) -> tuple[list[dict], list[dict]]:
+                       ) -> tuple[FileMeta, RecordColumns]:
         """Harvest one file at the configured granularity.
 
         Updates the record index (and its ledger: the file's version is
-        now ``info``) and returns the (F rows, R rows) to insert.  Shared by the query-time staleness hook and the explicit
-        metadata sync.
+        now ``info``) and returns the F row and R rows to insert.  Shared
+        by the query-time staleness hook and the explicit metadata sync.
         """
-        meta, records, _opened = harvest_file_at(
+        meta, records = harvest_file_at(
             self.repo, self.adapter, info, self.granularity)
         self.index.replace_file(
             info, records,
             exact=self.granularity is Granularity.RECORD,
         )
-        return ([self.adapter.file_row(meta)],
-                [self.adapter.record_row(r) for r in records])
+        return meta, records
 
     def delete_file_metadata(self, uri: str) -> None:
         escaped = uri.replace("'", "''")
@@ -794,14 +791,9 @@ class LazyETL:
         """Re-harvest one changed file's F/R rows and record index at
         version ``info``.  Harvesting comes first: an unreadable (torn)
         file raises with the old metadata, and the ledger, untouched."""
-        file_rows, record_rows = self.harvest_single(info)
+        meta, records = self.harvest_single(info)
         self.delete_file_metadata(info.uri)
-        if file_rows:
-            self.db.bulk_insert((SCHEMA, "files"),
-                                _columnar(file_rows), enforce_keys=True)
-        if record_rows:
-            self.db.bulk_insert((SCHEMA, "records"),
-                                _columnar(record_rows), enforce_keys=True)
+        self.insert_metadata([meta], records)
 
 
 def _columnar(rows: list[dict[str, object]]) -> dict[str, list]:

@@ -12,6 +12,14 @@ cost spectrum (experiment E9 sweeps them):
   encoding and a good span estimate.  R still holds the pseudo record.
 * ``RECORD`` — header-scan every record (the paper's setting): R is exact
   per record, enabling record-level extraction pruning.
+
+Record-level metadata never exists as one Python object per record.  The
+adapter harvests a whole batch of files at once (at ``RECORD``: every
+record header of the repository decoded in one numpy pass, see
+:mod:`repro.mseed.files`), R travels as :class:`RecordColumns` — aligned
+arrays, one run of rows per file — into ``bulk_insert``, and the
+:class:`RecordIndex` keeps each file's run.  A single-file harvest (a
+refresh, ``sync()``, the external mode) is a batch of one.
 """
 
 from __future__ import annotations
@@ -20,7 +28,9 @@ import enum
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import MSeedError
 from repro.etl.framework import SourceAdapter
@@ -59,17 +69,91 @@ class FileMeta:
     exact_span: bool = True
 
 
-@dataclass
-class RecordMeta:
-    """Canonical record-level metadata (one row of R)."""
+@dataclass(frozen=True, eq=False)
+class RecordColumns:
+    """Canonical record-level metadata (rows of R) as aligned arrays.
 
-    uri: str
-    seq_no: int
-    start_time_us: int
-    end_time_us: int
-    frequency: float
-    sample_count: int
-    timing_quality: int = 0
+    Rows come in one contiguous run per file: ``counts[i]`` rows belong
+    to ``uris[i]``.
+    """
+
+    uris: tuple[str, ...]
+    counts: np.ndarray
+    seq_no: np.ndarray
+    start_time_us: np.ndarray
+    end_time_us: np.ndarray
+    frequency: np.ndarray
+    sample_count: np.ndarray
+    timing_quality: np.ndarray
+
+    @classmethod
+    def of_file(cls, uri: str, *, seq_no, start_time_us, end_time_us,
+                frequency, sample_count, timing_quality=None,
+                ) -> "RecordColumns":
+        """One file's records from equal-length array-likes
+        (``timing_quality`` is 0 at granularities that have none)."""
+        if timing_quality is None:
+            timing_quality = np.zeros(len(seq_no), dtype=np.int64)
+        columns = dict(seq_no=seq_no, start_time_us=start_time_us,
+                       end_time_us=end_time_us, frequency=frequency,
+                       sample_count=sample_count,
+                       timing_quality=timing_quality)
+        return cls(uris=(uri,), counts=np.array([len(seq_no)], dtype=np.int64),
+                   **{name: np.asarray(value, dtype=_DTYPES[name])
+                      for name, value in columns.items()})
+
+    @classmethod
+    def concat(cls, parts: Sequence["RecordColumns"]) -> "RecordColumns":
+        return cls(
+            uris=tuple(uri for part in parts for uri in part.uris),
+            **{name: np.concatenate([getattr(part, name) for part in parts])
+               if parts else np.empty(0, dtype=dtype)
+               for name, dtype in _DTYPES.items()},
+        )
+
+    @classmethod
+    def grouped(cls, uris: np.ndarray, **columns: np.ndarray,
+                ) -> dict[str, "RecordColumns"]:
+        """Split rows tagged with a per-row ``uris`` column into one
+        :class:`RecordColumns` per file; a file's rows keep their order."""
+        if len(uris) == 0:
+            return {}
+        edges = (np.flatnonzero(uris[1:] != uris[:-1]) + 1).tolist()
+        runs: dict[str, list[slice]] = {}
+        for lo, hi in zip([0, *edges], [*edges, len(uris)]):
+            runs.setdefault(str(uris[lo]), []).append(slice(lo, hi))
+        return {
+            uri: cls.of_file(uri, **{
+                name: np.concatenate([column[run] for run in file_runs])
+                for name, column in columns.items()})
+            for uri, file_runs in runs.items()
+        }
+
+    def __len__(self) -> int:
+        return len(self.seq_no)
+
+    def file_location(self) -> np.ndarray:
+        """The per-row uri column."""
+        return np.repeat(np.array(self.uris, dtype=object), self.counts)
+
+    def per_file(self) -> Iterator[tuple[str, "RecordColumns"]]:
+        """Each file's run, as views."""
+        stop = 0
+        for uri, count in zip(self.uris, self.counts.tolist()):
+            start, stop = stop, stop + count
+            yield uri, RecordColumns(
+                uris=(uri,), counts=np.array([count], dtype=np.int64),
+                **{name: getattr(self, name)[start:stop]
+                   for name in _ROW_FIELDS})
+
+
+_DTYPES = {"counts": np.int64, "seq_no": np.int64, "start_time_us": np.int64,
+           "end_time_us": np.int64, "frequency": np.float64,
+           "sample_count": np.int64, "timing_quality": np.int64}
+_ROW_FIELDS = tuple(_DTYPES)[1:]
+
+NO_RECORDS = RecordColumns.concat([])
+"""No rows, no files."""
 
 
 @dataclass
@@ -78,7 +162,7 @@ class HarvestResult:
 
     granularity: Granularity
     files: list[FileMeta] = field(default_factory=list)
-    records: list[RecordMeta] = field(default_factory=list)
+    records: RecordColumns = NO_RECORDS
     files_opened: int = 0
     bytes_read: int = 0
     seconds: float = 0.0
@@ -102,59 +186,70 @@ def harvest_repository(
     started = time.perf_counter()
     result = HarvestResult(granularity=granularity)
     reads_before = repo.bytes_read
-    for info in repo.list_files():
-        try:
-            meta, records, opened = harvest_file_at(repo, adapter, info,
-                                                    granularity)
-        except MSeedError as exc:
+    parts: list[RecordColumns] = []
+    for info, outcome, opened in _harvest_files(repo, adapter,
+                                                repo.list_files(),
+                                                granularity):
+        if isinstance(outcome, MSeedError):
             if strict:
-                raise
-            result.skipped.append((info.uri, str(exc)))
-            logger.warning("skipping corrupt file %s: %s", info.uri, exc)
+                raise outcome
+            result.skipped.append((info.uri, str(outcome)))
+            logger.warning("skipping corrupt file %s: %s", info.uri, outcome)
             continue
+        meta, records = outcome
         result.files_opened += opened
         result.files.append(meta)
-        result.records.extend(records)
+        parts.append(records)
+    result.records = RecordColumns.concat(parts)
     result.bytes_read = repo.bytes_read - reads_before
     result.seconds = time.perf_counter() - started
     return result
 
 
+def _harvest_files(repo: Repository, adapter: SourceAdapter,
+                   infos: list[FileInfo], granularity: Granularity):
+    """``(info, (F row, R rows) or the MSeedError, opened)`` per file, in
+    order.  The files that must be opened are harvested as one batch —
+    at FILENAME granularity only those with a foreign name."""
+    named = {}
+    if granularity is Granularity.FILENAME:
+        for info in infos:
+            meta = adapter.harvest_from_filename(info)
+            if meta is not None:
+                named[info.uri] = (meta, _pseudo_record(meta))
+    opened = adapter.harvest_files(
+        repo, [info for info in infos if info.uri not in named],
+        per_record=granularity is Granularity.RECORD)
+    for info in infos:
+        if info.uri in named:
+            yield info, named[info.uri], False
+        else:
+            _info, outcome = next(opened)
+            yield info, outcome, True
+
+
 def harvest_file_at(
     repo: Repository, adapter: SourceAdapter, info: FileInfo,
     granularity: Granularity,
-) -> tuple[FileMeta, list[RecordMeta], bool]:
-    """Harvest one file: ``(F row, R rows, whether it was opened)``."""
-    if granularity is Granularity.FILENAME:
-        meta = adapter.harvest_from_filename(info)
-        if meta is not None:
-            return meta, [_pseudo_record(meta)], False
-        # A foreign file name: fall back to opening the header.
-    meta, records = adapter.harvest_file(
-        repo, info, per_record=granularity is Granularity.RECORD)
-    return meta, records, True
+) -> tuple[FileMeta, RecordColumns]:
+    """Harvest one file at ``granularity``: a batch of one."""
+    ((_info, outcome, _opened),) = _harvest_files(repo, adapter, [info],
+                                                   granularity)
+    if isinstance(outcome, MSeedError):
+        raise outcome
+    return outcome
 
 
-def _pseudo_record(meta: FileMeta) -> RecordMeta:
+def _pseudo_record(meta: FileMeta) -> RecordColumns:
     """The whole-file pseudo record used below RECORD granularity."""
-    return RecordMeta(
-        uri=meta.uri,
-        seq_no=WHOLE_FILE_SEQ,
-        start_time_us=meta.start_time_us,
-        end_time_us=meta.end_time_us,
-        frequency=meta.sample_rate,
-        sample_count=0,
+    return RecordColumns.of_file(
+        meta.uri,
+        seq_no=[WHOLE_FILE_SEQ],
+        start_time_us=[meta.start_time_us],
+        end_time_us=[meta.end_time_us],
+        frequency=[meta.sample_rate],
+        sample_count=[0],
     )
-
-
-@dataclass
-class RecordSpan:
-    """Slim record descriptor kept in the in-memory index for pruning."""
-
-    seq_no: int
-    start_time_us: int
-    end_time_us: int
-    sample_count: int
 
 
 class RecordIndex:
@@ -162,8 +257,9 @@ class RecordIndex:
 
     The run-time rewrite asks this index two questions: which records of a
     file overlap the query's time bounds, and what a file's full record
-    list is.  It is built from the initial harvest and maintained by
-    :class:`repro.etl.refresh.MetadataSync`.
+    list is.  It keeps each file's :class:`RecordColumns` run, built from
+    the initial harvest (or rebuilt from R at a warm start) and
+    maintained by :class:`repro.etl.refresh.MetadataSync`.
 
     It is also the warehouse's **freshness ledger**: per file, the
     :class:`~repro.mseed.repository.FileInfo` (size + mtime) its rows
@@ -176,13 +272,12 @@ class RecordIndex:
     """
 
     def __init__(self) -> None:
-        self._by_file: dict[str, list[RecordSpan]] = {}
+        self._by_file: dict[str, RecordColumns] = {}
         self._exact: dict[str, bool] = {}
         self._versions: dict[str, FileInfo] = {}
 
     def load(self, result: HarvestResult) -> None:
-        for record in result.records:
-            self.add_record(record)
+        self._by_file.update(result.records.per_file())
         for meta in result.files:
             self._exact[meta.uri] = (
                 result.granularity is Granularity.RECORD
@@ -190,22 +285,10 @@ class RecordIndex:
             self._versions[meta.uri] = FileInfo(meta.uri, meta.size,
                                                 meta.mtime_ns)
 
-    def add_record(self, record: RecordMeta) -> None:
-        self._by_file.setdefault(record.uri, []).append(
-            RecordSpan(
-                seq_no=record.seq_no,
-                start_time_us=record.start_time_us,
-                end_time_us=record.end_time_us,
-                sample_count=record.sample_count,
-            )
-        )
-
-    def replace_file(self, info: FileInfo, records: list[RecordMeta],
+    def replace_file(self, info: FileInfo, records: RecordColumns,
                      exact: bool) -> None:
         """Install one file's records, harvested from version ``info``."""
-        self._by_file[info.uri] = []
-        for record in records:
-            self.add_record(record)
+        self._by_file[info.uri] = records
         self._exact[info.uri] = exact
         self._versions[info.uri] = info
 
@@ -228,8 +311,12 @@ class RecordIndex:
     def files(self) -> list[str]:
         return sorted(self._versions)
 
-    def spans(self, uri: str) -> list[RecordSpan]:
-        return self._by_file.get(uri, [])
+    def records(self, uri: str) -> Optional[RecordColumns]:
+        """``uri``'s records, ``None`` for a file the index does not hold."""
+        return self._by_file.get(uri)
+
+    def seq_nos(self, uri: str) -> np.ndarray:
+        return self._by_file.get(uri, NO_RECORDS).seq_no
 
     def is_exact(self, uri: str) -> bool:
         return self._exact.get(uri, False)
@@ -249,16 +336,14 @@ class RecordIndex:
             return seq_nos
         if not self.is_exact(uri):
             return seq_nos
-        spans = {span.seq_no: span for span in self.spans(uri)}
-        kept = []
-        for seq in seq_nos:
-            span = spans.get(seq)
-            if span is None:
-                kept.append(seq)  # unknown record: do not prune
-                continue
-            if lo is not None and span.end_time_us < lo:
-                continue
-            if hi is not None and span.start_time_us > hi:
-                continue
-            kept.append(seq)
-        return kept
+        records = self._by_file.get(uri, NO_RECORDS)
+        outside = np.zeros(len(records), dtype=bool)
+        if lo is not None:
+            outside |= records.end_time_us < lo
+        if hi is not None:
+            outside |= records.start_time_us > hi
+        # A number goes only if every row carrying it is outside; one
+        # the index does not know is never pruned.
+        dropped = set(records.seq_no[outside].tolist()).difference(
+            records.seq_no[~outside].tolist())
+        return [seq for seq in seq_nos if seq not in dropped]

@@ -13,23 +13,26 @@ type.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.db.table import ColumnSpec
 from repro.db.types import DataType
-from repro.errors import ExtractionError
-from repro.etl.framework import ExtractedRecords, SourceAdapter
-from repro.etl.metadata import WHOLE_FILE_SEQ, FileMeta, RecordMeta
+from repro.errors import ExtractionError, MSeedError, RepositoryError
+from repro.etl.framework import ExtractedRecords, HarvestOutcome, SourceAdapter
+from repro.etl.metadata import WHOLE_FILE_SEQ, FileMeta, RecordColumns
 from repro.mseed.encodings import encoding_name
-from repro.mseed.files import read_records_from, scan_file_headers
-from repro.mseed.records import decode_header
+from repro.mseed.files import read_records_from, scan_file_headers, scan_headers
+from repro.mseed.records import (
+    HEADER_SCAN_BYTES,
+    HeaderColumns,
+    RecordHeader,
+    decode_header,
+)
 from repro.mseed.repository import FileInfo, Repository
 from repro.mseed.synthesize import parse_filename
 from repro.util.timefmt import MICROS_PER_DAY, from_yday
-
-_HEADER_PROBE_BYTES = 64
 
 
 class MSeedAdapter(SourceAdapter):
@@ -111,50 +114,69 @@ class MSeedAdapter(SourceAdapter):
             exact_span=False,
         )
 
-    def harvest_file(self, repo: Repository, info: FileInfo,
-                     *, per_record: bool,
-                     ) -> tuple[FileMeta, list[RecordMeta]]:
-        if per_record:
+    def harvest_files(self, repo: Repository, infos: Sequence[FileInfo],
+                      *, per_record: bool,
+                      ) -> Iterator[tuple[FileInfo, HarvestOutcome]]:
+        if not per_record:
+            for info in infos:
+                yield info, _outcome(self._harvest_first_header, repo, info)
+            return
+        # RECORD granularity: every record header of the batch in one
+        # numpy pass; a file it does not vouch for takes the reference
+        # per-record loop, which decodes it or raises the typed error.
+        paths = []
+        for info in infos:
+            try:
+                paths.append(repo.path_of(info.uri))
+            except RepositoryError:
+                paths.append(None)
+        for info, scanned in zip(infos, scan_headers(paths)):
+            yield info, _outcome(self._harvest_records, repo, info, scanned)
+
+    def _harvest_records(self, repo: Repository, info: FileInfo,
+                         scanned: Optional[tuple[RecordHeader, HeaderColumns]],
+                         ) -> tuple[FileMeta, RecordColumns]:
+        if scanned is None:
             headers = scan_file_headers(repo.path_of(info.uri))
             if not headers:
                 raise ExtractionError(f"{info.uri} contains no records")
-            repo.record_read(info.uri, len(headers) * _HEADER_PROBE_BYTES)
-            first = headers[0]
-            meta = FileMeta(
-                uri=info.uri,
-                size=info.size,
-                mtime_ns=info.mtime_ns,
-                dataquality=first.quality,
-                network=first.network,
-                station=first.station,
-                location=first.location,
-                channel=first.channel,
-                encoding=encoding_name(first.encoding),
-                record_length=first.record_length,
-                n_records=len(headers),
-                start_time_us=min(h.start_time_us for h in headers),
-                end_time_us=max(h.end_time_us for h in headers),
-                sample_rate=first.sample_rate,
-                exact_span=True,
-            )
-            records = [
-                RecordMeta(
-                    uri=info.uri,
-                    seq_no=h.sequence_number,
-                    start_time_us=h.start_time_us,
-                    end_time_us=h.end_time_us,
-                    frequency=h.sample_rate,
-                    sample_count=h.sample_count,
-                    timing_quality=h.timing_quality,
-                )
-                for h in headers
-            ]
-            return meta, records
+            scanned = headers[0], HeaderColumns.from_headers(headers)
+        first, columns = scanned
+        n_records = len(columns.sequence_number)
+        repo.record_read(info.uri, n_records * HEADER_SCAN_BYTES)
+        meta = FileMeta(
+            uri=info.uri,
+            size=info.size,
+            mtime_ns=info.mtime_ns,
+            dataquality=first.quality,
+            network=first.network,
+            station=first.station,
+            location=first.location,
+            channel=first.channel,
+            encoding=encoding_name(first.encoding),
+            record_length=first.record_length,
+            n_records=n_records,
+            start_time_us=int(columns.start_time_us.min()),
+            end_time_us=int(columns.end_time_us.max()),
+            sample_rate=first.sample_rate,
+            exact_span=True,
+        )
+        return meta, RecordColumns.of_file(
+            info.uri,
+            seq_no=columns.sequence_number,
+            start_time_us=columns.start_time_us,
+            end_time_us=columns.end_time_us,
+            frequency=columns.sample_rate,
+            sample_count=columns.sample_count,
+            timing_quality=columns.timing_quality,
+        )
 
-        # FILE granularity: probe only the first record header.
+    def _harvest_first_header(self, repo: Repository, info: FileInfo,
+                              ) -> tuple[FileMeta, RecordColumns]:
+        """FILE granularity: probe only the first record header."""
         with open(repo.path_of(info.uri), "rb") as handle:
-            head = handle.read(_HEADER_PROBE_BYTES)
-        repo.record_read(info.uri, _HEADER_PROBE_BYTES)
+            head = handle.read(HEADER_SCAN_BYTES)
+        repo.record_read(info.uri, HEADER_SCAN_BYTES)
         header = decode_header(head)
         n_records = max(info.size // header.record_length, 1)
         # Span estimate: assume every record resembles the first.
@@ -177,15 +199,14 @@ class MSeedAdapter(SourceAdapter):
             sample_rate=header.sample_rate,
             exact_span=False,
         )
-        record = RecordMeta(
-            uri=info.uri,
-            seq_no=WHOLE_FILE_SEQ,
-            start_time_us=meta.start_time_us,
-            end_time_us=meta.end_time_us,
-            frequency=meta.sample_rate,
-            sample_count=header.sample_count * n_records,
+        return meta, RecordColumns.of_file(
+            info.uri,
+            seq_no=[WHOLE_FILE_SEQ],
+            start_time_us=[meta.start_time_us],
+            end_time_us=[meta.end_time_us],
+            frequency=[meta.sample_rate],
+            sample_count=[header.sample_count * n_records],
         )
-        return meta, [record]
 
     # -- row shaping ------------------------------------------------------------------
 
@@ -207,15 +228,15 @@ class MSeedAdapter(SourceAdapter):
             "mtime_ns": meta.mtime_ns,
         }
 
-    def record_row(self, meta: RecordMeta) -> dict[str, object]:
+    def record_table(self, records: RecordColumns) -> dict[str, np.ndarray]:
         return {
-            "file_location": meta.uri,
-            "seq_no": meta.seq_no,
-            "start_time": meta.start_time_us,
-            "end_time": meta.end_time_us,
-            "frequency": meta.frequency,
-            "sample_count": meta.sample_count,
-            "timing_quality": meta.timing_quality,
+            "file_location": records.file_location(),
+            "seq_no": records.seq_no,
+            "start_time": records.start_time_us,
+            "end_time": records.end_time_us,
+            "frequency": records.frequency,
+            "sample_count": records.sample_count,
+            "timing_quality": records.timing_quality,
         }
 
     # -- extraction -------------------------------------------------------------------
@@ -263,3 +284,11 @@ class MSeedAdapter(SourceAdapter):
             seq_nos=[r.header.sequence_number for r in records],
             per_record=per_record,
         )
+
+
+def _outcome(harvest, *args):
+    """``harvest(*args)``, or the MSeedError it raised."""
+    try:
+        return harvest(*args)
+    except MSeedError as exc:
+        return exc

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import FileMissingError, MSeedError
 from repro.etl.eager import EagerETL
-from repro.etl.framework import SCHEMA
-from repro.etl.lazy import LazyETL, _columnar
+from repro.etl.lazy import LazyETL
+from repro.etl.metadata import FileMeta, RecordColumns
 
 logger = logging.getLogger("repro.etl.refresh")
 
@@ -90,16 +90,16 @@ class MetadataSync:
         index = self.lazy.index
         current = {info.uri: info for info in self.lazy.repo.list_files()}
 
-        file_rows: list[dict] = []
-        record_rows: list[dict] = []
+        files: list[FileMeta] = []
+        records: list[RecordColumns] = []
         for uri, info in current.items():
             if index.matches(info):
                 continue
             known = index.version(uri) is not None
             if known:
                 self._forget(uri)
-            rows = self._harvest_or_none(info)
-            if rows is None:
+            harvested = self._harvest_or_none(info)
+            if harvested is None:
                 # Vanished since the scan.  A new file never entered the
                 # warehouse — nothing to roll back; a known one's
                 # metadata is already deleted, so finish the removal
@@ -108,8 +108,8 @@ class MetadataSync:
                     index.drop_file(uri)
                     report.removed.append(uri)
                 continue
-            file_rows.extend(rows[0])
-            record_rows.extend(rows[1])
+            files.append(harvested[0])
+            records.append(harvested[1])
             (report.updated if known else report.added).append(uri)
         for uri in index.files():
             if uri in current:
@@ -118,16 +118,7 @@ class MetadataSync:
             index.drop_file(uri)
             report.removed.append(uri)
 
-        if file_rows:
-            self.lazy.db.bulk_insert(
-                (SCHEMA, "files"), _columnar(file_rows),
-                enforce_keys=True,
-            )
-        if record_rows:
-            self.lazy.db.bulk_insert(
-                (SCHEMA, "records"), _columnar(record_rows),
-                enforce_keys=True,
-            )
+        self.lazy.insert_metadata(files, RecordColumns.concat(records))
         report.seconds = time.perf_counter() - started
         return report
 

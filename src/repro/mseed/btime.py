@@ -50,7 +50,12 @@ def decode_btime(data: bytes, *, extra_us: int = 0) -> int:
         )
     if tenk > 9999:
         raise CorruptRecordError(f"BTIME .0001s field out of range: {tenk}")
-    base = from_yday(year, yday, hour, minute, min(second, 59))
+    try:
+        base = from_yday(year, yday, hour, minute, min(second, 59))
+    except (ValueError, OverflowError) as exc:  # a year datetime rejects
+        raise CorruptRecordError(
+            f"BTIME date out of range: year {year}, day {yday}"
+        ) from exc
     if second == 60:  # leap second: fold into the next minute like obspy does
         base += 1_000_000
     return base + tenk * 100 + int(extra_us)

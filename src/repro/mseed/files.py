@@ -3,9 +3,18 @@
 Two read paths with very different costs, mirroring the paper's central
 asymmetry:
 
-* :func:`scan_file_headers` — the *metadata* path: per record it reads only
-  the fixed header plus blockettes (64 bytes) and seeks over the payload.
-  This is what Lazy ETL's initial loading uses.
+* the *metadata* path reads only each record's first
+  :data:`~repro.mseed.records.HEADER_SCAN_BYTES` (fixed header plus
+  blockettes 1000/1001) and never the payload.  It comes in two forms.
+  :func:`scan_headers` is the batched one Lazy ETL's initial loading
+  uses: per file one read and a strided copy of every record's head
+  at the first record's length, then one numpy decode
+  (:func:`~repro.mseed.records.decode_headers`) across all the files.
+  :func:`scan_file_headers` is the reference: a per-record loop of
+  ``seek``, 64-byte ``read`` and :func:`~repro.mseed.records.decode_header`.
+  A file the batch does not vouch for (mixed record lengths, a foreign
+  blockette layout, any record failing a check) goes through the
+  reference, which decodes it or raises the typed error.
 * :func:`read_file` / :func:`read_records` — the *actual data* path: full
   parse with Steim decompression.  This is what lazy extraction defers to
   query time and what eager ETL pays for every record up front.
@@ -15,7 +24,7 @@ from __future__ import annotations
 
 import io
 import os
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -23,16 +32,19 @@ from repro.errors import CorruptRecordError
 from repro.mseed import encodings
 from repro.mseed.records import (
     DEFAULT_RECORD_LENGTH,
+    HEADER_SCAN_BYTES,
+    HeaderColumns,
     MSeedRecord,
     RECORD_HEADER_SIZE,
     RecordHeader,
     decode_header,
+    decode_headers,
     decode_record,
     encode_record,
 )
 
-# Fixed header + blockette 1000 + blockette 1001 — enough for decode_header.
-_HEADER_SCAN_BYTES = 64
+# Where a standard first record keeps its blockette-1000 length power.
+_LENGTH_POWER_AT = RECORD_HEADER_SIZE + 6
 
 
 def write_mseed_file(
@@ -114,7 +126,7 @@ def _iter_record_offsets(handle: BinaryIO) -> Iterator[tuple[int, RecordHeader]]
     offset = 0
     while True:
         handle.seek(offset)
-        head = handle.read(_HEADER_SCAN_BYTES)
+        head = handle.read(HEADER_SCAN_BYTES)
         if not head:
             return
         if len(head) < RECORD_HEADER_SIZE:
@@ -135,6 +147,66 @@ def scan_file_headers(path: str | os.PathLike) -> list[RecordHeader]:
     """Header-only scan: all record headers, payloads never read."""
     with open(path, "rb") as handle:
         return [header for _off, header in _iter_record_offsets(handle)]
+
+
+def record_heads(path: str | os.PathLike) -> Optional[np.ndarray]:
+    """Every record's first :data:`HEADER_SCAN_BYTES`, as one
+    ``(records, HEADER_SCAN_BYTES)`` uint8 array.
+
+    One read of the file and a strided copy at the first record's
+    length, read from a blockette 1000 at its standard place.  ``None``
+    when the file cannot be cut that way: unreadable, empty, no
+    plausible length there, or a size that is not a multiple of it.
+    Nothing is checked beyond that;
+    :func:`~repro.mseed.records.decode_headers` does the checking.
+    A read, not an ``mmap``: a file truncated in place under a mapping
+    (a torn rewrite, which ``sync()`` expects) would kill the process
+    with SIGBUS instead of failing a check.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError:
+        return None
+    power = data[_LENGTH_POWER_AT] if len(data) >= HEADER_SCAN_BYTES else 0
+    if not 6 <= power <= 16 or len(data) % (1 << power):
+        return None
+    records = np.frombuffer(data, np.uint8).reshape(-1, 1 << power)
+    return records[:, :HEADER_SCAN_BYTES].copy()
+
+
+def scan_headers(
+    paths: Sequence[Optional[str | os.PathLike]],
+) -> list[Optional[tuple[RecordHeader, HeaderColumns]]]:
+    """Batched header-only scan of many files, decoded in one numpy pass.
+
+    Per path: the first record's header (from :func:`decode_header`, the
+    one per-file decode) and all its records as columns — or ``None``
+    when the pass does not vouch for the whole file (``path`` is
+    ``None``, the file cannot be cut by :func:`record_heads`, a record
+    fails a check or has another length).  The caller sends those
+    through :func:`scan_file_headers`.
+    """
+    blocks = [None if path is None else record_heads(path) for path in paths]
+    present = [block for block in blocks if block is not None]
+    if not present:
+        return [None] * len(blocks)
+    columns = decode_headers(np.concatenate(present))
+    counts = np.array([len(block) for block in present])
+    starts = np.cumsum(counts) - counts
+    first_length = np.repeat(columns.record_length[starts], counts)
+    vouched = np.logical_and.reduceat(
+        columns.ok & (columns.record_length == first_length), starts)
+    out: list[Optional[tuple[RecordHeader, HeaderColumns]]] = []
+    at = iter(zip(starts.tolist(), counts.tolist(), vouched.tolist(), present))
+    for block in blocks:
+        if block is None:
+            out.append(None)
+            continue
+        start, count, good, heads = next(at)
+        out.append((decode_header(heads[0].tobytes()),
+                    columns[start:start + count]) if good else None)
+    return out
 
 
 def read_records_from(

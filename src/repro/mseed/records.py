@@ -10,7 +10,7 @@ expensive step deferred to lazy extraction.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from repro.mseed.btime import BTIME_SIZE, btime_residual_us, decode_btime, encod
 
 RECORD_HEADER_SIZE = 48
 DEFAULT_RECORD_LENGTH = 512
+HEADER_SCAN_BYTES = 64
+"""Fixed header + blockette 1000 + blockette 1001: all a header scan reads."""
 
 _FIXED_TAIL = struct.Struct(">HhhBBBBiHH")  # fields after BTIME
 
@@ -211,10 +213,10 @@ def decode_header(data: bytes) -> RecordHeader:
     quality = chr(data[6])
     if quality not in QUALITY_CODES:
         raise CorruptRecordError(f"invalid quality code {quality!r}")
-    station = data[8:13].decode("ascii").strip()
-    location = data[13:15].decode("ascii").strip()
-    channel = data[15:18].decode("ascii").strip()
-    network = data[18:20].decode("ascii").strip()
+    station = _ascii_field(data, 8, 13, "station")
+    location = _ascii_field(data, 13, 15, "location")
+    channel = _ascii_field(data, 15, 18, "channel")
+    network = _ascii_field(data, 18, 20, "network")
     (
         sample_count,
         rate_factor,
@@ -250,6 +252,10 @@ def decode_header(data: bytes) -> RecordHeader:
         walked += 1
     if encoding < 0 or record_length == 0:
         raise CorruptRecordError("record lacks mandatory blockette 1000")
+    if rate_multiplier == 0 and rate_factor != 0:
+        raise CorruptRecordError(
+            f"sample-rate multiplier 0 with factor {rate_factor}"
+        )
 
     start_time_us = decode_btime(data[20 : 20 + BTIME_SIZE], extra_us=extra_us)
     # The time-correction field is in 0.0001 s units and applies unless the
@@ -278,6 +284,149 @@ def decode_header(data: bytes) -> RecordHeader:
         record_length=record_length,
         timing_quality=timing_quality,
     )
+
+
+# The first HEADER_SCAN_BYTES of a record in the one layout decode_headers
+# vouches for: blockette 1000 at 48, blockette 1001 at 56, nothing after.
+_HEAD = np.dtype({
+    "names": ["quality", "year", "yday", "hour", "minute", "second", "tenk",
+              "nsamples", "factor", "mult", "act", "nblk", "tcorr", "boff",
+              "b1000", "b1000_next", "power", "b1001", "b1001_next",
+              "timing_quality", "micros"],
+    "formats": ["u1", ">u2", ">u2", "u1", "u1", "u1", ">u2",
+                ">u2", ">i2", ">i2", "u1", "u1", ">i4", ">u2",
+                ">u2", ">u2", "u1", ">u2", ">u2",
+                "u1", "i1"],
+    "offsets": [6, 20, 22, 24, 25, 26, 28,
+                30, 32, 34, 36, 39, 40, 46,
+                48, 50, 54, 56, 58,
+                60, 61],
+    "itemsize": HEADER_SCAN_BYTES,
+})
+_QUALITY_BYTES = np.frombuffer("".join(QUALITY_CODES).encode("ascii"), np.uint8)
+_DIGIT_WEIGHTS = 10 ** np.arange(5, -1, -1, dtype=np.int64)
+_SPAN_LIMIT = float(2 ** 62)
+
+
+@dataclass(frozen=True)
+class HeaderColumns:
+    """:func:`decode_headers`' output, one entry per record.
+
+    ``ok[i]`` says record ``i`` passed every check :func:`decode_header`
+    makes, in the standard blockette layout; the other arrays then hold
+    exactly the values ``decode_header`` (and :class:`RecordHeader`'s
+    properties) give for it.  Where ``ok`` is false they mean nothing.
+    """
+
+    ok: np.ndarray
+    sequence_number: np.ndarray
+    record_length: np.ndarray
+    start_time_us: np.ndarray
+    end_time_us: np.ndarray
+    sample_rate: np.ndarray
+    sample_count: np.ndarray
+    timing_quality: np.ndarray
+
+    @classmethod
+    def from_headers(cls, headers: list[RecordHeader]) -> "HeaderColumns":
+        """The same columns from :func:`decode_header`'s objects."""
+        def column(values, dtype=np.int64):
+            return np.array(values, dtype=dtype)
+
+        return cls(
+            ok=np.ones(len(headers), dtype=bool),
+            sequence_number=column([h.sequence_number for h in headers]),
+            record_length=column([h.record_length for h in headers]),
+            start_time_us=column([h.start_time_us for h in headers]),
+            end_time_us=column([h.end_time_us for h in headers]),
+            sample_rate=column([h.sample_rate for h in headers], np.float64),
+            sample_count=column([h.sample_count for h in headers]),
+            timing_quality=column([h.timing_quality for h in headers]),
+        )
+
+    def __getitem__(self, rows: slice) -> "HeaderColumns":
+        return HeaderColumns(*(getattr(self, f.name)[rows]
+                               for f in fields(self)))
+
+
+def decode_headers(heads: np.ndarray) -> HeaderColumns:
+    """Decode many record headers in one numpy pass.
+
+    ``heads`` is a C-contiguous ``(records, HEADER_SCAN_BYTES)`` uint8
+    array, each row a record's first bytes.  A record is vouched for
+    (``ok``) only in the layout every writer here produces — blockette
+    chain 48 → 1000 → 56 → 1001 → 0 with two blockettes — and only if no
+    check of :func:`decode_header` could fail on it.  Callers hand the
+    rest to ``decode_header``, the reference, which raises the typed
+    error or decodes a layout this pass does not cover.
+    """
+    f = heads.view(_HEAD)[:, 0]
+    digits = heads[:, :6].astype(np.int64) - ord("0")
+    ok = ((digits >= 0) & (digits <= 9)).all(axis=1)
+    ok &= np.isin(f["quality"], _QUALITY_BYTES)
+    ok &= (heads[:, 8:20] < 0x80).all(axis=1)
+    ok &= ((f["nblk"] == 2) & (f["boff"] == RECORD_HEADER_SIZE)
+           & (f["b1000"] == 1000) & (f["b1000_next"] == 56)
+           & (f["b1001"] == 1001) & (f["b1001_next"] == 0))
+    power = f["power"].astype(np.int64)
+    ok &= (power >= 6) & (power <= 16)
+
+    year = f["year"].astype(np.int64)
+    yday = f["yday"].astype(np.int64)
+    second = f["second"].astype(np.int64)
+    tenk = f["tenk"].astype(np.int64)
+    ok &= ((year >= 1) & (year <= 9998) & (yday >= 1) & (yday <= 366)
+           & (f["hour"] <= 23) & (f["minute"] <= 59) & (second <= 60)
+           & (tenk <= 9999))
+    # BTIME as decode_btime computes it: a leap second folds into the
+    # next minute, then the .0001 s field and blockette 1001's micros.
+    jan1 = (year - 1970).astype("datetime64[Y]")
+    days = jan1.astype("datetime64[D]").astype(np.int64) + yday - 1
+    seconds = (((days * 24 + f["hour"]) * 60 + f["minute"]) * 60
+               + np.minimum(second, 59))
+    start = seconds * 1_000_000 + (second == 60) * 1_000_000 + tenk * 100
+    start += f["micros"].astype(np.int64)
+    tcorr = f["tcorr"].astype(np.int64)
+    start += np.where((f["act"] & 0x02) == 0, tcorr * 100, 0)
+
+    # RecordHeader.sample_rate, branch for branch.
+    factor = f["factor"].astype(np.int64)
+    mult = f["mult"].astype(np.int64)
+    ok &= (mult != 0) | (factor == 0)
+    fa = np.where(factor == 0, 1, factor).astype(np.float64)
+    mu = np.where(mult == 0, 1, mult).astype(np.float64)
+    rate = np.select(
+        [factor == 0, (factor > 0) & (mult > 0), factor > 0, mult > 0],
+        [0.0, fa * mu, -fa / mu, -mu / fa],
+        default=1.0 / (fa * mu),
+    )
+
+    # RecordHeader.end_time_us: round() is half-to-even, as np.rint.
+    count = f["nsamples"].astype(np.int64)
+    spanned = (count > 1) & (rate > 0)
+    span = np.rint(((count - 1) * 1_000_000).astype(np.float64)
+                   / np.where(spanned, rate, 1.0))
+    ok &= ~spanned | (np.abs(span) < _SPAN_LIMIT)
+    end = start + np.where(spanned & ok, span, 0).astype(np.int64)
+
+    return HeaderColumns(
+        ok=ok,
+        sequence_number=digits @ _DIGIT_WEIGHTS,
+        record_length=np.left_shift(1, np.clip(power, 0, 16)),
+        start_time_us=start,
+        end_time_us=end,
+        sample_rate=rate,
+        sample_count=count,
+        timing_quality=f["timing_quality"].astype(np.int64),
+    )
+
+
+def _ascii_field(data: bytes, start: int, stop: int, name: str) -> str:
+    raw = data[start:stop]
+    try:
+        return raw.decode("ascii").strip()
+    except UnicodeDecodeError as exc:
+        raise CorruptRecordError(f"non-ASCII {name} field {raw!r}") from exc
 
 
 def decode_record(data: bytes) -> MSeedRecord:

@@ -212,7 +212,7 @@ class Promoter:
                 if trace:  # the rewrite was first seen (and handled) here
                     report.skipped_files += 1
                     return []
-                live = {span.seq_no for span in binding.index.spans(uri)}
+                live = set(binding.index.seq_nos(uri).tolist())
                 for seq in sorted(wanted):
                     if seq not in live:
                         continue

@@ -65,3 +65,13 @@ def test_eager_load_file_data_roundtrip(demo_repo):
     reloaded = wh.pipeline.load_file_data(uri)
     assert reloaded > 0
     assert wh.query("SELECT COUNT(*) FROM mseed.data").scalar() == before
+
+
+def test_eager_load_appends_data_once(tiny_repo):
+    """Counted, not timed: one append of D per load.  Appending per file
+    re-concatenated the whole growing column each time (quadratic)."""
+    wh = SeismicWarehouse(tiny_repo.root, mode="eager")
+    data = wh.db.table("mseed.data")
+    assert len(tiny_repo.entries) > 1
+    assert data.row_count == tiny_repo.total_samples
+    assert data.version == 1

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.errors import FileMissingError
+from repro.errors import CorruptRecordError, FileMissingError
 from repro.etl.metadata import Granularity, harvest_repository
 from repro.etl.mseed_adapter import MSeedAdapter
 from repro.mseed.repository import Repository
@@ -93,3 +93,37 @@ def test_oplog_notes_skipped_files(mutable_repo, caplog):
                 and r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert warnings[0].startswith(f"skipping corrupt file {uri}: ")
+
+
+def _patch_record(path: str, record: int, offset: int, data: bytes) -> None:
+    """Overwrite ``data`` at ``offset`` inside the ``record``-th record."""
+    with open(path, "r+b") as handle:
+        handle.seek(record * 512 + offset)
+        handle.write(data)
+
+
+# One foreign value in a later record: the station field (bytes 8-12) and
+# the BTIME year (bytes 20-21) and the rate multiplier (bytes 34-35).
+FOREIGN_HEADER_BYTES = {
+    "non-ascii-station": (8, b"H\xc9N"),
+    "btime-year-0": (20, b"\x00\x00"),
+    "rate-multiplier-0": (34, b"\x00\x00"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_HEADER_BYTES))
+def test_foreign_header_byte_skips_the_file(mutable_repo, caplog, case):
+    """Such a value used to escape as UnicodeDecodeError, ValueError or
+    ZeroDivisionError and abort the whole boot."""
+    victim = mutable_repo.entries[0].path
+    _patch_record(victim, 2, *FOREIGN_HEADER_BYTES[case])
+    uri = os.path.relpath(victim, mutable_repo.root)
+    with caplog.at_level(logging.WARNING, logger="repro.etl.metadata"):
+        wh = SeismicWarehouse(mutable_repo.root, mode="lazy")
+    assert wh.query("SELECT COUNT(*) FROM mseed.files").scalar() == \
+        len(mutable_repo.entries) - 1
+    assert any(r.getMessage().startswith(f"skipping corrupt file {uri}: ")
+               for r in caplog.records if r.name == "repro.etl.metadata")
+    with pytest.raises(CorruptRecordError):
+        harvest_repository(Repository(mutable_repo.root), MSeedAdapter(),
+                           Granularity.RECORD, strict=True)

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from repro.etl.metadata import (
     Granularity,
+    RecordColumns,
     RecordIndex,
-    RecordMeta,
     WHOLE_FILE_SEQ,
     harvest_repository,
 )
@@ -36,7 +36,7 @@ def test_record_granularity_exact(repo, demo_repo):
 def test_file_granularity_one_pseudo_record(repo, demo_repo):
     result = harvest_repository(repo, MSeedAdapter(), Granularity.FILE)
     assert len(result.records) == len(demo_repo.entries)
-    assert all(r.seq_no == WHOLE_FILE_SEQ for r in result.records)
+    assert (result.records.seq_no == WHOLE_FILE_SEQ).all()
     assert all(not m.exact_span for m in result.files)
 
 
@@ -45,7 +45,7 @@ def test_filename_granularity_opens_nothing(repo):
     result = harvest_repository(repo, MSeedAdapter(), Granularity.FILENAME)
     assert result.files_opened == 0
     assert repo.bytes_read == 0
-    assert all(r.seq_no == WHOLE_FILE_SEQ for r in result.records)
+    assert (result.records.seq_no == WHOLE_FILE_SEQ).all()
 
 
 def test_granularity_cost_ordering(repo):
@@ -59,15 +59,19 @@ def test_granularity_cost_ordering(repo):
 F = FileInfo("f", size=0, mtime_ns=0)
 
 
-def _record(seq, start, end):
-    return RecordMeta(uri="f", seq_no=seq, start_time_us=start,
-                      end_time_us=end, frequency=40.0, sample_count=10)
+def _records(*spans):
+    """File ``f``'s records from ``(seq_no, start, end)`` triples."""
+    seqs, starts, ends = zip(*spans) if spans else ((), (), ())
+    return RecordColumns.of_file("f", seq_no=seqs, start_time_us=starts,
+                                 end_time_us=ends,
+                                 frequency=[40.0] * len(seqs),
+                                 sample_count=[10] * len(seqs))
 
 
 def test_index_prune_overlap():
     index = RecordIndex()
-    index.replace_file(F, [_record(1, 0, 100), _record(2, 100, 200),
-                           _record(3, 200, 300)], exact=True)
+    index.replace_file(F, _records((1, 0, 100), (2, 100, 200),
+                                   (3, 200, 300)), exact=True)
     assert index.prune("f", [1, 2, 3], (None, None)) == [1, 2, 3]
     assert index.prune("f", [1, 2, 3], (150, 160)) == [2]
     assert index.prune("f", [1, 2, 3], (None, 50)) == [1]
@@ -78,22 +82,23 @@ def test_index_prune_overlap():
 
 def test_index_prune_inexact_never_drops():
     index = RecordIndex()
-    index.replace_file(F, [_record(0, 0, 100)], exact=False)
+    index.replace_file(F, _records((0, 0, 100)), exact=False)
     assert index.prune("f", [0], (500, 600)) == [0]
 
 
 def test_index_prune_unknown_record_kept():
     index = RecordIndex()
-    index.replace_file(F, [_record(1, 0, 100)], exact=True)
+    index.replace_file(F, _records((1, 0, 100)), exact=True)
     assert index.prune("f", [1, 99], (500, 600)) == [99]
 
 
 def test_index_drop_file():
     index = RecordIndex()
-    index.replace_file(F, [_record(1, 0, 100)], exact=True)
+    index.replace_file(F, _records((1, 0, 100)), exact=True)
     index.drop_file("f")
     assert index.files() == []
-    assert index.spans("f") == []
+    assert index.records("f") is None
+    assert len(index.seq_nos("f")) == 0
 
 
 @given(
@@ -107,13 +112,62 @@ def test_prune_soundness_property(spans, lo, hi):
     """Pruning never removes a record that overlaps the bounds."""
     lo, hi = min(lo, hi), max(lo, hi)
     index = RecordIndex()
-    records = [
-        _record(i, min(a, b), max(a, b))
-        for i, (a, b) in enumerate(spans)
-    ]
-    index.replace_file(F, records, exact=True)
-    kept = set(index.prune("f", [r.seq_no for r in records], (lo, hi)))
-    for record in records:
-        overlaps = record.end_time_us >= lo and record.start_time_us <= hi
+    records = [(i, min(a, b), max(a, b)) for i, (a, b) in enumerate(spans)]
+    index.replace_file(F, _records(*records), exact=True)
+    kept = set(index.prune("f", [seq for seq, _s, _e in records], (lo, hi)))
+    for seq, start, end in records:
+        overlaps = end >= lo and start <= hi
         if overlaps:
-            assert record.seq_no in kept
+            assert seq in kept
+
+
+def test_lazy_boot_decodes_one_header_per_file(tiny_repo, monkeypatch):
+    """Counted boot: the batched pass decodes every record header in
+    numpy; decode_header runs at most once per file (its first record,
+    for the F row), never once per record."""
+    import repro.mseed.files as mseed_files
+    from repro.seismology.warehouse import SeismicWarehouse
+
+    calls = []
+    original = mseed_files.decode_header
+
+    def counting(data):
+        calls.append(len(data))
+        return original(data)
+
+    monkeypatch.setattr(mseed_files, "decode_header", counting)
+    wh = SeismicWarehouse(tiny_repo.root, mode="lazy")
+    n_files = len(tiny_repo.entries)
+    n_records = sum(e.n_records for e in tiny_repo.entries)
+    assert n_records > 2 * n_files
+    assert len(calls) <= n_files
+    index = wh.pipeline.index
+    assert sum(len(index.seq_nos(uri)) for uri in index.files()) == n_records
+    assert wh.load_report.bytes_read == n_records * 64
+
+
+def _index_state(index: RecordIndex) -> dict:
+    return {
+        uri: (index.version(uri), index.is_exact(uri),
+              {name: getattr(index.records(uri), name).tolist()
+               for name in ("seq_no", "start_time_us", "end_time_us",
+                            "frequency", "sample_count", "timing_quality")})
+        for uri in index.files()
+    }
+
+
+def test_harvested_index_equals_rebuilt_index(tiny_repo, tmp_path):
+    """The index a harvest builds and the one a warm start rebuilds from
+    the checkpointed F and R tables agree: spans, versions, exactness."""
+    from repro.seismology.warehouse import SeismicWarehouse
+
+    store = tmp_path / "store"
+    first = SeismicWarehouse(tiny_repo.root, mode="lazy", storage_path=store)
+    harvested = _index_state(first.pipeline.index)
+    first.checkpoint()
+    first.close()
+    reopened = SeismicWarehouse(tiny_repo.root, mode="lazy",
+                                storage_path=store)
+    assert reopened.load_report.strategy.endswith("+warm")
+    assert _index_state(reopened.pipeline.index) == harvested
+    assert len(harvested) == len(tiny_repo.entries)
