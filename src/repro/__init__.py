@@ -39,7 +39,6 @@ from repro.etl import (
     EagerETL,
     ExternalTableETL,
     ExtractionCache,
-    Granularity,
     LazyETL,
     MSeedAdapter,
     MetadataSync,
@@ -80,7 +79,6 @@ __all__ = [
     "EagerETL",
     "ExternalTableETL",
     "ExtractionCache",
-    "Granularity",
     "MSeedAdapter",
     "MetadataSync",
     "Repository",

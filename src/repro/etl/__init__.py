@@ -19,7 +19,6 @@ All three populate the warehouse's one SQL schema, :data:`SCHEMA`
 
 from repro.etl.framework import SCHEMA, SourceAdapter, ETLReport
 from repro.etl.metadata import (
-    Granularity,
     FileMeta,
     RecordColumns,
     HarvestResult,
@@ -37,7 +36,6 @@ __all__ = [
     "SCHEMA",
     "SourceAdapter",
     "ETLReport",
-    "Granularity",
     "FileMeta",
     "RecordColumns",
     "HarvestResult",

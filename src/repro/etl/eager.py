@@ -16,7 +16,7 @@ import numpy as np
 from repro.db.exec.engine import Database
 from repro.etl.framework import SCHEMA, ETLReport, SourceAdapter
 from repro.etl.lazy import LazyETL
-from repro.etl.metadata import Granularity, HarvestResult, harvest_repository
+from repro.etl.metadata import HarvestResult, harvest_repository
 from repro.mseed.repository import Repository
 
 
@@ -42,8 +42,7 @@ class EagerETL:
         """Load metadata and all actual data; returns the cost report."""
         started = time.perf_counter()
         self.repo.reset_counters()
-        harvest = harvest_repository(self.repo, self.adapter,
-                                     Granularity.RECORD)
+        harvest = harvest_repository(self.repo, self.adapter)
         self._ddl.load_metadata(harvest)
         # The ledger of harvested versions: what refresh() diffs against.
         self._ddl.index.load(harvest)

@@ -61,8 +61,7 @@ class ExternalBinding:
         chunks: list[dict[str, object]] = []
         total_rows = 0
         for info in self.repo.list_files():
-            meta, records = self.adapter.harvest_file(self.repo, info,
-                                                      per_record=True)
+            meta, records = self.adapter.harvest_file(self.repo, info)
             extracted = self.adapter.extract(
                 self.repo, info.uri, None, wanted_data or data_cols
             )

@@ -98,26 +98,16 @@ class SourceAdapter(abc.ABC):
     # -- metadata harvesting --------------------------------------------------------
 
     @abc.abstractmethod
-    def harvest_from_filename(self, info: FileInfo) -> Optional["FileMeta"]:
-        """File-level metadata from the name alone (§3: "even cheaper ...
-        the file does not even need to be read"); ``None`` if the name is
-        not self-describing."""
-
-    @abc.abstractmethod
     def harvest_files(self, repo: Repository, infos: Sequence[FileInfo],
-                      *, per_record: bool,
                       ) -> Iterator[tuple[FileInfo, HarvestOutcome]]:
         """Header-only harvest of a batch of files: ``(info, outcome)``
-        per file, in order.  A corrupt file's outcome is its error, so it
-        never stops the batch.  ``per_record=False`` may return a single
-        whole-file pseudo-record (coarse granularity)."""
+        per file, in order, one R row per record.  A corrupt file's
+        outcome is its error, so it never stops the batch."""
 
     def harvest_file(self, repo: Repository, info: FileInfo,
-                     *, per_record: bool,
                      ) -> tuple["FileMeta", "RecordColumns"]:
         """:meth:`harvest_files` for a batch of one; raises its error."""
-        ((_info, outcome),) = self.harvest_files(repo, [info],
-                                                 per_record=per_record)
+        ((_info, outcome),) = self.harvest_files(repo, [info])
         if isinstance(outcome, MSeedError):
             raise outcome
         return outcome
@@ -140,9 +130,9 @@ class SourceAdapter(abc.ABC):
                 needed: Sequence[str]) -> ExtractedRecords:
         """Extract + record-level transform of the given records.
 
-        ``seq_nos=None`` (or containing the 0 sentinel) means every record
-        in the file.  ``needed`` names the D columns to materialise — the
-        engine's column pruning reaches all the way down to here.
+        ``seq_nos=None`` means every record in the file.  ``needed``
+        names the D columns to materialise — the engine's column pruning
+        reaches all the way down to here.
         """
 
     @property

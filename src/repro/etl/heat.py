@@ -10,8 +10,7 @@ through which data columns, with exponential decay so yesterday's hot
 channel cools off on its own.
 
 Units are the extraction grain the rest of the system already uses: one
-mSEED record at ``RECORD`` granularity, the whole-file pseudo record at
-coarser granularities.  The tracker is fed from
+mSEED record, the row of R that names it.  The tracker is fed from
 :meth:`~repro.etl.lazy.LazyDataBinding.fetch` — every cache hit, fresh
 extraction and promoted-segment read lands here — and read by the
 :class:`~repro.service.promoter.Promoter`, which materializes the hottest

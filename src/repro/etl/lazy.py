@@ -37,18 +37,16 @@ import numpy as np
 from repro.db.column import Column
 from repro.db.exec.engine import Database
 from repro.db.table import TableSchema, ForeignKeySpec
-from repro.errors import ExtractionError, RepositoryError
+from repro.errors import ExtractionError, RepositoryError, StorageError
 from repro.etl.cache import ExtractionCache
 from repro.etl.framework import SCHEMA, ETLReport, SourceAdapter
 from repro.etl.heat import AccessHeatTracker
 from repro.etl.metadata import (
     NO_RECORDS,
     FileMeta,
-    Granularity,
     HarvestResult,
     RecordColumns,
     RecordIndex,
-    harvest_file_at,
     harvest_repository,
 )
 from repro.mseed.repository import FileInfo, Repository
@@ -103,7 +101,7 @@ class LazyDataBinding:
         self.promoted = None
         self._data_specs = {spec.name: spec for spec in adapter.data_columns()}
         # When a query needs no data column at all (e.g. COUNT(*)), one is
-        # still extracted so row multiplicity is exact at any granularity.
+        # still extracted so row multiplicity is exact.
         self._count_column = next(
             name for name in self._data_specs
             if name not in adapter.key_columns
@@ -379,9 +377,7 @@ class LazyDataBinding:
     def _only_live_records(self, uri: str, seq_nos: list[int],
                            trace: list[dict]) -> list[int]:
         """Drop records the (possibly concurrently refreshed) index no
-        longer lists; inexact granularities are never filtered."""
-        if not self.index.is_exact(uri):
-            return seq_nos
+        longer lists."""
         live = set(self.index.seq_nos(uri).tolist())
         kept = [s for s in seq_nos if s in live]
         if len(kept) < len(seq_nos):
@@ -565,13 +561,11 @@ class LazyETL:
         repo: Repository,
         adapter: SourceAdapter,
         *,
-        granularity: Granularity = Granularity.RECORD,
         cache_budget_bytes: int = 256 * 1024 * 1024,
     ) -> None:
         self.db = db
         self.repo = repo
         self.adapter = adapter
-        self.granularity = granularity
         self.cache = ExtractionCache(cache_budget_bytes)
         self.index = RecordIndex()
         self.heat = AccessHeatTracker()
@@ -637,12 +631,14 @@ class LazyETL:
         checkpointed records are pure cache hits: zero re-extraction.
         """
         started = time.perf_counter()
-        # Adopt the checkpoint's granularity wholesale: the persisted R
-        # rows, record index and cache entries were produced at it, and a
-        # mismatched instance setting would mix seq_no schemes on refresh.
-        self.granularity = Granularity(
-            store.get_meta("granularity", self.granularity.value)
-        )
+        # A store written when R could hold one estimated whole-file row
+        # per file: treating those spans as exact would prune real records.
+        granularity = store.get_meta("granularity", "record")
+        if granularity != "record":
+            raise StorageError(
+                f"checkpoint holds {granularity!r}-level metadata; only "
+                f"one R row per record is supported — delete the store "
+                f"to re-harvest")
         self.create_tables()
         self.db.attach(store)
         self._rebuild_index_from_metadata()
@@ -656,7 +652,7 @@ class LazyETL:
         files_table = self.db.catalog.table((SCHEMA, "files"))
         records_table = self.db.catalog.table((SCHEMA, "records"))
         report = ETLReport(
-            strategy=f"lazy[{self.granularity.value}]+warm",
+            strategy="lazy+warm",
             seconds=time.perf_counter() - started,
             files_listed=files_table.row_count,
             files_opened=0,
@@ -664,8 +660,7 @@ class LazyETL:
             samples_loaded=0,
             bytes_read=0,
         )
-        return LazySetup(report=report,
-                         harvest=HarvestResult(granularity=self.granularity),
+        return LazySetup(report=report, harvest=HarvestResult(),
                          binding=self.binding)
 
     def checkpoint(self, store) -> int:
@@ -673,7 +668,6 @@ class LazyETL:
         if self.db.catalog.store is None:
             self.db.attach(store)
         store = self.db.catalog.store
-        store.set_meta("granularity", self.granularity.value)
         # Heat survives restarts: a warm-started warehouse resumes
         # promotion where the previous process left off.
         store.set_meta("heat_state", self.heat.export_state())
@@ -705,22 +699,19 @@ class LazyETL:
                                    ("frequency", "frequency"),
                                    ("sample_count", "sample_count"),
                                    ("timing_quality", "timing_quality"))})
-        exact = self.granularity is Granularity.RECORD
         files = self.db.catalog.table((SCHEMA, "files"))
         for uri, size, mtime_ns in zip(
                 files.column("file_location").values.tolist(),
                 files.column("file_size").values.tolist(),
                 files.column("mtime_ns").values.tolist()):
             info = FileInfo(str(uri), size, mtime_ns)
-            self.index.replace_file(info, per_file.get(info.uri, NO_RECORDS),
-                                    exact=exact)
+            self.index.replace_file(info, per_file.get(info.uri, NO_RECORDS))
 
     def initial_load(self) -> LazySetup:
         """The paper's instant-on bootstrap: load metadata, bind D lazily."""
         started = time.perf_counter()
         self.repo.reset_counters()
-        harvest = harvest_repository(self.repo, self.adapter,
-                                     self.granularity)
+        harvest = harvest_repository(self.repo, self.adapter)
         self.load_metadata(harvest)
         self.index.load(harvest)
         self.binding = LazyDataBinding(self.repo, self.adapter, self.index,
@@ -729,10 +720,10 @@ class LazyETL:
                                        heat=self.heat)
         self.db.register_lazy_table(self.data_table, self.binding)
         report = ETLReport(
-            strategy=f"lazy[{self.granularity.value}]",
+            strategy="lazy",
             seconds=time.perf_counter() - started,
             files_listed=len(harvest.files),
-            files_opened=harvest.files_opened,
+            files_opened=len(harvest.files),
             records_loaded=len(harvest.records),
             samples_loaded=0,
             bytes_read=harvest.bytes_read,
@@ -762,18 +753,14 @@ class LazyETL:
 
     def harvest_single(self, info: FileInfo
                        ) -> tuple[FileMeta, RecordColumns]:
-        """Harvest one file at the configured granularity.
+        """Harvest one file.
 
         Updates the record index (and its ledger: the file's version is
         now ``info``) and returns the F row and R rows to insert.  Shared
         by the query-time staleness hook and the explicit metadata sync.
         """
-        meta, records = harvest_file_at(
-            self.repo, self.adapter, info, self.granularity)
-        self.index.replace_file(
-            info, records,
-            exact=self.granularity is Granularity.RECORD,
-        )
+        meta, records = self.adapter.harvest_file(self.repo, info)
+        self.index.replace_file(info, records)
         return meta, records
 
     def delete_file_metadata(self, uri: str) -> None:

@@ -1,30 +1,23 @@
-"""Metadata harvesting at three granularities.
+"""Metadata harvesting: F and R, one row per file and one per record.
 
-The paper prefers eagerly loading metadata because it is "smaller in size
-and cheaper to acquire than actual data ... even cheaper if metadata is
-encoded in the filename".  The three :class:`Granularity` levels map that
-cost spectrum (experiment E9 sweeps them):
-
-* ``FILENAME`` — parse the file name, never open the file.  F is exact
-  for stream identity, approximate for time span; R holds one pseudo
-  record (seq_no 0 = "whole file").
-* ``FILE`` — read the first record header only; adds exact sample rate,
-  encoding and a good span estimate.  R still holds the pseudo record.
-* ``RECORD`` — header-scan every record (the paper's setting): R is exact
-  per record, enabling record-level extraction pruning.
+The paper loads metadata eagerly because it is "smaller in size and
+cheaper to acquire than actual data".  Harvesting header-scans every
+record of every file and never touches a payload: F gets one row per
+file, R one row per mSEED record with its exact time span, which is
+what lets query-time extraction prune down to single records.
 
 Record-level metadata never exists as one Python object per record.  The
-adapter harvests a whole batch of files at once (at ``RECORD``: every
-record header of the repository decoded in one numpy pass, see
-:mod:`repro.mseed.files`), R travels as :class:`RecordColumns` — aligned
-arrays, one run of rows per file — into ``bulk_insert``, and the
-:class:`RecordIndex` keeps each file's run.  A single-file harvest (a
-refresh, ``sync()``, the external mode) is a batch of one.
+adapter harvests a whole batch of files at once (every record header of
+the repository decoded in one numpy pass, see :mod:`repro.mseed.files`),
+R travels as :class:`RecordColumns` — aligned arrays, one run of rows
+per file — into ``bulk_insert``, and the :class:`RecordIndex` keeps each
+file's run.  A single-file harvest (a refresh, ``sync()``, the external
+mode) is :meth:`~repro.etl.framework.SourceAdapter.harvest_file`, a
+batch of one.
 """
 
 from __future__ import annotations
 
-import enum
 import logging
 import time
 from dataclasses import dataclass, field
@@ -37,15 +30,6 @@ from repro.etl.framework import SourceAdapter
 from repro.mseed.repository import FileInfo, Repository
 
 logger = logging.getLogger("repro.etl.metadata")
-
-WHOLE_FILE_SEQ = 0
-"""Sentinel seq_no meaning "the entire file" (coarse granularities)."""
-
-
-class Granularity(enum.Enum):
-    FILENAME = "filename"
-    FILE = "file"
-    RECORD = "record"
 
 
 @dataclass
@@ -66,7 +50,6 @@ class FileMeta:
     start_time_us: int = 0
     end_time_us: int = 0
     sample_rate: float = 0.0
-    exact_span: bool = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,12 +71,9 @@ class RecordColumns:
 
     @classmethod
     def of_file(cls, uri: str, *, seq_no, start_time_us, end_time_us,
-                frequency, sample_count, timing_quality=None,
+                frequency, sample_count, timing_quality,
                 ) -> "RecordColumns":
-        """One file's records from equal-length array-likes
-        (``timing_quality`` is 0 at granularities that have none)."""
-        if timing_quality is None:
-            timing_quality = np.zeros(len(seq_no), dtype=np.int64)
+        """One file's records from equal-length array-likes."""
         columns = dict(seq_no=seq_no, start_time_us=start_time_us,
                        end_time_us=end_time_us, frequency=frequency,
                        sample_count=sample_count,
@@ -160,10 +140,8 @@ NO_RECORDS = RecordColumns.concat([])
 class HarvestResult:
     """Everything initial loading produced, plus what it cost."""
 
-    granularity: Granularity
     files: list[FileMeta] = field(default_factory=list)
     records: RecordColumns = NO_RECORDS
-    files_opened: int = 0
     bytes_read: int = 0
     seconds: float = 0.0
     skipped: list[tuple[str, str]] = field(default_factory=list)
@@ -172,7 +150,6 @@ class HarvestResult:
 def harvest_repository(
     repo: Repository,
     adapter: SourceAdapter,
-    granularity: Granularity = Granularity.RECORD,
     *,
     strict: bool = False,
 ) -> HarvestResult:
@@ -184,12 +161,10 @@ def harvest_repository(
     over millions of files.  ``strict=True`` raises instead.
     """
     started = time.perf_counter()
-    result = HarvestResult(granularity=granularity)
+    result = HarvestResult()
     reads_before = repo.bytes_read
     parts: list[RecordColumns] = []
-    for info, outcome, opened in _harvest_files(repo, adapter,
-                                                repo.list_files(),
-                                                granularity):
+    for info, outcome in adapter.harvest_files(repo, repo.list_files()):
         if isinstance(outcome, MSeedError):
             if strict:
                 raise outcome
@@ -197,59 +172,12 @@ def harvest_repository(
             logger.warning("skipping corrupt file %s: %s", info.uri, outcome)
             continue
         meta, records = outcome
-        result.files_opened += opened
         result.files.append(meta)
         parts.append(records)
     result.records = RecordColumns.concat(parts)
     result.bytes_read = repo.bytes_read - reads_before
     result.seconds = time.perf_counter() - started
     return result
-
-
-def _harvest_files(repo: Repository, adapter: SourceAdapter,
-                   infos: list[FileInfo], granularity: Granularity):
-    """``(info, (F row, R rows) or the MSeedError, opened)`` per file, in
-    order.  The files that must be opened are harvested as one batch —
-    at FILENAME granularity only those with a foreign name."""
-    named = {}
-    if granularity is Granularity.FILENAME:
-        for info in infos:
-            meta = adapter.harvest_from_filename(info)
-            if meta is not None:
-                named[info.uri] = (meta, _pseudo_record(meta))
-    opened = adapter.harvest_files(
-        repo, [info for info in infos if info.uri not in named],
-        per_record=granularity is Granularity.RECORD)
-    for info in infos:
-        if info.uri in named:
-            yield info, named[info.uri], False
-        else:
-            _info, outcome = next(opened)
-            yield info, outcome, True
-
-
-def harvest_file_at(
-    repo: Repository, adapter: SourceAdapter, info: FileInfo,
-    granularity: Granularity,
-) -> tuple[FileMeta, RecordColumns]:
-    """Harvest one file at ``granularity``: a batch of one."""
-    ((_info, outcome, _opened),) = _harvest_files(repo, adapter, [info],
-                                                   granularity)
-    if isinstance(outcome, MSeedError):
-        raise outcome
-    return outcome
-
-
-def _pseudo_record(meta: FileMeta) -> RecordColumns:
-    """The whole-file pseudo record used below RECORD granularity."""
-    return RecordColumns.of_file(
-        meta.uri,
-        seq_no=[WHOLE_FILE_SEQ],
-        start_time_us=[meta.start_time_us],
-        end_time_us=[meta.end_time_us],
-        frequency=[meta.sample_rate],
-        sample_count=[0],
-    )
 
 
 class RecordIndex:
@@ -273,28 +201,21 @@ class RecordIndex:
 
     def __init__(self) -> None:
         self._by_file: dict[str, RecordColumns] = {}
-        self._exact: dict[str, bool] = {}
         self._versions: dict[str, FileInfo] = {}
 
     def load(self, result: HarvestResult) -> None:
         self._by_file.update(result.records.per_file())
         for meta in result.files:
-            self._exact[meta.uri] = (
-                result.granularity is Granularity.RECORD
-            )
             self._versions[meta.uri] = FileInfo(meta.uri, meta.size,
                                                 meta.mtime_ns)
 
-    def replace_file(self, info: FileInfo, records: RecordColumns,
-                     exact: bool) -> None:
+    def replace_file(self, info: FileInfo, records: RecordColumns) -> None:
         """Install one file's records, harvested from version ``info``."""
         self._by_file[info.uri] = records
-        self._exact[info.uri] = exact
         self._versions[info.uri] = info
 
     def drop_file(self, uri: str) -> None:
         self._by_file.pop(uri, None)
-        self._exact.pop(uri, None)
         self._versions.pop(uri, None)
 
     def version(self, uri: str) -> Optional[FileInfo]:
@@ -318,9 +239,6 @@ class RecordIndex:
     def seq_nos(self, uri: str) -> np.ndarray:
         return self._by_file.get(uri, NO_RECORDS).seq_no
 
-    def is_exact(self, uri: str) -> bool:
-        return self._exact.get(uri, False)
-
     def prune(
         self, uri: str, seq_nos: list[int],
         bounds: tuple[Optional[int], Optional[int]],
@@ -328,13 +246,9 @@ class RecordIndex:
         """Drop records that cannot overlap the time bounds.
 
         A record with span ``[s, e]`` survives iff ``e >= lo and s <= hi``.
-        Inexact (estimated) spans are never pruned away — correctness over
-        savings.
         """
         lo, hi = bounds
         if lo is None and hi is None:
-            return seq_nos
-        if not self.is_exact(uri):
             return seq_nos
         records = self._by_file.get(uri, NO_RECORDS)
         outside = np.zeros(len(records), dtype=bool)

@@ -19,17 +19,17 @@ import numpy as np
 
 from repro.db.table import ColumnSpec
 from repro.db.types import DataType
-from repro.errors import ExtractionError, MSeedError, RepositoryError
+from repro.errors import (
+    CorruptRecordError,
+    ExtractionError,
+    MSeedError,
+    RepositoryError,
+)
 from repro.etl.framework import ExtractedRecords, HarvestOutcome, SourceAdapter
-from repro.etl.metadata import WHOLE_FILE_SEQ, FileMeta, RecordColumns
+from repro.etl.metadata import FileMeta, RecordColumns
 from repro.mseed.encodings import encoding_name
 from repro.mseed.files import read_records_from, scan_file_headers, scan_headers
-from repro.mseed.records import (
-    HEADER_SCAN_BYTES,
-    HeaderColumns,
-    RecordHeader,
-    decode_header,
-)
+from repro.mseed.records import HEADER_SCAN_BYTES, HeaderColumns, RecordHeader
 from repro.mseed.repository import FileInfo, Repository
 from repro.mseed.synthesize import parse_filename
 from repro.util.timefmt import MICROS_PER_DAY, from_yday
@@ -93,6 +93,10 @@ class MSeedAdapter(SourceAdapter):
     # -- harvesting ---------------------------------------------------------------
 
     def harvest_from_filename(self, info: FileInfo) -> Optional[FileMeta]:
+        """File-level metadata from the name alone (§3: "the file does
+        not even need to be read"), ``None`` if the name is not
+        self-describing.  The span is a guess, so harvesting never uses
+        this: F and R always come from the record headers."""
         parsed = parse_filename(info.name)
         if parsed is None:
             return None
@@ -111,19 +115,13 @@ class MSeedAdapter(SourceAdapter):
             start_time_us=start,
             # The name carries no duration: assume at most a day of data.
             end_time_us=start + MICROS_PER_DAY,
-            exact_span=False,
         )
 
     def harvest_files(self, repo: Repository, infos: Sequence[FileInfo],
-                      *, per_record: bool,
                       ) -> Iterator[tuple[FileInfo, HarvestOutcome]]:
-        if not per_record:
-            for info in infos:
-                yield info, _outcome(self._harvest_first_header, repo, info)
-            return
-        # RECORD granularity: every record header of the batch in one
-        # numpy pass; a file it does not vouch for takes the reference
-        # per-record loop, which decodes it or raises the typed error.
+        # Every record header of the batch in one numpy pass; a file it
+        # does not vouch for takes the reference per-record loop, which
+        # decodes it or raises the typed error.
         paths = []
         for info in infos:
             try:
@@ -131,7 +129,11 @@ class MSeedAdapter(SourceAdapter):
             except RepositoryError:
                 paths.append(None)
         for info, scanned in zip(infos, scan_headers(paths)):
-            yield info, _outcome(self._harvest_records, repo, info, scanned)
+            try:
+                outcome = self._harvest_records(repo, info, scanned)
+            except MSeedError as exc:
+                outcome = exc
+            yield info, outcome
 
     def _harvest_records(self, repo: Repository, info: FileInfo,
                          scanned: Optional[tuple[RecordHeader, HeaderColumns]],
@@ -139,7 +141,7 @@ class MSeedAdapter(SourceAdapter):
         if scanned is None:
             headers = scan_file_headers(repo.path_of(info.uri))
             if not headers:
-                raise ExtractionError(f"{info.uri} contains no records")
+                raise CorruptRecordError(f"{info.uri} contains no records")
             scanned = headers[0], HeaderColumns.from_headers(headers)
         first, columns = scanned
         n_records = len(columns.sequence_number)
@@ -159,7 +161,6 @@ class MSeedAdapter(SourceAdapter):
             start_time_us=int(columns.start_time_us.min()),
             end_time_us=int(columns.end_time_us.max()),
             sample_rate=first.sample_rate,
-            exact_span=True,
         )
         return meta, RecordColumns.of_file(
             info.uri,
@@ -169,43 +170,6 @@ class MSeedAdapter(SourceAdapter):
             frequency=columns.sample_rate,
             sample_count=columns.sample_count,
             timing_quality=columns.timing_quality,
-        )
-
-    def _harvest_first_header(self, repo: Repository, info: FileInfo,
-                              ) -> tuple[FileMeta, RecordColumns]:
-        """FILE granularity: probe only the first record header."""
-        with open(repo.path_of(info.uri), "rb") as handle:
-            head = handle.read(HEADER_SCAN_BYTES)
-        repo.record_read(info.uri, HEADER_SCAN_BYTES)
-        header = decode_header(head)
-        n_records = max(info.size // header.record_length, 1)
-        # Span estimate: assume every record resembles the first.
-        per_record_span = header.end_time_us - header.start_time_us
-        estimated_end = header.start_time_us + per_record_span * n_records
-        meta = FileMeta(
-            uri=info.uri,
-            size=info.size,
-            mtime_ns=info.mtime_ns,
-            dataquality=header.quality,
-            network=header.network,
-            station=header.station,
-            location=header.location,
-            channel=header.channel,
-            encoding=encoding_name(header.encoding),
-            record_length=header.record_length,
-            n_records=n_records,
-            start_time_us=header.start_time_us,
-            end_time_us=estimated_end,
-            sample_rate=header.sample_rate,
-            exact_span=False,
-        )
-        return meta, RecordColumns.of_file(
-            info.uri,
-            seq_no=[WHOLE_FILE_SEQ],
-            start_time_us=[meta.start_time_us],
-            end_time_us=[meta.end_time_us],
-            frequency=[meta.sample_rate],
-            sample_count=[header.sample_count * n_records],
         )
 
     # -- row shaping ------------------------------------------------------------------
@@ -250,8 +214,7 @@ class MSeedAdapter(SourceAdapter):
         value-level transformations (timestamp materialisation, type
         widening) run here, "at the end of the extraction phase".
         """
-        whole_file = seq_nos is None or WHOLE_FILE_SEQ in set(seq_nos)
-        wanted = None if whole_file else list(seq_nos)  # type: ignore[arg-type]
+        wanted = None if seq_nos is None else list(seq_nos)
         with repo.open(uri) as handle:
             records = read_records_from(handle, wanted)
         if wanted is not None and len(records) != len(set(wanted)):
@@ -269,26 +232,9 @@ class MSeedAdapter(SourceAdapter):
             if "sample_value" in needed:
                 columns["sample_value"] = record.samples.astype(value_np)
             per_record.append(columns)
-
-        if seq_nos is not None and whole_file:
-            # Coarse metadata granularity labels the entire file as pseudo
-            # record 0: merge everything into a single cacheable entry.
-            merged = {
-                name: np.concatenate([rec[name] for rec in per_record])
-                for name in (per_record[0] if per_record else {})
-            }
-            return ExtractedRecords(uri=uri, seq_nos=[WHOLE_FILE_SEQ],
-                                    per_record=[merged] if per_record else [])
         return ExtractedRecords(
             uri=uri,
             seq_nos=[r.header.sequence_number for r in records],
             per_record=per_record,
         )
 
-
-def _outcome(harvest, *args):
-    """``harvest(*args)``, or the MSeedError it raised."""
-    try:
-        return harvest(*args)
-    except MSeedError as exc:
-        return exc

@@ -263,7 +263,7 @@ def decode_header(data: bytes) -> RecordHeader:
     if time_correction and not act_flags & 0x02:
         start_time_us += time_correction * 100
 
-    return RecordHeader(
+    header = RecordHeader(
         sequence_number=sequence_number,
         quality=quality,
         station=station,
@@ -284,6 +284,12 @@ def decode_header(data: bytes) -> RecordHeader:
         record_length=record_length,
         timing_quality=timing_quality,
     )
+    # decode_headers' bound: the end time of such a record fits no int64.
+    if abs(header.end_time_us - start_time_us) >= _SPAN_LIMIT:
+        raise CorruptRecordError(
+            f"{sample_count} samples at {header.sample_rate!r} Hz span "
+            f"beyond any timestamp")
+    return header
 
 
 # The first HEADER_SCAN_BYTES of a record in the one layout decode_headers

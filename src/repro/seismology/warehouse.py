@@ -20,7 +20,6 @@ from repro.etl.eager import EagerETL
 from repro.etl.external import ExternalTableETL
 from repro.etl.framework import SCHEMA, ETLReport, SourceAdapter
 from repro.etl.lazy import LazyETL
-from repro.etl.metadata import Granularity
 from repro.etl.mseed_adapter import MSeedAdapter
 from repro.etl.refresh import EagerRefresh, MetadataSync, SyncReport
 from repro.mseed.repository import Repository
@@ -41,7 +40,6 @@ class SeismicWarehouse:
         repository: "Repository | str | os.PathLike",
         *,
         mode: Mode = "lazy",
-        granularity: Granularity = Granularity.RECORD,
         adapter: Optional[SourceAdapter] = None,
         cache_budget_bytes: int = 256 * 1024 * 1024,
         recycler_budget_bytes: int = 64 * 1024 * 1024,
@@ -85,7 +83,6 @@ class SeismicWarehouse:
         if mode == "lazy":
             self.pipeline = LazyETL(
                 self.db, self.repo, self.adapter,
-                granularity=granularity,
                 cache_budget_bytes=cache_budget_bytes,
             )
         elif mode == "eager":
@@ -272,7 +269,6 @@ class SeismicWarehouse:
         shard_map = ShardMap.build(uris, self.shards)
         executor = ShardedExtractor(
             str(self.repo.root), shard_map,
-            granularity=self.pipeline.granularity,
             extension=self.repo.extension,
             cache_budget_bytes=self._cache_budget_bytes,
         )

@@ -30,7 +30,6 @@ from typing import Optional
 
 from repro.errors import ShardError, ShardWorkerError
 from repro.etl.framework import ExtractedRecords
-from repro.etl.metadata import Granularity
 from repro.shard.partition import ShardMap
 from repro.shard.transport import open_blob, decode_pieces
 
@@ -67,14 +66,12 @@ class ShardedExtractor:
         root: str,
         shard_map: ShardMap,
         *,
-        granularity: Granularity = Granularity.RECORD,
         extension: str = ".mseed",
         cache_budget_bytes: int = 256 * 1024 * 1024,
         spawn_timeout_s: float = 120.0,
     ) -> None:
         self.root = str(root)
         self.shard_map = shard_map
-        self.granularity = granularity
         self.extension = extension
         self.cache_budget_bytes = cache_budget_bytes
         self.spawn_timeout_s = spawn_timeout_s
@@ -103,7 +100,6 @@ class ShardedExtractor:
             "shard_id": shard_id,
             "root": self.root,
             "uris": self.shard_map.uris_of(shard_id),
-            "granularity": self.granularity.value,
             "extension": self.extension,
             "cache_budget_bytes": self.cache_budget_bytes,
         }

@@ -39,7 +39,6 @@ from __future__ import annotations
 import os
 import traceback
 
-from repro.etl.metadata import Granularity
 from repro.shard.partition import ShardRepositoryView
 from repro.shard.transport import INLINE_LIMIT, BlobShipper, encode_pieces
 
@@ -62,7 +61,6 @@ class _ShardServer:
         self.warehouse = SeismicWarehouse(
             self.repo,
             mode="lazy",
-            granularity=Granularity(spec["granularity"]),
             cache_budget_bytes=spec["cache_budget_bytes"],
         )
         self.shipper = BlobShipper(spec.get("inline_limit", INLINE_LIMIT))

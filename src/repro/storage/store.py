@@ -9,7 +9,7 @@ Store layout::
 
 The manifest records, per table, its qualified name, schema (column
 names/types/constraints), row count and segment file, plus free-form
-``meta`` keys (e.g. the lazy warehouse's harvest granularity) and the
+``meta`` keys (e.g. the lazy warehouse's access heat) and the
 extraction-cache snapshot directory.  Commits write ``manifest.json.tmp``
 then ``os.replace`` it over the manifest — a crash before the rename
 leaves the previous manifest fully intact (tested by the crash

@@ -5,15 +5,19 @@ results — Lazy ETL is an optimisation of *when* work happens, never of
 *what* the warehouse answers.
 """
 
+import numpy as np
 import pytest
-from oracle import CORPUS_BATCH_ROWS
+from oracle import CORPUS_BATCH_ROWS, run_differential
 
+from repro.mseed.encodings import ENC_STEIM2
+from repro.mseed.records import encode_record
 from repro.seismology.queries import (
     analytical_suite,
     fig1_query1,
     fig1_query2,
 )
 from repro.seismology.warehouse import SeismicWarehouse
+from repro.util.timefmt import from_ymd
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +108,69 @@ def test_differential_oracle_corpus(warehouses, differential_oracle,
         pytest.skip("external mode has no mseed.files metadata table")
     differential_oracle(warehouses[mode].db, sql,
                         stream_batch_rows=CORPUS_BATCH_ROWS)
+
+
+# ---------------------------------------------------------------------------
+# Record number 0 is a record like any other
+# ---------------------------------------------------------------------------
+
+
+def _write_from_record_zero(path, samples, rate=40):
+    """``samples`` as records numbered 0, 1, ... (writers here start at
+    1, but 0 is a legal sequence number); returns the record count."""
+    start = from_ymd(2010, 1, 12, 22, 0)
+    seq = position = 0
+    previous = None
+    with open(path, "wb") as handle:
+        while position < len(samples):
+            record, encoded = encode_record(
+                sequence_number=seq, quality="D", station="ZERO",
+                location="", channel="BHZ", network="XX",
+                start_time_us=start + round(position * 1_000_000 / rate),
+                samples=samples[position:], sample_rate_factor=rate,
+                sample_rate_multiplier=1, encoding=ENC_STEIM2,
+                previous_sample=previous)
+            handle.write(record)
+            previous = int(samples[position + encoded - 1])
+            position += encoded
+            seq += 1
+    return seq
+
+
+@pytest.fixture(scope="module")
+def record_zero_warehouses(tmp_path_factory):
+    root = tmp_path_factory.mktemp("record-zero")
+    samples = np.random.default_rng(0).integers(
+        -512, 512, 1200).astype(np.int32)
+    assert _write_from_record_zero(root / "zero.mseed", samples) == 5
+    return samples, {mode: SeismicWarehouse(root, mode=mode)
+                     for mode in ("lazy", "eager")}
+
+
+RECORD_ZERO_SQL = [
+    "SELECT seq_no, COUNT(*), SUM(sample_value) FROM mseed.dataview "
+    "GROUP BY seq_no ORDER BY seq_no",
+    "SELECT COUNT(*), MIN(sample_time), SUM(sample_value) "
+    "FROM mseed.dataview WHERE seq_no = 0",
+]
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("sql", RECORD_ZERO_SQL)
+def test_record_zero_is_one_record(record_zero_warehouses, sql):
+    """A file numbered from 0: lazy extraction used to read seq_no 0 as
+    "the whole file" and answer every sample as record 0."""
+    samples, warehouses = record_zero_warehouses
+    lazy = run_differential(warehouses["lazy"].db, sql,
+                            stream_batch_rows=CORPUS_BATCH_ROWS)
+    eager = run_differential(warehouses["eager"].db, sql,
+                             stream_batch_rows=CORPUS_BATCH_ROWS)
+    assert lazy.rows() == eager.rows()
+    if "GROUP BY" in sql:
+        rows = lazy.rows()
+        assert [row[0] for row in rows] == [0, 1, 2, 3, 4]
+        assert sum(row[1] for row in rows) == len(samples)
+        assert sum(row[2] for row in rows) == int(samples.sum())
+    else:
+        count = lazy.first()[0]
+        assert 0 < count < len(samples)

@@ -2,11 +2,12 @@
 
 import logging
 import os
+import struct
 
 import pytest
 
 from repro.errors import CorruptRecordError, FileMissingError
-from repro.etl.metadata import Granularity, harvest_repository
+from repro.etl.metadata import harvest_repository
 from repro.etl.mseed_adapter import MSeedAdapter
 from repro.mseed.repository import Repository
 from repro.seismology.queries import fig1_query2
@@ -22,7 +23,7 @@ def _corrupt(path: str) -> None:
 def test_harvest_skips_corrupt_files(mutable_repo):
     _corrupt(mutable_repo.entries[0].path)
     repo = Repository(mutable_repo.root)
-    result = harvest_repository(repo, MSeedAdapter(), Granularity.RECORD)
+    result = harvest_repository(repo, MSeedAdapter())
     assert len(result.skipped) == 1
     assert len(result.files) == len(mutable_repo.entries) - 1
 
@@ -33,8 +34,7 @@ def test_harvest_strict_raises(mutable_repo):
     _corrupt(mutable_repo.entries[0].path)
     repo = Repository(mutable_repo.root)
     with pytest.raises(MSeedError):
-        harvest_repository(repo, MSeedAdapter(), Granularity.RECORD,
-                           strict=True)
+        harvest_repository(repo, MSeedAdapter(), strict=True)
 
 
 def test_warehouse_boots_over_partially_corrupt_repo(mutable_repo):
@@ -76,7 +76,7 @@ def test_truncated_file_mid_repo(mutable_repo):
     with open(victim.path, "r+b") as handle:
         handle.truncate(size - 100)  # no longer a record multiple
     repo = Repository(mutable_repo.root)
-    result = harvest_repository(repo, MSeedAdapter(), Granularity.RECORD)
+    result = harvest_repository(repo, MSeedAdapter())
     uri = os.path.relpath(victim.path, mutable_repo.root)
     assert any(skipped_uri == uri for skipped_uri, _err in result.skipped)
 
@@ -87,7 +87,7 @@ def test_oplog_notes_skipped_files(mutable_repo, caplog):
     repo = Repository(mutable_repo.root)
     uri = os.path.relpath(mutable_repo.entries[0].path, mutable_repo.root)
     with caplog.at_level(logging.WARNING, logger="repro.etl.metadata"):
-        harvest_repository(repo, MSeedAdapter(), Granularity.RECORD)
+        harvest_repository(repo, MSeedAdapter())
     warnings = [r.getMessage() for r in caplog.records
                 if r.name == "repro.etl.metadata"
                 and r.levelno == logging.WARNING]
@@ -126,4 +126,58 @@ def test_foreign_header_byte_skips_the_file(mutable_repo, caplog, case):
                for r in caplog.records if r.name == "repro.etl.metadata")
     with pytest.raises(CorruptRecordError):
         harvest_repository(Repository(mutable_repo.root), MSeedAdapter(),
-                           Granularity.RECORD, strict=True)
+                           strict=True)
+
+
+def _empty(path: str) -> None:
+    open(path, "wb").close()
+
+
+def _span_beyond_int64(path: str) -> None:
+    # 65 535 samples at 1 / (32768 * 32768) Hz: ~7e19 us, an end time
+    # no int64 holds.
+    _patch_record(path, 2, 30, struct.pack(">Hhh", 0xFFFF, -0x8000, -0x8000))
+
+
+UNREADABLE = {"zero-length": _empty, "span-beyond-int64": _span_beyond_int64}
+
+
+def _samples_without(manifest, victim) -> int:
+    return sum(e.n_samples for e in manifest.entries if e is not victim)
+
+
+@pytest.mark.parametrize("mode", ["lazy", "eager"])
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_file_skips_only_itself_at_boot(mutable_repo, caplog,
+                                                   case, mode):
+    """Both used to abort the boot: an empty file with an ExtractionError
+    no harvest caught, an overflowing span with a bare OverflowError."""
+    victim = mutable_repo.entries[0]
+    UNREADABLE[case](victim.path)
+    uri = os.path.relpath(victim.path, mutable_repo.root)
+    with caplog.at_level(logging.WARNING, logger="repro.etl.metadata"):
+        wh = SeismicWarehouse(mutable_repo.root, mode=mode)
+    assert any(r.getMessage().startswith(f"skipping corrupt file {uri}: ")
+               for r in caplog.records if r.name == "repro.etl.metadata")
+    assert wh.query("SELECT COUNT(*) FROM mseed.files").scalar() == \
+        len(mutable_repo.entries) - 1
+    assert wh.query("SELECT COUNT(*) FROM mseed.dataview").scalar() == \
+        _samples_without(mutable_repo, victim)
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_rewrite_skips_only_itself_at_sync(mutable_repo, caplog,
+                                                      case):
+    wh = SeismicWarehouse(mutable_repo.root, mode="lazy")
+    victim = mutable_repo.entries[0]
+    UNREADABLE[case](victim.path)
+    stat = os.stat(victim.path)
+    os.utime(victim.path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    uri = os.path.relpath(victim.path, mutable_repo.root)
+    with caplog.at_level(logging.WARNING, logger="repro.etl.refresh"):
+        report = wh.sync()
+    assert report.removed == [uri]
+    assert any(r.getMessage().startswith(f"file {uri} unreadable during sync")
+               for r in caplog.records if r.name == "repro.etl.refresh")
+    assert wh.query("SELECT COUNT(*) FROM mseed.dataview").scalar() == \
+        _samples_without(mutable_repo, victim)

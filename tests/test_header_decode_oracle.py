@@ -21,9 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.etl.mseed_adapter as mseed_adapter
-from repro.errors import MSeedError
+from repro.errors import CorruptRecordError, MSeedError
 from repro.etl.metadata import (
-    Granularity,
     HarvestResult,
     RecordIndex,
     harvest_repository,
@@ -46,21 +45,20 @@ T0 = from_ymd(2010, 1, 12, 22, 0)
 
 
 def _harvest(root, *, batched: bool) -> tuple[HarvestResult, int]:
-    """One RECORD harvest and the repository bytes it accounted for."""
+    """One harvest and the repository bytes it accounted for."""
     repo = Repository(root)
     with pytest.MonkeyPatch.context() as patch:
         if not batched:
             patch.setattr(mseed_adapter, "scan_headers",
                           lambda paths: [None] * len(paths))
-        result = harvest_repository(repo, MSeedAdapter(), Granularity.RECORD)
+        result = harvest_repository(repo, MSeedAdapter())
     return result, repo.bytes_read
 
 
 def _index(result: HarvestResult) -> dict:
     index = RecordIndex()
     index.load(result)
-    return {uri: (index.version(uri), index.is_exact(uri),
-                  _arrays(index.records(uri)))
+    return {uri: (index.version(uri), _arrays(index.records(uri)))
             for uri in index.files()}
 
 
@@ -80,7 +78,6 @@ def assert_decoders_agree(root) -> HarvestResult:
     assert _arrays(batched.records) == _arrays(reference.records)
     assert _index(batched) == _index(reference)
     assert batched.skipped == reference.skipped
-    assert batched.files_opened == reference.files_opened
     assert batched_bytes == reference_bytes
     return batched
 
@@ -157,6 +154,8 @@ CORRUPT_EDITS = {
     "nonascii": _at(2, 8, "3s", b"H\xc9N"),
     "year0": _at(2, 20, ">H", 0),
     "mult0": _at(2, 34, ">h", 0),
+    # 65 535 samples at 1 / (32768 * 32768) Hz: no int64 end time.
+    "span-beyond-int64": _at(2, 30, ">Hhh", 0xFFFF, -0x8000, -0x8000),
 }
 
 
@@ -173,6 +172,7 @@ def crafted_repo(tmp_path_factory):
     with open(small, "ab") as handle, open(large, "rb") as extra:
         handle.write(extra.read())
     (root / "mixed4k.mseed").unlink()
+    (root / "empty.mseed").touch()
     truncated = _write(root, "truncated")
     with open(truncated, "r+b") as handle:
         handle.truncate(handle.seek(0, 2) - 100)
@@ -186,7 +186,7 @@ def test_crafted_files_agree(crafted_repo):
     result = assert_decoders_agree(crafted_repo)
     skipped = {uri.removesuffix(".mseed") for uri, _msg in result.skipped}
     assert skipped == set(CORRUPT_EDITS) | {"truncated", "garbage10",
-                                            "garbage70"}
+                                            "garbage70", "empty"}
     kept = {meta.uri.removesuffix(".mseed") for meta in result.files}
     assert kept == set(VALID_EDITS) | {"subhz", "leapday", "mixed"}
 
@@ -329,7 +329,7 @@ EDGE_CASES = {
     # round() is half-to-even: 1e6 / 128 = 7812.5 -> 7812.
     "half-us-span": dict(nsamples=2, factor=128),
     "three-halves": dict(nsamples=4, factor=128),
-    # ~7e19 us: no int64 holds the end time; the reference must decide.
+    # ~7e19 us: no int64 holds the end time; both decoders refuse it.
     "span-beyond-int64": dict(nsamples=0xFFFF, factor=-0x8000,
                               mult=-0x8000),
     "leap-second": dict(second=60, tenk=9999, micros=99),
@@ -345,9 +345,14 @@ EDGE_CASES = {
 def test_edge_headers_decode_identically(case):
     fields = {**_TYPICAL, **EDGE_CASES[case]}
     _assert_rows_agree([fields])
-    if case != "span-beyond-int64":
-        assert decode_headers(np.frombuffer(_head(fields), np.uint8)
-                              .reshape(1, -1)).ok[0]
+    vouched = decode_headers(np.frombuffer(_head(fields), np.uint8)
+                             .reshape(1, -1)).ok[0]
+    if case == "span-beyond-int64":
+        assert not vouched
+        with pytest.raises(CorruptRecordError):
+            decode_header(_head(fields))
+    else:
+        assert vouched
 
 
 @settings(max_examples=150, deadline=None)
@@ -363,11 +368,10 @@ def test_fuzzed_standard_headers_are_vouched(fields):
     the ranges it hands to the reference by design)."""
     head = _head(fields)
     try:
-        header = decode_header(head)
+        decode_header(head)
     except MSeedError:
         return
     handed_over = (not fields["seq"].isdigit() or fields["nblk"] != 2
-                   or fields["year"] > 9998
-                   or abs(header.end_time_us - header.start_time_us) >= 2**62)
+                   or fields["year"] > 9998)
     columns = decode_headers(np.frombuffer(head, np.uint8).reshape(1, -1))
     assert bool(columns.ok[0]) or handed_over

@@ -1,7 +1,6 @@
 """Behavioural tests for the lazy pipeline: §3.1-§3.3 step by step."""
 
-from repro.etl.metadata import Granularity
-from repro.seismology.queries import fig1_query1, fig1_query2
+from repro.seismology.queries import fig1_query1
 from repro.seismology.warehouse import SeismicWarehouse
 
 
@@ -85,27 +84,6 @@ def test_metadata_browsing_reads_no_payload(lazy_wh):
 def test_worst_case_full_scan(lazy_wh, demo_repo):
     total = lazy_wh.query("SELECT COUNT(*) FROM mseed.data").scalar()
     assert total == demo_repo.total_samples
-
-
-def test_coarse_granularity_extracts_whole_files(demo_repo):
-    wh = SeismicWarehouse(demo_repo.root, mode="lazy",
-                          granularity=Granularity.FILE)
-    result = wh.query(fig1_query1())
-    # Same answer as record granularity...
-    fine = SeismicWarehouse(demo_repo.root, mode="lazy")
-    assert result.rows() == fine.query(fig1_query1()).rows()
-    # ...but extraction could not prune below the file.
-    assert wh.db.last_report.rows_extracted > \
-        fine.db.last_report.rows_extracted
-
-
-def test_filename_granularity_instant_load(demo_repo):
-    wh = SeismicWarehouse(demo_repo.root, mode="lazy",
-                          granularity=Granularity.FILENAME)
-    assert wh.load_report.bytes_read == 0
-    fine = SeismicWarehouse(demo_repo.root, mode="lazy")
-    assert wh.query(fig1_query2()).rows() == \
-        fine.query(fig1_query2()).rows()
 
 
 def test_oplog_records_lazy_steps(lazy_wh, demo_repo):

@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.etl.metadata import (
-    Granularity,
     RecordColumns,
     RecordIndex,
-    WHOLE_FILE_SEQ,
     harvest_repository,
 )
 from repro.etl.mseed_adapter import MSeedAdapter
@@ -20,7 +18,7 @@ def repo(demo_repo):
 
 
 def test_record_granularity_exact(repo, demo_repo):
-    result = harvest_repository(repo, MSeedAdapter(), Granularity.RECORD)
+    result = harvest_repository(repo, MSeedAdapter())
     assert len(result.files) == len(demo_repo.entries)
     assert len(result.records) == sum(e.n_records for e in demo_repo.entries)
     by_uri = {m.uri: m for m in result.files}
@@ -30,30 +28,6 @@ def test_record_granularity_exact(repo, demo_repo):
         assert meta.station == entry.station
         assert meta.start_time_us == entry.start_time_us
         assert meta.n_records == entry.n_records
-        assert meta.exact_span
-
-
-def test_file_granularity_one_pseudo_record(repo, demo_repo):
-    result = harvest_repository(repo, MSeedAdapter(), Granularity.FILE)
-    assert len(result.records) == len(demo_repo.entries)
-    assert (result.records.seq_no == WHOLE_FILE_SEQ).all()
-    assert all(not m.exact_span for m in result.files)
-
-
-def test_filename_granularity_opens_nothing(repo):
-    repo.reset_counters()
-    result = harvest_repository(repo, MSeedAdapter(), Granularity.FILENAME)
-    assert result.files_opened == 0
-    assert repo.bytes_read == 0
-    assert (result.records.seq_no == WHOLE_FILE_SEQ).all()
-
-
-def test_granularity_cost_ordering(repo):
-    filename = harvest_repository(repo, MSeedAdapter(), Granularity.FILENAME)
-    file_level = harvest_repository(repo, MSeedAdapter(), Granularity.FILE)
-    record = harvest_repository(repo, MSeedAdapter(), Granularity.RECORD)
-    assert filename.bytes_read <= file_level.bytes_read <= record.bytes_read
-    assert record.bytes_read > file_level.bytes_read
 
 
 F = FileInfo("f", size=0, mtime_ns=0)
@@ -65,13 +39,14 @@ def _records(*spans):
     return RecordColumns.of_file("f", seq_no=seqs, start_time_us=starts,
                                  end_time_us=ends,
                                  frequency=[40.0] * len(seqs),
-                                 sample_count=[10] * len(seqs))
+                                 sample_count=[10] * len(seqs),
+                                 timing_quality=[100] * len(seqs))
 
 
 def test_index_prune_overlap():
     index = RecordIndex()
     index.replace_file(F, _records((1, 0, 100), (2, 100, 200),
-                                   (3, 200, 300)), exact=True)
+                                   (3, 200, 300)))
     assert index.prune("f", [1, 2, 3], (None, None)) == [1, 2, 3]
     assert index.prune("f", [1, 2, 3], (150, 160)) == [2]
     assert index.prune("f", [1, 2, 3], (None, 50)) == [1]
@@ -80,21 +55,15 @@ def test_index_prune_overlap():
     assert 1 in index.prune("f", [1, 2, 3], (100, 120))
 
 
-def test_index_prune_inexact_never_drops():
-    index = RecordIndex()
-    index.replace_file(F, _records((0, 0, 100)), exact=False)
-    assert index.prune("f", [0], (500, 600)) == [0]
-
-
 def test_index_prune_unknown_record_kept():
     index = RecordIndex()
-    index.replace_file(F, _records((1, 0, 100)), exact=True)
+    index.replace_file(F, _records((1, 0, 100)))
     assert index.prune("f", [1, 99], (500, 600)) == [99]
 
 
 def test_index_drop_file():
     index = RecordIndex()
-    index.replace_file(F, _records((1, 0, 100)), exact=True)
+    index.replace_file(F, _records((1, 0, 100)))
     index.drop_file("f")
     assert index.files() == []
     assert index.records("f") is None
@@ -113,7 +82,7 @@ def test_prune_soundness_property(spans, lo, hi):
     lo, hi = min(lo, hi), max(lo, hi)
     index = RecordIndex()
     records = [(i, min(a, b), max(a, b)) for i, (a, b) in enumerate(spans)]
-    index.replace_file(F, _records(*records), exact=True)
+    index.replace_file(F, _records(*records))
     kept = set(index.prune("f", [seq for seq, _s, _e in records], (lo, hi)))
     for seq, start, end in records:
         overlaps = end >= lo and start <= hi
@@ -148,7 +117,7 @@ def test_lazy_boot_decodes_one_header_per_file(tiny_repo, monkeypatch):
 
 def _index_state(index: RecordIndex) -> dict:
     return {
-        uri: (index.version(uri), index.is_exact(uri),
+        uri: (index.version(uri),
               {name: getattr(index.records(uri), name).tolist()
                for name in ("seq_no", "start_time_us", "end_time_us",
                             "frequency", "sample_count", "timing_quality")})
@@ -158,7 +127,7 @@ def _index_state(index: RecordIndex) -> dict:
 
 def test_harvested_index_equals_rebuilt_index(tiny_repo, tmp_path):
     """The index a harvest builds and the one a warm start rebuilds from
-    the checkpointed F and R tables agree: spans, versions, exactness."""
+    the checkpointed F and R tables agree: spans and versions."""
     from repro.seismology.warehouse import SeismicWarehouse
 
     store = tmp_path / "store"

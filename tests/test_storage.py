@@ -451,21 +451,24 @@ def test_warm_start_still_detects_staleness(tiny_repo, tmp_path, monkeypatch):
     assert warm.cache.stats.stale_drops > 0
 
 
-def test_warm_start_adopts_checkpoint_granularity(tiny_repo, tmp_path):
-    from repro.etl.metadata import Granularity
+def test_warm_start_refuses_coarse_granularity_store(tiny_repo, tmp_path):
+    """A store written when R could hold one estimated row per file:
+    adopting it would treat guessed spans as exact and prune real
+    records, so the reopen fails instead."""
     from repro.seismology.warehouse import SeismicWarehouse
+    from repro.storage.store import TableStore
 
     ckpt = tmp_path / "ckpt"
-    cold = SeismicWarehouse(tiny_repo.root, mode="lazy",
-                            granularity=Granularity.FILE, storage_path=ckpt)
+    cold = SeismicWarehouse(tiny_repo.root, mode="lazy", storage_path=ckpt)
     cold.query(FIG1_STYLE)
     cold.checkpoint()
+    cold.close()
+    store = TableStore(ckpt)
+    store.set_meta("granularity", "file")
+    store.commit()
 
-    # Reopened with the default (RECORD): the checkpoint's granularity
-    # wins, so refreshes keep a consistent seq_no scheme.
-    warm = SeismicWarehouse(tiny_repo.root, mode="lazy", storage_path=ckpt)
-    assert warm.pipeline.granularity is Granularity.FILE
-    assert warm.load_report.strategy == "lazy[file]+warm"
+    with pytest.raises(StorageError, match="'file'"):
+        SeismicWarehouse(tiny_repo.root, mode="lazy", storage_path=ckpt)
 
 
 def test_eager_warehouse_recheckpoints_over_existing_store(tiny_repo,
