@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Demo capability (3): comparing lazy against eager and external ETL.
+"""Demo capability (3): comparing lazy against eager ETL.
 
 Measures, for one repository: initial-load time, time-to-first-answer,
-warm-query latency and warehouse storage across the three ingestion
+warm-query latency and warehouse storage for the two ingestion
 strategies, then prints a paper-style table.
 
 Run:  python examples/eager_vs_lazy.py
@@ -50,7 +50,7 @@ def main() -> None:
           f"{manifest.total_samples:,} samples, "
           f"{format_bytes(manifest.total_bytes)}\n")
 
-    rows = [measure(mode, root) for mode in ("lazy", "eager", "external")]
+    rows = [measure(mode, root) for mode in ("lazy", "eager")]
     print(format_table(
         ["mode", "initial load", "Q1 (cold)", "time-to-answer",
          "Q2 warm", "warehouse size"],
@@ -61,9 +61,7 @@ def main() -> None:
         "- lazy: metadata-only load -> near-instant first answer; warm\n"
         "  queries are served from the extraction cache and recycler.\n"
         "- eager: the paper's 'high initial investment of time', plus the\n"
-        "  several-fold storage blow-up of materialised samples+timestamps.\n"
-        "- external: no load at all, but EVERY query pays a full-repository\n"
-        "  extraction (the §2 external-table/NoDB behaviour)."
+        "  several-fold storage blow-up of materialised samples+timestamps."
     )
 
 

@@ -22,7 +22,7 @@ Packages:
   PreparedStatement with streaming fetch and plan caching;
 * :mod:`repro.db` — the columnar SQL engine (MonetDB stand-in) with
   run-time plan rewriting and intermediate-result recycling;
-* :mod:`repro.etl` — the Lazy ETL core plus eager and external baselines;
+* :mod:`repro.etl` — the Lazy ETL core plus the eager baseline;
 * :mod:`repro.service` — concurrent query serving: admission control,
   session fairness, single-flight extraction coalescing;
 * :mod:`repro.net` — the wire protocol: TCP server with server-side
@@ -37,7 +37,6 @@ from repro.api import Connection, Cursor, PreparedStatement, connect
 from repro.db import Database, Result
 from repro.etl import (
     EagerETL,
-    ExternalTableETL,
     ExtractionCache,
     LazyETL,
     MSeedAdapter,
@@ -77,7 +76,6 @@ __all__ = [
     "Result",
     "LazyETL",
     "EagerETL",
-    "ExternalTableETL",
     "ExtractionCache",
     "MSeedAdapter",
     "MetadataSync",

@@ -176,8 +176,8 @@ class LLazyFetch(LogicalNode):
 class LScanAll(LogicalNode):
     """Full-repository extraction of a lazy table (no metadata pruning).
 
-    Models both the paper's §3.1 worst case and the external-table/NoDB
-    baseline where "every query accesses the entire dataset".
+    The paper's §3.1 worst case: a lazy query over the data table that
+    no metadata join narrows extracts every record of the repository.
     """
 
     binding: object

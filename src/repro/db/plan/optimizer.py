@@ -14,7 +14,7 @@ paper's compile-time plan modification for lazy extraction (§3.1):
    placeholder whose execution performs the *run-time* plan rewriting
    (injecting per-file cache/extract operators).  A lazy table reached
    without usable metadata keys degrades to :class:`LScanAll` — the
-   paper's worst case, and the behaviour of external-table baselines.
+   paper's worst case, a full-repository extraction.
 4. **Column pruning** — scans and lazy fetches materialise only the
    columns the query needs (so Figure-1's Q2 never extracts timestamps).
 """
@@ -369,9 +369,7 @@ def _plant_lazy_fetch(
     metadata join does not identify files/records.
     """
     binding = _binding_of(scan)
-    if binding is None or not binding.key_columns:
-        # Bindings without key columns (external tables) cannot be pruned
-        # by metadata — they always degrade to full scans.
+    if binding is None:
         return None
     name_by_cid = {c.cid: c.name for c in scan.output}
     key_names = []

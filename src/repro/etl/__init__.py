@@ -1,6 +1,6 @@
 """Lazy ETL — the paper's primary contribution.
 
-Three interchangeable ingestion strategies over the same warehouse schema:
+Two interchangeable ingestion strategies over the same warehouse schema:
 
 * :class:`~repro.etl.lazy.LazyETL` — the paper's system: initial loading
   covers only metadata; actual data is extracted/transformed/loaded at
@@ -8,11 +8,8 @@ Three interchangeable ingestion strategies over the same warehouse schema:
   and mtime-based lazy refresh.
 * :class:`~repro.etl.eager.EagerETL` — the traditional baseline: extract,
   transform and bulk load everything before the first query.
-* :class:`~repro.etl.external.ExternalTableETL` — the external-table /
-  NoDB-style comparator from §2: no up-front loading at all, but every
-  query re-extracts the entire repository.
 
-All three populate the warehouse's one SQL schema, :data:`SCHEMA`
+Both populate the warehouse's one SQL schema, :data:`SCHEMA`
 (``mseed``), through a :class:`SourceAdapter`;
 :class:`~repro.etl.mseed_adapter.MSeedAdapter` is the only format.
 """
@@ -29,7 +26,6 @@ from repro.etl.heat import AccessHeatTracker, HeatUnit
 from repro.etl.mseed_adapter import MSeedAdapter
 from repro.etl.lazy import LazyETL, LazyDataBinding
 from repro.etl.eager import EagerETL
-from repro.etl.external import ExternalTableETL, ExternalBinding
 from repro.etl.refresh import MetadataSync, SyncReport
 
 __all__ = [
@@ -48,8 +44,6 @@ __all__ = [
     "LazyETL",
     "LazyDataBinding",
     "EagerETL",
-    "ExternalTableETL",
-    "ExternalBinding",
     "MetadataSync",
     "SyncReport",
 ]

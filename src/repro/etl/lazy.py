@@ -29,7 +29,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -117,7 +116,7 @@ class LazyDataBinding:
         # tracing — still runs here, unchanged.
         self.remote_extractor = None
         self.wait_timeout_s = 30.0
-        self._refresh_lock = threading.RLock()
+        self.refresh_lock = threading.RLock()
         # Observability hook: an ExtractionInstruments bundle (installed
         # by the warehouse); None keeps the hot path free of metric work.
         self.metrics = None
@@ -237,7 +236,7 @@ class LazyDataBinding:
         logger.info("stale file %s: dropping cache/promoted state and "
                     "re-harvesting metadata", info.uri)
         self.drop_derived_state(info.uri)
-        with self._refresh_lock:
+        with self.refresh_lock:
             self.metadata_refresh(info)
 
     def drop_derived_state(self, uri: str) -> None:
@@ -543,15 +542,6 @@ def _rows_of(columns: dict[str, np.ndarray]) -> int:
     return len(next(iter(columns.values()))) if columns else 0
 
 
-@dataclass
-class LazySetup:
-    """Handles returned by :meth:`LazyETL.initial_load`."""
-
-    report: ETLReport
-    harvest: HarvestResult
-    binding: LazyDataBinding
-
-
 class LazyETL:
     """Metadata-only initial loading for a warehouse over a repository."""
 
@@ -620,7 +610,7 @@ class LazyETL:
             ),
         )
 
-    def warm_start(self, store) -> LazySetup:
+    def warm_start(self, store) -> ETLReport:
         """Restart from a checkpoint instead of re-harvesting.
 
         The persisted F/R tables are *attached* (disk-backed, columns
@@ -651,7 +641,7 @@ class LazyETL:
         self.db.register_lazy_table(self.data_table, self.binding)
         files_table = self.db.catalog.table((SCHEMA, "files"))
         records_table = self.db.catalog.table((SCHEMA, "records"))
-        report = ETLReport(
+        return ETLReport(
             strategy="lazy+warm",
             seconds=time.perf_counter() - started,
             files_listed=files_table.row_count,
@@ -660,8 +650,6 @@ class LazyETL:
             samples_loaded=0,
             bytes_read=0,
         )
-        return LazySetup(report=report, harvest=HarvestResult(),
-                         binding=self.binding)
 
     def checkpoint(self, store) -> int:
         """Persist metadata tables + extraction cache for warm restarts."""
@@ -707,7 +695,7 @@ class LazyETL:
             info = FileInfo(str(uri), size, mtime_ns)
             self.index.replace_file(info, per_file.get(info.uri, NO_RECORDS))
 
-    def initial_load(self) -> LazySetup:
+    def initial_load(self) -> ETLReport:
         """The paper's instant-on bootstrap: load metadata, bind D lazily."""
         started = time.perf_counter()
         self.repo.reset_counters()
@@ -719,7 +707,7 @@ class LazyETL:
                                        metadata_refresh=self.refresh_file_metadata,
                                        heat=self.heat)
         self.db.register_lazy_table(self.data_table, self.binding)
-        report = ETLReport(
+        return ETLReport(
             strategy="lazy",
             seconds=time.perf_counter() - started,
             files_listed=len(harvest.files),
@@ -728,7 +716,6 @@ class LazyETL:
             samples_loaded=0,
             bytes_read=harvest.bytes_read,
         )
-        return LazySetup(report=report, harvest=harvest, binding=self.binding)
 
     def load_metadata(self, harvest: HarvestResult) -> None:
         """Bulk insert the harvested F and R rows."""
@@ -753,15 +740,12 @@ class LazyETL:
 
     def harvest_single(self, info: FileInfo
                        ) -> tuple[FileMeta, RecordColumns]:
-        """Harvest one file.
+        """Harvest one file at version ``info``: its F row and R rows.
 
-        Updates the record index (and its ledger: the file's version is
-        now ``info``) and returns the F row and R rows to insert.  Shared
-        by the query-time staleness hook and the explicit metadata sync.
+        Changes no state, so it needs no lock.  Shared by the query-time
+        staleness hook and the explicit metadata sync.
         """
-        meta, records = self.adapter.harvest_file(self.repo, info)
-        self.index.replace_file(info, records)
-        return meta, records
+        return self.adapter.harvest_file(self.repo, info)
 
     def delete_file_metadata(self, uri: str) -> None:
         escaped = uri.replace("'", "''")
@@ -774,13 +758,21 @@ class LazyETL:
             f"WHERE file_location = '{escaped}'"
         )
 
+    def install_file_metadata(self, info: FileInfo, meta: FileMeta,
+                              records: RecordColumns) -> None:
+        """Make harvested version ``info`` of one file current: record
+        index and ledger, then its F/R rows.  The rows change in two
+        statements (delete, insert); callers hold the file's stripe lock
+        and the refresh lock."""
+        self.index.replace_file(info, records)
+        self.delete_file_metadata(info.uri)
+        self.insert_metadata([meta], records)
+
     def refresh_file_metadata(self, info: FileInfo) -> None:
         """Re-harvest one changed file's F/R rows and record index at
         version ``info``.  Harvesting comes first: an unreadable (torn)
         file raises with the old metadata, and the ledger, untouched."""
-        meta, records = self.harvest_single(info)
-        self.delete_file_metadata(info.uri)
-        self.insert_metadata([meta], records)
+        self.install_file_metadata(info, *self.harvest_single(info))
 
 
 def _columnar(rows: list[dict[str, object]]) -> dict[str, list]:

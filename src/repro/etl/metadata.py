@@ -11,9 +11,8 @@ adapter harvests a whole batch of files at once (every record header of
 the repository decoded in one numpy pass, see :mod:`repro.mseed.files`),
 R travels as :class:`RecordColumns` — aligned arrays, one run of rows
 per file — into ``bulk_insert``, and the :class:`RecordIndex` keeps each
-file's run.  A single-file harvest (a refresh, ``sync()``, the external
-mode) is :meth:`~repro.etl.framework.SourceAdapter.harvest_file`, a
-batch of one.
+file's run.  A single-file harvest (a refresh, ``sync()``) is
+:meth:`~repro.etl.framework.SourceAdapter.harvest_file`, a batch of one.
 """
 
 from __future__ import annotations

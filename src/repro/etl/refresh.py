@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.errors import FileMissingError, MSeedError
 from repro.etl.eager import EagerETL
 from repro.etl.lazy import LazyETL
 from repro.etl.metadata import FileMeta, RecordColumns
+from repro.mseed.repository import FileInfo
 
 logger = logging.getLogger("repro.etl.refresh")
 
@@ -55,13 +57,14 @@ class MetadataSync:
     def __init__(self, lazy: LazyETL) -> None:
         self.lazy = lazy
 
-    def _forget(self, uri: str) -> None:
-        """A changed or removed file: drop what was derived from it and
-        its F/R rows (the eager pipeline's DDL helper has no binding —
+    def _remove(self, uri: str) -> None:
+        """A removed file: drop what was derived from it, its F/R rows and
+        its index entry (the eager pipeline's DDL helper has no binding —
         nothing is derived lazily there)."""
         if self.lazy.binding is not None:
             self.lazy.binding.drop_derived_state(uri)
         self.lazy.delete_file_metadata(uri)
+        self.lazy.index.drop_file(uri)
 
     def _harvest_or_none(self, info):
         """Harvest one file, or ``None`` if it vanished since the scan.
@@ -83,42 +86,64 @@ class MetadataSync:
                            "(torn rewrite?): %s", info.uri, exc)
             return None
 
+    def _swap(self, info: FileInfo, meta: FileMeta,
+              records: RecordColumns) -> bool:
+        """Replace a known file's state with its harvested version
+        ``info`` in one step: derived state, record index and ledger, F/R
+        rows.  Takes the file's stripe lock and then the refresh lock, the
+        order :meth:`~repro.etl.lazy.LazyDataBinding.observe` takes them
+        in.  ``False``, and nothing changed, when an observer has already
+        moved the ledger to ``info``."""
+        binding = self.lazy.binding
+        with self.lazy.cache.file_lock(info.uri), \
+                (nullcontext() if binding is None else binding.refresh_lock):
+            if self.lazy.index.matches(info):
+                return False
+            if binding is not None:
+                binding.drop_derived_state(info.uri)
+            self.lazy.install_file_metadata(info, meta, records)
+        return True
+
     def sync(self) -> SyncReport:
-        """One incremental pass; touches only changed files."""
+        """One incremental pass; touches only changed files.
+
+        A changed file is harvested before any of its state is touched,
+        outside every lock: a query planned meanwhile still sees the old
+        version whole, and the swap to the new one is one step.
+        """
         started = time.perf_counter()
         report = SyncReport()
         index = self.lazy.index
         current = {info.uri: info for info in self.lazy.repo.list_files()}
 
-        files: list[FileMeta] = []
-        records: list[RecordColumns] = []
+        added: list[tuple[FileInfo, FileMeta, RecordColumns]] = []
         for uri, info in current.items():
             if index.matches(info):
                 continue
             known = index.version(uri) is not None
-            if known:
-                self._forget(uri)
             harvested = self._harvest_or_none(info)
             if harvested is None:
                 # Vanished since the scan.  A new file never entered the
-                # warehouse — nothing to roll back; a known one's
-                # metadata is already deleted, so finish the removal
-                # instead of re-adding it.
+                # warehouse — nothing to roll back; a known one is
+                # removed instead of kept at its old version.
                 if known:
-                    index.drop_file(uri)
+                    self._remove(uri)
                     report.removed.append(uri)
-                continue
-            files.append(harvested[0])
-            records.append(harvested[1])
-            (report.updated if known else report.added).append(uri)
+            elif not known:
+                added.append((info, *harvested))
+                report.added.append(uri)
+            elif self._swap(info, *harvested):
+                report.updated.append(uri)
         for uri in index.files():
-            if uri in current:
-                continue
-            self._forget(uri)
-            index.drop_file(uri)
-            report.removed.append(uri)
+            if uri not in current:
+                self._remove(uri)
+                report.removed.append(uri)
 
-        self.lazy.insert_metadata(files, RecordColumns.concat(records))
+        for info, _meta, records in added:
+            index.replace_file(info, records)
+        self.lazy.insert_metadata(
+            [meta for _info, meta, _records in added],
+            RecordColumns.concat([records for *_, records in added]))
         report.seconds = time.perf_counter() - started
         return report
 

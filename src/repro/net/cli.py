@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--repo", metavar="PATH", default=None,
                         help="mSEED repository root (default: synthesise "
                              "a small demo repository in a temp dir)")
-    parser.add_argument("--mode", choices=("lazy", "eager", "external"),
+    parser.add_argument("--mode", choices=("lazy", "eager"),
                         default="lazy", help="warehouse ETL mode")
     parser.add_argument("--storage", metavar="PATH", default=None,
                         help="persistent segment store directory")

@@ -1,7 +1,7 @@
 """Seismic data analysis on the Lazy ETL warehouse — the paper's demo app.
 
 :class:`~repro.seismology.warehouse.SeismicWarehouse` wires a repository,
-an ingestion strategy (lazy / eager / external) and the mSEED schema
+an ingestion strategy (lazy / eager) and the mSEED schema
 together; :mod:`~repro.seismology.queries` carries the paper's Figure-1
 queries and the analytical suite; :mod:`~repro.seismology.stalta`
 implements the STA/LTA event hunting the demo scenario describes;

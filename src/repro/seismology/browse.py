@@ -13,9 +13,6 @@ from repro.util.timefmt import format_iso8601
 
 def station_overview(warehouse) -> str:
     """Networks, stations, channels and their record counts."""
-    if warehouse.mode == "external":
-        return ("(external mode has no metadata tables; browsing would "
-                "scan the entire repository)")
     result = warehouse.query(f"""
 SELECT F.network, F.station, F.channel, COUNT(*) AS files,
        SUM(F.n_records) AS records, MIN(F.start_time) AS coverage_start,

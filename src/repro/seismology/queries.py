@@ -21,7 +21,6 @@ class QuerySpec:
     qid: str
     title: str
     sql: str
-    metadata_only: bool = False  # browsing queries never touch D
 
 
 def fig1_query1(
@@ -169,32 +168,5 @@ FROM mseed.files AS F, mseed.records AS R
 WHERE F.file_location = R.file_location
 GROUP BY F.network, F.station, F.channel
 ORDER BY F.network, F.station, F.channel""",
-            metadata_only=True,
         ),
     ]
-
-
-def suite_for_external(specs: list[QuerySpec]) -> list[QuerySpec]:
-    """Adapt the suite for external mode (no separate metadata tables).
-
-    Q8 joins F and R directly, which external mode does not have; it is
-    rewritten against the dataview (forcing the full scan external tables
-    always pay — the point of the comparison).
-    """
-    adapted = []
-    for spec in specs:
-        if not spec.metadata_only:
-            adapted.append(spec)
-            continue
-        adapted.append(
-            QuerySpec(
-                spec.qid, spec.title + " [external: via full scan]",
-                """SELECT F.network, F.station, F.channel,
-COUNT(*) AS n_rows
-FROM mseed.dataview
-GROUP BY F.network, F.station, F.channel
-ORDER BY F.network, F.station, F.channel""",
-                metadata_only=False,
-            )
-        )
-    return adapted

@@ -1,9 +1,9 @@
 """SeismicWarehouse: one object tying repository + strategy + schema.
 
 The demo's "scientific data warehouse, ready for query processing without
-waiting for long initial loading" (§1) — or, in ``eager``/``external``
-mode, the baselines it is compared against.  The same SQL (including the
-Figure-1 queries verbatim) runs in every mode.
+waiting for long initial loading" (§1) — or, in ``eager`` mode, the
+baseline it is compared against.  The same SQL (including the Figure-1
+queries verbatim) runs in both modes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.db.exec.engine import Database
 from repro.db.exec.result import Result
 from repro.errors import ETLError, ShardConfigError
 from repro.etl.eager import EagerETL
-from repro.etl.external import ExternalTableETL
 from repro.etl.framework import SCHEMA, ETLReport, SourceAdapter
 from repro.etl.lazy import LazyETL
 from repro.etl.mseed_adapter import MSeedAdapter
@@ -27,7 +26,7 @@ from repro.obs.export import render_prometheus, snapshot_json
 from repro.obs.metrics import ExtractionInstruments, MetricsRegistry
 from repro.seismology import schema as schema_mod
 
-Mode = Literal["lazy", "eager", "external"]
+Mode = Literal["lazy", "eager"]
 
 logger = logging.getLogger("repro.warehouse")
 
@@ -48,7 +47,7 @@ class SeismicWarehouse:
         trace_spans: bool = False,
         shards: int = 1,
     ) -> None:
-        if mode not in ("lazy", "eager", "external"):
+        if mode not in ("lazy", "eager"):
             raise ETLError(f"unknown warehouse mode {mode!r}")
         if not isinstance(shards, int) or isinstance(shards, bool) \
                 or shards < 1:
@@ -85,11 +84,8 @@ class SeismicWarehouse:
                 self.db, self.repo, self.adapter,
                 cache_budget_bytes=cache_budget_bytes,
             )
-        elif mode == "eager":
-            self.pipeline = EagerETL(self.db, self.repo, self.adapter)
         else:
-            self.pipeline = ExternalTableETL(self.db, self.repo,
-                                             self.adapter)
+            self.pipeline = EagerETL(self.db, self.repo, self.adapter)
 
         self.store = None
         if storage_path is not None:
@@ -104,14 +100,11 @@ class SeismicWarehouse:
         if self._can_warm_start():
             # Restart from the checkpoint: attach persisted metadata and
             # restore the extraction cache — no re-harvest, no re-ETL.
-            self.load_report = self.pipeline.warm_start(self.store).report
+            self.load_report = self.pipeline.warm_start(self.store)
             schema_mod.create_dataview(self.db)
         else:
             self.pipeline.create_tables()
-            if mode == "external":
-                schema_mod.create_external_dataview(self.db, self.adapter)
-            else:
-                schema_mod.create_dataview(self.db)
+            schema_mod.create_dataview(self.db)
             self.load_report = self._load()
         self._attach_promoted()
         self._wire_observability()
@@ -129,8 +122,7 @@ class SeismicWarehouse:
     def _load(self) -> ETLReport:
         """Run the mode's initial loading; returns the cost report."""
         started = time.perf_counter()
-        outcome = self.pipeline.initial_load()
-        report = outcome.report if hasattr(outcome, "report") else outcome
+        report = self.pipeline.initial_load()
         report.seconds = max(report.seconds, time.perf_counter() - started)
         return report
 
@@ -424,10 +416,7 @@ class SeismicWarehouse:
         """Refresh the warehouse after repository changes."""
         if self.mode == "lazy":
             return MetadataSync(self.pipeline).sync()
-        if self.mode == "eager":
-            return EagerRefresh(self.pipeline).refresh()
-        # External tables always read the live repository: nothing to do.
-        return SyncReport(seconds=0.0)
+        return EagerRefresh(self.pipeline).refresh()
 
     # -- querying -----------------------------------------------------------------
 

@@ -342,8 +342,8 @@ class WarehouseService:
                 self.promoter.start()
         elif self.config.promote:
             raise ServiceError(
-                "promote=True requires a lazy warehouse (eager/external "
-                "modes have no extraction to promote)"
+                "promote=True requires a lazy warehouse (eager mode has "
+                "no extraction to promote)"
             )
         for i in range(self.config.max_workers):
             worker = threading.Thread(

@@ -83,13 +83,6 @@ def eager_wh(demo_repo):
 
 
 @pytest.fixture()
-def external_wh(demo_repo):
-    from repro.seismology.warehouse import SeismicWarehouse
-
-    return SeismicWarehouse(demo_repo.root, mode="external")
-
-
-@pytest.fixture()
 def differential_oracle():
     """The three-way executor identity check (see ``tests/oracle.py``)."""
     from oracle import run_differential

@@ -1,4 +1,4 @@
-"""The central correctness property: lazy == eager == external.
+"""The central correctness property: lazy == eager.
 
 Whatever the ingestion strategy, every query must return identical
 results — Lazy ETL is an optimisation of *when* work happens, never of
@@ -25,7 +25,6 @@ def warehouses(demo_repo):
     return {
         "lazy": SeismicWarehouse(demo_repo.root, mode="lazy"),
         "eager": SeismicWarehouse(demo_repo.root, mode="eager"),
-        "external": SeismicWarehouse(demo_repo.root, mode="external"),
     }
 
 
@@ -36,7 +35,6 @@ def _sorted_rows(result):
 def test_fig1_q1_equivalence(warehouses):
     expected = warehouses["eager"].query(fig1_query1()).rows()
     assert warehouses["lazy"].query(fig1_query1()).rows() == expected
-    assert warehouses["external"].query(fig1_query1()).rows() == expected
     # And the answer is a real number over a nonempty window.
     assert expected[0][0] is not None
 
@@ -45,7 +43,6 @@ def test_fig1_q2_equivalence(warehouses):
     expected = _sorted_rows(warehouses["eager"].query(fig1_query2()))
     assert len(expected) == 2  # HGN and DBN carry BHZ in the fixture
     assert _sorted_rows(warehouses["lazy"].query(fig1_query2())) == expected
-    assert _sorted_rows(warehouses["external"].query(fig1_query2())) == expected
 
 
 @pytest.mark.parametrize("qid", ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"])
@@ -54,8 +51,6 @@ def test_suite_equivalence(warehouses, qid):
     expected = _sorted_rows(warehouses["eager"].query(spec.sql))
     got_lazy = _sorted_rows(warehouses["lazy"].query(spec.sql))
     assert got_lazy == expected, f"{qid} lazy mismatch"
-    got_external = _sorted_rows(warehouses["external"].query(spec.sql))
-    assert got_external == expected, f"{qid} external mismatch"
 
 
 def test_q8_metadata_query_lazy_vs_eager(warehouses):
@@ -82,7 +77,6 @@ def test_sample_sums_match_across_modes(warehouses):
            "WHERE F.channel = 'BHE'")
     expected = warehouses["eager"].query(sql).first()
     assert warehouses["lazy"].query(sql).first() == expected
-    assert warehouses["external"].query(sql).first() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +92,12 @@ ORACLE_CORPUS = [("fig1_q1", fig1_query1()), ("fig1_q2", fig1_query2())] + [
 @pytest.mark.oracle
 @pytest.mark.parametrize("qid,sql", ORACLE_CORPUS,
                          ids=[qid for qid, _sql in ORACLE_CORPUS])
-@pytest.mark.parametrize("mode", ["lazy", "eager", "external"])
+@pytest.mark.parametrize("mode", ["lazy", "eager"])
 def test_differential_oracle_corpus(warehouses, differential_oracle,
                                     mode, qid, sql):
     """Drained, streamed (at every swept batch size) and row-at-a-time
     execution agree bit-for-bit on the full SQL corpus, whatever the
     ingestion mode."""
-    if mode == "external" and qid == "Q8":
-        pytest.skip("external mode has no mseed.files metadata table")
     differential_oracle(warehouses[mode].db, sql,
                         stream_batch_rows=CORPUS_BATCH_ROWS)
 

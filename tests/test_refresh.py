@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -115,18 +116,6 @@ def test_eager_refresh_reloads_changed_data(mutable_repo):
     assert report.samples_reloaded == entry.n_samples
     after = wh.query(q).scalar()
     assert after >= 70_000 and after != before
-
-
-def test_external_mode_sees_changes_without_sync(mutable_repo):
-    wh = SeismicWarehouse(mutable_repo.root, mode="external")
-    entry = next(e for e in mutable_repo.entries
-                 if e.station == "HGN" and e.channel == "BHE")
-    q = ("SELECT MAX(D.sample_value) FROM mseed.dataview "
-         "WHERE F.station = 'HGN' AND F.channel = 'BHE'")
-    wh.query(q)
-    _rewrite_file(entry, offset=90_000)
-    assert wh.query(q).scalar() >= 90_000
-    assert wh.sync().changed == 0  # nothing to sync
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +310,67 @@ def test_same_mtime_rewrite_is_seen_through_the_size(one_file_repo, observer):
     if observer == "sync":
         assert wh.sync().changed == 1
     assert wh.query(EVERYTHING).rows() == [(50_099, shorter.n_samples)]
+
+
+# ---------------------------------------------------------------------------
+# A query racing sync(): the changed file is harvested before its rows go
+# ---------------------------------------------------------------------------
+
+
+def test_query_racing_sync_sees_the_rewritten_file(tmp_path):
+    """While sync() harvests a rewritten file, a query still sees that
+    file: sync used to delete the file's F/R rows first and insert the new
+    ones only at the end, so a query in between lost half the samples."""
+    from repro.mseed.inventory import find_station
+    from repro.mseed.synthesize import RepositorySpec, build_repository
+
+    manifest = build_repository(tmp_path / "repo", RepositorySpec(
+        stations=(find_station("HGN"),), channel_codes=("BHZ",),
+        files_per_stream=2, file_span_minutes=10, n_events=1))
+    wh = SeismicWarehouse(manifest.root, mode="lazy", recycler_budget_bytes=0)
+    count = "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'HGN'"
+    assert wh.query(count).scalar() == 48_000
+    _rewrite_file(manifest.entries[0])
+
+    harvesting, release = threading.Event(), threading.Event()
+    harvest_file = wh.adapter.harvest_file
+
+    def held_harvest(repo, info):
+        if threading.current_thread() is syncer:
+            harvesting.set()
+            release.wait(timeout=60)
+        return harvest_file(repo, info)
+
+    outcome = {}
+
+    def run_sync():
+        try:
+            outcome["report"] = wh.sync()
+        except Exception as exc:  # surfaced by the assertion below
+            outcome["error"] = exc
+
+    wh.adapter.harvest_file = held_harvest
+    syncer = threading.Thread(target=run_sync)
+    syncer.start()
+    try:
+        assert harvesting.wait(timeout=60)
+        files_during = wh.query("SELECT COUNT(*) FROM mseed.files").scalar()
+        count_during = wh.query(count).scalar()
+    finally:
+        release.set()
+        syncer.join(timeout=60)
+    assert not syncer.is_alive()
+    assert "error" not in outcome
+    assert (files_during, count_during) == (2, 48_000)
+    # The query's observation reacted to the rewrite first; the sync then
+    # found the ledger at that version already and left the file alone.
+    assert outcome["report"].changed == 0
+
+    assert wh.query(count).scalar() == 48_000
+    assert wh.query("SELECT COUNT(*) FROM mseed.files").scalar() == 2
+    for entry in manifest.entries:
+        uri = os.path.relpath(entry.path, manifest.root)
+        assert wh.query(
+            f"SELECT COUNT(*) FROM mseed.records "
+            f"WHERE file_location = '{uri}'"
+        ).scalar() == len(scan_file_headers(entry.path))

@@ -341,3 +341,8 @@ def test_cli_shards_flag(capsys):
     assert main(["--shards", "2", "--mode", "eager",
                  "--auth-token", "t=s"]) == 2
     assert "--mode lazy" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--mode", "external", "--auth-token", "t=s"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "external" in err

@@ -1,4 +1,4 @@
-"""SeismicWarehouse facade tests across the three modes."""
+"""SeismicWarehouse facade tests across the two modes: lazy and eager."""
 
 import pytest
 
@@ -6,22 +6,21 @@ from repro.errors import ETLError
 from repro.etl.mseed_adapter import MSeedAdapter
 from repro.mseed.repository import Repository
 from repro.seismology import browse
-from repro.seismology.queries import analytical_suite, fig1_query1
+from repro.seismology.queries import fig1_query1
 from repro.seismology.warehouse import SeismicWarehouse
 
 
 def test_unknown_mode_rejected(demo_repo):
-    with pytest.raises(ETLError):
-        SeismicWarehouse(demo_repo.root, mode="psychic")
+    for mode in ("psychic", "external"):
+        with pytest.raises(ETLError):
+            SeismicWarehouse(demo_repo.root, mode=mode)
 
 
-def test_load_report_shapes(demo_repo, lazy_wh, eager_wh, external_wh):
+def test_load_report_shapes(demo_repo, lazy_wh, eager_wh):
     assert lazy_wh.load_report.strategy.startswith("lazy")
     assert lazy_wh.load_report.samples_loaded == 0
     assert eager_wh.load_report.strategy == "eager"
     assert eager_wh.load_report.samples_loaded == demo_repo.total_samples
-    assert external_wh.load_report.strategy == "external"
-    assert external_wh.load_report.bytes_read == 0
 
 
 class _CountingAdapter(MSeedAdapter):
@@ -90,30 +89,15 @@ def test_browse_file_and_record_listing(lazy_wh):
     assert len(records) == files[0][1]
 
 
-def test_browse_external_mode_message(external_wh):
-    assert "external" in browse.station_overview(external_wh)
-
-
 def test_files_extracted_introspection(lazy_wh):
     lazy_wh.query(fig1_query1())
     touched = lazy_wh.files_extracted_by_last_query()
     assert len(touched) == 1
 
 
-def test_cache_property_modes(lazy_wh, external_wh):
+def test_cache_property_modes(lazy_wh, eager_wh):
     assert lazy_wh.cache is not None
-    assert external_wh.cache is None
-
-
-def test_external_suite_adaptation():
-    from repro.seismology.queries import suite_for_external
-
-    suite = analytical_suite()
-    adapted = suite_for_external(suite)
-    assert len(adapted) == len(suite)
-    q8 = next(s for s in adapted if s.qid == "Q8")
-    assert "mseed.dataview" in q8.sql
-    assert not q8.metadata_only
+    assert eager_wh.cache is None
 
 
 def test_repr(lazy_wh):
