@@ -83,15 +83,12 @@ class EagerETL:
         rows = extracted.total_rows()
         if rows == 0:
             return {}
-        uris = np.empty(rows, dtype=object)
-        seqs = np.empty(rows, dtype=np.int64)
-        cursor = 0
-        for seq, columns in zip(extracted.seq_nos, extracted.per_record):
-            count = len(next(iter(columns.values()))) if columns else 0
-            uris[cursor:cursor + count] = uri
-            seqs[cursor:cursor + count] = seq
-            cursor += count
-        batch: dict[str, np.ndarray] = {uri_key: uris, seq_key: seqs}
+        counts = [len(rec[data_cols[0]]) for rec in extracted.per_record]
+        batch: dict[str, np.ndarray] = {
+            uri_key: np.full(rows, uri, dtype=object),
+            seq_key: np.repeat(np.array(extracted.seq_nos, dtype=np.int64),
+                               counts),
+        }
         for name in data_cols:
             batch[name] = np.concatenate(
                 [rec[name] for rec in extracted.per_record]

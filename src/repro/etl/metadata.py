@@ -255,8 +255,7 @@ class RecordIndex:
             outside |= records.end_time_us < lo
         if hi is not None:
             outside |= records.start_time_us > hi
-        # A number goes only if every row carrying it is outside; one
-        # the index does not know is never pruned.
-        dropped = set(records.seq_no[outside].tolist()).difference(
-            records.seq_no[~outside].tolist())
+        # A number is unique within a file (a harvest refuses a repeat);
+        # one the index does not know is never pruned.
+        dropped = set(records.seq_no[outside].tolist())
         return [seq for seq in seq_nos if seq not in dropped]

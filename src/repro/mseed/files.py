@@ -15,9 +15,20 @@ asymmetry:
   A file the batch does not vouch for (mixed record lengths, a foreign
   blockette layout, any record failing a check) goes through the
   reference, which decodes it or raises the typed error.
-* :func:`read_file` / :func:`read_records` — the *actual data* path: full
-  parse with Steim decompression.  This is what lazy extraction defers to
-  query time and what eager ETL pays for every record up front.
+* the *actual data* path: full parse with Steim decompression.  This is
+  what lazy extraction defers to query time and what eager ETL pays for
+  every record up front.  It too comes in two forms.  :func:`decode_file`
+  is the one extraction uses: the file's bytes, read once, cut at the
+  first record's length; one numpy decode of every record head; one
+  ``np.isin`` picking the wanted records; and one
+  :func:`~repro.mseed.steim.decode_records` unpacking all their
+  payloads.  :func:`read_records_from` (and :func:`read_records` /
+  :func:`read_file` over it) is the reference: per record a ``seek``,
+  a header decode, a ``read`` and a Steim decode.  A file the pass does
+  not vouch for (mixed lengths, encodings or data offsets, a non-Steim
+  encoding, any header failing a check) and every file under
+  :func:`~repro.mseed.steim.reference_decoding` go through the
+  reference, which decodes them or raises the typed error.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from typing import BinaryIO, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.errors import CorruptRecordError
-from repro.mseed import encodings
+from repro.mseed import encodings, steim
 from repro.mseed.records import (
     DEFAULT_RECORD_LENGTH,
     HEADER_SCAN_BYTES,
@@ -168,11 +179,18 @@ def record_heads(path: str | os.PathLike) -> Optional[np.ndarray]:
             data = handle.read()
     except OSError:
         return None
+    records = _cut(data)
+    return None if records is None else records[:, :HEADER_SCAN_BYTES].copy()
+
+
+def _cut(data: bytes) -> Optional[np.ndarray]:
+    """``data`` as a ``(records, length)`` uint8 view at the first
+    record's length, read from a blockette 1000 at its standard place;
+    ``None`` if there is none or the size is not a multiple of it."""
     power = data[_LENGTH_POWER_AT] if len(data) >= HEADER_SCAN_BYTES else 0
     if not 6 <= power <= 16 or len(data) % (1 << power):
         return None
-    records = np.frombuffer(data, np.uint8).reshape(-1, 1 << power)
-    return records[:, :HEADER_SCAN_BYTES].copy()
+    return np.frombuffer(data, np.uint8).reshape(-1, 1 << power)
 
 
 def scan_headers(
@@ -209,16 +227,66 @@ def scan_headers(
     return out
 
 
+_STEIM_LEVELS = {encodings.ENC_STEIM1: 1, encodings.ENC_STEIM2: 2}
+
+
+def decode_file(
+    data: bytes,
+    sequence_numbers: Sequence[int] | None = None,
+) -> Optional[tuple[HeaderColumns, np.ndarray]]:
+    """:func:`read_records_from` over a whole file's bytes, in one pass.
+
+    Every record header decoded by one
+    :func:`~repro.mseed.records.decode_headers` call, the wanted records
+    picked by one ``np.isin`` on their sequence numbers, and all their
+    payloads unpacked by one :func:`~repro.mseed.steim.decode_records`.
+    Returns the picked records' header columns, in file order, and their
+    samples concatenated (int32).  A Steim error in a picked record is
+    raised as ``read_records_from`` raises it.
+
+    ``None`` when the pass does not vouch for the file: it cannot be cut
+    at one record length, a header fails a check, the records differ in
+    encoding or data offset, the encoding is not Steim, the payload is
+    not whole frames, a sample rate is 0, or
+    :func:`~repro.mseed.steim.reference_decoding` is in force.  The
+    caller then reads it with ``read_records_from``, the per-record
+    reference, which decodes it or raises the typed error.
+    """
+    records = None if steim.reference_active() else _cut(data)
+    if records is None:
+        return None
+    columns = decode_headers(
+        np.ascontiguousarray(records[:, :HEADER_SCAN_BYTES]))
+    level = _STEIM_LEVELS.get(int(columns.encoding[0]))
+    offset, length = int(columns.data_offset[0]), records.shape[1]
+    payload_bytes = length - offset
+    if (level is None or payload_bytes <= 0
+            or payload_bytes % steim.FRAME_BYTES
+            or not (columns.ok.all() and (columns.record_length == length).all()
+                    and (columns.data_offset == offset).all()
+                    and (columns.encoding == columns.encoding[0]).all()
+                    and (columns.sample_rate > 0).all())):
+        return None
+    if sequence_numbers is not None:
+        keep = np.isin(columns.sequence_number,
+                       np.asarray(sequence_numbers, dtype=np.int64))
+        columns, records = columns[keep], records[keep]
+    samples = steim.decode_records(records[:, offset:], columns.sample_count,
+                                   level)
+    return columns, samples
+
+
 def read_records_from(
     handle: BinaryIO,
     sequence_numbers: Sequence[int] | None = None,
 ) -> list[MSeedRecord]:
-    """Fully decode records from an open binary stream.
+    """Fully decode records from an open binary stream, record by record.
 
     Selective reads still header-scan the whole file (records are
     variable-content but fixed-length, so the scan is cheap) and decompress
-    only the requested payloads — this is the primitive lazy extraction
-    builds on.
+    only the requested payloads.  This is the reference
+    :func:`decode_file` is held to, and what extraction falls back to for
+    a file that pass does not vouch for.
     """
     wanted = set(sequence_numbers) if sequence_numbers is not None else None
     out: list[MSeedRecord] = []
@@ -227,7 +295,7 @@ def read_records_from(
             continue
         handle.seek(offset)
         blob = handle.read(header.record_length)
-        out.append(decode_record(blob))
+        out.append(decode_record(blob, header))
     return out
 
 
@@ -250,7 +318,8 @@ def read_file_bytes(data: bytes) -> list[MSeedRecord]:
     out = []
     handle = io.BytesIO(data)
     for offset, header in _iter_record_offsets(handle):
-        out.append(decode_record(data[offset : offset + header.record_length]))
+        out.append(decode_record(data[offset : offset + header.record_length],
+                                 header))
     return out
 
 

@@ -296,17 +296,17 @@ def decode_header(data: bytes) -> RecordHeader:
 # vouches for: blockette 1000 at 48, blockette 1001 at 56, nothing after.
 _HEAD = np.dtype({
     "names": ["quality", "year", "yday", "hour", "minute", "second", "tenk",
-              "nsamples", "factor", "mult", "act", "nblk", "tcorr", "boff",
-              "b1000", "b1000_next", "power", "b1001", "b1001_next",
-              "timing_quality", "micros"],
+              "nsamples", "factor", "mult", "act", "nblk", "tcorr", "doff",
+              "boff", "b1000", "b1000_next", "encoding", "power", "b1001",
+              "b1001_next", "timing_quality", "micros"],
     "formats": ["u1", ">u2", ">u2", "u1", "u1", "u1", ">u2",
                 ">u2", ">i2", ">i2", "u1", "u1", ">i4", ">u2",
-                ">u2", ">u2", "u1", ">u2", ">u2",
-                "u1", "i1"],
+                ">u2", ">u2", ">u2", "u1", "u1", ">u2",
+                ">u2", "u1", "i1"],
     "offsets": [6, 20, 22, 24, 25, 26, 28,
-                30, 32, 34, 36, 39, 40, 46,
-                48, 50, 54, 56, 58,
-                60, 61],
+                30, 32, 34, 36, 39, 40, 44,
+                46, 48, 50, 52, 54, 56,
+                58, 60, 61],
     "itemsize": HEADER_SCAN_BYTES,
 })
 _QUALITY_BYTES = np.frombuffer("".join(QUALITY_CODES).encode("ascii"), np.uint8)
@@ -332,6 +332,8 @@ class HeaderColumns:
     sample_rate: np.ndarray
     sample_count: np.ndarray
     timing_quality: np.ndarray
+    data_offset: np.ndarray
+    encoding: np.ndarray
 
     @classmethod
     def from_headers(cls, headers: list[RecordHeader]) -> "HeaderColumns":
@@ -348,9 +350,11 @@ class HeaderColumns:
             sample_rate=column([h.sample_rate for h in headers], np.float64),
             sample_count=column([h.sample_count for h in headers]),
             timing_quality=column([h.timing_quality for h in headers]),
+            data_offset=column([h.data_offset for h in headers]),
+            encoding=column([h.encoding for h in headers]),
         )
 
-    def __getitem__(self, rows: slice) -> "HeaderColumns":
+    def __getitem__(self, rows: slice | np.ndarray) -> "HeaderColumns":
         return HeaderColumns(*(getattr(self, f.name)[rows]
                                for f in fields(self)))
 
@@ -424,6 +428,8 @@ def decode_headers(heads: np.ndarray) -> HeaderColumns:
         sample_rate=rate,
         sample_count=count,
         timing_quality=f["timing_quality"].astype(np.int64),
+        data_offset=f["doff"].astype(np.int64),
+        encoding=f["encoding"].astype(np.int64),
     )
 
 
@@ -435,9 +441,15 @@ def _ascii_field(data: bytes, start: int, stop: int, name: str) -> str:
         raise CorruptRecordError(f"non-ASCII {name} field {raw!r}") from exc
 
 
-def decode_record(data: bytes) -> MSeedRecord:
-    """Decode one full record (header + payload) into samples."""
-    header = decode_header(data)
+def decode_record(data: bytes,
+                  header: RecordHeader | None = None) -> MSeedRecord:
+    """Decode one full record (header + payload) into samples.
+
+    ``header`` is the record's header when the caller has decoded it
+    already; it is then not decoded a second time.
+    """
+    if header is None:
+        header = decode_header(data)
     if len(data) < header.record_length:
         raise CorruptRecordError(
             f"record truncated: {len(data)} of {header.record_length} bytes"

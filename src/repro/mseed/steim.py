@@ -213,12 +213,17 @@ def encode_steim2(samples: np.ndarray, max_frames: int,
     return _encode(samples, max_frames, _STEIM2_CLASSES, 2, previous)
 
 
-def _decode_words(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Split a frame blob into flat word/nibble arrays (word 0s masked out)."""
+def _frame_words(data: bytes) -> np.ndarray:
+    """A frame blob as ``(frames, 16)`` native uint32 words."""
     if len(data) % FRAME_BYTES:
         raise SteimError(f"Steim payload length {len(data)} not a frame multiple")
     raw = np.frombuffer(data, dtype=">u4").astype(np.uint32)
-    frames = raw.reshape(-1, WORDS_PER_FRAME)
+    return raw.reshape(-1, WORDS_PER_FRAME)
+
+
+def _decode_words(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Split a frame blob into flat word/nibble arrays (word 0s masked out)."""
+    frames = _frame_words(data)
     headers = frames[:, 0]
     shifts = np.arange(15, -1, -1, dtype=np.uint32) * 2
     nibbles = (headers[:, None] >> shifts[None, :]) & 3
@@ -249,8 +254,9 @@ def _class_table(level: int, flat_words: np.ndarray,
 def _decode_reference(data: bytes, nsamples: int, level: int, *,
                       check_integration: bool = True) -> np.ndarray:
     """The pre-vectorised decoder, kept bit-for-bit as the differential
-    oracle's reference: the table-driven ``_decode`` below must agree with
-    this implementation on every payload."""
+    oracle's reference: the table-driven decoder below (``_decode`` and
+    :func:`decode_records`) must agree with this implementation on every
+    payload."""
     if nsamples == 0:
         return np.zeros(0, dtype=np.int32)
     frames, nibbles = _decode_words(data)
@@ -337,55 +343,114 @@ _UNPACK_TABLES = {1: _build_unpack_table(1), 2: _build_unpack_table(2)}
 
 def _decode(data: bytes, nsamples: int, level: int, *,
             check_integration: bool = True) -> np.ndarray:
-    """Table-driven decode: classify every word by a precomputed
-    (nibble, dnib) key, gather per-slot shift/mask/sign vectors from the
-    unpack LUTs, and extract all differences with one broadcast
-    shift-and-mask plus a row-major boolean compress — no per-difference
-    Python loop and no scatter."""
+    """Table-driven decode of one record's payload: :func:`decode_records`
+    over a batch of one."""
     if nsamples == 0:
         return np.zeros(0, dtype=np.int32)
-    frames, nibbles = _decode_words(data)
+    frames = _frame_words(data)
     if frames.shape[0] == 0:
         raise SteimError("empty Steim payload for nonzero sample count")
-    x0 = int(np.int32(frames[0, 1]))
-    xn = int(np.int32(frames[0, 2]))
+    return _decode_live(frames.reshape(1, -1),
+                        np.array([nsamples], dtype=np.int64), level,
+                        check_integration=check_integration)
 
-    flat_words = frames.reshape(-1)
-    flat_nibs = nibbles.reshape(-1).astype(np.int64)
-    flat_nibs[::WORDS_PER_FRAME] = 0  # word 0 is the header
-    flat_nibs[1:3] = 0  # X0 / XN in frame 0
 
+# Payload bytes unpacked per pass.  The pass holds a few arrays of seven
+# 4-byte slots per payload word, so this bounds its scratch memory to
+# some tens of times the block, whatever the size of the file.
+_BLOCK_BYTES = 1 << 18
+
+
+def decode_records(payloads: np.ndarray, nsamples: np.ndarray,
+                   level: int) -> np.ndarray:
+    """Decode the Steim payloads of many records in one pass.
+
+    ``payloads`` is a ``(records, payload_bytes)`` uint8 array whose
+    width is a positive multiple of :data:`FRAME_BYTES`; ``nsamples``
+    gives each record's sample count.  Returns every record's samples,
+    concatenated in record order: for each record exactly what
+    ``_decode_reference`` returns, and the ``SteimError`` it raises for
+    the first record it rejects (an invalid dnib, fewer differences than
+    samples, a last sample other than XN).  A record of 0 samples yields
+    nothing and is not checked, as there.
+
+    Per block of records holding up to :data:`_BLOCK_BYTES` of payload
+    (one block for a typical file), one unpack-LUT pass over their
+    frames, then one cumulative sum, seeded at each record's start with
+    its X0, rebuilds the samples.
+    """
+    nsamples = np.asarray(nsamples, dtype=np.int64)
+    live = nsamples > 0
+    payloads, nsamples = payloads[live], nsamples[live]
+    step = max(1, _BLOCK_BYTES // payloads.shape[1])
+    blocks = [_decode_live(payloads[lo:lo + step].view(">u4").astype(np.uint32),
+                           nsamples[lo:lo + step], level)
+              for lo in range(0, len(nsamples), step)]
+    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int32)
+
+
+def _decode_live(words: np.ndarray, nsamples: np.ndarray, level: int, *,
+                 check_integration: bool = True) -> np.ndarray:
+    """Decode ``(records, words)`` payload words of records that each
+    have samples; the one table-driven decoder."""
+    records, width = words.shape
+    headers = words[:, ::WORDS_PER_FRAME]
+    shifts = np.arange(30, -1, -2, dtype=np.uint32)
+    nibs = ((headers[:, :, None] >> shifts) & np.uint32(3)).reshape(
+        records, width).astype(np.int64)
+    nibs[:, ::WORDS_PER_FRAME] = 0  # word 0 is the header
+    nibs[:, 1:3] = 0  # X0 / XN in frame 0
     if level == 1:
-        keys = flat_nibs
+        keys = nibs
     else:
-        dnib = ((flat_words >> np.uint32(30)) & np.uint32(3)).astype(np.int64)
-        keys = np.where(flat_nibs <= 1, flat_nibs, flat_nibs * 4 + dnib)
+        dnib = ((words >> np.uint32(30)) & np.uint32(3)).astype(np.int64)
+        keys = np.where(nibs <= 1, nibs, nibs * 4 + dnib)
     count_lut, shift_lut, mask_lut, sign_lut, _width = _UNPACK_TABLES[level]
     counts = count_lut[keys]
-    if counts.min() < 0:
-        raise SteimError("invalid Steim-2 dnib combination")
-    produced = int(counts.sum())
-    if produced < nsamples:
+    invalid = (counts < 0).any(axis=1)
+    produced = counts.sum(axis=1)
+    failed = invalid | (produced < nsamples)
+    if failed.any():
+        first = int(np.argmax(failed))
+        # An earlier record's XN mismatch is raised first.
+        _decode_live(words[:first], nsamples[:first], level,
+                     check_integration=check_integration)
+        if invalid[first]:
+            raise SteimError("invalid Steim-2 dnib combination")
+        raise SteimError(f"Steim payload ended early: {int(produced[first])} "
+                         f"of {int(nsamples[first])} samples")
+
+    flat_keys = keys.reshape(-1)
+    masks = np.take(mask_lut, flat_keys, axis=0)
+    signs = np.take(sign_lut, flat_keys, axis=0)
+    fields = ((words.reshape(-1)[:, None]
+               >> np.take(shift_lut, flat_keys, axis=0)) & masks).view(np.int32)
+    diffs = ((fields ^ signs) - signs)[masks != 0]
+
+    # Each record keeps the first nsamples of its differences, the
+    # first of them replaced by X0; one cumsum then runs across the
+    # records and each record's run is rebased to start from its X0.
+    starts = np.cumsum(nsamples) - nsamples
+    if (produced == nsamples).all():
+        series = diffs.astype(np.int64)
+    else:
+        skipped = np.cumsum(produced) - produced - starts
+        series = diffs[np.arange(int(nsamples.sum()))
+                       + np.repeat(skipped, nsamples)].astype(np.int64)
+    x0 = words[:, 1].view(np.int32).astype(np.int64)
+    series[starts] = x0
+    np.cumsum(series, out=series)
+    series -= np.repeat(series[starts] - x0, nsamples)
+    if not check_integration:
+        return series.astype(np.int32)
+    last = series[starts + nsamples - 1]
+    xn = words[:, 2].view(np.int32)
+    mismatch = last != xn
+    if mismatch.any():
+        first = int(np.argmax(mismatch))
         raise SteimError(
-            f"Steim payload ended early: {produced} of {nsamples} samples"
-        )
-    # Unpack every slot of every word at once; two's-complement sign
-    # extension via the XOR trick on wrapping int32, then keep only the
-    # occupied slots (row-major order == stream order).
-    signs = sign_lut[keys]
-    fields = ((flat_words[:, None] >> shift_lut[keys]) & mask_lut[keys]).view(np.int32)
-    signed = (fields ^ signs) - signs
-    occupied = mask_lut[keys] != 0
-    flat = signed[occupied]
-    series = np.empty(nsamples, dtype=np.int64)
-    series[0] = x0
-    if nsamples > 1:
-        np.cumsum(flat[1:nsamples].astype(np.int64), out=series[1:])
-        series[1:] += x0
-    if check_integration and int(series[-1]) != xn:
-        raise SteimError(
-            f"reverse integration constant mismatch: got {int(series[-1])}, "
-            f"expected {xn}"
+            f"reverse integration constant mismatch: got {int(last[first])}, "
+            f"expected {int(xn[first])}"
         )
     return series.astype(np.int32)
 
@@ -393,11 +458,18 @@ def _decode(data: bytes, nsamples: int, level: int, *,
 _USE_REFERENCE = False
 
 
+def reference_active() -> bool:
+    """Whether :func:`reference_decoding` is in force."""
+    return _USE_REFERENCE
+
+
 @contextmanager
 def reference_decoding():
-    """Route ``decode_steim1/2`` through ``_decode_reference`` — used by the
-    differential oracle and by the rowpath speed gate, which model the
-    pre-vectorised extraction path."""
+    """Route ``decode_steim1/2`` through ``_decode_reference``, and make
+    extraction decode record by record instead of a file at a time
+    (:func:`repro.mseed.files.decode_file` steps aside) — together the
+    pre-vectorised extraction path, which the differential oracle and
+    the rowpath speed gate model."""
     global _USE_REFERENCE
     previous = _USE_REFERENCE
     _USE_REFERENCE = True

@@ -231,3 +231,32 @@ def test_randomized_multithreaded_stress_keeps_invariants():
     assert cache.used_bytes <= cache.budget_bytes
     stats = cache.stats
     assert stats.admissions > 0 and stats.lookups > 0
+
+
+def test_extracted_records_own_their_memory(tiny_repo):
+    """A file is decoded in one batch and cut per record: each cached
+    array must own its bytes, or evicting a record would free nothing
+    while ``used_bytes`` says it did."""
+    from repro.etl.mseed_adapter import MSeedAdapter
+    from repro.mseed.repository import Repository
+
+    repo = Repository(tiny_repo.root)
+    info = repo.list_files()[0]
+    names = ["sample_time", "sample_value"]
+    extracted = MSeedAdapter().extract(repo, info.uri, None, names)
+    sizes = [sum(arr.nbytes for arr in columns.values())
+             for columns in extracted.per_record]
+    assert len(sizes) > 1
+    # Room for the largest record only: each admission evicts the last.
+    cache = ExtractionCache(budget_bytes=max(sizes))
+    for seq, columns in zip(extracted.seq_nos, extracted.per_record):
+        for arr in columns.values():
+            assert arr.base is None and arr.flags.c_contiguous
+            assert arr.dtype == np.int64
+        cache.put(info.uri, seq, info, columns)
+    assert cache.cached_seq_nos(info.uri) == [extracted.seq_nos[-1]]
+    kept = cache.get(info.uri, extracted.seq_nos[-1], names)
+    assert all(arr.base is None for arr in kept.values())
+    assert cache.used_bytes == sum(arr.nbytes for arr in kept.values()) \
+        == sizes[-1]
+    cache.check_invariants()

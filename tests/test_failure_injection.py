@@ -181,3 +181,25 @@ def test_unreadable_rewrite_skips_only_itself_at_sync(mutable_repo, caplog,
                for r in caplog.records if r.name == "repro.etl.refresh")
     assert wh.query("SELECT COUNT(*) FROM mseed.dataview").scalar() == \
         _samples_without(mutable_repo, victim)
+
+
+@pytest.mark.parametrize("mode", ["lazy", "eager"])
+def test_repeated_sequence_number_skips_only_its_file(mutable_repo, caplog,
+                                                      mode):
+    """Records numbered 1, 2, 2, 3, ...: the boot used to abort on R's
+    primary key (``duplicate primary key in mseed.records``)."""
+    victim = mutable_repo.entries[0]
+    _patch_record(victim.path, 2, 0, b"000002")
+    uri = os.path.relpath(victim.path, mutable_repo.root)
+    with caplog.at_level(logging.WARNING, logger="repro.etl.metadata"):
+        wh = SeismicWarehouse(mutable_repo.root, mode=mode)
+    assert any(r.getMessage() == f"skipping corrupt file {uri}: {uri}: "
+               "sequence number 2 repeats"
+               for r in caplog.records if r.name == "repro.etl.metadata")
+    assert wh.query("SELECT COUNT(*) FROM mseed.files").scalar() == \
+        len(mutable_repo.entries) - 1
+    assert wh.query("SELECT COUNT(*) FROM mseed.dataview").scalar() == \
+        _samples_without(mutable_repo, victim)
+    with pytest.raises(CorruptRecordError, match="sequence number 2 repeats"):
+        harvest_repository(Repository(mutable_repo.root), MSeedAdapter(),
+                           strict=True)

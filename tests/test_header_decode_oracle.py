@@ -166,9 +166,12 @@ def crafted_repo(tmp_path_factory):
         _patch(_write(root, name), edit)
     _write(root, "subhz", n_samples=300, sample_rate=0.5)
     _write(root, "leapday", start_time_us=from_ymd(2012, 12, 31, 23, 59))
-    # Mixed record lengths: 512-byte records, then 4096-byte ones.
+    # Mixed record lengths: 512-byte records, then 4096-byte ones
+    # numbered on from 101 (a repeated number would skip the file).
     small = _write(root, "mixed")
     large = _write(root, "mixed4k", n_samples=9000, record_length=4096)
+    _patch(large, lambda index, record: struct.pack_into(
+        "6s", record, 0, b"%06d" % (101 + index)), record_length=4096)
     with open(small, "ab") as handle, open(large, "rb") as extra:
         handle.write(extra.read())
     (root / "mixed4k.mseed").unlink()
@@ -306,7 +309,8 @@ def _assert_rows_agree(drawn: list[dict]) -> None:
             expected = (header.sequence_number, header.record_length,
                         header.start_time_us, header.end_time_us,
                         header.sample_rate.hex(), header.sample_count,
-                        header.timing_quality)
+                        header.timing_quality, header.data_offset,
+                        header.encoding)
         except MSeedError:
             expected = None
         if not columns.ok[row]:
@@ -317,7 +321,8 @@ def _assert_rows_agree(drawn: list[dict]) -> None:
             int(columns.sequence_number[row]), int(columns.record_length[row]),
             int(columns.start_time_us[row]), int(columns.end_time_us[row]),
             float(columns.sample_rate[row]).hex(),
-            int(columns.sample_count[row]), int(columns.timing_quality[row]))
+            int(columns.sample_count[row]), int(columns.timing_quality[row]),
+            int(columns.data_offset[row]), int(columns.encoding[row]))
 
 
 _TYPICAL = dict(seq=b"000001", quality=ord("D"), ids=b"HGN  00BHZNL",

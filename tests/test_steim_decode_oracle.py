@@ -1,0 +1,355 @@
+"""Differential oracle: the one-pass file decode vs. the per-record loop.
+
+Extraction reads a file once and decodes it in one pass
+(``decode_file`` behind ``MSeedAdapter.extract``: one header decode, one
+``np.isin`` pick, one ``steim.decode_records`` and one batch transform)
+and sends a file that pass does not vouch for through
+``read_records_from``, the per-record reference.  These tests extract
+the same bytes both ways — the second time under
+``steim.reference_decoding()``, the pre-vectorised path — and require
+the sequence numbers, ``sample_value`` and ``sample_time`` to agree bit
+for bit, and a corrupt file to raise the same typed error with the same
+message.  A hypothesis test draws random int32 series.
+"""
+
+from __future__ import annotations
+
+import base64
+import io
+import json
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.db.types import DataType
+from repro.errors import ReproError, SteimError
+from repro.etl.mseed_adapter import MSeedAdapter
+from repro.mseed import encodings, steim
+from repro.mseed.files import decode_file, write_mseed_file
+from repro.mseed.records import encode_record
+from repro.mseed.repository import Repository
+from repro.util.timefmt import from_ymd
+
+pytestmark = pytest.mark.oracle
+
+T0 = from_ymd(2010, 1, 12, 22, 0)
+COLUMNS = ("sample_time", "sample_value")
+STEIM = {1: encodings.ENC_STEIM1, 2: encodings.ENC_STEIM2}
+
+
+class _InMemory:
+    """A one-file stand-in for a Repository: extraction only opens."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+    def open(self, uri: str):
+        return io.BytesIO(self.data)
+
+
+def _outcome(repo, uri, seqs, *, batched: bool,
+             value_type=DataType.BIGINT):
+    """What extraction gives: the seq order and every column's dtype
+    and bytes, or the type and message of the error it raised."""
+    adapter = MSeedAdapter(value_type)
+    try:
+        if batched:
+            extracted = adapter.extract(repo, uri, seqs, COLUMNS)
+        else:
+            with steim.reference_decoding():
+                extracted = adapter.extract(repo, uri, seqs, COLUMNS)
+    except ReproError as exc:
+        return type(exc), str(exc)
+    return extracted.seq_nos, [
+        {name: (arr.dtype.str, arr.flags.c_contiguous, arr.base is None,
+                arr.tobytes()) for name, arr in record.items()}
+        for record in extracted.per_record]
+
+
+def assert_paths_agree(repo, uri="f.mseed", seqs=None, **kwargs):
+    batched = _outcome(repo, uri, seqs, batched=True, **kwargs)
+    assert batched == _outcome(repo, uri, seqs, batched=False, **kwargs)
+    return batched
+
+
+def _vouched(data: bytes) -> bool:
+    """Did the one pass decode (or reject) the file itself?"""
+    try:
+        return decode_file(data) is not None
+    except SteimError:
+        return True
+
+
+def _file_bytes(samples, *, level=2, record_length=512, sample_rate=40.0,
+                encoding=None) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.mseed"
+        write_mseed_file(path, network="XX", station="ORCL", location="",
+                         channel="BHZ", start_time_us=T0,
+                         sample_rate=sample_rate,
+                         samples=np.asarray(samples),
+                         encoding=encoding or STEIM[level],
+                         record_length=record_length)
+        return path.read_bytes()
+
+
+def _noise(n=3000, seed=0) -> np.ndarray:
+    """Bursts of every amplitude, so every Steim class occurs."""
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([1, 7, 100, 20000, 2**27], size=n)
+    walk = np.cumsum(rng.integers(-scale, scale + 1))
+    return np.clip(walk, -2**31 + 1, 2**31 - 1).astype(np.int32)
+
+
+# -- healthy files -----------------------------------------------------------------
+
+@pytest.mark.parametrize("value_type", [DataType.BIGINT, DataType.DOUBLE])
+def test_tiny_repo_agrees(tiny_repo, value_type):
+    repo = Repository(tiny_repo.root)
+    for info in repo.list_files():
+        seqs, records = assert_paths_agree(repo, info.uri,
+                                           value_type=value_type)
+        assert len(seqs) > 1 and all(records)
+        with repo.open(info.uri) as handle:
+            assert _vouched(handle.read())
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("rate", [40.0, 128.0, 3.0, 0.5])
+def test_steim_files_agree(level, rate):
+    # 1e6 / 128 = 7812.5: every other sample_time is a rounding tie.
+    data = _file_bytes(_noise(seed=level), level=level, sample_rate=rate)
+    assert _vouched(data)
+    seqs, _records = assert_paths_agree(_InMemory(data))
+    assert seqs == list(range(1, len(seqs) + 1))
+
+
+SUBSETS = {
+    "unsorted": [9, 2, 5, 1],
+    "repeated": [3, 3, 4],
+    "missing": [2, 999, 4],
+    "none": [],
+    "last": [-1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBSETS))
+def test_selected_subset_agrees(case):
+    data = _file_bytes(_noise(seed=3))
+    n_records = len(data) // 512
+    seqs = [n_records if seq == -1 else seq for seq in SUBSETS[case]]
+    got = assert_paths_agree(_InMemory(data), seqs=seqs)
+    if case == "missing":
+        assert got[0].__name__ == "ExtractionError"
+    else:
+        assert got[0] == sorted(set(seqs))  # file order, each once
+
+
+_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "steim_golden.json").read_text()
+)["cases"]
+
+
+def _wrap(payload: bytes, nsamples: int, level: int, seq: int,
+          record_length: int) -> bytes:
+    """One record around a bare Steim payload, zero frames after it."""
+    record, _ = encode_record(
+        sequence_number=seq, quality="D", station="GOLD", location="",
+        channel="BHZ", network="XX", start_time_us=T0 + seq * 10**9,
+        samples=np.zeros(1, dtype=np.int32), sample_rate_factor=100,
+        sample_rate_multiplier=1, encoding=STEIM[level],
+        record_length=record_length)
+    record = bytearray(record)
+    struct.pack_into(">H", record, 30, nsamples)
+    record[64:] = payload.ljust(record_length - 64, b"\0")
+    return bytes(record)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_golden_payloads_agree(level):
+    cases = [case for case in _GOLDEN if case["level"] == level]
+    data = b"".join(
+        _wrap(base64.b64decode(case["payload_b64"]), case["nsamples"],
+              level, seq, 1024)
+        for seq, case in enumerate(cases, 1))
+    assert _vouched(data)
+    _seqs, records = assert_paths_agree(_InMemory(data))
+    for case, record in zip(cases, records):
+        assert record["sample_value"][3] == \
+            np.array(case["samples"], dtype=np.int64).tobytes()
+
+
+@pytest.mark.parametrize("case", _GOLDEN, ids=lambda c: c["name"])
+def test_each_golden_payload_in_its_own_record_agrees(case):
+    payload = base64.b64decode(case["payload_b64"])
+    length = 1 << (63 + len(payload)).bit_length()
+    data = _wrap(payload, case["nsamples"], case["level"], 1, length)
+    assert _vouched(data)
+    assert_paths_agree(_InMemory(data))
+
+
+# -- files the pass hands to the reference ----------------------------------------
+
+def _mixed_encodings() -> bytes:
+    steim1 = _file_bytes(_noise(600), level=1)
+    steim2 = bytearray(_file_bytes(_noise(600, seed=1), level=2))
+    for index in range(len(steim2) // 512):
+        steim2[index * 512:index * 512 + 6] = b"%06d" % (100 + index)
+    return steim1 + bytes(steim2)
+
+
+FALLBACK = {
+    "int32": lambda: _file_bytes(_noise(800), encoding=encodings.ENC_INT32),
+    "float64": lambda: _file_bytes(_noise(800).astype(np.float64),
+                                   encoding=encodings.ENC_FLOAT64),
+    "mixed-encodings": _mixed_encodings,
+    "mixed-lengths": lambda: _file_bytes(_noise(600)) + _file_bytes(
+        _noise(3000), record_length=4096),
+    "truncated": lambda: _file_bytes(_noise())[:-100],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK))
+def test_unvouched_files_agree(case):
+    data = FALLBACK[case]()
+    assert not _vouched(data)
+    assert_paths_agree(_InMemory(data))
+
+
+# -- corrupt payloads ----------------------------------------------------------------
+
+def _frame_word(data: bytearray, record: int, word: int) -> int:
+    """Byte offset of ``word`` of the first frame of ``record``."""
+    return record * 512 + 64 + 4 * word
+
+
+def _bad_dnib(data: bytearray, record: int) -> None:
+    # Word 3 claims nibble 10 with dnib 00, which Steim-2 does not have.
+    header = _frame_word(data, record, 0)
+    nibbles = struct.unpack_from(">I", data, header)[0]
+    struct.pack_into(">I", data, header,
+                     nibbles & ~(3 << 24) | (2 << 24))
+    word = _frame_word(data, record, 3)
+    struct.pack_into(">I", data, word,
+                     struct.unpack_from(">I", data, word)[0] & 0x3FFFFFFF)
+
+
+def _too_few(data: bytearray, record: int) -> None:
+    struct.pack_into(">H", data, record * 512 + 30, 0xFFFF)
+
+
+def _xn_mismatch(data: bytearray, record: int) -> None:
+    word = _frame_word(data, record, 2)
+    struct.pack_into(">i", data, word,
+                     struct.unpack_from(">i", data, word)[0] ^ 0x55)
+
+
+CORRUPT = {
+    "bad-dnib": [(_bad_dnib, 3)],
+    "too-few-differences": [(_too_few, 3)],
+    "xn-mismatch": [(_xn_mismatch, 3)],
+    # The first bad record decides which error either path raises.
+    "xn-before-bad-dnib": [(_xn_mismatch, 2), (_bad_dnib, 4)],
+    "bad-dnib-before-xn": [(_bad_dnib, 2), (_xn_mismatch, 4)],
+    "too-few-before-bad-dnib": [(_too_few, 1), (_bad_dnib, 2)],
+}
+
+
+def _corrupt(case: str, level: int = 2) -> bytes:
+    data = bytearray(_file_bytes(_noise(seed=5), level=level))
+    for edit, record in CORRUPT[case]:
+        edit(data, record)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT))
+def test_corrupt_payloads_raise_the_same_error(case):
+    data = _corrupt(case)
+    with pytest.raises(SteimError):
+        decode_file(data)  # the one pass saw it, not the fallback
+    error, message = assert_paths_agree(_InMemory(data))
+    assert error is SteimError
+    first = CORRUPT[case][0][0]
+    assert {_bad_dnib: "dnib", _too_few: "ended early",
+            _xn_mismatch: "reverse integration"}[first] in message
+
+
+@pytest.mark.parametrize("case", ["too-few-differences", "xn-mismatch"])
+def test_corrupt_steim1_payloads_raise_the_same_error(case):
+    data = _corrupt(case, level=1)
+    with pytest.raises(SteimError):
+        decode_file(data)
+    assert assert_paths_agree(_InMemory(data))[0] is SteimError
+
+
+def test_differences_past_the_sample_count_agree():
+    """Records whose frames hold more differences than they count
+    samples: only the first ``sample_count`` are samples."""
+    data = bytearray(_file_bytes(_noise(seed=7)))
+    _seqs, records = _outcome(_InMemory(bytes(data)), "f.mseed", None,
+                              batched=False)
+    for record in (1, 4):
+        values = np.frombuffer(records[record]["sample_value"][3], np.int64)
+        struct.pack_into(">H", data, record * 512 + 30, len(values) - 5)
+        struct.pack_into(">i", data, _frame_word(data, record, 2),
+                         int(values[-6]))
+    assert _vouched(bytes(data))
+    _seqs, got = assert_paths_agree(_InMemory(bytes(data)))
+    assert len(got[1]["sample_value"][3]) == \
+        len(records[1]["sample_value"][3]) - 5 * 8
+
+
+def test_unpicked_corrupt_record_is_not_decoded():
+    data = _corrupt("bad-dnib")
+    seqs, records = assert_paths_agree(_InMemory(data), seqs=[1, 2, 6])
+    assert seqs == [1, 2, 6] and all(records)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1024])
+@pytest.mark.parametrize("case", ["healthy", *sorted(CORRUPT)])
+def test_blocked_decode_agrees(monkeypatch, block_bytes, case):
+    """A file decoded a block of one or two records at a time, as a file
+    far larger than the block is, agrees with the reference too; a bad
+    record in a later block does not hide one in an earlier block."""
+    passes = []
+    decode_live = steim._decode_live
+
+    def counting(words, *args, **kwargs):
+        passes.append(len(words))
+        return decode_live(words, *args, **kwargs)
+
+    monkeypatch.setattr(steim, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(steim, "_decode_live", counting)
+    data = (_file_bytes(_noise(seed=5)) if case == "healthy"
+            else _corrupt(case))
+    assert_paths_agree(_InMemory(data))
+    assert_paths_agree(_InMemory(data), seqs=[7, 2, 5])
+    if case == "healthy":
+        assert max(passes) == (1 if block_bytes == 1 else 2)
+
+
+# -- random series -------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), level=st.sampled_from([1, 2]),
+       n=st.integers(1, 2500), record_length=st.sampled_from([128, 512]))
+def test_random_int32_series_agree(data, level, n, record_length):
+    # Steim-2 differences must fit 30 bits, Steim-1 ones 32.
+    bits = data.draw(st.integers(0, 28 if level == 2 else 29))
+    offset = data.draw(st.integers(-2**31 + 2**29, 2**31 - 1 - 2**29))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    samples = offset + np.random.default_rng(seed).integers(
+        -2**bits, 2**bits, n, endpoint=True)
+    blob = _file_bytes(samples.astype(np.int32), level=level,
+                       record_length=record_length)
+    n_records = len(blob) // record_length
+    picked = data.draw(st.none() | st.lists(st.integers(1, n_records)))
+    assert _vouched(blob)
+    seqs, records = assert_paths_agree(_InMemory(blob), seqs=picked)
+    if picked is None:
+        values = b"".join(record["sample_value"][3] for record in records)
+        assert values == samples.astype(np.int64).tobytes()

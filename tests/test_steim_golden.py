@@ -58,6 +58,39 @@ def test_reference_decoding_switch():
     assert not steim._USE_REFERENCE
 
 
+def test_reference_decoding_extracts_record_by_record(tiny_repo,
+                                                      monkeypatch):
+    """Inside the switch a lazy query decodes each record with
+    ``_decode_reference`` (the pre-vectorised extraction the rowpath
+    speed gate models); outside it, never."""
+    from repro.seismology.warehouse import SeismicWarehouse
+
+    calls = []
+    reference = steim._decode_reference
+
+    def counting(data, nsamples, level, **kwargs):
+        calls.append(nsamples)
+        return reference(data, nsamples, level, **kwargs)
+
+    monkeypatch.setattr(steim, "_decode_reference", counting)
+    sql = "SELECT COUNT(*), SUM(D.sample_value) FROM mseed.dataview"
+    answers = []
+    for switched in (True, False):
+        wh = SeismicWarehouse(tiny_repo.root, mode="lazy",
+                              recycler_budget_bytes=0)
+        if switched:
+            with steim.reference_decoding():
+                answers.append(wh.query(sql).rows())
+        else:
+            answers.append(wh.query(sql).rows())
+        if switched:
+            records = wh.query("SELECT COUNT(*), SUM(sample_count) "
+                               "FROM mseed.records").rows()
+            assert [(len(calls), sum(calls))] == records
+    assert answers[0] == answers[1]
+    assert len(calls) == records[0][0]
+
+
 def test_invalid_dnib_rejected_by_both():
     # Craft a frame whose word 3 claims nibble 10 with dnib 00 — an
     # illegal Steim-2 combination that both decoders must reject.
