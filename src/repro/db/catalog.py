@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, runtime_checkable
 
-import numpy as np
-
 from repro.db.column import Column
 from repro.db.expr import ColumnRef, Star
 from repro.db.sql import ast
@@ -58,13 +56,14 @@ class LazyTableBinding(Protocol):
 
     def fetch(
         self,
-        keys: dict[str, np.ndarray],
+        keys: dict[str, Column],
         needed: list[str],
         time_bounds: tuple[Optional[int], Optional[int]],
         trace: list[dict],
         versions: dict,
     ) -> dict[str, Column]:
-        """Extract/transform/load the rows matching ``keys``.
+        """Extract/transform/load the rows matching ``keys`` (the key
+        columns of the metadata rows, by name).
 
         ``trace`` receives one entry per injected operator (cache hit,
         extraction, refresh) for plan introspection — demo items (5)-(7).

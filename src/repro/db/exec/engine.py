@@ -317,8 +317,11 @@ class StreamingQuery:
                 # Parameter values are (re)installed around every pull:
                 # interleaved cursors on one thread must each see their
                 # own bindings.
-                with ex.active_params(self._values):
+                if self._values is None:
                     chunk = next(self._gen)
+                else:
+                    with ex.active_params(self._values):
+                        chunk = next(self._gen)
             except StopIteration:
                 self.report.execute_s += time.perf_counter() - started
                 self._finalize()

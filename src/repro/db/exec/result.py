@@ -56,10 +56,7 @@ class Result:
 
     def rows(self) -> list[tuple]:
         """All rows as Python tuples (``None`` for NULL)."""
-        return [
-            tuple(col.value_at(i) for col in self.columns)
-            for i in range(self.row_count)
-        ]
+        return list(zip(*(col.to_pylist() for col in self.columns)))
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows())

@@ -60,18 +60,6 @@ _CMP = {
     ">=": lambda a, b: a >= b,
 }
 
-_NULL_PLACEHOLDER = {
-    DataType.VARCHAR: "",
-    DataType.BOOLEAN: False,
-    DataType.DOUBLE: 0.0,
-}
-
-
-def _placeholder(dtype: DataType):
-    """The raw storage value backing a NULL slot (see Column.from_values)."""
-    return _NULL_PLACEHOLDER.get(dtype, 0)
-
-
 def _coerce(value, dtype: DataType):
     """Coerce a computed scalar to its column dtype, as Column storage would."""
     if value is None:
@@ -136,21 +124,16 @@ def eval_scalar(node: ex.Expr, row: Row):
 
     if isinstance(node, ex.InList):
         operand = eval_scalar(node.operand, row)
-        # Mirrors the vectorised raw-value OR: item NULLs compare through
-        # their storage placeholder, and operand NULL-ness alone decides
-        # the result's validity.
-        raw = operand if operand is not None else _placeholder(node.operand.dtype)
-        hit = False
+        if operand is None:
+            return None
+        saw_null = False
         for item in node.items:
             iv = eval_scalar(item, row)
             if iv is None:
-                iv = _placeholder(item.dtype)
-            if _raw_compare("=", raw, node.operand.dtype, iv, item.dtype):
-                hit = True
-                break
-        if node.negated:
-            hit = not hit
-        return None if operand is None else hit
+                saw_null = True
+            elif _raw_compare("=", operand, node.operand.dtype, iv, item.dtype):
+                return not node.negated
+        return None if saw_null else node.negated
 
     if isinstance(node, ex.IsNull):
         is_null = eval_scalar(node.operand, row) is None
@@ -611,8 +594,7 @@ def _lazy_fetch_rows(node: ph.PLazyFetch, ctx: ph.ExecutionContext
     keys = {}
     for name, cid in zip(key_names, lg_node.meta_key_cids):
         keys[name] = Column.from_values(
-            meta_dtypes[cid], [row[cid] for row in meta_rows]
-        ).values
+            meta_dtypes[cid], [row[cid] for row in meta_rows])
     time_bounds = node._resolve_time_bounds()
     ctx.trace.append({
         "op": "rewrite",

@@ -27,8 +27,11 @@ from repro.db.types import (
     coerce_literal,
     common_numeric,
     is_numeric,
+    numpy_dtype,
+    render_value,
 )
 from repro.errors import BindError, ExecutionError, TypeMismatchError
+from repro.util.timefmt import parse_iso8601
 
 # Parameter values for the query executing on this thread/context.  A
 # compiled plan is shared by every execution of the same SQL (the plan
@@ -340,13 +343,19 @@ class InList(Expr):
         return [self.operand] + list(self.items)
 
     def eval(self, frame: dict[int, Column], length: int) -> Column:
+        # Three-valued: TRUE on a match; otherwise NULL when the operand
+        # or an item is NULL, else FALSE.
         operand = self.operand.eval(frame, length)
         hit = np.zeros(length, dtype=bool)
+        unknown = np.zeros(length, dtype=bool)
         for item in self.items:
-            hit |= _eval_binop("=", operand, item.eval(frame, length)).values
-        if self.negated:
-            hit = ~hit
-        return Column(DataType.BOOLEAN, hit, operand.valid)
+            equal = _eval_binop("=", operand, item.eval(frame, length))
+            known = equal.validity()
+            hit |= equal.values & known
+            unknown |= ~known
+        valid = hit | ~unknown
+        return Column(DataType.BOOLEAN, ~hit if self.negated else hit,
+                      None if valid.all() else valid)
 
 
 @dataclass
@@ -387,25 +396,12 @@ class Like(Expr):
     def eval(self, frame: dict[int, Column], length: int) -> Column:
         operand = self.operand.eval(frame, length)
         regex = _like_regex(self.pattern)
-        if operand.dtype == DataType.VARCHAR and length:
-            # Dictionary-encoded match: run the regex once per distinct
-            # value, then broadcast the verdicts through the codes.
-            codes, uniques = operand.dictionary()
-            table = np.fromiter(
-                (regex.fullmatch(str(v)) is not None for v in uniques),
-                dtype=bool,
-                count=len(uniques),
-            )
-            hits = table[codes]
-        else:
-            hits = np.fromiter(
-                (regex.fullmatch(str(v)) is not None for v in operand.values),
-                dtype=bool,
-                count=length,
-            )
+        hits = _per_distinct(operand,
+                             lambda text: regex.fullmatch(text) is not None,
+                             DataType.BOOLEAN)
         if self.negated:
-            hits = ~hits
-        return Column(DataType.BOOLEAN, hits, operand.valid)
+            return Column(DataType.BOOLEAN, ~hits.values, hits.valid)
+        return hits
 
 
 @dataclass
@@ -433,23 +429,17 @@ class Case(Expr):
 
     def eval(self, frame: dict[int, Column], length: int) -> Column:
         assert self.dtype is not None
-        result = Column.nulls(self.dtype, length)
-        values = result.values.copy()
-        valid = np.zeros(length, dtype=bool)
+        fills: list[tuple[np.ndarray, Column]] = []
         remaining = np.ones(length, dtype=bool)
         for cond, value in self.whens:
             cond_col = cond.eval(frame, length)
             fire = remaining & cond_col.values.astype(bool) & cond_col.validity()
             if fire.any():
-                val_col = value.eval(frame, length)
-                values[fire] = val_col.values[fire]
-                valid[fire] = val_col.validity()[fire]
+                fills.append((fire, value.eval(frame, length)))
             remaining &= ~fire
         if self.default is not None and remaining.any():
-            val_col = self.default.eval(frame, length)
-            values[remaining] = val_col.values[remaining]
-            valid[remaining] = val_col.validity()[remaining]
-        return Column(self.dtype, values, valid)
+            fills.append((remaining, self.default.eval(frame, length)))
+        return _overlay(self.dtype, length, fills)
 
 
 @dataclass
@@ -547,13 +537,19 @@ def _eval_binop(op: str, left: Column, right: Column) -> Column:
         return Column(DataType.BOOLEAN, values, valid)
 
     if op in _CMP_OPS:
-        lhs, rhs = left.values, right.values
-        if left.dtype == DataType.VARCHAR or right.dtype == DataType.VARCHAR:
-            lhs = lhs.astype(str) if left.dtype == DataType.VARCHAR else lhs
-            rhs = rhs.astype(str) if right.dtype == DataType.VARCHAR else rhs
+        valid = _merge_valid(left, right)
+        if left.dtype == DataType.VARCHAR and right.dtype == DataType.VARCHAR:
+            # Codes over one sorted uniques compare as the strings do.
+            left, right = Column.unified([left, right])
+        elif DataType.VARCHAR in (left.dtype, right.dtype):
+            # A string never equals a number, as in Python.  (The binder
+            # parses string literals met by timestamps; what reaches here
+            # is a bare NULL, typed VARCHAR, or a string column.)
+            values = np.full(len(left), op in ("<>", "!="))
+            return Column(DataType.BOOLEAN, values, valid)
         with np.errstate(invalid="ignore"):
-            values = _compare_arrays(op, lhs, rhs)
-        return Column(DataType.BOOLEAN, values, _merge_valid(left, right))
+            values = _compare_arrays(op, left.values, right.values)
+        return Column(DataType.BOOLEAN, values, valid)
 
     if op in _ARITH_OPS:
         valid = _merge_valid(left, right)
@@ -593,36 +589,86 @@ def _eval_binop(op: str, left: Column, right: Column) -> Column:
     raise ExecutionError(f"unknown binary operator {op}")
 
 
+def _per_distinct(col: Column, fn: Callable[[str], object],
+                  dtype: DataType) -> Column:
+    """``fn`` applied to a VARCHAR column once per distinct value its
+    valid rows hold, gathered back by code; NULL rows stay NULL."""
+    codes = col.values
+    live = codes if col.valid is None else codes[col.valid]
+    used = np.flatnonzero(np.bincount(live, minlength=len(col.uniques)))
+    results = [fn(text) for text in col.uniques[used].tolist()]
+    if not results:
+        return Column.nulls(dtype, len(col))
+    slot = np.zeros(len(col.uniques), dtype=np.int64)
+    slot[used] = np.arange(len(used))
+    rows = slot[codes]
+    if dtype == DataType.VARCHAR:
+        return Column.from_codes(rows, results, col.valid)
+    return Column(dtype, np.array(results, dtype=numpy_dtype(dtype))[rows],
+                  col.valid)
+
+
+def _distinct_rows(col: Column) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` over a non-string column's distinct bit
+    patterns: row ``i`` holds the value of row ``first[inverse[i]]``.
+    Bits, not values, so ``-0.0`` and ``0.0`` stay apart."""
+    bits = col.values.view(np.dtype(f"u{col.values.dtype.itemsize}"))
+    _bits, first, inverse = np.unique(bits, return_index=True,
+                                      return_inverse=True)
+    return first, inverse
+
+
+def _as_text(col: Column) -> Column:
+    """A string-function argument as VARCHAR: a non-string column's
+    values go through Python ``str()`` once per distinct value."""
+    if col.dtype == DataType.VARCHAR:
+        return col
+    first, inverse = _distinct_rows(col)
+    return Column.from_codes(inverse, [str(v) for v in col.values[first]],
+                             col.valid)
+
+
+def _overlay(dtype: DataType, length: int,
+             fills: list[tuple[np.ndarray, Column]]) -> Column:
+    """Rows picked from several columns: where a fill's mask is set the
+    row (value and validity) comes from its column; rows no mask covers
+    are NULL.  VARCHAR columns are first re-coded over shared uniques."""
+    columns = [Column.nulls(dtype, length)] + [col for _mask, col in fills]
+    if dtype == DataType.VARCHAR:
+        columns = Column.unified([_as_text(col) for col in columns])
+    elif any(col.dtype == DataType.VARCHAR and mask.any()
+             for mask, col in fills):
+        raise ExecutionError(f"cannot use a string as {dtype}")
+    base = columns[0]
+    values = base.values.copy()
+    valid = np.zeros(length, dtype=bool)
+    for (mask, _col), col in zip(fills, columns[1:]):
+        values[mask] = col.values[mask]
+        valid[mask] = col.validity()[mask]
+    return Column(dtype, values, None if valid.all() else valid,
+                  base.uniques)
+
+
+_PARSERS = {
+    DataType.TIMESTAMP: parse_iso8601,
+    DataType.BIGINT: int,
+    DataType.DOUBLE: float,
+    DataType.BOOLEAN: bool,
+}
+
+
 def cast_column(col: Column, target: DataType) -> Column:
     """Cast a column to ``target``, with VARCHAR↔TIMESTAMP support."""
     if col.dtype == target:
         return col
     if target == DataType.VARCHAR:
-        from repro.db.types import render_value
-
-        values = np.empty(len(col), dtype=object)
-        for i in range(len(col)):
-            v = col.value_at(i)
-            values[i] = "" if v is None else render_value(v, col.dtype)
-        return Column(DataType.VARCHAR, values, col.valid)
-    if col.dtype == DataType.VARCHAR and target == DataType.TIMESTAMP:
-        from repro.util.timefmt import parse_iso8601
-
-        values = np.fromiter(
-            (parse_iso8601(str(v)) if ok else 0
-             for v, ok in zip(col.values, col.validity())),
-            dtype=np.int64,
-            count=len(col),
-        )
-        return Column(DataType.TIMESTAMP, values, col.valid)
-    if col.dtype == DataType.VARCHAR and target in (DataType.BIGINT, DataType.DOUBLE):
-        caster = int if target == DataType.BIGINT else float
-        values = [caster(str(v)) if ok else 0
-                  for v, ok in zip(col.values, col.validity())]
-        return Column.from_values(target, values)
+        first, inverse = _distinct_rows(col)
+        rendered = [render_value(v, col.dtype)
+                    for v in Column(col.dtype, col.values[first]).to_pylist()]
+        return Column.from_codes(inverse, rendered, col.valid)
+    if col.dtype == DataType.VARCHAR:
+        return _per_distinct(col, _PARSERS[target], target)
     try:
-        from repro.db.types import numpy_dtype
-
         return Column(target, col.values.astype(numpy_dtype(target)), col.valid)
     except (TypeError, ValueError) as exc:
         raise ExecutionError(f"cannot cast {col.dtype} to {target}") from exc
@@ -676,17 +722,15 @@ def _impl_round(cols: list[Column], length: int) -> Column:
 
 
 def _impl_coalesce(cols: list[Column], length: int) -> Column:
-    result = cols[0]
-    for nxt in cols[1:]:
-        if result.valid is None:
-            break
-        missing = ~result.validity()
-        values = result.values.copy()
-        values[missing] = nxt.values[missing]
-        merged_valid = result.validity() | (missing & nxt.validity())
-        result = Column(result.dtype, values,
-                        None if merged_valid.all() else merged_valid)
-    return result
+    if cols[0].valid is None:
+        return cols[0]
+    filled = np.zeros(length, dtype=bool)
+    fills = []
+    for col in cols:
+        take = col.validity() & ~filled
+        fills.append((take, col))
+        filled |= take
+    return _overlay(cols[0].dtype, length, fills)
 
 
 def _impl_nullif(cols: list[Column], length: int) -> Column:
@@ -694,55 +738,51 @@ def _impl_nullif(cols: list[Column], length: int) -> Column:
     equal = _eval_binop("=", base, other)
     hit = equal.values.astype(bool) & equal.validity()
     valid = base.validity() & ~hit
-    return Column(base.dtype, base.values, None if valid.all() else valid)
+    return Column(base.dtype, base.values, None if valid.all() else valid,
+                  base.uniques)
 
 
 def _string_impl(fn: Callable[[str], object], result: DataType):
     def impl(cols: list[Column], length: int) -> Column:
-        col = cols[0]
-        if col.dtype == DataType.VARCHAR and length:
-            # Apply the function once per distinct value and broadcast
-            # through the dictionary codes.
-            codes, uniques = col.dictionary()
-            mapped = np.empty(len(uniques), dtype=object)
-            for i, v in enumerate(uniques):
-                mapped[i] = fn(str(v))
-            values = mapped[codes]
-        else:
-            values = np.empty(length, dtype=object)
-            for i, v in enumerate(col.values):
-                values[i] = fn(str(v))
-        if result != DataType.VARCHAR:
-            values = values.astype(np.int64)
-        return Column.from_numpy(result, values, col.valid)
+        return _per_distinct(_as_text(cols[0]), fn, result)
 
     return impl
 
 
+def _per_distinct_tuple(columns: list[np.ndarray], fn, valid) -> Column:
+    """``fn`` applied once per distinct row of aligned integer arrays
+    (string codes, substr bounds), gathered back into a VARCHAR column."""
+    keys = np.stack([c.astype(np.int64) for c in columns])
+    distinct, inverse = np.unique(keys, axis=1, return_inverse=True)
+    return Column.from_codes(inverse.reshape(-1),
+                             [fn(*key) for key in distinct.T.tolist()],
+                             valid)
+
+
 def _impl_substr(cols: list[Column], length: int) -> Column:
-    base = cols[0]
-    start = cols[1].values.astype(int)
-    count = cols[2].values.astype(int) if len(cols) > 2 else None
-    values = np.empty(length, dtype=object)
-    for i, v in enumerate(base.values):
-        s = str(v)
-        begin = max(int(start[i]) - 1, 0)
-        if count is None:
-            values[i] = s[begin:]
-        else:
-            values[i] = s[begin : begin + int(count[i])]
-    return Column(DataType.VARCHAR, values, base.valid)
+    base = _as_text(cols[0])
+    uniques = base.uniques
+
+    def cut(code, start, count=None):
+        text = uniques[code]
+        begin = max(start - 1, 0)
+        return text[begin:] if count is None else text[begin:begin + count]
+
+    return _per_distinct_tuple([base.values] + [c.values for c in cols[1:]],
+                               cut, base.valid)
 
 
 def _impl_concat(cols: list[Column], length: int) -> Column:
-    values = np.empty(length, dtype=object)
-    for i in range(length):
-        values[i] = "".join(str(c.values[i]) for c in cols)
+    texts = [_as_text(c) for c in cols]
     valid = None
-    for c in cols:
+    for c in texts:
         if c.valid is not None:
             valid = c.validity() if valid is None else (valid & c.validity())
-    return Column(DataType.VARCHAR, values, valid)
+    return _per_distinct_tuple(
+        [c.values for c in texts],
+        lambda *codes: "".join(c.uniques[code]
+                               for c, code in zip(texts, codes)),
+        valid)
 
 
 def _timestamp_part(part: str):
@@ -784,6 +824,12 @@ def _impl_greatest_least(best: Callable):
 
 
 def _first_arg_type(args: list[DataType]) -> DataType:
+    return args[0]
+
+
+def _no_string_args(args: list[DataType]) -> DataType:
+    if DataType.VARCHAR in args:
+        raise TypeMismatchError("expected numbers or timestamps, got VARCHAR")
     return args[0]
 
 
@@ -829,8 +875,8 @@ _register("minute", 1, 1, _require_timestamp, _timestamp_part("minute"))
 _register("second", 1, 1, _require_timestamp, _timestamp_part("second"))
 _register("epoch_us", 1, 1, _require_timestamp,
           _unary_numpy(lambda v: v, DataType.BIGINT))
-_register("greatest", 2, 8, _first_arg_type, _impl_greatest_least(np.maximum))
-_register("least", 2, 8, _first_arg_type, _impl_greatest_least(np.minimum))
+_register("greatest", 2, 8, _no_string_args, _impl_greatest_least(np.maximum))
+_register("least", 2, 8, _no_string_args, _impl_greatest_least(np.minimum))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.db import expr as ex
-from repro.db.column import Column
+from repro.db.column import CODE_DTYPE, Column
 from repro.db.plan import logical as lg
 from repro.db.table import SystemTable
 from repro.db.types import DataType
@@ -69,8 +69,8 @@ class Chunk:
         )
 
     def slice(self, start: int, stop: int) -> "Chunk":
-        """Rows ``[start, stop)`` as views.  The whole range is the chunk
-        itself, so its columns keep their cached dictionaries."""
+        """Rows ``[start, stop)`` as views (the whole range is the chunk
+        itself)."""
         if start <= 0 and stop >= self.length:
             return self
         stop = min(stop, self.length)
@@ -296,26 +296,9 @@ def _combined_codes(columns: list[Column]) -> np.ndarray:
 
 def _pair_codes(left: Column, right: Column
                 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Shared-space codes for one join key column pair.
-
-    Null-free VARCHAR pairs merge the two sides' (cached) dictionaries
-    and remap codes with one vectorised fancy-index each — the wide lazy
-    side never gets re-factorized per query.  Everything else falls back
-    to concat-and-factorize.
-    """
-    if (left.dtype == DataType.VARCHAR and left.valid is None
-            and right.valid is None):
-        left_codes, left_uniques = left.dictionary()
-        right_codes, right_uniques = right.dictionary()
-        if left_uniques == right_uniques:
-            return left_codes, right_codes, len(left_uniques)
-        union = sorted(set(left_uniques) | set(right_uniques))
-        position = {value: i for i, value in enumerate(union)}
-        left_map = np.fromiter((position[v] for v in left_uniques),
-                               dtype=np.int64, count=len(left_uniques))
-        right_map = np.fromiter((position[v] for v in right_uniques),
-                                dtype=np.int64, count=len(right_uniques))
-        return left_map[left_codes], right_map[right_codes], len(union)
+    """Shared-space codes for one join key column pair: factorize the
+    two sides concatenated (VARCHAR sides merge their uniques, so only
+    the small dictionaries are touched, never the strings per row)."""
     merged = Column.concat([left, right])
     codes, count = merged.factorize()
     split = len(left)
@@ -1065,6 +1048,10 @@ class PAggregate(PhysicalNode):
             sel = np.zeros(length, dtype=bool)
             sel[keep_first] = True
             sel &= keep_mask
+            # A group of only NULLs keeps one NULL row, so every group
+            # keeps a reduceat start; it counts 0 and aggregates to NULL.
+            members = np.bincount(inverse[sel], minlength=n_groups)
+            sel[order[starts[members == 0]]] = True
             subset = np.flatnonzero(sel)
             col = col.take(subset)
             valid = col.validity()
@@ -1084,19 +1071,16 @@ class PAggregate(PhysicalNode):
             return Column(DataType.BIGINT, counts_valid)
 
         if col.dtype == DataType.VARCHAR and agg.name in ("min", "max"):
-            codes, n_values = col.factorize()
-            sentinel = n_values if agg.name == "min" else -1
-            work = np.where(valid, codes, sentinel)[order]
+            # Codes are in string order: reduce them, keep the uniques.
+            sentinel = len(col.uniques) if agg.name == "min" else -1
+            work = np.where(valid, col.values, sentinel)[order]
             reducer = np.minimum if agg.name == "min" else np.maximum
             best = reducer.reduceat(work, starts) if length else \
                 np.full(n_groups, sentinel)
-            uniques = np.unique(col.values.astype(str))
-            values = np.empty(n_groups, dtype=object)
-            for g in range(n_groups):
-                code = int(best[g])
-                values[g] = uniques[code] if 0 <= code < n_values else ""
-            return Column(DataType.VARCHAR, values,
-                          None if not empty_groups.any() else ~empty_groups)
+            best[empty_groups] = 0  # NULL groups: the code is never read
+            return Column(DataType.VARCHAR, best.astype(CODE_DTYPE),
+                          None if not empty_groups.any() else ~empty_groups,
+                          col.uniques)
 
         numeric = col.values.astype(np.float64)
         numeric = np.where(valid, numeric, 0.0)
@@ -1220,7 +1204,7 @@ class PLazyFetch(PhysicalNode):
             return
 
         keys = {
-            name: meta_chunk.columns[cid].values
+            name: meta_chunk.columns[cid]
             for name, cid in zip(key_names, node.meta_key_cids)
         }
         time_bounds = self._resolve_time_bounds()

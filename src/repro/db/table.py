@@ -79,12 +79,7 @@ class Table:
         self.schema = schema
         self.version = 0
         self._columns: dict[str, Column] = {
-            spec.name: Column.from_numpy(
-                spec.dtype,
-                np.empty(0, dtype=object)
-                if spec.dtype == DataType.VARCHAR
-                else np.empty(0),
-            )
+            spec.name: Column.from_values(spec.dtype, [])
             for spec in schema.columns
         }
         self._pk_index: set | None = set() if schema.primary_key else None
@@ -186,17 +181,8 @@ class Table:
     def _pk_tuples(self, batch: Mapping[str, Column], count: int) -> list[tuple]:
         """Each row's primary key, as :meth:`Column.value_at` gives the
         parts (``None`` for NULL), built column-wise."""
-        parts = []
-        for name in self.schema.primary_key:
-            column = batch[name]
-            values = column.values[:count].tolist()
-            if column.dtype == DataType.VARCHAR:
-                values = list(map(str, values))
-            if column.valid is not None:
-                for row in np.flatnonzero(~column.valid[:count]).tolist():
-                    values[row] = None
-            parts.append(values)
-        return list(zip(*parts))
+        return list(zip(*(batch[name].slice(0, count).to_pylist()
+                          for name in self.schema.primary_key)))
 
     def append_batch(self, batch: Mapping[str, Column],
                      *, enforce_keys: bool = True) -> int:
@@ -280,13 +266,16 @@ class Table:
                 )
             self._check_not_null(name, new_col)
             current = self._columns[name]
+            if spec.dtype == DataType.VARCHAR:
+                current, new_col = Column.unified([current, new_col])
             values = current.values.copy()
             values[mask] = new_col.values[mask]
             valid = None
             if current.valid is not None or new_col.valid is not None:
                 valid = current.validity().copy()
                 valid[mask] = new_col.validity()[mask]
-            self._columns[name] = Column(spec.dtype, values, valid)
+            self._columns[name] = Column(spec.dtype, values, valid,
+                                         current.uniques)
         self.version += 1
         return touched
 
@@ -296,12 +285,7 @@ class Table:
             backing, self._backing = self._backing, None
             backing.close()
         for spec in self.schema.columns:
-            self._columns[spec.name] = Column.from_numpy(
-                spec.dtype,
-                np.empty(0, dtype=object)
-                if spec.dtype == DataType.VARCHAR
-                else np.empty(0),
-            )
+            self._columns[spec.name] = Column.from_values(spec.dtype, [])
         self._pk_index = set() if self.schema.primary_key else None
         self.version += 1
 

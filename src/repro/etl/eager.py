@@ -11,9 +11,12 @@ samples and their 8-byte timestamps are materialised in the warehouse).
 from __future__ import annotations
 
 import time
+
 import numpy as np
 
+from repro.db.column import Column
 from repro.db.exec.engine import Database
+from repro.db.types import DataType
 from repro.etl.framework import SCHEMA, ETLReport, SourceAdapter
 from repro.etl.lazy import LazyETL
 from repro.etl.metadata import HarvestResult, harvest_repository
@@ -62,8 +65,10 @@ class EagerETL:
         would re-concatenate the growing columns each time."""
         batches = [batch for batch in (self._file_batch(meta.uri)
                                        for meta in harvest.files) if batch]
+        uri_key = self.adapter.key_columns[0]
         return self._append({
-            name: np.concatenate([batch[name] for batch in batches])
+            name: (Column.concat if name == uri_key else np.concatenate)(
+                [batch[name] for batch in batches])
             for name in (batches[0] if batches else ())
         })
 
@@ -71,10 +76,10 @@ class EagerETL:
         """Extract one file completely and append its rows to D."""
         return self._append(self._file_batch(uri))
 
-    def _append(self, batch: dict[str, np.ndarray]) -> int:
+    def _append(self, batch: dict[str, "np.ndarray | Column"]) -> int:
         return self.db.bulk_insert((SCHEMA, "data"), batch) if batch else 0
 
-    def _file_batch(self, uri: str) -> dict[str, np.ndarray]:
+    def _file_batch(self, uri: str) -> dict[str, "np.ndarray | Column"]:
         """One file's D rows as columns (empty if it has none)."""
         data_cols = [spec.name for spec in self.adapter.data_columns()
                      if spec.name not in self.adapter.key_columns]
@@ -84,8 +89,8 @@ class EagerETL:
         if rows == 0:
             return {}
         counts = [len(rec[data_cols[0]]) for rec in extracted.per_record]
-        batch: dict[str, np.ndarray] = {
-            uri_key: np.full(rows, uri, dtype=object),
+        batch: dict[str, "np.ndarray | Column"] = {
+            uri_key: Column.constant(DataType.VARCHAR, uri, rows),
             seq_key: np.repeat(np.array(extracted.seq_nos, dtype=np.int64),
                                counts),
         }

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.db.column import Column
 from repro.db.table import ColumnSpec
 from repro.errors import MSeedError
 from repro.mseed.repository import FileInfo, Repository
@@ -119,7 +120,8 @@ class SourceAdapter(abc.ABC):
         """A row of F for one file."""
 
     @abc.abstractmethod
-    def record_table(self, records: "RecordColumns") -> dict[str, np.ndarray]:
+    def record_table(self, records: "RecordColumns"
+                     ) -> dict[str, "np.ndarray | Column"]:
         """R's columns for a batch of records."""
 
     # -- actual data -------------------------------------------------------------------

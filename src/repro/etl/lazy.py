@@ -133,7 +133,7 @@ class LazyDataBinding:
 
     def fetch(
         self,
-        keys: dict[str, np.ndarray],
+        keys: dict[str, Column],
         needed: list[str],
         time_bounds: tuple[Optional[int], Optional[int]],
         trace: list[dict],
@@ -141,19 +141,18 @@ class LazyDataBinding:
     ) -> dict[str, Column]:
         """Extract/transform/load exactly the rows the metadata selected."""
         uri_key, seq_key = self.key_columns
-        uris = keys[uri_key]
-        seqs = keys[seq_key].astype(np.int64)
-
+        uri_codes = keys[uri_key]
+        # The distinct (uri code, seq_no) pairs, sorted: files in uri
+        # order (codes follow string order), each file's records in order.
+        pairs = np.unique(np.stack([uri_codes.values.astype(np.int64),
+                                    keys[seq_key].values.astype(np.int64)]),
+                          axis=1)
         per_file: dict[str, list[int]] = {}
-        seen: set[tuple[str, int]] = set()
-        for uri, seq in zip(uris, seqs):
-            pair = (str(uri), int(seq))
-            if pair not in seen:
-                seen.add(pair)
-                per_file.setdefault(pair[0], []).append(pair[1])
+        for code, seq in zip(*pairs.tolist()):
+            per_file.setdefault(uri_codes.uniques[code], []).append(seq)
 
         data_cols = [n for n in needed if n not in self.key_columns]
-        uris = sorted(per_file)
+        uris = list(per_file)
         pieces: list[tuple[str, int, dict[str, np.ndarray], int]] = []
         if self.extract_pool is not None and len(uris) > 1:
             # Fan this query's per-file work across the shared pool.  Each
@@ -162,7 +161,7 @@ class LazyDataBinding:
             local_traces: list[list[dict]] = [[] for _ in uris]
             results = self.extract_pool.map_ordered(
                 lambda pair: self._fetch_file(
-                    pair[1], sorted(per_file[pair[1]]), data_cols,
+                    pair[1], per_file[pair[1]], data_cols,
                     time_bounds, local_traces[pair[0]], versions,
                 ),
                 list(enumerate(uris)),
@@ -174,7 +173,7 @@ class LazyDataBinding:
         else:
             for uri in uris:
                 pieces.extend(
-                    self._fetch_file(uri, sorted(per_file[uri]), data_cols,
+                    self._fetch_file(uri, per_file[uri], data_cols,
                                      time_bounds, trace, versions)
                 )
         return self._assemble(pieces, needed, data_cols)
@@ -497,24 +496,11 @@ class LazyDataBinding:
         total = sum(rows for _u, _s, _c, rows in pieces)
         out: dict[str, Column] = {}
         if uri_key in needed:
-            uris = np.empty(total, dtype=object)
-            cursor = 0
-            for uri, _seq, _cols, rows in pieces:
-                uris[cursor:cursor + rows] = uri
-                cursor += rows
-            column = Column(self._data_specs[uri_key].dtype, uris)
-            # The pieces are uri-ordered runs, so the join dictionary is
-            # known here for free — one np.repeat instead of the join
-            # re-factorizing this wide column on every query.
-            uniques = sorted({uri for uri, _s, _c, _r in pieces})
-            code_of = {uri: i for i, uri in enumerate(uniques)}
-            run_codes = np.array(
-                [code_of[uri] for uri, _s, _c, _r in pieces], dtype=np.int64
-            )
-            run_rows = np.array([rows for _u, _s, _c, rows in pieces],
-                                dtype=np.int64)
-            column.set_dictionary(np.repeat(run_codes, run_rows), uniques)
-            out[uri_key] = column
+            # The pieces are uri-ordered runs: one code per piece, repeated.
+            out[uri_key] = Column.from_codes(
+                np.repeat(np.arange(len(pieces)),
+                          [rows for _u, _s, _c, rows in pieces]),
+                [uri for uri, _s, _c, _r in pieces])
         if seq_key in needed:
             seqs = np.empty(total, dtype=np.int64)
             cursor = 0
@@ -679,7 +665,7 @@ class LazyETL:
         harvested versions, from the R and F tables."""
         records = self.db.catalog.table((SCHEMA, "records"))
         per_file = RecordColumns.grouped(
-            records.column("file_location").values,
+            records.column("file_location"),
             **{field: records.column(name).values
                for field, name in (("seq_no", "seq_no"),
                                    ("start_time_us", "start_time"),
@@ -689,10 +675,10 @@ class LazyETL:
                                    ("timing_quality", "timing_quality"))})
         files = self.db.catalog.table((SCHEMA, "files"))
         for uri, size, mtime_ns in zip(
-                files.column("file_location").values.tolist(),
-                files.column("file_size").values.tolist(),
-                files.column("mtime_ns").values.tolist()):
-            info = FileInfo(str(uri), size, mtime_ns)
+                files.column("file_location").to_pylist(),
+                files.column("file_size").to_pylist(),
+                files.column("mtime_ns").to_pylist()):
+            info = FileInfo(uri, size, mtime_ns)
             self.index.replace_file(info, per_file.get(info.uri, NO_RECORDS))
 
     def initial_load(self) -> ETLReport:

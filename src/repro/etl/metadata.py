@@ -24,6 +24,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro.db.column import Column
 from repro.errors import MSeedError
 from repro.etl.framework import SourceAdapter
 from repro.mseed.repository import FileInfo, Repository
@@ -91,16 +92,17 @@ class RecordColumns:
         )
 
     @classmethod
-    def grouped(cls, uris: np.ndarray, **columns: np.ndarray,
+    def grouped(cls, uris: Column, **columns: np.ndarray,
                 ) -> dict[str, "RecordColumns"]:
         """Split rows tagged with a per-row ``uris`` column into one
         :class:`RecordColumns` per file; a file's rows keep their order."""
         if len(uris) == 0:
             return {}
-        edges = (np.flatnonzero(uris[1:] != uris[:-1]) + 1).tolist()
+        codes = uris.values
+        edges = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
         runs: dict[str, list[slice]] = {}
-        for lo, hi in zip([0, *edges], [*edges, len(uris)]):
-            runs.setdefault(str(uris[lo]), []).append(slice(lo, hi))
+        for lo, hi in zip([0, *edges], [*edges, len(codes)]):
+            runs.setdefault(uris.value_at(lo), []).append(slice(lo, hi))
         return {
             uri: cls.of_file(uri, **{
                 name: np.concatenate([column[run] for run in file_runs])
@@ -111,9 +113,10 @@ class RecordColumns:
     def __len__(self) -> int:
         return len(self.seq_no)
 
-    def file_location(self) -> np.ndarray:
+    def file_location(self) -> Column:
         """The per-row uri column."""
-        return np.repeat(np.array(self.uris, dtype=object), self.counts)
+        return Column.from_codes(np.repeat(np.arange(len(self.uris)),
+                                           self.counts), self.uris)
 
     def per_file(self) -> Iterator[tuple[str, "RecordColumns"]]:
         """Each file's run, as views."""

@@ -18,6 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro.db.column import Column
 from repro.db.table import ColumnSpec
 from repro.db.types import DataType
 from repro.errors import (
@@ -212,7 +213,8 @@ class MSeedAdapter(SourceAdapter):
             "mtime_ns": meta.mtime_ns,
         }
 
-    def record_table(self, records: RecordColumns) -> dict[str, np.ndarray]:
+    def record_table(self, records: RecordColumns
+                     ) -> dict[str, "np.ndarray | Column"]:
         return {
             "file_location": records.file_location(),
             "seq_no": records.seq_no,

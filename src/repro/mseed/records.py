@@ -101,9 +101,12 @@ class MSeedRecord:
     samples: np.ndarray
 
     def sample_times_us(self) -> np.ndarray:
-        """Exact integer-microsecond timestamps for every sample."""
-        rate = self.header.sample_rate
+        """Exact integer-microsecond timestamps for every sample (none
+        for a log record, whose rate may be 0)."""
         count = len(self.samples)
+        if count == 0:
+            return np.empty(0, dtype=np.int64)
+        rate = self.header.sample_rate
         offsets = np.round(np.arange(count, dtype=np.float64) * (1e6 / rate))
         return self.header.start_time_us + offsets.astype(np.int64)
 
@@ -256,6 +259,10 @@ def decode_header(data: bytes) -> RecordHeader:
         raise CorruptRecordError(
             f"sample-rate multiplier 0 with factor {rate_factor}"
         )
+    if rate_factor == 0 and sample_count:
+        # Only a log record (no samples) may have no sample rate.
+        raise CorruptRecordError(
+            f"{sample_count} samples at sample-rate factor 0")
 
     start_time_us = decode_btime(data[20 : 20 + BTIME_SIZE], extra_us=extra_us)
     # The time-correction field is in 0.0001 s units and applies unless the
@@ -402,7 +409,8 @@ def decode_headers(heads: np.ndarray) -> HeaderColumns:
     # RecordHeader.sample_rate, branch for branch.
     factor = f["factor"].astype(np.int64)
     mult = f["mult"].astype(np.int64)
-    ok &= (mult != 0) | (factor == 0)
+    count = f["nsamples"].astype(np.int64)
+    ok &= ((mult != 0) | (factor == 0)) & ((factor != 0) | (count == 0))
     fa = np.where(factor == 0, 1, factor).astype(np.float64)
     mu = np.where(mult == 0, 1, mult).astype(np.float64)
     rate = np.select(
@@ -412,7 +420,6 @@ def decode_headers(heads: np.ndarray) -> HeaderColumns:
     )
 
     # RecordHeader.end_time_us: round() is half-to-even, as np.rint.
-    count = f["nsamples"].astype(np.int64)
     spanned = (count > 1) & (rate > 0)
     span = np.rint(((count - 1) * 1_000_000).astype(np.float64)
                    / np.where(spanned, rate, 1.0))

@@ -9,15 +9,21 @@ pure NumPy:
 * ``rle``     — run-length pairs, for near-constant columns such as
   ``file_location`` or ``frequency``;
 * ``dict``    — distinct-value dictionary + width-reduced codes, the
-  natural VARCHAR encoding (repeated station/channel strings);
+  natural VARCHAR encoding (repeated station/channel strings).  It is
+  the in-engine form of a VARCHAR column written out: the page holds
+  the column's codes (renumbered over the strings the page uses) and
+  decodes straight back to codes + sorted uniques;
 * ``for``     — frame of reference: ``min`` + unsigned offsets stored in
   the smallest byte width that fits, optionally after a delta transform
   (``delta`` flag) which suits monotone int64 sample times.
 
 ``encode_array`` tries every applicable codec and keeps the smallest
 output, so callers never choose wrong — they only pay a small encode-time
-cost.  Every payload round-trips exactly: ``decode_array(…encode_array())``
-is the identity, NULL masks included (masks travel in the page layer, see
+cost.  A VARCHAR page is encoded from a column's codes and uniques and
+decodes to a :class:`~repro.db.column.Column` of codes + uniques, whatever
+its codec: no per-row string array is built either way.  Every payload
+round-trips exactly: ``decode_array(…encode_array())`` is the identity,
+NULL masks included (masks travel in the page layer, see
 :mod:`repro.storage.format`).
 """
 
@@ -27,6 +33,7 @@ import struct
 
 import numpy as np
 
+from repro.db.column import Column
 from repro.db.types import DataType, numpy_dtype
 from repro.errors import CorruptSegmentError, StorageError
 
@@ -111,20 +118,19 @@ def _run_lengths(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Starts-of-runs boolean → (run values, run lengths)."""
     if len(values) == 0:
         return values, np.zeros(0, dtype=np.int64)
-    if values.dtype == object:
-        change = np.ones(len(values), dtype=bool)
-        change[1:] = values[1:] != values[:-1]
-    else:
-        change = np.empty(len(values), dtype=bool)
-        change[0] = True
-        np.not_equal(values[1:], values[:-1], out=change[1:])
+    change = np.empty(len(values), dtype=bool)
+    change[0] = True
+    np.not_equal(values[1:], values[:-1], out=change[1:])
     starts = np.flatnonzero(change)
     lengths = np.diff(np.append(starts, len(values)))
     return values[starts], lengths
 
 
 # ---------------------------------------------------------------------------
-# Per-codec encoders (return None when the codec does not apply)
+# Per-codec encoders (return None when the codec does not apply) and
+# decoders (return a Column without a null mask).  ``uniques`` is the
+# VARCHAR column's sorted strings that ``values`` (its codes) index, and
+# ``None`` for every other type.
 # ---------------------------------------------------------------------------
 
 
@@ -132,29 +138,33 @@ def _is_int_typed(dtype: DataType) -> bool:
     return dtype in (DataType.BIGINT, DataType.TIMESTAMP)
 
 
-def _encode_plain(dtype: DataType, values: np.ndarray) -> bytes:
+def _encode_plain(dtype: DataType, values: np.ndarray,
+                  uniques: np.ndarray | None) -> bytes:
     if dtype == DataType.VARCHAR:
-        return _pack_strings([str(v) for v in values])
+        # Each distinct string's length-prefixed bytes, once per row.
+        records = [_U32.pack(len(raw)) + raw
+                   for raw in (text.encode("utf-8") for text in uniques)]
+        return _U32.pack(len(values)) + b"".join(
+            map(records.__getitem__, values.tolist()))
     if dtype == DataType.BOOLEAN:
         return np.packbits(values.astype(bool)).tobytes()
     return values.astype(numpy_dtype(dtype)).tobytes()
 
 
-def _decode_plain(dtype: DataType, payload: bytes, count: int) -> np.ndarray:
+def _decode_plain(dtype: DataType, payload: bytes, count: int) -> Column:
     if dtype == DataType.VARCHAR:
         strings, _ = _unpack_strings(payload)
-        out = np.empty(count, dtype=object)
-        out[:] = strings
-        return out
+        return Column.from_codes(np.arange(len(strings)), strings)
     if dtype == DataType.BOOLEAN:
         bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
                              count=count)
-        return bits.astype(bool)
-    return np.frombuffer(payload, dtype=numpy_dtype(dtype),
-                         count=count).copy()
+        return Column(dtype, bits.astype(bool))
+    return Column(dtype, np.frombuffer(payload, dtype=numpy_dtype(dtype),
+                                       count=count).copy())
 
 
-def _encode_rle(dtype: DataType, values: np.ndarray) -> bytes | None:
+def _encode_rle(dtype: DataType, values: np.ndarray,
+                uniques: np.ndarray | None) -> bytes | None:
     if dtype == DataType.BOOLEAN or len(values) == 0:
         return None
     run_values, lengths = _run_lengths(values)
@@ -163,13 +173,13 @@ def _encode_rle(dtype: DataType, values: np.ndarray) -> bytes | None:
     body = _U32.pack(len(run_values)) + \
         lengths.astype(np.uint32).tobytes()
     if dtype == DataType.VARCHAR:
-        body += _pack_strings([str(v) for v in run_values])
+        body += _pack_strings(uniques[run_values].tolist())
     else:
         body += run_values.astype(numpy_dtype(dtype)).tobytes()
     return body
 
 
-def _decode_rle(dtype: DataType, payload: bytes, count: int) -> np.ndarray:
+def _decode_rle(dtype: DataType, payload: bytes, count: int) -> Column:
     (n_runs,) = _U32.unpack_from(payload, 0)
     offset = 4
     lengths = np.frombuffer(payload, dtype=np.uint32, count=n_runs,
@@ -177,48 +187,43 @@ def _decode_rle(dtype: DataType, payload: bytes, count: int) -> np.ndarray:
     offset += 4 * n_runs
     if dtype == DataType.VARCHAR:
         strings, _ = _unpack_strings(payload, offset)
-        out = np.empty(count, dtype=object)
-        cursor = 0
-        for text, run in zip(strings, lengths):
-            out[cursor:cursor + run] = text
-            cursor += run
-        return out
+        return Column.from_codes(np.repeat(np.arange(n_runs), lengths),
+                                 strings)
     run_values = np.frombuffer(payload, dtype=numpy_dtype(dtype),
                                count=n_runs, offset=offset)
-    return np.repeat(run_values, lengths)
+    return Column(dtype, np.repeat(run_values, lengths))
 
 
-def _encode_dict(dtype: DataType, values: np.ndarray) -> bytes | None:
+def _encode_dict(dtype: DataType, values: np.ndarray,
+                 uniques: np.ndarray | None) -> bytes | None:
     if dtype != DataType.VARCHAR or len(values) == 0:
         return None
-    as_str = [str(v) for v in values]
-    uniques = sorted(set(as_str))
     if len(uniques) >= max(2, len(values) // 2):
         return None  # dictionary would not be smaller than plain
-    index = {text: code for code, text in enumerate(uniques)}
-    codes = np.array([index[text] for text in as_str], dtype=np.int64)
-    return _pack_strings(uniques) + _for_pack(codes)
+    return _pack_strings(uniques.tolist()) + _for_pack(values)
 
 
-def _decode_dict(dtype: DataType, payload: bytes, count: int) -> np.ndarray:
+def _decode_dict(dtype: DataType, payload: bytes, count: int) -> Column:
     uniques, offset = _unpack_strings(payload)
     codes = _for_unpack(payload[offset:], count)
-    table = np.empty(len(uniques), dtype=object)
-    table[:] = uniques
-    return table[codes]
+    # The strings were written sorted and distinct; from_codes keeps that
+    # an invariant of this column, not a trust in the page.
+    return Column.from_codes(codes, uniques)
 
 
-def _encode_for(dtype: DataType, values: np.ndarray) -> bytes | None:
+def _encode_for(dtype: DataType, values: np.ndarray,
+                uniques: np.ndarray | None) -> bytes | None:
     if not _is_int_typed(dtype) or len(values) == 0:
         return None
     return _for_pack(values.astype(np.int64))
 
 
-def _decode_for(dtype: DataType, payload: bytes, count: int) -> np.ndarray:
-    return _for_unpack(payload, count)
+def _decode_for(dtype: DataType, payload: bytes, count: int) -> Column:
+    return Column(dtype, _for_unpack(payload, count))
 
 
-def _encode_delta_for(dtype: DataType, values: np.ndarray) -> bytes | None:
+def _encode_delta_for(dtype: DataType, values: np.ndarray,
+                      uniques: np.ndarray | None) -> bytes | None:
     if not _is_int_typed(dtype) or len(values) < 2:
         return None
     as_int = values.astype(np.int64)
@@ -227,14 +232,14 @@ def _encode_delta_for(dtype: DataType, values: np.ndarray) -> bytes | None:
 
 
 def _decode_delta_for(dtype: DataType, payload: bytes,
-                      count: int) -> np.ndarray:
+                      count: int) -> Column:
     (first,) = _I64.unpack_from(payload, 0)
     diffs = _for_unpack(payload[8:], count - 1)
     out = np.empty(count, dtype=np.int64)
     out[0] = first
     np.cumsum(diffs, out=out[1:])
     out[1:] += first
-    return out
+    return Column(dtype, out)
 
 
 _ENCODERS = {
@@ -258,16 +263,24 @@ _DECODERS = {
 # ---------------------------------------------------------------------------
 
 
-def encode_array(dtype: DataType, values: np.ndarray) -> tuple[int, bytes]:
+def encode_array(dtype: DataType, values: np.ndarray,
+                 uniques: np.ndarray | None = None) -> tuple[int, bytes]:
     """Encode one page of values; returns ``(codec_id, payload)``.
 
-    Tries every codec applicable to ``dtype`` and keeps the smallest
-    payload, falling back to ``plain`` which always applies.
+    For VARCHAR, ``values`` are a column's codes and ``uniques`` the
+    strings they index.  Tries every codec applicable to ``dtype`` and
+    keeps the smallest payload, falling back to ``plain`` which always
+    applies.
     """
+    if uniques is not None:
+        # Recode over the strings this page uses: a column's uniques may
+        # be far more than one page holds.  They stay sorted.
+        used = np.unique(values)
+        values, uniques = np.searchsorted(used, values), uniques[used]
     best_codec = CODEC_PLAIN
-    best = _encode_plain(dtype, values)
+    best = _encode_plain(dtype, values, uniques)
     for codec_id, encoder in _ENCODERS.items():
-        candidate = encoder(dtype, values)
+        candidate = encoder(dtype, values, uniques)
         if candidate is not None and len(candidate) < len(best):
             best_codec = codec_id
             best = candidate
@@ -275,15 +288,16 @@ def encode_array(dtype: DataType, values: np.ndarray) -> tuple[int, bytes]:
 
 
 def decode_array(dtype: DataType, codec_id: int, payload: bytes,
-                 count: int) -> np.ndarray:
-    """Decode one page back to its canonical NumPy array."""
+                 count: int) -> Column:
+    """Decode one page back to a column (its null mask travels in the
+    page layer)."""
     decoder = _DECODERS.get(codec_id)
     if decoder is None:
         raise CorruptSegmentError(f"unknown codec id {codec_id}")
-    values = decoder(dtype, payload, count)
-    if len(values) != count:
+    column = decoder(dtype, payload, count)
+    if len(column) != count:
         raise CorruptSegmentError(
-            f"codec {CODEC_NAMES[codec_id]} produced {len(values)} values, "
+            f"codec {CODEC_NAMES[codec_id]} produced {len(column)} values, "
             f"expected {count}"
         )
-    return values
+    return column

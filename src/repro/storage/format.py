@@ -59,7 +59,8 @@ def encode_page(column: Column) -> bytes:
     ``row_count`` or ``payload_len`` is as corrupting as one in the
     payload, so it must be equally detectable.
     """
-    codec_id, payload = encode_array(column.dtype, column.values)
+    codec_id, payload = encode_array(column.dtype, column.values,
+                                     column.uniques)
     flags = 0
     body = payload
     if column.valid is not None:
@@ -93,15 +94,12 @@ def decode_page(raw: bytes) -> Column:
     header_crc = zlib.crc32(raw[:PAGE_HEADER_BYTES - 4])
     if zlib.crc32(body, header_crc) & 0xFFFFFFFF != crc:
         raise CorruptSegmentError("page checksum mismatch")
-    payload = body[:payload_len]
-    values = decode_array(dtype, codec_id, payload, row_count)
-    valid = None
-    if flags & _FLAG_HAS_NULLS:
-        mask_bytes = body[payload_len:]
-        bits = np.unpackbits(np.frombuffer(mask_bytes, dtype=np.uint8),
-                             count=row_count)
-        valid = bits.astype(bool)
-    return Column(dtype, values, valid)
+    column = decode_array(dtype, codec_id, body[:payload_len], row_count)
+    if not flags & _FLAG_HAS_NULLS:
+        return column
+    bits = np.unpackbits(np.frombuffer(body[payload_len:], dtype=np.uint8),
+                         count=row_count)
+    return Column(dtype, column.values, bits.astype(bool), column.uniques)
 
 
 def page_codec(raw: bytes) -> int:
@@ -112,9 +110,11 @@ def page_codec(raw: bytes) -> int:
 
 
 def dtype_of_array(array: np.ndarray) -> DataType:
-    """The SQL type whose pages carry a raw NumPy array (cache snapshots
-    and shard blobs hold arrays, not typed Columns); narrower integers
-    and floats widen losslessly to BIGINT / DOUBLE."""
+    """The SQL type whose pages carry a raw numeric NumPy array (cache
+    snapshots and shard blobs hold extraction arrays, not typed Columns);
+    narrower integers and floats widen losslessly to BIGINT / DOUBLE.
+    Strings travel only as VARCHAR Columns (codes + uniques), so a string
+    array is refused like any other dtype no page carries."""
     kind = array.dtype.kind
     if kind in "iu":
         return DataType.BIGINT
@@ -122,8 +122,6 @@ def dtype_of_array(array: np.ndarray) -> DataType:
         return DataType.DOUBLE
     if kind == "b":
         return DataType.BOOLEAN
-    if kind in "OU":
-        return DataType.VARCHAR
     raise StorageError(f"no page type carries an array of dtype {array.dtype}")
 
 

@@ -1,88 +1,84 @@
-"""Property tests: a VARCHAR column's dictionary survives derivation.
+"""Property tests: a VARCHAR column is int32 codes plus sorted uniques.
 
-``take``, ``filter``, ``slice`` and ``concat`` carry a column's
-``(codes, uniques)`` dictionary instead of dropping it, and a fanning-out
-``take`` computes the small source's dictionary first.  Whatever the
-operation, the carried dictionary must be exactly what
-:meth:`Column.dictionary` computes from scratch over the derived values —
-so ``factorize`` and ``memory_bytes`` read it without walking the rows,
-and answer as if they had.
+The one representation of a string column is ``values`` — int32 codes —
+indexing ``uniques``, a sorted object array of distinct ``str``.
+``take``, ``filter`` and ``slice`` gather codes and share the source's
+``uniques`` (which may then be a superset of the values present);
+``concat`` merges the parts' uniques.  Whatever the operation, the
+derived column must hold the right strings, keep ``uniques`` sorted and
+distinct with every code in range, and answer ``factorize`` and
+``memory_bytes`` from codes and uniques alone.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.db.column import Column
+from repro.db.column import CODE_DTYPE, Column
 from repro.db.types import DataType
 
 _SETTINGS = dict(max_examples=80, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
 
-# NULLs, the empty string, one or many distinct values, a non-ASCII one.
+# NULLs, the empty string, one or many distinct values, a non-ASCII one,
+# and a trailing NUL next to the same string without it.
 _VALUES = st.lists(st.one_of(st.none(), st.sampled_from(
-    ["", "a", "b", "NL/HGN/x.mseed", "é"])), max_size=24)
+    ["", "a", "b", "NL/HGN/x.mseed", "é", "AB", "AB\x00"])), max_size=24)
 
 
-def _column(values, with_dict):
-    col = Column.from_values(DataType.VARCHAR, values)
-    if with_dict:
-        col.dictionary()
-    return col
+def _column(values):
+    return Column.from_values(DataType.VARCHAR, values)
 
 
-def _assert_exact(derived: Column) -> None:
-    """The carried dictionary is a fresh one's, and what reads it agrees."""
-    assert derived._dict is not None
-    codes, uniques = derived._dict
-    fresh = Column(derived.dtype, derived.values.copy(), derived.valid)
-    want_codes, want_uniques = fresh.dictionary()
-    assert uniques == want_uniques
-    np.testing.assert_array_equal(codes, want_codes)
+def _assert_invariant(derived: Column, expected: list) -> None:
+    """Right strings; sorted distinct uniques; codes in range; factorize
+    and memory_bytes read codes and uniques."""
+    assert derived.to_pylist() == expected
+    assert derived.values.dtype == CODE_DTYPE
+    uniques = derived.uniques.tolist()
+    assert uniques == sorted(set(uniques))
+    assert all(isinstance(u, str) for u in uniques)
+    if len(derived):
+        assert 0 <= derived.values.min() and derived.values.max() < len(uniques)
+    present = {v for v in expected if v is not None}
+    assert present <= set(uniques)
 
-    got, bound = derived.factorize()
-    want, want_bound = fresh.factorize()
-    assert bound == want_bound
-    np.testing.assert_array_equal(got, want)
+    codes, bound = derived.factorize()
+    assert bound == len(uniques)
+    for code, value in zip(codes.tolist(), expected):
+        assert (code == -1) if value is None else uniques[code] == value
 
     nulls = 0 if derived.valid is None else derived.valid.nbytes
-    assert derived.memory_bytes() == (len(derived) * 8
-                                      + sum(map(len, want_uniques))
-                                      + codes.nbytes + nulls)
+    assert derived.memory_bytes() == (derived.values.nbytes
+                                      + 8 * len(uniques)
+                                      + sum(map(len, uniques)) + nulls)
 
 
 @settings(**_SETTINGS)
-@given(values=_VALUES, with_dict=st.booleans(), data=st.data())
-def test_take_carries_or_builds_the_dictionary(values, with_dict, data):
-    col = _column(values, with_dict)
+@given(values=_VALUES, data=st.data())
+def test_take_carries_or_builds_the_dictionary(values, data):
+    col = _column(values)
     n = len(values)
     indices = np.array(data.draw(st.lists(
         st.integers(0, max(n - 1, 0)), max_size=3 * n if n else 0)),
         dtype=np.int64)
     derived = col.take(indices)
-    assert derived.to_pylist() == [values[i] for i in indices]
-    fans_out = len(indices) > n
-    if with_dict or fans_out:
-        _assert_exact(derived)
-    else:
-        assert derived._dict is None  # fan-in of a plain column: no work
+    _assert_invariant(derived, [values[i] for i in indices])
+    assert derived.uniques is col.uniques  # shared, never rebuilt
 
 
 @settings(**_SETTINGS)
 @given(values=_VALUES, data=st.data())
 def test_filter_and_slice_carry_the_dictionary(values, data):
-    col = _column(values, True)
+    col = _column(values)
     n = len(values)
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=n,
                                        max_size=n)), dtype=bool)
     kept = col.filter(mask)
-    assert kept.to_pylist() == [v for v, m in zip(values, mask) if m]
-    _assert_exact(kept)
+    _assert_invariant(kept, [v for v, m in zip(values, mask) if m])
 
     start = data.draw(st.integers(0, n))
     stop = data.draw(st.integers(0, n))
-    part = col.slice(start, stop)
-    assert part.to_pylist() == values[start:stop]
-    _assert_exact(part)
+    _assert_invariant(col.slice(start, stop), values[start:stop])
 
 
 @settings(**_SETTINGS)
@@ -92,24 +88,26 @@ def test_concat_merges_the_dictionaries(parts, shared):
     if shared:
         # Every part is the same column: the uniques are shared as is.
         parts = parts[:1] * 3
-    columns = [_column(values, True) for values in parts]
+    columns = [_column(values) for values in parts]
     merged = Column.concat(columns)
-    assert merged.to_pylist() == [v for values in parts for v in values]
-    _assert_exact(merged)
+    _assert_invariant(merged, [v for values in parts for v in values])
+    if shared:
+        assert merged.uniques is columns[0].uniques
 
 
-def test_concat_with_a_plain_part_carries_nothing():
-    merged = Column.concat([_column(["a", "b"], True),
-                            _column(["b", None], False)])
-    assert merged._dict is None
-    assert merged.to_pylist() == ["a", "b", "b", None]
+def test_concat_of_disjoint_uniques_merges_them():
+    merged = Column.concat([_column(["b", "a"]), _column(["c", None]),
+                            _column(["AB\x00", "AB"])])
+    _assert_invariant(merged, ["b", "a", "c", None, "AB\x00", "AB"])
+    assert merged.uniques.tolist() == ["", "AB", "AB\x00", "a", "b", "c"]
 
 
 def test_fan_out_takes_the_small_sides_dictionary_once():
-    """The join shape: an 18-row metadata column repeated per sample."""
-    channels = Column.from_values(DataType.VARCHAR,
-                                  ["BHE", "BHN", "BHZ"] * 6)
+    """The join shape: an 18-row metadata column repeated per sample
+    gathers codes only; the three strings are never copied."""
+    channels = _column(["BHE", "BHN", "BHZ"] * 6)
     wide = channels.take(np.repeat(np.arange(18), 1000))
-    assert channels._dict is not None  # computed on the small source
-    assert wide._dict[1] == ["BHE", "BHN", "BHZ"]
-    _assert_exact(wide)
+    assert wide.uniques is channels.uniques
+    assert wide.uniques.tolist() == ["BHE", "BHN", "BHZ"]
+    _assert_invariant(wide, [["BHE", "BHN", "BHZ"][i % 3]
+                             for i in np.repeat(np.arange(18), 1000)])

@@ -139,7 +139,13 @@ def _span_beyond_int64(path: str) -> None:
     _patch_record(path, 2, 30, struct.pack(">Hhh", 0xFFFF, -0x8000, -0x8000))
 
 
-UNREADABLE = {"zero-length": _empty, "span-beyond-int64": _span_beyond_int64}
+def _rate_factor_0(path: str) -> None:
+    # Record 2 keeps its samples but loses its sample rate.
+    _patch_record(path, 2, 32, struct.pack(">h", 0))
+
+
+UNREADABLE = {"zero-length": _empty, "span-beyond-int64": _span_beyond_int64,
+              "rate-factor-0": _rate_factor_0}
 
 
 def _samples_without(manifest, victim) -> int:
@@ -203,3 +209,40 @@ def test_repeated_sequence_number_skips_only_its_file(mutable_repo, caplog,
     with pytest.raises(CorruptRecordError, match="sequence number 2 repeats"):
         harvest_repository(Repository(mutable_repo.root), MSeedAdapter(),
                            strict=True)
+
+
+def test_samples_at_rate_factor_0_skip_their_file(mutable_repo, caplog):
+    """Such a record used to pass the harvest; the first query needing
+    ``sample_time`` then died of a bare ZeroDivisionError."""
+    victim = mutable_repo.entries[0]
+    _rate_factor_0(victim.path)
+    uri = os.path.relpath(victim.path, mutable_repo.root)
+    with caplog.at_level(logging.WARNING, logger="repro.etl.metadata"):
+        wh = SeismicWarehouse(mutable_repo.root, mode="lazy")
+    count, _first = wh.query(
+        "SELECT COUNT(*), MIN(D.sample_time) FROM mseed.dataview").first()
+    assert count == _samples_without(mutable_repo, victim)
+    assert any(r.getMessage().startswith(f"skipping corrupt file {uri}: ")
+               and r.getMessage().endswith(" samples at sample-rate factor 0")
+               for r in caplog.records if r.name == "repro.etl.metadata")
+    with pytest.raises(CorruptRecordError,
+                       match="samples at sample-rate factor 0"):
+        harvest_repository(Repository(mutable_repo.root), MSeedAdapter(),
+                           strict=True)
+
+
+def test_log_record_at_rate_0_extracts_no_samples(mutable_repo):
+    """A log record (no samples, sample-rate factor 0) is legal: its file
+    is harvested and extracts without it.  The per-record reference used
+    to compute ``1e6 / rate`` before looking at the count."""
+    victim = mutable_repo.entries[0]
+    with open(victim.path, "rb") as handle:
+        handle.seek(2 * 512 + 30)
+        (logged,) = struct.unpack(">H", handle.read(2))
+    _patch_record(victim.path, 2, 30, struct.pack(">Hh", 0, 0))
+    wh = SeismicWarehouse(mutable_repo.root, mode="lazy")
+    assert wh.query("SELECT COUNT(*) FROM mseed.files").scalar() == \
+        len(mutable_repo.entries)
+    count, _first = wh.query(
+        "SELECT COUNT(*), MIN(D.sample_time) FROM mseed.dataview").first()
+    assert count == sum(e.n_samples for e in mutable_repo.entries) - logged

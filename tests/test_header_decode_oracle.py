@@ -136,7 +136,8 @@ VALID_EDITS = {
     "negmicros": _at(-1, 61, ">b", -37),
     "negmult": _at(-1, 32, ">hh", 40, -2),
     "bothneg": _at(-1, 32, ">hh", -2, -5),
-    "factor0": _at(-1, 32, ">hh", 0, 7),
+    # Log records: no samples, so no sample rate either.
+    "logrecords": _at(-1, 30, ">Hhh", 0, 0, 7),
     "farfuture": _at(-1, 20, ">H", 2300),
     "year9999": _at(-1, 20, ">HH", 9999, 365),
     "seqspace": _at(2, 0, "6s", b" 00003"),
@@ -154,6 +155,8 @@ CORRUPT_EDITS = {
     "nonascii": _at(2, 8, "3s", b"H\xc9N"),
     "year0": _at(2, 20, ">H", 0),
     "mult0": _at(2, 34, ">h", 0),
+    # Samples at sample-rate factor 0: times no rate can give.
+    "factor0": _at(-1, 32, ">hh", 0, 7),
     # 65 535 samples at 1 / (32768 * 32768) Hz: no int64 end time.
     "span-beyond-int64": _at(2, 30, ">Hhh", 0xFFFF, -0x8000, -0x8000),
 }
@@ -210,7 +213,7 @@ def test_batch_vouches_only_for_the_standard_layout(crafted_repo):
         patch.setattr(mseed_adapter, "scan_headers", recording)
         harvest_repository(Repository(crafted_repo), MSeedAdapter())
     assert vouched == {"leapsec", "tcorr-applied", "tcorr-pending",
-                       "negmicros", "negmult", "bothneg", "factor0",
+                       "negmicros", "negmult", "bothneg", "logrecords",
                        "farfuture", "subhz", "leapday"}
 
 

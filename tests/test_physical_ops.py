@@ -149,7 +149,7 @@ def _limit_db(rows=100):
 
 def _column_bytes(column):
     """One column's payload as bytes (VARCHAR via its Python values)."""
-    if column.values.dtype == object:
+    if column.dtype == DataType.VARCHAR:
         return repr(column.to_pylist()).encode()
     return column.values.tobytes()
 

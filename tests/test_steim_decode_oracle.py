@@ -202,6 +202,14 @@ def _mixed_encodings() -> bytes:
     return steim1 + bytes(steim2)
 
 
+def _log_record() -> bytes:
+    """A Steim-2 file whose third record is a log record: no samples at
+    sample-rate factor 0 (the pass leaves rate-0 files to the reference)."""
+    data = bytearray(_file_bytes(_noise(1200)))
+    struct.pack_into(">Hh", data, 2 * 512 + 30, 0, 0)
+    return bytes(data)
+
+
 FALLBACK = {
     "int32": lambda: _file_bytes(_noise(800), encoding=encodings.ENC_INT32),
     "float64": lambda: _file_bytes(_noise(800).astype(np.float64),
@@ -210,6 +218,7 @@ FALLBACK = {
     "mixed-lengths": lambda: _file_bytes(_noise(600)) + _file_bytes(
         _noise(3000), record_length=4096),
     "truncated": lambda: _file_bytes(_noise())[:-100],
+    "log-record": _log_record,
 }
 
 

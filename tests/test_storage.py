@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from repro.storage.codecs import (
     decode_array,
     encode_array,
 )
-from repro.storage.format import decode_page, encode_page
+from repro.storage.format import decode_page, encode_page, page_codec
 
 
 def _v(uri, mtime_ns):
@@ -69,13 +71,14 @@ def _ledger(*infos):
                                 np.iinfo(np.int64).max // 2], dtype=np.int64)),
 ])
 def test_codec_roundtrip(dtype, values):
-    codec_id, payload = encode_array(dtype, values)
+    column = Column.from_numpy(dtype, values)
+    codec_id, payload = encode_array(dtype, column.values, column.uniques)
     assert codec_id in CODEC_NAMES
     back = decode_array(dtype, codec_id, payload, len(values))
     if dtype == DataType.VARCHAR:
-        assert [str(v) for v in back] == [str(v) for v in values]
+        assert back.to_pylist() == values.tolist()
     else:
-        assert np.array_equal(back, values)
+        assert np.array_equal(back.values, values)
 
 
 def test_codec_choices_match_data_shape():
@@ -85,8 +88,9 @@ def test_codec_choices_match_data_shape():
     assert encode_array(DataType.BIGINT, monotone)[0] == CODEC_DELTA_FOR
     constant = np.full(5000, 7, dtype=np.int64)
     assert encode_array(DataType.BIGINT, constant)[0] in (CODEC_FOR, CODEC_RLE)
-    strings = np.array(["BHZ"] * 500 + ["BHE"] * 500, dtype=object)
-    assert encode_array(DataType.VARCHAR, strings)[0] in (CODEC_DICT, CODEC_RLE)
+    strings = Column.from_values(DataType.VARCHAR, ["BHZ"] * 500 + ["BHE"] * 500)
+    assert encode_array(DataType.VARCHAR, strings.values,
+                        strings.uniques)[0] in (CODEC_DICT, CODEC_RLE)
 
 
 def test_codec_compresses():
@@ -105,11 +109,65 @@ def test_page_roundtrip_with_null_mask():
 
 
 def test_page_roundtrip_varchar_nulls():
-    values = np.array(["a", "", "b", "a"] * 25, dtype=object)
-    valid = np.array([True, False, True, True] * 25)
-    back = decode_page(encode_page(Column(DataType.VARCHAR, values, valid)))
-    assert [v for v in back.values] == [v for v in values]
-    assert np.array_equal(back.valid, valid)
+    values = ["a", None, "b", "a"] * 25
+    back = decode_page(encode_page(Column.from_values(DataType.VARCHAR,
+                                                      values)))
+    assert back.to_pylist() == values
+    assert np.array_equal(back.valid, [v is not None for v in values])
+
+
+# VARCHAR pages as written before a VARCHAR column became codes + uniques
+# (same codec ids, same payload layouts): each must decode to the same
+# strings and nulls, trailing NUL, empty string and non-ASCII included.
+LEGACY_VARCHAR_PAGES = {
+    "plain": (
+        ["AB", "AB\x00", "B", None, "é", "", "zz", "q"],
+        "4c50473100030100080000002f0000000660273e080000000200000041420300"
+        "000041420001000000420000000002000000c3a900000000020000007a7a0100"
+        "000071ef"),
+    "rle": (
+        ["BHZ"] * 6 + [None] * 3 + ["BHE"] * 7,
+        "4c504731010301001000000026000000ceb585de030000000600000003000000"
+        "07000000030000000300000042485a0000000003000000424845fc7f"),
+    "dict": (
+        ["HGN", "DBN", None, "ISK", "HGN", "DBN", "AB\x00", "HGN", "ISK",
+         "DBN", "HGN", "é", "HGN", "DBN", "", "HGN"] * 2,
+        "4c50473102030100200000005300000067886a25060000000000000003000000"
+        "4142000300000044424e0300000048474e0300000049534b02000000c3a90000"
+        "000000000000010302000403020103040203050302000303020004030201030402"
+        "030503020003dfffdfff"),
+}
+
+
+@pytest.mark.parametrize("codec", sorted(LEGACY_VARCHAR_PAGES))
+def test_legacy_varchar_pages_decode_unchanged(codec):
+    values, hex_page = LEGACY_VARCHAR_PAGES[codec]
+    raw = bytes.fromhex(hex_page)
+    assert CODEC_NAMES[page_codec(raw)] == codec
+    column = decode_page(raw)
+    assert column.dtype == DataType.VARCHAR
+    assert column.to_pylist() == values
+    # Re-encoding picks the same codec and decodes to the same rows.
+    again = encode_page(column)
+    assert page_codec(again) == page_codec(raw)
+    assert decode_page(again).to_pylist() == values
+
+
+def test_store_checkpointed_before_codes_reopens(tmp_path):
+    """A store written when VARCHAR columns were object arrays (one DICT
+    and one RLE page) reopens and answers from its pages."""
+    shutil.copytree(Path(__file__).parent / "data" / "parent_store",
+                    tmp_path / "store")
+    db = Database()
+    db.attach(tmp_path / "store")
+    rows = db.query("SELECT id, s, k FROM t ORDER BY id").rows()
+    assert rows[:7] == [(0, "AB", "BHZ"), (1, "AB\x00", "BHZ"),
+                        (2, "B", "BHZ"), (3, None, "BHZ"), (4, "é", "BHZ"),
+                        (5, "", "BHZ"), (6, "AB", "BHZ")]
+    assert [k for _i, _s, k in rows] == \
+        ["BHZ"] * 14 + ["BHE"] * 14 + ["BHN"] * 12
+    assert db.query("SELECT MIN(s), MAX(s), COUNT(DISTINCT s), "
+                    "COUNT(*) FROM t").rows() == [("", "é", 5, 40)]
 
 
 def test_corrupted_page_checksum_detected():
@@ -135,8 +193,7 @@ def _write_segment(path, rows=40000):
         "v", Column(DataType.BIGINT, np.arange(rows, dtype=np.int64),
                     np.arange(rows) % 11 != 0))
     writer.write_column(
-        "s", Column(DataType.VARCHAR,
-                    np.array(["x", "y"] * (rows // 2), dtype=object)))
+        "s", Column.from_values(DataType.VARCHAR, ["x", "y"] * (rows // 2)))
     writer.finish()
 
 
