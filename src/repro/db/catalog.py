@@ -15,7 +15,9 @@ Two catalog concepts carry the paper's design:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, runtime_checkable
+from typing import NamedTuple, Optional, Protocol, runtime_checkable
+
+import numpy as np
 
 from repro.db.column import Column
 from repro.db.expr import ColumnRef, Star
@@ -34,6 +36,14 @@ system tables appear under every connection without invalidating a
 single cached plan (their providers produce rows at scan time, so
 cached plans always see current data anyway).
 """
+
+
+class LazyRows(NamedTuple):
+    """What :meth:`LazyTableBinding.fetch` serves (see there)."""
+
+    columns: dict[str, Column]
+    pair_of_row: np.ndarray
+    run_lengths: np.ndarray
 
 
 @runtime_checkable
@@ -61,9 +71,19 @@ class LazyTableBinding(Protocol):
         time_bounds: tuple[Optional[int], Optional[int]],
         trace: list[dict],
         versions: dict,
-    ) -> dict[str, Column]:
+    ) -> LazyRows:
         """Extract/transform/load the rows matching ``keys`` (the key
         columns of the metadata rows, by name).
+
+        The rows come back grouped by the distinct key tuples the
+        metadata rows name (the *pairs*, in key order): ``columns`` holds
+        ``needed`` for every served row, pair after pair;
+        ``pair_of_row[i]`` is the pair metadata row ``i`` names (-1 when
+        it names none, as a NULL key does); ``run_lengths[p]`` is how many
+        rows pair ``p`` served (0 when its record was pruned or is gone).
+        The caller pairs metadata rows with data rows by position from
+        these two arrays, so key columns are built only when ``needed``
+        names them.
 
         ``trace`` receives one entry per injected operator (cache hit,
         extraction, refresh) for plan introspection — demo items (5)-(7).

@@ -312,25 +312,14 @@ class StreamingQuery:
         """Yield one :class:`Result` per row batch of the projection."""
         out_cols = self.entry.optimized.output
         while not self._finished:
-            started = time.perf_counter()
             try:
-                # Parameter values are (re)installed around every pull:
-                # interleaved cursors on one thread must each see their
-                # own bindings.
-                if self._values is None:
-                    chunk = next(self._gen)
-                else:
-                    with ex.active_params(self._values):
-                        chunk = next(self._gen)
+                chunk = self._timed(self._pull)
             except StopIteration:
-                self.report.execute_s += time.perf_counter() - started
                 self._finalize()
                 return
             except Exception as exc:
-                self.report.execute_s += time.perf_counter() - started
                 self._finalize(status="error", error=str(exc))
                 raise
-            self.report.execute_s += time.perf_counter() - started
             self.report.rows_out += chunk.length
             yield Result(self.names,
                          [chunk.columns[c.cid] for c in out_cols])
@@ -342,10 +331,33 @@ class StreamingQuery:
     def close(self) -> None:
         """Abandon the stream (partial consumption still reports)."""
         if not self._finished:
-            started = time.perf_counter()
-            self._gen.close()  # runs the open operators' cleanup
-            self.report.execute_s += time.perf_counter() - started
+            self._timed(self._gen.close)  # runs the open operators' cleanup
             self._finalize()
+
+    def _pull(self):
+        # Parameter values are (re)installed around every pull:
+        # interleaved cursors on one thread must each see their own
+        # bindings.
+        if self._values is None:
+            return next(self._gen)
+        with ex.active_params(self._values):
+            return next(self._gen)
+
+    def _timed(self, step):
+        """Run one pull (or the close) of the root stream, adding its wall
+        time to ``execute_s``; a profile charges the part no operator
+        frame saw to the root frame, so the spans cover the same time."""
+        profile = self.profile
+        before = 0.0 if profile is None else profile.total_operator_s()
+        started = time.perf_counter()
+        try:
+            return step()
+        finally:
+            elapsed = time.perf_counter() - started
+            self.report.execute_s += elapsed
+            if profile is not None:
+                profile.charge_root(elapsed - (profile.total_operator_s()
+                                               - before))
 
     def _finalize(self, *, status: str = "ok", error: str = "") -> None:
         if self._finished:

@@ -302,9 +302,12 @@ def signature_of(node: lg.LogicalNode) -> str:
             for col in node.lazy_output:
                 env[col.cid] = f"{tag}.{col.name}"
             keys = ",".join(env.get(c, str(c)) for c in node.meta_key_cids)
+            # The output is what the parent reads, not a function of the
+            # inputs: results are positional, so it is part of the key.
+            out = ",".join(env.get(c.cid, str(c.cid)) for c in node.output)
             residuals = ";".join(render_expr(r) for r in node.residuals)
             return (
-                f"lazyfetch({node.table_name},keys=[{keys}],"
+                f"lazyfetch({node.table_name},keys=[{keys}],out=[{out}],"
                 f"need=[{','.join(node.needed)}],res=[{residuals}],"
                 f"bounds={node.time_bounds},{meta})"
             )

@@ -603,14 +603,20 @@ def _lazy_fetch_rows(node: ph.PLazyFetch, ctx: ph.ExecutionContext
         "needed": list(lg_node.needed),
         "time_bounds": time_bounds,
     })
-    named = binding.fetch(keys, list(lg_node.needed), time_bounds, ctx.trace,
-                          ctx.file_deps)
-    lazy_len = len(next(iter(named.values()))) if named else 0
+    # The reference pairs rows by a real key join, so it asks for the key
+    # columns whether or not a parent reads them.
+    needed = list(lg_node.needed)
+    needed += [name for name in key_names if name not in needed]
+    fetched = binding.fetch(keys, needed, time_bounds, ctx.trace,
+                            ctx.file_deps)
+    lazy_len = int(fetched.run_lengths.sum())
     ctx.rows_extracted += lazy_len
 
+    # Values sit under their cids; key columns no parent reads, under
+    # their names.
     name_to_cid = {c.name: c.cid for c in lg_node.lazy_output}
-    lazy_cols = {name_to_cid[n]: col for n, col in named.items()
-                 if n in name_to_cid}
+    lazy_cols = {name_to_cid.get(n, n): col
+                 for n, col in fetched.columns.items()}
     lazy_rows = [
         {cid: col.value_at(i) for cid, col in lazy_cols.items()}
         for i in range(lazy_len)
@@ -622,10 +628,14 @@ def _lazy_fetch_rows(node: ph.PLazyFetch, ctx: ph.ExecutionContext
         lazy_rows = [row for row in lazy_rows
                      if eval_scalar(residual, row) is True]
 
-    right_keys = [name_to_cid[n] for n in key_names]
-    pairs = _hash_join(meta_rows, lazy_rows,
-                       lg_node.meta_key_cids, right_keys)
-    return [{**meta_rows[li], **lazy_rows[ri]} for li, ri in pairs]
+    pairs = _hash_join(meta_rows, lazy_rows, lg_node.meta_key_cids,
+                       [name_to_cid.get(n, n) for n in key_names])
+    out_cids = [c.cid for c in node.schema]
+    rows = []
+    for li, ri in pairs:
+        merged = {**meta_rows[li], **lazy_rows[ri]}
+        rows.append({cid: merged[cid] for cid in out_cids})
+    return rows
 
 
 # ---------------------------------------------------------------------------

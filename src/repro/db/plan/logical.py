@@ -148,8 +148,10 @@ class LLazyFetch(LogicalNode):
 
     Executes ``meta`` first (the metadata sub-plan with its predicates),
     then asks the lazy binding to extract exactly the matching rows of the
-    virtual table, and finally joins them back.  ``output`` is
-    ``meta.output`` followed by the lazy table's fetched columns.
+    virtual table, and pairs them with the metadata rows by position.
+    ``needed`` names the lazy columns to fetch (``lazy_output``: what a
+    parent or a residual reads); ``output`` is the part of
+    ``meta.output`` followed by ``lazy_output`` that a parent reads.
     """
 
     meta: LogicalNode

@@ -593,13 +593,12 @@ def prune_columns(node: LogicalNode, required: Optional[set[int]] = None
             needed |= residual.referenced_cids()
         meta_req = (needed & node.meta.output_cids()) | set(node.meta_key_cids)
         node.meta = prune_columns(node.meta, meta_req)
-        lazy_needed = [
-            col for col in node.lazy_output
-            if col.cid in needed or col.name in node.binding.key_columns
-        ]
-        node.lazy_output = lazy_needed
-        node.needed = [c.name for c in lazy_needed]
-        node.output = node.meta.output + node.lazy_output
+        # Rows pair by position, so the key columns are fetched — and
+        # either side's columns output — only where a parent reads them.
+        node.lazy_output = [c for c in node.lazy_output if c.cid in needed]
+        node.needed = [c.name for c in node.lazy_output]
+        output = node.meta.output + node.lazy_output
+        node.output = [c for c in output if c.cid in required] or output[:1]
         return node
 
     if isinstance(node, LScan):

@@ -16,10 +16,10 @@ exactly those breakers.
 
 :class:`PLazyFetch` is the run-time rewriting operator of §3.1: executing
 it runs the metadata sub-plan, asks the lazy binding to inject cache-fetch
-or file-extract steps for exactly the qualifying files, then joins the
-extracted rows back to the metadata.  Its injected steps are appended to
-``ctx.trace`` so the demo can show "the files containing required actual
-data" and "the plans generated on the fly".
+or file-extract steps for exactly the qualifying records, then pairs each
+metadata row with its record's extracted rows by position (no key join).
+Its injected steps are appended to ``ctx.trace`` so the demo can show "the
+files containing required actual data" and "the plans generated on the fly".
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ class PhysicalNode:
 
 
 # ---------------------------------------------------------------------------
-# Join machinery (shared by PJoin and PLazyFetch)
+# Join machinery
 # ---------------------------------------------------------------------------
 
 
@@ -252,29 +252,24 @@ _CODE_BOUND_LIMIT = 1 << 62
 
 
 def _densify_codes(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Re-rank sparse codes densely (order-preserving; -1 stays -1).
+    """Re-rank sparse non-negative codes densely (order-preserving).
 
     factorize() may return sparse range-bounds for integer columns;
     chaining several wide-range key columns could overflow int64, so the
-    combiners compress the running codes before that can happen.
+    combiner compresses the running codes before that can happen.
     """
     uniques, inverse = np.unique(codes, return_inverse=True)
-    inverse = inverse.astype(np.int64)
-    if uniques.size and uniques[0] == -1:
-        # -1 sorts first: shift it back out of the dense code space.
-        inverse -= 1
-        return inverse, int(uniques.size) - 1
-    return inverse, int(uniques.size)
+    return inverse.astype(np.int64), int(uniques.size)
 
 
 def _combined_codes(columns: list[Column]) -> np.ndarray:
     """Factorize multi-column grouping keys into one int64 code.
 
-    Unlike the join-side combiners, NULL here is an ordinary key value:
-    per column it maps to code 0 (every non-null code shifts up by one),
-    so ``(NULL, 1)`` and ``(NULL, 2)`` stay distinct groups and NULL
-    sorts first within each key column — SQL GROUP BY/DISTINCT treat
-    NULLs as equal to each other, not as match-nothing join keys.
+    NULL is an ordinary key value here: per column it maps to code 0
+    (every non-null code shifts up by one), so ``(NULL, 1)`` and
+    ``(NULL, 2)`` stay distinct groups and NULL sorts first within each
+    key column — SQL GROUP BY/DISTINCT treat NULLs as equal to each
+    other (:func:`join_indices` masks them out: join keys never match).
     """
     if not columns:
         raise ExecutionError("grouping requires at least one key column")
@@ -294,58 +289,24 @@ def _combined_codes(columns: list[Column]) -> np.ndarray:
     return combined
 
 
-def _pair_codes(left: Column, right: Column
-                ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Shared-space codes for one join key column pair: factorize the
-    two sides concatenated (VARCHAR sides merge their uniques, so only
-    the small dictionaries are touched, never the strings per row)."""
-    merged = Column.concat([left, right])
-    codes, count = merged.factorize()
-    split = len(left)
-    return codes[:split], codes[split:], count
-
-
-def _factorize_pair(left: list[Column], right: list[Column]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Factorize left/right key sets in a shared dictionary space."""
-    if not left:
-        raise ExecutionError("join requires at least one key column")
-    combined_l: Optional[np.ndarray] = None
-    combined_r: Optional[np.ndarray] = None
-    bound = 1
-    for l_col, r_col in zip(left, right):
-        lc, rc, count = _pair_codes(l_col, r_col)
-        if combined_l is None:
-            combined_l = lc.copy()
-            combined_r = rc.copy()
-            bound = count
-        else:
-            if bound * (count + 1) >= _CODE_BOUND_LIMIT:
-                # Densify both sides in one shared code space.
-                merged, bound = _densify_codes(
-                    np.concatenate([combined_l, combined_r]))
-                split = len(combined_l)
-                combined_l, combined_r = merged[:split], merged[split:]
-            null_l = (combined_l < 0) | (lc < 0)
-            null_r = (combined_r < 0) | (rc < 0)
-            combined_l = combined_l * (count + 1) + lc
-            combined_r = combined_r * (count + 1) + rc
-            combined_l[null_l] = -1
-            combined_r[null_r] = -1
-            bound = bound * (count + 1) + count
-    assert combined_l is not None and combined_r is not None
-    return combined_l, combined_r
-
-
 def join_indices(left_keys: list[Column], right_keys: list[Column]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All matching row pairs for an equi join.
 
     Returns ``(left_idx, right_idx, left_match_counts)``; NULL keys never
-    match.  Vectorised: sort right codes once, binary-search the left side,
-    then expand ranges without Python loops.
+    match.  Both sides are coded in one space by coding their
+    concatenation (VARCHAR sides merge their uniques, so only the small
+    dictionaries are touched, never the strings per row).  Vectorised:
+    sort right codes once, binary-search the left side, then expand
+    ranges without Python loops.
     """
-    left_codes, right_codes = _factorize_pair(left_keys, right_keys)
+    merged = [Column.concat([l, r]) for l, r in zip(left_keys, right_keys)]
+    codes = _combined_codes(merged)
+    for col in merged:
+        if col.valid is not None:
+            codes[~col.valid] = -1
+    split = len(left_keys[0])
+    left_codes, right_codes = codes[:split], codes[split:]
     order = np.argsort(right_codes, kind="stable")
     sorted_right = right_codes[order]
     lo = np.searchsorted(sorted_right, left_codes, side="left")
@@ -988,131 +949,78 @@ class PAggregate(PhysicalNode):
 
         if not self.group_exprs and length == 0:
             # Global aggregate over empty input: one row, COUNT()=0, rest NULL.
-            columns: dict[int, Column] = {}
-            for out, agg in zip(self.agg_cols, self.aggregates):
-                if agg.name == "count":
-                    columns[out.cid] = Column.from_values(DataType.BIGINT, [0])
-                else:
-                    columns[out.cid] = Column.nulls(out.dtype, 1)
-            return Chunk(columns=columns, length=1)
+            return Chunk(columns={
+                out.cid: Column.from_values(DataType.BIGINT, [0])
+                if agg.name == "count" else Column.nulls(out.dtype, 1)
+                for out, agg in zip(self.agg_cols, self.aggregates)}, length=1)
 
-        if self.group_exprs:
-            group_values = [g.eval(chunk.columns, length)
-                            for g in self.group_exprs]
-            codes = _combined_codes(group_values)
-            uniques, first, inverse = np.unique(
-                codes, return_index=True, return_inverse=True
-            )
-            n_groups = len(uniques)
-            order = np.argsort(inverse, kind="stable")
-            starts = np.searchsorted(inverse[order], np.arange(n_groups),
-                                     side="left")
+        group_values = [g.eval(chunk.columns, length) for g in self.group_exprs]
+        if group_values:
+            groups = _Groups.of(_combined_codes(group_values))
         else:
-            # Global aggregate: one group containing every row, already
-            # "sorted" — skip the argsort (hot in concurrent serving).
-            group_values = []
-            first = np.zeros(0, dtype=np.int64)
-            inverse = np.zeros(length, dtype=np.int64)
-            n_groups = 1
-            order = np.arange(length, dtype=np.int64)
-            starts = np.zeros(1, dtype=np.int64)
+            # Global aggregate: one group containing every row, in order.
+            groups = _Groups(np.zeros(length, dtype=np.int64), None,
+                             np.array([length]))
 
-        columns = {}
-        for out, group_col in zip(self.group_cols, group_values):
-            columns[out.cid] = group_col.take(first)
+        first = groups.first_rows()
+        columns = {out.cid: group_col.take(first)
+                   for out, group_col in zip(self.group_cols, group_values)}
+        # Aggregates over one argument (MIN, MAX and AVG of a column)
+        # evaluate it, and gather it into group order, once.
+        shared: list[tuple[ex.Expr, _Argument]] = []
         for out, agg in zip(self.agg_cols, self.aggregates):
+            argument = next((a for arg, a in shared
+                             if arg == agg.arg and not agg.distinct), None)
+            if argument is None and agg.arg is not None:
+                argument = _Argument(agg.arg.eval(chunk.columns, length), groups)
+                if agg.distinct:
+                    argument = argument.distinct()
+                else:
+                    shared.append((agg.arg, argument))
             columns[out.cid] = self._compute_aggregate(
-                agg, out.dtype, chunk, order, starts, inverse, n_groups, length
-            )
-        return Chunk(columns=columns, length=n_groups)
+                agg, out.dtype, groups, argument)
+        return Chunk(columns=columns, length=len(groups.sizes))
 
-    def _compute_aggregate(self, agg: ex.AggCall, dtype: DataType, chunk: Chunk,
-                           order: np.ndarray, starts: np.ndarray,
-                           inverse: np.ndarray, n_groups: int,
-                           length: int) -> Column:
-        if agg.name == "count" and agg.arg is None:
-            counts = np.bincount(inverse, minlength=n_groups).astype(np.int64)
-            return Column(DataType.BIGINT, counts)
-
-        assert agg.arg is not None
-        col = agg.arg.eval(chunk.columns, length)
-        valid = col.validity()
-
-        if agg.distinct:
-            value_codes, _n = col.factorize()
-            pair = inverse * (np.int64(value_codes.max(initial=0)) + 2) + value_codes
-            keep_mask = valid.copy()
-            _uniq, keep_first = np.unique(
-                np.where(keep_mask, pair, -1), return_index=True
-            )
-            sel = np.zeros(length, dtype=bool)
-            sel[keep_first] = True
-            sel &= keep_mask
-            # A group of only NULLs keeps one NULL row, so every group
-            # keeps a reduceat start; it counts 0 and aggregates to NULL.
-            members = np.bincount(inverse[sel], minlength=n_groups)
-            sel[order[starts[members == 0]]] = True
-            subset = np.flatnonzero(sel)
-            col = col.take(subset)
-            valid = col.validity()
-            inverse = inverse[subset]
-            length = len(subset)
-            order = np.argsort(inverse, kind="stable")
-            starts = np.searchsorted(inverse[order], np.arange(n_groups),
-                                     side="left")
-
-        ordered_valid = valid[order]
-        counts_valid = np.add.reduceat(
-            ordered_valid.astype(np.int64), starts
-        ) if length else np.zeros(n_groups, dtype=np.int64)
+    def _compute_aggregate(self, agg: ex.AggCall, dtype: DataType,
+                           groups: "_Groups",
+                           argument: Optional["_Argument"]) -> Column:
+        if argument is None:  # COUNT(*)
+            return Column(DataType.BIGINT, groups.sizes)
+        col, valid, groups = argument.col, argument.valid, argument.groups
+        starts = groups.starts
+        counts_valid = argument.counts_valid
         empty_groups = counts_valid == 0
+        nulls = None if not empty_groups.any() else ~empty_groups
 
         if agg.name == "count":
             return Column(DataType.BIGINT, counts_valid)
 
-        if col.dtype == DataType.VARCHAR and agg.name in ("min", "max"):
+        if agg.name in ("min", "max"):
+            reducer = np.minimum if agg.name == "min" else np.maximum
+            if col.dtype != DataType.VARCHAR:
+                sentinels = (_MIN_SENTINELS if agg.name == "min"
+                             else _MAX_SENTINELS)
+                best = reducer.reduceat(
+                    argument.floats(float(sentinels[col.dtype])), starts)
+                return Column.from_numpy(dtype, best, nulls)
             # Codes are in string order: reduce them, keep the uniques.
             sentinel = len(col.uniques) if agg.name == "min" else -1
-            work = np.where(valid, col.values, sentinel)[order]
-            reducer = np.minimum if agg.name == "min" else np.maximum
-            best = reducer.reduceat(work, starts) if length else \
-                np.full(n_groups, sentinel)
+            best = reducer.reduceat(
+                groups.ordered(np.where(valid, col.values, sentinel)), starts)
             best[empty_groups] = 0  # NULL groups: the code is never read
-            return Column(DataType.VARCHAR, best.astype(CODE_DTYPE),
-                          None if not empty_groups.any() else ~empty_groups,
+            return Column(DataType.VARCHAR, best.astype(CODE_DTYPE), nulls,
                           col.uniques)
 
-        numeric = col.values.astype(np.float64)
-        numeric = np.where(valid, numeric, 0.0)
-        ordered = numeric[order]
-
-        if agg.name in ("min", "max"):
-            sentinels = _MIN_SENTINELS if agg.name == "min" else _MAX_SENTINELS
-            work = np.where(valid, col.values.astype(np.float64),
-                            float(sentinels[col.dtype]))[order]
-            reducer = np.minimum if agg.name == "min" else np.maximum
-            best = reducer.reduceat(work, starts) if length else \
-                np.zeros(n_groups)
-            result = Column.from_numpy(dtype, best,
-                                       None if not empty_groups.any()
-                                       else ~empty_groups)
-            return result
-
-        sums = np.add.reduceat(ordered, starts) if length else np.zeros(n_groups)
+        ordered = argument.floats(0.0)
+        sums = np.add.reduceat(ordered, starts)
         if agg.name == "sum":
-            return Column.from_numpy(
-                dtype, sums, None if not empty_groups.any() else ~empty_groups
-            )
+            return Column.from_numpy(dtype, sums, nulls)
         if agg.name == "avg":
             with np.errstate(invalid="ignore", divide="ignore"):
                 means = sums / np.where(counts_valid == 0, 1, counts_valid)
-            return Column.from_numpy(
-                DataType.DOUBLE, means,
-                None if not empty_groups.any() else ~empty_groups,
-            )
+            return Column.from_numpy(DataType.DOUBLE, means, nulls)
         if agg.name == "stddev_samp":
-            sq = np.add.reduceat(ordered * ordered, starts) if length else \
-                np.zeros(n_groups)
+            sq = np.add.reduceat(ordered * ordered, starts)
             n = counts_valid.astype(np.float64)
             with np.errstate(invalid="ignore", divide="ignore"):
                 variance = (sq - sums * sums / np.where(n == 0, 1, n)) / \
@@ -1123,20 +1031,96 @@ class PAggregate(PhysicalNode):
             return Column.from_numpy(DataType.DOUBLE, result,
                                      None if not bad.any() else ~bad)
         if agg.name == "median":
-            ordered_vals = col.values.astype(np.float64)[order]
-            ordered_ok = valid[order]
-            medians = np.zeros(n_groups, dtype=np.float64)
-            bounds = list(starts) + [length]
-            for g in range(n_groups):
+            ordered_vals = groups.ordered(col.values.astype(np.float64))
+            ordered_ok = groups.ordered(valid)
+            bounds = list(starts) + [len(valid)]
+            medians = np.zeros(len(starts), dtype=np.float64)
+            for g in range(len(starts)):
                 seg = ordered_vals[bounds[g]:bounds[g + 1]]
-                ok = ordered_ok[bounds[g]:bounds[g + 1]]
-                seg = seg[ok]
+                seg = seg[ordered_ok[bounds[g]:bounds[g + 1]]]
                 medians[g] = np.median(seg) if len(seg) else 0.0
-            return Column.from_numpy(
-                dtype, medians,
-                None if not empty_groups.any() else ~empty_groups,
-            )
+            return Column.from_numpy(dtype, medians, nulls)
         raise ExecutionError(f"unknown aggregate {agg.name}")
+
+
+class _Groups:
+    """Rows grouped by key: dense group ids in key order (``inverse``),
+    the stable permutation listing rows group by group (``order``,
+    ``None`` when they already are), and each group's size and first
+    position in that order (``sizes``, ``starts``)."""
+
+    def __init__(self, inverse: np.ndarray, order: Optional[np.ndarray],
+                 sizes: np.ndarray) -> None:
+        self.inverse, self.order, self.sizes = inverse, order, sizes
+        self.starts = np.cumsum(sizes) - sizes
+
+    @classmethod
+    def of(cls, codes: np.ndarray) -> "_Groups":
+        """Group rows by non-negative, key-ordered combined codes: one
+        counting pass, after densifying codes sparse next to the rows."""
+        bound = int(codes.max()) + 1 if len(codes) else 0
+        if bound > 2 * len(codes):
+            codes, bound = _densify_codes(codes)
+        sizes = np.bincount(codes, minlength=bound)
+        codes = (np.cumsum(sizes > 0) - 1)[codes]  # rank among used codes
+        sizes = sizes[sizes > 0]
+        order = None
+        if not (codes[1:] >= codes[:-1]).all():
+            # Stable argsort gives one permutation whatever the dtype;
+            # the narrow ones sort by radix.
+            narrow = (np.uint8 if len(sizes) <= 1 << 8 else
+                      np.uint16 if len(sizes) <= 1 << 16 else np.int64)
+            order = np.argsort(codes.astype(narrow), kind="stable")
+        return cls(codes, order, sizes)
+
+    def ordered(self, array: np.ndarray) -> np.ndarray:
+        """``array``'s rows in group order."""
+        return array if self.order is None else array[self.order]
+
+    def first_rows(self) -> np.ndarray:
+        return self.starts if self.order is None else self.order[self.starts]
+
+
+class _Argument:
+    """One aggregate argument, evaluated once: its non-NULL count per
+    group, and (on first use) its values as float64 in group order."""
+
+    def __init__(self, col: Column, groups: _Groups) -> None:
+        self.col, self.groups = col, groups
+        self.valid = col.validity()
+        self.counts_valid = groups.sizes if col.valid is None else \
+            np.add.reduceat(groups.ordered(self.valid).astype(np.int64),
+                            groups.starts)
+        self._floats: dict[Optional[float], np.ndarray] = {}
+
+    def distinct(self) -> "_Argument":
+        """The argument cut to each group's first row per distinct value,
+        the rows a DISTINCT aggregate reads."""
+        col, valid, groups = self.col, self.valid, self.groups
+        value_codes, _n = col.factorize()
+        pair = groups.inverse * (np.int64(value_codes.max(initial=0)) + 2) \
+            + value_codes
+        _uniq, keep_first = np.unique(np.where(valid, pair, -1),
+                                      return_index=True)
+        sel = np.zeros(len(col), dtype=bool)
+        sel[keep_first] = True
+        sel &= valid
+        # A group of only NULLs keeps one NULL row, so every group keeps
+        # a reduceat start; it counts 0 and aggregates to NULL.
+        members = np.bincount(groups.inverse[sel], minlength=len(groups.sizes))
+        sel[groups.first_rows()[members == 0]] = True
+        subset = np.flatnonzero(sel)
+        return _Argument(col.take(subset), _Groups.of(groups.inverse[subset]))
+
+    def floats(self, fill: float) -> np.ndarray:
+        """The values as float64 in group order, NULLs as ``fill``."""
+        key = None if self.col.valid is None else fill  # no NULL to fill
+        if key not in self._floats:
+            values = self.col.values.astype(np.float64)
+            if key is not None:
+                values = np.where(self.valid, values, fill)
+            self._floats[key] = self.groups.ordered(values)
+        return self._floats[key]
 
 
 # ---------------------------------------------------------------------------
@@ -1195,18 +1179,14 @@ class PLazyFetch(PhysicalNode):
     def batches(self, ctx: ExecutionContext, batch_rows: int):
         meta_chunk = self.meta.execute(ctx)
         node = self.node
-        binding = node.binding
-        key_names = list(binding.key_columns)
 
         if meta_chunk.length == 0:
             ctx.trace.append({"op": "rewrite", "table": node.table_name,
                               "files": 0, "note": "metadata selected nothing"})
             return
 
-        keys = {
-            name: meta_chunk.columns[cid]
-            for name, cid in zip(key_names, node.meta_key_cids)
-        }
+        keys = {name: meta_chunk.columns[cid] for name, cid
+                in zip(node.binding.key_columns, node.meta_key_cids)}
         time_bounds = self._resolve_time_bounds()
         ctx.trace.append({
             "op": "rewrite",
@@ -1215,37 +1195,50 @@ class PLazyFetch(PhysicalNode):
             "needed": list(node.needed),
             "time_bounds": time_bounds,
         })
-        named = binding.fetch(keys, list(node.needed), time_bounds,
-                              ctx.trace, ctx.file_deps)
-        lazy_len = len(next(iter(named.values()))) if named else 0
-        ctx.rows_extracted += lazy_len
-
+        fetched = node.binding.fetch(keys, list(node.needed), time_bounds,
+                                     ctx.trace, ctx.file_deps)
+        run_lengths = fetched.run_lengths
         name_to_cid = {c.name: c.cid for c in node.lazy_output}
-        lazy_frame = {name_to_cid[n]: col for n, col in named.items()
-                      if n in name_to_cid}
-        lazy_chunk = Chunk(columns=lazy_frame, length=lazy_len)
+        lazy_chunk = Chunk(columns={name_to_cid[n]: col
+                                    for n, col in fetched.columns.items()},
+                           length=int(run_lengths.sum()))
+        ctx.rows_extracted += lazy_chunk.length
 
         # Record/value-level residual predicates (e.g. sample_time windows)
-        # run right after extraction, before the join back to metadata.
-        for residual in node.residuals:
-            if lazy_chunk.length == 0:
-                break
-            mask = ex.predicate_mask(
-                residual.eval(lazy_chunk.columns, lazy_chunk.length)
-            )
-            lazy_chunk = lazy_chunk.filter(mask)
+        # run on the extracted rows first; each pair keeps its survivors.
+        if node.residuals:
+            pair_of = np.repeat(np.arange(len(run_lengths)), run_lengths)
+            for residual in node.residuals:
+                if lazy_chunk.length == 0:
+                    break
+                mask = ex.predicate_mask(
+                    residual.eval(lazy_chunk.columns, lazy_chunk.length))
+                lazy_chunk = lazy_chunk.filter(mask)
+                pair_of = pair_of[mask]
+            run_lengths = np.bincount(pair_of, minlength=len(run_lengths))
 
-        left_key_cols = [meta_chunk.columns[cid] for cid in node.meta_key_cids]
-        right_key_cols = [lazy_chunk.columns[name_to_cid[n]] for n in key_names]
-        left_idx, right_idx, _counts = join_indices(left_key_cols, right_key_cols)
+        # Pair by position: metadata row i gets its pair's run of data
+        # rows, in data order — a key join's output, without the join.  A
+        # row naming no pair (-1) gets the empty run appended last.
+        lengths = np.append(run_lengths, 0)
+        counts = lengths[fetched.pair_of_row]
+        first = (np.cumsum(lengths) - lengths)[fetched.pair_of_row]
+        shift = np.cumsum(counts) - counts - first  # output start - data start
+        total = int(counts.sum())
+        left_idx = np.repeat(np.arange(meta_chunk.length), counts)
+        right_idx = None  # every run once, in data order: no gather
+        if total != lazy_chunk.length or shift[counts > 0].any():
+            right_idx = np.arange(total) - np.repeat(shift, counts)
 
         columns: dict[int, Column] = {}
-        for cid, col in meta_chunk.columns.items():
-            columns[cid] = col.take(left_idx)
-        for cid, col in lazy_chunk.columns.items():
-            columns[cid] = col.take(right_idx)
-        yield from iter_chunk_slices(
-            Chunk(columns=columns, length=len(left_idx)), batch_rows)
+        for out in self.schema:
+            if out.cid in meta_chunk.columns:
+                columns[out.cid] = meta_chunk.columns[out.cid].take(left_idx)
+            else:
+                col = lazy_chunk.columns[out.cid]
+                columns[out.cid] = col if right_idx is None else col.take(right_idx)
+        yield from iter_chunk_slices(Chunk(columns=columns, length=total),
+                                     batch_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.db.catalog import LazyRows
 from repro.db.column import Column
 from repro.db.exec.engine import Database
 from repro.db.table import TableSchema, ForeignKeySpec
@@ -138,45 +139,58 @@ class LazyDataBinding:
         time_bounds: tuple[Optional[int], Optional[int]],
         trace: list[dict],
         versions: dict,
-    ) -> dict[str, Column]:
-        """Extract/transform/load exactly the rows the metadata selected."""
+    ) -> LazyRows:
+        """Extract/transform/load exactly the rows the metadata selected,
+        served pair by pair (see :class:`~repro.db.catalog.LazyRows`)."""
         uri_key, seq_key = self.key_columns
-        uri_codes = keys[uri_key]
+        uri_codes, seq_nos = keys[uri_key], keys[seq_key]
+        seqs = seq_nos.values.astype(np.int64)
+        # A row whose key is NULL (or a seq_no no record can carry) names
+        # nothing; the code under a NULL uri is never read.
+        named = uri_codes.validity() & seq_nos.validity() & (seqs == seq_nos.values)
         # The distinct (uri code, seq_no) pairs, sorted: files in uri
         # order (codes follow string order), each file's records in order.
-        pairs = np.unique(np.stack([uri_codes.values.astype(np.int64),
-                                    keys[seq_key].values.astype(np.int64)]),
-                          axis=1)
+        pairs, inverse = np.unique(
+            np.stack([uri_codes.values[named].astype(np.int64), seqs[named]]),
+            axis=1, return_inverse=True)
+        pair_of_row = np.full(len(named), -1, dtype=np.int64)
+        pair_of_row[named] = inverse.reshape(-1)
         per_file: dict[str, list[int]] = {}
-        for code, seq in zip(*pairs.tolist()):
-            per_file.setdefault(uri_codes.uniques[code], []).append(seq)
+        position: dict[tuple[str, int], int] = {}
+        for index, (code, seq) in enumerate(zip(*pairs.tolist())):
+            uri = uri_codes.uniques[code]
+            per_file.setdefault(uri, []).append(seq)
+            position[uri, seq] = index
 
         data_cols = [n for n in needed if n not in self.key_columns]
         uris = list(per_file)
-        pieces: list[tuple[str, int, dict[str, np.ndarray], int]] = []
-        if self.extract_pool is not None and len(uris) > 1:
-            # Fan this query's per-file work across the shared pool.  Each
-            # file gets a private trace list, merged back in file order so
-            # the trace (and the assembled output) stay deterministic.
-            local_traces: list[list[dict]] = [[] for _ in uris]
-            results = self.extract_pool.map_ordered(
-                lambda pair: self._fetch_file(
-                    pair[1], per_file[pair[1]], data_cols,
-                    time_bounds, local_traces[pair[0]], versions,
-                ),
-                list(enumerate(uris)),
-            )
+        # Each file gets a private trace list, merged back in file order,
+        # so the trace (and the assembled output) stay deterministic when
+        # a pool fans this query's per-file work out.
+        local_traces: list[list[dict]] = [[] for _ in uris]
+
+        def fetch_file(index: int):
+            uri = uris[index]
+            return self._fetch_file(uri, per_file[uri], data_cols,
+                                    time_bounds, local_traces[index], versions)
+
+        try:
+            if self.extract_pool is not None and len(uris) > 1:
+                per_uri = self.extract_pool.map_ordered(fetch_file,
+                                                        range(len(uris)))
+            else:
+                per_uri = [fetch_file(index) for index in range(len(uris))]
+        finally:
             for local in local_traces:
                 trace.extend(local)
-            for file_pieces in results:
-                pieces.extend(file_pieces)
-        else:
-            for uri in uris:
-                pieces.extend(
-                    self._fetch_file(uri, per_file[uri], data_cols,
-                                     time_bounds, trace, versions)
-                )
-        return self._assemble(pieces, needed, data_cols)
+        pieces = [piece for file_pieces in per_uri for piece in file_pieces]
+        # The pieces come in pair order; a pruned or vanished record
+        # serves none.
+        run_lengths = np.zeros(pairs.shape[1], dtype=np.int64)
+        run_lengths[[position[uri, seq] for uri, seq, _c, _r in pieces]] = \
+            [rows for _u, _s, _c, rows in pieces]
+        return LazyRows(self._assemble(pieces, needed, data_cols),
+                        pair_of_row, run_lengths)
 
     def scan_all(self, needed: list[str], trace: list[dict],
                  versions: dict) -> dict[str, Column]:
@@ -493,33 +507,23 @@ class LazyDataBinding:
         data_cols: list[str],
     ) -> dict[str, Column]:
         uri_key, seq_key = self.key_columns
-        total = sum(rows for _u, _s, _c, rows in pieces)
+        lengths = [rows for _u, _s, _c, rows in pieces]
         out: dict[str, Column] = {}
         if uri_key in needed:
             # The pieces are uri-ordered runs: one code per piece, repeated.
             out[uri_key] = Column.from_codes(
-                np.repeat(np.arange(len(pieces)),
-                          [rows for _u, _s, _c, rows in pieces]),
+                np.repeat(np.arange(len(pieces)), lengths),
                 [uri for uri, _s, _c, _r in pieces])
         if seq_key in needed:
-            seqs = np.empty(total, dtype=np.int64)
-            cursor = 0
-            for _uri, seq, _cols, rows in pieces:
-                seqs[cursor:cursor + rows] = seq
-                cursor += rows
+            seqs = np.array([seq for _u, seq, _c, _r in pieces], np.int64)
             out[seq_key] = Column.from_numpy(
-                self._data_specs[seq_key].dtype, seqs
-            )
+                self._data_specs[seq_key].dtype, np.repeat(seqs, lengths))
         for name in data_cols:
             spec = self._data_specs.get(name)
             if spec is None:
                 raise ExtractionError(f"unknown data column {name!r}")
-            if pieces:
-                values = np.concatenate(
-                    [cols[name] for _u, _s, cols, _r in pieces]
-                )
-            else:
-                values = np.empty(0, dtype=np.int64)
+            values = (np.concatenate([cols[name] for _u, _s, cols, _r in pieces])
+                      if pieces else np.empty(0, dtype=np.int64))
             out[name] = Column.from_numpy(spec.dtype, values)
         return out
 

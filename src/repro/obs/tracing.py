@@ -131,6 +131,13 @@ class QueryProfile:
         """The operator being pulled answered from the recycler."""
         self._stack[-1].recycled = True
 
+    def charge_root(self, seconds: float) -> None:
+        """Charge time the caller measured around a pull of the root
+        stream, but no frame did (the profiled generator's resume, the
+        caller's own bookkeeping), to the root frame."""
+        if self.roots:
+            self.roots[-1].total_s += seconds
+
     def total_operator_s(self) -> float:
         """Wall time attributed to operators = sum of root-frame totals.
 

@@ -103,6 +103,115 @@ def test_differential_oracle_corpus(warehouses, differential_oracle,
 
 
 # ---------------------------------------------------------------------------
+# Pairing metadata rows with extracted rows: the shapes it must get right
+# ---------------------------------------------------------------------------
+
+
+_FRD = ("FROM mseed.files F "
+        "JOIN mseed.records R ON R.file_location = F.file_location "
+        "JOIN mseed.data D ON R.file_location = D.file_location "
+        "AND R.seq_no = D.seq_no ")
+_NULL_KEYS = ("FROM mseed.files F LEFT JOIN mseed.records R "
+              "ON F.file_location = R.file_location AND {on} "
+              "JOIN mseed.data D ON R.file_location = D.file_location "
+              "AND R.seq_no = D.seq_no WHERE F.station = 'ISK'")
+
+PAIRING_CORPUS = [
+    # Every metadata row repeats its (file, record) key once per file of
+    # the station, so each extracted row fans out that many times.
+    ("repeated_key",
+     "SELECT F.channel, COUNT(*), SUM(D.sample_value) FROM mseed.files F "
+     "JOIN mseed.files F2 ON F2.station = F.station "
+     "JOIN mseed.records R ON R.file_location = F.file_location "
+     "JOIN mseed.data D ON R.file_location = D.file_location "
+     "AND R.seq_no = D.seq_no "
+     "WHERE F.station = 'ISK' GROUP BY F.channel"),
+    # The LEFT JOIN leaves every key NULL: nothing to extract.
+    ("null_keys_all",
+     "SELECT COUNT(*) " + _NULL_KEYS.format(on="R.seq_no > 100000")),
+    # BHE rows carry NULL keys, BHZ rows real ones.
+    ("null_keys_mixed",
+     "SELECT F.channel, R.seq_no, COUNT(*), SUM(D.sample_value) "
+     + _NULL_KEYS.format(on="F.channel = 'BHZ' AND R.seq_no <= 3")
+     + " GROUP BY F.channel, R.seq_no"),
+    # No time bound comes out of the OR, so whole records inside each
+    # file are extracted and then emptied by the residual.
+    ("residual_empties_records",
+     "SELECT R.seq_no, COUNT(*), MIN(D.sample_time), MAX(D.sample_value) "
+     + _FRD + "WHERE F.station = 'ISK' AND F.channel = 'BHZ' "
+     "AND (D.sample_time < '2010-01-12T22:01:00.000' "
+     "OR D.sample_time >= '2010-01-12T22:15:00.000') GROUP BY R.seq_no"),
+    # D's key columns are produced when a parent reads them.
+    ("data_keys_read",
+     "SELECT D.file_location, D.seq_no, D.sample_value " + _FRD
+     + "WHERE F.station = 'ISK' AND F.channel = 'BHZ' AND R.seq_no <= 2 "
+     "ORDER BY D.file_location, D.seq_no, D.sample_time"),
+]
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("qid,sql", PAIRING_CORPUS,
+                         ids=[qid for qid, _sql in PAIRING_CORPUS])
+@pytest.mark.parametrize("mode", ["lazy", "eager"])
+def test_differential_oracle_pairing(warehouses, differential_oracle,
+                                     mode, qid, sql):
+    differential_oracle(warehouses[mode].db, sql,
+                        stream_batch_rows=CORPUS_BATCH_ROWS)
+
+
+@pytest.mark.parametrize("qid,sql", PAIRING_CORPUS,
+                         ids=[qid for qid, _sql in PAIRING_CORPUS])
+def test_pairing_lazy_equals_eager(warehouses, qid, sql):
+    expected = _sorted_rows(warehouses["eager"].query(sql))
+    assert _sorted_rows(warehouses["lazy"].query(sql)) == expected
+    assert expected  # every shape answers something
+
+
+def test_repeated_key_fans_out_per_file(warehouses):
+    lazy = warehouses["lazy"]
+    files = lazy.query(
+        "SELECT COUNT(*) FROM mseed.files WHERE station = 'ISK'").scalar()
+    once = dict(lazy.query(
+        "SELECT F.channel, COUNT(*) " + _FRD
+        + "WHERE F.station = 'ISK' GROUP BY F.channel").rows())
+    fanned = {channel: count for channel, count, _sum in lazy.query(
+        dict(PAIRING_CORPUS)["repeated_key"]).rows()}
+    assert files > 1
+    assert fanned == {channel: files * n for channel, n in once.items()}
+
+
+def test_null_metadata_keys_extract_nothing(demo_repo):
+    """A NULL key names no record: lazy answers like eager instead of
+    looking for a file named by the code under the NULL."""
+    lazy = SeismicWarehouse(demo_repo.root, mode="lazy",
+                            recycler_budget_bytes=0)
+    assert lazy.query(dict(PAIRING_CORPUS)["null_keys_all"]).rows() == [(0,)]
+    lazy.query(dict(PAIRING_CORPUS)["null_keys_mixed"])
+    served = {entry["file"] for entry in lazy.last_trace
+              if entry["op"] in ("extract", "cache_fetch", "prune")}
+    assert served and all("BHZ" in uri for uri in served)
+
+
+@pytest.mark.parametrize("divisor,record", [(20, 2), (16, None)])
+def test_fractional_seq_key_names_no_record(demo_repo, divisor, record):
+    """A DOUBLE key pairs by value: 40.0 / 20 names record 2, while
+    40.0 / 16 = 2.5 names none (not record 2, its truncation)."""
+    lazy = SeismicWarehouse(demo_repo.root, mode="lazy")
+    sql = ("SELECT COUNT(*), SUM(D.sample_value) FROM (SELECT file_location, "
+           f"frequency / {divisor} AS seq FROM mseed.records "
+           "WHERE seq_no = 1) R "
+           "JOIN mseed.data D ON R.file_location = D.file_location "
+           "AND R.seq = D.seq_no WHERE R.file_location LIKE '%ISK..BHZ%'")
+    got = run_differential(lazy.db, sql).rows()
+    expected = (0, None) if record is None else lazy.query(
+        "SELECT COUNT(*), SUM(D.sample_value) " + _FRD
+        + f"WHERE F.station = 'ISK' AND F.channel = 'BHZ' "
+        f"AND R.seq_no = {record}").first()
+    assert got == [expected]
+    assert record is None or expected[0] > 0
+
+
+# ---------------------------------------------------------------------------
 # Record number 0 is a record like any other
 # ---------------------------------------------------------------------------
 

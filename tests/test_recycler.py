@@ -199,6 +199,21 @@ def test_station_second_aggregate_reuses_the_recycled_fetch(lazy_wh,
     assert rows == sorted(fresh.query(count_max).rows())
 
 
+def test_fetches_outputting_different_columns_do_not_share(lazy_wh,
+                                                           demo_repo):
+    """Same metadata plan, same fetched columns, but one parent reads
+    ``station`` and the other does not: a recycled fetch is positional,
+    so the second must not replay the first one's columns."""
+    by_station = ("SELECT F.station, AVG(D.sample_value) FROM mseed.dataview "
+                  "WHERE F.station = 'ISK' GROUP BY F.station")
+    total = ("SELECT COUNT(*), AVG(D.sample_value) FROM mseed.dataview "
+             "WHERE F.station = 'ISK'")
+    lazy_wh.query(by_station)
+    fresh = SeismicWarehouse(demo_repo.root, mode="lazy",
+                             recycler_budget_bytes=0)
+    assert lazy_wh.query(total).rows() == fresh.query(total).rows()
+
+
 def test_clearing_the_extraction_cache_keeps_recycled_results(lazy_wh):
     """The files did not change, so neither did the answer: emptying the
     extraction cache does not invalidate a recycled intermediate."""
