@@ -34,7 +34,7 @@ from repro.db import expr as ex
 from repro.db.column import CODE_DTYPE, Column
 from repro.db.plan import logical as lg
 from repro.db.table import SystemTable
-from repro.db.types import DataType
+from repro.db.types import DataType, common_numeric, is_numeric
 from repro.errors import ExecutionError
 
 if TYPE_CHECKING:  # imported lazily at run time to avoid an import cycle
@@ -289,6 +289,15 @@ def _combined_codes(columns: list[Column]) -> np.ndarray:
     return combined
 
 
+def _common_typed(left: Column, right: Column) -> list[Column]:
+    """Both join key sides at their common numeric type."""
+    if left.dtype == right.dtype \
+            or not (is_numeric(left.dtype) and is_numeric(right.dtype)):
+        return [left, right]
+    target = common_numeric(left.dtype, right.dtype)
+    return [ex.cast_column(left, target), ex.cast_column(right, target)]
+
+
 def join_indices(left_keys: list[Column], right_keys: list[Column]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All matching row pairs for an equi join.
@@ -296,11 +305,13 @@ def join_indices(left_keys: list[Column], right_keys: list[Column]
     Returns ``(left_idx, right_idx, left_match_counts)``; NULL keys never
     match.  Both sides are coded in one space by coding their
     concatenation (VARCHAR sides merge their uniques, so only the small
-    dictionaries are touched, never the strings per row).  Vectorised:
-    sort right codes once, binary-search the left side, then expand
-    ranges without Python loops.
+    dictionaries are touched, never the strings per row; a BIGINT and a
+    DOUBLE side meet as DOUBLE, so 2.0 matches 2 and 2.5 matches
+    nothing).  Vectorised: sort right codes once, binary-search the left
+    side, then expand ranges without Python loops.
     """
-    merged = [Column.concat([l, r]) for l, r in zip(left_keys, right_keys)]
+    merged = [Column.concat(_common_typed(l, r))
+              for l, r in zip(left_keys, right_keys)]
     codes = _combined_codes(merged)
     for col in merged:
         if col.valid is not None:

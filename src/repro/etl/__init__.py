@@ -22,7 +22,6 @@ from repro.etl.metadata import (
     harvest_repository,
 )
 from repro.etl.cache import ExtractionCache, CacheStats
-from repro.etl.heat import AccessHeatTracker, HeatUnit
 from repro.etl.mseed_adapter import MSeedAdapter
 from repro.etl.lazy import LazyETL, LazyDataBinding
 from repro.etl.eager import EagerETL
@@ -38,8 +37,6 @@ __all__ = [
     "harvest_repository",
     "ExtractionCache",
     "CacheStats",
-    "AccessHeatTracker",
-    "HeatUnit",
     "MSeedAdapter",
     "LazyETL",
     "LazyDataBinding",

@@ -317,6 +317,17 @@ class ExtractionCache:
         with self._lock:
             return sorted(self._by_uri.get(uri, ()))
 
+    def resident(self) -> list[tuple[str, int, FileInfo,
+                                    dict[str, np.ndarray], int]]:
+        """One locked copy of ``(uri, seq_no, info, columns, hits)`` per
+        entry, least recently used first: what :meth:`spill` persists
+        and what promotion ranks."""
+        with self._lock:
+            return [
+                (uri, seq_no, entry.info, dict(entry.columns), entry.hits)
+                for (uri, seq_no), entry in self._entries.items()
+            ]
+
     def contents(self) -> list[tuple[str, int, int, int]]:
         """(uri, seq_no, bytes, hits) per entry, in eviction order."""
         with self._lock:
@@ -341,16 +352,8 @@ class ExtractionCache:
         state.  Returns the number of entries written.
         """
         store = _as_store(store)
-        with self._lock:
-            entries = [
-                (uri, seq_no, entry.info, dict(entry.columns))
-                for (uri, seq_no), entry in self._entries.items()
-            ]
-        if skip is not None:
-            entries = [
-                entry for entry in entries
-                if not skip(*entry)
-            ]
+        entries = [entry[:4] for entry in self.resident()
+                   if skip is None or not skip(*entry[:4])]
         written = store.save_cache_snapshot(entries)
         with self._lock:
             self.stats.spills += written

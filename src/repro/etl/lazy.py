@@ -37,10 +37,14 @@ from repro.db.catalog import LazyRows
 from repro.db.column import Column
 from repro.db.exec.engine import Database
 from repro.db.table import TableSchema, ForeignKeySpec
-from repro.errors import ExtractionError, RepositoryError, StorageError
+from repro.errors import (
+    ExtractionError,
+    MSeedError,
+    RepositoryError,
+    StorageError,
+)
 from repro.etl.cache import ExtractionCache
 from repro.etl.framework import SCHEMA, ETLReport, SourceAdapter
-from repro.etl.heat import AccessHeatTracker
 from repro.etl.metadata import (
     NO_RECORDS,
     FileMeta,
@@ -50,6 +54,7 @@ from repro.etl.metadata import (
     harvest_repository,
 )
 from repro.mseed.repository import FileInfo, Repository
+from repro.storage.promoted import PromotionReport
 
 logger = logging.getLogger("repro.etl.lazy")
 
@@ -60,8 +65,8 @@ class LazyDataBinding:
     Freshness is one decision, made here: ``index`` is also the ledger
     of the version each file's metadata was harvested from, and
     :meth:`observe` (stat → compare with the ledger → react) is the only
-    place staleness is detected, whoever looks first — a query, the
-    promoter or ``sync()``.  The reaction calls ``metadata_refresh``
+    place staleness is detected, whoever looks first — a query,
+    ``promote()`` or ``sync()``.  The reaction calls ``metadata_refresh``
     with the file's new ``FileInfo``: the hook re-harvests that file so
     the record index (and the F/R tables) match the new layout before
     extraction proceeds — "refreshments are handled ... when the data
@@ -87,17 +92,14 @@ class LazyDataBinding:
 
     def __init__(self, repo: Repository, adapter: SourceAdapter,
                  index: RecordIndex, cache: ExtractionCache,
-                 metadata_refresh, heat=None) -> None:
+                 metadata_refresh) -> None:
         self.repo = repo
         self.adapter = adapter
         self.index = index
         self.cache = cache
         self.metadata_refresh = metadata_refresh
-        # Adaptive promotion hooks: an AccessHeatTracker observing every
-        # served unit, and (when storage is attached) the PromotedStore
-        # consulted before the extraction cache.  Both optional; None
-        # keeps the classic pure-lazy behaviour.
-        self.heat = heat
+        # When storage is attached, the PromotedStore consulted before
+        # the extraction cache; None keeps the pure-lazy behaviour.
         self.promoted = None
         self._data_specs = {spec.name: spec for spec in adapter.data_columns()}
         # When a query needs no data column at all (e.g. COUNT(*)), one is
@@ -254,15 +256,13 @@ class LazyDataBinding:
 
     def drop_derived_state(self, uri: str) -> None:
         """Forget what was derived from a changed or removed file: cache
-        entries, promoted units and heat all carry per-record state of
-        the *old* layout."""
+        entries and promoted units both carry per-record state of the
+        *old* layout."""
         if self.metrics is not None:
             self.metrics.stale_files_total.inc()
         self.cache.invalidate_file(uri)
         if self.promoted is not None:
             self.promoted.invalidate_file(uri)
-        if self.heat is not None:
-            self.heat.forget_file(uri)
 
     def _fetch_file(
         self, uri: str, seq_nos: list[int], data_cols: list[str],
@@ -329,7 +329,6 @@ class LazyDataBinding:
         pieces = [(uri, seq, cols, _rows_of(cols))
                   for seq, cols in eager_hits + hits]
 
-        extracted_from = len(pieces)
         if missing:
             try:
                 pieces.extend(self._extract_missing(
@@ -346,45 +345,8 @@ class LazyDataBinding:
                     versions[info] = self
                     pieces.extend(self._extract_missing(
                         uri, remaining, data_cols, info, trace))
-        self._record_heat(uri, data_cols, eager_hits, hits,
-                          pieces[extracted_from:])
         pieces.sort(key=lambda piece: piece[1])
         return pieces
-
-    def _record_heat(self, uri: str, data_cols: list[str],
-                     eager_hits: list, hits: list,
-                     extracted: list) -> None:
-        """Feed the heat tracker with how each unit was served.
-
-        ``extracted`` carries the freshly extracted pieces (not just seq
-        numbers) so extraction touches record payload-size estimates too
-        — the promoter's budget-aware selection depends on them even for
-        units the cache never managed to retain.
-        """
-        heat = self.heat
-        if heat is None:
-            return
-        if eager_hits:
-            heat.touch_units(
-                uri, [seq for seq, _c in eager_hits], data_cols,
-                kind="eager_hit",
-                nbytes=sum(arr.nbytes for _s, cols in eager_hits
-                           for arr in cols.values()),
-            )
-        if hits:
-            heat.touch_units(
-                uri, [seq for seq, _c in hits], data_cols,
-                kind="cache_hit",
-                nbytes=sum(arr.nbytes for _s, cols in hits
-                           for arr in cols.values()),
-            )
-        if extracted:
-            heat.touch_units(
-                uri, [seq for _u, seq, _c, _r in extracted], data_cols,
-                kind="extract",
-                nbytes=sum(arr.nbytes for _u, _s, cols, _r in extracted
-                           for arr in cols.values()),
-            )
 
     def _only_live_records(self, uri: str, seq_nos: list[int],
                            trace: list[dict]) -> list[int]:
@@ -548,7 +510,6 @@ class LazyETL:
         self.adapter = adapter
         self.cache = ExtractionCache(cache_budget_bytes)
         self.index = RecordIndex()
-        self.heat = AccessHeatTracker()
         self.binding: Optional[LazyDataBinding] = None
 
     @property
@@ -623,11 +584,9 @@ class LazyETL:
         self.db.attach(store)
         self._rebuild_index_from_metadata()
         self.cache.restore(store, self.index.version)
-        self.heat.import_state(store.get_meta("heat_state"))
         self.binding = LazyDataBinding(self.repo, self.adapter, self.index,
                                        self.cache,
-                                       metadata_refresh=self.refresh_file_metadata,
-                                       heat=self.heat)
+                                       metadata_refresh=self.refresh_file_metadata)
         self.db.register_lazy_table(self.data_table, self.binding)
         files_table = self.db.catalog.table((SCHEMA, "files"))
         records_table = self.db.catalog.table((SCHEMA, "records"))
@@ -646,9 +605,6 @@ class LazyETL:
         if self.db.catalog.store is None:
             self.db.attach(store)
         store = self.db.catalog.store
-        # Heat survives restarts: a warm-started warehouse resumes
-        # promotion where the previous process left off.
-        store.set_meta("heat_state", self.heat.export_state())
         self.db.checkpoint()
         return self.cache.spill(store, skip=self._covered_by_promotion)
 
@@ -663,6 +619,72 @@ class LazyETL:
         unit = promoted.unit(uri, seq_no)
         return (unit is not None and self.index.matches(unit.info)
                 and set(columns) <= set(unit.columns))
+
+    def promote(self, min_score: float, max_units: int) -> PromotionReport:
+        """One synchronous promotion pass over the extraction cache.
+
+        The cache is the one record of what queries touched: its LRU
+        order and each record's ``hits``.  Records with at least
+        ``min_score`` hits that no promoted unit covers yet are ranked by
+        most hits, then most recently used, capped at ``max_units`` and
+        written as one segment.  Per file, one
+        :meth:`LazyDataBinding.observe` decides freshness (a rewrite
+        first seen here runs the one stale reaction); an entry extracted
+        from any other version is skipped.  A unit's promoted columns are
+        read back and kept, so a re-promotion never narrows it.  The pass
+        extracts nothing.
+        """
+        started = time.perf_counter()
+        binding = self.binding
+        promoted = binding.promoted
+        report = PromotionReport()
+        with promoted.mutate_lock:
+            promoted.drop_empty_segments()
+            # Most recently used first; the stable sort keeps that order
+            # among records with as many hits.
+            ranked = sorted(
+                (entry for entry in reversed(self.cache.resident())
+                 if entry[4] >= min_score
+                 and not self._covered_by_promotion(*entry[:4])),
+                key=lambda entry: -entry[4])[:max_units]
+            report.candidates = len(ranked)
+            per_file: dict[str, list] = {}
+            for uri, seq_no, info, columns, _hits in ranked:
+                per_file.setdefault(uri, []).append((seq_no, info, columns))
+            batch = []
+            for uri in sorted(per_file):
+                with self.cache.file_lock(uri):
+                    try:
+                        current = binding.observe(uri, [])
+                    except (OSError, RepositoryError, ExtractionError,
+                            MSeedError):
+                        # Vanished or torn: the query path reports it.
+                        report.skipped_files += 1
+                        continue
+                    fresh = [entry for entry in per_file[uri]
+                             if entry[1] == current]
+                    if len(fresh) < len(per_file[uri]):
+                        report.skipped_files += 1
+                    batch.extend(
+                        (uri, seq_no, current,
+                         self._promoted_union(uri, seq_no, current, columns))
+                        for seq_no, _info, columns in fresh)
+            promoted.promote_batch(batch)
+            report.promoted_units = len(batch)
+            report.disk_bytes = promoted.disk_bytes()
+        report.seconds = time.perf_counter() - started
+        return report
+
+    def _promoted_union(self, uri: str, seq_no: int, info: FileInfo,
+                        columns: dict) -> dict:
+        """``columns`` plus whatever the record's promoted unit already
+        holds beyond them, read from its segment."""
+        promoted = self.binding.promoted
+        unit = promoted.unit(uri, seq_no)
+        extra = [] if unit is None else \
+            [name for name in unit.columns if name not in columns]
+        served = promoted.fetch(uri, seq_no, extra, info) if extra else None
+        return columns if served is None else {**served[0], **columns}
 
     def _rebuild_index_from_metadata(self) -> None:
         """Reconstruct the in-memory record index, and the ledger of
@@ -694,8 +716,7 @@ class LazyETL:
         self.index.load(harvest)
         self.binding = LazyDataBinding(self.repo, self.adapter, self.index,
                                        self.cache,
-                                       metadata_refresh=self.refresh_file_metadata,
-                                       heat=self.heat)
+                                       metadata_refresh=self.refresh_file_metadata)
         self.db.register_lazy_table(self.data_table, self.binding)
         return ETLReport(
             strategy="lazy",

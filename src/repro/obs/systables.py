@@ -1,7 +1,7 @@
 """``sys.*`` system-table definitions and their providers.
 
 The warehouse's own runtime state — queries, sessions, metrics, caches,
-heat, promotions, on-disk segments — is exposed as read-only virtual
+promotions, on-disk segments — is exposed as read-only virtual
 tables in the reserved ``sys`` schema, queryable through the normal
 SQL surface (``SELECT status, count(*) FROM sys.queries GROUP BY
 status`` just works, joins included).  Each table is a
@@ -16,7 +16,7 @@ Two registration entry points:
 * :func:`install_warehouse_system_tables` — subsystem tables wired by
   :class:`~repro.seismology.warehouse.SeismicWarehouse`
   (``sys.metrics``, ``sys.extraction_cache``, ``sys.bufferpool``,
-  ``sys.heat``, ``sys.promoted``, ``sys.segments``, ``sys.shards``).
+  ``sys.promoted``, ``sys.segments``, ``sys.shards``).
 """
 
 from __future__ import annotations
@@ -66,11 +66,6 @@ BUFFERPOOL_COLUMNS: list[tuple[str, DataType]] = [
     ("pages", B), ("used_bytes", B), ("budget_bytes", B), ("pinned", B),
 ]
 
-HEAT_COLUMNS: list[tuple[str, DataType]] = [
-    ("uri", S), ("seq_no", B), ("score", D), ("extractions", B),
-    ("cache_hits", B), ("eager_hits", B), ("nbytes", B), ("last_touch", D),
-]
-
 PROMOTED_COLUMNS: list[tuple[str, DataType]] = [
     ("uri", S), ("seq_no", B), ("segment", S), ("rows", B),
     ("columns", B), ("mtime_ns", B),
@@ -99,7 +94,6 @@ SYSTEM_TABLE_COLUMNS: dict[str, list[tuple[str, DataType]]] = {
     "metrics": METRICS_COLUMNS,
     "extraction_cache": EXTRACTION_CACHE_COLUMNS,
     "bufferpool": BUFFERPOOL_COLUMNS,
-    "heat": HEAT_COLUMNS,
     "promoted": PROMOTED_COLUMNS,
     "segments": SEGMENTS_COLUMNS,
     "connections": CONNECTIONS_COLUMNS,
@@ -201,17 +195,6 @@ def install_warehouse_system_tables(warehouse) -> None:
         rows = [] if store is None else [store.pool.snapshot()]
         return rows_to_columns(rows, BUFFERPOOL_COLUMNS)
 
-    def heat() -> dict:
-        tracker = warehouse.heat
-        rows = [] if tracker is None else [
-            {"uri": uri, "seq_no": seq, "score": score,
-             "extractions": unit.extractions, "cache_hits": unit.cache_hits,
-             "eager_hits": unit.eager_hits, "nbytes": unit.nbytes,
-             "last_touch": unit.last_touch}
-            for uri, seq, score, unit in tracker.snapshot()
-        ]
-        return rows_to_columns(rows, HEAT_COLUMNS)
-
     def promoted() -> dict:
         store = warehouse.promoted
         rows = []
@@ -219,7 +202,7 @@ def install_warehouse_system_tables(warehouse) -> None:
             for uri, seq in sorted(store.unit_keys()):
                 unit = store.unit(uri, seq)
                 if unit is None:
-                    continue  # demoted between keys() and unit()
+                    continue  # dropped between keys() and unit()
                 rows.append({"uri": uri, "seq_no": seq,
                              "segment": unit.segment, "rows": unit.rows,
                              "columns": len(unit.columns),
@@ -241,7 +224,6 @@ def install_warehouse_system_tables(warehouse) -> None:
     _register(catalog, "extraction_cache", EXTRACTION_CACHE_COLUMNS,
               extraction_cache)
     _register(catalog, "bufferpool", BUFFERPOOL_COLUMNS, bufferpool)
-    _register(catalog, "heat", HEAT_COLUMNS, heat)
     _register(catalog, "promoted", PROMOTED_COLUMNS, promoted)
     _register(catalog, "segments", SEGMENTS_COLUMNS, segments)
     _register(catalog, "shards", SHARDS_COLUMNS, shards)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from typing import Literal, Optional
+from typing import TYPE_CHECKING, Literal, Optional
 
 from repro.db.exec.engine import Database
 from repro.db.exec.result import Result
@@ -25,6 +25,9 @@ from repro.mseed.repository import Repository
 from repro.obs.export import render_prometheus, snapshot_json
 from repro.obs.metrics import ExtractionInstruments, MetricsRegistry
 from repro.seismology import schema as schema_mod
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage.promoted import PromotionReport
 
 Mode = Literal["lazy", "eager"]
 
@@ -192,9 +195,6 @@ class SeismicWarehouse:
             out[f"repro_recycler_{name}_total"] = getattr(recycler.stats, name)
         out["repro_recycler_used_bytes"] = recycler.used_bytes
         out["repro_recycler_entries"] = len(recycler)
-        heat = self.heat
-        if heat is not None:
-            out["repro_heat_tracked_units"] = len(heat)
         promoted = self.promoted
         if promoted is not None:
             out["repro_promoted_units"] = len(promoted)
@@ -369,27 +369,18 @@ class SeismicWarehouse:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def promote(self, budget_bytes: "int | None" = None, *,
-                min_score: "float | None" = None, max_units: int = 512):
-        """Run one synchronous lazy→eager promotion cycle.
+    def promote(self, *, min_score: float = 1, max_units: int = 512
+                ) -> PromotionReport:
+        """Promote what the extraction cache holds: one synchronous pass.
 
-        Materializes the hottest extraction units (per the access-heat
-        tracker fed by every query) into promoted segments in the
-        attached store, and demotes the coldest segments while the
-        promoted footprint exceeds ``budget_bytes``.  Subsequent queries
-        over promoted ranges read transformed columns from disk pages
-        instead of re-extracting.  Returns a
-        :class:`~repro.service.promoter.PromotionReport`.
-
-        ``min_score`` defaults to the
-        :class:`~repro.service.promoter.PromoterConfig` threshold:
-        nothing is promoted until the workload has touched a unit more
-        than once recently.  Pass ``min_score=0.0`` to materialize
-        everything ever touched (an explicit "promote it all" request).
-
-        For continuous promotion under live traffic, pass
-        ``promote=True`` to :meth:`serve` instead (the service owns a
-        :class:`~repro.service.promoter.BackgroundPromoter`).
+        Every resident record with at least ``min_score`` cache hits (0
+        promotes them all) that no promoted unit covers yet is written,
+        most hits and then most recently used first, up to ``max_units``
+        records, into one segment of the attached store.  Later queries
+        over those records read transformed columns from disk pages
+        instead of re-extracting.  Promotion extracts nothing, and a
+        record of a file rewritten since it was cached is skipped.  See
+        :meth:`repro.etl.lazy.LazyETL.promote`.
         """
         if self.mode != "lazy":
             raise ETLError("promotion applies to lazy mode only")
@@ -398,19 +389,10 @@ class SeismicWarehouse:
                 "promotion requires attached storage: pass storage_path "
                 "at construction or checkpoint(storage_path=...) first"
             )
+        if max_units <= 0:
+            raise ETLError("max_units must be positive")
         self._attach_promoted()
-        from repro.service.promoter import Promoter, PromoterConfig
-
-        config = PromoterConfig(
-            budget_bytes=(PromoterConfig.budget_bytes if budget_bytes is None
-                          else budget_bytes),
-            min_score=(PromoterConfig.min_score if min_score is None
-                       else min_score),
-            max_units_per_cycle=max_units,
-        )
-        promoter = Promoter(self.pipeline.binding, self.pipeline.heat,
-                            self.pipeline.binding.promoted, config)
-        return promoter.run_cycle()
+        return self.pipeline.promote(min_score, max_units)
 
     def sync(self) -> SyncReport:
         """Refresh the warehouse after repository changes."""
@@ -459,7 +441,8 @@ class SeismicWarehouse:
         Returns a started
         :class:`~repro.service.service.WarehouseService`; keyword
         arguments are :class:`~repro.service.service.ServiceConfig`
-        fields (``max_workers``, ``queue_depth``, ``promote``, ...).  Use as a context manager::
+        fields (``max_workers``, ``queue_depth``, ``tcp_port``, ...).  Use
+        as a context manager::
 
             with wh.serve(max_workers=8) as svc:
                 a, b = svc.session("alice"), svc.session("bob")
@@ -491,7 +474,7 @@ class SeismicWarehouse:
         """One metrics snapshot: ``{name: {type, help, samples}}``.
 
         Covers every wired subsystem — extraction cache, buffer pool,
-        plan cache, recycler, heat/promotion, extraction instruments and
+        plan cache, recycler, promotion, extraction instruments and
         (while serving) the service's latency/admission metrics.
         """
         return self.metrics_registry.snapshot()
@@ -522,11 +505,6 @@ class SeismicWarehouse:
     @property
     def recycler(self):
         return self.db.recycler
-
-    @property
-    def heat(self):
-        """The access-heat tracker; ``None`` outside lazy mode."""
-        return getattr(self.pipeline, "heat", None)
 
     @property
     def promoted(self):

@@ -16,12 +16,6 @@ from repro.service.coalescer import (
     ExtractionFlight,
 )
 from repro.service.parallel import ExtractorStats, ParallelExtractor
-from repro.service.promoter import (
-    BackgroundPromoter,
-    Promoter,
-    PromoterConfig,
-    PromotionReport,
-)
 from repro.service.service import (
     ClientSession,
     QueryOutcome,
@@ -40,10 +34,6 @@ __all__ = [
     "ExtractionFlight",
     "ExtractorStats",
     "ParallelExtractor",
-    "BackgroundPromoter",
-    "Promoter",
-    "PromoterConfig",
-    "PromotionReport",
     "QueryOutcome",
     "ServiceConfig",
     "ServiceStats",

@@ -56,12 +56,6 @@ class ServiceConfig:
     # Sharded scatter-gather execution: >1 brings up (or reuses) the
     # warehouse's shard worker-process pool for the service's lifetime.
     shards: int = 1
-    # Adaptive lazy→eager promotion (requires warehouse storage_path):
-    promote: bool = False         # own a BackgroundPromoter thread
-    promote_interval_s: float = 1.0
-    promote_budget_bytes: int = 256 * 1024 * 1024
-    promote_min_score: float = 2.0
-    promote_max_units: int = 512
     # Observability: served queries feed the warehouse's metrics
     # registry unconditionally; these gate the *extras*.
     slow_query_s: Optional[float] = None  # threshold-gated slow-query log
@@ -87,16 +81,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_workers <= 0:
             raise ServiceError("max_workers must be positive")
-        if self.promote:
-            if self.promote_interval_s <= 0:
-                raise ServiceError(
-                    "promote_interval_s must be positive (0 would "
-                    "busy-spin the background promoter)"
-                )
-            if self.promote_budget_bytes <= 0:
-                raise ServiceError("promote_budget_bytes must be positive")
-            if self.promote_max_units <= 0:
-                raise ServiceError("promote_max_units must be positive")
         if not isinstance(self.shards, int) or isinstance(self.shards, bool) \
                 or self.shards < 1:
             raise ServiceError(
@@ -290,7 +274,6 @@ class WarehouseService:
             queue_depth=config.queue_depth,
         )
         self.coalescer: Optional[ExtractionCoalescer] = None
-        self.promoter = None  # BackgroundPromoter when config.promote
         self._sessions: dict[str, ClientSession] = {}
         self._session_counter = itertools.count(1)
         self._workers: list[threading.Thread] = []
@@ -337,14 +320,6 @@ class WarehouseService:
             self.coalescer = ExtractionCoalescer()
             binding.coalescer = self.coalescer
             binding.wait_timeout_s = self.config.wait_timeout_s
-            if self.config.promote:
-                self.promoter = self._build_promoter(binding)
-                self.promoter.start()
-        elif self.config.promote:
-            raise ServiceError(
-                "promote=True requires a lazy warehouse (eager mode has "
-                "no extraction to promote)"
-            )
         for i in range(self.config.max_workers):
             worker = threading.Thread(
                 target=self._worker_loop,
@@ -373,31 +348,6 @@ class WarehouseService:
             "service started: %d workers, queue depth %d",
             self.config.max_workers, self.config.queue_depth)
 
-    def _build_promoter(self, binding):
-        """Wire a BackgroundPromoter over the warehouse's heat + store."""
-        from repro.service.promoter import (
-            BackgroundPromoter,
-            Promoter,
-            PromoterConfig,
-        )
-
-        self.warehouse._attach_promoted()
-        if binding.promoted is None:
-            raise ServiceError(
-                "promote=True requires the warehouse to have attached "
-                "storage (SeismicWarehouse(storage_path=...))"
-            )
-        promoter = Promoter(
-            binding, self.warehouse.pipeline.heat, binding.promoted,
-            PromoterConfig(
-                budget_bytes=self.config.promote_budget_bytes,
-                min_score=self.config.promote_min_score,
-                max_units_per_cycle=self.config.promote_max_units,
-                interval_s=self.config.promote_interval_s,
-            ),
-        )
-        return BackgroundPromoter(promoter)
-
     def close(self) -> None:
         """Stop accepting work, finish in-flight queries, detach hooks.
 
@@ -419,8 +369,6 @@ class WarehouseService:
             self.http.stop()
         if self.snapshotter is not None:
             self.snapshotter.stop()
-        if self.promoter is not None:
-            self.promoter.stop()
         self.admission.close()
         for item in self.admission.drain():
             item.sink.fail(
@@ -642,12 +590,6 @@ class WarehouseService:
         if self.coalescer is not None:
             for name, value in self.coalescer.stats.snapshot().items():
                 out[f"repro_coalescer_{name}_total"] = value
-        if self.promoter is not None:
-            total = self.promoter.total
-            out["repro_promoter_cycles_total"] = self.promoter.cycles
-            out["repro_promoter_errors_total"] = self.promoter.errors
-            out["repro_promoter_promoted_units_total"] = total.promoted_units
-            out["repro_promoter_demoted_units_total"] = total.demoted_units
         if self.slow_log is not None:
             out["repro_slow_queries_total"] = len(self.slow_log)
         if self.wire is not None:

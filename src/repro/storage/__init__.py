@@ -29,12 +29,17 @@ from repro.storage.segment import (
     SegmentReader,
     SegmentWriter,
 )
-from repro.storage.promoted import PromotedStore, PromotedUnit
+from repro.storage.promoted import (
+    PromotedStore,
+    PromotedUnit,
+    PromotionReport,
+)
 from repro.storage.store import TableBacking, TableStore
 
 __all__ = [
     "PromotedStore",
     "PromotedUnit",
+    "PromotionReport",
     "BufferPool",
     "PoolStats",
     "CODEC_NAMES",

@@ -1,11 +1,12 @@
 """Promoted segments: eagerly materialized extraction units on disk.
 
-The adaptive promotion subsystem closes the paper's lazy-vs-eager
-crossover at runtime: units the workload keeps re-touching are written
-*once* into segment files (the same page codecs the table store uses) and
-served from there afterwards — a disk-backed scan through the buffer
-pool, like :class:`~repro.db.plan.physical.PDiskScan`, instead of
-re-running extraction and transformation against the source file.
+Promotion writes records the extraction cache holds (and queries keep
+hitting) *once* into segment files (the same page codecs the table store
+uses) and serves them from there afterwards — a disk-backed scan through
+the buffer pool, like :class:`~repro.db.plan.physical.PDiskScan`,
+instead of re-running extraction and transformation against the source
+file.  :meth:`SeismicWarehouse.promote()
+<repro.seismology.warehouse.SeismicWarehouse.promote>` runs the pass.
 
 :class:`PromotedStore` owns the unit index and the read/write path:
 
@@ -18,15 +19,15 @@ re-running extraction and transformation against the source file.
   :class:`~repro.mseed.repository.FileInfo` the query is running under
   (a guard — whether a file is stale is decided once, by
   :meth:`repro.etl.lazy.LazyDataBinding.observe`);
-* **demote** — :meth:`drop_segment` removes a whole segment (the
-  demotion grain: segments are immutable, so cold data is reclaimed by
-  dropping files, never rewritten).
+* **reclaim** — :meth:`drop_segment` removes a whole segment once a
+  rewrite or a re-promotion has left it no live unit (segments are
+  immutable, so space is reclaimed by dropping files, never rewritten).
 
 Thread safety: queries ``fetch`` concurrently from service workers while
-the background promoter mutates the index; the internal lock covers the
-index, and segment files themselves are immutable once published.
-Manifest commits are serialised by :attr:`mutate_lock`, which the
-promoter holds for a whole promote/demote cycle.
+a promotion pass mutates the index; the internal lock covers the index,
+and segment files themselves are immutable once published.  Manifest
+commits are serialised by :attr:`mutate_lock`, which a promotion pass
+holds throughout.
 """
 
 from __future__ import annotations
@@ -63,7 +64,17 @@ class PromotedStats:
     misses: int = 0
     stale_drops: int = 0
     promoted_units: int = 0
-    demoted_units: int = 0
+
+
+@dataclass
+class PromotionReport:
+    """What one promotion pass did."""
+
+    candidates: int = 0      # resident records that qualified
+    promoted_units: int = 0
+    skipped_files: int = 0   # stale or vanished files left to queries
+    seconds: float = 0.0
+    disk_bytes: int = 0      # promoted-store footprint after the pass
 
 
 class PromotedStore:
@@ -81,8 +92,8 @@ class PromotedStore:
         self._by_uri: dict[str, set[int]] = {}
         self._readers: dict[str, SegmentReader] = {}
         self._lock = threading.RLock()
-        # Serialises whole promote/demote cycles (manifest commits are
-        # not safe to interleave from two promoters).
+        # Serialises whole promotion passes (manifest commits are not
+        # safe to interleave from two of them).
         self.mutate_lock = threading.Lock()
         self.stats = PromotedStats()
         self._load_index(version_of)
@@ -91,7 +102,7 @@ class PromotedStore:
         """Mount the manifest's units, skipping those promoted from
         bytes the metadata no longer describes (invalidation is
         in-memory, so a checkpoint taken after a rewrite still lists
-        them; the promoter's GC reclaims their segments)."""
+        them; the next promotion pass reclaims their segments)."""
         for segment, entries in self.store.promoted_segments().items():
             keys = self._segments[segment] = []
             for entry in entries:
@@ -133,26 +144,18 @@ class PromotedStore:
         with self._lock:
             return set(self._units)
 
-    def segments(self) -> dict[str, list[tuple[str, int]]]:
-        with self._lock:
-            return {seg: list(keys) for seg, keys in self._segments.items()}
-
-    def segment_sizes(self) -> dict[str, int]:
-        """On-disk bytes per live promoted segment."""
-        with self._lock:
-            segments = list(self._segments)
-        sizes: dict[str, int] = {}
-        for segment in segments:
-            try:
-                sizes[segment] = os.path.getsize(
-                    os.path.join(self.store.root, segment))
-            except OSError:
-                sizes[segment] = 0
-        return sizes
-
     def disk_bytes(self) -> int:
         """On-disk footprint of every live promoted segment."""
-        return sum(self.segment_sizes().values())
+        with self._lock:
+            segments = list(self._segments)
+        total = 0
+        for segment in segments:
+            try:
+                total += os.path.getsize(os.path.join(self.store.root,
+                                                      segment))
+            except OSError:
+                pass
+        return total
 
     # -- serving -----------------------------------------------------------------
 
@@ -165,7 +168,7 @@ class PromotedStore:
         not promoted, does not cover ``needed``, or was promoted under a
         version other than ``info``, the one the query runs under (the
         unit is dropped from the index so the lazy path re-extracts, and
-        the next promoter cycle reclaims the segment if nothing live
+        the next promotion pass reclaims the segment if nothing live
         remains in it).
         """
         needed = list(needed)
@@ -187,9 +190,9 @@ class PromotedStore:
                                                io=io).values
                        for col in needed}
         except (StorageError, ValueError, OSError):
-            # The segment vanished under us (concurrent demotion swept
-            # the file or closed the reader's mmap): behave like a miss,
-            # the lazy path still works.
+            # The segment vanished under us (a concurrent pass swept the
+            # file or closed the reader's mmap): behave like a miss, the
+            # lazy path still works.
             with self._lock:
                 self._drop_unit_locked((uri, seq_no))
                 self.stats.misses += 1
@@ -207,7 +210,7 @@ class PromotedStore:
 
     def invalidate_file(self, uri: str) -> int:
         """Stop serving every unit of a changed file (in-memory only;
-        the next promoter cycle garbage-collects emptied segments)."""
+        the next promotion pass garbage-collects emptied segments)."""
         with self._lock:
             doomed = [(uri, seq) for seq in self._by_uri.get(uri, ())]
             for key in doomed:
@@ -240,7 +243,7 @@ class PromotedStore:
             self._readers[segment] = reader
         return reader
 
-    # -- promotion / demotion ------------------------------------------------------
+    # -- promotion / reclamation ---------------------------------------------------
 
     def promote_batch(
         self,
@@ -250,9 +253,10 @@ class PromotedStore:
         """Write one segment of ``(uri, seq_no, info, columns)`` units.
 
         Already-promoted units are re-promoted in the new segment (the
-        fresh entry wins in the index; the old segment's copy becomes
-        dead weight until demotion reclaims it).  Returns the segment
-        file name, or ``None`` for an empty batch.
+        fresh entry wins in the index; the old segment's copy is dead
+        weight until every unit of that segment has moved on and a pass
+        reclaims it).  Returns the segment file name, or ``None`` for an
+        empty batch.
         """
         entries = [e for e in entries if e[3]]
         if not entries:
@@ -270,39 +274,31 @@ class PromotedStore:
         return segment
 
     def drop_segment(self, segment: str, *, commit: bool = True) -> int:
-        """Demote one whole segment; returns the number of live units
-        it still carried."""
+        """Drop one whole segment; returns the number of live units it
+        still carried."""
         with self._lock:
             keys = self._segments.pop(segment, [])
             for key in list(keys):
                 self._drop_unit_locked(key)
             reader = self._readers.pop(segment, None)
-            self.stats.demoted_units += len(keys)
         if reader is not None:
             reader.close()
         self.store.drop_promoted_segment(segment, commit=commit)
         return len(keys)
 
-    def empty_segments(self) -> list[str]:
-        """Segments whose units have all been invalidated (GC candidates)."""
+    def drop_empty_segments(self) -> None:
+        """Drop, in one manifest commit, every segment whose units have
+        all been invalidated or re-promoted."""
         with self._lock:
-            return [seg for seg, keys in self._segments.items() if not keys]
+            empties = [seg for seg, keys in self._segments.items()
+                       if not keys]
+        for segment in empties:
+            self.drop_segment(segment, commit=False)
+        if empties:
+            self.store.commit()
 
     def close(self) -> None:
         with self._lock:
             readers, self._readers = list(self._readers.values()), {}
         for reader in readers:
             reader.close()
-
-    def render(self, max_rows: int = 12) -> str:
-        with self._lock:
-            lines = [
-                f"promoted store: {len(self._units)} units in "
-                f"{len(self._segments)} segments"
-            ]
-            for (uri, seq_no), unit in list(self._units.items())[:max_rows]:
-                lines.append(
-                    f"  {uri} seq={seq_no} rows={unit.rows} "
-                    f"cols={sorted(unit.columns)} seg={unit.segment}"
-                )
-        return "\n".join(lines)

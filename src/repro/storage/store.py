@@ -9,7 +9,7 @@ Store layout::
 
 The manifest records, per table, its qualified name, schema (column
 names/types/constraints), row count and segment file, plus free-form
-``meta`` keys (e.g. the lazy warehouse's access heat) and the
+``meta`` keys (e.g. the durable query journal) and the
 extraction-cache snapshot directory.  Commits write ``manifest.json.tmp``
 then ``os.replace`` it over the manifest — a crash before the rename
 leaves the previous manifest fully intact (tested by the crash
@@ -138,8 +138,8 @@ class TableStore:
         self.root = os.fspath(root)
         os.makedirs(self.root, exist_ok=True)
         self.pool = BufferPool(bufferpool_bytes)
-        # Manifest writers can live on different threads (a checkpoint on
-        # the main thread vs a BackgroundPromoter publishing segments):
+        # Manifest writers can live on different threads (a checkpoint
+        # on one thread vs a promotion pass publishing segments):
         # one reentrant lock serialises every manifest mutation + commit,
         # so generations stay unique, json encoding never sees a dict
         # mutating under it, and the orphan sweep can never run between a

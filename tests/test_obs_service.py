@@ -41,7 +41,7 @@ def test_warehouse_metrics_cover_subsystems(demo_repo, tmp_path):
     for name in ("repro_cache_hits_total", "repro_cache_misses_total",
                  "repro_cache_used_bytes", "repro_bufferpool_lookups_total",
                  "repro_plan_cache_hits_total", "repro_recycler_hits_total",
-                 "repro_heat_tracked_units", "repro_extract_seconds",
+                 "repro_extract_seconds",
                  "repro_extract_rows_total"):
         assert name in snap, f"missing {name}"
     # The second run compiled from the plan cache and was answered by

@@ -1,25 +1,43 @@
-"""Adaptive lazy→eager promotion: heat-fed materialization + demotion."""
+"""Promotion from the extraction cache: one synchronous pass that writes
+what queries touched (the cache's resident records, ranked by hits and
+recency) into promoted segments, checked against unpromoted answers."""
 
 import os
-import time
 
 import numpy as np
 import pytest
 
-from repro.errors import ETLError, ServiceError
+from repro.errors import ETLError
+from repro.etl.lazy import LazyETL
+from repro.etl.mseed_adapter import MSeedAdapter
 from repro.mseed.files import write_mseed_file
 from repro.seismology.warehouse import SeismicWarehouse
-from repro.service.promoter import Promoter, PromoterConfig
 
 HOT_Q = ("SELECT MIN(D.sample_value), MAX(D.sample_value), COUNT(*) "
          "FROM mseed.dataview WHERE F.station = 'ISK' "
          "AND F.channel = 'BHZ'")
 OTHER_Q = ("SELECT MIN(D.sample_value), COUNT(*) FROM mseed.dataview "
            "WHERE F.station = 'HGN' AND F.channel = 'BHE'")
+TIME_Q = ("SELECT MIN(D.sample_time), COUNT(*) FROM mseed.dataview "
+          "WHERE F.station = 'ISK' AND F.channel = 'BHZ'")
+HGN_BHZ_Q = ("SELECT MAX(D.sample_value), COUNT(*) FROM mseed.dataview "
+             "WHERE F.station = 'HGN' AND F.channel = 'BHZ'")
 
 
-def _rewrite_file(entry, offset=1000):
-    samples = (np.arange(entry.n_samples, dtype=np.int32) % 100) + offset
+def _per_channel(aggregates):
+    return (f"SELECT F.channel, {aggregates} FROM mseed.dataview "
+            "WHERE F.station = 'ISK' GROUP BY F.channel ORDER BY F.channel")
+
+
+def _unpromoted(root, sql):
+    """The answer of a warehouse that never promoted anything."""
+    return SeismicWarehouse(root, mode="lazy",
+                            recycler_budget_bytes=0).query(sql).rows()
+
+
+def _rewrite_file(entry, offset=1000, records_divisor=1):
+    samples = (np.arange(entry.n_samples // records_divisor,
+                         dtype=np.int32) % 100) + offset
     write_mseed_file(
         entry.path,
         network=entry.network, station=entry.station,
@@ -31,6 +49,21 @@ def _rewrite_file(entry, offset=1000):
     os.utime(entry.path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
 
 
+def _resident(wh):
+    return {(uri, seq): hits
+            for uri, seq, _info, _columns, hits in wh.cache.resident()}
+
+
+def _counting_harvests(monkeypatch):
+    harvested = []
+    harvest_single = LazyETL.harvest_single
+    monkeypatch.setattr(
+        LazyETL, "harvest_single",
+        lambda self, info: (harvested.append(info.uri),
+                            harvest_single(self, info))[1])
+    return harvested
+
+
 @pytest.fixture()
 def stored_wh(demo_repo, tmp_path):
     """Lazy warehouse with storage attached and the recycler off (the
@@ -40,36 +73,22 @@ def stored_wh(demo_repo, tmp_path):
                             recycler_budget_bytes=0)
 
 
-# -- heat feeding from the query path -----------------------------------------
+# -- what the cache records -----------------------------------------------------
 
 
-def test_queries_feed_the_heat_tracker(demo_repo):
+def test_queries_count_cache_hits(demo_repo):
     # Recycler off: a recycled repeat never reaches the lazy fetch, so it
     # is no access (see test_station_second_aggregate_reuses_the_recycled_
     # fetch); this test is about the accesses that do reach it.
     wh = SeismicWarehouse(demo_repo.root, mode="lazy",
                           recycler_budget_bytes=0)
     wh.query(HOT_Q)
-    assert len(wh.heat) > 0
-    units = {(u, s): unit for u, s, _sc, unit in wh.heat.snapshot()}
-    assert all(unit.extractions == 1 for unit in units.values())
+    first = _resident(wh)
+    assert first and set(first.values()) == {0}  # extracted, not hit
     wh.query(HOT_Q)  # now served from the extraction cache
-    units = {(u, s): unit for u, s, _sc, unit in wh.heat.snapshot()}
-    assert any(unit.cache_hits >= 1 for unit in units.values())
-    assert all("sample_value" in unit.columns for unit in units.values())
-
-
-def test_heat_scores_rank_hot_over_cold(demo_repo):
-    # Recycler off: with it on, exact repeats are answered from recycled
-    # intermediates before the lazy fetch (and its heat feed) ever runs.
-    wh = SeismicWarehouse(demo_repo.root, mode="lazy",
-                          recycler_budget_bytes=0)
-    for _ in range(3):
-        wh.query(HOT_Q)
-    wh.query(OTHER_Q)
-    hottest = wh.heat.hottest(4, min_score=2.0)
-    assert hottest, "repeatedly queried units should exceed the threshold"
-    assert all("ISK" in uri for uri, _s, _sc, _u in hottest)
+    assert _resident(wh) == {key: 1 for key in first}
+    assert all("sample_value" in columns
+               for *_key, columns, _hits in wh.cache.resident())
 
 
 # -- the promote() API ---------------------------------------------------------
@@ -82,16 +101,20 @@ def test_promote_requires_lazy_mode_and_storage(demo_repo, tmp_path):
     lazy = SeismicWarehouse(demo_repo.root, mode="lazy")
     with pytest.raises(ETLError, match="storage"):
         lazy.promote()
+    stored = SeismicWarehouse(demo_repo.root, mode="lazy",
+                              storage_path=tmp_path / "store")
+    with pytest.raises(ETLError, match="max_units"):
+        stored.promote(max_units=0)
 
 
-def test_promotion_serves_subsequent_queries_eagerly(stored_wh):
+def test_promotion_serves_subsequent_queries_eagerly(stored_wh, demo_repo):
     before = stored_wh.query(HOT_Q).rows()
-    report = stored_wh.promote(budget_bytes=64 * 1024 * 1024, min_score=0.0)
+    report = stored_wh.promote(min_score=0.0)
     assert report.promoted_units > 0
     assert len(stored_wh.promoted) == report.promoted_units
 
     after = stored_wh.query(HOT_Q).rows()
-    assert after == before
+    assert after == before == _unpromoted(demo_repo.root, HOT_Q)
     qr = stored_wh.db.last_report
     assert qr.rows_served_eager > 0
     assert qr.promotions == report.promoted_units
@@ -100,26 +123,49 @@ def test_promotion_serves_subsequent_queries_eagerly(stored_wh):
 
 
 def test_promotion_reuses_extraction_cache_entries(stored_wh):
-    stored_wh.query(HOT_Q)  # default budget: everything stays cached
+    stored_wh.query(HOT_Q)
+    resident = {(uri, seq): columns
+                for uri, seq, _info, columns, _hits
+                in stored_wh.cache.resident()}
     report = stored_wh.promote(min_score=0.0)
-    assert report.from_cache_units == report.promoted_units
-    assert report.extracted_units == 0
+    assert report.candidates == report.promoted_units == len(resident)
+    assert stored_wh.promoted.unit_keys() == set(resident)
+    for (uri, seq), columns in resident.items():
+        info = stored_wh.pipeline.index.version(uri)
+        served, _pages = stored_wh.promoted.fetch(uri, seq, list(columns),
+                                                  info)
+        assert all(np.array_equal(served[name], columns[name])
+                   for name in columns)
 
 
-def test_promoter_extracts_in_background_when_cache_cold(demo_repo,
-                                                         tmp_path):
+def test_promotion_does_no_extraction(demo_repo, tmp_path, monkeypatch):
+    """Only what the cache still holds is promoted: a record the cache
+    evicted is left to the query path, which extracts it again."""
     wh = SeismicWarehouse(demo_repo.root, mode="lazy",
                           storage_path=tmp_path / "store",
                           cache_budget_bytes=64 * 1024,  # thrashes
                           recycler_budget_bytes=0)
     wh.query(HOT_Q)
-    report = wh.promote(min_score=0.0)
-    assert report.extracted_units > 0
-    wh.query(HOT_Q)
-    assert wh.db.last_report.rows_served_eager > 0
+    touched = wh.db.last_report.rows_extracted
+    resident = set(_resident(wh))
+
+    def no_extraction(*_args, **_kwargs):
+        raise AssertionError("promotion extracted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MSeedAdapter, "extract", no_extraction)
+        report = wh.promote(min_score=0.0)
+    assert report.promoted_units == len(resident) > 0
+    assert wh.promoted.unit_keys() == resident
+
+    assert wh.query(HOT_Q).rows() == _unpromoted(demo_repo.root, HOT_Q)
+    qr = wh.db.last_report
+    assert qr.rows_served_eager > 0
+    assert 0 < qr.rows_extracted_here < touched
 
 
-def test_repromotion_widens_column_set_when_demand_grows(stored_wh):
+def test_repromotion_widens_column_set_when_demand_grows(stored_wh,
+                                                         demo_repo):
     """A promoted unit whose workload later needs more columns must be
     re-promoted with the union set, not excluded forever."""
     stored_wh.query(HOT_Q)              # touches sample_value only
@@ -127,21 +173,35 @@ def test_repromotion_widens_column_set_when_demand_grows(stored_wh):
     unit = next(iter(stored_wh.promoted.unit_keys()))
     assert set(stored_wh.promoted.unit(*unit).columns) == {"sample_value"}
 
-    time_q = ("SELECT MIN(D.sample_time), COUNT(*) FROM mseed.dataview "
-              "WHERE F.station = 'ISK' AND F.channel = 'BHZ'")
-    stored_wh.query(time_q)             # widened demand: sample_time too
+    stored_wh.query(TIME_Q)             # widened demand: sample_time too
     report = stored_wh.promote(min_score=0.0)
     assert report.promoted_units > 0    # not excluded as already-promoted
     assert set(stored_wh.promoted.unit(*unit).columns) == \
         {"sample_value", "sample_time"}
-    stored_wh.query(time_q)
+    assert stored_wh.query(TIME_Q).rows() == \
+        _unpromoted(demo_repo.root, TIME_Q)
     assert stored_wh.db.last_report.rows_served_eager > 0
 
 
-def test_promote_budget_zero_rejected(stored_wh):
-    stored_wh.query(HOT_Q)
-    with pytest.raises(ETLError, match="budget_bytes"):
-        stored_wh.promote(budget_bytes=0)
+def test_repromotion_never_narrows_a_unit(stored_wh, demo_repo):
+    """The cache may hold fewer columns of a record than its promoted
+    unit (here: none of them).  Re-promoting it reads the unit's other
+    columns back from its segment, so both queries stay promoted."""
+    stored_wh.query(HOT_Q)              # sample_value
+    stored_wh.promote(min_score=0.0)
+    stored_wh.cache.clear()
+    stored_wh.query(TIME_Q)             # sample_time only in the cache
+    report = stored_wh.promote(min_score=0.0)
+    assert report.promoted_units == len(stored_wh.promoted) > 0
+    for key in stored_wh.promoted.unit_keys():
+        assert set(stored_wh.promoted.unit(*key).columns) == \
+            {"sample_value", "sample_time"}
+    stored_wh.cache.clear()
+    for sql in (HOT_Q, TIME_Q):
+        assert stored_wh.query(sql).rows() == _unpromoted(demo_repo.root,
+                                                          sql)
+        qr = stored_wh.db.last_report
+        assert qr.rows_served_eager > 0 and qr.rows_extracted_here == 0
 
 
 def test_second_cycle_promotes_nothing_new(stored_wh):
@@ -153,14 +213,38 @@ def test_second_cycle_promotes_nothing_new(stored_wh):
     assert second.candidates == 0  # already-promoted units are excluded
 
 
-def test_min_score_threshold_skips_cold_units(stored_wh):
-    stored_wh.query(HOT_Q)  # touched once: score ~1
-    report = stored_wh.promote(min_score=1.5)
-    assert report.promoted_units == 0
-    for _ in range(2):
-        stored_wh.query(HOT_Q)
-    report = stored_wh.promote(min_score=1.5)
-    assert report.promoted_units > 0
+def test_min_score_threshold_skips_cold_units(stored_wh, demo_repo):
+    """``min_score`` is the number of cache hits a record needs."""
+    stored_wh.query(HOT_Q)              # extracted: no hit yet
+    assert stored_wh.promote().promoted_units == 0  # default: one hit
+    stored_wh.query(HOT_Q)              # one hit per record
+    assert stored_wh.promote(min_score=2).promoted_units == 0
+    report = stored_wh.promote()
+    assert report.promoted_units == len(_resident(stored_wh)) > 0
+    assert stored_wh.query(HOT_Q).rows() == _unpromoted(demo_repo.root,
+                                                        HOT_Q)
+
+
+def test_max_units_keeps_the_most_hit_records(stored_wh, demo_repo):
+    for _ in range(3):
+        stored_wh.query(HOT_Q)          # ISK BHZ: two hits per record
+    stored_wh.query(OTHER_Q)            # HGN BHE: none, but most recent
+    hot = {key for key, hits in _resident(stored_wh).items() if hits == 2}
+    assert hot and all("ISK" in uri for uri, _seq in hot)
+    report = stored_wh.promote(min_score=0.0, max_units=len(hot))
+    assert report.candidates == report.promoted_units == len(hot)
+    assert stored_wh.promoted.unit_keys() == hot
+    for sql in (HOT_Q, OTHER_Q):
+        assert stored_wh.query(sql).rows() == _unpromoted(demo_repo.root,
+                                                          sql)
+
+
+def test_max_units_breaks_hit_ties_by_recency(stored_wh):
+    stored_wh.query(HOT_Q)
+    stored_wh.query(OTHER_Q)            # as few hits, used more recently
+    recent = {key for key in _resident(stored_wh) if "HGN" in key[0]}
+    stored_wh.promote(min_score=0.0, max_units=len(recent))
+    assert stored_wh.promoted.unit_keys() == recent
 
 
 def test_explain_shows_promotion_state(stored_wh):
@@ -179,45 +263,6 @@ def test_report_fields_through_cursor(stored_wh):
     cur.fetchall()
     assert cur.report.rows_served_eager > 0
     assert cur.report.promotions > 0
-
-
-# -- demotion -------------------------------------------------------------------
-
-
-def test_demotion_reclaims_cold_segments(stored_wh):
-    stored_wh.query(HOT_Q)
-    stored_wh.query(OTHER_Q)
-    report = stored_wh.promote(budget_bytes=64 * 1024 * 1024, min_score=0.0)
-    assert report.promoted_units > 0
-    assert stored_wh.promoted.disk_bytes() > 0
-
-    # A follow-up cycle with a 1-byte budget demotes everything.
-    squeezed = stored_wh.promote(budget_bytes=1)
-    assert squeezed.demoted_units > 0
-    assert len(stored_wh.promoted) == 0
-    assert stored_wh.promoted.disk_bytes() == 0
-
-    # Queries still answer correctly, back on the lazy path.
-    result = stored_wh.query(HOT_Q)
-    assert result.row_count == 1
-    assert stored_wh.db.last_report.rows_served_eager == 0
-
-
-def test_demotion_prefers_the_coldest_segment(stored_wh):
-    for _ in range(4):
-        stored_wh.query(HOT_Q)      # hot
-    stored_wh.query(OTHER_Q)        # cold
-    stored_wh.promote(min_score=0.0)             # both in (separate per-file units)
-    hot_keys = {key for key in stored_wh.promoted.unit_keys()
-                if "ISK" in key[0]}
-    assert hot_keys
-
-    # Shrink to just below the total: the cold segment goes first.
-    total = stored_wh.promoted.disk_bytes()
-    stored_wh.promote(budget_bytes=total - 1)
-    remaining = stored_wh.promoted.unit_keys()
-    if remaining:  # demotion is segment-grained; hot units must survive
-        assert hot_keys <= remaining
 
 
 # -- staleness ------------------------------------------------------------------
@@ -244,7 +289,7 @@ def test_stale_file_invalidates_promoted_units(mutable_repo):
     report = wh.db.last_report
     assert report.rows_served_eager == 0  # stale units refused to serve
     assert len(wh.promoted) < promoted_before
-    # The next cycle garbage-collects the emptied segments.
+    # The next pass garbage-collects the emptied segments.
     wh.promote(min_score=0.0)
     assert wh.query(q).scalar() == after
 
@@ -252,10 +297,8 @@ def test_stale_file_invalidates_promoted_units(mutable_repo):
 def test_sync_runs_the_whole_stale_reaction(mutable_repo, tmp_path,
                                             monkeypatch):
     """sync() seeing a rewrite (or a removal) first is the same one
-    reaction: promoted units and heat of the file go with its cache
-    entries, and the next query has nothing left to rediscover."""
-    from repro.etl.lazy import LazyETL
-
+    reaction: promoted units of the file go with its cache entries, and
+    the next query has nothing left to rediscover."""
     wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
                           storage_path=tmp_path / "store",
                           recycler_budget_bytes=0)
@@ -270,17 +313,12 @@ def test_sync_runs_the_whole_stale_reaction(mutable_repo, tmp_path,
 
     def derived():
         return ([key for key in wh.promoted.unit_keys() if key[0] in uris],
-                [row for row in wh.heat.snapshot() if row[0] in uris])
+                [key for key in _resident(wh) if key[0] in uris])
 
-    units, heat = derived()
-    assert units and heat
+    units, cached = derived()
+    assert units and cached
 
-    harvested = []
-    harvest_single = LazyETL.harvest_single
-    monkeypatch.setattr(
-        LazyETL, "harvest_single",
-        lambda self, info: (harvested.append(info.uri),
-                            harvest_single(self, info))[1])
+    harvested = _counting_harvests(monkeypatch)
     _rewrite_file(rewritten, offset=70_000)
     os.remove(removed.path)
     report = wh.sync()
@@ -295,8 +333,8 @@ def test_sync_runs_the_whole_stale_reaction(mutable_repo, tmp_path,
 
 def test_vanished_file_is_skipped_not_fatal_to_the_cycle(mutable_repo,
                                                          tmp_path):
-    """A file deleted under hot units costs the promoter that file only:
-    it is skipped with its heat forgotten, and the rest still promote."""
+    """A file deleted under resident records costs the pass that file
+    only: it is skipped, and the rest still promote."""
     wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
                           storage_path=tmp_path / "store",
                           recycler_budget_bytes=0)
@@ -305,82 +343,100 @@ def test_vanished_file_is_skipped_not_fatal_to_the_cycle(mutable_repo,
     hot = [e for e in mutable_repo.entries
            if e.station in ("HGN", "DBN") and e.channel == "BHZ"]
     assert len(hot) == 4
-    gone = os.path.relpath(hot[0].path, mutable_repo.root)
     os.remove(hot[0].path)
 
     report = wh.promote(min_score=0.0, max_units=10**6)
     assert report.skipped_files == 1
-    assert not [row for row in wh.heat.snapshot() if row[0] == gone]
     promoted_files = {uri for uri, _seq in wh.promoted.unit_keys()}
     assert promoted_files == {os.path.relpath(e.path, mutable_repo.root)
                               for e in hot[1:]}
 
 
-def test_promoter_observing_staleness_still_triggers_refresh(mutable_repo,
-                                                             tmp_path):
-    """When the *promoter* is the first to observe a rewrite, it runs
-    the full stale reaction (metadata refresh included) like any other
-    observer — otherwise the next query extracts against the stale
-    record index and fails on vanished records."""
+def test_promoter_observing_staleness_still_triggers_refresh(
+        mutable_repo, tmp_path, monkeypatch):
+    """A file rewritten between a query and promote() is not promoted,
+    and promotion, the first to observe the rewrite, runs the one stale
+    reaction (metadata refresh included) exactly once: the next query
+    works against the new layout and re-harvests nothing."""
     wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
                           storage_path=tmp_path / "store",
                           recycler_budget_bytes=0)
-    q = ("SELECT MAX(D.sample_value), COUNT(*) FROM mseed.dataview "
-         "WHERE F.station = 'HGN' AND F.channel = 'BHZ'")
-    wh.query(q)
-    wh.promote(min_score=0.0)
-    # Widened demand (sample_time) makes the units candidates again, so
-    # the next cycle will actually gather — and observe — the files.
-    wh.query("SELECT MIN(D.sample_time) FROM mseed.dataview "
-             "WHERE F.station = 'HGN' AND F.channel = 'BHZ'")
-
+    wh.query(HGN_BHZ_Q)
+    rewritten = [e for e in mutable_repo.entries
+                 if e.station == "HGN" and e.channel == "BHZ"]
+    uris = {os.path.relpath(e.path, mutable_repo.root) for e in rewritten}
     # Rewrite with FEWER records: stale seq_nos no longer exist on disk.
-    for entry in mutable_repo.entries:
-        if entry.station == "HGN" and entry.channel == "BHZ":
-            samples = (np.arange(entry.n_samples // 4,
-                                 dtype=np.int32) % 50) + 80_000
-            write_mseed_file(
-                entry.path,
-                network=entry.network, station=entry.station,
-                location=entry.location, channel=entry.channel,
-                start_time_us=entry.start_time_us,
-                sample_rate=entry.sample_rate, samples=samples,
-            )
-            stat = os.stat(entry.path)
-            os.utime(entry.path,
-                     ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    for entry in rewritten:
+        _rewrite_file(entry, offset=80_000, records_divisor=4)
 
-    # The promoter sees the staleness first and consumes the signal ...
+    harvested = _counting_harvests(monkeypatch)
     report = wh.promote(min_score=0.0)
-    assert report.skipped_files > 0
-    # ... so it must also have refreshed the metadata: the next query
-    # works against the new layout and sees the new data.
-    result = wh.query(q)
-    assert result.rows()[0][0] >= 80_000
-    assert wh.db.last_report.rows_served_eager == 0  # old units are gone
+    assert report.skipped_files == len(uris) == 2
+    assert report.promoted_units == 0
+    assert sorted(harvested) == sorted(uris)  # one reaction per file
+    assert not any(key[0] in uris for key in _resident(wh))
+
+    result = wh.query(HGN_BHZ_Q).rows()
+    assert result[0][0] >= 80_000
+    assert result == _unpromoted(mutable_repo.root, HGN_BHZ_Q)
+    assert not any(t["op"] == "refresh" for t in wh.last_trace)
+    assert wh.db.last_report.rows_served_eager == 0
+    assert sorted(harvested) == sorted(uris)
 
 
 # -- persistence (checkpoint → warm start) --------------------------------------
+
+
+def test_checkpoint_restart_promotes_the_restored_cache(demo_repo,
+                                                        tmp_path):
+    """Scan a station, checkpoint, reopen: the restored cache answers
+    with zero extraction, promotion writes exactly the restored records,
+    and a MIN scan then reads them from promoted pages.  The reopened
+    warehouse recycles nothing: with the recycler on, the MIN scan would
+    be answered from the STDDEV query's recycled lazy fetch."""
+    root, store = demo_repo.root, tmp_path / "store"
+    stddev, minimum = (_per_channel("STDDEV_SAMP(D.sample_value)"),
+                       _per_channel("MIN(D.sample_value)"))
+    wh = SeismicWarehouse(root, mode="lazy")
+    wh.query(_per_channel("COUNT(*), MIN(D.sample_value), "
+                          "MAX(D.sample_value), AVG(D.sample_value)"))
+    assert wh.checkpoint(store) > 0
+    wh.close()
+
+    reopened = SeismicWarehouse(root, storage_path=store,
+                                recycler_budget_bytes=0)
+    restored = set(_resident(reopened))
+    cursor = reopened.connect().execute(stddev)
+    assert cursor.fetchall() == _unpromoted(root, stddev)
+    assert cursor.report.rows_extracted_here == 0
+
+    report = reopened.promote(min_score=0.0, max_units=1_000_000)
+    assert report.promoted_units == len(restored) > 0
+    assert reopened.promoted.unit_keys() == restored
+
+    cursor = reopened.connect().execute(minimum)
+    assert cursor.fetchall() == _unpromoted(root, minimum)
+    assert cursor.report.rows_extracted_here == 0
+    assert cursor.report.rows_served_eager > 0
+    assert cursor.report.pages_read > 0
+    reopened.close()
 
 
 def test_promotion_survives_warm_start_with_zero_reextraction(
         demo_repo, tmp_path):
     store = tmp_path / "store"
     wh = SeismicWarehouse(demo_repo.root, mode="lazy", storage_path=store,
-                          cache_budget_bytes=64 * 1024,
                           recycler_budget_bytes=0)
     baseline = wh.query(HOT_Q).rows()
     wh.query(HOT_Q)
-    promoted = wh.promote(min_score=0.0)
+    promoted = wh.promote()
     assert promoted.promoted_units > 0
-    heat_units = len(wh.heat)
-    wh.checkpoint()
+    # Every resident record is promoted, so the snapshot spills none.
+    assert wh.checkpoint() == 0
 
     warm = SeismicWarehouse(demo_repo.root, mode="lazy", storage_path=store,
-                            cache_budget_bytes=64 * 1024,
                             recycler_budget_bytes=0)
     assert len(warm.promoted) == promoted.promoted_units
-    assert len(warm.heat) == heat_units  # tracker state restored
     assert warm.query(HOT_Q).rows() == baseline
     report = warm.db.last_report
     assert report.rows_extracted_here == 0
@@ -397,54 +453,39 @@ def test_rewrite_across_restart_of_fully_promoted_file(mutable_repo,
     store = tmp_path / "store"
     wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
                           storage_path=store, recycler_budget_bytes=0)
-    q = ("SELECT MAX(D.sample_value), COUNT(*) FROM mseed.dataview "
-         "WHERE F.station = 'HGN' AND F.channel = 'BHZ'")
-    wh.query(q)
+    wh.query(HGN_BHZ_Q)
     wh.promote(min_score=0.0)
     wh.checkpoint()
 
     # Process "down": rewrite the hot files with FEWER records.
     for entry in mutable_repo.entries:
         if entry.station == "HGN" and entry.channel == "BHZ":
-            samples = (np.arange(entry.n_samples // 4,
-                                 dtype=np.int32) % 50) + 60_000
-            write_mseed_file(
-                entry.path,
-                network=entry.network, station=entry.station,
-                location=entry.location, channel=entry.channel,
-                start_time_us=entry.start_time_us,
-                sample_rate=entry.sample_rate, samples=samples,
-            )
-            stat = os.stat(entry.path)
-            os.utime(entry.path,
-                     ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+            _rewrite_file(entry, offset=60_000, records_divisor=4)
 
     warm = SeismicWarehouse(mutable_repo.root, mode="lazy",
                             storage_path=store, recycler_budget_bytes=0)
-    result = warm.query(q)  # must refresh metadata, not crash
+    result = warm.query(HGN_BHZ_Q)  # must refresh metadata, not crash
     assert result.rows()[0][0] >= 60_000
     assert warm.db.last_report.rows_served_eager == 0
 
 
 def test_stale_promoted_units_in_the_manifest_are_not_mounted(mutable_repo,
                                                              tmp_path):
-    """Invalidation is in-memory until the promoter's GC, so a checkpoint
-    taken after an observed rewrite still lists the old units beside a
-    files table that carries the new version: a reopened warehouse must
-    not serve them."""
+    """Invalidation is in-memory until the next pass reclaims segments,
+    so a checkpoint taken after an observed rewrite still lists the old
+    units beside a files table that carries the new version: a reopened
+    warehouse must not serve them."""
     import json
 
     store = tmp_path / "store"
     wh = SeismicWarehouse(mutable_repo.root, mode="lazy",
                           storage_path=store, recycler_budget_bytes=0)
-    q = ("SELECT MAX(D.sample_value), COUNT(*) FROM mseed.dataview "
-         "WHERE F.station = 'HGN' AND F.channel = 'BHZ'")
-    wh.query(q)
+    wh.query(HGN_BHZ_Q)
     promoted_units = wh.promote(min_score=0.0).promoted_units
     for entry in mutable_repo.entries:
         if entry.station == "HGN" and entry.channel == "BHZ":
             _rewrite_file(entry, offset=60_000)
-    fresh = wh.query(q).rows()  # observes the rewrite
+    fresh = wh.query(HGN_BHZ_Q).rows()  # observes the rewrite
     assert fresh[0][0] >= 60_000 and len(wh.promoted) == 0
     wh.cache.clear()            # leave only the stale units to persist
     wh.checkpoint()
@@ -462,50 +503,7 @@ def test_stale_promoted_units_in_the_manifest_are_not_mounted(mutable_repo,
     warm = SeismicWarehouse(mutable_repo.root, mode="lazy",
                             storage_path=store, recycler_budget_bytes=0)
     assert len(warm.promoted) == 0
-    assert warm.query(q).rows() == fresh
+    assert warm.query(HGN_BHZ_Q).rows() == fresh
     ops = [t["op"] for t in warm.last_trace]
     assert "extract" in ops
     assert "promoted_fetch" not in ops and "refresh" not in ops
-
-
-# -- the background promoter (service ownership) --------------------------------
-
-
-def test_service_background_promoter(stored_wh):
-    with stored_wh.serve(max_workers=2, promote=True,
-                         promote_interval_s=0.05,
-                         promote_min_score=1.5) as svc:
-        session = svc.session("hot-client")
-        for _ in range(4):
-            session.query(HOT_Q)
-        svc.promoter.kick()
-        deadline = 100
-        while len(stored_wh.promoted) == 0 and deadline:
-            svc.promoter.kick()
-            time.sleep(0.02)
-            deadline -= 1
-        assert len(stored_wh.promoted) > 0
-        outcome = session.query(HOT_Q)
-        assert outcome.report.rows_served_eager > 0
-        assert svc.promoter.errors == 0
-    # close() stopped the thread
-    assert not svc.promoter._thread.is_alive()
-
-
-def test_service_promote_requires_storage(lazy_wh):
-    with pytest.raises(ServiceError, match="storage"):
-        lazy_wh.serve(promote=True)
-
-
-def test_service_promote_requires_lazy_mode(eager_wh):
-    with pytest.raises(ServiceError, match="lazy"):
-        eager_wh.serve(promote=True)
-
-
-def test_promoter_config_validation(stored_wh):
-    with pytest.raises(ETLError, match="budget_bytes"):
-        PromoterConfig(budget_bytes=0)
-    with pytest.raises(ETLError, match="max_units_per_cycle"):
-        PromoterConfig(max_units_per_cycle=0)
-    with pytest.raises(ETLError, match="storage"):
-        Promoter(stored_wh.pipeline.binding, stored_wh.heat, None)

@@ -170,29 +170,23 @@ def _ops(wh):
     return [t["op"] for t in wh.last_trace]
 
 
-def _heat_counts(wh):
-    return sorted((uri, seq, unit.extractions, unit.cache_hits,
-                   unit.eager_hits)
-                  for uri, seq, _score, unit in wh.heat.snapshot())
-
-
 def test_station_second_aggregate_reuses_the_recycled_fetch(lazy_wh,
                                                             demo_repo):
     """STDDEV of a station, then a query extracting other files, then the
     station's COUNT/MAX: the last one is answered from the first one's
-    lazy fetch — no cache fetch, no extraction, and no heat."""
+    lazy fetch — no cache fetch, no extraction, and no cache lookup."""
     count_max = _per_channel("HGN", "COUNT(*), MAX(D.sample_value)")
     lazy_wh.query(_per_channel("HGN", "STDDEV_SAMP(D.sample_value)"))
     lazy_wh.query(_per_channel("ISK", "MIN(D.sample_value)"))
     assert "extract" in _ops(lazy_wh)
-    heat = _heat_counts(lazy_wh)
+    lookups = lazy_wh.cache.snapshot()["lookups"]
 
     rows = sorted(lazy_wh.query(count_max).rows())
     assert [t["node"] for t in lazy_wh.last_trace
             if t["op"] == "recycler_hit"] == ["PLazyFetch"]
     assert not {"extract", "cache_fetch"} & set(_ops(lazy_wh))
-    # A unit served from a recycled intermediate was not accessed.
-    assert _heat_counts(lazy_wh) == heat
+    # A record served from a recycled intermediate was not accessed.
+    assert lazy_wh.cache.snapshot()["lookups"] == lookups
 
     fresh = SeismicWarehouse(demo_repo.root, mode="lazy",
                              recycler_budget_bytes=0)

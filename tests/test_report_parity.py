@@ -204,7 +204,7 @@ def test_promoted_fetch_pages_counted_once(demo_repo, tmp_path):
                           recycler_budget_bytes=0)
     sql = QUERIES[0]
     wh.query(sql)
-    wh.query(sql)  # heat the units so promotion has a workload signal
+    wh.query(sql)  # a cache hit per record: the default promotion signal
     promoted = wh.promote(min_score=0.0)
     assert promoted.promoted_units > 0
     wh.cache.clear()  # the warm cache would shadow the promoted path

@@ -184,16 +184,3 @@ def test_sys_metrics_and_cache_reflect_query_work(demo_repo):
         assert cached[0] > 0 and cached[1] > 0
     finally:
         wh.close()
-
-
-def test_sys_heat_orders_hottest_first(demo_repo):
-    wh = SeismicWarehouse(demo_repo.root, mode="lazy")
-    try:
-        wh.query(COUNT_NL)
-        wh.query(COUNT_NL)
-        rows = wh.query("SELECT uri, score FROM sys.heat").rows()
-        assert rows
-        scores = [row[1] for row in rows]
-        assert scores == sorted(scores, reverse=True)
-    finally:
-        wh.close()
