@@ -1,40 +1,31 @@
 """The extraction cache — lazy loading per §3.3.
 
 "Materialization of the extracted and transformed data is simply caching"
-— this module is that cache.  Entries live at **record grain**
-``(uri, seq_no)`` so overlapping queries reuse each other's extractions
-partially; each entry stores the transformed columns of one record plus
-the :class:`~repro.mseed.repository.FileInfo` (size + mtime) the file had
-when the record was extracted.
+— this module is that cache, and its unit is the **file**: one entry per
+``uri`` holds one file version's extracted run
+(:class:`~repro.etl.framework.ExtractedRecords`), the ``FileInfo`` it was
+extracted from and a per-record ``hits`` count.  :meth:`~ExtractionCache.get`
+serves a file's wanted records in one call and names those the entry
+lacks; :meth:`~ExtractionCache.put` of the extracted rest makes the entry
+the sorted union.  Every record of an entry carries the same columns.
+Eviction is LRU over files (the paper's choice) within a byte budget
+("not larger than the size of the system's main memory"); the counters
+count records.
 
-Eviction is LRU, the paper's stated choice.  The byte budget models "not
-larger than the size of the system's main memory".
+Staleness is decided once, by
+:meth:`repro.etl.lazy.LazyDataBinding.observe`; the version stored here
+is a guard: :meth:`~ExtractionCache.validate_file` drops an entry
+admitted under another ``FileInfo`` (a racing session's late
+admission), and :meth:`~ExtractionCache.restore` skips snapshot records
+whose mtime disagrees with the restarted warehouse's metadata.
 
-Staleness (lazy refresh) is decided elsewhere — by the one observation in
-:meth:`repro.etl.lazy.LazyDataBinding.observe`, against the version the
-file's *metadata* was harvested from.  The version stored here is only a
-guard: :meth:`ExtractionCache.validate_file` drops a file's entries when
-they were admitted under a different ``FileInfo`` than the one the query
-is running under (a racing session's late admission), and
-:meth:`ExtractionCache.restore` skips snapshot entries whose persisted
-mtime disagrees with the restarted warehouse's metadata.
-
-Concurrency: the cache is shared by every session of a
-:class:`~repro.service.service.WarehouseService`, so all public methods
-are thread-safe.  Two locking layers cooperate:
-
-* a set of **stripe locks**, one per hash bucket of URIs, serialise the
-  multi-step per-file sequences (validate → refresh → extract → admit)
-  so two sessions never interleave staleness handling for one file;
-* a single **structural lock** guards the shared LRU map, byte counter
-  and per-URI index for the short critical sections that mutate them.
-
-Stripe locks are always acquired before the structural lock and eviction
-only ever takes the structural lock, so the order is acyclic.  Entries
-can be **protected** (in-flight markers) while a coalesced extraction's
-waiters still need them; protected entries are never evicted — if every
-entry is protected the cache temporarily overcommits, exactly like the
-buffer pool's pinned pages, and trims back as soon as protection drops.
+Concurrency: all public methods are thread-safe.  Per-URI **stripe
+locks** serialise per-file sequences (validate → refresh → extract →
+admit); one **structural lock**, always taken after a stripe lock,
+guards the LRU map and byte counter.  An entry **protected** by an
+in-flight coalesced extraction is never evicted; if every entry is
+protected the cache overcommits, like pinned buffer-pool pages, until
+protection drops.
 """
 
 from __future__ import annotations
@@ -42,13 +33,13 @@ from __future__ import annotations
 import logging
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import CacheInvariantError, ETLError
+from repro.etl.framework import ExtractedRecords, held_positions
 from repro.mseed.repository import FileInfo
 
 logger = logging.getLogger("repro.etl.cache")
@@ -59,10 +50,20 @@ STRIPE_COUNT = 16
 
 @dataclass
 class CacheEntry:
-    columns: dict[str, np.ndarray]
-    info: FileInfo  # the file version the record was extracted from
-    nbytes: int
-    hits: int = 0
+    """One file version's run; ``hits[i]`` counts the lookups that
+    served record ``run.seq_nos[i]`` (what promotion ranks by)."""
+
+    info: FileInfo  # the file version the run was extracted from
+    run: ExtractedRecords
+    hits: np.ndarray
+
+    def arrays(self) -> list[np.ndarray]:
+        run = self.run
+        return [run.seq_nos, run.offsets, self.hits, *run.columns.values()]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self.arrays())
 
 
 @dataclass
@@ -73,233 +74,199 @@ class CacheStats:
     admissions: int = 0
     evictions: int = 0
     stale_drops: int = 0
-    widenings: int = 0
-    restored: int = 0  # entries re-admitted from a storage snapshot
-    spills: int = 0  # entries persisted to a storage snapshot
+    widenings: int = 0  # entries whose column set grew
+    restored: int = 0  # records re-admitted from a storage snapshot
+    spills: int = 0  # records persisted to a storage snapshot
 
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
+def _owned(array: np.ndarray) -> np.ndarray:
+    """A copy unless ``array`` owns its memory (eviction frees it all)."""
+    return array if array.base is None else array.copy()
+
+
 class ExtractionCache:
-    """Bounded record-grain cache of extracted, transformed actual data."""
+    """Bounded file-grain cache of extracted, transformed actual data."""
 
     def __init__(self, budget_bytes: int = 256 * 1024 * 1024) -> None:
         self.budget_bytes = budget_bytes
-        self._entries: "OrderedDict[tuple[str, int], CacheEntry]" = OrderedDict()
-        # Per file, the version its entries were last admitted under
-        # (validate_file's O(1) guard).
-        self._file_version: dict[str, FileInfo] = {}
-        # Per-URI seq_no index so staleness drops and introspection are
-        # O(entries of that file), not O(all entries).
-        self._by_uri: dict[str, set[int]] = {}
+        self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self._bytes = 0
         self.stats = CacheStats()
-        # Concurrency: stripe locks serialise per-file sequences, the
-        # structural lock guards the shared maps (see module docstring).
         self._lock = threading.RLock()
         self._stripes = [threading.RLock() for _ in range(STRIPE_COUNT)]
-        # In-flight markers: (uri, seq) -> protection refcount.  Protected
-        # entries are exempt from eviction.
-        self._protected: dict[tuple[str, int], int] = {}
+        # In-flight markers: uri -> protection refcount.
+        self._protected: dict[str, int] = {}
 
     # -- locking -----------------------------------------------------------------
 
-    def _stripe_for(self, uri: str) -> threading.RLock:
+    def file_lock(self, uri: str) -> threading.RLock:
+        """The stripe lock that serialises a multi-step per-file sequence
+        (validate → refresh → extract → admit) across sessions."""
         return self._stripes[hash(uri) % STRIPE_COUNT]
-
-    @contextmanager
-    def file_lock(self, uri: str) -> Iterator[None]:
-        """Serialise a multi-step per-file sequence (validate → refresh →
-        extract → admit) against other sessions touching the same stripe."""
-        with self._stripe_for(uri):
-            yield
 
     # -- in-flight markers -------------------------------------------------------
 
-    def protect(self, uri: str, seq_no: int) -> None:
-        """Exempt an entry from eviction while a coalesced flight's
-        waiters may still need it (refcounted)."""
-        key = (uri, seq_no)
+    def protect(self, uri: str) -> None:
+        """Exempt a file's entry from eviction while in flight (refcounted)."""
         with self._lock:
-            self._protected[key] = self._protected.get(key, 0) + 1
+            self._protected[uri] = self._protected.get(uri, 0) + 1
 
-    def unprotect(self, uri: str, seq_no: int) -> None:
-        key = (uri, seq_no)
+    def unprotect(self, uri: str) -> None:
         with self._lock:
-            count = self._protected.get(key)
+            count = self._protected.get(uri)
             if count is None:
-                raise ETLError(f"unprotect of unprotected entry {key}")
+                raise ETLError(f"unprotect of unprotected entry {uri!r}")
             if count <= 1:
-                del self._protected[key]
+                del self._protected[uri]
             else:
-                self._protected[key] = count - 1
+                self._protected[uri] = count - 1
             self._evict_to_budget()
-
-    def protected_count(self) -> int:
-        with self._lock:
-            return len(self._protected)
 
     # -- staleness ---------------------------------------------------------------
 
     def validate_file(self, uri: str, info: FileInfo) -> bool:
-        """Guard: drop the file's entries if they were admitted under a
-        version other than ``info``.
-
-        Returns ``True`` when cached entries (if any) are still valid.
+        """Guard: drop the file's entry if it was admitted under a
+        version other than ``info``.  ``True`` when it (if any) is valid.
         """
-        with self._stripe_for(uri), self._lock:
-            known = self._file_version.get(uri)
-            if known is None or known == info:
+        with self.file_lock(uri), self._lock:
+            entry = self._entries.get(uri)
+            if entry is None or entry.info == info:
                 return True
-            self._invalidate_file_locked(uri)
+            self.invalidate_file(uri)
             return False
 
     def invalidate_file(self, uri: str) -> int:
-        """Drop every entry of a changed or removed file."""
-        with self._stripe_for(uri), self._lock:
-            return self._invalidate_file_locked(uri)
-
-    def _invalidate_file_locked(self, uri: str) -> int:
-        doomed = self._by_uri.pop(uri, None) or set()
-        for seq_no in doomed:
-            entry = self._entries.pop((uri, seq_no))
+        """Drop the entry of a changed or removed file; returns the
+        number of records it held."""
+        with self.file_lock(uri), self._lock:
+            entry = self._entries.pop(uri, None)
+            if entry is None:
+                return 0
             self._bytes -= entry.nbytes
-        self._file_version.pop(uri, None)
-        self.stats.stale_drops += len(doomed)
-        return len(doomed)
+            self.stats.stale_drops += len(entry.run.seq_nos)
+            return len(entry.run.seq_nos)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._file_version.clear()
-            self._by_uri.clear()
             self._bytes = 0
 
     # -- lookup / admission ------------------------------------------------------------
 
-    def get(self, uri: str, seq_no: int,
-            needed: list[str]) -> Optional[dict[str, np.ndarray]]:
-        """Return the record's columns if all ``needed`` ones are cached."""
+    def held(self, uri: str) -> tuple[tuple[str, ...], np.ndarray]:
+        """The columns and (sorted) records of the file's entry."""
         with self._lock:
-            self.stats.lookups += 1
-            entry = self._entries.get((uri, seq_no))
-            if entry is None or any(col not in entry.columns for col in needed):
-                self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            entry.hits += 1
-            self._entries.move_to_end((uri, seq_no))
-            return {col: entry.columns[col] for col in needed}
+            entry = self._entries.get(uri)
+            if entry is None:
+                return (), np.empty(0, np.int64)
+            return tuple(entry.run.columns), entry.run.seq_nos
 
-    def put(self, uri: str, seq_no: int, info: FileInfo,
-            columns: dict[str, np.ndarray]) -> bool:
-        """Admit (or widen) one record's transformed columns.
+    def get(self, uri: str, wanted: np.ndarray, needed: Sequence[str]
+            ) -> tuple[Optional[ExtractedRecords], np.ndarray]:
+        """One file's ``wanted`` records (sorted, distinct) over
+        ``needed``: the served run (a slice of the entry when contiguous,
+        else one ``np.take``; ``None`` if empty) and the seq_nos lacked."""
+        with self._lock:
+            self.stats.lookups += len(wanted)
+            entry = self._entries.get(uri)
+            if entry is None or not set(needed) <= set(entry.run.columns):
+                self.stats.misses += len(wanted)
+                return None, wanted
+            held, positions = held_positions(entry.run.seq_nos, wanted)
+            self.stats.hits += len(positions)
+            self.stats.misses += len(wanted) - len(positions)
+            if not len(positions):
+                return None, wanted
+            entry.hits[positions] += 1
+            self._entries.move_to_end(uri)
+        return entry.run.take(positions, needed), wanted[~held]
 
-        Widening merges the new columns over the cached ones.  If the
-        widened entry would exceed the whole budget, the admission is
-        rejected and the *previously cached entry stays intact* — an
-        over-budget widening must not lose columns that were already paid
-        for.
-        """
-        key = (uri, seq_no)
-        with self._stripe_for(uri), self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                merged = dict(existing.columns)
-                merged.update(columns)
-                columns = merged
-            nbytes = sum(arr.nbytes for arr in columns.values())
-            if nbytes > self.budget_bytes:
+    def put(self, uri: str, info: FileInfo, run: ExtractedRecords) -> bool:
+        """Admit one file's extracted run: under the entry's version and
+        columns the entry becomes the sorted union of its records and the
+        run's; a run with more columns (the caller re-took the entry's
+        records) or under another ``FileInfo`` replaces it.  A run lacking
+        one of the entry's columns, or an entry over the whole budget, is
+        rejected and the *cached entry stays intact*."""
+        with self.file_lock(uri), self._lock:
+            old = self._entries.get(uri)
+            same = old is not None and old.info == info
+            if same and not set(old.run.columns) <= set(run.columns):
                 return False
-            if existing is not None:
-                self._bytes -= existing.nbytes
-                self.stats.widenings += 1
-                del self._entries[key]
-            self._entries[key] = CacheEntry(
-                columns=columns, info=info, nbytes=nbytes,
-            )
-            self._file_version[uri] = info
-            self._by_uri.setdefault(uri, set()).add(seq_no)
-            self._bytes += nbytes
-            self.stats.admissions += 1
+            widened = same and len(run.columns) > len(old.run.columns)
+            admitted = len(run.seq_nos)
+            if same and not widened:
+                others = ~held_positions(run.seq_nos, old.run.seq_nos)[0]
+                run = ExtractedRecords.merge(
+                    [old.run.take(np.flatnonzero(others)), run])
+            entry = CacheEntry(info, ExtractedRecords(
+                uri, _owned(run.seq_nos), _owned(run.offsets),
+                {name: _owned(col) for name, col in run.columns.items()}),
+                np.zeros(len(run.seq_nos), dtype=np.int64))
+            if same:  # carry the hit counts of the records it keeps
+                kept, positions = held_positions(run.seq_nos, old.run.seq_nos)
+                entry.hits[positions] = old.hits[kept]
+            if entry.nbytes > self.budget_bytes:
+                return False
+            if old is not None:
+                del self._entries[uri]
+                self._bytes -= old.nbytes
+                if not same:
+                    self.stats.stale_drops += len(old.run.seq_nos)
+            self.stats.widenings += widened
+            self._entries[uri] = entry
+            self._bytes += entry.nbytes
+            self.stats.admissions += admitted
             self._evict_to_budget()
             return True
 
     def _evict_to_budget(self) -> None:
-        while self._bytes > self.budget_bytes and self._entries:
-            victim = self._pick_victim()
+        while self._bytes > self.budget_bytes:
+            victim = next((uri for uri in self._entries
+                           if uri not in self._protected), None)
             if victim is None:
                 # Everything left is protected by an in-flight extraction:
                 # overcommit temporarily, like pinned buffer-pool pages.
                 return
             entry = self._entries.pop(victim)
-            self._drop_from_uri_index(victim)
             self._bytes -= entry.nbytes
-            self.stats.evictions += 1
-
-    def _drop_from_uri_index(self, key: tuple[str, int]) -> None:
-        uri, seq_no = key
-        seqs = self._by_uri.get(uri)
-        if seqs is not None:
-            seqs.discard(seq_no)
-            if not seqs:
-                del self._by_uri[uri]
-
-    def _pick_victim(self) -> Optional[tuple[str, int]]:
-        """Least recently used entry that no in-flight extraction protects."""
-        for key in self._entries:
-            if key not in self._protected:
-                return key
-        return None
+            self.stats.evictions += len(entry.run.seq_nos)
 
     # -- consistency --------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert internal bookkeeping consistency (stress-test hook).
-
-        Verifies, atomically under the structural lock:
-
-        * the byte counter equals the sum of entry sizes;
-        * total bytes fit the budget unless in-flight protection forces
-          an overcommit;
-        * the per-URI index and the entry map describe the same key set;
-        * every indexed URI has an admission version.
-
-        Raises :class:`~repro.errors.CacheInvariantError` on violation.
-        """
+        """Raise :class:`~repro.errors.CacheInvariantError` unless the
+        byte counter sums the entries' arrays, the budget holds (or
+        protection forces an overcommit) and every entry is one
+        rectangular run of its file whose arrays own their memory."""
         with self._lock:
             actual = sum(entry.nbytes for entry in self._entries.values())
             if actual != self._bytes:
                 raise CacheInvariantError(
-                    f"byte counter {self._bytes} != sum of entries {actual}"
-                )
-            if self._bytes > self.budget_bytes:
-                unprotected = [k for k in self._entries
-                               if k not in self._protected]
-                if unprotected:
-                    raise CacheInvariantError(
-                        f"over budget ({self._bytes} > {self.budget_bytes}) "
-                        f"with {len(unprotected)} evictable entries"
-                    )
-            indexed = {
-                (uri, seq) for uri, seqs in self._by_uri.items()
-                for seq in seqs
-            }
-            present = set(self._entries)
-            if indexed != present:
-                missing = present - indexed
-                stale = indexed - present
+                    f"byte counter {self._bytes} != sum of entries {actual}")
+            evictable = [uri for uri in self._entries
+                         if uri not in self._protected]
+            if self._bytes > self.budget_bytes and evictable:
                 raise CacheInvariantError(
-                    f"uri index out of sync: missing={sorted(missing)[:4]} "
-                    f"stale={sorted(stale)[:4]}"
-                )
-            for uri in self._by_uri:
-                if uri not in self._file_version:
+                    f"over budget ({self._bytes} > {self.budget_bytes}) "
+                    f"with {len(evictable)} evictable entries")
+            for uri, entry in self._entries.items():
+                run = entry.run
+                if not (run.uri == entry.info.uri == uri
+                        and len(run.offsets) == len(run.seq_nos) + 1
+                        and run.offsets[0] == 0
+                        and (np.diff(run.offsets) >= 0).all()
+                        and (np.diff(run.seq_nos) > 0).all()
+                        and len(entry.hits) == len(run.seq_nos)
+                        and all(len(col) == run.offsets[-1]
+                                for col in run.columns.values())
+                        and all(a.base is None for a in entry.arrays())):
                     raise CacheInvariantError(
-                        f"indexed file {uri!r} has no admission version"
-                    )
+                        f"entry of {uri!r} is not one rectangular run")
 
     # -- introspection (demo capability 7) ------------------------------------------------
 
@@ -308,49 +275,41 @@ class ExtractionCache:
         return self._bytes
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple[str, int]) -> bool:
-        return key in self._entries
-
-    def cached_seq_nos(self, uri: str) -> list[int]:
+        """The number of cached records."""
         with self._lock:
-            return sorted(self._by_uri.get(uri, ()))
+            return sum(len(entry.run.seq_nos)
+                       for entry in self._entries.values())
 
     def resident(self) -> list[tuple[str, int, FileInfo,
                                     dict[str, np.ndarray], int]]:
-        """One locked copy of ``(uri, seq_no, info, columns, hits)`` per
-        entry, least recently used first: what :meth:`spill` persists
-        and what promotion ranks."""
+        """``(uri, seq_no, info, columns, hits)`` per cached record, the
+        columns as views into the file's run, least recently used file
+        first: what :meth:`spill` persists and what promotion ranks."""
         with self._lock:
-            return [
-                (uri, seq_no, entry.info, dict(entry.columns), entry.hits)
-                for (uri, seq_no), entry in self._entries.items()
-            ]
+            entries = [(uri, entry.info, entry.run, entry.hits.tolist())
+                       for uri, entry in self._entries.items()]
+        return [
+            (uri, seq_no, info, columns, hits)
+            for uri, info, run, file_hits in entries
+            for seq_no, columns, hits in zip(run.seq_nos.tolist(),
+                                             run.per_record, file_hits)
+        ]
 
     def contents(self) -> list[tuple[str, int, int, int]]:
-        """(uri, seq_no, bytes, hits) per entry, in eviction order."""
+        """(uri, records, bytes, hits) per file, in eviction order;
+        ``hits`` sums the file's records."""
         with self._lock:
-            return [
-                (uri, seq, entry.nbytes, entry.hits)
-                for (uri, seq), entry in self._entries.items()
-            ]
+            return [(uri, len(entry.run.seq_nos), entry.nbytes,
+                     int(entry.hits.sum()))
+                    for uri, entry in self._entries.items()]
 
     # -- persistence (storage-engine warm starts) -----------------------------------
 
     def spill(self, store, *, skip=None) -> int:
-        """Persist the cache into a table store's snapshot area.
-
-        ``store`` is a :class:`~repro.storage.store.TableStore` or a
-        directory path.  ``skip`` is an optional predicate
-        ``(uri, seq_no, info, columns) -> bool``; entries it accepts
-        are left out of the snapshot (the lazy warehouse skips entries
-        already covered by a promoted segment — persisting the hot set
-        twice would only cost checkpoint time and dead cache budget on
-        restore).  Entries are written in eviction order, so a restore
-        replays admissions in the same order and reproduces the LRU
-        state.  Returns the number of entries written.
-        """
+        """Persist the cache into ``store`` (a ``TableStore`` or a path),
+        one row per record in eviction order, leaving out the records
+        ``skip(uri, seq_no, info, columns)`` accepts (those a promoted
+        segment persists).  Returns the number of records written."""
         store = _as_store(store)
         entries = [entry[:4] for entry in self.resident()
                    if skip is None or not skip(*entry[:4])]
@@ -362,23 +321,23 @@ class ExtractionCache:
 
     def restore(self, store,
                 version_of: Callable[[str], Optional[FileInfo]]) -> int:
-        """Warm-start from a snapshot written by :meth:`spill`.
-
-        The snapshot persists only each entry's mtime; ``version_of``
-        (the restarted warehouse's ledger,
-        :meth:`repro.etl.metadata.RecordIndex.version`) supplies the full
-        version.  Entries whose stored mtime disagrees with it were
-        extracted from bytes the metadata no longer describes and are
-        skipped.  The byte budget still applies.
-        """
-        store = _as_store(store)
-        restored = 0
-        for uri, seq_no, mtime_ns, columns in store.load_cache_snapshot():
+        """Admit :meth:`spill`'s snapshot as one run per file, skipping
+        records whose mtime is not the ledger's (``version_of``); a run
+        keeps the columns all its records carry.  Returns the records
+        restored."""
+        per_file: dict[str, list] = {}
+        for uri, seq_no, mtime_ns, columns in \
+                _as_store(store).load_cache_snapshot():
             info = version_of(uri)
-            if info is None or info.mtime_ns != mtime_ns:
-                continue
-            if self.put(uri, seq_no, info, columns):
-                restored += 1
+            if info is not None and info.mtime_ns == mtime_ns:
+                per_file.setdefault(uri, []).append((seq_no, columns))
+        restored = 0
+        for uri, records in per_file.items():
+            seqs, parts = zip(*records)
+            names = sorted(set.intersection(*map(set, parts)))
+            if names and self.put(uri, version_of(uri), ExtractedRecords.
+                                  of_records(uri, seqs, parts, names)):
+                restored += len(seqs)
         # Restores are bookkeeping, not workload: ``admissions`` counts
         # what queries extracted, ``restored`` what a warm start brought.
         with self._lock:
@@ -387,33 +346,22 @@ class ExtractionCache:
         return restored
 
     def snapshot(self) -> dict:
-        """Counters and occupancy as plain data (metrics collectors)."""
+        """Counters and occupancy as plain data (metrics collectors);
+        ``entries`` and ``protected`` count files, the rest records."""
         with self._lock:
-            return {
-                "lookups": self.stats.lookups,
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "admissions": self.stats.admissions,
-                "evictions": self.stats.evictions,
-                "stale_drops": self.stats.stale_drops,
-                "widenings": self.stats.widenings,
-                "restored": self.stats.restored,
-                "spills": self.stats.spills,
-                "entries": len(self._entries),
-                "used_bytes": self._bytes,
-                "budget_bytes": self.budget_bytes,
-                "protected": len(self._protected),
-            }
+            return {**asdict(self.stats), "entries": len(self._entries),
+                    "used_bytes": self._bytes,
+                    "budget_bytes": self.budget_bytes,
+                    "protected": len(self._protected)}
 
     def render(self, max_rows: int = 20) -> str:
-        lines = [
-            f"extraction cache: {len(self)} entries, "
-            f"{self._bytes} / {self.budget_bytes} bytes"
-        ]
-        for uri, seq, nbytes, hits in self.contents()[:max_rows]:
-            lines.append(f"  {uri} seq={seq} bytes={nbytes} hits={hits}")
-        if len(self) > max_rows:
-            lines.append(f"  ... {len(self) - max_rows} more entries")
+        contents = self.contents()
+        lines = [f"extraction cache: {len(contents)} files, "
+                 f"{self._bytes} / {self.budget_bytes} bytes"]
+        lines += [f"  {uri} records={records} bytes={nbytes} hits={hits}"
+                  for uri, records, nbytes, hits in contents[:max_rows]]
+        if len(contents) > max_rows:
+            lines.append(f"  ... {len(contents) - max_rows} more files")
         return "\n".join(lines)
 
 

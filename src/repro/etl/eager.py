@@ -88,17 +88,11 @@ class EagerETL:
         rows = extracted.total_rows()
         if rows == 0:
             return {}
-        counts = [len(rec[data_cols[0]]) for rec in extracted.per_record]
-        batch: dict[str, "np.ndarray | Column"] = {
+        return {
             uri_key: Column.constant(DataType.VARCHAR, uri, rows),
-            seq_key: np.repeat(np.array(extracted.seq_nos, dtype=np.int64),
-                               counts),
+            seq_key: np.repeat(extracted.seq_nos, extracted.counts),
+            **extracted.columns,
         }
-        for name in data_cols:
-            batch[name] = np.concatenate(
-                [rec[name] for rec in extracted.per_record]
-            )
-        return batch
 
     def delete_file_data(self, uri: str) -> None:
         """Drop one file's rows from D (used by eager refresh)."""

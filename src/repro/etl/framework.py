@@ -12,7 +12,7 @@ paper demonstrates on.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -35,7 +35,7 @@ HarvestOutcome = Union[tuple["FileMeta", "RecordColumns"], MSeedError]
 
 @dataclass
 class ETLReport:
-    """What an ingestion run cost — the numbers experiment E1 compares."""
+    """What an ingestion run cost."""
 
     strategy: str = ""
     seconds: float = 0.0
@@ -45,38 +45,91 @@ class ETLReport:
     samples_loaded: int = 0
     bytes_read: int = 0
 
-    def row(self) -> list[str]:
-        from repro.util.human import format_bytes, format_duration
-
-        return [
-            self.strategy,
-            format_duration(self.seconds),
-            str(self.files_listed),
-            str(self.files_opened),
-            str(self.records_loaded),
-            str(self.samples_loaded),
-            format_bytes(self.bytes_read),
-        ]
-
 
 @dataclass
 class ExtractedRecords:
-    """Columnar output of extracting a set of records from one file.
-
-    ``per_record`` aligns with ``seq_nos``: for each record, a dict of
-    column name → numpy array of that record's rows.  Keeping per-record
-    slices lets the extraction cache admit and reuse single records.
-    """
+    """One file's extracted run, the unit after the harvest: sorted,
+    distinct ``seq_nos``; record ``i`` owns rows
+    ``offsets[i]:offsets[i + 1]`` of every array in ``columns``."""
 
     uri: str
-    seq_nos: list[int]
-    per_record: list[dict[str, np.ndarray]] = field(default_factory=list)
+    seq_nos: np.ndarray
+    offsets: np.ndarray
+    columns: dict[str, np.ndarray]
+
+    @classmethod
+    def of_counts(cls, uri: str, seq_nos, counts,
+                  columns: dict[str, np.ndarray]) -> "ExtractedRecords":
+        """The run of records in any order, ``counts[i]`` rows each."""
+        seq_nos = np.asarray(seq_nos, dtype=np.int64)
+        offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+        run = cls(uri, seq_nos, offsets, columns)
+        return run if (np.diff(seq_nos) > 0).all() else \
+            run.take(np.argsort(seq_nos))
+
+    @classmethod
+    def of_records(cls, uri: str, seq_nos, records: "list[dict]",
+                   names: Sequence[str]) -> "ExtractedRecords":
+        """The run of ``names`` over per-record column dicts."""
+        return cls.of_counts(
+            uri, seq_nos, [len(record[names[0]]) for record in records],
+            {name: np.concatenate([record[name] for record in records])
+             for name in names})
+
+    @classmethod
+    def merge(cls, runs: "list[ExtractedRecords]") -> "ExtractedRecords":
+        """One run of the disjoint records of ``runs`` (one file's)."""
+        if len(runs) == 1:
+            return runs[0]
+        return cls.of_counts(
+            runs[0].uri, np.concatenate([run.seq_nos for run in runs]),
+            np.concatenate([run.counts for run in runs]),
+            {name: np.concatenate([run.columns[name] for run in runs])
+             for name in runs[0].columns})
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
     def total_rows(self) -> int:
-        if not self.per_record:
-            return 0
-        first_col = next(iter(self.per_record[0]))
-        return sum(len(rec[first_col]) for rec in self.per_record)
+        return int(self.offsets[-1])
+
+    def take(self, positions: np.ndarray,
+             names: Optional[Sequence[str]] = None) -> "ExtractedRecords":
+        """The records at ``positions`` over ``names`` (default: all):
+        views when contiguous and ascending, else one ``np.take`` each."""
+        names = self.columns if names is None else names
+        if len(positions) and (np.diff(positions) == 1).all():
+            lo, hi = positions[0], positions[-1] + 1
+            rows = slice(self.offsets[lo], self.offsets[hi])
+            return ExtractedRecords(
+                self.uri, self.seq_nos[lo:hi],
+                self.offsets[lo:hi + 1] - self.offsets[lo],
+                {name: self.columns[name][rows] for name in names})
+        starts = self.offsets[positions]
+        counts = self.offsets[positions + 1] - starts
+        rows = np.arange(counts.sum()) + np.repeat(
+            starts - np.cumsum(counts) + counts, counts)
+        return ExtractedRecords.of_counts(
+            self.uri, self.seq_nos[positions], counts,
+            {name: np.take(self.columns[name], rows) for name in names})
+
+    @property
+    def per_record(self) -> Iterator[dict[str, np.ndarray]]:
+        """Each record's columns as views into the run (read-only)."""
+        bounds = self.offsets.tolist()
+        return ({name: col[lo:hi] for name, col in self.columns.items()}
+                for lo, hi in zip(bounds, bounds[1:]))
+
+
+def held_positions(sorted_seqs: np.ndarray, seq_nos: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Which of ``seq_nos`` the sorted ``sorted_seqs`` holds (a mask over
+    ``seq_nos``), and the held ones' positions in ``sorted_seqs``."""
+    positions = np.searchsorted(sorted_seqs, seq_nos)
+    held = positions < len(sorted_seqs)
+    held[held] = sorted_seqs[positions[held]] == seq_nos[held]
+    return held, positions[held]
 
 
 class SourceAdapter(abc.ABC):

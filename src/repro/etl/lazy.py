@@ -14,11 +14,11 @@ plays §3.1-§3.3 out in order:
    metadata was harvested from; on mismatch drop what was derived from
    the old bytes and re-harvest (§3.3's lazy refresh).  A same-size,
    same-mtime rewrite is invisible — the limit of any stat-based check;
-3. *cache fetch or extract* — per record, either reuse the cached
-   transformed columns (the best case: "no ETL process needs to be
-   performed") or decompress just the missing records and run the
-   record-level transforms;
-4. *load* — admit freshly extracted records to the bounded LRU cache.
+3. *cache fetch or extract* — per file, one cache lookup (the best case:
+   "no ETL process needs to be performed"), promoted segments for what
+   it lacks, one decode pass and the record-level transforms for the rest;
+4. *load* — admit the file's extracted run to the bounded LRU cache,
+   whose entry for the file becomes the union of its records.
 
 Every step appends to the run-time ``trace``, which is what the demo GUI
 panels (4)-(7) display.
@@ -44,7 +44,13 @@ from repro.errors import (
     StorageError,
 )
 from repro.etl.cache import ExtractionCache
-from repro.etl.framework import SCHEMA, ETLReport, SourceAdapter
+from repro.etl.framework import (
+    SCHEMA,
+    ETLReport,
+    ExtractedRecords,
+    SourceAdapter,
+    held_positions,
+)
 from repro.etl.metadata import (
     NO_RECORDS,
     FileMeta,
@@ -72,16 +78,11 @@ class LazyDataBinding:
     extraction proceeds — "refreshments are handled ... when the data
     warehouse is queried" (§3).
 
-    Concurrency hooks (both ``None`` in single-process use, where they
-    add zero overhead):
-
-    * ``coalescer`` — a single-flight table installed by
-      :class:`~repro.service.service.WarehouseService`; concurrent
-      sessions needing the same (file, record) ranges extract them
-      exactly once and share the result;
-    * ``extract_pool`` — a worker pool installed by
-      ``SeismicWarehouse.ensure_sharding``; one query's per-file
-      extraction work fans out across the shard workers.
+    Concurrency hooks, ``None`` in single-process use: ``coalescer``
+    (installed by :class:`~repro.service.service.WarehouseService`)
+    makes concurrent sessions extract the same records once, and
+    ``extract_pool`` (``SeismicWarehouse.ensure_sharding``) fans one
+    query's per-file work out across the shard workers.
 
     Per-file staleness handling is serialised through the cache's stripe
     locks, and metadata refreshes additionally through a global refresh
@@ -98,8 +99,8 @@ class LazyDataBinding:
         self.index = index
         self.cache = cache
         self.metadata_refresh = metadata_refresh
-        # When storage is attached, the PromotedStore consulted before
-        # the extraction cache; None keeps the pure-lazy behaviour.
+        # When storage is attached, the PromotedStore consulted for what
+        # the extraction cache lacks; None keeps the pure-lazy behaviour.
         self.promoted = None
         self._data_specs = {spec.name: spec for spec in adapter.data_columns()}
         # When a query needs no data column at all (e.g. COUNT(*)), one is
@@ -157,55 +158,51 @@ class LazyDataBinding:
             axis=1, return_inverse=True)
         pair_of_row = np.full(len(named), -1, dtype=np.int64)
         pair_of_row[named] = inverse.reshape(-1)
-        per_file: dict[str, list[int]] = {}
-        position: dict[tuple[str, int], int] = {}
-        for index, (code, seq) in enumerate(zip(*pairs.tolist())):
-            uri = uri_codes.uniques[code]
-            per_file.setdefault(uri, []).append(seq)
-            position[uri, seq] = index
+        # Each file's slice [lo, hi) of the pairs.
+        bounds = [0, *(np.flatnonzero(pairs[0, 1:] != pairs[0, :-1]) + 1)
+                  .tolist(), pairs.shape[1]]
+        files = [(uri_codes.uniques[pairs[0, lo]], lo, hi)
+                 for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
         data_cols = [n for n in needed if n not in self.key_columns]
-        uris = list(per_file)
         # Each file gets a private trace list, merged back in file order,
         # so the trace (and the assembled output) stay deterministic when
         # a pool fans this query's per-file work out.
-        local_traces: list[list[dict]] = [[] for _ in uris]
+        local_traces: list[list[dict]] = [[] for _ in files]
 
-        def fetch_file(index: int):
-            uri = uris[index]
-            return self._fetch_file(uri, per_file[uri], data_cols,
+        def fetch_file(index: int) -> ExtractedRecords:
+            uri, lo, hi = files[index]
+            return self._fetch_file(uri, pairs[1][lo:hi], data_cols,
                                     time_bounds, local_traces[index], versions)
 
         try:
-            if self.extract_pool is not None and len(uris) > 1:
-                per_uri = self.extract_pool.map_ordered(fetch_file,
-                                                        range(len(uris)))
+            if self.extract_pool is not None and len(files) > 1:
+                runs = self.extract_pool.map_ordered(fetch_file,
+                                                     range(len(files)))
             else:
-                per_uri = [fetch_file(index) for index in range(len(uris))]
+                runs = [fetch_file(index) for index in range(len(files))]
         finally:
             for local in local_traces:
                 trace.extend(local)
-        pieces = [piece for file_pieces in per_uri for piece in file_pieces]
-        # The pieces come in pair order; a pruned or vanished record
-        # serves none.
+        # A pruned or vanished record serves no rows.
         run_lengths = np.zeros(pairs.shape[1], dtype=np.int64)
-        run_lengths[[position[uri, seq] for uri, seq, _c, _r in pieces]] = \
-            [rows for _u, _s, _c, rows in pieces]
-        return LazyRows(self._assemble(pieces, needed, data_cols),
-                        pair_of_row, run_lengths)
+        for (_uri, lo, hi), run in zip(files, runs):
+            if len(run.seq_nos):
+                run_lengths[lo + np.searchsorted(pairs[1][lo:hi],
+                                                 run.seq_nos)] = run.counts
+        return LazyRows(
+            self._assemble([run for run in runs if len(run.seq_nos)],
+                           needed, data_cols),
+            pair_of_row, run_lengths)
 
     def scan_all(self, needed: list[str], trace: list[dict],
                  versions: dict) -> dict[str, Column]:
         """§3.1 worst case: the required subset is the entire repository."""
         data_cols = [n for n in needed if n not in self.key_columns]
-        pieces: list[tuple[str, int, dict[str, np.ndarray], int]] = []
-        for uri in self.index.files():
-            seq_nos = np.sort(self.index.seq_nos(uri)).tolist()
-            pieces.extend(
-                self._fetch_file(uri, seq_nos, data_cols,
-                                 (None, None), trace, versions)
-            )
-        return self._assemble(pieces, needed, data_cols)
+        runs = [self._fetch_file(uri, np.sort(self.index.seq_nos(uri)),
+                                 data_cols, (None, None), trace, versions)
+                for uri in self.index.files()]
+        return self._assemble(runs, needed, data_cols)
 
     # -- internals --------------------------------------------------------------------
 
@@ -265,74 +262,48 @@ class LazyDataBinding:
             self.promoted.invalidate_file(uri)
 
     def _fetch_file(
-        self, uri: str, seq_nos: list[int], data_cols: list[str],
+        self, uri: str, seq_nos: np.ndarray, data_cols: list[str],
         time_bounds: tuple[Optional[int], Optional[int]],
         trace: list[dict], versions: dict,
-    ) -> list[tuple[str, int, dict[str, np.ndarray], int]]:
-        if not data_cols:
-            data_cols = [self._count_column]
+    ) -> ExtractedRecords:
+        """The file's run of ``seq_nos`` (sorted, distinct) over
+        ``data_cols``, without the records pruned or gone."""
+        data_cols = data_cols or [self._count_column]
+        runs = []
         # (1) metadata-driven pruning of records outside the time window.
-        kept = self.index.prune(uri, seq_nos, time_bounds)
+        kept = np.asarray(self.index.prune(uri, seq_nos.tolist(),
+                                           time_bounds), dtype=np.int64)
         if len(kept) < len(seq_nos):
             trace.append({"op": "prune", "file": uri,
                           "dropped_records": len(seq_nos) - len(kept)})
-        if not kept:
-            return []
-
-        # (2) staleness: the one observation.
-        info = self.observe(uri, trace)
-
-        # A refresh — ours just now, or another session's after OUR
-        # metadata sub-plan selected keys — may have replaced the record
-        # layout: the live index is the authority on what still exists.
-        kept = self._only_live_records(uri, kept, trace)
-        if not kept:
-            return []
+        # (2) staleness: the one observation.  A refresh — ours just now,
+        # or another session's after OUR metadata sub-plan selected keys
+        # — may have replaced the record layout: the live index is the
+        # authority on what still exists.
+        if len(kept):
+            info = self.observe(uri, trace)
+            kept = self._only_live_records(uri, kept, trace)
+        if not len(kept):
+            return _no_records(uri, data_cols)
         versions[info] = self
 
-        # (3) promoted fetch, cache fetch, or extraction — cheapest first:
-        # eagerly materialized segments (disk pages through the buffer
-        # pool), then the in-memory extraction cache, then the source file.
-        eager_hits: list[tuple[int, dict[str, np.ndarray]]] = []
-        hits: list[tuple[int, dict[str, np.ndarray]]] = []
-        missing: list[int] = []
-        eager_pages = 0
-        # Per-file short-circuit: probing the promoted store per record
-        # is pointless (and pays a lock each) for files with no units.
-        promoted = self.promoted
-        if promoted is not None and not promoted.file_has_units(uri):
-            promoted = None
-        for seq in kept:
-            if promoted is not None:
-                served = promoted.fetch(uri, seq, data_cols, info)
-                if served is not None:
-                    columns, pages = served
-                    eager_hits.append((seq, columns))
-                    eager_pages += pages
-                    continue
-            cached = self.cache.get(uri, seq, data_cols)
-            if cached is None:
-                missing.append(seq)
-            else:
-                hits.append((seq, cached))
-        # ``mtime_ns`` in trace entries is for display; nothing parses it.
-        if eager_hits:
-            trace.append({"op": "promoted_fetch", "file": uri,
-                          "records": len(eager_hits),
-                          "rows": sum(_rows_of(c) for _s, c in eager_hits),
-                          "pages_read": eager_pages,
-                          "mtime_ns": info.mtime_ns})
-        if hits:
+        # (3) the cache's one lookup, then promoted segments (disk pages
+        # through the buffer pool) for what it lacks, then the source
+        # file.  ``mtime_ns`` in trace entries is for display only.
+        cached, missing = self.cache.get(uri, kept, data_cols)
+        if cached is not None:
+            runs.append(cached)
             trace.append({"op": "cache_fetch", "file": uri,
-                          "records": len(hits),
+                          "records": len(cached.seq_nos),
                           "mtime_ns": info.mtime_ns})
-        pieces = [(uri, seq, cols, _rows_of(cols))
-                  for seq, cols in eager_hits + hits]
-
-        if missing:
+        if len(missing) and self.promoted is not None \
+                and self.promoted.file_has_units(uri):
+            missing = self._promoted_fetch(uri, missing, data_cols, info,
+                                           trace, runs)
+        if len(missing):
             try:
-                pieces.extend(self._extract_missing(
-                    uri, missing, data_cols, info, trace))
+                runs.append(self._extract_missing(uri, missing, data_cols,
+                                                  info, trace))
             except ExtractionError:
                 # A refresh landed between the liveness check and the
                 # extraction (concurrent sessions): retry once against
@@ -340,99 +311,129 @@ class LazyDataBinding:
                 remaining = self._only_live_records(uri, missing, trace)
                 if len(remaining) == len(missing):
                     raise
-                if remaining:
+                if len(remaining):
                     info = self.observe(uri, trace)
                     versions[info] = self
-                    pieces.extend(self._extract_missing(
+                    runs.append(self._extract_missing(
                         uri, remaining, data_cols, info, trace))
-        pieces.sort(key=lambda piece: piece[1])
-        return pieces
+        return ExtractedRecords.merge(runs or [_no_records(uri, data_cols)])
 
-    def _only_live_records(self, uri: str, seq_nos: list[int],
-                           trace: list[dict]) -> list[int]:
+    def _only_live_records(self, uri: str, seq_nos: np.ndarray,
+                           trace: list[dict]) -> np.ndarray:
         """Drop records the (possibly concurrently refreshed) index no
         longer lists."""
-        live = set(self.index.seq_nos(uri).tolist())
-        kept = [s for s in seq_nos if s in live]
+        kept = seq_nos[held_positions(np.sort(self.index.seq_nos(uri)),
+                                      seq_nos)[0]]
         if len(kept) < len(seq_nos):
             trace.append({"op": "refresh", "file": uri,
                           "records_gone": len(seq_nos) - len(kept)})
         return kept
 
+    def _promoted_fetch(self, uri: str, missing: np.ndarray,
+                        data_cols: list[str], info: FileInfo,
+                        trace: list[dict],
+                        runs: list[ExtractedRecords]) -> np.ndarray:
+        """Append to ``runs`` the run of what promoted segments hold of
+        ``missing`` (one unit per record); returns the seq_nos still
+        missing."""
+        served, units, lacking, pages = [], [], [], 0
+        for seq in missing.tolist():
+            got = self.promoted.fetch(uri, seq, data_cols, info)
+            if got is None:
+                lacking.append(seq)
+                continue
+            served.append(seq)
+            units.append(got[0])
+            pages += got[1]
+        if served:
+            runs.append(ExtractedRecords.of_records(uri, served, units,
+                                                    data_cols))
+            trace.append({"op": "promoted_fetch", "file": uri,
+                          "records": len(served),
+                          "rows": runs[-1].total_rows(),
+                          "pages_read": pages, "mtime_ns": info.mtime_ns})
+        return np.asarray(lacking, dtype=np.int64)
+
     def _extract_missing(
-        self, uri: str, missing: list[int], data_cols: list[str],
+        self, uri: str, missing: np.ndarray, data_cols: list[str],
         info: FileInfo, trace: list[dict],
-    ) -> list[tuple[str, int, dict[str, np.ndarray], int]]:
-        if self.coalescer is not None:
-            return self._extract_coalesced(uri, missing, data_cols,
-                                           info, trace)
-        return self._extract_direct(uri, missing, data_cols, info, trace)
+    ) -> ExtractedRecords:
+        """The run of ``missing`` over ``data_cols``, extracted here or
+        coalesced with other sessions."""
+        runs = ([self._extract_direct(uri, missing, data_cols, info, trace)]
+                if self.coalescer is None else
+                self._extract_coalesced(uri, missing, data_cols, info, trace))
+        return ExtractedRecords.merge(
+            [run.take(held_positions(run.seq_nos, missing)[1], data_cols)
+             for run in runs])
 
     def _extract_direct(
-        self, uri: str, missing: list[int], data_cols: list[str],
+        self, uri: str, missing: np.ndarray, data_cols: list[str],
         info: FileInfo, trace: list[dict], *, protect: bool = False,
-    ) -> list[tuple[str, int, dict[str, np.ndarray], int]]:
-        """Extract ``missing`` records here, admit them, return pieces.
+    ) -> ExtractedRecords:
+        """Extract ``missing`` records here, admit the run, return it.
 
-        ``protect=True`` marks each admitted entry as in-flight (exempt
-        from eviction) — the coalesced path holds the protection until its
-        flight is published, then lifts it.
+        The one decode pass takes the file entry's columns plus
+        ``data_cols`` (so the entry stays rectangular), and the entry's
+        records too when that widens it.  ``protect=True`` keeps the
+        entry from eviction until the coalesced caller unprotects it.
         """
+        held, held_seqs = self.cache.held(uri)
+        columns = [*held, *(name for name in data_cols if name not in held)]
+        if held and len(columns) > len(held):
+            # Only records the index still lists: a concurrent refresh
+            # may be dropping the entry.
+            missing = np.union1d(
+                missing, self._only_live_records(uri, held_seqs, []))
         started = time.perf_counter()
         if self.remote_extractor is not None:
-            extracted = self.remote_extractor(uri, missing, data_cols)
+            extracted = self.remote_extractor(uri, missing.tolist(), columns)
         else:
-            extracted = self.adapter.extract(self.repo, uri, missing,
-                                             data_cols)
+            extracted = self.adapter.extract(self.repo, uri,
+                                             missing.tolist(), columns)
         elapsed = time.perf_counter() - started
         trace.append({
             "op": "extract", "file": uri, "records": len(missing),
             "rows": extracted.total_rows(),
             "seconds": round(elapsed, 4),
-            "seq_lo": min(missing), "seq_hi": max(missing),
+            "seq_lo": int(missing[0]), "seq_hi": int(missing[-1]),
             "mtime_ns": info.mtime_ns,
         })
         if self.metrics is not None:
             self.metrics.extract_seconds.observe(elapsed)
             self.metrics.extract_records_total.inc(len(missing))
             self.metrics.extract_rows_total.inc(extracted.total_rows())
-        pieces = []
-        # (4) lazy loading: admit the transformed records to the cache.
-        for seq, columns in zip(extracted.seq_nos, extracted.per_record):
-            if protect:
-                self.cache.protect(uri, seq)
-            self.cache.put(uri, seq, info, columns)
-            pieces.append((uri, seq, columns, _rows_of(columns)))
-        return pieces
+        # (4) lazy loading: admit the transformed run to the cache.
+        if protect:
+            self.cache.protect(uri)
+        self.cache.put(uri, info, extracted)
+        return extracted
 
     def _extract_coalesced(
-        self, uri: str, missing: list[int], data_cols: list[str],
+        self, uri: str, missing: np.ndarray, data_cols: list[str],
         info: FileInfo, trace: list[dict],
-    ) -> list[tuple[str, int, dict[str, np.ndarray], int]]:
+    ) -> list[ExtractedRecords]:
         """Single-flight extraction: lead what we claimed, wait for the rest.
 
         Leading happens before waiting, so a session never blocks on
         another flight while holding unpublished claims — the no-deadlock
         argument in :mod:`repro.service.coalescer`.
         """
-        outcome = self.coalescer.claim(uri, missing, data_cols, info)
-        pieces: list[tuple[str, int, dict[str, np.ndarray], int]] = []
+        outcome = self.coalescer.claim(uri, missing.tolist(), data_cols, info)
+        runs: list[ExtractedRecords] = []
         if outcome.led_seqs:
             try:
-                led = self._extract_direct(uri, outcome.led_seqs, data_cols,
-                                           info, trace, protect=True)
+                led = self._extract_direct(
+                    uri, np.asarray(outcome.led_seqs, dtype=np.int64),
+                    data_cols, info, trace, protect=True)
             except BaseException as exc:
-                self.coalescer.publish(uri, outcome.flight, {}, error=exc)
+                self.coalescer.publish(uri, outcome.flight, None, error=exc)
                 raise
             try:
-                self.coalescer.publish(
-                    uri, outcome.flight,
-                    {seq: columns for _uri, seq, columns, _rows in led},
-                )
+                self.coalescer.publish(uri, outcome.flight, led)
             finally:
-                for _uri, seq, _columns, _rows in led:
-                    self.cache.unprotect(uri, seq)
-            pieces.extend(led)
+                self.cache.unprotect(uri)
+            runs.append(led)
         for flight, seqs in outcome.waits.items():
             started = time.perf_counter()
             got = self.coalescer.wait(flight, seqs, self.wait_timeout_s)
@@ -446,52 +447,49 @@ class LazyDataBinding:
                              "%d records short", uri, len(seqs))
                 trace.append({"op": "coalesce_fallback", "file": uri,
                               "records": len(seqs)})
-                pieces.extend(self._extract_direct(uri, seqs, data_cols,
-                                                   info, trace))
+                runs.append(self._extract_direct(
+                    uri, np.asarray(seqs, dtype=np.int64), data_cols,
+                    info, trace))
                 continue
-            rows = sum(_rows_of(columns) for columns in got.values())
             trace.append({
-                "op": "extract_wait", "file": uri, "records": len(got),
-                "rows": rows, "seconds": round(waited, 4),
-                "seq_lo": min(got), "seq_hi": max(got),
-                "mtime_ns": info.mtime_ns,
+                "op": "extract_wait", "file": uri,
+                "records": len(got.seq_nos), "rows": got.total_rows(),
+                "seconds": round(waited, 4), "seq_lo": int(got.seq_nos[0]),
+                "seq_hi": int(got.seq_nos[-1]), "mtime_ns": info.mtime_ns,
             })
-            pieces.extend(
-                (uri, seq, columns, _rows_of(columns))
-                for seq, columns in got.items()
-            )
-        return pieces
+            runs.append(got)
+        return runs
 
-    def _assemble(
-        self,
-        pieces: list[tuple[str, int, dict[str, np.ndarray], int]],
-        needed: list[str],
-        data_cols: list[str],
-    ) -> dict[str, Column]:
+    def _assemble(self, runs: list[ExtractedRecords], needed: list[str],
+                  data_cols: list[str]) -> dict[str, Column]:
+        """D's columns from one run per file, in file order."""
         uri_key, seq_key = self.key_columns
-        lengths = [rows for _u, _s, _c, rows in pieces]
         out: dict[str, Column] = {}
         if uri_key in needed:
-            # The pieces are uri-ordered runs: one code per piece, repeated.
             out[uri_key] = Column.from_codes(
-                np.repeat(np.arange(len(pieces)), lengths),
-                [uri for uri, _s, _c, _r in pieces])
+                np.repeat(np.arange(len(runs)),
+                          [run.total_rows() for run in runs]),
+                [run.uri for run in runs])
         if seq_key in needed:
-            seqs = np.array([seq for _u, seq, _c, _r in pieces], np.int64)
             out[seq_key] = Column.from_numpy(
-                self._data_specs[seq_key].dtype, np.repeat(seqs, lengths))
+                self._data_specs[seq_key].dtype, np.concatenate(
+                    [_NO_ROWS] + [np.repeat(run.seq_nos, run.counts)
+                                  for run in runs]))
         for name in data_cols:
             spec = self._data_specs.get(name)
             if spec is None:
                 raise ExtractionError(f"unknown data column {name!r}")
-            values = (np.concatenate([cols[name] for _u, _s, cols, _r in pieces])
-                      if pieces else np.empty(0, dtype=np.int64))
-            out[name] = Column.from_numpy(spec.dtype, values)
+            out[name] = Column.from_numpy(spec.dtype, np.concatenate(
+                [_NO_ROWS] + [run.columns[name] for run in runs]))
         return out
 
 
-def _rows_of(columns: dict[str, np.ndarray]) -> int:
-    return len(next(iter(columns.values()))) if columns else 0
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def _no_records(uri: str, names: list[str]) -> ExtractedRecords:
+    return ExtractedRecords(uri, _NO_ROWS, np.zeros(1, dtype=np.int64),
+                            {name: _NO_ROWS for name in names})
 
 
 class LazyETL:
@@ -649,8 +647,8 @@ class LazyETL:
                 key=lambda entry: -entry[4])[:max_units]
             report.candidates = len(ranked)
             per_file: dict[str, list] = {}
-            for uri, seq_no, info, columns, _hits in ranked:
-                per_file.setdefault(uri, []).append((seq_no, info, columns))
+            for entry in ranked:
+                per_file.setdefault(entry[0], []).append(entry)
             batch = []
             for uri in sorted(per_file):
                 with self.cache.file_lock(uri):
@@ -658,17 +656,16 @@ class LazyETL:
                         current = binding.observe(uri, [])
                     except (OSError, RepositoryError, ExtractionError,
                             MSeedError):
-                        # Vanished or torn: the query path reports it.
+                        current = None  # vanished or torn: left to queries
+                    # A file's records share the version of its one run.
+                    if per_file[uri][0][2] != current:
                         report.skipped_files += 1
                         continue
-                    fresh = [entry for entry in per_file[uri]
-                             if entry[1] == current]
-                    if len(fresh) < len(per_file[uri]):
-                        report.skipped_files += 1
                     batch.extend(
                         (uri, seq_no, current,
                          self._promoted_union(uri, seq_no, current, columns))
-                        for seq_no, _info, columns in fresh)
+                        for _uri, seq_no, _info, columns, _hits
+                        in per_file[uri])
             promoted.promote_batch(batch)
             report.promoted_units = len(batch)
             report.disk_bytes = promoted.disk_bytes()

@@ -247,54 +247,53 @@ class MSeedAdapter(SourceAdapter):
         decoded = decode_file(data, wanted)
         if decoded is None:
             records = read_records_from(io.BytesIO(data), wanted)
-            found = [r.header.sequence_number for r in records]
+            found = [record.header.sequence_number for record in records]
+            counts = [len(record.samples) for record in records]
         else:
-            found = decoded[0].sequence_number.tolist()
+            found = decoded[0].sequence_number
+            counts = decoded[0].sample_count
         if wanted is not None and len(found) != len(set(wanted)):
             raise ExtractionError(
                 f"{uri}: records {sorted(set(wanted) - set(found))} not found"
             )
-        per_record = (self._transform_records(records, needed)
-                      if decoded is None
-                      else self._transform_batch(*decoded, needed))
-        return ExtractedRecords(uri=uri, seq_nos=found, per_record=per_record)
+        columns = (self._transform_records(records, needed)
+                   if decoded is None
+                   else self._transform_batch(*decoded, needed))
+        return ExtractedRecords.of_counts(uri, found, counts, columns)
 
     def _transform_records(self, records: list[MSeedRecord],
                            needed: Sequence[str],
-                           ) -> list[dict[str, np.ndarray]]:
+                           ) -> dict[str, np.ndarray]:
         """The per-record transform: the reference for the batch one."""
-        per_record: list[dict[str, np.ndarray]] = []
-        for record in records:
-            columns: dict[str, np.ndarray] = {}
-            if "sample_time" in needed:
-                columns["sample_time"] = record.sample_times_us()
-            if "sample_value" in needed:
-                columns["sample_value"] = record.samples.astype(
-                    self._value_dtype)
-            per_record.append(columns)
-        return per_record
+        columns: dict[str, np.ndarray] = {}
+        if "sample_time" in needed:
+            columns["sample_time"] = np.concatenate(
+                [np.empty(0, np.int64)]
+                + [record.sample_times_us() for record in records])
+        if "sample_value" in needed:
+            columns["sample_value"] = np.concatenate(
+                [np.empty(0, self._value_dtype)]
+                + [record.samples.astype(self._value_dtype)
+                   for record in records])
+        return columns
 
     def _transform_batch(self, columns: HeaderColumns, samples: np.ndarray,
                          needed: Sequence[str],
-                         ) -> list[dict[str, np.ndarray]]:
-        """The transform over a whole batch of records, cut per record.
+                         ) -> dict[str, np.ndarray]:
+        """The transform over a whole batch of records.
 
         ``sample_time`` is bit for bit :meth:`MSeedRecord.sample_times_us`
         of each record: its start plus the rounded sample index times
         ``1e6 / rate``.
         """
         counts = columns.sample_count
-        stops = np.cumsum(counts)
         batch: dict[str, np.ndarray] = {}
         if "sample_time" in needed:
-            index = np.arange(len(samples)) - np.repeat(stops - counts, counts)
+            starts = np.cumsum(counts) - counts
+            index = np.arange(len(samples)) - np.repeat(starts, counts)
             step = np.repeat(1e6 / columns.sample_rate, counts)
             batch["sample_time"] = (np.repeat(columns.start_time_us, counts)
                                     + np.round(index * step).astype(np.int64))
         if "sample_value" in needed:
             batch["sample_value"] = samples.astype(self._value_dtype)
-        # Copies: each record's arrays own their memory, so the cache's
-        # per-entry nbytes is what evicting the entry frees.
-        edges = [0, *stops.tolist()]
-        return [{name: column[lo:hi].copy() for name, column in batch.items()}
-                for lo, hi in zip(edges, edges[1:])]
+        return batch

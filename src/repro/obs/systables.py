@@ -57,7 +57,7 @@ METRICS_COLUMNS: list[tuple[str, DataType]] = [
 ]
 
 EXTRACTION_CACHE_COLUMNS: list[tuple[str, DataType]] = [
-    ("uri", S), ("seq_no", B), ("nbytes", B), ("hits", B),
+    ("uri", S), ("records", B), ("nbytes", B), ("hits", B),
 ]
 
 BUFFERPOOL_COLUMNS: list[tuple[str, DataType]] = [
@@ -185,8 +185,8 @@ def install_warehouse_system_tables(warehouse) -> None:
     def extraction_cache() -> dict:
         cache = warehouse.cache
         rows = [] if cache is None else [
-            {"uri": uri, "seq_no": seq, "nbytes": nbytes, "hits": hits}
-            for uri, seq, nbytes, hits in cache.contents()
+            {"uri": uri, "records": records, "nbytes": nbytes, "hits": hits}
+            for uri, records, nbytes, hits in cache.contents()
         ]
         return rows_to_columns(rows, EXTRACTION_CACHE_COLUMNS)
 

@@ -7,7 +7,7 @@ work is deduplicated even when the extraction cache cannot retain the
 records (tiny budget, eviction storm): results travel through the flight
 object itself, not the cache.
 
-Claims are **record-grain**: a flight key is ``(uri, seq_no, column
+Claims are per record: a flight key is ``(uri, seq_no, column
 signature, file version)``, so two queries that overlap on some records
 of a file coalesce on the overlap and extract their private remainders
 independently.  The version — the ``FileInfo`` (size + mtime) the
@@ -17,7 +17,10 @@ version and can never be handed rows from a flight that is still
 extracting the old content.  One
 :meth:`ExtractionCoalescer.claim` call groups all records it wins the
 lead for into a single :class:`ExtractionFlight`, so the leader still
-extracts its records in one adapter call per file.
+extracts its records in one adapter call per file.  What a flight
+carries is the file's unit after the harvest: the leader publishes its
+one extracted run (:class:`~repro.etl.framework.ExtractedRecords`), and
+a waiter takes its records out of it with one ``np.take``.
 
 The flight table is lock-striped by URI hash — claims for different
 files never contend.
@@ -31,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.etl.framework import ExtractedRecords, held_positions
 from repro.mseed.repository import FileInfo
 
 FlightKey = tuple[str, int, tuple[str, ...], Optional[FileInfo]]
@@ -39,14 +43,14 @@ STRIPE_COUNT = 16
 
 
 class ExtractionFlight:
-    """One in-flight extraction: a leader's promise of per-record columns."""
+    """One in-flight extraction: a leader's promise of one file's run."""
 
-    __slots__ = ("uri", "done", "results", "error")
+    __slots__ = ("uri", "done", "run", "error")
 
     def __init__(self, uri: str) -> None:
         self.uri = uri
         self.done = threading.Event()
-        self.results: dict[int, dict[str, np.ndarray]] = {}
+        self.run: Optional[ExtractedRecords] = None
         self.error: Optional[BaseException] = None
 
 
@@ -127,15 +131,15 @@ class ExtractionCoalescer:
         return outcome
 
     def publish(self, uri: str, flight: ExtractionFlight,
-                results: dict[int, dict[str, np.ndarray]],
+                run: Optional[ExtractedRecords],
                 error: Optional[BaseException] = None) -> None:
-        """Resolve a led flight: hand results (or the failure) to waiters
+        """Resolve a led flight: hand its run (or the failure) to waiters
         and retire every key the flight holds so later queries start
         fresh.  A leader MUST call this exactly once per led flight, even
-        when extraction found nothing (empty ``results``) — waiters for
+        when extraction found nothing (``run`` is ``None``) — waiters for
         records the flight did not produce fall back to self-extraction.
         """
-        flight.results = results
+        flight.run = run
         flight.error = error
         stripe = self._stripe_index(uri)
         with self._stripes[stripe]:
@@ -146,7 +150,7 @@ class ExtractionCoalescer:
         with self._stats_lock:
             if error is None:
                 self.stats.flights_led += 1
-                self.stats.records_led += len(results)
+                self.stats.records_led += 0 if run is None else len(run.seq_nos)
             else:
                 self.stats.flight_errors += 1
         flight.done.set()
@@ -154,8 +158,9 @@ class ExtractionCoalescer:
     # -- waiting -----------------------------------------------------------------
 
     def wait(self, flight: ExtractionFlight, seq_nos: list[int],
-             timeout: Optional[float]) -> Optional[dict[int, dict[str, np.ndarray]]]:
-        """Block until the flight resolves; return the requested records.
+             timeout: Optional[float]) -> Optional[ExtractedRecords]:
+        """Block until the flight resolves; return the requested records
+        as one run.
 
         Returns ``None`` when the flight failed, timed out, or did not
         produce every requested record — callers fall back to extracting
@@ -165,14 +170,16 @@ class ExtractionCoalescer:
             with self._stats_lock:
                 self.stats.wait_timeouts += 1
             return None
-        if flight.error is not None:
+        if flight.error is not None or flight.run is None:
             return None
-        got = {seq: flight.results[seq] for seq in seq_nos
-               if seq in flight.results}
-        if len(got) != len(seq_nos):
+        run = flight.run
+        held, positions = held_positions(
+            run.seq_nos, np.sort(np.asarray(seq_nos, dtype=np.int64)))
+        if not held.all():
             return None
+        got = run.take(positions)
         with self._stats_lock:
-            self.stats.records_waited += len(got)
+            self.stats.records_waited += len(got.seq_nos)
         return got
 
     # -- introspection -----------------------------------------------------------

@@ -296,15 +296,10 @@ class ShardedExtractor:
                 "data_cols": list(data_cols),
             }),
             shard_id, f"extract of {uri}")
-        pieces = decode_pieces(reply["data"])
         stats = self.stats[shard_id]
         stats.extracts += 1
         stats.rows_extracted += reply.get("rows", 0)
-        return ExtractedRecords(
-            uri=uri,
-            seq_nos=[seq for seq, _columns in pieces],
-            per_record=[columns for _seq, columns in pieces],
-        )
+        return decode_pieces(uri, reply["data"])
 
     # -- introspection -------------------------------------------------------
 

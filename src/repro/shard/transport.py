@@ -20,8 +20,9 @@ Blob shapes
 * an **array block**: ``[u8 name_len][name][u8 np_descr_len][np_descr]
   [u32 page_len][page]`` — ``np_descr`` restores the exact numpy dtype
   after the page layer widened integers to int64 / floats to float64.
-* **extraction pieces** (one file's worth): ``[u32 n_pieces]`` then per
-  piece ``[u64 seq_no][u16 n_arrays]`` + that many array blocks.
+* **an extracted run** (one file's worth): ``[u16 n_columns]``, then
+  array blocks for the run's seq_nos and its per-record row counts,
+  then one array block per column.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ import numpy as np
 
 from repro.db.column import Column
 from repro.errors import ShardError
+from repro.etl.framework import ExtractedRecords
 from repro.storage.format import decode_page, dtype_of_array, encode_page
 
 INLINE_LIMIT = 64 * 1024
 
+_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_PIECE_HEAD = struct.Struct("<QH")  # seq_no, n_arrays
 
 
 def encode_named_array(name: str, array: np.ndarray) -> bytes:
@@ -69,35 +71,37 @@ def decode_named_array(buffer: memoryview, offset: int
     return name, array, offset
 
 
-def encode_pieces(pieces: "list[tuple[int, dict[str, np.ndarray]]]") -> bytes:
-    """Encode one file's extraction pieces: ``[(seq_no, {col: array})]``."""
-    chunks = [_U32.pack(len(pieces))]
-    for seq_no, arrays in pieces:
-        chunks.append(_PIECE_HEAD.pack(seq_no, len(arrays)))
-        for name in sorted(arrays):
-            chunks.append(encode_named_array(name, arrays[name]))
-    return b"".join(chunks)
+def encode_pieces(run: ExtractedRecords) -> bytes:
+    """Encode one file's extracted run: seq_nos, counts, one page per
+    column."""
+    return b"".join([
+        _U16.pack(len(run.columns)),
+        encode_named_array("seq_nos", run.seq_nos),
+        encode_named_array("counts", run.counts),
+        *(encode_named_array(name, run.columns[name])
+          for name in sorted(run.columns)),
+    ])
 
 
-def decode_pieces(data: bytes) -> "list[tuple[int, dict[str, np.ndarray]]]":
-    """Decode (and checksum) :func:`encode_pieces` output; any torn or
-    tampered blob raises :class:`ShardError`."""
+def decode_pieces(uri: str, data: bytes) -> ExtractedRecords:
+    """Decode (and checksum) :func:`encode_pieces` output as ``uri``'s
+    run; any torn or tampered blob raises :class:`ShardError`."""
     buffer = memoryview(data)
     try:
-        (n_pieces,) = _U32.unpack_from(buffer, 0)
-        offset = _U32.size
-        pieces = []
-        for _ in range(n_pieces):
-            seq_no, n_arrays = _PIECE_HEAD.unpack_from(buffer, offset)
-            offset += _PIECE_HEAD.size
-            arrays: dict[str, np.ndarray] = {}
-            for _ in range(n_arrays):
-                name, array, offset = decode_named_array(buffer, offset)
-                arrays[name] = array
-            pieces.append((seq_no, arrays))
-        return pieces
+        (n_columns,) = _U16.unpack_from(buffer, 0)
+        _name, seq_nos, offset = decode_named_array(buffer, _U16.size)
+        _name, counts, offset = decode_named_array(buffer, offset)
+        columns: dict[str, np.ndarray] = {}
+        for _ in range(n_columns):
+            name, columns[name], offset = decode_named_array(buffer, offset)
     except Exception as exc:  # struct/index errors, CorruptSegmentError, ...
         raise ShardError(f"malformed extraction blob: {exc}") from exc
+    rows = int(counts.sum())
+    if len(counts) != len(seq_nos) or any(
+            len(column) != rows for column in columns.values()):
+        raise ShardError("malformed extraction blob: columns and counts "
+                         "disagree")
+    return ExtractedRecords.of_counts(uri, seq_nos, counts, columns)
 
 
 class BlobShipper:

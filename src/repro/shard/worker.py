@@ -16,9 +16,9 @@ serves a tiny command loop over the control pipe:
     counters.
 ``extract``
     decode specific records of one owned file (the remote half of the
-    parent's ``LazyDataBinding._extract_direct``); pieces ship as the
-    same storage pages under :func:`~repro.shard.transport.encode_pieces`
-    framing.
+    parent's ``LazyDataBinding._extract_direct``); the file's run ships
+    as the same storage pages under
+    :func:`~repro.shard.transport.encode_pieces` framing.
 ``stats``
     live cache snapshot + served-command counters (tests and
     ``sys.shards``).
@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import os
 import traceback
+
+import numpy as np
 
 from repro.shard.partition import ShardRepositoryView
 from repro.shard.transport import INLINE_LIMIT, BlobShipper, encode_pieces
@@ -111,19 +113,16 @@ class _ShardServer:
         self.extracts += 1
         binding = self.warehouse.pipeline.binding
         trace: list[dict] = []
-        pieces = binding._fetch_file(
+        run = binding._fetch_file(
             message["uri"],
-            [int(seq) for seq in message["seqs"]],
+            np.sort(np.asarray(message["seqs"], dtype=np.int64)),
             list(message["data_cols"]),
             (None, None),
             trace,
             {},  # versions: the parent observes (and pins) the file itself
         )
-        rows = sum(piece_rows for _u, _s, _c, piece_rows in pieces)
-        payload = encode_pieces(
-            [(seq, columns) for _uri, seq, columns, _rows in pieces])
-        return {"ok": True, "blob": self.shipper.ship(payload),
-                "records": len(pieces), "rows": rows}
+        return {"ok": True, "blob": self.shipper.ship(encode_pieces(run)),
+                "records": len(run.seq_nos), "rows": run.total_rows()}
 
     def _stats(self) -> dict:
         cache = self.warehouse.cache

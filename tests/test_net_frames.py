@@ -13,6 +13,7 @@ from repro.db.column import Column
 from repro.db.exec.result import Result
 from repro.db.types import DataType
 from repro.errors import ShardError, StorageError, WireProtocolError
+from repro.etl.framework import ExtractedRecords
 from repro.net import frames
 from repro.shard import transport
 from repro.storage.format import PAGE_HEADER_BYTES, PAGE_MAGIC
@@ -211,9 +212,14 @@ def _wire_carrier():
             WireProtocolError, (8, "<I"))
 
 
+def _run(seqs, counts, columns):
+    return ExtractedRecords.of_counts("f.mseed", seqs, counts, columns)
+
+
 def _shm_carrier():
-    blob = transport.encode_pieces([(3, {"x": _X, "y": _Y})])
-    return blob, transport.decode_pieces, ShardError, (4 + 8, "<H")
+    blob = transport.encode_pieces(_run([3, 4], [40, 24], {"x": _X, "y": _Y}))
+    return (blob, lambda data: transport.decode_pieces("f.mseed", data),
+            ShardError, (0, "<H"))
 
 
 @pytest.fixture(params=[_wire_carrier, _shm_carrier], ids=["wire", "shm"])
@@ -283,20 +289,29 @@ def test_batch_decode_rejects_a_column_of_another_length():
     np.array([], dtype=np.int32),
 ], ids=lambda a: f"{a.dtype.str}x{len(a)}")
 def test_pieces_roundtrip_preserves_dtype_and_bytes(array):
-    pieces = [(5, {"v": array, "t": np.arange(len(array), dtype=np.int64)}),
-              (9, {"v": array[:1]})]
-    decoded = transport.decode_pieces(transport.encode_pieces(pieces))
-    assert [seq for seq, _ in decoded] == [5, 9]
-    assert sorted(decoded[0][1]) == ["t", "v"]
-    for (_, sent), (_, got) in zip(pieces, decoded):
-        for name in sent:
-            assert got[name].dtype == sent[name].dtype
-            assert got[name].tobytes() == sent[name].tobytes()
+    values = np.concatenate([array, array[:1]])
+    sent = _run([5, 9], [len(array), len(array[:1])],
+                {"v": values, "t": np.arange(len(values), dtype=np.int64)})
+    got = transport.decode_pieces("f.mseed",
+                                  transport.encode_pieces(sent))
+    assert got.uri == "f.mseed"
+    assert got.seq_nos.tolist() == [5, 9]
+    assert got.offsets.tolist() == sent.offsets.tolist()
+    assert sorted(got.columns) == ["t", "v"]
+    for name, column in sent.columns.items():
+        assert got.columns[name].dtype == column.dtype
+        assert got.columns[name].tobytes() == column.tobytes()
+
+
+def test_pieces_refuse_columns_that_disagree_with_the_counts():
+    blob = transport.encode_pieces(_run([1], [3], {"v": np.arange(4)}))
+    with pytest.raises(ShardError, match="malformed"):
+        transport.decode_pieces("f.mseed", blob)
 
 
 def test_pieces_refuse_an_array_no_page_can_carry():
     with pytest.raises(StorageError, match="no page type carries"):
-        transport.encode_pieces([(0, {"z": np.array([1j, 2j])})])
+        transport.encode_pieces(_run([0], [2], {"z": np.array([1j, 2j])}))
 
 
 @pytest.mark.parametrize("array", [
@@ -307,7 +322,7 @@ def test_pieces_refuse_string_arrays(array):
     """Pieces carry numeric extraction arrays; strings travel only as
     VARCHAR columns (codes + uniques), never as a raw string array."""
     with pytest.raises(StorageError, match="no page type carries"):
-        transport.encode_pieces([(0, {"z": array})])
+        transport.encode_pieces(_run([0], [3], {"z": array}))
 
 
 def test_dtype_names_roundtrip():

@@ -113,6 +113,7 @@ def test_promotion_serves_subsequent_queries_eagerly(stored_wh, demo_repo):
     assert report.promoted_units > 0
     assert len(stored_wh.promoted) == report.promoted_units
 
+    stored_wh.cache.clear()  # the cache serves first while it holds them
     after = stored_wh.query(HOT_Q).rows()
     assert after == before == _unpromoted(demo_repo.root, HOT_Q)
     qr = stored_wh.db.last_report
@@ -120,6 +121,21 @@ def test_promotion_serves_subsequent_queries_eagerly(stored_wh, demo_repo):
     assert qr.promotions == report.promoted_units
     assert qr.rows_extracted_here == 0
     assert qr.pages_read > 0  # promoted reads are disk-page I/O
+
+
+def test_resident_records_are_served_from_the_cache_not_promoted_pages(
+        stored_wh, demo_repo):
+    """Per file, the cache's one lookup comes first: promoted segments
+    are read only for the records the cache lacks, so a scan of records
+    still resident after promote() reads no page."""
+    stored_wh.query(HOT_Q)
+    assert stored_wh.promote(min_score=0.0).promoted_units > 0
+    assert stored_wh.query(HOT_Q).rows() == _unpromoted(demo_repo.root,
+                                                        HOT_Q)
+    qr = stored_wh.db.last_report
+    assert qr.pages_read == 0 and qr.rows_served_eager == 0
+    assert qr.rows_extracted_here == 0
+    assert not any(t["op"] == "promoted_fetch" for t in stored_wh.last_trace)
 
 
 def test_promotion_reuses_extraction_cache_entries(stored_wh):
@@ -143,7 +159,8 @@ def test_promotion_does_no_extraction(demo_repo, tmp_path, monkeypatch):
     evicted is left to the query path, which extracts it again."""
     wh = SeismicWarehouse(demo_repo.root, mode="lazy",
                           storage_path=tmp_path / "store",
-                          cache_budget_bytes=64 * 1024,  # thrashes
+                          # Holds one of the query's two files.
+                          cache_budget_bytes=256 * 1024,
                           recycler_budget_bytes=0)
     wh.query(HOT_Q)
     touched = wh.db.last_report.rows_extracted
@@ -158,6 +175,7 @@ def test_promotion_does_no_extraction(demo_repo, tmp_path, monkeypatch):
     assert report.promoted_units == len(resident) > 0
     assert wh.promoted.unit_keys() == resident
 
+    wh.cache.clear()
     assert wh.query(HOT_Q).rows() == _unpromoted(demo_repo.root, HOT_Q)
     qr = wh.db.last_report
     assert qr.rows_served_eager > 0
@@ -178,6 +196,7 @@ def test_repromotion_widens_column_set_when_demand_grows(stored_wh,
     assert report.promoted_units > 0    # not excluded as already-promoted
     assert set(stored_wh.promoted.unit(*unit).columns) == \
         {"sample_value", "sample_time"}
+    stored_wh.cache.clear()
     assert stored_wh.query(TIME_Q).rows() == \
         _unpromoted(demo_repo.root, TIME_Q)
     assert stored_wh.db.last_report.rows_served_eager > 0
@@ -258,6 +277,7 @@ def test_explain_shows_promotion_state(stored_wh):
 def test_report_fields_through_cursor(stored_wh):
     stored_wh.query(HOT_Q)
     stored_wh.promote(min_score=0.0)
+    stored_wh.cache.clear()
     cur = stored_wh.connect().cursor()
     cur.execute(HOT_Q)
     cur.fetchall()
@@ -277,6 +297,7 @@ def test_stale_file_invalidates_promoted_units(mutable_repo):
          "WHERE F.station = 'HGN' AND F.channel = 'BHZ'")
     before = wh.query(q).scalar()
     wh.promote(min_score=0.0)
+    wh.cache.clear()
     assert wh.query(q).scalar() == before
     assert wh.db.last_report.rows_served_eager > 0
     promoted_before = len(wh.promoted)
@@ -414,6 +435,7 @@ def test_checkpoint_restart_promotes_the_restored_cache(demo_repo,
     assert report.promoted_units == len(restored) > 0
     assert reopened.promoted.unit_keys() == restored
 
+    reopened.cache.clear()  # promoted pages serve what the cache lacks
     cursor = reopened.connect().execute(minimum)
     assert cursor.fetchall() == _unpromoted(root, minimum)
     assert cursor.report.rows_extracted_here == 0

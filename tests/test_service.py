@@ -152,28 +152,33 @@ def test_coalescer_claim_partition_and_publish():
     assert list(second.waits.values()) == [[2, 3]]
     import numpy as np
 
-    payload = {seq: {"sample_value": np.arange(4)} for seq in (1, 2, 3)}
-    coalescer.publish("f.mseed", first.flight, payload)
+    from repro.etl.framework import ExtractedRecords
+
+    run = ExtractedRecords.of_counts(
+        "f.mseed", [1, 2, 3], [4, 4, 4],
+        {"sample_value": np.tile(np.arange(4), 3)})
+    coalescer.publish("f.mseed", first.flight, run)
     got = coalescer.wait(first.flight, [2, 3], timeout=1.0)
-    assert got is not None and sorted(got) == [2, 3]
+    assert got is not None and got.seq_nos.tolist() == [2, 3]
+    assert got.total_rows() == 8
     # All keys retired: a fresh claim leads again.
     third = coalescer.claim("f.mseed", [1, 2], ["sample_value"])
     assert third.led_seqs == [1, 2]
-    coalescer.publish("f.mseed", second.flight, {})
-    coalescer.publish("f.mseed", third.flight, {})
+    coalescer.publish("f.mseed", second.flight, None)
+    coalescer.publish("f.mseed", third.flight, None)
 
 
 def test_coalescer_failed_flight_falls_back():
     coalescer = ExtractionCoalescer()
     lead = coalescer.claim("g.mseed", [7], ["sample_value"])
     wait = coalescer.claim("g.mseed", [7], ["sample_value"])
-    coalescer.publish("g.mseed", lead.flight, {}, error=RuntimeError("boom"))
+    coalescer.publish("g.mseed", lead.flight, None, error=RuntimeError("boom"))
     flight = next(iter(wait.waits))
     assert coalescer.wait(flight, [7], timeout=1.0) is None
     # The failure retired the keys: the waiter can claim leadership now.
     retry = coalescer.claim("g.mseed", [7], ["sample_value"])
     assert retry.led_seqs == [7]
-    coalescer.publish("g.mseed", retry.flight, {})
+    coalescer.publish("g.mseed", retry.flight, None)
 
 
 def test_service_stats_latencies(tiny_repo):

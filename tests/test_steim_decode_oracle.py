@@ -53,8 +53,9 @@ class _InMemory:
 
 def _outcome(repo, uri, seqs, *, batched: bool,
              value_type=DataType.BIGINT):
-    """What extraction gives: the seq order and every column's dtype
-    and bytes, or the type and message of the error it raised."""
+    """What extraction gives: the seq order, the record offsets and
+    every column's dtype and bytes, or the type and message of the error
+    it raised."""
     adapter = MSeedAdapter(value_type)
     try:
         if batched:
@@ -64,10 +65,18 @@ def _outcome(repo, uri, seqs, *, batched: bool,
                 extracted = adapter.extract(repo, uri, seqs, COLUMNS)
     except ReproError as exc:
         return type(exc), str(exc)
-    return extracted.seq_nos, [
-        {name: (arr.dtype.str, arr.flags.c_contiguous, arr.base is None,
-                arr.tobytes()) for name, arr in record.items()}
-        for record in extracted.per_record]
+    return extracted.seq_nos.tolist(), extracted.offsets.tolist(), {
+        name: (arr.dtype.str, arr.flags.c_contiguous, arr.base is None,
+               arr.tobytes()) for name, arr in extracted.columns.items()}
+
+
+def _values(outcome, name="sample_value"):
+    """Each record's ``name`` values, cut from an outcome at its
+    offsets."""
+    _seqs, offsets, columns = outcome
+    dtype, _contiguous, _owned, data = columns[name]
+    values = np.frombuffer(data, dtype)
+    return [values[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
 
 
 def assert_paths_agree(repo, uri="f.mseed", seqs=None, **kwargs):
@@ -111,9 +120,10 @@ def _noise(n=3000, seed=0) -> np.ndarray:
 def test_tiny_repo_agrees(tiny_repo, value_type):
     repo = Repository(tiny_repo.root)
     for info in repo.list_files():
-        seqs, records = assert_paths_agree(repo, info.uri,
-                                           value_type=value_type)
-        assert len(seqs) > 1 and all(records)
+        seqs, offsets, columns = assert_paths_agree(repo, info.uri,
+                                                    value_type=value_type)
+        assert len(seqs) > 1 and sorted(columns) == sorted(COLUMNS)
+        assert all(np.diff(offsets) > 0)
         with repo.open(info.uri) as handle:
             assert _vouched(handle.read())
 
@@ -124,7 +134,7 @@ def test_steim_files_agree(level, rate):
     # 1e6 / 128 = 7812.5: every other sample_time is a rounding tie.
     data = _file_bytes(_noise(seed=level), level=level, sample_rate=rate)
     assert _vouched(data)
-    seqs, _records = assert_paths_agree(_InMemory(data))
+    seqs, _offsets, _columns = assert_paths_agree(_InMemory(data))
     assert seqs == list(range(1, len(seqs) + 1))
 
 
@@ -177,9 +187,9 @@ def test_golden_payloads_agree(level):
               level, seq, 1024)
         for seq, case in enumerate(cases, 1))
     assert _vouched(data)
-    _seqs, records = assert_paths_agree(_InMemory(data))
-    for case, record in zip(cases, records):
-        assert record["sample_value"][3] == \
+    records = _values(assert_paths_agree(_InMemory(data)))
+    for case, values in zip(cases, records):
+        assert values.tobytes() == \
             np.array(case["samples"], dtype=np.int64).tobytes()
 
 
@@ -299,23 +309,23 @@ def test_differences_past_the_sample_count_agree():
     """Records whose frames hold more differences than they count
     samples: only the first ``sample_count`` are samples."""
     data = bytearray(_file_bytes(_noise(seed=7)))
-    _seqs, records = _outcome(_InMemory(bytes(data)), "f.mseed", None,
-                              batched=False)
+    records = _values(_outcome(_InMemory(bytes(data)), "f.mseed", None,
+                               batched=False))
     for record in (1, 4):
-        values = np.frombuffer(records[record]["sample_value"][3], np.int64)
+        values = records[record]
         struct.pack_into(">H", data, record * 512 + 30, len(values) - 5)
         struct.pack_into(">i", data, _frame_word(data, record, 2),
                          int(values[-6]))
     assert _vouched(bytes(data))
-    _seqs, got = assert_paths_agree(_InMemory(bytes(data)))
-    assert len(got[1]["sample_value"][3]) == \
-        len(records[1]["sample_value"][3]) - 5 * 8
+    got = _values(assert_paths_agree(_InMemory(bytes(data))))
+    assert len(got[1]) == len(records[1]) - 5
 
 
 def test_unpicked_corrupt_record_is_not_decoded():
     data = _corrupt("bad-dnib")
-    seqs, records = assert_paths_agree(_InMemory(data), seqs=[1, 2, 6])
-    assert seqs == [1, 2, 6] and all(records)
+    seqs, offsets, _columns = assert_paths_agree(_InMemory(data),
+                                                 seqs=[1, 2, 6])
+    assert seqs == [1, 2, 6] and all(np.diff(offsets) > 0)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 1024])
@@ -358,7 +368,8 @@ def test_random_int32_series_agree(data, level, n, record_length):
     n_records = len(blob) // record_length
     picked = data.draw(st.none() | st.lists(st.integers(1, n_records)))
     assert _vouched(blob)
-    seqs, records = assert_paths_agree(_InMemory(blob), seqs=picked)
+    _seqs, _offsets, columns = assert_paths_agree(_InMemory(blob),
+                                                  seqs=picked)
     if picked is None:
-        values = b"".join(record["sample_value"][3] for record in records)
+        values = columns["sample_value"][3]
         assert values == samples.astype(np.int64).tobytes()

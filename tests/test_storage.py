@@ -21,6 +21,7 @@ from repro.db.column import Column
 from repro.db.exec.engine import Database
 from repro.db.types import DataType
 from repro.errors import CatalogError, CorruptSegmentError, StorageError
+from repro.etl.framework import ExtractedRecords
 from repro.mseed.repository import FileInfo
 from repro.storage import (
     BufferPool,
@@ -43,6 +44,13 @@ from repro.storage.format import decode_page, encode_page, page_codec
 def _v(uri, mtime_ns):
     """The version a file was read at (only the mtime is persisted)."""
     return FileInfo(uri, 0, mtime_ns)
+
+
+def _run(uri, seqs, columns):
+    """A run of ``seqs`` sharing ``columns``' rows evenly."""
+    rows = len(next(iter(columns.values())))
+    return ExtractedRecords.of_counts(
+        uri, seqs, [rows // len(seqs)] * len(seqs), columns)
 
 
 def _ledger(*infos):
@@ -573,20 +581,21 @@ def test_cache_snapshot_roundtrip(tmp_path):
     from repro.etl.cache import ExtractionCache
 
     cache = ExtractionCache()
-    cache.put("f1", 1, _v("f1", 100), {
+    cache.put("f1", _v("f1", 100), _run("f1", [1], {
         "sample_time": np.cumsum(np.full(500, 1000, dtype=np.int64)),
         "sample_value": np.arange(500, dtype=np.int64),
-    })
-    cache.put("f2", 7, _v("f2", 200),
-              {"sample_value": np.ones(10, dtype=np.int64)})
+    }))
+    cache.put("f2", _v("f2", 200),
+              _run("f2", [7], {"sample_value": np.ones(10, dtype=np.int64)}))
     store = TableStore(tmp_path / "store")
     assert cache.spill(store) == 2
 
     fresh = ExtractionCache()
     assert fresh.restore(store, _ledger(_v("f1", 100), _v("f2", 200))) == 2
-    got = fresh.get("f1", 1, ["sample_time", "sample_value"])
-    assert got is not None
-    assert np.array_equal(got["sample_value"], np.arange(500))
+    got, missing = fresh.get("f1", np.array([1]),
+                             ["sample_time", "sample_value"])
+    assert got is not None and not len(missing)
+    assert np.array_equal(got.columns["sample_value"], np.arange(500))
     # mtime survives, so staleness detection still works after restore.
     assert fresh.validate_file("f1", _v("f1", 100))
     assert not fresh.validate_file("f1", _v("f1", 999))
@@ -601,10 +610,10 @@ def test_cache_snapshot_from_older_store_ignores_cost_key(tmp_path):
     from repro.etl.cache import ExtractionCache
 
     cache = ExtractionCache()
-    cache.put("f1", 1, _v("f1", 100),
-              {"sample_value": np.arange(50, dtype=np.int64)})
-    cache.put("f2", 7, _v("f2", 200),
-              {"sample_value": np.ones(10, dtype=np.int64)})
+    cache.put("f1", _v("f1", 100),
+              _run("f1", [1], {"sample_value": np.arange(50, dtype=np.int64)}))
+    cache.put("f2", _v("f2", 200),
+              _run("f2", [7], {"sample_value": np.ones(10, dtype=np.int64)}))
     store = TableStore(tmp_path / "store")
     assert cache.spill(store) == 2
     expected = store.load_cache_snapshot()
@@ -636,16 +645,18 @@ def test_cache_snapshot_respects_budget(tmp_path):
     from repro.etl.cache import ExtractionCache
 
     big = ExtractionCache()
-    for seq in range(10):
-        big.put("f", seq, _v("f", 1),
-                {"sample_value": np.arange(1000, dtype=np.int64)})
+    uris = [f"f{i}" for i in range(10)]
+    for uri in uris:
+        big.put(uri, _v(uri, 1), _run(
+            uri, [1], {"sample_value": np.arange(1000, dtype=np.int64)}))
     store = TableStore(tmp_path / "store")
     big.spill(store)
 
-    entry_bytes = 8000
+    entry_bytes = 8000 + 8 + 16 + 8  # samples, seq_no, offsets, hits
     small = ExtractionCache(budget_bytes=entry_bytes * 3 + 8)
-    small.restore(store, _ledger(_v("f", 1)))
-    assert len(small) <= 3
+    small.restore(store, _ledger(*(_v(uri, 1) for uri in uris)))
+    # Replayed in spill order: the three most recent files stay.
+    assert [uri for uri, *_rest in small.contents()] == uris[-3:]
     assert small.used_bytes <= small.budget_bytes
 
 
