@@ -179,8 +179,13 @@ def test_sys_metrics_and_cache_reflect_query_work(demo_repo):
         ).rows()
         assert hit and hit[0][0] > 0
         cached = wh.query(
-            "SELECT count(*), sum(nbytes) FROM sys.extraction_cache"
+            "SELECT count(*), sum(records), sum(nbytes), sum(hits) "
+            "FROM sys.extraction_cache"
         ).rows()[0]
-        assert cached[0] > 0 and cached[1] > 0
+        # One row per file, the eviction unit: its records, its bytes and
+        # the hits summed over its records (none yet: all extracted).
+        assert cached == (wh.cache.snapshot()["entries"], len(wh.cache),
+                          wh.cache.used_bytes, 0)
+        assert cached[0] > 0 and cached[1] > cached[0]
     finally:
         wh.close()
