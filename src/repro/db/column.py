@@ -181,6 +181,18 @@ class Column:
         valid = None if self.valid is None else self.valid[rows]
         return Column(self.dtype, self.values[rows], valid, self.uniques)
 
+    def rows_equal(self, value) -> np.ndarray:
+        """The mask of rows equal to ``value``; a NULL row never is.  A
+        VARCHAR column compares its codes with the value's one code, so
+        nothing is re-coded."""
+        if self.dtype == DataType.VARCHAR:
+            code = int(np.searchsorted(self.uniques, value))
+            if code == len(self.uniques) or self.uniques[code] != value:
+                return np.zeros(len(self), dtype=bool)
+            value = code
+        hit = self.values == value
+        return hit if self.valid is None else hit & self.valid
+
     def with_nulls_at(self, invalid_mask: np.ndarray) -> "Column":
         """Mark additional rows NULL (used by LEFT joins)."""
         valid = self.validity() & ~invalid_mask
@@ -193,7 +205,8 @@ class Column:
         Columns that already share their uniques come back as they are;
         otherwise every column's codes are remapped into the sorted union
         (O(distinct) Python plus one fancy-index per column), so codes of
-        different columns compare, join and merge directly.
+        different columns compare, join and merge directly.  A column
+        whose uniques are the whole union keeps its codes as they are.
         """
         first = columns[0].uniques
         if all(c.uniques is first or _same_strings(c.uniques, first)
@@ -202,6 +215,7 @@ class Column:
         union = np.array(sorted(set().union(
             *(c.uniques.tolist() for c in columns))), dtype=object)
         return [
+            c if len(c.uniques) == len(union) else
             Column(DataType.VARCHAR,
                    np.searchsorted(union, c.uniques).astype(CODE_DTYPE)[
                        c.values],

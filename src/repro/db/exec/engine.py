@@ -813,15 +813,14 @@ class Database:
                     data[name].append(value)
                 else:
                     data[name].append(None)
-        count = table.append_pydict(data)
+        table.append_pydict(data)
         self._invalidate_for(table)
-        return f"{count} rows inserted into {table.name}", count
+        return f"{len(rows)} rows inserted into {table.name}", len(rows)
 
-    def bulk_insert(self, parts: tuple[str, ...],
-                    data: Mapping[str, "np.ndarray | Column | list"],
-                    *, enforce_keys: bool = False) -> int:
-        """Bulk load aligned columns (the eager ETL load path)."""
-        table = self.catalog.table(parts)
+    @staticmethod
+    def _batch(table: Table, data: Mapping[str, "np.ndarray | Column | list"]
+               ) -> dict[str, Column]:
+        """Aligned raw columns as the table's typed columns."""
         batch: dict[str, Column] = {}
         for spec in table.schema.columns:
             if spec.name not in data:
@@ -833,21 +832,44 @@ class Database:
                 batch[spec.name] = Column.from_numpy(spec.dtype, value)
             else:
                 batch[spec.name] = Column.from_values(spec.dtype, value)
-        count = table.append_batch(batch, enforce_keys=enforce_keys)
+        return batch
+
+    def bulk_insert(self, parts: tuple[str, ...],
+                    data: Mapping[str, "np.ndarray | Column | list"],
+                    *, enforce_keys: bool = False) -> int:
+        """Bulk load aligned columns (the eager ETL load path)."""
+        table = self.catalog.table(parts)
+        batch = self._batch(table, data)
+        table.replace_rows(None, batch, enforce_keys=enforce_keys)
         self._invalidate_for(table)
-        return count
+        return len(next(iter(batch.values()), ()))
+
+    def replace_matching(self, parts: tuple[str, ...], column: str, value,
+                         data: "Mapping[str, np.ndarray | Column | list] | None"
+                         ) -> None:
+        """Replace the rows whose ``column`` equals ``value`` with the
+        aligned columns ``data`` (empty: with nothing), keys enforced, in
+        one table mutation: one version bump and one invalidation, and no
+        scan sees the table between the removal and the insert."""
+        table = self.catalog.table(parts)
+        mask = table.column(column).rows_equal(value)
+        table.replace_rows(mask, self._batch(table, data) if data else None)
+        self._invalidate_for(table)
 
     def _table_scope_frame(self, table: Table):
+        """The scope, frame and row count a DELETE or UPDATE predicate is
+        evaluated over: one snapshot of the table's columns."""
         from repro.db.plan.logical import FromEntry, _Scope
         from repro.db.plan.logical import OutCol
 
+        columns, length = table.snapshot_columns()
         cols = []
         frame = {}
         for index, spec in enumerate(table.schema.columns, start=1):
             cols.append(OutCol(cid=index, name=spec.name, dtype=spec.dtype))
-            frame[index] = table.column(spec.name)
+            frame[index] = columns[spec.name]
         scope = _Scope([FromEntry(alias=table.name.split(".")[-1], columns=cols)])
-        return scope, frame
+        return scope, frame, length
 
     def _delete(self, stmt: ast.DeleteStmt) -> tuple[str, int]:
         from repro.db.plan.logical import Binder
@@ -857,10 +879,11 @@ class Database:
             removed = table.row_count
             table.truncate()
         else:
-            scope, frame = self._table_scope_frame(table)
+            scope, frame, length = self._table_scope_frame(table)
             predicate = Binder(self.catalog).bind_expr(stmt.where, scope)
-            mask = ex.predicate_mask(predicate.eval(frame, table.row_count))
-            removed = table.delete_where(mask)
+            mask = ex.predicate_mask(predicate.eval(frame, length))
+            removed = int(np.count_nonzero(mask))
+            table.replace_rows(mask, None)
         self._invalidate_for(table)
         return f"{removed} rows deleted from {table.name}", removed
 
@@ -868,18 +891,18 @@ class Database:
         from repro.db.plan.logical import Binder
 
         table = self.catalog.table(stmt.table)
-        scope, frame = self._table_scope_frame(table)
+        scope, frame, length = self._table_scope_frame(table)
         binder = Binder(self.catalog)
         if stmt.where is None:
-            mask = np.ones(table.row_count, dtype=bool)
+            mask = np.ones(length, dtype=bool)
         else:
             predicate = binder.bind_expr(stmt.where, scope)
-            mask = ex.predicate_mask(predicate.eval(frame, table.row_count))
+            mask = ex.predicate_mask(predicate.eval(frame, length))
         assignments: dict[str, Column] = {}
         for name, expr in stmt.assignments:
             spec = table.schema.spec(name.lower())
             bound = binder.bind_expr(expr, scope)
-            value_col = bound.eval(frame, table.row_count)
+            value_col = bound.eval(frame, length)
             if value_col.dtype != spec.dtype:
                 from repro.db.expr import cast_column
 

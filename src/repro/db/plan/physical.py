@@ -33,7 +33,6 @@ import numpy as np
 from repro.db import expr as ex
 from repro.db.column import CODE_DTYPE, Column
 from repro.db.plan import logical as lg
-from repro.db.table import SystemTable
 from repro.db.types import DataType, common_numeric, is_numeric
 from repro.errors import ExecutionError
 
@@ -344,7 +343,12 @@ def join_indices(left_keys: list[Column], right_keys: list[Column]
 
 
 class PTableScan(PhysicalNode):
-    """Scan a base table, materialising only the pruned column set."""
+    """Scan a base table, materialising only the pruned column set.
+
+    The scan reads one snapshot of the table (a system table samples its
+    provider once), so every column and every batch describe one
+    instant, whatever mutation or runtime activity runs meanwhile.
+    """
 
     def __init__(self, node: lg.LScan) -> None:
         super().__init__(node.output)
@@ -359,34 +363,9 @@ class PTableScan(PhysicalNode):
         # Row slices: downstream streamable operators (and the cursor)
         # see the first rows before the scan's full output ever exists
         # as one chunk.
-        columns = {c.cid: self.table.column(c.name) for c in self.schema}
-        yield from iter_chunk_slices(Chunk(columns, self.table.row_count),
-                                     batch_rows)
-
-
-class PSystemScan(PhysicalNode):
-    """Scan a :class:`~repro.db.table.SystemTable` provider snapshot.
-
-    The provider is sampled exactly once per execution, so every column —
-    and every batch of the scan — describes one consistent instant of
-    runtime state, even while other sessions keep appending journal
-    entries or bumping counters.
-    """
-
-    def __init__(self, node: lg.LScan) -> None:
-        super().__init__(node.output)
-        self.table: SystemTable = node.table
-        self.qualified_name = node.qualified_name
-
-    def describe(self) -> str:
-        cols = ", ".join(c.name for c in self.schema)
-        return f"SystemScan {self.qualified_name} [{cols}]"
-
-    def batches(self, ctx: ExecutionContext, batch_rows: int):
         by_name, length = self.table.snapshot_columns()
         yield from iter_chunk_slices(
-            Chunk(columns={c.cid: by_name[c.name] for c in self.schema},
-                  length=length),
+            Chunk({c.cid: by_name[c.name] for c in self.schema}, length),
             batch_rows)
 
 
@@ -471,7 +450,7 @@ def _zone_dead(zone: "tuple | None", op: str, value) -> bool:
     return False
 
 
-class PDiskScan(PhysicalNode):
+class PDiskScan(PTableScan):
     """Scan a disk-backed table, faulting in only the needed columns.
 
     This is lazy ETL extended into lazy I/O: the table's rows live in a
@@ -489,9 +468,7 @@ class PDiskScan(PhysicalNode):
     """
 
     def __init__(self, node: lg.LScan) -> None:
-        super().__init__(node.output)
-        self.table = node.table
-        self.qualified_name = node.qualified_name
+        super().__init__(node)
         # (col, op, value_expr) triples installed by build_physical when
         # a filter sits directly above this scan.
         self.prune_conjuncts: list[tuple] = []
@@ -580,9 +557,7 @@ class PDiskScan(PhysicalNode):
         backing = self.table.disk_backing
         if backing is None:
             # Mutated since planning: fall back to the resident columns.
-            columns = {c.cid: self.table.column(c.name) for c in self.schema}
-            yield from iter_chunk_slices(
-                Chunk(columns, self.table.row_count), batch_rows)
+            yield from super().batches(ctx, batch_rows)
             return
         from repro.storage.segment import IOCounter
 
@@ -1272,8 +1247,6 @@ def build_physical(node: lg.LogicalNode,
     bindings can never share an entry.
     """
     if isinstance(node, lg.LScan):
-        if isinstance(node.table, SystemTable):
-            return PSystemScan(node)
         if getattr(node.table, "disk_backing", None) is not None:
             return PDiskScan(node)
         return PTableScan(node)

@@ -162,6 +162,17 @@ class Table:
                     for spec in self.schema.columns}
         return dict(self._columns)
 
+    def snapshot_columns(self) -> tuple[dict[str, Column], int]:
+        """One consistent view of the rows: ``(columns by name, row
+        count)``.  ``_columns`` is read once, and no mutation edits the
+        dict it installed, so every column has the row count."""
+        backing = self._backing
+        if backing is not None:
+            return self.columns(), backing.row_count
+        columns = self._columns
+        first = next(iter(columns.values()), None)
+        return columns, 0 if first is None else len(first)
+
     def memory_bytes(self) -> int:
         """Resident bytes across all columns (experiment E4).
 
@@ -171,9 +182,26 @@ class Table:
         return sum(col.memory_bytes() for col in self._columns.values())
 
     # -- mutation ---------------------------------------------------------------
+    #
+    # Every mutation builds the table's new columns aside and installs
+    # them, with the primary-key set and ``version + 1``, in one
+    # assignment (:meth:`_install`).  It never edits the column dict a
+    # scan may hold, so a scan that reads ``_columns`` once
+    # (:meth:`snapshot_columns`) sees the rows before the mutation or
+    # after it, whole.
 
-    def _check_not_null(self, name: str, column: Column) -> None:
-        if self.schema.spec(name).not_null and column.has_nulls:
+    def _install(self, columns: dict[str, Column], pk_index) -> None:
+        self._columns, self._pk_index, self.version = \
+            columns, pk_index, self.version + 1
+
+    def _check_incoming(self, name: str, column: Column) -> None:
+        """New values for column ``name``: its dtype, and no NULL where
+        the schema says NOT NULL."""
+        spec = self.schema.spec(name)
+        if column.dtype != spec.dtype:
+            raise ExecutionError(f"type mismatch writing {column.dtype} "
+                                 f"into {self.name}.{name} ({spec.dtype})")
+        if spec.not_null and column.has_nulls:
             raise ConstraintError(
                 f"NULL in NOT NULL column {self.name}.{name}"
             )
@@ -184,68 +212,62 @@ class Table:
         return list(zip(*(batch[name].slice(0, count).to_pylist()
                           for name in self.schema.primary_key)))
 
-    def append_batch(self, batch: Mapping[str, Column],
-                     *, enforce_keys: bool = True) -> int:
-        """Append aligned columns; returns the number of rows appended."""
-        missing = set(self.schema.names) - set(batch)
-        if missing:
-            raise ExecutionError(f"insert into {self.name} missing columns {missing}")
-        lengths = {len(batch[name]) for name in self.schema.names}
-        if len(lengths) != 1:
-            raise ExecutionError("ragged insert batch")
-        count = lengths.pop()
-        if count == 0:
-            return 0
+    def replace_rows(self, mask: "np.ndarray | None",
+                     batch: "Mapping[str, Column] | None",
+                     *, enforce_keys: bool = True) -> None:
+        """Replace the rows where ``mask`` is True with ``batch``'s rows,
+        appended, in one installation — the table's only row-changing
+        operation besides :meth:`update_rows` and :meth:`truncate`.  Each
+        new column is one concat of the kept rows (one filter, or two
+        slices when the replaced rows are one run) and the batch.
+        ``mask`` ``None`` removes nothing (an insert); ``batch`` ``None``
+        adds nothing (a delete)."""
+        count = 0
+        if batch is not None:
+            lengths = {len(batch[name]) for name in self.schema.names}
+            if len(lengths) != 1:
+                raise ExecutionError("ragged insert batch")
+            count = lengths.pop()
+        removed = 0 if mask is None else int(np.count_nonzero(mask))
+        if count == 0 and removed == 0:
+            return
+        if count:
+            for name in self.schema.names:
+                self._check_incoming(name, batch[name])
         self._materialize_all()
-        for name in self.schema.names:
-            self._check_not_null(name, batch[name])
-        if enforce_keys and self._pk_index is not None:
-            fresh = self._pk_tuples(batch, count)
-            duplicates = set(fresh) & self._pk_index
-            if duplicates or len(set(fresh)) != len(fresh):
+        current = self._columns
+        pk_index = self._pk_index
+        if pk_index is not None:
+            doomed = self._pk_tuples({name: current[name].filter(mask)
+                                      for name in self.schema.primary_key},
+                                     removed) if removed else ()
+            pk_index = pk_index.difference(doomed)
+            fresh = self._pk_tuples(batch, count) if count else []
+            keys = set(fresh)
+            if enforce_keys and (len(keys) != len(fresh)
+                                 or not keys.isdisjoint(pk_index)):
                 raise ConstraintError(
                     f"duplicate primary key in {self.name}: "
-                    f"{next(iter(duplicates), 'within batch')}"
-                )
-            self._pk_index.update(fresh)
-        elif self._pk_index is not None:
-            self._pk_index.update(self._pk_tuples(batch, count))
+                    f"{next(iter(keys & pk_index), 'within batch')}")
+            pk_index.update(keys)
+        spans = _kept_spans(mask) if removed else [(0, None)]
+        columns = {}
         for name in self.schema.names:
-            spec = self.schema.spec(name)
-            incoming = batch[name]
-            if incoming.dtype != spec.dtype:
-                raise ExecutionError(
-                    f"type mismatch inserting {incoming.dtype} into "
-                    f"{self.name}.{name} ({spec.dtype})"
-                )
-            self._columns[name] = Column.concat([self._columns[name], incoming])
-        self.version += 1
-        return count
+            parts = [current[name].filter(~mask)] if spans is None else \
+                [current[name].slice(lo, hi) for lo, hi in spans]
+            if count:
+                parts.append(batch[name])
+            columns[name] = Column.concat(parts) if len(parts) > 1 \
+                else parts[0]
+        self._install(columns, pk_index)
 
     def append_pydict(self, data: Mapping[str, Sequence],
-                      *, enforce_keys: bool = True) -> int:
+                      *, enforce_keys: bool = True) -> None:
         """Append from Python sequences (tests and small inserts)."""
-        batch = {
+        self.replace_rows(None, {
             spec.name: Column.from_values(spec.dtype, data[spec.name])
             for spec in self.schema.columns
-        }
-        return self.append_batch(batch, enforce_keys=enforce_keys)
-
-    def delete_where(self, mask: np.ndarray) -> int:
-        """Delete rows where ``mask`` is True; returns the count removed."""
-        removed = int(mask.sum())
-        if removed == 0:
-            return 0
-        self._materialize_all()
-        keep = ~mask
-        if self._pk_index is not None:
-            doomed = {name: self._columns[name].filter(mask)
-                      for name in self.schema.primary_key}
-            self._pk_index -= set(self._pk_tuples(doomed, removed))
-        for name in list(self._columns):
-            self._columns[name] = self._columns[name].filter(keep)
-        self.version += 1
-        return removed
+        }, enforce_keys=enforce_keys)
 
     def update_rows(self, mask: np.ndarray,
                     assignments: Mapping[str, Column]) -> int:
@@ -258,14 +280,11 @@ class Table:
             set(assignments) & set(self.schema.primary_key)
         ):
             raise ConstraintError("updating primary key columns is not supported")
+        columns = dict(self._columns)
         for name, new_col in assignments.items():
             spec = self.schema.spec(name)
-            if new_col.dtype != spec.dtype:
-                raise ExecutionError(
-                    f"type mismatch updating {self.name}.{name}"
-                )
-            self._check_not_null(name, new_col)
-            current = self._columns[name]
+            self._check_incoming(name, new_col)
+            current = columns[name]
             if spec.dtype == DataType.VARCHAR:
                 current, new_col = Column.unified([current, new_col])
             values = current.values.copy()
@@ -274,20 +293,19 @@ class Table:
             if current.valid is not None or new_col.valid is not None:
                 valid = current.validity().copy()
                 valid[mask] = new_col.validity()[mask]
-            self._columns[name] = Column(spec.dtype, values, valid,
-                                         current.uniques)
-        self.version += 1
+            columns[name] = Column(spec.dtype, values, valid, current.uniques)
+        self._install(columns, self._pk_index)
         return touched
 
     def truncate(self) -> None:
-        """Remove every row (fast reset used by eager re-loads)."""
+        """Remove every row (``DELETE`` without ``WHERE``), without
+        faulting a disk-backed table's columns in first."""
         if self._backing is not None:
             backing, self._backing = self._backing, None
             backing.close()
-        for spec in self.schema.columns:
-            self._columns[spec.name] = Column.from_values(spec.dtype, [])
-        self._pk_index = set() if self.schema.primary_key else None
-        self.version += 1
+        self._install({spec.name: Column.from_values(spec.dtype, [])
+                       for spec in self.schema.columns},
+                      set() if self.schema.primary_key else None)
 
     def validate_foreign_keys(self, lookup) -> None:
         """Check FK constraints; ``lookup(qualified_name) -> Table``."""
@@ -310,6 +328,17 @@ class Table:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Table({self.name}, rows={self.row_count})"
+
+
+def _kept_spans(mask: np.ndarray) -> "list[tuple[int, int]] | None":
+    """When the rows ``mask`` selects are one run (one file's rows are),
+    the two spans around it: slicing them gives views, so a new column
+    is copied once.  ``None`` otherwise."""
+    masked = np.flatnonzero(mask)
+    first, last = int(masked[0]), int(masked[-1])
+    if last - first + 1 != len(masked):
+        return None
+    return [(0, first), (last + 1, len(mask))]
 
 
 class SystemTable(Table):
@@ -384,13 +413,10 @@ class SystemTable(Table):
     def attach_backing(self, backing) -> None:
         raise self._read_only()
 
-    def append_batch(self, batch, *, enforce_keys: bool = True) -> int:
+    def replace_rows(self, mask, batch, *, enforce_keys: bool = True) -> None:
         raise self._read_only()
 
-    def append_pydict(self, data, *, enforce_keys: bool = True) -> int:
-        raise self._read_only()
-
-    def delete_where(self, mask) -> int:
+    def append_pydict(self, data, *, enforce_keys: bool = True) -> None:
         raise self._read_only()
 
     def update_rows(self, mask, assignments) -> int:

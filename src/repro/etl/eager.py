@@ -34,10 +34,6 @@ class EagerETL:
         # Table creation is shared with the lazy pipeline (same schema).
         self._ddl = LazyETL(db, repo, adapter)
 
-    @property
-    def data_table(self) -> str:
-        return f"{SCHEMA}.data"
-
     def create_tables(self) -> None:
         self._ddl.create_tables()
 
@@ -66,18 +62,13 @@ class EagerETL:
         batches = [batch for batch in (self._file_batch(meta.uri)
                                        for meta in harvest.files) if batch]
         uri_key = self.adapter.key_columns[0]
-        return self._append({
+        if not batches:
+            return 0
+        return self.db.bulk_insert((SCHEMA, "data"), {
             name: (Column.concat if name == uri_key else np.concatenate)(
                 [batch[name] for batch in batches])
-            for name in (batches[0] if batches else ())
+            for name in batches[0]
         })
-
-    def load_file_data(self, uri: str) -> int:
-        """Extract one file completely and append its rows to D."""
-        return self._append(self._file_batch(uri))
-
-    def _append(self, batch: dict[str, "np.ndarray | Column"]) -> int:
-        return self.db.bulk_insert((SCHEMA, "data"), batch) if batch else 0
 
     def _file_batch(self, uri: str) -> dict[str, "np.ndarray | Column"]:
         """One file's D rows as columns (empty if it has none)."""
@@ -93,10 +84,3 @@ class EagerETL:
             seq_key: np.repeat(extracted.seq_nos, extracted.counts),
             **extracted.columns,
         }
-
-    def delete_file_data(self, uri: str) -> None:
-        """Drop one file's rows from D (used by eager refresh)."""
-        escaped = uri.replace("'", "''")
-        self.db.execute(
-            f"DELETE FROM {self.data_table} WHERE file_location = '{escaped}'"
-        )

@@ -59,6 +59,7 @@ from repro.etl.metadata import (
     RecordIndex,
     harvest_repository,
 )
+from repro.etl.refresh import install
 from repro.mseed.repository import FileInfo, Repository
 from repro.storage.promoted import PromotionReport
 
@@ -86,9 +87,9 @@ class LazyDataBinding:
 
     Per-file staleness handling is serialised through the cache's stripe
     locks, and metadata refreshes additionally through a global refresh
-    lock (metadata-table DML is not concurrency-safe by design — updates
-    to the repository under live traffic are the rare event, queries are
-    the common one).
+    lock: one file's swap (:func:`~repro.etl.refresh.install`) at a time —
+    updates to the repository under live traffic are the rare event,
+    queries are the common one.
     """
 
     def __init__(self, repo: Repository, adapter: SourceAdapter,
@@ -726,12 +727,8 @@ class LazyETL:
         )
 
     def load_metadata(self, harvest: HarvestResult) -> None:
-        """Bulk insert the harvested F and R rows."""
-        self.insert_metadata(harvest.files, harvest.records)
-
-    def insert_metadata(self, files: list[FileMeta],
-                        records: RecordColumns) -> None:
-        """Append F rows and R rows, keys enforced."""
+        """Bulk insert the harvested F and R rows, keys enforced."""
+        files, records = harvest.files, harvest.records
         if files:
             self.db.bulk_insert(
                 (SCHEMA, "files"),
@@ -755,32 +752,21 @@ class LazyETL:
         """
         return self.adapter.harvest_file(self.repo, info)
 
-    def delete_file_metadata(self, uri: str) -> None:
-        escaped = uri.replace("'", "''")
-        self.db.execute(
-            f"DELETE FROM {self.records_table} "
-            f"WHERE file_location = '{escaped}'"
-        )
-        self.db.execute(
-            f"DELETE FROM {self.files_table} "
-            f"WHERE file_location = '{escaped}'"
-        )
-
-    def install_file_metadata(self, info: FileInfo, meta: FileMeta,
-                              records: RecordColumns) -> None:
-        """Make harvested version ``info`` of one file current: record
-        index and ledger, then its F/R rows.  The rows change in two
-        statements (delete, insert); callers hold the file's stripe lock
-        and the refresh lock."""
-        self.index.replace_file(info, records)
-        self.delete_file_metadata(info.uri)
-        self.insert_metadata([meta], records)
+    def metadata_rows(self, meta: FileMeta, records: RecordColumns
+                      ) -> dict[str, dict]:
+        """One file's F and R rows, by table name."""
+        return {"files": _columnar([self.adapter.file_row(meta)]),
+                "records": self.adapter.record_table(records)}
 
     def refresh_file_metadata(self, info: FileInfo) -> None:
-        """Re-harvest one changed file's F/R rows and record index at
-        version ``info``.  Harvesting comes first: an unreadable (torn)
-        file raises with the old metadata, and the ledger, untouched."""
-        self.install_file_metadata(info, *self.harvest_single(info))
+        """Re-harvest one changed file at version ``info`` and swap its
+        record index entry and F/R rows in (:func:`install`).  Harvesting
+        comes first: an unreadable (torn) file raises with the old
+        metadata, and the ledger, untouched.  Callers hold the file's
+        stripe lock and the refresh lock."""
+        meta, records = self.harvest_single(info)
+        install(self, info.uri, (info, records),
+                self.metadata_rows(meta, records))
 
 
 def _columnar(rows: list[dict[str, object]]) -> dict[str, list]:

@@ -25,15 +25,15 @@ ORDER BY F.network, F.station, F.channel""")
 
 def time_coverage(warehouse, network: str | None = None) -> list[dict]:
     """Per-station time coverage from file metadata."""
-    where = f"WHERE network = '{network}'" if network else ""
-    result = warehouse.query(f"""
+    where = "WHERE network = ?" if network else ""
+    rows = warehouse.connect().execute(f"""
 SELECT network, station, MIN(start_time) AS first_sample,
        MAX(end_time) AS last_sample, COUNT(*) AS files
 FROM {SCHEMA}.files {where}
 GROUP BY network, station
-ORDER BY network, station""")
+ORDER BY network, station""", [network] if network else None).fetchall()
     out = []
-    for network_code, station, first, last, files in result.rows():
+    for network_code, station, first, last, files in rows:
         out.append({
             "network": network_code,
             "station": station,
@@ -47,25 +47,20 @@ ORDER BY network, station""")
 def file_listing(warehouse, station: str | None = None,
                  channel: str | None = None) -> list[tuple]:
     """Files (uri, records, span) for navigation drill-down."""
-    conditions = []
-    if station:
-        conditions.append(f"station = '{station}'")
-    if channel:
-        conditions.append(f"channel = '{channel}'")
-    where = f"WHERE {' AND '.join(conditions)}" if conditions else ""
-    result = warehouse.query(f"""
+    bound = {name: value for name, value in
+             (("station", station), ("channel", channel)) if value}
+    where = ("WHERE " + " AND ".join(f"{name} = :{name}" for name in bound)
+             if bound else "")
+    return warehouse.connect().execute(f"""
 SELECT file_location, n_records, start_time, end_time, file_size
 FROM {SCHEMA}.files {where}
-ORDER BY file_location""")
-    return result.rows()
+ORDER BY file_location""", bound or None).fetchall()
 
 
 def record_listing(warehouse, file_location: str) -> list[tuple]:
     """Records of one file: the navigation leaf level."""
-    escaped = file_location.replace("'", "''")
-    result = warehouse.query(f"""
+    return warehouse.connect().execute(f"""
 SELECT seq_no, start_time, end_time, frequency, sample_count
 FROM {SCHEMA}.records
-WHERE file_location = '{escaped}'
-ORDER BY seq_no""")
-    return result.rows()
+WHERE file_location = ?
+ORDER BY seq_no""", [file_location]).fetchall()

@@ -398,7 +398,7 @@ class SeismicWarehouse:
         """Refresh the warehouse after repository changes."""
         if self.mode == "lazy":
             return MetadataSync(self.pipeline).sync()
-        return EagerRefresh(self.pipeline).refresh()
+        return EagerRefresh(self.pipeline).sync()
 
     # -- querying -----------------------------------------------------------------
 

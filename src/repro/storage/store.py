@@ -303,9 +303,10 @@ class TableStore:
             generation = self._next_generation()
             segment_file = f"{qualified_name}.{generation:08d}.seg"
             writer = SegmentWriter(os.path.join(self.root, segment_file))
+            columns, row_count = table.snapshot_columns()
             try:
                 for spec in table.schema.columns:
-                    writer.write_column(spec.name, table.column(spec.name))
+                    writer.write_column(spec.name, columns[spec.name])
                 writer.finish()
             except BaseException:
                 writer.abort()
@@ -313,7 +314,7 @@ class TableStore:
             self._manifest["tables"][qualified_name] = {
                 "segment": segment_file,
                 "schema": _schema_to_json(table.schema),
-                "row_count": table.row_count,
+                "row_count": row_count,
             }
             if commit:
                 self.commit()

@@ -1,5 +1,9 @@
 """Tests for the eager ETL baseline."""
 
+import os
+
+from test_refresh import _rewrite_file
+
 from repro.seismology.warehouse import SeismicWarehouse
 
 
@@ -44,27 +48,23 @@ def test_eager_sample_counts_match_record_metadata(eager_wh):
         assert declared == actual
 
 
-def test_eager_delete_file_data(demo_repo):
-    wh = SeismicWarehouse(demo_repo.root, mode="eager")
-    uri = wh.repo.list_files()[0].uri
-    before = wh.query("SELECT COUNT(*) FROM mseed.data").scalar()
-    wh.pipeline.delete_file_data(uri)
-    after = wh.query("SELECT COUNT(*) FROM mseed.data").scalar()
-    assert after < before
-    remaining = wh.query(
-        f"SELECT COUNT(*) FROM mseed.data WHERE file_location = '{uri}'"
-    ).scalar()
-    assert remaining == 0
-
-
-def test_eager_load_file_data_roundtrip(demo_repo):
-    wh = SeismicWarehouse(demo_repo.root, mode="eager")
-    uri = wh.repo.list_files()[0].uri
-    before = wh.query("SELECT COUNT(*) FROM mseed.data").scalar()
-    wh.pipeline.delete_file_data(uri)
-    reloaded = wh.pipeline.load_file_data(uri)
-    assert reloaded > 0
-    assert wh.query("SELECT COUNT(*) FROM mseed.data").scalar() == before
+def test_eager_sync_reloads_a_rewritten_files_data(mutable_repo):
+    """After a rewrite and sync(), D holds exactly the rows a fresh eager
+    warehouse loads: the file's new ones, and every other file's."""
+    wh = SeismicWarehouse(mutable_repo.root, mode="eager")
+    entry = mutable_repo.entries[0]
+    uri = os.path.relpath(entry.path, mutable_repo.root)
+    rows = ("SELECT seq_no, sample_time, sample_value FROM mseed.data "
+            "WHERE file_location = ? ORDER BY seq_no, sample_time")
+    before = wh.query(rows, [uri]).rows()
+    _rewrite_file(entry, offset=70_000)
+    assert wh.sync().updated == [uri]
+    after = wh.query(rows, [uri]).rows()
+    assert after != before
+    fresh = SeismicWarehouse(mutable_repo.root, mode="eager")
+    assert after == fresh.query(rows, [uri]).rows()
+    count = "SELECT COUNT(*), SUM(sample_value) FROM mseed.data"
+    assert wh.query(count).rows() == fresh.query(count).rows()
 
 
 def test_eager_load_appends_data_once(tiny_repo):

@@ -278,3 +278,33 @@ def test_record_zero_is_one_record(record_zero_warehouses, sql):
     else:
         count = lazy.first()[0]
         assert 0 < count < len(samples)
+
+
+REFRESH_CORPUS = [
+    fig1_query1(),  # ISK BHE: rewritten below
+    fig1_query2(),  # NL BHZ: rewritten below
+    "SELECT file_location, COUNT(*), MIN(start_time), MAX(end_time) "
+    "FROM mseed.records GROUP BY file_location",
+]
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("mode", ["lazy", "eager"])
+def test_differential_oracle_after_a_refresh(mutable_repo, differential_oracle,
+                                             mode):
+    """After a rewrite and sync(), the three executions still agree, and
+    answer like a warehouse built fresh over the new bytes."""
+    from test_refresh import _rewrite_file
+
+    wh = SeismicWarehouse(mutable_repo.root, mode=mode)
+    for sql in REFRESH_CORPUS:
+        wh.query(sql)  # derived state of the old bytes, to be dropped
+    for entry in mutable_repo.entries:
+        if entry.station == "ISK" or entry.channel == "BHZ":
+            _rewrite_file(entry, offset=70_000)
+    assert wh.sync().updated
+    fresh = SeismicWarehouse(mutable_repo.root, mode=mode)
+    for sql in REFRESH_CORPUS:
+        got = differential_oracle(wh.db, sql,
+                                  stream_batch_rows=CORPUS_BATCH_ROWS)
+        assert _sorted_rows(got) == _sorted_rows(fresh.query(sql))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import sys
 import threading
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from repro.mseed.files import scan_file_headers, write_mseed_file
 from repro.mseed.repository import Repository
+from repro.seismology.queries import fig1_query1
 from repro.seismology.warehouse import SeismicWarehouse
 from repro.util.timefmt import from_ymd
 
@@ -374,3 +376,167 @@ def test_query_racing_sync_sees_the_rewritten_file(tmp_path):
             f"SELECT COUNT(*) FROM mseed.records "
             f"WHERE file_location = '{uri}'"
         ).scalar() == len(scan_file_headers(entry.path))
+
+
+# ---------------------------------------------------------------------------
+# A refresh changes each table in one step: queries see the old file or the
+# new one, never neither, and a scan never sees columns of two versions
+# ---------------------------------------------------------------------------
+
+# Figure-1 Q1 over the one file of ``one_file_repo``: a 2 s window that
+# the file holds before and after its rewrite to half the length.
+FIG1_ONE_FILE = fig1_query1(station="HGN", channel="BHZ",
+                            window_start="2010-01-12T22:00:10.000",
+                            window_end="2010-01-12T22:00:12.000")
+
+
+def _tables(mode):
+    """The tables a refresh of one file changes."""
+    return ["mseed.files", "mseed.records"] + \
+        (["mseed.data"] if mode == "eager" else [])
+
+
+@pytest.mark.parametrize("mode", ["lazy", "eager"])
+def test_every_mutation_of_a_refresh_leaves_the_file_queryable(
+        one_file_repo, mode, monkeypatch):
+    """After each table mutation ``sync()`` makes, the rewritten file has
+    rows in F and R (and D, eager) and Figure-1 Q1 answers over it, with
+    its old or its new bytes.  One mutation per table: two version bumps
+    for a lazy refresh, three for an eager one."""
+    manifest, shorter = one_file_repo
+    wh = SeismicWarehouse(manifest.root, mode=mode, recycler_budget_bytes=0)
+    (info,) = wh.repo.list_files()
+    tables = _tables(mode)
+    old = wh.query(FIG1_ONE_FILE).scalar()
+    versions = {name: wh.db.table(name).version for name in tables}
+    _rewrite_file(shorter, offset=50_000)
+
+    seen = []
+    invalidate = wh.db._invalidate_for
+
+    def probe(table):
+        invalidate(table)
+        rows = tuple(wh.query(f"SELECT COUNT(*) FROM {name} "
+                              "WHERE file_location = ?", [info.uri]).scalar()
+                     for name in tables)
+        seen.append((table.name, rows, wh.query(FIG1_ONE_FILE).scalar()))
+
+    monkeypatch.setattr(wh.db, "_invalidate_for", probe)
+    assert wh.sync().updated == [info.uri]
+    monkeypatch.undo()
+
+    new = wh.query(FIG1_ONE_FILE).scalar()
+    assert new is not None and new != old
+    for name, rows, answer in seen:
+        assert all(rows), f"after the {name} mutation: rows {rows}"
+        assert answer in (old, new), f"after the {name} mutation"
+    assert sorted(name for name, _rows, _answer in seen) == sorted(tables)
+    assert {name: wh.db.table(name).version - versions[name]
+            for name in tables} == dict.fromkeys(tables, 1)
+
+
+def test_a_query_time_refresh_changes_each_table_once(one_file_repo):
+    """The refresh a query runs when it observes a rewrite is the same
+    swap: one version bump for F and one for R."""
+    manifest, shorter = one_file_repo
+    wh = SeismicWarehouse(manifest.root, mode="lazy", recycler_budget_bytes=0)
+    tables = _tables("lazy")
+    versions = {name: wh.db.table(name).version for name in tables}
+    _rewrite_file(shorter, offset=50_000)
+    answer = wh.query(FIG1_ONE_FILE).scalar()
+    assert [t["op"] for t in wh.last_trace].count("refresh") >= 1
+    assert answer == SeismicWarehouse(manifest.root, mode="lazy").query(
+        FIG1_ONE_FILE).scalar()
+    assert {name: wh.db.table(name).version - versions[name]
+            for name in tables} == dict.fromkeys(tables, 1)
+
+
+@pytest.mark.parametrize("mode", ["lazy", "eager"])
+def test_a_scan_during_a_refresh_sees_r_at_one_version(
+        mutable_repo, mode, monkeypatch):
+    """Every ``Column.filter``/``Column.concat`` call a refresh makes first
+    scans all of R: the scan sees R before the refresh or after it,
+    whole — never columns cut to different rows."""
+    from repro.db.column import Column
+
+    wh = SeismicWarehouse(mutable_repo.root, mode=mode,
+                          recycler_budget_bytes=0)
+    everything = "SELECT * FROM mseed.records"
+    before = sorted(wh.query(everything).rows())
+    _rewrite_file(mutable_repo.entries[0])
+
+    scans = []
+    scanning = threading.local()
+    column_filter, column_concat = Column.filter, Column.concat
+
+    def scan():
+        if getattr(scanning, "on", False):
+            return
+        scanning.on = True
+        try:
+            result = wh.query(everything)
+        finally:
+            scanning.on = False
+        assert len({len(column) for column in result.columns}) == 1
+        scans.append(sorted(result.rows()))
+
+    def scanning_filter(self, mask):
+        scan()
+        return column_filter(self, mask)
+
+    def scanning_concat(parts):
+        scan()
+        return column_concat(parts)
+
+    monkeypatch.setattr(Column, "filter", scanning_filter)
+    monkeypatch.setattr(Column, "concat", staticmethod(scanning_concat))
+    assert wh.sync().changed == 1
+    monkeypatch.undo()
+
+    after = sorted(wh.query(everything).rows())
+    assert after != before
+    assert scans
+    for index, rows in enumerate(scans):
+        assert rows in (before, after), f"scan {index} of {len(scans)}"
+
+
+def test_a_reader_thread_never_sees_a_refresh_half_done(one_file_repo):
+    """A reader scans R while the main thread rewrites the file back and
+    forth and syncs, with the interpreter switching threads as often as
+    it can: every scan counts the file's records at one of its two
+    layouts."""
+    manifest, shorter = one_file_repo
+    (entry,) = manifest.entries
+    wh = SeismicWarehouse(manifest.root, mode="lazy", recycler_budget_bytes=0)
+    count = "SELECT COUNT(*), COUNT(DISTINCT seq_no) FROM mseed.records"
+    layouts = set()
+    for rewritten in (entry, shorter):
+        _rewrite_file(rewritten)
+        assert wh.sync().changed == 1
+        layouts.add(wh.query(count).rows()[0])
+    assert len(layouts) == 2
+
+    stop, seen, errors = threading.Event(), [], []
+
+    def read():
+        try:
+            while not stop.is_set():
+                seen.append(wh.query(count).rows()[0])
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    reader = threading.Thread(target=read)
+    reader.start()
+    try:
+        for round_ in range(12):
+            _rewrite_file(entry if round_ % 2 == 0 else shorter)
+            assert wh.sync().changed == 1
+    finally:
+        stop.set()
+        reader.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not reader.is_alive()
+    assert errors == []
+    assert seen and set(seen) <= layouts

@@ -89,6 +89,13 @@ def test_browse_file_and_record_listing(lazy_wh):
     assert len(records) == files[0][1]
 
 
+def test_browse_binds_its_values(lazy_wh):
+    """A quote in a browsed value is data, not SQL."""
+    assert browse.file_listing(lazy_wh, station="O'NL") == []
+    assert browse.time_coverage(lazy_wh, network="N'L") == []
+    assert browse.record_listing(lazy_wh, "NL/HGN/it's.mseed") == []
+
+
 def test_files_extracted_introspection(lazy_wh):
     lazy_wh.query(fig1_query1())
     touched = lazy_wh.files_extracted_by_last_query()
