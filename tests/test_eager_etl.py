@@ -1,6 +1,7 @@
 """Tests for the eager ETL baseline."""
 
 import os
+import shutil
 
 from test_refresh import _rewrite_file
 
@@ -65,6 +66,38 @@ def test_eager_sync_reloads_a_rewritten_files_data(mutable_repo):
     assert after == fresh.query(rows, [uri]).rows()
     count = "SELECT COUNT(*), SUM(sample_value) FROM mseed.data"
     assert wh.query(count).rows() == fresh.query(count).rows()
+
+
+def test_eager_delete_file_data(mutable_repo):
+    """A file removed from the repository loses all its D rows on sync()."""
+    wh = SeismicWarehouse(mutable_repo.root, mode="eager")
+    entry = mutable_repo.entries[0]
+    uri = os.path.relpath(entry.path, mutable_repo.root)
+    before = wh.query("SELECT COUNT(*) FROM mseed.data").scalar()
+    os.remove(entry.path)
+    assert wh.sync().removed == [uri]
+    after = wh.query("SELECT COUNT(*) FROM mseed.data").scalar()
+    assert after < before
+    remaining = wh.query(
+        "SELECT COUNT(*) FROM mseed.data WHERE file_location = ?", [uri]
+    ).scalar()
+    assert remaining == 0
+
+
+def test_eager_load_file_data_roundtrip(mutable_repo, tmp_path):
+    """A file taken away and put back is reloaded: D's count is as before."""
+    wh = SeismicWarehouse(mutable_repo.root, mode="eager")
+    entry = mutable_repo.entries[0]
+    uri = os.path.relpath(entry.path, mutable_repo.root)
+    before = wh.query("SELECT COUNT(*) FROM mseed.data").scalar()
+    aside = tmp_path / "aside.mseed"
+    shutil.move(entry.path, aside)
+    assert wh.sync().removed == [uri]
+    shutil.move(aside, entry.path)
+    report = wh.sync()
+    assert report.added == [uri]
+    assert report.samples_reloaded > 0
+    assert wh.query("SELECT COUNT(*) FROM mseed.data").scalar() == before
 
 
 def test_eager_load_appends_data_once(tiny_repo):
