@@ -13,7 +13,6 @@ type.
 
 from __future__ import annotations
 
-import io
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -236,30 +235,33 @@ class MSeedAdapter(SourceAdapter):
         value-level transformations (timestamp materialisation, type
         widening) run here, "at the end of the extraction phase".  The
         file is read once and decoded in one pass
-        (:func:`~repro.mseed.files.decode_file`); a file that pass does
-        not vouch for goes record by record through
-        :func:`~repro.mseed.files.read_records_from`, which decodes it
-        or raises the typed error.
+        (:func:`~repro.mseed.files.decode_file`), which decodes every
+        file or raises the typed error.
         """
         wanted = None if seq_nos is None else list(seq_nos)
         with repo.open(uri) as handle:
             data = handle.read()
-        decoded = decode_file(data, wanted)
-        if decoded is None:
-            records = read_records_from(io.BytesIO(data), wanted)
-            found = [record.header.sequence_number for record in records]
-            counts = [len(record.samples) for record in records]
-        else:
-            found = decoded[0].sequence_number
-            counts = decoded[0].sample_count
-        if wanted is not None and len(found) != len(set(wanted)):
-            raise ExtractionError(
-                f"{uri}: records {sorted(set(wanted) - set(found))} not found"
-            )
-        columns = (self._transform_records(records, needed)
-                   if decoded is None
-                   else self._transform_batch(*decoded, needed))
-        return ExtractedRecords.of_counts(uri, found, counts, columns)
+        columns, samples = decode_file(data, wanted)
+        _require_found(uri, wanted, columns.sequence_number)
+        return ExtractedRecords.of_counts(
+            uri, columns.sequence_number, columns.sample_count,
+            self._transform_batch(columns, samples, needed))
+
+    def reference_extract(self, repo: Repository, uri: str,
+                          seq_nos: Optional[Sequence[int]],
+                          needed: Sequence[str]) -> ExtractedRecords:
+        """:meth:`extract` record by record: the per-record reader
+        (:func:`~repro.mseed.files.read_records_from`) and transform.
+        The reference the decode oracle holds ``extract`` to; nothing in
+        production calls it."""
+        wanted = None if seq_nos is None else list(seq_nos)
+        with repo.open(uri) as handle:
+            records = read_records_from(handle, wanted)
+        found = [record.header.sequence_number for record in records]
+        _require_found(uri, wanted, found)
+        return ExtractedRecords.of_counts(
+            uri, found, [len(record.samples) for record in records],
+            self._transform_records(records, needed))
 
     def _transform_records(self, records: list[MSeedRecord],
                            needed: Sequence[str],
@@ -291,9 +293,17 @@ class MSeedAdapter(SourceAdapter):
         if "sample_time" in needed:
             starts = np.cumsum(counts) - counts
             index = np.arange(len(samples)) - np.repeat(starts, counts)
-            step = np.repeat(1e6 / columns.sample_rate, counts)
+            # A log record has rate 0 and no samples to step over.
+            rate = columns.sample_rate
+            step = np.repeat(1e6 / np.where(rate > 0, rate, np.inf), counts)
             batch["sample_time"] = (np.repeat(columns.start_time_us, counts)
                                     + np.round(index * step).astype(np.int64))
         if "sample_value" in needed:
             batch["sample_value"] = samples.astype(self._value_dtype)
         return batch
+
+
+def _require_found(uri: str, wanted: Optional[list[int]], found) -> None:
+    if wanted is not None and len(found) != len(set(wanted)):
+        raise ExtractionError(
+            f"{uri}: records {sorted(set(wanted) - set(found))} not found")

@@ -38,6 +38,8 @@ _NATIVE_DTYPES: dict[int, np.dtype] = {
     ENC_FLOAT64: np.dtype(np.float64),
 }
 
+_STEIM_LEVELS = {ENC_STEIM1: 1, ENC_STEIM2: 2}
+
 
 @dataclass(frozen=True)
 class EncodingInfo:
@@ -65,24 +67,60 @@ def encoding_name(code: int) -> str:
     return info.name if info else f"UNKNOWN({code})"
 
 
-def decode_payload(data: bytes, nsamples: int, encoding: int) -> np.ndarray:
-    """Decode a record payload into a native-endian sample array."""
-    if encoding == ENC_STEIM1:
-        return steim.decode_steim1(data, nsamples)
-    if encoding == ENC_STEIM2:
-        return steim.decode_steim2(data, nsamples)
+def _plain_dtype(encoding: int) -> np.dtype:
+    """The big-endian dtype of an uncompressed encoding."""
     dtype = _PLAIN_DTYPES.get(encoding)
     if dtype is None:
         raise UnsupportedEncodingError(
             f"encoding {encoding_name(encoding)} is not supported"
         )
+    return dtype
+
+
+def _too_short(nsamples: int, encoding: int) -> UnsupportedEncodingError:
+    return UnsupportedEncodingError(
+        f"payload too short for {nsamples} {encoding_name(encoding)} samples"
+    )
+
+
+def decode_payload(data: bytes, nsamples: int, encoding: int) -> np.ndarray:
+    """Decode a record payload into a native-endian sample array (the
+    per-record reference for :func:`decode_payloads`)."""
+    if encoding == ENC_STEIM1:
+        return steim.decode_steim1(data, nsamples)
+    if encoding == ENC_STEIM2:
+        return steim.decode_steim2(data, nsamples)
+    dtype = _plain_dtype(encoding)
     needed = nsamples * dtype.itemsize
     if len(data) < needed:
-        raise UnsupportedEncodingError(
-            f"payload too short for {nsamples} {encoding_name(encoding)} samples"
-        )
+        raise _too_short(nsamples, encoding)
     raw = np.frombuffer(data[:needed], dtype=dtype)
     return raw.astype(_NATIVE_DTYPES[encoding])
+
+
+def decode_payloads(payloads: np.ndarray, nsamples: np.ndarray,
+                    encoding: int) -> np.ndarray:
+    """:func:`decode_payload` over many records of one encoding at once.
+
+    ``payloads`` is a ``(records, payload_bytes)`` uint8 array and
+    ``nsamples`` each record's sample count.  Returns the records'
+    samples concatenated, and raises what ``decode_payload`` raises for
+    the first record it rejects.  Steim payloads go through one
+    :func:`~repro.mseed.steim.decode_records`, the others through one
+    big-endian view of the payload bytes.
+    """
+    level = _STEIM_LEVELS.get(encoding)
+    if level is not None:
+        return steim.decode_records(payloads, nsamples, level)
+    dtype = _plain_dtype(encoding)
+    width = payloads.shape[1] // dtype.itemsize
+    short = nsamples > width
+    if short.any():
+        raise _too_short(int(nsamples[short][0]), encoding)
+    values = np.ascontiguousarray(
+        payloads[:, :width * dtype.itemsize]).view(dtype)
+    wanted = np.arange(width) < nsamples[:, None]
+    return values[wanted].astype(_NATIVE_DTYPES[encoding])
 
 
 def encode_payload(
@@ -102,11 +140,7 @@ def encode_payload(
             steim.encode_steim1 if encoding == ENC_STEIM1 else steim.encode_steim2
         )
         return encoder(samples, max_frames, previous)
-    dtype = _PLAIN_DTYPES.get(encoding)
-    if dtype is None:
-        raise UnsupportedEncodingError(
-            f"encoding {encoding_name(encoding)} is not supported"
-        )
+    dtype = _plain_dtype(encoding)
     fit = min(len(samples), capacity_bytes // dtype.itemsize)
     if fit < 1:
         raise UnsupportedEncodingError("record too small for one sample")

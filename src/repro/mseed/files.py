@@ -17,18 +17,16 @@ asymmetry:
   reference, which decodes it or raises the typed error.
 * the *actual data* path: full parse with Steim decompression.  This is
   what lazy extraction defers to query time and what eager ETL pays for
-  every record up front.  It too comes in two forms.  :func:`decode_file`
-  is the one extraction uses: the file's bytes, read once, cut at the
-  first record's length; one numpy decode of every record head; one
-  ``np.isin`` picking the wanted records; and one
-  :func:`~repro.mseed.steim.decode_records` unpacking all their
-  payloads.  :func:`read_records_from` (and :func:`read_records` /
-  :func:`read_file` over it) is the reference: per record a ``seek``,
-  a header decode, a ``read`` and a Steim decode.  A file the pass does
-  not vouch for (mixed lengths, encodings or data offsets, a non-Steim
-  encoding, any header failing a check) and every file under
-  :func:`~repro.mseed.steim.reference_decoding` go through the
-  reference, which decodes them or raises the typed error.
+  every record up front.  Extraction has one form, :func:`decode_file`:
+  the file's bytes, read once and cut at the first record's length; one
+  numpy decode of every record head (a walk over the headers instead
+  when the file is not one run of standard records); one ``np.isin``
+  picking the wanted records; and one
+  :func:`~repro.mseed.encodings.decode_payloads` per run of records
+  alike in length, data offset and encoding.
+  :func:`read_records_from` (and :func:`read_records` /
+  :func:`read_file` over it) is the reference it is held to: per record
+  a ``seek``, a header decode, a ``read`` and the scalar Steim decode.
 """
 
 from __future__ import annotations
@@ -38,9 +36,10 @@ import os
 from typing import BinaryIO, Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.errors import CorruptRecordError
-from repro.mseed import encodings, steim
+from repro.errors import CorruptRecordError, MSeedError
+from repro.mseed import encodings
 from repro.mseed.records import (
     DEFAULT_RECORD_LENGTH,
     HEADER_SCAN_BYTES,
@@ -227,53 +226,57 @@ def scan_headers(
     return out
 
 
-_STEIM_LEVELS = {encodings.ENC_STEIM1: 1, encodings.ENC_STEIM2: 2}
-
-
 def decode_file(
     data: bytes,
     sequence_numbers: Sequence[int] | None = None,
-) -> Optional[tuple[HeaderColumns, np.ndarray]]:
+) -> tuple[HeaderColumns, np.ndarray]:
     """:func:`read_records_from` over a whole file's bytes, in one pass.
 
-    Every record header decoded by one
-    :func:`~repro.mseed.records.decode_headers` call, the wanted records
-    picked by one ``np.isin`` on their sequence numbers, and all their
-    payloads unpacked by one :func:`~repro.mseed.steim.decode_records`.
+    A file of one record length is cut at it and every record header is
+    decoded by one :func:`~repro.mseed.records.decode_headers` call.  A
+    file that cannot be cut that way, or with a header that pass does not
+    vouch for (another blockette layout, a corrupt field), has its
+    headers walked as the reference walks them.  The wanted records are
+    picked by one ``np.isin`` on their sequence numbers, and each run of
+    consecutive records alike in length, data offset and encoding is
+    decoded by one :func:`~repro.mseed.encodings.decode_payloads`.
     Returns the picked records' header columns, in file order, and their
-    samples concatenated (int32).  A Steim error in a picked record is
-    raised as ``read_records_from`` raises it.
-
-    ``None`` when the pass does not vouch for the file: it cannot be cut
-    at one record length, a header fails a check, the records differ in
-    encoding or data offset, the encoding is not Steim, the payload is
-    not whole frames, a sample rate is 0, or
-    :func:`~repro.mseed.steim.reference_decoding` is in force.  The
-    caller then reads it with ``read_records_from``, the per-record
-    reference, which decodes it or raises the typed error.
+    samples concatenated.  A bad file raises what ``read_records_from``
+    raises: the typed error of its first bad record.
     """
-    records = None if steim.reference_active() else _cut(data)
-    if records is None:
-        return None
-    columns = decode_headers(
+    records, failure = _cut(data), None
+    columns = None if records is None else decode_headers(
         np.ascontiguousarray(records[:, :HEADER_SCAN_BYTES]))
-    level = _STEIM_LEVELS.get(int(columns.encoding[0]))
-    offset, length = int(columns.data_offset[0]), records.shape[1]
-    payload_bytes = length - offset
-    if (level is None or payload_bytes <= 0
-            or payload_bytes % steim.FRAME_BYTES
-            or not (columns.ok.all() and (columns.record_length == length).all()
-                    and (columns.data_offset == offset).all()
-                    and (columns.encoding == columns.encoding[0]).all()
-                    and (columns.sample_rate > 0).all())):
-        return None
+    if columns is not None and columns.ok.all() and (
+            columns.record_length == records.shape[1]).all():
+        offsets = np.arange(len(records)) * records.shape[1]
+    else:
+        walked = []
+        try:
+            for record in _iter_record_offsets(io.BytesIO(data)):
+                walked.append(record)
+        except MSeedError as exc:
+            failure = exc  # raised after any bad payload before it
+        columns = HeaderColumns.from_headers([head for _at, head in walked])
+        offsets = np.array([at for at, _head in walked], dtype=np.int64)
     if sequence_numbers is not None:
         keep = np.isin(columns.sequence_number,
                        np.asarray(sequence_numbers, dtype=np.int64))
-        columns, records = columns[keep], records[keep]
-    samples = steim.decode_records(records[:, offset:], columns.sample_count,
-                                   level)
-    return columns, samples
+        columns, offsets = columns[keep], offsets[keep]
+    buf = np.frombuffer(data, np.uint8)
+    alike = np.stack([columns.record_length, columns.data_offset,
+                      columns.encoding])
+    starts = np.flatnonzero((np.diff(alike, prepend=-1) != 0).any(axis=0))
+    pieces = []
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(offsets)]):
+        length, at, encoding = alike[:, lo].tolist()
+        rows = sliding_window_view(buf, length)[offsets[lo:hi]]
+        pieces.append(encodings.decode_payloads(
+            rows[:, at:], columns.sample_count[lo:hi], encoding))
+    if failure is not None:
+        raise failure
+    return columns, (pieces[0] if len(pieces) == 1 else np.concatenate(
+        [np.zeros(0, np.int32), *pieces]))
 
 
 def read_records_from(
@@ -285,8 +288,7 @@ def read_records_from(
     Selective reads still header-scan the whole file (records are
     variable-content but fixed-length, so the scan is cheap) and decompress
     only the requested payloads.  This is the reference
-    :func:`decode_file` is held to, and what extraction falls back to for
-    a file that pass does not vouch for.
+    :func:`decode_file` is held to; extraction does not call it.
     """
     wanted = set(sequence_numbers) if sequence_numbers is not None else None
     out: list[MSeedRecord] = []
@@ -311,16 +313,6 @@ def read_records(
 def read_file(path: str | os.PathLike) -> list[MSeedRecord]:
     """Fully decode every record in the file."""
     return read_records(path, None)
-
-
-def read_file_bytes(data: bytes) -> list[MSeedRecord]:
-    """Decode every record from an in-memory mSEED volume."""
-    out = []
-    handle = io.BytesIO(data)
-    for offset, header in _iter_record_offsets(handle):
-        out.append(decode_record(data[offset : offset + header.record_length],
-                                 header))
-    return out
 
 
 def file_time_span(headers: Sequence[RecordHeader]) -> tuple[int, int]:

@@ -52,17 +52,22 @@ class Repository:
     # -- listing / stat ----------------------------------------------------
 
     def list_files(self) -> list[FileInfo]:
-        """All repository files, sorted by URI for determinism."""
+        """All repository files, sorted by URI path parts (``sorted``'s
+        order of their paths) for determinism."""
         infos = []
-        for path in sorted(self.root.rglob(f"*{self.extension}")):
-            stat = path.stat()
-            infos.append(
-                FileInfo(
-                    uri=path.relative_to(self.root).as_posix(),
-                    size=stat.st_size,
-                    mtime_ns=stat.st_mtime_ns,
-                )
-            )
+        pending = [("", str(self.root))]
+        while pending:
+            prefix, directory = pending.pop()
+            with os.scandir(directory) as entries:
+                for entry in entries:
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append((f"{prefix}{entry.name}/", entry.path))
+                    elif entry.name.endswith(self.extension) and entry.is_file():
+                        stat = entry.stat()
+                        infos.append(FileInfo(uri=prefix + entry.name,
+                                              size=stat.st_size,
+                                              mtime_ns=stat.st_mtime_ns))
+        infos.sort(key=lambda info: info.uri.split("/"))
         self.stats += len(infos)
         return infos
 

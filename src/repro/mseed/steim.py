@@ -35,8 +35,6 @@ reconstruction.  Decoding verifies the reverse integration constant.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from repro.errors import SteimError
@@ -254,9 +252,10 @@ def _class_table(level: int, flat_words: np.ndarray,
 def _decode_reference(data: bytes, nsamples: int, level: int, *,
                       check_integration: bool = True) -> np.ndarray:
     """The pre-vectorised decoder, kept bit-for-bit as the differential
-    oracle's reference: the table-driven decoder below (``_decode`` and
-    :func:`decode_records`) must agree with this implementation on every
-    payload."""
+    oracle's reference: the table-driven :func:`decode_records` below,
+    which extraction runs, must agree with it on every payload.  Only
+    the per-record reader reaches it, through :func:`decode_steim1/2
+    <decode_steim1>`."""
     if nsamples == 0:
         return np.zeros(0, dtype=np.int32)
     frames, nibbles = _decode_words(data)
@@ -341,20 +340,6 @@ def _build_unpack_table(level: int):
 _UNPACK_TABLES = {1: _build_unpack_table(1), 2: _build_unpack_table(2)}
 
 
-def _decode(data: bytes, nsamples: int, level: int, *,
-            check_integration: bool = True) -> np.ndarray:
-    """Table-driven decode of one record's payload: :func:`decode_records`
-    over a batch of one."""
-    if nsamples == 0:
-        return np.zeros(0, dtype=np.int32)
-    frames = _frame_words(data)
-    if frames.shape[0] == 0:
-        raise SteimError("empty Steim payload for nonzero sample count")
-    return _decode_live(frames.reshape(1, -1),
-                        np.array([nsamples], dtype=np.int64), level,
-                        check_integration=check_integration)
-
-
 # Payload bytes unpacked per pass.  The pass holds a few arrays of seven
 # 4-byte slots per payload word, so this bounds its scratch memory to
 # some tens of times the block, whatever the size of the file.
@@ -365,14 +350,14 @@ def decode_records(payloads: np.ndarray, nsamples: np.ndarray,
                    level: int) -> np.ndarray:
     """Decode the Steim payloads of many records in one pass.
 
-    ``payloads`` is a ``(records, payload_bytes)`` uint8 array whose
-    width is a positive multiple of :data:`FRAME_BYTES`; ``nsamples``
-    gives each record's sample count.  Returns every record's samples,
-    concatenated in record order: for each record exactly what
-    ``_decode_reference`` returns, and the ``SteimError`` it raises for
-    the first record it rejects (an invalid dnib, fewer differences than
-    samples, a last sample other than XN).  A record of 0 samples yields
-    nothing and is not checked, as there.
+    ``payloads`` is a ``(records, payload_bytes)`` uint8 array and
+    ``nsamples`` gives each record's sample count.  Returns every
+    record's samples, concatenated in record order: for each record
+    exactly what ``_decode_reference`` returns, and the ``SteimError``
+    it raises for the first record it rejects (a payload that is not
+    whole frames, an invalid dnib, fewer differences than samples, a
+    last sample other than XN).  A record of 0 samples yields nothing
+    and is not checked, as there.
 
     Per block of records holding up to :data:`_BLOCK_BYTES` of payload
     (one block for a typical file), one unpack-LUT pass over their
@@ -382,15 +367,20 @@ def decode_records(payloads: np.ndarray, nsamples: np.ndarray,
     nsamples = np.asarray(nsamples, dtype=np.int64)
     live = nsamples > 0
     payloads, nsamples = payloads[live], nsamples[live]
-    step = max(1, _BLOCK_BYTES // payloads.shape[1])
+    width = payloads.shape[1]
+    if len(nsamples) and (width == 0 or width % FRAME_BYTES):
+        raise SteimError(
+            f"Steim payload length {width} not a frame multiple" if width
+            else "empty Steim payload for nonzero sample count")
+    step = max(1, _BLOCK_BYTES // max(width, 1))
     blocks = [_decode_live(payloads[lo:lo + step].view(">u4").astype(np.uint32),
                            nsamples[lo:lo + step], level)
               for lo in range(0, len(nsamples), step)]
     return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int32)
 
 
-def _decode_live(words: np.ndarray, nsamples: np.ndarray, level: int, *,
-                 check_integration: bool = True) -> np.ndarray:
+def _decode_live(words: np.ndarray, nsamples: np.ndarray,
+                 level: int) -> np.ndarray:
     """Decode ``(records, words)`` payload words of records that each
     have samples; the one table-driven decoder."""
     records, width = words.shape
@@ -413,8 +403,7 @@ def _decode_live(words: np.ndarray, nsamples: np.ndarray, level: int, *,
     if failed.any():
         first = int(np.argmax(failed))
         # An earlier record's XN mismatch is raised first.
-        _decode_live(words[:first], nsamples[:first], level,
-                     check_integration=check_integration)
+        _decode_live(words[:first], nsamples[:first], level)
         if invalid[first]:
             raise SteimError("invalid Steim-2 dnib combination")
         raise SteimError(f"Steim payload ended early: {int(produced[first])} "
@@ -441,8 +430,6 @@ def _decode_live(words: np.ndarray, nsamples: np.ndarray, level: int, *,
     series[starts] = x0
     np.cumsum(series, out=series)
     series -= np.repeat(series[starts] - x0, nsamples)
-    if not check_integration:
-        return series.astype(np.int32)
     last = series[starts + nsamples - 1]
     xn = words[:, 2].view(np.int32)
     mismatch = last != xn
@@ -455,39 +442,15 @@ def _decode_live(words: np.ndarray, nsamples: np.ndarray, level: int, *,
     return series.astype(np.int32)
 
 
-_USE_REFERENCE = False
-
-
-def reference_active() -> bool:
-    """Whether :func:`reference_decoding` is in force."""
-    return _USE_REFERENCE
-
-
-@contextmanager
-def reference_decoding():
-    """Route ``decode_steim1/2`` through ``_decode_reference``, and make
-    extraction decode record by record instead of a file at a time
-    (:func:`repro.mseed.files.decode_file` steps aside) — together the
-    pre-vectorised extraction path, which the differential oracle and
-    the rowpath speed gate model."""
-    global _USE_REFERENCE
-    previous = _USE_REFERENCE
-    _USE_REFERENCE = True
-    try:
-        yield
-    finally:
-        _USE_REFERENCE = previous
-
-
 def decode_steim1(data: bytes, nsamples: int, *,
                   check_integration: bool = True) -> np.ndarray:
-    """Decode ``nsamples`` samples from a Steim-1 payload."""
-    decoder = _decode_reference if _USE_REFERENCE else _decode
-    return decoder(data, nsamples, 1, check_integration=check_integration)
+    """Decode ``nsamples`` samples from a Steim-1 payload (the reference)."""
+    return _decode_reference(data, nsamples, 1,
+                             check_integration=check_integration)
 
 
 def decode_steim2(data: bytes, nsamples: int, *,
                   check_integration: bool = True) -> np.ndarray:
-    """Decode ``nsamples`` samples from a Steim-2 payload."""
-    decoder = _decode_reference if _USE_REFERENCE else _decode
-    return decoder(data, nsamples, 2, check_integration=check_integration)
+    """Decode ``nsamples`` samples from a Steim-2 payload (the reference)."""
+    return _decode_reference(data, nsamples, 2,
+                             check_integration=check_integration)

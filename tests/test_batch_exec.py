@@ -261,10 +261,11 @@ def test_streaming_aggregate_admits_to_recycler():
 
 
 @pytest.mark.oracle
-def test_vectorised_at_least_5x_rowpath(tmp_path):
+def test_vectorised_at_least_5x_rowpath(tmp_path, monkeypatch):
     """Baseline: ``query_rowpath`` (tuple-at-a-time interpreter, no
-    recycler, no zone maps) with the Steim decoder routed through its
-    scalar reference — together the pre-vectorised engine.  Every
+    recycler, no zone maps) with extraction routed through
+    ``MSeedAdapter.reference_extract`` (the per-record reader and the
+    scalar Steim decoder) — together the pre-vectorised engine.  Every
     measurement runs on a fresh warehouse with the recycler off, so both
     sides pay cold extraction and repeats measure execution, not result
     caching.  A speed-up on wrong answers is worthless: rows first.
@@ -276,7 +277,7 @@ def test_vectorised_at_least_5x_rowpath(tmp_path):
     """
     import time
 
-    from repro.mseed import steim
+    from repro.etl.mseed_adapter import MSeedAdapter
     from repro.mseed.synthesize import RepositorySpec, build_repository
     from repro.seismology.queries import fig1_query1, fig1_query2
     from repro.seismology.warehouse import SeismicWarehouse
@@ -293,7 +294,9 @@ def test_vectorised_at_least_5x_rowpath(tmp_path):
     }
 
     def rowpath(wh, sql):
-        with steim.reference_decoding():
+        with monkeypatch.context() as patch:
+            patch.setattr(MSeedAdapter, "extract",
+                          MSeedAdapter.reference_extract)
             return wh.db.query_rowpath(sql)[0].rows()
 
     def vectorised(wh, sql):

@@ -8,7 +8,6 @@ from repro.mseed import encodings
 from repro.mseed.files import (
     file_time_span,
     read_file,
-    read_file_bytes,
     read_records,
     scan_file_headers,
     write_mseed_file,
@@ -65,13 +64,6 @@ def test_selective_read(tmp_path):
     assert [r.header.sequence_number for r in subset] == [2, 4]
     full = read_file(path)
     assert np.array_equal(subset[0].samples, full[1].samples)
-
-
-def test_read_file_bytes(tmp_path):
-    samples = np.arange(1000, dtype=np.int32)
-    path, n_records = _write(tmp_path, samples)
-    records = read_file_bytes(path.read_bytes())
-    assert len(records) == n_records
 
 
 def test_file_time_span(tmp_path):

@@ -16,6 +16,28 @@ def test_listing_is_sorted_and_relative(tiny_repo):
     assert all(info.size > 0 for info in infos)
 
 
+def test_listing_walks_nested_directories_in_path_order(tmp_path):
+    """URIs sort by path parts, as their paths do: ``a/`` before
+    ``a-b/``, although ``'a-b/' < 'a/'`` as strings."""
+    names = ["a-b/x.mseed", "a/x.mseed", "a/b/y.mseed", "a.mseed",
+             "z/a-b/c.mseed", "z/a/c.mseed", "a/notes.txt", "b/x.mseed.bak"]
+    for name in names:
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes(b"x" * len(name))
+    (tmp_path / "empty").mkdir()
+    repo = Repository(tmp_path)
+    infos = repo.list_files()
+    assert [info.uri for info in infos] == [
+        "a/b/y.mseed", "a/x.mseed", "a-b/x.mseed", "a.mseed",
+        "z/a/c.mseed", "z/a-b/c.mseed"]
+    assert [info.uri for info in infos] == [
+        path.relative_to(tmp_path).as_posix()
+        for path in sorted(tmp_path.rglob("*.mseed"))]
+    assert infos == [repo.stat(info.uri) for info in infos]
+    assert all(info.size == len(info.uri) for info in infos)
+    assert repo.stats == 2 * len(infos)
+
+
 def test_stat_and_exists(tiny_repo):
     repo = Repository(tiny_repo.root)
     uri = repo.list_files()[0].uri

@@ -2,14 +2,15 @@
 
 Extraction reads a file once and decodes it in one pass
 (``decode_file`` behind ``MSeedAdapter.extract``: one header decode, one
-``np.isin`` pick, one ``steim.decode_records`` and one batch transform)
-and sends a file that pass does not vouch for through
-``read_records_from``, the per-record reference.  These tests extract
-the same bytes both ways — the second time under
-``steim.reference_decoding()``, the pre-vectorised path — and require
-the sequence numbers, ``sample_value`` and ``sample_time`` to agree bit
-for bit, and a corrupt file to raise the same typed error with the same
-message.  A hypothesis test draws random int32 series.
+``np.isin`` pick, one decode per run of records alike in length, data
+offset and encoding, and one batch transform).  Every file goes that
+way; ``MSeedAdapter.reference_extract`` is the per-record reference
+(``read_records_from``, ``decode_record``, the scalar Steim decoder and
+``_transform_records``).  These tests extract the same bytes both ways
+and require the sequence numbers, ``sample_value`` and ``sample_time``
+to agree bit for bit, and a corrupt file to raise the same typed error
+with the same message.  A hypothesis test draws random Steim and INT32
+series.
 """
 
 from __future__ import annotations
@@ -26,9 +27,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db.types import DataType
-from repro.errors import ReproError, SteimError
+from repro.errors import (
+    CorruptRecordError,
+    MSeedError,
+    ReproError,
+    SteimError,
+    UnsupportedEncodingError,
+)
+from repro.etl import mseed_adapter
 from repro.etl.mseed_adapter import MSeedAdapter
 from repro.mseed import encodings, steim
+from repro.mseed import files as mseed_files
 from repro.mseed.files import decode_file, write_mseed_file
 from repro.mseed.records import encode_record
 from repro.mseed.repository import Repository
@@ -57,12 +66,9 @@ def _outcome(repo, uri, seqs, *, batched: bool,
     every column's dtype and bytes, or the type and message of the error
     it raised."""
     adapter = MSeedAdapter(value_type)
+    extract = adapter.extract if batched else adapter.reference_extract
     try:
-        if batched:
-            extracted = adapter.extract(repo, uri, seqs, COLUMNS)
-        else:
-            with steim.reference_decoding():
-                extracted = adapter.extract(repo, uri, seqs, COLUMNS)
+        extracted = extract(repo, uri, seqs, COLUMNS)
     except ReproError as exc:
         return type(exc), str(exc)
     return extracted.seq_nos.tolist(), extracted.offsets.tolist(), {
@@ -86,10 +92,10 @@ def assert_paths_agree(repo, uri="f.mseed", seqs=None, **kwargs):
 
 
 def _vouched(data: bytes) -> bool:
-    """Did the one pass decode (or reject) the file itself?"""
+    """Did the one pass decode the file or raise a typed error itself?"""
     try:
         return decode_file(data) is not None
-    except SteimError:
+    except MSeedError:
         return True
 
 
@@ -202,24 +208,44 @@ def test_each_golden_payload_in_its_own_record_agrees(case):
     assert_paths_agree(_InMemory(data))
 
 
-# -- files the pass hands to the reference ----------------------------------------
+# -- files that are not one run of standard Steim records ----------------------
+
+def _then(first: bytes, second: bytes, length: int, number: int = 100) -> bytes:
+    """``second``'s ``length``-byte records after ``first``'s, numbered
+    on from ``number``."""
+    renumbered = bytearray(second)
+    for index in range(len(second) // length):
+        renumbered[index * length:index * length + 6] = b"%06d" % (
+            number + index)
+    return first + bytes(renumbered)
+
+
+def _edit(data: bytes, offset: int, fmt: str, *values, records=None,
+          length: int = 512, base: int = 0) -> bytes:
+    """``data`` with ``values`` packed at ``offset`` of each of
+    ``records`` (indices of the ``length``-byte records from byte
+    ``base`` on; all of them when ``None``)."""
+    out = bytearray(data)
+    for index in (range((len(out) - base) // length) if records is None
+                  else records):
+        struct.pack_into(fmt, out, base + index * length + offset, *values)
+    return bytes(out)
+
 
 def _mixed_encodings() -> bytes:
-    steim1 = _file_bytes(_noise(600), level=1)
-    steim2 = bytearray(_file_bytes(_noise(600, seed=1), level=2))
-    for index in range(len(steim2) // 512):
-        steim2[index * 512:index * 512 + 6] = b"%06d" % (100 + index)
-    return steim1 + bytes(steim2)
+    return _then(_file_bytes(_noise(600), level=1),
+                 _file_bytes(_noise(600, seed=1), level=2), 512)
 
 
 def _log_record() -> bytes:
     """A Steim-2 file whose third record is a log record: no samples at
-    sample-rate factor 0 (the pass leaves rate-0 files to the reference)."""
-    data = bytearray(_file_bytes(_noise(1200)))
-    struct.pack_into(">Hh", data, 2 * 512 + 30, 0, 0)
-    return bytes(data)
+    sample-rate factor 0."""
+    return _edit(_file_bytes(_noise(1200)), 30, ">Hh", 0, 0, records=[2])
 
 
+# Files the reader decoded while the pass handed them over (a raw
+# encoding, runs that differ, a torn file, a rate of 0); the pass now
+# decodes each of them itself.
 FALLBACK = {
     "int32": lambda: _file_bytes(_noise(800), encoding=encodings.ENC_INT32),
     "float64": lambda: _file_bytes(_noise(800).astype(np.float64),
@@ -235,7 +261,7 @@ FALLBACK = {
 @pytest.mark.parametrize("case", sorted(FALLBACK))
 def test_unvouched_files_agree(case):
     data = FALLBACK[case]()
-    assert not _vouched(data)
+    assert _vouched(data)
     assert_paths_agree(_InMemory(data))
 
 
@@ -351,19 +377,176 @@ def test_blocked_decode_agrees(monkeypatch, block_bytes, case):
         assert max(passes) == (1 if block_bytes == 1 else 2)
 
 
+# -- crafted layouts, mixed runs and typed errors -----------------------------------
+
+def _int32(n=800, seed=0) -> bytes:
+    return _file_bytes(_noise(n, seed), encoding=encodings.ENC_INT32)
+
+
+def _in_second_run(offset: int, fmt: str, *values) -> bytes:
+    """A mixed-length file (512-byte Steim-2 records, then 4096-byte
+    ones) with ``values`` packed into the second record of the second
+    run."""
+    small = _file_bytes(_noise(600))
+    data = _then(small, _file_bytes(_noise(3000, seed=1), record_length=4096),
+                 4096)
+    return _edit(data, offset, fmt, *values, records=[1], length=4096,
+                 base=len(small))
+
+
+def _bad_payload_then(edit, record: int) -> bytes:
+    """A bad dnib in record 2, then ``edit`` applied to ``record``."""
+    data = bytearray(_file_bytes(_noise(seed=5)))
+    _bad_dnib(data, 2)
+    return _edit(bytes(data), *edit, records=[record])
+
+
+BADSEQ = (0, "6s", b"00a003")
+HOUR25 = (24, ">B", 25)
+
+# name: (file bytes, the error both paths raise or None)
+CRAFTED = {
+    # Decodable blockette layouts the header pass does not vouch for.
+    "nblk1": (lambda: _edit(_edit(_file_bytes(_noise()), 39, ">B", 1),
+                            50, ">H", 0), None),
+    "b1001first": (lambda: _edit(
+        _file_bytes(_noise()), 48, ">HHBbBB HHBBBB", 1001, 56, 90, 0, 0, 0,
+        1000, 0, encodings.ENC_STEIM2, 1, 9, 0), None),
+    "steim2-then-int32": (lambda: _then(_file_bytes(_noise(900)),
+                                        _int32(500, seed=1), 512), None),
+    "int32-log-record": (lambda: _edit(_int32(), 30, ">Hhh", 0, 0, 7,
+                                       records=[2]), None),
+    # 512-byte records, 4096-byte ones, then 512-byte INT32 ones.
+    "three-runs": (lambda: _then(_then(
+        _file_bytes(_noise(600)),
+        _file_bytes(_noise(3000, seed=1), record_length=4096), 4096),
+        _int32(300, seed=2), 512, number=200), None),
+    # Payloads that are not whole Steim frames, or none at all.
+    "steim-offset-off-frame": (lambda: _edit(_file_bytes(_noise()), 44,
+                                             ">H", 100, records=[3]),
+                               SteimError),
+    "steim-offset-past-record": (lambda: _edit(_file_bytes(_noise()), 44,
+                                               ">H", 600), SteimError),
+    "mixed-lengths-badseq": (lambda: _in_second_run(*BADSEQ),
+                             CorruptRecordError),
+    "mixed-lengths-hour25": (lambda: _in_second_run(*HOUR25),
+                             CorruptRecordError),
+    "int32-badseq": (lambda: _edit(_int32(), *BADSEQ, records=[2]),
+                     CorruptRecordError),
+    "int32-hour25": (lambda: _edit(_int32(), *HOUR25, records=[3]),
+                     CorruptRecordError),
+    "int32-too-short": (lambda: _edit(_int32(), 30, ">H", 200, records=[2]),
+                        UnsupportedEncodingError),
+    "encoding-0-in-one-record": (lambda: _edit(
+        _file_bytes(_noise()), 52, ">B", 0, records=[2]),
+        UnsupportedEncodingError),
+    "encoding-99": (lambda: _edit(_file_bytes(_noise()), 52, ">B", 99),
+                    UnsupportedEncodingError),
+    # The first bad record in file order decides the error.
+    "bad-payload-before-bad-header": (lambda: _bad_payload_then(HOUR25, 5),
+                                      SteimError),
+    "bad-header-before-bad-payload": (lambda: _bad_payload_then(BADSEQ, 1),
+                                      CorruptRecordError),
+    "int32-too-short-before-badseq": (lambda: _edit(
+        _edit(_int32(), 30, ">H", 200, records=[1]), *BADSEQ, records=[3]),
+        UnsupportedEncodingError),
+    "bad-payload-then-torn": (lambda: _corrupt("bad-dnib")[:-100],
+                              SteimError),
+    # The INT32 run is decoded first; the Steim run's error comes first.
+    "bad-steim-run-before-short-int32-run": (lambda: _then(
+        _corrupt("bad-dnib"), _edit(_int32(), 30, ">H", 200, records=[1]),
+        512), SteimError),
+}
+
+
+@pytest.mark.parametrize("value_type", [DataType.BIGINT, DataType.DOUBLE])
+@pytest.mark.parametrize("case", sorted(CRAFTED))
+def test_crafted_files_agree(case, value_type):
+    build, error = CRAFTED[case]
+    data = build()
+    assert _vouched(data)
+    got = assert_paths_agree(_InMemory(data), value_type=value_type)
+    if error is None:
+        assert len(got[0]) > 1
+        picked = got[0][1::3]
+        assert assert_paths_agree(_InMemory(data), seqs=picked,
+                                  value_type=value_type)[0] == picked
+    else:
+        assert got[0] is error
+
+
+def _mixed_lengths_renumbered() -> bytes:
+    return _then(_file_bytes(_noise(600)),
+                 _file_bytes(_noise(3000, seed=1), record_length=4096), 4096)
+
+
+def test_production_extraction_never_reaches_the_reference(tmp_path,
+                                                           monkeypatch):
+    """A lazy query over crafted files (a foreign blockette layout,
+    mixed lengths, a raw encoding after a Steim run, a log record)
+    decodes every one in the one pass; ``reference_extract`` decodes
+    each Steim record with the scalar reference once."""
+    from repro.seismology.warehouse import SeismicWarehouse
+
+    crafted = {"nblk1": CRAFTED["nblk1"][0],
+               "steim2-then-int32": CRAFTED["steim2-then-int32"][0],
+               "int32-log-record": CRAFTED["int32-log-record"][0],
+               "mixed-lengths": _mixed_lengths_renumbered}
+    for name, build in crafted.items():
+        (tmp_path / f"{name}.mseed").write_bytes(build())
+    readers, decodes = [], []
+
+    def counting(module, name, calls):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(mseed_files, "read_records_from", readers)
+    counting(mseed_adapter, "read_records_from", readers)
+    counting(steim, "_decode_reference", decodes)
+
+    wh = SeismicWarehouse(tmp_path, mode="lazy", recycler_budget_bytes=0)
+    [(files,)] = wh.query("SELECT COUNT(*) FROM mseed.files").rows()
+    assert files == len(crafted)
+    [(count, total)] = wh.query("SELECT COUNT(*), SUM(D.sample_value) "
+                                "FROM mseed.dataview").rows()
+    assert count > 0 and (readers, decodes) == ([], [])
+
+    repo = Repository(tmp_path)
+    infos = repo.list_files()
+    runs = [MSeedAdapter().reference_extract(repo, info.uri, None, COLUMNS)
+            for info in infos]
+    steim_records = sum(
+        header.encoding in STEIM.values()
+        for info in infos
+        for header in mseed_files.scan_file_headers(repo.path_of(info.uri)))
+    assert len(readers) == len(infos) and len(decodes) == steim_records
+    assert (count, total) == (
+        sum(len(run.columns["sample_value"]) for run in runs),
+        sum(int(run.columns["sample_value"].sum()) for run in runs))
+
+
 # -- random series -------------------------------------------------------------------
 
+# Widest difference (Steim-2: 30 bits, Steim-1: 32) or value (INT32) in
+# bits, less the one the offset below takes.
+SERIES = {encodings.ENC_STEIM1: 29, encodings.ENC_STEIM2: 28,
+          encodings.ENC_INT32: 29}
+
+
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), level=st.sampled_from([1, 2]),
+@given(data=st.data(), encoding=st.sampled_from(sorted(SERIES)),
        n=st.integers(1, 2500), record_length=st.sampled_from([128, 512]))
-def test_random_int32_series_agree(data, level, n, record_length):
-    # Steim-2 differences must fit 30 bits, Steim-1 ones 32.
-    bits = data.draw(st.integers(0, 28 if level == 2 else 29))
+def test_random_int32_series_agree(data, encoding, n, record_length):
+    bits = data.draw(st.integers(0, SERIES[encoding]))
     offset = data.draw(st.integers(-2**31 + 2**29, 2**31 - 1 - 2**29))
     seed = data.draw(st.integers(0, 2**32 - 1))
     samples = offset + np.random.default_rng(seed).integers(
         -2**bits, 2**bits, n, endpoint=True)
-    blob = _file_bytes(samples.astype(np.int32), level=level,
+    blob = _file_bytes(samples.astype(np.int32), encoding=encoding,
                        record_length=record_length)
     n_records = len(blob) // record_length
     picked = data.draw(st.none() | st.lists(st.integers(1, n_records)))

@@ -2,8 +2,9 @@
 
 The corpus in ``tests/data/steim_golden.json`` pins encoded payloads to
 known sample arrays (negative diffs, every Steim-2 dnib class, partial
-final frames, capacity overflow).  The table-driven decoder must match
-both the goldens and ``_decode_reference`` bit-for-bit — the reference is
+final frames, capacity overflow).  The table-driven decoder
+(``decode_records``, here over a batch of one record) must match both
+the goldens and ``_decode_reference`` bit-for-bit — the reference is
 the semantic anchor for the vectorised rewrite.
 """
 
@@ -21,6 +22,13 @@ from repro.mseed import steim
 _GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "steim_golden.json").read_text()
 )["cases"]
+
+
+def _decode_one(payload: bytes, nsamples: int, level: int) -> np.ndarray:
+    """``decode_records`` over a batch of one record."""
+    return steim.decode_records(
+        np.frombuffer(payload, np.uint8).reshape(1, -1),
+        np.array([nsamples]), level)
 
 
 def _decode_public(case, payload):
@@ -42,53 +50,11 @@ def test_golden_decode(case):
 @pytest.mark.parametrize("case", _GOLDEN, ids=lambda c: c["name"])
 def test_golden_matches_reference_bit_for_bit(case):
     payload = base64.b64decode(case["payload_b64"])
-    fast = steim._decode(payload, case["nsamples"], case["level"])
+    fast = _decode_one(payload, case["nsamples"], case["level"])
     ref = steim._decode_reference(payload, case["nsamples"], case["level"])
     assert fast.dtype == ref.dtype
     assert np.array_equal(fast, ref)
     assert fast.tobytes() == ref.tobytes()
-
-
-def test_reference_decoding_switch():
-    samples = np.arange(-50, 50, dtype=np.int32)
-    payload, k = steim.encode_steim2(samples, 4)
-    with steim.reference_decoding():
-        ref = steim.decode_steim2(payload, k)
-    assert np.array_equal(ref, steim.decode_steim2(payload, k))
-    assert not steim._USE_REFERENCE
-
-
-def test_reference_decoding_extracts_record_by_record(tiny_repo,
-                                                      monkeypatch):
-    """Inside the switch a lazy query decodes each record with
-    ``_decode_reference`` (the pre-vectorised extraction the rowpath
-    speed gate models); outside it, never."""
-    from repro.seismology.warehouse import SeismicWarehouse
-
-    calls = []
-    reference = steim._decode_reference
-
-    def counting(data, nsamples, level, **kwargs):
-        calls.append(nsamples)
-        return reference(data, nsamples, level, **kwargs)
-
-    monkeypatch.setattr(steim, "_decode_reference", counting)
-    sql = "SELECT COUNT(*), SUM(D.sample_value) FROM mseed.dataview"
-    answers = []
-    for switched in (True, False):
-        wh = SeismicWarehouse(tiny_repo.root, mode="lazy",
-                              recycler_budget_bytes=0)
-        if switched:
-            with steim.reference_decoding():
-                answers.append(wh.query(sql).rows())
-        else:
-            answers.append(wh.query(sql).rows())
-        if switched:
-            records = wh.query("SELECT COUNT(*), SUM(sample_count) "
-                               "FROM mseed.records").rows()
-            assert [(len(calls), sum(calls))] == records
-    assert answers[0] == answers[1]
-    assert len(calls) == records[0][0]
 
 
 def test_invalid_dnib_rejected_by_both():
@@ -101,7 +67,7 @@ def test_invalid_dnib_rejected_by_both():
     words = [header, 0, 0, 0x00000005] + [0] * 12
     payload = np.array(words, dtype=">u4").tobytes()
     with pytest.raises(SteimError, match="dnib"):
-        steim._decode(payload, 1, 2)
+        _decode_one(payload, 1, 2)
     with pytest.raises(SteimError, match="dnib"):
         steim._decode_reference(payload, 1, 2)
 
@@ -110,7 +76,7 @@ def test_truncated_payload_rejected_by_both():
     samples = np.arange(1000, dtype=np.int32)
     payload, k = steim.encode_steim2(samples, 8)
     short = payload[:steim.FRAME_BYTES]
-    for decoder in (steim._decode, steim._decode_reference):
+    for decoder in (_decode_one, steim._decode_reference):
         with pytest.raises(SteimError, match="ended early"):
             decoder(short, k, 2)
 
@@ -120,17 +86,18 @@ def test_reverse_integration_mismatch_rejected_by_both():
     payload, k = steim.encode_steim2(samples, 4)
     corrupt = bytearray(payload)
     corrupt[8:12] = np.array([999999], dtype=">u4").tobytes()  # XN slot
-    for decoder in (steim._decode, steim._decode_reference):
+    for decoder in (_decode_one, steim._decode_reference):
         with pytest.raises(SteimError, match="reverse integration"):
             decoder(bytes(corrupt), k, 2)
-        assert np.array_equal(
-            decoder(bytes(corrupt), k, 2, check_integration=False),
-            samples,
-        )
+    assert np.array_equal(
+        steim._decode_reference(bytes(corrupt), k, 2,
+                                check_integration=False),
+        samples,
+    )
 
 
 def test_zero_samples():
-    assert steim._decode(b"", 0, 2).size == 0
+    assert _decode_one(b"", 0, 2).size == 0
     assert steim._decode_reference(b"", 0, 2).size == 0
 
 
@@ -149,7 +116,7 @@ def test_roundtrip_fuzz_new_vs_reference(data, n, level, scale):
     samples = np.clip(np.cumsum(diffs), -2**31 + 1, 2**31 - 1).astype(np.int32)
     encode = steim.encode_steim1 if level == 1 else steim.encode_steim2
     payload, k = encode(samples, max_frames=10)
-    fast = steim._decode(payload, k, level)
+    fast = _decode_one(payload, k, level)
     ref = steim._decode_reference(payload, k, level)
     assert np.array_equal(fast, samples[:k])
     assert fast.tobytes() == ref.tobytes()
