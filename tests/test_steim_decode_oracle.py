@@ -243,9 +243,9 @@ def _log_record() -> bytes:
     return _edit(_file_bytes(_noise(1200)), 30, ">Hh", 0, 0, records=[2])
 
 
-# Files the reader decoded while the pass handed them over (a raw
-# encoding, runs that differ, a torn file, a rate of 0); the pass now
-# decodes each of them itself.
+# Files the header pass does not vouch for as one run of standard Steim
+# records (a raw encoding, runs that differ, a torn file, a rate of 0);
+# decode_file decodes or rejects each of them itself.
 FALLBACK = {
     "int32": lambda: _file_bytes(_noise(800), encoding=encodings.ENC_INT32),
     "float64": lambda: _file_bytes(_noise(800).astype(np.float64),
@@ -383,15 +383,15 @@ def _int32(n=800, seed=0) -> bytes:
     return _file_bytes(_noise(n, seed), encoding=encodings.ENC_INT32)
 
 
-def _in_second_run(offset: int, fmt: str, *values) -> bytes:
-    """A mixed-length file (512-byte Steim-2 records, then 4096-byte
-    ones) with ``values`` packed into the second record of the second
-    run."""
+def _mixed_lengths(*edit) -> bytes:
+    """512-byte Steim-2 records, then 4096-byte ones numbered on from
+    100; ``edit`` (offset, format, values...) packed into the second
+    record of the second run."""
     small = _file_bytes(_noise(600))
     data = _then(small, _file_bytes(_noise(3000, seed=1), record_length=4096),
                  4096)
-    return _edit(data, offset, fmt, *values, records=[1], length=4096,
-                 base=len(small))
+    return _edit(data, *edit, records=[1], length=4096,
+                 base=len(small)) if edit else data
 
 
 def _bad_payload_then(edit, record: int) -> bytes:
@@ -417,19 +417,17 @@ CRAFTED = {
     "int32-log-record": (lambda: _edit(_int32(), 30, ">Hhh", 0, 0, 7,
                                        records=[2]), None),
     # 512-byte records, 4096-byte ones, then 512-byte INT32 ones.
-    "three-runs": (lambda: _then(_then(
-        _file_bytes(_noise(600)),
-        _file_bytes(_noise(3000, seed=1), record_length=4096), 4096),
-        _int32(300, seed=2), 512, number=200), None),
+    "three-runs": (lambda: _then(_mixed_lengths(), _int32(300, seed=2), 512,
+                                 number=200), None),
     # Payloads that are not whole Steim frames, or none at all.
     "steim-offset-off-frame": (lambda: _edit(_file_bytes(_noise()), 44,
                                              ">H", 100, records=[3]),
                                SteimError),
     "steim-offset-past-record": (lambda: _edit(_file_bytes(_noise()), 44,
                                                ">H", 600), SteimError),
-    "mixed-lengths-badseq": (lambda: _in_second_run(*BADSEQ),
+    "mixed-lengths-badseq": (lambda: _mixed_lengths(*BADSEQ),
                              CorruptRecordError),
-    "mixed-lengths-hour25": (lambda: _in_second_run(*HOUR25),
+    "mixed-lengths-hour25": (lambda: _mixed_lengths(*HOUR25),
                              CorruptRecordError),
     "int32-badseq": (lambda: _edit(_int32(), *BADSEQ, records=[2]),
                      CorruptRecordError),
@@ -475,11 +473,6 @@ def test_crafted_files_agree(case, value_type):
         assert got[0] is error
 
 
-def _mixed_lengths_renumbered() -> bytes:
-    return _then(_file_bytes(_noise(600)),
-                 _file_bytes(_noise(3000, seed=1), record_length=4096), 4096)
-
-
 def test_production_extraction_never_reaches_the_reference(tmp_path,
                                                            monkeypatch):
     """A lazy query over crafted files (a foreign blockette layout,
@@ -491,7 +484,7 @@ def test_production_extraction_never_reaches_the_reference(tmp_path,
     crafted = {"nblk1": CRAFTED["nblk1"][0],
                "steim2-then-int32": CRAFTED["steim2-then-int32"][0],
                "int32-log-record": CRAFTED["int32-log-record"][0],
-               "mixed-lengths": _mixed_lengths_renumbered}
+               "mixed-lengths": _mixed_lengths}
     for name, build in crafted.items():
         (tmp_path / f"{name}.mseed").write_bytes(build())
     readers, decodes = [], []
@@ -531,8 +524,8 @@ def test_production_extraction_never_reaches_the_reference(tmp_path,
 
 # -- random series -------------------------------------------------------------------
 
-# Widest difference (Steim-2: 30 bits, Steim-1: 32) or value (INT32) in
-# bits, less the one the offset below takes.
+# The widest draw in bits: Steim-2 differences must fit 30 bits, and
+# every sample, offset included, must fit int32.
 SERIES = {encodings.ENC_STEIM1: 29, encodings.ENC_STEIM2: 28,
           encodings.ENC_INT32: 29}
 
