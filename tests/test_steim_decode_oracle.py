@@ -68,7 +68,9 @@ def _outcome(repo, uri, seqs, *, batched: bool,
     adapter = MSeedAdapter(value_type)
     extract = adapter.extract if batched else adapter.reference_extract
     try:
-        extracted = extract(repo, uri, seqs, COLUMNS)
+        # A log record (rate 0) must not be divided by.
+        with np.errstate(divide="raise", invalid="raise"):
+            extracted = extract(repo, uri, seqs, COLUMNS)
     except ReproError as exc:
         return type(exc), str(exc)
     return extracted.seq_nos.tolist(), extracted.offsets.tolist(), {
